@@ -18,31 +18,29 @@ args = ap.parse_args()
 
 scn = im.parse_scenario(args.scenario)
 bound = im.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+regions = (("x", bound.x), ("y", bound.y))
 
-print("x-region: D_t* = %.4f m, axis limits D_t <= %.4f, D_r <= %.4f"
-      % (bound.d_t_star_x, bound.d_t_rayleigh_x, bound.d_r_rayleigh_x))
-print("y-region: D_t* = %.4f m, axis limits D_t <= %.4f, D_r <= %.4f"
-      % (bound.d_t_star_y, bound.d_t_rayleigh_y, bound.d_r_rayleigh_y))
-print("corners: R_tx=%s R_rx=%s R_ty=%s R_ry=%s"
-      % (bound.r_tx, bound.r_rx, bound.r_ty, bound.r_ry))
+for axis, reg in regions:
+    print("%s-region: D_t* = %.4f m, axis limits D_t <= %.4f, D_r <= %.4f"
+          % (axis, reg.d_t_star, reg.d_t_rayleigh, reg.d_r_rayleigh))
+print("corners: " + " ".join("R_t%s=%s R_r%s=%s" % (axis, reg.r_t, axis, reg.r_r)
+                             for axis, reg in regions))
 
 import os
 os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
 with open(args.out, "w") as fh:
     fh.write("axis,d_t,d_r_cap\n")
-    for axis, curve in (("x", bound.boundary_x), ("y", bound.boundary_y)):
-        for d_t, cap in curve:
+    for axis, reg in regions:
+        for d_t, cap in reg.boundary:
             fh.write("%s,%.17g,%.17g\n" % (axis, d_t, cap))
 print("boundary samples ->", args.out)
 
 rng = np.random.default_rng(11)
-for axis in ("x", "y"):
-    d_star = bound.d_t_star_x if axis == "x" else bound.d_t_star_y
-    d_ray_r = bound.d_r_rayleigh_x if axis == "x" else bound.d_r_rayleigh_y
+for axis, reg in regions:
     failures = 0
     for _ in range(args.spot_checks):
-        d_t = float(rng.uniform(0.2, 0.98)) * d_star
-        d_r = float(rng.uniform(0.2, 0.98)) * d_ray_r
+        d_t = float(rng.uniform(0.2, 0.98)) * reg.d_t_star
+        d_r = float(rng.uniform(0.2, 0.98)) * reg.d_r_rayleigh
         o_t, o_r = im.fmr_orientations(bound, d_t, d_r, axis)
         sc = replace(
             scn,

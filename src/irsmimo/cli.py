@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,13 +34,11 @@ from .scenario import (
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept scenario field with its range and requested outputs."""
+    """One swept range of a scenario field."""
 
-    variable: str
     start: float
     stop: float
     count: int
-    outputs: tuple = ()
 
     def __post_init__(self) -> None:
         if self.count < 0:
@@ -78,14 +75,6 @@ def _emit(args, header, rows, scn: Scenario) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _pmap(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _print_kv(key: str, value) -> None:
@@ -133,7 +122,7 @@ def cmd_channel(args) -> int:
 
 def cmd_eigensweep(args) -> int:
     scn = parse_scenario(args.scenario)
-    sweep = SweepSpec("tx.distance", args.start, args.stop, args.count, ("eigenvalues",))
+    sweep = SweepSpec(args.start, args.stop, args.count)
     rr = mux.rayleigh_distances(scn.tx, scn.irs, scn.wave)
     axis = {"auto-x": "x", "auto-y": "y"}.get(args.orient)
     d_axis = rr.d_rx_axis if axis == "x" else rr.d_ry_axis
@@ -151,7 +140,7 @@ def cmd_eigensweep(args) -> int:
         ev = np.linalg.eigvalsh(h_t.conj().T @ h_t) / scn.irs.n_elements
         return (float(d_t), *np.sort(ev)[::-1])
 
-    rows = _pmap(eigenvalues, sweep.values(), args.threads)
+    rows = [eigenvalues(d_t) for d_t in sweep.values()]
     header = ["d_t"] + [f"eig_{i + 1}" for i in range(scn.tx.n_antennas)]
     _emit(args, header, rows, scn)
     if args.gnuplot_hints:
@@ -162,8 +151,8 @@ def cmd_eigensweep(args) -> int:
 def cmd_fmr_map(args) -> int:
     scn = parse_scenario(args.scenario)
     bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
-    dt_vals = SweepSpec("tx.distance", args.dt_start, args.dt_stop, args.dt_count).values()
-    dr_vals = SweepSpec("rx.distance", args.dr_start, args.dr_stop, args.dr_count).values()
+    dt_vals = SweepSpec(args.dt_start, args.dt_stop, args.dt_count).values()
+    dr_vals = SweepSpec(args.dr_start, args.dr_stop, args.dr_count).values()
     points = [(float(dt), float(dr)) for dt in dt_vals for dr in dr_vals]
 
     def survey(point):
@@ -192,7 +181,7 @@ def cmd_fmr_map(args) -> int:
             gram_pass = report.passed
         return (d_t, d_r, in_x, in_y, gram_pass)
 
-    rows = _pmap(survey, points, args.threads)
+    rows = [survey(point) for point in points]
     _emit(args, ["d_t", "d_r", "in_region_x", "in_region_y", "gram_pass"], rows, scn)
     if args.gnuplot_hints:
         _hint_fmr_map(args)
@@ -289,7 +278,7 @@ def cmd_optimize(args) -> int:
     # always dominates it
     base = args.seed if args.seed is not None else 0
     labels = ["focus"] + list(range(base, base + args.seeds))
-    results = _pmap(run, labels, args.threads)
+    results = [run(label) for label in labels]
     for label, _, _, _, mi, bound in results:
         print(
             f"seed={label} mi_bits={_fmt(mi)} upper_bound_bits={_fmt(bound)} "
@@ -482,8 +471,8 @@ def _check_mm_monotone(_scn: Scenario):
 def _check_gram_fmr(_scn: Scenario):
     scn = _golden_scenario()
     bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
-    d_t = 0.8 * bound.d_t_star_x
-    d_r = 0.8 * bound.d_r_rayleigh_x
+    d_t = 0.8 * bound.x.d_t_star
+    d_r = 0.8 * bound.x.d_r_rayleigh
     ot, orx = mux.fmr_orientations(bound, d_t, d_r, "x")
     sc_in = replace(
         scn,
@@ -492,7 +481,7 @@ def _check_gram_fmr(_scn: Scenario):
     )
     cs = chan.build_channels(sc_in)
     inside = mux.check_orthogonality(cs.h, "rows", cs.eta0**2 * scn.irs.n_elements**2)
-    d_t_out = 1.5 * bound.d_t_rayleigh_x
+    d_t_out = 1.5 * bound.x.d_t_rayleigh
     pt, pr = mux.fmr_probe_orientation(bound, d_t_out, d_r, "x")
     sc_out = replace(
         scn,
@@ -570,14 +559,13 @@ def _hint_matrix(args) -> None:
 # argument wiring
 
 
-def _add_common(sub, scenario_required=True):
-    sub.add_argument("--scenario", required=scenario_required, help="scenario file path")
+def _add_common(sub, hints=False):
+    sub.add_argument("--scenario", required=True, help="scenario file path")
     sub.add_argument("--out", help="output CSV path (default stdout)")
-    sub.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-    sub.add_argument(
-        "--gnuplot-hints", action="store_true", help="print a matching gnuplot script"
-    )
+    if hints:
+        sub.add_argument(
+            "--gnuplot-hints", action="store_true", help="print a matching gnuplot script"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -593,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_rayleigh)
 
     p = sub.add_parser("channel", help="dump a channel matrix as CSV")
-    _add_common(p)
+    _add_common(p, hints=True)
     p.add_argument(
         "--matrix",
         choices=["h", "ht", "hr", "theta", "closed"],
@@ -603,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_channel)
 
     p = sub.add_parser("eigensweep", help="hop-Gram eigenvalues against Tx distance")
-    _add_common(p)
+    _add_common(p, hints=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
@@ -616,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eigensweep)
 
     p = sub.add_parser("fmr-map", help="region membership over a (D_t, D_r) grid")
-    _add_common(p)
+    _add_common(p, hints=True)
     p.add_argument("--dt-start", type=float, required=True)
     p.add_argument("--dt-stop", type=float, required=True)
     p.add_argument("--dt-count", type=int, required=True)
@@ -639,6 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="alternating phase/orientation optimization")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
     p.add_argument("--seeds", type=int, default=1, help="number of random restarts")
     p.add_argument("--overlay", help="write the converged configuration as a scenario file")
     p.add_argument("--eps-theta", type=float, default=1e-6)
@@ -652,14 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("verify", help="run named verification checks")
-    _add_common(p, scenario_required=False)
+    p.add_argument("--scenario", help="scenario file path (default: the golden setup)")
     p.add_argument(
         "--checks",
         default=None,
         help="comma-separated check names (default: all); empty string runs none",
     )
-    p.add_argument("--tol-off", type=float, default=1e-6)
-    p.add_argument("--tol-diag", type=float, default=1e-8)
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -13,7 +13,7 @@ interior point, and verifies the resulting channels numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,43 +50,53 @@ class OrientationSetting:
 
 
 @dataclass(frozen=True)
-class FmrBound:
-    """Closed-form description of the cascaded multiplexing region.
+class AxisRegion:
+    """Closed-form description of the x- or y-region of the cascade.
 
-    The x-region is the union of a rectangle (D_t up to d_t_star_x, D_r up
-    to d_r_rayleigh_x) and a curved lobe for D_t in (d_t_star_x,
-    d_t_rayleigh_x] capped by the boundary curve; the y-region mirrors it.
-    boundary_x / boundary_y are (n, 2) sampled arrays of (D_t, cap) pairs.
-    Corner points r_* are (D_t, D_r) tuples where boundary and rectangle
-    edges meet.
+    The region is the union of a rectangle (D_t up to d_t_star, D_r up to
+    d_r_rayleigh) and a curved lobe for D_t in (d_t_star, d_t_rayleigh]
+    capped by the boundary curve; boundary is an (n, 2) sampled array of
+    (D_t, cap) pairs.  The direction amplitudes a_t / a_r and anchor angles
+    gbar_t / gbar_r of each side are (this axis, other axis) pairs.
     """
 
-    d_t_star_x: float
-    d_t_star_y: float
-    gamma_star_x: float
-    gamma_star_y: float
-    d_t_rayleigh_x: float
-    d_t_rayleigh_y: float
-    d_r_rayleigh_x: float
-    d_r_rayleigh_y: float
-    d_r_star_x: float
-    d_r_star_y: float
-    gamma_star_rx: float
-    gamma_star_ry: float
-    boundary_x: np.ndarray
-    boundary_y: np.ndarray
-    r_tx: tuple[float, float]
-    r_rx: tuple[float, float]
-    r_ty: tuple[float, float]
-    r_ry: tuple[float, float]
-    a_tx: float
-    a_ty: float
-    a_rx: float
-    a_ry: float
-    gbar_tx: float
-    gbar_ty: float
-    gbar_rx: float
-    gbar_ry: float
+    d_t_star: float
+    d_t_rayleigh: float
+    d_r_star: float
+    d_r_rayleigh: float
+    gamma_star: float
+    gamma_star_r: float
+    a_t: tuple[float, float]
+    gbar_t: tuple[float, float]
+    a_r: tuple[float, float]
+    gbar_r: tuple[float, float]
+    boundary: np.ndarray
+
+    @property
+    def r_t(self) -> tuple[float, float]:
+        """(D_t, D_r) corner where the boundary meets the Tx axis limit."""
+        return (self.d_t_rayleigh, self.d_r_star)
+
+    @property
+    def r_r(self) -> tuple[float, float]:
+        """(D_t, D_r) corner where the boundary meets the Rx axis limit."""
+        return (self.d_t_star, self.d_r_rayleigh)
+
+
+@dataclass(frozen=True)
+class FmrBound:
+    """The cascaded multiplexing region: one AxisRegion per surface axis."""
+
+    x: AxisRegion
+    y: AxisRegion
+
+    def axis(self, name: str) -> AxisRegion:
+        """The region of surface axis 'x' or 'y'; any other name is an error."""
+        if name == "x":
+            return self.x
+        if name == "y":
+            return self.y
+        raise ValueError("region must be 'x' or 'y'")
 
 
 @dataclass(frozen=True)
@@ -128,11 +138,11 @@ def single_hop_orientation(
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
     rr = rayleigh_distances(pose, layout, wave)
-    a_x, gbar_x, a_y, gbar_y = side_anchors(pose)
-    if axis == "x":
-        d_axis, anchor, count = rr.d_rx_axis, gbar_x, layout.q_x
-    else:
-        d_axis, anchor, count = rr.d_ry_axis, gbar_y, layout.q_y
+    _, gbar_x, _, gbar_y = side_anchors(pose)
+    d_axis, anchor, count = {
+        "x": (rr.d_rx_axis, gbar_x, layout.q_x),
+        "y": (rr.d_ry_axis, gbar_y, layout.q_y),
+    }[axis]
     if count < pose.n_antennas:
         raise ValueError(
             f"axis '{axis}' has {count} elements for {pose.n_antennas} antennas; "
@@ -146,33 +156,39 @@ def single_hop_orientation(
     return OrientationSetting(psi=psi, gamma=anchor % TWO_PI, branch=f"{axis}-default")
 
 
-def _gamma_star(a_t1, g_t1, a_t2, g_t2, a_r1, g_r1, a_r2, g_r2) -> float:
-    """Apex orientation angle of the region rectangle along axis 1.
+def _gamma_star(a_t, g_t, a_r, g_r) -> float:
+    """Apex orientation angle of one side on the region axis.
 
-    Axis 1 is the region axis; axis 2 the other.  Mirrors by argument
-    swapping for the y-region and the Rx-side variants.
+    a_t / g_t are that side's (region axis, other axis) anchors, a_r / g_r
+    the far side's; swapping the two sides gives the far side's apex.
     """
+    (a_t1, a_t2), (g_t1, g_t2), (a_r1, a_r2), (g_r1, g_r2) = a_t, g_t, a_r, g_r
     num = a_t2 * a_r1 * math.cos(g_t2) - a_t1 * a_r2 * math.cos(g_r1 - g_r2) * math.cos(g_t1)
     den = a_t1 * a_r2 * math.cos(g_r1 - g_r2) * math.sin(g_t1) - a_t2 * a_r1 * math.sin(g_t2)
     return math.atan2(num, den)
 
 
-def _boundary_gammas(a_t1, g_t1, g_t2, a_t2, a_r1, g_r1, a_r2, g_r2, ratio):
-    """Both candidate Rx angles of the boundary curve at one D_t.
-
-    ratio is sqrt((D_axis/D_t)^2 - 1); the two Tx tilt branches
-    tan(gamma_t - g_t1) = s * ratio each induce one Rx angle.  Returns
-    (gamma_r, s) pairs; the caller keeps the branch with the larger cap and
-    must reuse its s for the Tx angle.
-    """
-    delta = g_t1 - g_t2
-    out = []
-    for s in (+1.0, -1.0):
-        mix = math.cos(delta) - s * math.sin(delta) * ratio
-        num = a_t1 * a_r2 * math.cos(g_r2) - a_t2 * a_r1 * math.cos(g_r1) * mix
-        den = a_t2 * a_r1 * math.sin(g_r1) * mix - a_t1 * a_r2 * math.sin(g_r2)
-        out.append((math.atan2(num, den), s))
-    return out
+def _axis_region(a_t, g_t, a_r, g_r, d_t_rayleigh, d_r_rayleigh, samples) -> AxisRegion:
+    """One axis's region from both sides' (this axis, other axis) anchors."""
+    gamma_star = _gamma_star(a_t, g_t, a_r, g_r)
+    gamma_star_r = _gamma_star(a_r, g_r, a_t, g_t)
+    reg = AxisRegion(
+        d_t_star=d_t_rayleigh * abs(math.cos(gamma_star - g_t[0])),
+        d_t_rayleigh=d_t_rayleigh,
+        d_r_star=d_r_rayleigh * abs(math.cos(gamma_star_r - g_r[0])),
+        d_r_rayleigh=d_r_rayleigh,
+        gamma_star=gamma_star,
+        gamma_star_r=gamma_star_r,
+        a_t=a_t,
+        gbar_t=g_t,
+        a_r=a_r,
+        gbar_r=g_r,
+        boundary=np.empty((0, 2)),
+    )
+    # _boundary_cap reads the record, so the curve is sampled once it exists
+    d_vals = np.linspace(reg.d_t_star, d_t_rayleigh, samples)
+    rows = [(float(d_t), _boundary_cap(reg, float(d_t))[0]) for d_t in d_vals]
+    return replace(reg, boundary=np.array(rows))
 
 
 def fmr_inner_bound(
@@ -199,79 +215,34 @@ def fmr_inner_bound(
         )
     a_tx, g_tx, a_ty, g_ty = side_anchors(tx)
     a_rx, g_rx, a_ry, g_ry = side_anchors(rx)
-    lam = wave.wavelength
-    drt_x = tx.spacing * layout.spacing_x * layout.q_x * a_tx / lam
-    drt_y = tx.spacing * layout.spacing_y * layout.q_y * a_ty / lam
-    drr_x = rx.spacing * layout.spacing_x * layout.q_x * a_rx / lam
-    drr_y = rx.spacing * layout.spacing_y * layout.q_y * a_ry / lam
-
-    gs_tx = _gamma_star(a_tx, g_tx, a_ty, g_ty, a_rx, g_rx, a_ry, g_ry)
-    gs_ty = _gamma_star(a_ty, g_ty, a_tx, g_tx, a_ry, g_ry, a_rx, g_rx)
-    gs_rx = _gamma_star(a_rx, g_rx, a_ry, g_ry, a_tx, g_tx, a_ty, g_ty)
-    gs_ry = _gamma_star(a_ry, g_ry, a_rx, g_rx, a_ty, g_ty, a_tx, g_tx)
-    dst_x = drt_x * abs(math.cos(gs_tx - g_tx))
-    dst_y = drt_y * abs(math.cos(gs_ty - g_ty))
-    dsr_x = drr_x * abs(math.cos(gs_rx - g_rx))
-    dsr_y = drr_y * abs(math.cos(gs_ry - g_ry))
-
-    def boundary(axis: str) -> np.ndarray:
-        if axis == "x":
-            d_lo, d_hi = dst_x, drt_x
-        else:
-            d_lo, d_hi = dst_y, drt_y
-        d_vals = np.linspace(d_lo, d_hi, samples)
-        rows = []
-        for d_t in d_vals:
-            cap, _, _ = _boundary_cap(
-                axis, float(d_t), drt_x, drt_y, drr_x, drr_y,
-                a_tx, g_tx, a_ty, g_ty, a_rx, g_rx, a_ry, g_ry,
-            )
-            rows.append((float(d_t), cap))
-        return np.array(rows)
-
+    rt = rayleigh_distances(tx, layout, wave)
+    rr = rayleigh_distances(rx, layout, wave)
     return FmrBound(
-        d_t_star_x=dst_x,
-        d_t_star_y=dst_y,
-        gamma_star_x=gs_tx,
-        gamma_star_y=gs_ty,
-        d_t_rayleigh_x=drt_x,
-        d_t_rayleigh_y=drt_y,
-        d_r_rayleigh_x=drr_x,
-        d_r_rayleigh_y=drr_y,
-        d_r_star_x=dsr_x,
-        d_r_star_y=dsr_y,
-        gamma_star_rx=gs_rx,
-        gamma_star_ry=gs_ry,
-        boundary_x=boundary("x"),
-        boundary_y=boundary("y"),
-        r_tx=(drt_x, dsr_x),
-        r_rx=(dst_x, drr_x),
-        r_ty=(drt_y, dsr_y),
-        r_ry=(dst_y, drr_y),
-        a_tx=a_tx,
-        a_ty=a_ty,
-        a_rx=a_rx,
-        a_ry=a_ry,
-        gbar_tx=g_tx,
-        gbar_ty=g_ty,
-        gbar_rx=g_rx,
-        gbar_ry=g_ry,
+        x=_axis_region((a_tx, a_ty), (g_tx, g_ty), (a_rx, a_ry), (g_rx, g_ry),
+                       rt.d_rx_axis, rr.d_rx_axis, samples),
+        y=_axis_region((a_ty, a_tx), (g_ty, g_tx), (a_ry, a_rx), (g_ry, g_rx),
+                       rt.d_ry_axis, rr.d_ry_axis, samples),
     )
 
 
-def _boundary_cap(axis, d_t, drt_x, drt_y, drr_x, drr_y,
-                  a_tx, g_tx, a_ty, g_ty, a_rx, g_rx, a_ry, g_ry):
-    """Boundary D_r cap and the Rx angle achieving it, at one D_t."""
-    if axis == "x":
-        d_axis, d_r_axis, g_r_anchor = drt_x, drr_x, g_rx
-        args = (a_tx, g_tx, g_ty, a_ty, a_rx, g_rx, a_ry, g_ry)
-    else:
-        d_axis, d_r_axis, g_r_anchor = drt_y, drr_y, g_ry
-        args = (a_ty, g_ty, g_tx, a_tx, a_ry, g_ry, a_rx, g_rx)
-    ratio = math.sqrt(max(0.0, (d_axis / d_t) ** 2 - 1.0))
+def _boundary_cap(reg: AxisRegion, d_t: float):
+    """Boundary D_r cap at one D_t, the Rx angle achieving it and its branch.
+
+    The two Tx tilt branches tan(gamma_t - gbar_t) = s * ratio, with ratio
+    = sqrt((d_t_rayleigh/D_t)^2 - 1), each induce one Rx angle; the branch
+    with the larger cap wins and its s must be reused for the Tx angle.
+    """
+    (a_t1, a_t2), (g_t1, g_t2) = reg.a_t, reg.gbar_t
+    (a_r1, a_r2), (g_r1, g_r2) = reg.a_r, reg.gbar_r
+    ratio = math.sqrt(max(0.0, (reg.d_t_rayleigh / d_t) ** 2 - 1.0))
+    delta = g_t1 - g_t2
     best_cap, best_gamma, best_branch = -1.0, 0.0, 1.0
-    for gamma, s in _boundary_gammas(*args, ratio):
-        cap = d_r_axis * abs(math.cos(gamma - g_r_anchor))
+    for s in (+1.0, -1.0):
+        mix = math.cos(delta) - s * math.sin(delta) * ratio
+        num = a_t1 * a_r2 * math.cos(g_r2) - a_t2 * a_r1 * math.cos(g_r1) * mix
+        den = a_t2 * a_r1 * math.sin(g_r1) * mix - a_t1 * a_r2 * math.sin(g_r2)
+        gamma = math.atan2(num, den)
+        cap = reg.d_r_rayleigh * abs(math.cos(gamma - g_r1))
         if cap > best_cap:
             best_cap, best_gamma, best_branch = cap, gamma, s
     return best_cap, best_gamma, best_branch
@@ -279,32 +250,22 @@ def _boundary_cap(axis, d_t, drt_x, drt_y, drr_x, drr_y,
 
 def boundary_cap(bound: FmrBound, axis: str, d_t: float) -> float:
     """Exact boundary D_r cap at one D_t (not interpolated from samples)."""
-    cap, _, _ = _boundary_cap(
-        axis, d_t,
-        bound.d_t_rayleigh_x, bound.d_t_rayleigh_y,
-        bound.d_r_rayleigh_x, bound.d_r_rayleigh_y,
-        bound.a_tx, bound.gbar_tx, bound.a_ty, bound.gbar_ty,
-        bound.a_rx, bound.gbar_rx, bound.a_ry, bound.gbar_ry,
-    )
-    return cap
+    return _boundary_cap(bound.axis(axis), d_t)[0]
 
 
 def region_contains(bound: FmrBound, d_t: float, d_r: float, axis: str) -> bool:
     """Closed-form membership of (d_t, d_r) in the x- or y-region."""
+    reg = bound.axis(axis)
     if d_t <= 0.0 or d_r <= 0.0:
         return False
-    if axis == "x":
-        d_star, d_ray_t, d_ray_r = bound.d_t_star_x, bound.d_t_rayleigh_x, bound.d_r_rayleigh_x
-    else:
-        d_star, d_ray_t, d_ray_r = bound.d_t_star_y, bound.d_t_rayleigh_y, bound.d_r_rayleigh_y
-    if d_t <= d_star:
-        return d_r <= d_ray_r
-    if d_t <= d_ray_t:
-        return d_r <= boundary_cap(bound, axis, d_t)
+    if d_t <= reg.d_t_star:
+        return d_r <= reg.d_r_rayleigh
+    if d_t <= reg.d_t_rayleigh:
+        return d_r <= _boundary_cap(reg, d_t)[0]
     return False
 
 
-def _pick_gamma_pair(gamma_t_base, gamma_r_base, gbar_t1, gbar_t2, gbar_r1, gbar_r2):
+def _pick_gamma_pair(gamma_t_base, gamma_r_base, reg: AxisRegion):
     """Resolve the two-fold ambiguity of each tan-defined orientation angle.
 
     Both angles are only fixed modulo pi; of the four (gamma_t, gamma_r)
@@ -312,6 +273,7 @@ def _pick_gamma_pair(gamma_t_base, gamma_r_base, gbar_t1, gbar_t2, gbar_r1, gbar
     products along the two surface axes share signs, preferring smaller
     angles on ties.
     """
+    (gbar_t1, gbar_t2), (gbar_r1, gbar_r2) = reg.gbar_t, reg.gbar_r
     cand_t = sorted((gamma_t_base % math.pi, gamma_t_base % math.pi + math.pi))
     cand_r = sorted((gamma_r_base % math.pi, gamma_r_base % math.pi + math.pi))
     viable = []
@@ -333,6 +295,17 @@ def round_tiny(x: float, eps: float = 1e-12) -> float:
     return 0.0 if abs(x) < eps else x
 
 
+def _rect_settings(reg: AxisRegion, d_t: float, d_r: float, branch: str):
+    """Rectangle-part orientations, with both tilts clamped at fully open."""
+    gamma_t, gamma_r = _pick_gamma_pair(reg.gamma_star, reg.gbar_r[0], reg)
+    psi_t = math.asin(min(1.0, d_t / reg.d_t_star))
+    psi_r = math.asin(min(1.0, d_r / reg.d_r_rayleigh))
+    return (
+        OrientationSetting(psi=psi_t, gamma=gamma_t % TWO_PI, branch=branch),
+        OrientationSetting(psi=psi_r, gamma=gamma_r % TWO_PI, branch=branch),
+    )
+
+
 def fmr_orientations(
     bound: FmrBound, d_t: float, d_r: float, region: str
 ) -> tuple[OrientationSetting, OrientationSetting]:
@@ -344,63 +317,34 @@ def fmr_orientations(
     tan(gamma_t - gbar) = ratio, and the Rx follows the boundary-curve
     angle.
     """
-    if region not in ("x", "y"):
-        raise ValueError("region must be 'x' or 'y'")
-    if region == "x":
-        d_star, d_ray_t, d_ray_r = bound.d_t_star_x, bound.d_t_rayleigh_x, bound.d_r_rayleigh_x
-        g_star, g_anchor_t = bound.gamma_star_x, bound.gbar_tx
-        g_anchor_r = bound.gbar_rx
-        gbar_t1, gbar_t2 = bound.gbar_tx, bound.gbar_ty
-        gbar_r1, gbar_r2 = bound.gbar_rx, bound.gbar_ry
-    else:
-        d_star, d_ray_t, d_ray_r = bound.d_t_star_y, bound.d_t_rayleigh_y, bound.d_r_rayleigh_y
-        g_star, g_anchor_t = bound.gamma_star_y, bound.gbar_ty
-        g_anchor_r = bound.gbar_ry
-        gbar_t1, gbar_t2 = bound.gbar_ty, bound.gbar_tx
-        gbar_r1, gbar_r2 = bound.gbar_ry, bound.gbar_rx
+    reg = bound.axis(region)
     if d_t <= 0.0 or d_r <= 0.0:
         raise ValueError("distances must be positive")
 
-    if d_t <= d_star:
-        if d_r > d_ray_r:
+    if d_t <= reg.d_t_star:
+        if d_r > reg.d_r_rayleigh:
             raise ValueError(
-                f"D_r = {d_r:g} m exceeds the rectangle cap {d_ray_r:g} m"
+                f"D_r = {d_r:g} m exceeds the rectangle cap {reg.d_r_rayleigh:g} m"
             )
-        gamma_t, gamma_r = _pick_gamma_pair(
-            g_star, g_anchor_r, gbar_t1, gbar_t2, gbar_r1, gbar_r2
-        )
-        psi_t = math.asin(min(1.0, d_t / d_star))
-        psi_r = math.asin(min(1.0, d_r / d_ray_r))
-        branch = f"{region}-rect"
-    elif d_t <= d_ray_t:
-        cap, gamma_curve, t_branch = _boundary_cap(
-            region, d_t,
-            bound.d_t_rayleigh_x, bound.d_t_rayleigh_y,
-            bound.d_r_rayleigh_x, bound.d_r_rayleigh_y,
-            bound.a_tx, bound.gbar_tx, bound.a_ty, bound.gbar_ty,
-            bound.a_rx, bound.gbar_rx, bound.a_ry, bound.gbar_ry,
-        )
+        return _rect_settings(reg, d_t, d_r, f"{region}-rect")
+    if d_t <= reg.d_t_rayleigh:
+        cap, gamma_curve, t_branch = _boundary_cap(reg, d_t)
         if d_r > cap:
             raise ValueError(
                 f"D_r = {d_r:g} m exceeds the boundary cap {cap:g} m at D_t = {d_t:g} m"
             )
-        ratio = math.sqrt(max(0.0, (d_ray_t / d_t) ** 2 - 1.0))
+        ratio = math.sqrt(max(0.0, (reg.d_t_rayleigh / d_t) ** 2 - 1.0))
         gamma_t, gamma_r = _pick_gamma_pair(
-            g_anchor_t + math.atan(t_branch * ratio), gamma_curve,
-            gbar_t1, gbar_t2, gbar_r1, gbar_r2,
+            reg.gbar_t[0] + math.atan(t_branch * ratio), gamma_curve, reg
         )
-        psi_t = math.pi / 2
-        denom = d_ray_r * abs(math.cos(gamma_curve - g_anchor_r))
+        denom = reg.d_r_rayleigh * abs(math.cos(gamma_curve - reg.gbar_r[0]))
         psi_r = math.asin(min(1.0, d_r / denom))
         branch = f"{region}-lobe"
-    else:
-        raise ValueError(
-            f"D_t = {d_t:g} m exceeds the axis limit {d_ray_t:g} m"
+        return (
+            OrientationSetting(psi=math.pi / 2, gamma=gamma_t % TWO_PI, branch=branch),
+            OrientationSetting(psi=psi_r, gamma=gamma_r % TWO_PI, branch=branch),
         )
-    return (
-        OrientationSetting(psi=psi_t, gamma=gamma_t % TWO_PI, branch=branch),
-        OrientationSetting(psi=psi_r, gamma=gamma_r % TWO_PI, branch=branch),
-    )
+    raise ValueError(f"D_t = {d_t:g} m exceeds the axis limit {reg.d_t_rayleigh:g} m")
 
 
 def fmr_probe_orientation(
@@ -411,23 +355,7 @@ def fmr_probe_orientation(
     Outside the region the tilt equations have no solution; the clamped
     settings are the natural diagnostic probe (they fail the Gram check
     there, which is the point)."""
-    if region == "x":
-        d_star, d_ray_r = bound.d_t_star_x, bound.d_r_rayleigh_x
-        g_star, g_anchor_r = bound.gamma_star_x, bound.gbar_rx
-        gbar_t1, gbar_t2 = bound.gbar_tx, bound.gbar_ty
-        gbar_r1, gbar_r2 = bound.gbar_rx, bound.gbar_ry
-    else:
-        d_star, d_ray_r = bound.d_t_star_y, bound.d_r_rayleigh_y
-        g_star, g_anchor_r = bound.gamma_star_y, bound.gbar_ry
-        gbar_t1, gbar_t2 = bound.gbar_ty, bound.gbar_tx
-        gbar_r1, gbar_r2 = bound.gbar_ry, bound.gbar_rx
-    gamma_t, gamma_r = _pick_gamma_pair(g_star, g_anchor_r, gbar_t1, gbar_t2, gbar_r1, gbar_r2)
-    psi_t = math.asin(min(1.0, d_t / d_star))
-    psi_r = math.asin(min(1.0, d_r / d_ray_r))
-    return (
-        OrientationSetting(psi=psi_t, gamma=gamma_t % TWO_PI, branch=f"{region}-probe"),
-        OrientationSetting(psi=psi_r, gamma=gamma_r % TWO_PI, branch=f"{region}-probe"),
-    )
+    return _rect_settings(bound.axis(region), d_t, d_r, f"{region}-probe")
 
 
 def check_orthogonality(

@@ -142,7 +142,7 @@ def test_multiplexing_region_soundness():
             checked += 1
             if not gram_passes(d_t, d_r, fmr_orientations(bound, d_t, d_r, region)):
                 failures += 1
-    far = (1.2 * bound.d_t_rayleigh_x, 1.2 * max(bound.d_r_rayleigh_x, bound.d_r_rayleigh_y))
+    far = (1.2 * bound.x.d_t_rayleigh, 1.2 * max(bound.x.d_r_rayleigh, bound.y.d_r_rayleigh))
     probe_rejected = not gram_passes(*far, fmr_probe_orientation(bound, *far, "x"))
     elapsed = time.perf_counter() - t0
     ok = checked > 0 and failures == 0 and probe_rejected
@@ -160,10 +160,10 @@ def test_right_angle_region_collapse():
         for w_r in RIGHT_ANGLES:
             b = fmr_inner_bound(replace(TX, azimuth=w_t), replace(RX, azimuth=w_r), IRS, WAVE)
             for star, ray in (
-                (b.d_t_star_x, b.d_t_rayleigh_x),
-                (b.d_t_star_y, b.d_t_rayleigh_y),
-                (b.d_r_star_x, b.d_r_rayleigh_x),
-                (b.d_r_star_y, b.d_r_rayleigh_y),
+                (b.x.d_t_star, b.x.d_t_rayleigh),
+                (b.y.d_t_star, b.y.d_t_rayleigh),
+                (b.x.d_r_star, b.x.d_r_rayleigh),
+                (b.y.d_r_star, b.y.d_r_rayleigh),
             ):
                 worst = max(worst, abs(star - ray) / ray)
     elapsed = time.perf_counter() - t0

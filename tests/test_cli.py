@@ -181,20 +181,6 @@ class TestEigensweepCommand:
         for row in rows:
             assert float(row[1]) == pytest.approx(1.0, rel=1e-9)
 
-    def test_thread_count_does_not_change_bytes(self, capsys, tmp_path):
-        files = []
-        for threads in ("1", "4"):
-            out_file = tmp_path / f"t{threads}.csv"
-            code, _, _ = run_cli(
-                capsys,
-                "eigensweep", "--scenario", BASELINE, "--orient", "auto-y",
-                "--start", "3.0", "--stop", "29.0", "--count", "7",
-                "--threads", threads, "--out", str(out_file),
-            )
-            assert code == 0
-            files.append(out_file.read_bytes())
-        assert files[0] == files[1]
-
 
 class TestFmrMapCommand:
     def test_sideways_grid_shows_nested_rectangles(self, capsys, tmp_path):
@@ -412,6 +398,26 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--checks", "rayleigh_golden,far_field_golden")
         assert code == 0
         assert "2/2 checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--tol-off", "1e-3"),
+        ("verify", "--out", "x.csv"),
+        ("rayleigh", "--scenario", BASELINE, "--seed", "3"),
+        ("fmr-orient", "--scenario", BASELINE, "--dt", "20", "--dr", "20", "--gnuplot-hints"),
+        ("eigensweep", "--scenario", BASELINE, "--start", "2", "--stop", "3", "--count", "2",
+         "--threads", "2"),
+    ],
+    ids=["verify-tol-off", "verify-out", "rayleigh-seed", "fmr-orient-gnuplot-hints",
+         "eigensweep-threads"],
+)
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def declared_console_script(name):

@@ -63,9 +63,8 @@ def solved_scenario(bound, d_t, d_r, region, probe=False):
 
 
 def region_limits(bound, region):
-    if region == "x":
-        return bound.d_t_star_x, bound.d_t_rayleigh_x, bound.d_r_rayleigh_x
-    return bound.d_t_star_y, bound.d_t_rayleigh_y, bound.d_r_rayleigh_y
+    reg = bound.axis(region)
+    return reg.d_t_star, reg.d_t_rayleigh, reg.d_r_rayleigh
 
 
 def angle_in(value, candidates, tol=1e-9):
@@ -173,40 +172,40 @@ class TestInnerBound:
     def test_reference_geometry_apexes(self):
         b = golden_bound()
         # regression figures cross-validated by the Gram checks below
-        assert b.d_t_star_x == pytest.approx(25.265587, abs=1e-4)
-        assert b.d_t_star_y == pytest.approx(16.672515, abs=1e-4)
-        assert b.d_t_star_x <= b.d_t_rayleigh_x
-        assert b.d_t_star_y <= b.d_t_rayleigh_y
-        assert b.d_t_star_x == pytest.approx(
-            b.d_t_rayleigh_x * abs(math.cos(b.gamma_star_x - b.gbar_tx)), rel=1e-12
+        assert b.x.d_t_star == pytest.approx(25.265587, abs=1e-4)
+        assert b.y.d_t_star == pytest.approx(16.672515, abs=1e-4)
+        assert b.x.d_t_star <= b.x.d_t_rayleigh
+        assert b.y.d_t_star <= b.y.d_t_rayleigh
+        assert b.x.d_t_star == pytest.approx(
+            b.x.d_t_rayleigh * abs(math.cos(b.x.gamma_star - b.x.gbar_t[0])), rel=1e-12
         )
-        assert b.d_r_star_y == pytest.approx(
-            b.d_r_rayleigh_y * abs(math.cos(b.gamma_star_ry - b.gbar_ry)), rel=1e-12
+        assert b.y.d_r_star == pytest.approx(
+            b.y.d_r_rayleigh * abs(math.cos(b.y.gamma_star_r - b.y.gbar_r[0])), rel=1e-12
         )
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_boundary_endpoint_identities(self, axis):
         b = golden_bound()
         d_star, d_ray_t, d_ray_r = region_limits(b, axis)
-        d_star_r = b.d_r_star_x if axis == "x" else b.d_r_star_y
+        d_star_r = b.axis(axis).d_r_star
         assert boundary_cap(b, axis, d_star) == pytest.approx(d_ray_r, rel=1e-9)
         assert boundary_cap(b, axis, d_ray_t) == pytest.approx(d_star_r, rel=1e-9)
 
     def test_corner_tuples_match_limits(self):
         b = golden_bound()
-        assert b.r_rx == (b.d_t_star_x, b.d_r_rayleigh_x)
-        assert b.r_tx == (b.d_t_rayleigh_x, b.d_r_star_x)
-        assert b.r_ry == (b.d_t_star_y, b.d_r_rayleigh_y)
-        assert b.r_ty == (b.d_t_rayleigh_y, b.d_r_star_y)
+        assert b.x.r_r == (b.x.d_t_star, b.x.d_r_rayleigh)
+        assert b.x.r_t == (b.x.d_t_rayleigh, b.x.d_r_star)
+        assert b.y.r_r == (b.y.d_t_star, b.y.d_r_rayleigh)
+        assert b.y.r_t == (b.y.d_t_rayleigh, b.y.d_r_star)
 
     def test_sampled_curves_span_the_lobe(self):
         b = fmr_inner_bound(GOLD_TX, GOLD_RX, GOLD_LAYOUT, GOLD_WAVE, samples=17)
-        assert b.boundary_x.shape == (17, 2)
-        assert b.boundary_x[0, 0] == pytest.approx(b.d_t_star_x, rel=1e-12)
-        assert b.boundary_x[-1, 0] == pytest.approx(b.d_t_rayleigh_x, rel=1e-12)
-        assert b.boundary_x[0, 1] == pytest.approx(b.d_r_rayleigh_x, rel=1e-9)
-        assert b.boundary_x[-1, 1] == pytest.approx(b.d_r_star_x, rel=1e-9)
-        assert b.boundary_y[0, 1] == pytest.approx(b.d_r_rayleigh_y, rel=1e-9)
+        assert b.x.boundary.shape == (17, 2)
+        assert b.x.boundary[0, 0] == pytest.approx(b.x.d_t_star, rel=1e-12)
+        assert b.x.boundary[-1, 0] == pytest.approx(b.x.d_t_rayleigh, rel=1e-12)
+        assert b.x.boundary[0, 1] == pytest.approx(b.x.d_r_rayleigh, rel=1e-9)
+        assert b.x.boundary[-1, 1] == pytest.approx(b.x.d_r_star, rel=1e-9)
+        assert b.y.boundary[0, 1] == pytest.approx(b.y.d_r_rayleigh, rel=1e-9)
 
     def test_right_angle_directions_make_rectangles(self):
         # with both azimuths on a quadrant boundary the apex reaches the
@@ -220,10 +219,10 @@ class TestInnerBound:
                     GOLD_WAVE,
                     samples=8,
                 )
-                assert b.d_t_star_x == pytest.approx(b.d_t_rayleigh_x, rel=1e-9)
-                assert b.d_t_star_y == pytest.approx(b.d_t_rayleigh_y, rel=1e-9)
-                assert b.d_r_star_x == pytest.approx(b.d_r_rayleigh_x, rel=1e-9)
-                assert b.d_r_star_y == pytest.approx(b.d_r_rayleigh_y, rel=1e-9)
+                assert b.x.d_t_star == pytest.approx(b.x.d_t_rayleigh, rel=1e-9)
+                assert b.y.d_t_star == pytest.approx(b.y.d_t_rayleigh, rel=1e-9)
+                assert b.x.d_r_star == pytest.approx(b.x.d_r_rayleigh, rel=1e-9)
+                assert b.y.d_r_star == pytest.approx(b.y.d_r_rayleigh, rel=1e-9)
 
     def test_x_region_can_swallow_y_region(self):
         # both arrays sideways on: the x rectangle is the full Rayleigh
@@ -235,11 +234,11 @@ class TestInnerBound:
             GOLD_WAVE,
             samples=8,
         )
-        assert b.d_t_star_x == pytest.approx(b.d_t_rayleigh_x, rel=1e-12)
-        assert b.d_r_star_x == pytest.approx(b.d_r_rayleigh_x, rel=1e-12)
-        assert b.d_t_rayleigh_y < b.d_t_rayleigh_x
-        assert b.d_r_rayleigh_y < b.d_r_rayleigh_x
-        assert region_contains(b, b.d_t_rayleigh_y, b.d_r_rayleigh_y, "x")
+        assert b.x.d_t_star == pytest.approx(b.x.d_t_rayleigh, rel=1e-12)
+        assert b.x.d_r_star == pytest.approx(b.x.d_r_rayleigh, rel=1e-12)
+        assert b.y.d_t_rayleigh < b.x.d_t_rayleigh
+        assert b.y.d_r_rayleigh < b.x.d_r_rayleigh
+        assert region_contains(b, b.y.d_t_rayleigh, b.y.d_r_rayleigh, "x")
 
     def test_precondition_names_the_failing_inequality(self):
         squeezed = IrsLayout(11, 15, 0.1, 0.1, 0.1, 0.1)
@@ -259,12 +258,12 @@ class TestInnerBound:
 class TestRegionMembership:
     def test_rectangle_and_lobe_points(self):
         b = golden_bound()
-        assert region_contains(b, 0.5 * b.d_t_star_x, 0.5 * b.d_r_rayleigh_x, "x")
-        mid = 0.5 * (b.d_t_star_x + b.d_t_rayleigh_x)
+        assert region_contains(b, 0.5 * b.x.d_t_star, 0.5 * b.x.d_r_rayleigh, "x")
+        mid = 0.5 * (b.x.d_t_star + b.x.d_t_rayleigh)
         assert region_contains(b, mid, 0.9 * boundary_cap(b, "x", mid), "x")
         assert not region_contains(b, mid, 1.01 * boundary_cap(b, "x", mid), "x")
-        assert not region_contains(b, 1.01 * b.d_t_rayleigh_x, 1.0, "x")
-        assert not region_contains(b, 0.5 * b.d_t_star_x, 1.01 * b.d_r_rayleigh_x, "x")
+        assert not region_contains(b, 1.01 * b.x.d_t_rayleigh, 1.0, "x")
+        assert not region_contains(b, 0.5 * b.x.d_t_star, 1.01 * b.x.d_r_rayleigh, "x")
         assert not region_contains(b, -1.0, 5.0, "x")
         assert not region_contains(b, 5.0, 0.0, "y")
 
@@ -291,7 +290,7 @@ class TestOrientationSolver:
             ArrayPose(5, 0.1, 10.0, math.pi / 2, 3 * math.pi / 7),
             GOLD_LAYOUT, GOLD_WAVE, samples=8,
         )
-        o_t, o_r = fmr_orientations(b, b.d_t_rayleigh_x, b.d_r_rayleigh_x, "x")
+        o_t, o_r = fmr_orientations(b, b.x.d_t_rayleigh, b.x.d_r_rayleigh, "x")
         assert o_t.psi == pytest.approx(math.pi / 2, abs=1e-9)
         assert o_r.psi == pytest.approx(math.pi / 2, abs=1e-9)
         assert angle_in(o_t.gamma, (0.0, math.pi))
@@ -308,15 +307,15 @@ class TestOrientationSolver:
             ArrayPose(5, 0.1, 10.0, math.pi / 2, 3 * math.pi / 7),
             GOLD_LAYOUT, GOLD_WAVE, samples=8,
         )
-        o_t, o_r = fmr_orientations(b, b.d_t_rayleigh_x, b.d_r_rayleigh_x, "x")
+        o_t, o_r = fmr_orientations(b, b.x.d_t_rayleigh, b.x.d_r_rayleigh, "x")
         assert o_t.psi == pytest.approx(math.pi / 2, abs=1e-9)
         assert o_r.psi == pytest.approx(math.pi / 2, abs=1e-9)
         assert angle_in(o_t.gamma, (math.pi / 2, 3 * math.pi / 2))
         assert angle_in(o_r.gamma, (0.0, math.pi))
         scn = Scenario(
             wave=GOLD_WAVE,
-            tx=ArrayPose(5, 0.1, b.d_t_rayleigh_x, 0.0, math.pi / 6, o_t.gamma, o_t.psi),
-            rx=ArrayPose(5, 0.1, b.d_r_rayleigh_x, math.pi / 2, 3 * math.pi / 7, o_r.gamma, o_r.psi),
+            tx=ArrayPose(5, 0.1, b.x.d_t_rayleigh, 0.0, math.pi / 6, o_t.gamma, o_t.psi),
+            rx=ArrayPose(5, 0.1, b.x.d_r_rayleigh, math.pi / 2, 3 * math.pi / 7, o_r.gamma, o_r.psi),
             irs=GOLD_LAYOUT,
         )
         cc = coupling_constants(scn)
@@ -325,24 +324,24 @@ class TestOrientationSolver:
 
     def test_rectangle_branch_fields(self):
         b = golden_bound()
-        d_t, d_r = 0.6 * b.d_t_star_x, 0.7 * b.d_r_rayleigh_x
+        d_t, d_r = 0.6 * b.x.d_t_star, 0.7 * b.x.d_r_rayleigh
         o_t, o_r = fmr_orientations(b, d_t, d_r, "x")
         assert o_t.branch == "x-rect" and o_r.branch == "x-rect"
-        assert math.sin(o_t.psi) == pytest.approx(d_t / b.d_t_star_x, rel=1e-12)
-        assert math.sin(o_r.psi) == pytest.approx(d_r / b.d_r_rayleigh_x, rel=1e-12)
-        assert angle_in(o_t.gamma, (b.gamma_star_x % math.pi, b.gamma_star_x % math.pi + math.pi))
-        assert angle_in(o_r.gamma, (b.gbar_rx % math.pi, b.gbar_rx % math.pi + math.pi))
+        assert math.sin(o_t.psi) == pytest.approx(d_t / b.x.d_t_star, rel=1e-12)
+        assert math.sin(o_r.psi) == pytest.approx(d_r / b.x.d_r_rayleigh, rel=1e-12)
+        assert angle_in(o_t.gamma, (b.x.gamma_star % math.pi, b.x.gamma_star % math.pi + math.pi))
+        assert angle_in(o_r.gamma, (b.x.gbar_r[0] % math.pi, b.x.gbar_r[0] % math.pi + math.pi))
 
     def test_lobe_branch_fields(self):
         b = golden_bound()
-        d_t = 0.5 * (b.d_t_star_y + b.d_t_rayleigh_y)
+        d_t = 0.5 * (b.y.d_t_star + b.y.d_t_rayleigh)
         cap = boundary_cap(b, "y", d_t)
         d_r = 0.8 * cap
         o_t, o_r = fmr_orientations(b, d_t, d_r, "y")
         assert o_t.branch == "y-lobe"
         assert o_t.psi == pytest.approx(math.pi / 2, abs=1e-12)
-        ratio = math.sqrt((b.d_t_rayleigh_y / d_t) ** 2 - 1.0)
-        assert abs(math.tan(o_t.gamma - b.gbar_ty)) == pytest.approx(ratio, rel=1e-9)
+        ratio = math.sqrt((b.y.d_t_rayleigh / d_t) ** 2 - 1.0)
+        assert abs(math.tan(o_t.gamma - b.y.gbar_t[0])) == pytest.approx(ratio, rel=1e-9)
         assert math.sin(o_r.psi) * cap == pytest.approx(d_r, rel=1e-9)
 
     def test_couplings_lock_at_sampled_points(self, rng):
@@ -371,7 +370,7 @@ class TestOrientationSolver:
 
     def test_probe_matches_solver_inside_the_rectangle(self):
         b = golden_bound()
-        d_t, d_r = 0.4 * b.d_t_star_x, 0.6 * b.d_r_rayleigh_x
+        d_t, d_r = 0.4 * b.x.d_t_star, 0.6 * b.x.d_r_rayleigh
         o = fmr_orientations(b, d_t, d_r, "x")
         p = fmr_probe_orientation(b, d_t, d_r, "x")
         assert p[0].branch == "x-probe"
@@ -381,16 +380,30 @@ class TestOrientationSolver:
     def test_rejections(self):
         b = golden_bound()
         with pytest.raises(ValueError, match="rectangle cap"):
-            fmr_orientations(b, 0.5 * b.d_t_star_x, 1.01 * b.d_r_rayleigh_x, "x")
-        mid = 0.5 * (b.d_t_star_x + b.d_t_rayleigh_x)
+            fmr_orientations(b, 0.5 * b.x.d_t_star, 1.01 * b.x.d_r_rayleigh, "x")
+        mid = 0.5 * (b.x.d_t_star + b.x.d_t_rayleigh)
         with pytest.raises(ValueError, match="boundary cap"):
             fmr_orientations(b, mid, 1.01 * boundary_cap(b, "x", mid), "x")
         with pytest.raises(ValueError, match="axis limit"):
-            fmr_orientations(b, 1.01 * b.d_t_rayleigh_x, 1.0, "x")
+            fmr_orientations(b, 1.01 * b.x.d_t_rayleigh, 1.0, "x")
         with pytest.raises(ValueError, match="region must be"):
             fmr_orientations(b, 1.0, 1.0, "diag")
         with pytest.raises(ValueError, match="positive"):
             fmr_orientations(b, -1.0, 1.0, "x")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: region_contains(b, 1.0, 1.0, "z"),
+            lambda b: boundary_cap(b, "z", 1.0),
+            lambda b: fmr_orientations(b, 1.0, 1.0, "z"),
+            lambda b: fmr_probe_orientation(b, 1.0, 1.0, "z"),
+        ],
+        ids=["region_contains", "boundary_cap", "fmr_orientations", "fmr_probe_orientation"],
+    )
+    def test_unknown_axis_is_rejected(self, call):
+        with pytest.raises(ValueError, match="region must be 'x' or 'y'"):
+            call(golden_bound())
 
 
 class TestGramCheck:
@@ -426,7 +439,7 @@ class TestGramCheck:
 
     def test_focused_link_is_a_scaled_permutation(self):
         b = golden_bound()
-        chans = build_channels(solved_scenario(b, 0.5 * b.d_t_star_x, 0.5 * b.d_r_rayleigh_x, "x"))
+        chans = build_channels(solved_scenario(b, 0.5 * b.x.d_t_star, 0.5 * b.x.d_r_rayleigh, "x"))
         mag = np.abs(chans.h) / (chans.eta0 * GOLD_LAYOUT.n_elements)
         big = mag > 0.5
         assert np.all(big.sum(axis=0) == 1)
@@ -436,8 +449,8 @@ class TestGramCheck:
 
     def test_point_beyond_both_regions_fails(self):
         b = golden_bound()
-        d_t = 1.05 * b.d_t_rayleigh_x
-        d_r = 0.5 * b.d_r_rayleigh_x
+        d_t = 1.05 * b.x.d_t_rayleigh
+        d_r = 0.5 * b.x.d_r_rayleigh
         assert not region_contains(b, d_t, d_r, "x")
         assert not region_contains(b, d_t, d_r, "y")
         chans = build_channels(solved_scenario(b, d_t, d_r, "x", probe=True))

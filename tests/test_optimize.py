@@ -50,7 +50,7 @@ def fmr_anchor_scenario(power=None):
     tx0 = ArrayPose(5, 0.1, 10.0, 7 * math.pi / 6, math.pi / 6)
     rx0 = ArrayPose(5, 0.1, 10.0, math.pi / 3, 3 * math.pi / 7)
     b = fmr_inner_bound(tx0, rx0, lay, wave, samples=8)
-    d_t, d_r = 0.6 * b.d_t_star_x, 0.6 * b.d_r_rayleigh_x
+    d_t, d_r = 0.6 * b.x.d_t_star, 0.6 * b.x.d_r_rayleigh
     o_t, o_r = fmr_orientations(b, d_t, d_r, "x")
     return Scenario(
         wave=wave,
