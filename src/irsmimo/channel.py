@@ -238,20 +238,21 @@ def coupling_constants(scn: Scenario) -> CouplingConstants:
 
 
 def dirichlet_ratio(u, q: int):
-    """sin(pi*u)/sin(pi*u/q), evaluated by the finite cosine sum where the
-    denominator vanishes (removable singularities; the value there is q for
-    odd q)."""
+    """sin(pi*u)/sin(pi*u/q), continuous across its removable singularities.
+
+    u is first reduced to r = u - m*q with m = round(u/q), where the ratio is
+    (-1)^(m*(q-1)) sin(pi*r)/sin(pi*r/q).  r is exact, so nothing cancels
+    next to the singular points u = m*q, and at r = 0 the limit is q.
+    """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    den = np.sin(np.pi * u / q)
-    out = np.empty_like(u)
-    singular = np.abs(den) < 1e-9
-    ok = ~singular
-    out[ok] = np.sin(np.pi * u[ok]) / den[ok]
-    if np.any(singular):
-        k = centered_indices(q)
-        out[singular] = np.cos(2.0 * np.pi * np.outer(u[singular], k) / q).sum(axis=1)
+    m = np.round(u / q)
+    r = u - q * m
+    den = np.sin(np.pi * r / q)
+    # below 1e-300 the quotient would be of subnormals; the limit q is exact there
+    ratio = np.divide(np.sin(np.pi * r), den, out=np.full_like(r, q), where=np.abs(den) > 1e-300)
+    out = np.where((m * (q - 1)) % 2 == 0, ratio, -ratio)
     return float(out[0]) if scalar else out
 
 

@@ -148,6 +148,22 @@ def cmd_eigensweep(args) -> int:
     return 0
 
 
+def _gram_passes(scn: Scenario, d_t: float, d_r: float, settings, **tols) -> bool:
+    """Gram check of the reflective-focused link with the arrays moved to
+    (d_t, d_r) and tilted by the (Tx, Rx) orientation settings."""
+    ot, orx = settings
+    sc = replace(
+        scn,
+        tx=replace(scn.tx, distance=d_t, orient_azimuth=ot.gamma, orient_elevation=ot.psi),
+        rx=replace(scn.rx, distance=d_r, orient_azimuth=orx.gamma, orient_elevation=orx.psi),
+        focusing_mode="reflective",
+        focusing_betas=None,
+    )
+    cs = chan.build_channels(sc)
+    target = cs.eta0**2 * scn.irs.n_elements**2
+    return mux.check_orthogonality(cs.h, "rows", target, **tols).passed
+
+
 def cmd_fmr_map(args) -> int:
     scn = parse_scenario(args.scenario)
     bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
@@ -163,22 +179,12 @@ def cmd_fmr_map(args) -> int:
         if args.verify:
             region = "x" if in_x else ("y" if in_y else None)
             if region is None:
-                ot, orx = mux.fmr_probe_orientation(bound, d_t, d_r, "x")
+                settings = mux.fmr_probe_orientation(bound, d_t, d_r, "x")
             else:
-                ot, orx = mux.fmr_orientations(bound, d_t, d_r, region)
-            sc = replace(
-                scn,
-                tx=replace(scn.tx, distance=d_t, orient_azimuth=ot.gamma, orient_elevation=ot.psi),
-                rx=replace(scn.rx, distance=d_r, orient_azimuth=orx.gamma, orient_elevation=orx.psi),
-                focusing_mode="reflective",
-                focusing_betas=None,
+                settings = mux.fmr_orientations(bound, d_t, d_r, region)
+            gram_pass = _gram_passes(
+                scn, d_t, d_r, settings, tol_off=args.tol_off, tol_diag=args.tol_diag
             )
-            cs = chan.build_channels(sc)
-            target = cs.eta0**2 * scn.irs.n_elements**2
-            report = mux.check_orthogonality(
-                cs.h, "rows", target, tol_off=args.tol_off, tol_diag=args.tol_diag
-            )
-            gram_pass = report.passed
         return (d_t, d_r, in_x, in_y, gram_pass)
 
     rows = [survey(point) for point in points]
@@ -456,42 +462,29 @@ def _check_mm_monotone(_scn: Scenario):
     cs = chan.build_channels(sc)
     theta = np.exp(1j * rng.uniform(0, 2 * math.pi, sc.irs.n_elements))
     aux = opt.mm_auxiliaries(cs.h_t, cs.h_r, theta, cs.eta0, sc.power)
-    lam_max = opt.largest_eigenvalue(aux.lam)
-    obj = opt.qcqp_objective(aux.lam, aux.alpha, theta)
+    lam_max = opt.largest_eigenvalue(aux.w.conj().T @ aux.w)
+    obj = opt.qcqp_objective(aux.w, aux.alpha, theta)
     worst_rise = 0.0
     for _ in range(20):
-        theta = opt.mm_step(aux.lam, aux.alpha, theta, lam_max=lam_max)
-        new = opt.qcqp_objective(aux.lam, aux.alpha, theta)
+        theta = opt.mm_step(aux.w, aux.alpha, theta, lam_max=lam_max)
+        new = opt.qcqp_objective(aux.w, aux.alpha, theta)
         worst_rise = max(worst_rise, new - obj)
         obj = new
     scale = max(1.0, abs(obj))
     return worst_rise <= 1e-9 * scale, f"largest surrogate rise {worst_rise:.3e}"
 
 
-def _check_gram_fmr(_scn: Scenario):
-    scn = _golden_scenario()
+def _check_gram_fmr(scn: Scenario):
     bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
-    d_t = 0.8 * bound.x.d_t_star
-    d_r = 0.8 * bound.x.d_r_rayleigh
-    ot, orx = mux.fmr_orientations(bound, d_t, d_r, "x")
-    sc_in = replace(
-        scn,
-        tx=replace(scn.tx, distance=d_t, orient_azimuth=ot.gamma, orient_elevation=ot.psi),
-        rx=replace(scn.rx, distance=d_r, orient_azimuth=orx.gamma, orient_elevation=orx.psi),
-    )
-    cs = chan.build_channels(sc_in)
-    inside = mux.check_orthogonality(cs.h, "rows", cs.eta0**2 * scn.irs.n_elements**2)
+    d_t, d_r = 0.8 * bound.x.d_t_star, 0.8 * bound.x.d_r_rayleigh
+    inside = _gram_passes(scn, d_t, d_r, mux.fmr_orientations(bound, d_t, d_r, "x"))
     d_t_out = 1.5 * bound.x.d_t_rayleigh
-    pt, pr = mux.fmr_probe_orientation(bound, d_t_out, d_r, "x")
-    sc_out = replace(
-        scn,
-        tx=replace(scn.tx, distance=d_t_out, orient_azimuth=pt.gamma, orient_elevation=pt.psi),
-        rx=replace(scn.rx, distance=d_r, orient_azimuth=pr.gamma, orient_elevation=pr.psi),
+    outside = _gram_passes(scn, d_t_out, d_r, mux.fmr_probe_orientation(bound, d_t_out, d_r, "x"))
+    ok = inside and not outside
+    return ok, (
+        f"in-region (D_t={d_t:.3f} m, D_r={d_r:.3f} m) pass={inside}, "
+        f"outside (D_t={d_t_out:.3f} m) pass={outside} (want True/False)"
     )
-    cs_out = chan.build_channels(sc_out)
-    outside = mux.check_orthogonality(cs_out.h, "rows", cs_out.eta0**2 * scn.irs.n_elements**2)
-    ok = inside.passed and not outside.passed
-    return ok, f"in-region pass={inside.passed}, outside pass={outside.passed} (want True/False)"
 
 
 CHECKS = [
@@ -641,7 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("verify", help="run named verification checks")
-    p.add_argument("--scenario", help="scenario file path (default: the golden setup)")
+    p.add_argument(
+        "--scenario",
+        help="scenario file for rayleigh_golden, closed_form and gram_fmr (default: golden setup)",
+    )
     p.add_argument(
         "--checks",
         default=None,

@@ -355,7 +355,10 @@ def fmr_probe_orientation(
     Outside the region the tilt equations have no solution; the clamped
     settings are the natural diagnostic probe (they fail the Gram check
     there, which is the point)."""
-    return _rect_settings(bound.axis(region), d_t, d_r, f"{region}-probe")
+    reg = bound.axis(region)
+    if d_t <= 0.0 or d_r <= 0.0:
+        raise ValueError("distances must be positive")
+    return _rect_settings(reg, d_t, d_r, f"{region}-probe")
 
 
 def check_orthogonality(

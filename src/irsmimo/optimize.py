@@ -27,9 +27,6 @@ GAMMA_BOX = (-math.pi / 2, math.pi / 2)
 PSI_BOX = (0.0, math.pi)
 
 SIGMA_FLOOR_SCALE = 1e-12
-POWER_ITER_TOL = 1e-10
-POWER_ITER_MAX = 20000
-EIGH_CUTOVER = 64
 
 logger = logging.getLogger(__name__)
 
@@ -39,13 +36,16 @@ class MmAuxiliaries:
     """Fixed-point matrices of one MM outer step.
 
     phi is the MMSE receive filter in transmit coordinates, sigma the error
-    covariance, lam the quadratic surface-phase coupling and alpha its
-    linear term.
+    covariance and alpha the linear term of the surrogate.  w is the Q x N_t^2
+    factor of the quadratic surface-phase coupling Lambda = w w^H, which is
+    never formed: Lambda is the Hadamard product of two PSD matrices of rank
+    at most N_t, so w is the row-wise Kronecker (Khatri-Rao) product of their
+    Q x N_t factors.
     """
 
     phi: np.ndarray
     sigma: np.ndarray
-    lam: np.ndarray
+    w: np.ndarray
     alpha: np.ndarray
 
 
@@ -144,7 +144,14 @@ def allocation_rate(alloc: SingularAllocation, rho_eta_sq: float) -> float:
 
 
 def mm_auxiliaries(h_t, h_r, theta, eta0: float, power: PowerConfig) -> MmAuxiliaries:
-    """Auxiliary matrices for one MM round at the current surface phases."""
+    """Auxiliary matrices for one MM round at the current surface phases.
+
+    Lambda = p eta0^2 conj(H_t H_t^H) o (H_r^H C H_r) with C = phi^H sigma^-1
+    phi.  With sigma = L L^H and R = L^-1 phi, H_r^H C H_r = B B^H for
+    B = H_r^H R^H, and row q of w is sqrt(p) eta0 (conj(H_t[q]) kron B[q]).
+    The factor goes through the floored, positive definite sigma rather than
+    through C, which is singular when noise dominates.
+    """
     h_t, h_r = np.asarray(h_t), np.asarray(h_r)
     theta = np.asarray(theta)
     n_t, n_r = h_t.shape[1], h_r.shape[0]
@@ -166,55 +173,40 @@ def mm_auxiliaries(h_t, h_r, theta, eta0: float, power: PowerConfig) -> MmAuxili
         sigma = sigma + (floor - ev_min) * np.eye(n_t)
 
     s_inv_phi = np.linalg.solve(sigma, phi)
-    core = phi.conj().T @ s_inv_phi
-    lam = p_pow * eta0**2 * np.conj(h_t @ h_t.conj().T) * (h_r.conj().T @ core @ h_r)
-    lam = 0.5 * (lam + lam.conj().T)
+    r = np.linalg.solve(np.linalg.cholesky(sigma), phi)
+    b = h_r.conj().T @ r.conj().T
+    w = (math.sqrt(p_pow) * eta0) * (h_t.conj()[:, :, None] * b[:, None, :]).reshape(len(b), -1)
 
     left = h_r.conj().T @ s_inv_phi.conj().T
     alpha = -p_pow * eta0 * np.einsum("ij,ij->i", left, h_t.conj())
-    return MmAuxiliaries(phi=phi, sigma=sigma, lam=lam, alpha=alpha)
+    return MmAuxiliaries(phi=phi, sigma=sigma, w=w, alpha=alpha)
 
 
-def qcqp_objective(lam, alpha, theta) -> float:
-    """Quadratic surrogate Re(theta^H lam theta) + 2 Re(alpha^H theta)."""
+def qcqp_objective(w, alpha, theta) -> float:
+    """Quadratic surrogate theta^H Lambda theta + 2 Re(alpha^H theta), Lambda = w w^H."""
     theta = np.asarray(theta)
-    return float(np.real(np.vdot(theta, lam @ theta)) + 2.0 * np.real(np.vdot(alpha, theta)))
+    z = w.conj().T @ theta
+    return float(np.real(np.vdot(z, z)) + 2.0 * np.real(np.vdot(alpha, theta)))
 
 
 def largest_eigenvalue(a) -> float:
-    """Top eigenvalue of a Hermitian PSD matrix.
+    """Top eigenvalue of a Hermitian PSD matrix, by full eigendecomposition.
 
-    Small matrices go through a full eigendecomposition; larger ones use
-    power iteration with a relative Rayleigh-quotient tolerance.
+    The MM loop passes the small K x K Gram w^H w, whose nonzero spectrum is
+    that of Lambda = w w^H, so the majorizer gets the exact lambda_max.
     """
-    a = np.asarray(a)
-    n = a.shape[0]
-    if n < EIGH_CUTOVER:
-        return float(np.linalg.eigvalsh(a)[-1])
-    v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(POWER_ITER_MAX):
-        w = a @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        est = float(np.real(np.vdot(v, w)))
-        v = w / norm
-        if abs(est - prev) <= POWER_ITER_TOL * max(1.0, abs(est)):
-            return est
-        prev = est
-    return prev
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
-def mm_step(lam, alpha, theta, lam_max: float | None = None) -> np.ndarray:
-    """One majorized phase update; entries with a zero update direction keep
-    their current phase."""
+def mm_step(w, alpha, theta, lam_max: float | None = None) -> np.ndarray:
+    """One majorized phase update for Lambda = w w^H; entries with a zero
+    update direction keep their current phase."""
     theta = np.asarray(theta)
     if lam_max is None:
-        lam_max = largest_eigenvalue(lam)
-    q = lam_max * theta - lam @ theta - alpha
-    return np.where(q == 0, theta, np.exp(1j * np.angle(q)))
+        lam_max = largest_eigenvalue(w.conj().T @ w)
+    q = lam_max * theta - w @ (w.conj().T @ theta) - alpha
+    mag = np.abs(q)
+    return np.divide(q, mag, out=theta.astype(complex), where=mag > 0)
 
 
 def _hop_matrices(scn: Scenario):
@@ -256,11 +248,11 @@ def optimize_theta(
     reason = "max_iters"
     for outer in range(1, max_outer + 1):
         aux = mm_auxiliaries(h_t, h_r, theta, gain, scn.power)
-        lam_max = largest_eigenvalue(aux.lam)
-        obj = qcqp_objective(aux.lam, aux.alpha, theta)
+        lam_max = largest_eigenvalue(aux.w.conj().T @ aux.w)
+        obj = qcqp_objective(aux.w, aux.alpha, theta)
         for _ in range(max_inner):
-            theta = mm_step(aux.lam, aux.alpha, theta, lam_max=lam_max)
-            new_obj = qcqp_objective(aux.lam, aux.alpha, theta)
+            theta = mm_step(aux.w, aux.alpha, theta, lam_max=lam_max)
+            new_obj = qcqp_objective(aux.w, aux.alpha, theta)
             if obj - new_obj < eps_mm:
                 obj = new_obj
                 break
@@ -403,6 +395,9 @@ def optimize_orientation(
 
     Backtracking halves the step until the objective does not increase
     (simple-decrease rule); each trial point is clipped to the box first.
+    The trace's stop_reason is "threshold" when an accepted step gains less
+    than eps_orient, "no_descent" when every one of the max_backtracks
+    trials raises the objective, and "max_iters" otherwise.
     """
     theta = np.asarray(theta)
     m = normalize_orientation(m_init)
@@ -421,7 +416,7 @@ def optimize_orientation(
                 break
             step *= shrink
         if not accepted:
-            reason = "threshold"
+            reason = "no_descent"
             break
         m, gain = trial, obj - trial_obj
         obj = trial_obj

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irsmimo import response
 from irsmimo.channel import (
@@ -232,6 +234,19 @@ class TestDirichletRatio:
     def test_continuous_across_the_singular_branch(self):
         just_off = dirichlet_ratio(15.0 + 1e-8, 15)
         assert just_off == pytest.approx(15.0, abs=1e-5)
+
+    @given(
+        q=st.sampled_from([3, 5, 7, 9, 15, 31]),
+        m=st.integers(-6, 6).filter(lambda v: v != 0),
+        mantissa=st.floats(1.0, 10.0),
+        exponent=st.integers(6, 12),
+        negative=st.booleans(),
+    )
+    def test_accurate_next_to_the_aliased_points(self, q, m, mantissa, exponent, negative):
+        delta = (-1.0 if negative else 1.0) * mantissa * 10.0**-exponent
+        u = m * q + delta
+        want = float(np.cos(2 * math.pi * u * centered_indices(q) / q).sum())
+        assert dirichlet_ratio(u, q) == pytest.approx(want, rel=1e-12)
 
     def test_array_and_scalar_forms_agree(self):
         grid = np.array([0.0, 0.3, 1.0, 15.0])

@@ -232,6 +232,17 @@ class TestFmrMapCommand:
                 out_count += 1
         assert in_count > 0 and out_count > 0
 
+    def test_nonpositive_distances_are_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "fmr-map", "--scenario", BASELINE, "--verify",
+            "--dt-start", "-40", "--dt-stop", "10", "--dt-count", "2",
+            "--dr-start", "5", "--dr-stop", "6", "--dr-count", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: distances must be positive"
+
     def test_empty_grid_emits_header_only(self, capsys, tmp_path):
         out_file = tmp_path / "empty.csv"
         code, _, _ = run_cli(
@@ -382,6 +393,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "FAIL rayleigh_golden" in out
         assert "0/1 checks passed" in out
+
+    def test_gram_check_reads_the_given_scenario(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--scenario", SMALL, "--checks", "gram_fmr")
+        assert code == 0
+        scn = parse_scenario(SMALL)
+        bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+        d_t = 0.8 * bound.x.d_t_star
+        assert d_t == pytest.approx(4.716, abs=1e-3)
+        assert f"in-region (D_t={d_t:.3f} m, D_r={0.8 * bound.x.d_r_rayleigh:.3f} m)" in out
+        assert "PASS gram_fmr" in out
 
     def test_empty_selection_warns_and_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--checks", "")

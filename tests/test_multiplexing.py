@@ -391,6 +391,11 @@ class TestOrientationSolver:
         with pytest.raises(ValueError, match="positive"):
             fmr_orientations(b, -1.0, 1.0, "x")
 
+    @pytest.mark.parametrize("d_t, d_r", [(-40.0, 5.0), (0.0, 5.0), (5.0, -1.0)])
+    def test_probe_rejects_nonpositive_distances(self, d_t, d_r):
+        with pytest.raises(ValueError, match="distances must be positive"):
+            fmr_probe_orientation(golden_bound(), d_t, d_r, "x")
+
     @pytest.mark.parametrize(
         "call",
         [

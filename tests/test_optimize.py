@@ -8,6 +8,9 @@ line-search loops.
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +43,9 @@ from irsmimo.optimize import (
     relaxed_optimum,
 )
 from irsmimo.response import WaveConfig
-from irsmimo.scenario import PowerConfig, Scenario
+from irsmimo.scenario import PowerConfig, Scenario, parse_scenario
+
+SMALL = str(Path(__file__).resolve().parents[1] / "scenarios" / "optimize_small.txt")
 
 
 def fmr_anchor_scenario(power=None):
@@ -191,17 +196,35 @@ class TestMmMachinery:
         for _ in range(5):
             scn, chans, theta = self.seeded_parts(rng)
             aux = mm_auxiliaries(chans.h_t, chans.h_r, theta, chans.eta0, scn.power)
+            lam = aux.w @ aux.w.conj().T
             n_t, q = chans.h_t.shape[1], scn.irs.n_elements
             assert aux.phi.shape == (n_t, chans.h_r.shape[0])
             assert aux.sigma.shape == (n_t, n_t)
-            assert aux.lam.shape == (q, q)
+            assert lam.shape == (q, q)
             assert aux.alpha.shape == (q,)
             assert np.allclose(aux.sigma, aux.sigma.conj().T)
-            assert np.allclose(aux.lam, aux.lam.conj().T)
+            assert np.allclose(lam, lam.conj().T)
             ev_s = np.linalg.eigvalsh(aux.sigma)
-            ev_l = np.linalg.eigvalsh(aux.lam)
+            ev_l = np.linalg.eigvalsh(lam)
             assert ev_s[0] >= -1e-10 * max(ev_s[-1], 1e-300)
             assert ev_l[0] >= -1e-10 * max(ev_l[-1], 1e-300)
+
+    def test_factor_reproduces_the_dense_surrogate(self, rng):
+        for _ in range(5):
+            scn, chans, theta = self.seeded_parts(rng)
+            h_t, h_r, eta0, p = chans.h_t, chans.h_r, chans.eta0, scn.power.per_antenna_power
+            aux = mm_auxiliaries(h_t, h_r, theta, eta0, scn.power)
+            n_t, q = h_t.shape[1], scn.irs.n_elements
+            assert aux.w.shape == (q, n_t * n_t)
+            core = aux.phi.conj().T @ np.linalg.solve(aux.sigma, aux.phi)
+            lam = p * eta0**2 * np.conj(h_t @ h_t.conj().T) * (h_r.conj().T @ core @ h_r)
+            err = np.linalg.norm(aux.w @ aux.w.conj().T - lam)
+            assert err <= 1e-12 * np.linalg.norm(lam)
+            top = float(np.linalg.eigvalsh(0.5 * (lam + lam.conj().T))[-1])
+            assert largest_eigenvalue(aux.w.conj().T @ aux.w) == pytest.approx(top, rel=1e-12)
+            quad = float(np.real(np.vdot(theta, lam @ theta)))
+            no_linear = np.zeros_like(aux.alpha)
+            assert qcqp_objective(aux.w, no_linear, theta) == pytest.approx(quad, rel=1e-12)
 
     def test_noise_dominated_limit(self, rng):
         scn, chans, theta = self.seeded_parts(rng)
@@ -209,7 +232,7 @@ class TestMmMachinery:
         aux = mm_auxiliaries(chans.h_t, chans.h_r, theta, chans.eta0, power)
         assert np.linalg.norm(aux.phi) < 1e-9
         assert np.allclose(aux.sigma, 3.0 * np.eye(aux.sigma.shape[0]), atol=1e-9)
-        assert np.linalg.norm(aux.lam) < 1e-9
+        assert np.linalg.norm(aux.w @ aux.w.conj().T) < 1e-9
         assert np.linalg.norm(aux.alpha) < 1e-9
 
     def test_step_solves_the_pure_linear_case(self, rng):
@@ -222,22 +245,23 @@ class TestMmMachinery:
         for _ in range(1000):
             n = int(rng.integers(2, 24))
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            lam = a @ a.conj().T / n
+            w = a / math.sqrt(n)
             alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
             theta = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
-            before = qcqp_objective(lam, alpha, theta)
-            after = qcqp_objective(lam, alpha, mm_step(lam, alpha, theta))
+            before = qcqp_objective(w, alpha, theta)
+            after = qcqp_objective(w, alpha, mm_step(w, alpha, theta))
             assert after <= before + 1e-9 * max(1.0, abs(before))
 
     def test_optimal_point_is_fixed(self, rng):
         n = 8
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        w = a / math.sqrt(n)
         lam = a @ a.conj().T / n
         theta = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
         lam_max = float(np.linalg.eigvalsh(lam)[-1])
         # choose the linear term so the update direction is theta itself
         alpha = (lam_max * theta - lam @ theta) - theta
-        assert np.allclose(mm_step(lam, alpha, theta, lam_max=lam_max), theta)
+        assert np.allclose(mm_step(w, alpha, theta, lam_max=lam_max), theta)
 
     @pytest.mark.parametrize("n", [12, 80])
     def test_top_eigenvalue_both_paths(self, rng, n):
@@ -246,6 +270,7 @@ class TestMmMachinery:
         assert largest_eigenvalue(psd) == pytest.approx(
             float(np.linalg.eigvalsh(psd)[-1]), rel=1e-8
         )
+        assert largest_eigenvalue(psd) >= float(np.linalg.eigvalsh(psd)[-1]) * (1 - 1e-12)
 
 
 class TestThetaOptimizer:
@@ -284,6 +309,19 @@ class TestThetaOptimizer:
         after = mutual_information(cascade(chans, theta), scn.power)
         assert abs(after - before) < 1e-6
         assert trace.stop_reason == "threshold"
+
+    def test_large_surface_never_forms_a_q_by_q_matrix(self):
+        base = parse_scenario(SMALL)
+        scn = replace(base, irs=replace(base.irs, q_x=31, q_y=31))
+        theta0, _ = random_init(scn, 3)
+        q = scn.irs.n_elements
+        tracemalloc.start()
+        try:
+            optimize_theta(scn, theta0, max_outer=2, max_inner=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * q * q / 4  # a quarter of one complex Q x Q array
 
     def test_rejects_zero_entries(self):
         scn = fmr_anchor_scenario()
@@ -392,6 +430,24 @@ class TestOrientationDescent:
             cascade(build_channels(oriented_scenario(scn, folded)), theta), scn.power
         )
         assert mi_fold == pytest.approx(mi_raw, rel=1e-12, abs=1e-12)
+
+    def test_failed_backtracking_has_its_own_stop_reason(self):
+        scn = parse_scenario(SMALL)
+        theta, m0 = focusing_init(scn)
+        start = normalize_orientation(m0)
+        grad = mi_gradient(scn, theta, start)
+
+        def mi_at(m):
+            return mutual_information(
+                cascade(build_channels(oriented_scenario(scn, m)), theta), scn.power
+            )
+
+        # the one trial allowed, a full step of 10, lowers the MI here
+        assert mi_at(project_box(start - 10.0 * grad)) < mi_at(start)
+        m, trace = optimize_orientation(scn, theta, m0, max_backtracks=1, init_step=10.0)
+        assert trace.stop_reason == "no_descent"
+        assert len(trace.iterations) == 1
+        assert np.array_equal(m.as_array(), start)
 
     def test_projection_clips_to_the_box(self):
         out = project_box([10.0, -1.0, -9.0, 7.0])
