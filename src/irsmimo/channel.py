@@ -77,13 +77,9 @@ class ChannelSet:
     h: ComplexMatrix
 
 
-def _phase_parts(wave, layout: IrsLayout, pose: ArrayPose):
-    """(small, big) with small + big = 2*pi*d_approx/lambda per (element, antenna).
-
-    The distance-dominated term big = 2*pi*D/lambda is kept separate so
-    callers that only need phase differences can cancel it exactly; the
-    remaining polynomial stays on the order of the array/surface spans.
-    """
+def _link_offsets(wave, layout: IrsLayout, pose: ArrayPose):
+    """Offsets a, b, ax per (element, antenna), antenna positions r, tilt trig
+    (sin psi, cos psi, cos gamma, sin gamma) and wavenumber k0 of one side."""
     v1, v2, v3 = re_local_components(layout, pose)
     r = centered_indices(pose.n_antennas) * pose.spacing
     sin_psi, cos_psi = math.sin(pose.orient_elevation), math.cos(pose.orient_elevation)
@@ -91,8 +87,18 @@ def _phase_parts(wave, layout: IrsLayout, pose: ArrayPose):
     a = (r * sin_psi * cos_g)[None, :] - v1[:, None]
     b = (r * sin_psi * sin_g)[None, :] - v2[:, None]
     ax = (r * cos_psi)[None, :] - v3[:, None]
+    return a, b, ax, r, (sin_psi, cos_psi, cos_g, sin_g), 2.0 * math.pi / wave.wavelength
+
+
+def _phase_parts(wave, layout: IrsLayout, pose: ArrayPose):
+    """(small, big) with small + big = 2*pi*d_approx/lambda per (element, antenna).
+
+    The distance-dominated term big = 2*pi*D/lambda is kept separate so
+    callers that only need phase differences can cancel it exactly; the
+    remaining polynomial stays on the order of the array/surface spans.
+    """
+    a, b, ax, _, _, k0 = _link_offsets(wave, layout, pose)
     lam, d = wave.wavelength, pose.distance
-    k0 = 2.0 * math.pi / lam
     small = math.pi * (a * a) / (lam * d) + math.pi * (b * b) / (lam * d) + k0 * ax
     return small, k0 * d
 
@@ -110,15 +116,8 @@ def orientation_phase_jacobian(wave, layout: IrsLayout, pose: ArrayPose):
     propagation_phases.  The transverse offsets contribute through the
     quadratic terms; the tilt additionally moves the axial coordinate.
     """
-    v1, v2, _ = re_local_components(layout, pose)
-    r = centered_indices(pose.n_antennas) * pose.spacing
-    sin_psi, cos_psi = math.sin(pose.orient_elevation), math.cos(pose.orient_elevation)
-    cos_g, sin_g = math.cos(pose.orient_azimuth), math.sin(pose.orient_azimuth)
-    a = (r * sin_psi * cos_g)[None, :] - v1[:, None]
-    b = (r * sin_psi * sin_g)[None, :] - v2[:, None]
-    lam, d = wave.wavelength, pose.distance
-    k0 = 2.0 * math.pi / lam
-    pref = k0 / d
+    a, b, _, r, (sin_psi, cos_psi, cos_g, sin_g), k0 = _link_offsets(wave, layout, pose)
+    pref = k0 / pose.distance
     d_gamma = pref * (
         a * (-r * sin_psi * sin_g)[None, :] + b * (r * sin_psi * cos_g)[None, :]
     )
@@ -129,14 +128,35 @@ def orientation_phase_jacobian(wave, layout: IrsLayout, pose: ArrayPose):
     return d_gamma, d_psi
 
 
+def _hop(parts) -> ComplexMatrix:
+    """Unit-modulus link phasors of one side's (small, big) phases, elements along rows."""
+    small, big = parts
+    return np.exp(-1j * (small + big))
+
+
 def tx_irs_channel(scn: Scenario) -> ComplexMatrix:
     """Unit-modulus Tx-to-surface matrix, elements along rows."""
-    return np.exp(-1j * propagation_phases(scn.wave, scn.irs, scn.tx))
+    return _hop(_phase_parts(scn.wave, scn.irs, scn.tx))
 
 
 def irs_rx_channel(scn: Scenario) -> ComplexMatrix:
     """Unit-modulus surface-to-Rx matrix, antennas along rows."""
-    return np.exp(-1j * propagation_phases(scn.wave, scn.irs, scn.rx)).T.copy()
+    return _hop(_phase_parts(scn.wave, scn.irs, scn.rx)).T.copy()
+
+
+def hop_matrices(scn: Scenario) -> tuple[ComplexMatrix, ComplexMatrix, float]:
+    """(h_t, h_r, eta0): both hops and the common gain at the scenario's poses."""
+    gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
+    return tx_irs_channel(scn), irs_rx_channel(scn), gain
+
+
+def _reflective_parts(scn: Scenario):
+    """Both sides' (small, big) link phases and the reflective focusing phases."""
+    small_t, big_t = parts_t = _phase_parts(scn.wave, scn.irs, scn.tx)
+    small_r, big_r = parts_r = _phase_parts(scn.wave, scn.irs, scn.rx)
+    ct = (scn.tx.n_antennas - 1) // 2
+    cr = (scn.rx.n_antennas - 1) // 2
+    return parts_t, parts_r, (small_t[:, ct] + small_r[:, cr]) + (big_t + big_r)
 
 
 def reflective_focusing(scn: Scenario) -> FocusingState:
@@ -145,12 +165,7 @@ def reflective_focusing(scn: Scenario) -> FocusingState:
     beta equals the summed center-link phases 2*pi*(d_t0 + d_0r)/lambda, so
     the compensated center-to-center entry carries zero residual phase.
     """
-    small_t, big_t = _phase_parts(scn.wave, scn.irs, scn.tx)
-    small_r, big_r = _phase_parts(scn.wave, scn.irs, scn.rx)
-    ct = (scn.tx.n_antennas - 1) // 2
-    cr = (scn.rx.n_antennas - 1) // 2
-    betas = (small_t[:, ct] + small_r[:, cr]) + (big_t + big_r)
-    return FocusingState(betas)
+    return FocusingState(_reflective_parts(scn)[2])
 
 
 def scenario_focusing(scn: Scenario) -> FocusingState:
@@ -162,6 +177,12 @@ def scenario_focusing(scn: Scenario) -> FocusingState:
     return FocusingState(np.asarray(scn.focusing_betas, dtype=float))
 
 
+def _cascade(betas, h_t, h_r, gain) -> ChannelSet:
+    theta = np.exp(1j * betas)
+    h = gain * ((h_r * theta[None, :]) @ h_t)
+    return ChannelSet(h_t=h_t, h_r=h_r, theta=theta, eta0=gain, h=h)
+
+
 def assemble(scn: Scenario, focusing: FocusingState) -> ChannelSet:
     """Build both hops and the cascade h = eta0 * H_r diag(theta) H_t."""
     betas = np.asarray(focusing.betas, dtype=float)
@@ -169,17 +190,17 @@ def assemble(scn: Scenario, focusing: FocusingState) -> ChannelSet:
         raise ValueError(
             f"focusing needs {scn.irs.n_elements} phases, got shape {betas.shape}"
         )
-    h_t = tx_irs_channel(scn)
-    h_r = irs_rx_channel(scn)
-    theta = np.exp(1j * betas)
-    gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
-    h = gain * ((h_r * theta[None, :]) @ h_t)
-    return ChannelSet(h_t=h_t, h_r=h_r, theta=theta, eta0=gain, h=h)
+    return _cascade(betas, *hop_matrices(scn))
 
 
 def build_channels(scn: Scenario) -> ChannelSet:
-    """Assemble with the scenario's own focusing declaration."""
-    return assemble(scn, scenario_focusing(scn))
+    """Assemble with the scenario's own focusing declaration; reflective
+    focusing phases and both hops come from one evaluation of each side."""
+    if scn.focusing_mode != "reflective":
+        return assemble(scn, scenario_focusing(scn))
+    parts_t, parts_r, betas = _reflective_parts(scn)
+    gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
+    return _cascade(betas, _hop(parts_t), _hop(parts_r).T.copy(), gain)
 
 
 def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:

@@ -148,9 +148,10 @@ def cmd_eigensweep(args) -> int:
     return 0
 
 
-def _gram_passes(scn: Scenario, d_t: float, d_r: float, settings, **tols) -> bool:
+def _gram_passes(scn: Scenario, d_t: float, d_r: float, settings) -> bool:
     """Gram check of the reflective-focused link with the arrays moved to
-    (d_t, d_r) and tilted by the (Tx, Rx) orientation settings."""
+    (d_t, d_r) and tilted by the (Tx, Rx) orientation settings; only the
+    shorter side of the N_r x N_t cascade can be orthogonal."""
     ot, orx = settings
     sc = replace(
         scn,
@@ -161,7 +162,8 @@ def _gram_passes(scn: Scenario, d_t: float, d_r: float, settings, **tols) -> boo
     )
     cs = chan.build_channels(sc)
     target = cs.eta0**2 * scn.irs.n_elements**2
-    return mux.check_orthogonality(cs.h, "rows", target, **tols).passed
+    mode = "rows" if scn.rx.n_antennas <= scn.tx.n_antennas else "columns"
+    return mux.check_orthogonality(cs.h, mode, target).passed
 
 
 def cmd_fmr_map(args) -> int:
@@ -182,9 +184,7 @@ def cmd_fmr_map(args) -> int:
                 settings = mux.fmr_probe_orientation(bound, d_t, d_r, "x")
             else:
                 settings = mux.fmr_orientations(bound, d_t, d_r, region)
-            gram_pass = _gram_passes(
-                scn, d_t, d_r, settings, tol_off=args.tol_off, tol_diag=args.tol_diag
-            )
+            gram_pass = _gram_passes(scn, d_t, d_r, settings)
         return (d_t, d_r, in_x, in_y, gram_pass)
 
     rows = [survey(point) for point in points]
@@ -273,10 +273,8 @@ def cmd_optimize(args) -> int:
             theta_stop=theta_stop,
             orient_stop=orient_stop,
         )
-        sc = opt.oriented_scenario(scn, m)
-        h_t, h_r, gain = opt._hop_matrices(sc)
         mi = trace.iterations[-1][1]
-        bound = opt.mi_upper_bound(h_t, h_r, gain, scn.power)
+        bound = opt.mi_upper_bound(*chan.hop_matrices(opt.oriented_scenario(scn, m)), scn.power)
         return label, theta, m, trace, mi, bound
 
     # the declared-focusing start anchors the portfolio: being monotone, it
@@ -607,8 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify", action="store_true", help="also run the Gram check at every grid point"
     )
-    p.add_argument("--tol-off", type=float, default=1e-6)
-    p.add_argument("--tol-diag", type=float, default=1e-8)
     p.set_defaults(fn=cmd_fmr_map)
 
     p = sub.add_parser("fmr-orient", help="orientations realizing an in-region point")

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as chan
-from . import response
 from .scenario import PowerConfig, Scenario  # noqa: F401  (PowerConfig re-exported)
 
 LOG2 = math.log(2.0)
@@ -101,35 +100,32 @@ def mutual_information(h, power: PowerConfig) -> float:
 def mi_upper_bound(h_t, h_r, eta0: float, power: PowerConfig) -> float:
     """Best MI any unit-modulus surface configuration could reach.
 
-    Pairs the descending singular values of the two hops; independent of
-    the surface phases.
+    Pairs the descending singular values of the two hops, min(N_t, N_r)
+    pairs; independent of the surface phases.
     """
     h_t, h_r = np.asarray(h_t), np.asarray(h_r)
-    n_t, n_r = h_t.shape[1], h_r.shape[0]
-    if n_t < n_r:
-        raise ValueError("requires N_t >= N_r")
+    n = min(h_t.shape[1], h_r.shape[0])
     mu_t = np.linalg.svd(h_t, compute_uv=False)
     mu_r = np.linalg.svd(h_r, compute_uv=False)
-    pair = (mu_r[:n_r] ** 2) * (mu_t[:n_r] ** 2)
+    pair = (mu_r[:n] ** 2) * (mu_t[:n] ** 2)
     return float(np.sum(np.log1p(power.snr * eta0**2 * pair)) / LOG2)
 
 
 def relaxed_optimum(power_regime: str, n_t: int, n_r: int, q_x: int, q_y: int) -> SingularAllocation:
     """Optimal singular-value split of the relaxed MI bound per SNR regime.
 
-    High SNR spreads both budgets evenly over the first n_r modes; low SNR
-    concentrates everything on the first mode.
+    High SNR spreads both budgets evenly over the first min(n_t, n_r)
+    modes; low SNR concentrates everything on the first mode.
     """
     if power_regime not in ("high", "low"):
         raise ValueError("power_regime must be 'high' or 'low'")
-    if n_t < n_r:
-        raise ValueError("requires N_t >= N_r")
     area = q_x * q_y
+    n = min(n_t, n_r)
     mu_t = np.zeros(n_t)
     mu_r = np.zeros(n_r)
     if power_regime == "high":
-        mu_t[:n_r] = n_t * area / n_r
-        mu_r[:] = area
+        mu_t[:n] = n_t * area / n
+        mu_r[:n] = n_r * area / n
     else:
         mu_t[0] = n_t * area
         mu_r[0] = n_r * area
@@ -138,8 +134,8 @@ def relaxed_optimum(power_regime: str, n_t: int, n_r: int, q_x: int, q_y: int) -
 
 def allocation_rate(alloc: SingularAllocation, rho_eta_sq: float) -> float:
     """MI bound value of an allocation at effective SNR rho*eta0^2."""
-    n_r = len(alloc.mu_r_sq)
-    pair = alloc.mu_r_sq * alloc.mu_t_sq[:n_r]
+    n = min(len(alloc.mu_t_sq), len(alloc.mu_r_sq))
+    pair = alloc.mu_r_sq[:n] * alloc.mu_t_sq[:n]
     return float(np.sum(np.log1p(rho_eta_sq * pair)) / LOG2)
 
 
@@ -209,13 +205,6 @@ def mm_step(w, alpha, theta, lam_max: float | None = None) -> np.ndarray:
     return np.divide(q, mag, out=theta.astype(complex), where=mag > 0)
 
 
-def _hop_matrices(scn: Scenario):
-    h_t = chan.tx_irs_channel(scn)
-    h_r = chan.irs_rx_channel(scn)
-    gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
-    return h_t, h_r, gain
-
-
 def _cascade_mi(h_t, h_r, gain, theta, power) -> float:
     h = gain * ((h_r * theta[None, :]) @ h_t)
     return mutual_information(h, power)
@@ -242,7 +231,7 @@ def optimize_theta(
         raise ValueError("theta entries must be nonzero unit phasors")
     theta = theta / mags
 
-    h_t, h_r, gain = _hop_matrices(scn)
+    h_t, h_r, gain = chan.hop_matrices(scn)
     mi_prev = _cascade_mi(h_t, h_r, gain, theta, scn.power)
     rows = [(0, mi_prev, "theta")]
     reason = "max_iters"
@@ -297,16 +286,14 @@ def oriented_scenario(scn: Scenario, m) -> Scenario:
 
 
 def _descent_objective(scn: Scenario, theta, m) -> float:
-    sc = oriented_scenario(scn, m)
-    h_t, h_r, gain = _hop_matrices(sc)
-    return -_cascade_mi(h_t, h_r, gain, theta, sc.power)
+    return -_cascade_mi(*chan.hop_matrices(oriented_scenario(scn, m)), theta, scn.power)
 
 
 def mi_gradient(scn: Scenario, theta, m) -> np.ndarray:
     """Analytic gradient of the negated MI in the four orientation angles."""
     theta = np.asarray(theta)
     sc = oriented_scenario(scn, m)
-    h_t, h_r, gain = _hop_matrices(sc)
+    h_t, h_r, gain = chan.hop_matrices(sc)
     rho_eff = sc.power.snr * gain**2
 
     w = h_r * theta[None, :]
@@ -472,7 +459,8 @@ def alternating_optimize(
     """Alternate surface-phase MM and orientation descent until MI settles.
 
     init is a (theta, orientation) pair; when omitted a seeded random start
-    is drawn.  Returns the final phases, orientation and the joint trace.
+    is drawn.  Returns the final phases, orientation and the joint trace,
+    whose block rows are the final rows of the blocks' own traces.
     """
     if init is None:
         theta, m = random_init(scn, seed)
@@ -487,16 +475,14 @@ def alternating_optimize(
     rows = [(0, mi_prev, "init")]
     reason = "max_iters"
     for rnd in range(1, max_rounds + 1):
-        sc = oriented_scenario(scn, m_vec)
-        theta, _ = optimize_theta(sc, theta, **theta_stop)
-        rows.append((rnd, -_descent_objective(scn, theta, m_vec), "theta"))
-        m_out, _ = optimize_orientation(scn, theta, m_vec, **orient_stop)
+        theta, theta_trace = optimize_theta(oriented_scenario(scn, m_vec), theta, **theta_stop)
+        rows.append((rnd, theta_trace.mi_values[-1], "theta"))
+        m_out, orient_trace = optimize_orientation(scn, theta, m_vec, **orient_stop)
         m_vec = m_out.as_array()
-        mi_now = -_descent_objective(scn, theta, m_vec)
+        mi_now = orient_trace.mi_values[-1]
         rows.append((rnd, mi_now, "orientation"))
         if mi_now - mi_prev < eps_oa:
             reason = "threshold"
-            mi_prev = mi_now
             break
         mi_prev = mi_now
     return theta, OrientationVector.from_array(m_vec), OptTrace(iterations=rows, stop_reason=reason)

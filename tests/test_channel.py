@@ -131,6 +131,18 @@ class TestAssembly:
         product = chans.eta0 * (chans.h_r * chans.theta[None, :]) @ chans.h_t
         assert np.linalg.norm(chans.h - product) <= 1e-10 * np.linalg.norm(chans.h)
 
+    def test_reflective_build_is_the_single_hop_path(self, golden_scenario, rng):
+        # the reflective build evaluates each side once; it must agree bit
+        # for bit with the focusing and hops evaluated separately
+        for scn in [golden_scenario] + [random_scenario(rng) for _ in range(5)]:
+            chans = build_channels(scn)
+            ref = assemble(scn, reflective_focusing(scn))
+            for name in ("h_t", "h_r", "theta", "h"):
+                assert np.array_equal(getattr(chans, name), getattr(ref, name))
+            assert chans.eta0 == ref.eta0
+            assert np.array_equal(chans.h_t, tx_irs_channel(scn))
+            assert np.array_equal(chans.h_r, irs_rx_channel(scn))
+
     def test_frobenius_energy_of_the_hops(self, golden_scenario):
         chans = build_channels(golden_scenario)
         n_elems = golden_scenario.irs.n_elements

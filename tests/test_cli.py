@@ -55,8 +55,8 @@ def read_csv(path_or_text, from_file=True):
     return header, rows
 
 
-def write_variant(tmp_path, name, replacements):
-    text = Path(BASELINE).read_text()
+def write_variant(tmp_path, name, replacements, base=BASELINE):
+    text = Path(base).read_text()
     for key, value in replacements.items():
         pattern = rf"(?m)^{re.escape(key)} = .*$"
         assert re.search(pattern, text), key
@@ -232,6 +232,24 @@ class TestFmrMapCommand:
                 out_count += 1
         assert in_count > 0 and out_count > 0
 
+    def test_more_receivers_than_transmitters_checks_columns(self, capsys, tmp_path):
+        # the 5 x 3 cascade cannot have orthogonal rows; its columns must be
+        tall = write_variant(tmp_path, "tall.txt", {"rx.count": "5"}, base=SMALL)
+        out_file = tmp_path / "tall.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "fmr-map", "--scenario", tall,
+            "--dt-start", "2.0", "--dt-stop", "12.0", "--dt-count", "6",
+            "--dr-start", "2.0", "--dr-stop", "12.0", "--dr-count", "6",
+            "--verify", "--out", str(out_file),
+        )
+        assert code == 0
+        _, rows = read_csv(out_file)
+        verdicts = {"in": set(), "out": set()}
+        for _, _, in_x, in_y, gram in rows:
+            verdicts["in" if "1" in (in_x, in_y) else "out"].add(gram)
+        assert verdicts == {"in": {"1"}, "out": {"0"}}
+
     def test_nonpositive_distances_are_rejected(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -346,6 +364,17 @@ class TestOptimizeCommand:
         mis = [float(row[2]) for row in rows]
         assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
 
+    def test_more_receivers_than_transmitters(self, capsys, tmp_path):
+        tall = write_variant(tmp_path, "tall.txt", {"rx.count": "5"}, base=SMALL)
+        code, out, _ = run_cli(
+            capsys, "optimize", "--scenario", tall, "--seeds", "1", "--seed", "3", *self.FAST
+        )
+        assert code == 0
+        labels = re.findall(r"^seed=(\S+) mi_bits=(\S+) upper_bound_bits=(\S+)", out, re.M)
+        assert [lab for lab, *_ in labels] == ["focus", "3"]
+        for _, mi, ub in labels:
+            assert float(ub) >= float(mi) - 1e-9
+
     def test_runs_are_byte_reproducible(self, capsys, tmp_path):
         blobs = []
         for tag in ("a", "b"):
@@ -404,6 +433,12 @@ class TestVerifyCommand:
         assert f"in-region (D_t={d_t:.3f} m, D_r={0.8 * bound.x.d_r_rayleigh:.3f} m)" in out
         assert "PASS gram_fmr" in out
 
+    def test_gram_check_with_more_receivers_than_transmitters(self, capsys, tmp_path):
+        tall = write_variant(tmp_path, "tall.txt", {"rx.count": "5"}, base=SMALL)
+        code, out, _ = run_cli(capsys, "verify", "--scenario", tall, "--checks", "gram_fmr")
+        assert code == 0
+        assert "pass=True, outside" in out and "PASS gram_fmr" in out
+
     def test_empty_selection_warns_and_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--checks", "")
         assert code == 0
@@ -425,14 +460,16 @@ class TestVerifyCommand:
     "argv",
     [
         ("verify", "--tol-off", "1e-3"),
+        ("fmr-map", "--scenario", BASELINE, "--dt-start", "2", "--dt-stop", "3", "--dt-count",
+         "2", "--dr-start", "2", "--dr-stop", "3", "--dr-count", "2", "--tol-off", "1e-3"),
         ("verify", "--out", "x.csv"),
         ("rayleigh", "--scenario", BASELINE, "--seed", "3"),
         ("fmr-orient", "--scenario", BASELINE, "--dt", "20", "--dr", "20", "--gnuplot-hints"),
         ("eigensweep", "--scenario", BASELINE, "--start", "2", "--stop", "3", "--count", "2",
          "--threads", "2"),
     ],
-    ids=["verify-tol-off", "verify-out", "rayleigh-seed", "fmr-orient-gnuplot-hints",
-         "eigensweep-threads"],
+    ids=["verify-tol-off", "fmr-map-tol-off", "verify-out", "rayleigh-seed",
+         "fmr-orient-gnuplot-hints", "eigensweep-threads"],
 )
 def test_options_a_command_does_not_read_are_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -137,10 +137,17 @@ class TestUpperBound:
         assert mi_upper_bound(h_t, h_r, gain, power) == pytest.approx(expect, rel=1e-12)
         assert mutual_information(h, power) == pytest.approx(expect, rel=1e-12)
 
-    def test_needs_at_least_as_many_transmitters(self):
-        with pytest.raises(ValueError, match="N_t >= N_r"):
-            mi_upper_bound(np.ones((4, 2), dtype=complex), np.ones((3, 4), dtype=complex), 1.0,
-                           PowerConfig(1.0, 1.0))
+    def test_holds_with_more_receivers_than_transmitters(self, rng):
+        # tx and rx swapped, so N_r >= N_t: the bound pairs min(N_t, N_r) modes
+        worst = -np.inf
+        for _ in range(200):
+            scn = random_scenario(rng)
+            scn = replace(scn, tx=scn.rx, rx=scn.tx)
+            betas = rng.uniform(0.0, 2 * math.pi, scn.irs.n_elements)
+            chans = assemble(scn, FocusingState(betas))
+            mi = mutual_information(chans.h, scn.power)
+            worst = max(worst, mi - mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power))
+        assert worst <= 1e-9
 
 
 class TestRelaxedAllocation:
@@ -181,8 +188,14 @@ class TestRelaxedAllocation:
     def test_rejections(self):
         with pytest.raises(ValueError, match="power_regime"):
             relaxed_optimum("medium", 2, 2, 3, 3)
-        with pytest.raises(ValueError, match="N_t >= N_r"):
-            relaxed_optimum("high", 2, 3, 3, 3)
+
+    @pytest.mark.parametrize("regime", ["high", "low"])
+    def test_more_receivers_mirror_more_transmitters(self, regime):
+        wide = relaxed_optimum(regime, 4, 2, 3, 3)
+        tall = relaxed_optimum(regime, 2, 4, 3, 3)
+        assert np.array_equal(tall.mu_t_sq, wide.mu_r_sq)
+        assert np.array_equal(tall.mu_r_sq, wide.mu_t_sq)
+        assert allocation_rate(tall, 1e3) == allocation_rate(wide, 1e3)
 
 
 class TestMmMachinery:
@@ -478,6 +491,26 @@ class TestAlternatingDriver:
         sc = oriented_scenario(scn, m.as_array())
         final = build_channels(sc)
         assert mis[-1] <= mi_upper_bound(final.h_t, final.h_r, final.eta0, scn.power) + 1e-9
+
+    def test_rows_are_the_final_rows_of_each_block(self):
+        scn = parse_scenario(SMALL)
+        theta_stop, orient_stop = {"max_outer": 4}, {"max_iters": 4}
+        theta, m, trace = alternating_optimize(
+            scn, seed=2, max_rounds=2, theta_stop=theta_stop, orient_stop=orient_stop
+        )
+        assert trace.stop_reason == "max_iters"
+        replay, m_vec = random_init(scn, 2)
+        m_vec = normalize_orientation(m_vec)
+        rows = [trace.iterations[0]]
+        for rnd in (1, 2):
+            replay, t_trace = optimize_theta(oriented_scenario(scn, m_vec), replay, **theta_stop)
+            rows.append((rnd, t_trace.mi_values[-1], "theta"))
+            m_out, o_trace = optimize_orientation(scn, replay, m_vec, **orient_stop)
+            m_vec = m_out.as_array()
+            rows.append((rnd, o_trace.mi_values[-1], "orientation"))
+        assert trace.iterations == rows
+        assert np.array_equal(theta, replay)
+        assert np.array_equal(m.as_array(), m_vec)
 
     def test_zero_rounds_returns_the_start(self):
         scn = fmr_anchor_scenario()
