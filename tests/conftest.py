@@ -1,13 +1,12 @@
 """Shared fixtures: reference scenarios and hypothesis profiles."""
 
-import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from irsmimo import ArrayPose, IrsLayout, PowerConfig, Scenario, WaveConfig
+from irsmimo import checks
 
 settings.register_profile(
     "default", max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -21,53 +20,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 @pytest.fixture
 def golden_scenario():
     """The 5x5-antenna, 15x15-element, 5 mm wavelength reference setup."""
-    return Scenario(
-        wave=WaveConfig(0.005),
-        tx=ArrayPose(
-            n_antennas=5,
-            spacing=0.1,
-            distance=10.0,
-            azimuth=7 * math.pi / 6,
-            elevation=math.pi / 6,
-        ),
-        rx=ArrayPose(
-            n_antennas=5,
-            spacing=0.1,
-            distance=10.0,
-            azimuth=math.pi / 3,
-            elevation=3 * math.pi / 7,
-        ),
-        irs=IrsLayout(15, 15, 0.1, 0.1, 0.1, 0.1),
-    )
-
-
-def random_scenario(rng, n_max=7, q_max=15, high_snr=False):
-    """Draw a well-separated random scenario; used by several suites."""
-    n_t = int(rng.choice([n for n in (3, 5, 7) if n <= n_max]))
-    n_r = int(rng.choice([n for n in (1, 3, 5, 7) if n <= n_t]))
-    q_x = int(rng.choice([q for q in (5, 9, 15) if q <= q_max]))
-    q_y = int(rng.choice([q for q in (5, 9, 15) if q <= q_max]))
-
-    def pose(count):
-        return ArrayPose(
-            n_antennas=count,
-            spacing=float(rng.uniform(0.02, 0.12)),
-            distance=float(rng.uniform(4.0, 16.0)),
-            azimuth=float(rng.uniform(0.0, 2 * math.pi)),
-            elevation=float(rng.uniform(0.05, math.pi / 2 - 0.05)),
-            orient_azimuth=float(rng.uniform(0.0, 2 * math.pi)),
-            orient_elevation=float(rng.uniform(0.2, math.pi - 0.2)),
-        )
-
-    spacing = float(rng.uniform(0.02, 0.08))
-    power = PowerConfig(1.0, 1e-12) if high_snr else PowerConfig()
-    return Scenario(
-        wave=WaveConfig(float(rng.uniform(0.004, 0.012))),
-        tx=pose(n_t),
-        rx=pose(n_r),
-        irs=IrsLayout(q_x, q_y, spacing, spacing, spacing, spacing),
-        power=power,
-    )
+    return checks.golden_scenario()
 
 
 @pytest.fixture

@@ -13,10 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import random_scenario
 from irsmimo.channel import build_channels, closed_form_channel, tx_irs_channel
+from irsmimo.checks import golden_scenario, gram_passes, random_scenario
 from irsmimo.multiplexing import (
-    check_orthogonality,
     fmr_inner_bound,
     fmr_orientations,
     fmr_probe_orientation,
@@ -36,16 +35,12 @@ from irsmimo.optimize import (
     relaxed_optimum,
 )
 from irsmimo.response import WaveConfig, far_field_boundary_irs, far_field_boundary_re
-from irsmimo.scenario import ArrayPose, IrsLayout, Scenario, parse_scenario
+from irsmimo.scenario import IrsLayout, Scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
-WAVE = WaveConfig(0.005)
-IRS = IrsLayout(15, 15, 0.1, 0.1, 0.1, 0.1)
-TX = ArrayPose(n_antennas=5, spacing=0.1, distance=10.0, azimuth=7 * math.pi / 6,
-               elevation=math.pi / 6)
-RX = ArrayPose(n_antennas=5, spacing=0.1, distance=10.0, azimuth=math.pi / 3,
-               elevation=3 * math.pi / 7)
+GOLDEN = golden_scenario()
+WAVE, IRS, TX, RX = GOLDEN.wave, GOLDEN.irs, GOLDEN.tx, GOLDEN.rx
 RIGHT_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
 
@@ -115,19 +110,7 @@ def test_closed_form_channel_equivalence():
 
 
 def test_multiplexing_region_soundness():
-    scn = Scenario(wave=WAVE, tx=TX, rx=RX, irs=IRS)
     bound = fmr_inner_bound(TX, RX, IRS, WAVE)
-
-    def gram_passes(d_t, d_r, settings):
-        ot, orx = settings
-        sc = replace(
-            scn,
-            tx=replace(TX, distance=d_t, orient_azimuth=ot.gamma, orient_elevation=ot.psi),
-            rx=replace(RX, distance=d_r, orient_azimuth=orx.gamma, orient_elevation=orx.psi),
-        )
-        cs = build_channels(sc)
-        return check_orthogonality(cs.h, "rows", cs.eta0**2 * IRS.n_elements**2).passed
-
     t0 = time.perf_counter()
     grid = np.linspace(2.0, 32.0, 20)
     checked = failures = 0
@@ -140,10 +123,10 @@ def test_multiplexing_region_soundness():
             else:
                 continue
             checked += 1
-            if not gram_passes(d_t, d_r, fmr_orientations(bound, d_t, d_r, region)):
+            if not gram_passes(GOLDEN, d_t, d_r, fmr_orientations(bound, d_t, d_r, region)):
                 failures += 1
     far = (1.2 * bound.x.d_t_rayleigh, 1.2 * max(bound.x.d_r_rayleigh, bound.y.d_r_rayleigh))
-    probe_rejected = not gram_passes(*far, fmr_probe_orientation(bound, *far, "x"))
+    probe_rejected = not gram_passes(GOLDEN, *far, fmr_probe_orientation(bound, *far, "x"))
     elapsed = time.perf_counter() - t0
     ok = checked > 0 and failures == 0 and probe_rejected
     _verdict(

@@ -23,10 +23,9 @@ from irsmimo.channel import (
     side_anchors,
     tx_irs_channel,
 )
+from irsmimo.checks import random_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout, centered_indices
 from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, with_tx
-
-from conftest import random_scenario
 
 
 def tiny_scenario(d_t=10.0, d_r=12.0, lam=0.005):

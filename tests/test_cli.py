@@ -455,6 +455,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "2/2 checks passed" in out
 
+    def test_spaces_around_check_names_are_ignored(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--checks", "rayleigh_golden, far_field_golden")
+        assert code == 0, err
+        assert "PASS far_field_golden" in out
+        assert "2/2 checks passed" in out
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -476,6 +482,16 @@ def test_options_a_command_does_not_read_are_rejected(capsys, argv):
     assert code == 1
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "option", ["--seeds", "--max-outer", "--max-inner", "--max-orient-iters", "--max-rounds"]
+)
+def test_negative_counts_are_rejected(capsys, option):
+    code, out, err = run_cli(capsys, "optimize", "--scenario", SMALL, option, "-3")
+    assert code == 1
+    assert out == ""
+    assert f"argument {option}: must be >= 0" in err
 
 
 def declared_console_script(name):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from irsmimo.checks import golden_scenario, random_scenario
 from irsmimo.geometry import (
     ArrayPose,
     IrsLayout,
@@ -20,8 +21,6 @@ from irsmimo.geometry import (
     re_local_components,
     re_position,
 )
-
-from conftest import random_scenario
 
 
 def pose_at(omega, phi, gamma=0.0, psi=math.pi / 2, distance=10.0, spacing=0.1, n=5):
@@ -102,7 +101,7 @@ class TestFrames:
 
 class TestPositions:
     def test_element_positions_live_in_the_surface_plane(self):
-        layout = IrsLayout(15, 15, 0.1, 0.1, 0.1, 0.1)
+        layout = golden_scenario().irs
         assert np.allclose(re_position(layout, 1, -1), [0.1, -0.1, 0.0])
         assert re_position(layout, 0, 0)[2] == 0.0
 

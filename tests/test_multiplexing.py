@@ -20,6 +20,7 @@ from irsmimo.channel import (
     side_anchors,
     tx_irs_channel,
 )
+from irsmimo.checks import golden_scenario, posed_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout
 from irsmimo.multiplexing import (
     boundary_cap,
@@ -37,10 +38,8 @@ from irsmimo.scenario import Scenario
 
 TWO_PI = 2.0 * math.pi
 
-GOLD_WAVE = WaveConfig(0.005)
-GOLD_LAYOUT = IrsLayout(15, 15, 0.1, 0.1, 0.1, 0.1)
-GOLD_TX = ArrayPose(5, 0.1, 10.0, 7 * math.pi / 6, math.pi / 6)
-GOLD_RX = ArrayPose(5, 0.1, 10.0, math.pi / 3, 3 * math.pi / 7)
+GOLD = golden_scenario()
+GOLD_WAVE, GOLD_LAYOUT, GOLD_TX, GOLD_RX = GOLD.wave, GOLD.irs, GOLD.tx, GOLD.rx
 
 RIGHT_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
@@ -53,13 +52,7 @@ def golden_bound():
 def solved_scenario(bound, d_t, d_r, region, probe=False):
     """Scenario with the reference directions placed at solver orientations."""
     solver = fmr_probe_orientation if probe else fmr_orientations
-    o_t, o_r = solver(bound, d_t, d_r, region)
-    return Scenario(
-        wave=GOLD_WAVE,
-        tx=ArrayPose(5, 0.1, d_t, GOLD_TX.azimuth, GOLD_TX.elevation, o_t.gamma, o_t.psi),
-        rx=ArrayPose(5, 0.1, d_r, GOLD_RX.azimuth, GOLD_RX.elevation, o_r.gamma, o_r.psi),
-        irs=GOLD_LAYOUT,
-    )
+    return posed_scenario(GOLD, d_t, d_r, solver(bound, d_t, d_r, region))
 
 
 def region_limits(bound, region):

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_scenario
 from irsmimo.channel import FocusingState, assemble, build_channels, scenario_focusing
+from irsmimo.checks import golden_scenario, posed_scenario, random_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout
 from irsmimo.multiplexing import fmr_inner_bound, fmr_orientations
 from irsmimo.optimize import (
@@ -50,20 +50,11 @@ SMALL = str(Path(__file__).resolve().parents[1] / "scenarios" / "optimize_small.
 
 def fmr_anchor_scenario(power=None):
     """Reference-direction link placed at an interior feasible point."""
-    wave = WaveConfig(0.005)
-    lay = IrsLayout(15, 15, 0.1, 0.1, 0.1, 0.1)
-    tx0 = ArrayPose(5, 0.1, 10.0, 7 * math.pi / 6, math.pi / 6)
-    rx0 = ArrayPose(5, 0.1, 10.0, math.pi / 3, 3 * math.pi / 7)
-    b = fmr_inner_bound(tx0, rx0, lay, wave, samples=8)
+    gold = golden_scenario()
+    b = fmr_inner_bound(gold.tx, gold.rx, gold.irs, gold.wave, samples=8)
     d_t, d_r = 0.6 * b.x.d_t_star, 0.6 * b.x.d_r_rayleigh
-    o_t, o_r = fmr_orientations(b, d_t, d_r, "x")
-    return Scenario(
-        wave=wave,
-        tx=ArrayPose(5, 0.1, d_t, tx0.azimuth, tx0.elevation, o_t.gamma, o_t.psi),
-        rx=ArrayPose(5, 0.1, d_r, rx0.azimuth, rx0.elevation, o_r.gamma, o_r.psi),
-        irs=lay,
-        power=power or PowerConfig(per_antenna_power=1e9, noise_power=1.0),
-    )
+    posed = posed_scenario(gold, d_t, d_r, fmr_orientations(b, d_t, d_r, "x"))
+    return replace(posed, power=power or PowerConfig(per_antenna_power=1e9, noise_power=1.0))
 
 
 def cascade(chans, theta):
