@@ -8,6 +8,10 @@ by the common gain.  For reflective focusing the double sum collapses to a
 product of a per-antenna quadratic phase factor and two Dirichlet ratios,
 which this module also evaluates directly.
 
+The hop synthesis broadcasts over a leading batch of side poses, so
+reflective_cascades builds many posed cascades in one numpy pass, bit for
+bit equal to building each alone.
+
 Element-to-matrix ordering: elements are laid out row-major with the x
 index k slow and the y index l fast, i.e. element (k, l) occupies row
 (k + (Q_x-1)/2)*Q_y + (Q_y-1)/2 + l.  Antenna p maps to column
@@ -17,7 +21,7 @@ p + (N-1)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,35 +81,71 @@ class ChannelSet:
     h: ComplexMatrix
 
 
-def _link_offsets(wave, layout: IrsLayout, pose: ArrayPose):
-    """Offsets a, b, ax per (element, antenna), antenna positions r, tilt trig
-    (sin psi, cos psi, cos gamma, sin gamma) and wavenumber k0 of one side."""
-    v1, v2, v3 = re_local_components(layout, pose)
-    r = centered_indices(pose.n_antennas) * pose.spacing
-    sin_psi, cos_psi = math.sin(pose.orient_elevation), math.cos(pose.orient_elevation)
-    cos_g, sin_g = math.cos(pose.orient_azimuth), math.sin(pose.orient_azimuth)
-    a = (r * sin_psi * cos_g)[None, :] - v1[:, None]
-    b = (r * sin_psi * sin_g)[None, :] - v2[:, None]
-    ax = (r * cos_psi)[None, :] - v3[:, None]
-    return a, b, ax, r, (sin_psi, cos_psi, cos_g, sin_g), 2.0 * math.pi / wave.wavelength
+def _tilt_trig(gamma: float, psi: float):
+    """(sin psi, cos psi, cos gamma, sin gamma) of one array tilt."""
+    return math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)
 
 
-def _phase_parts(wave, layout: IrsLayout, pose: ArrayPose):
+def _link_offsets(v, r, trig):
+    """Offsets a, b, ax per (element, antenna) of one side.
+
+    v holds the side's element components (re_local_components), r its
+    antenna positions as a (1, N) row and trig its tilt as from _tilt_trig:
+    floats for one pose, or (B, 1, 1) arrays for a batch of poses, which
+    broadcasts every result to (B, Q, N).
+    """
+    v1, v2, v3 = v
+    sin_psi, cos_psi, cos_g, sin_g = trig
+    a = r * sin_psi * cos_g - v1[:, None]
+    b = r * sin_psi * sin_g - v2[:, None]
+    ax = r * cos_psi - v3[:, None]
+    return a, b, ax
+
+
+def _phase_parts(lam: float, offsets, d):
     """(small, big) with small + big = 2*pi*d_approx/lambda per (element, antenna).
 
-    The distance-dominated term big = 2*pi*D/lambda is kept separate so
-    callers that only need phase differences can cancel it exactly; the
-    remaining polynomial stays on the order of the array/surface spans.
+    d is the pose distance, broadcast like the trig of _link_offsets.  The
+    distance-dominated term big = 2*pi*D/lambda is kept separate so callers
+    that only need phase differences can cancel it exactly; the remaining
+    polynomial stays on the order of the array/surface spans.
     """
-    a, b, ax, _, _, k0 = _link_offsets(wave, layout, pose)
-    lam, d = wave.wavelength, pose.distance
+    a, b, ax = offsets
+    k0 = 2.0 * math.pi / lam
     small = math.pi * (a * a) / (lam * d) + math.pi * (b * b) / (lam * d) + k0 * ax
     return small, k0 * d
 
 
+def _phase_jacobian(lam: float, offsets, r, trig, d):
+    """(d_phase/d_gamma, d_phase/d_psi) from one side's _link_offsets."""
+    a, b, _ = offsets
+    sin_psi, cos_psi, cos_g, sin_g = trig
+    k0 = 2.0 * math.pi / lam
+    pref = k0 / d
+    d_gamma = pref * (a * (-r * sin_psi * sin_g) + b * (r * sin_psi * cos_g))
+    d_psi = pref * (a * (r * cos_psi * cos_g) + b * (r * cos_psi * sin_g)) + k0 * (-r * sin_psi)
+    return d_gamma, d_psi
+
+
+def _antenna_row(pose: ArrayPose) -> np.ndarray:
+    return (centered_indices(pose.n_antennas) * pose.spacing)[None, :]
+
+
+def _pose_terms(layout: IrsLayout, pose: ArrayPose):
+    """(offsets, r, trig) of one posed side: the pose resolved against the surface once."""
+    r = _antenna_row(pose)
+    trig = _tilt_trig(pose.orient_azimuth, pose.orient_elevation)
+    return _link_offsets(re_local_components(layout, pose), r, trig), r, trig
+
+
+def _pose_parts(wave, layout: IrsLayout, pose: ArrayPose):
+    """(small, big) phase parts of one posed side."""
+    return _phase_parts(wave.wavelength, _pose_terms(layout, pose)[0], pose.distance)
+
+
 def propagation_phases(wave, layout: IrsLayout, pose: ArrayPose) -> np.ndarray:
     """Full link phases 2*pi*d_approx/lambda, shape (q_x*q_y, n_antennas)."""
-    small, big = _phase_parts(wave, layout, pose)
+    small, big = _pose_parts(wave, layout, pose)
     return small + big
 
 
@@ -116,16 +156,8 @@ def orientation_phase_jacobian(wave, layout: IrsLayout, pose: ArrayPose):
     propagation_phases.  The transverse offsets contribute through the
     quadratic terms; the tilt additionally moves the axial coordinate.
     """
-    a, b, _, r, (sin_psi, cos_psi, cos_g, sin_g), k0 = _link_offsets(wave, layout, pose)
-    pref = k0 / pose.distance
-    d_gamma = pref * (
-        a * (-r * sin_psi * sin_g)[None, :] + b * (r * sin_psi * cos_g)[None, :]
-    )
-    d_psi = (
-        pref * (a * (r * cos_psi * cos_g)[None, :] + b * (r * cos_psi * sin_g)[None, :])
-        + k0 * (-r * sin_psi)[None, :]
-    )
-    return d_gamma, d_psi
+    offsets, r, trig = _pose_terms(layout, pose)
+    return _phase_jacobian(wave.wavelength, offsets, r, trig, pose.distance)
 
 
 def _hop(parts) -> ComplexMatrix:
@@ -136,12 +168,12 @@ def _hop(parts) -> ComplexMatrix:
 
 def tx_irs_channel(scn: Scenario) -> ComplexMatrix:
     """Unit-modulus Tx-to-surface matrix, elements along rows."""
-    return _hop(_phase_parts(scn.wave, scn.irs, scn.tx))
+    return _hop(_pose_parts(scn.wave, scn.irs, scn.tx))
 
 
 def irs_rx_channel(scn: Scenario) -> ComplexMatrix:
     """Unit-modulus surface-to-Rx matrix, antennas along rows."""
-    return _hop(_phase_parts(scn.wave, scn.irs, scn.rx)).T.copy()
+    return _hop(_pose_parts(scn.wave, scn.irs, scn.rx)).T.copy()
 
 
 def hop_matrices(scn: Scenario) -> tuple[ComplexMatrix, ComplexMatrix, float]:
@@ -150,13 +182,32 @@ def hop_matrices(scn: Scenario) -> tuple[ComplexMatrix, ComplexMatrix, float]:
     return tx_irs_channel(scn), irs_rx_channel(scn), gain
 
 
-def _reflective_parts(scn: Scenario):
-    """Both sides' (small, big) link phases and the reflective focusing phases."""
-    small_t, big_t = parts_t = _phase_parts(scn.wave, scn.irs, scn.tx)
-    small_r, big_r = parts_r = _phase_parts(scn.wave, scn.irs, scn.rx)
-    ct = (scn.tx.n_antennas - 1) // 2
-    cr = (scn.rx.n_antennas - 1) // 2
-    return parts_t, parts_r, (small_t[:, ct] + small_r[:, cr]) + (big_t + big_r)
+def hop_jacobians(scn: Scenario):
+    """(h_t, h_r, eta0, jac_t, jac_r): hop_matrices plus each side's
+    orientation_phase_jacobian, with each pose resolved once for both."""
+    lam = scn.wave.wavelength
+    sides = []
+    for pose in (scn.tx, scn.rx):
+        offsets, r, trig = _pose_terms(scn.irs, pose)
+        hop = _hop(_phase_parts(lam, offsets, pose.distance))
+        sides.append((hop, _phase_jacobian(lam, offsets, r, trig, pose.distance)))
+    (h_t, jac_t), (h_r, jac_r) = sides
+    gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
+    return h_t, h_r.T.copy(), gain, jac_t, jac_r
+
+
+def _center_parts(parts):
+    """(small, big) of one side's center antenna, small kept as a (..., Q, 1) column."""
+    small, big = parts
+    c = small.shape[-1] // 2
+    return small[..., c : c + 1], big
+
+
+def _reflective_betas(center_t, center_r):
+    """Reflective focusing phases: the summed center-link phases of both
+    sides per element; leading batch axes carry through."""
+    (small_t, big_t), (small_r, big_r) = center_t, center_r
+    return ((small_t + small_r) + (big_t + big_r))[..., 0]
 
 
 def reflective_focusing(scn: Scenario) -> FocusingState:
@@ -165,7 +216,9 @@ def reflective_focusing(scn: Scenario) -> FocusingState:
     beta equals the summed center-link phases 2*pi*(d_t0 + d_0r)/lambda, so
     the compensated center-to-center entry carries zero residual phase.
     """
-    return FocusingState(_reflective_parts(scn)[2])
+    center_t = _center_parts(_pose_parts(scn.wave, scn.irs, scn.tx))
+    center_r = _center_parts(_pose_parts(scn.wave, scn.irs, scn.rx))
+    return FocusingState(_reflective_betas(center_t, center_r))
 
 
 def scenario_focusing(scn: Scenario) -> FocusingState:
@@ -179,7 +232,7 @@ def scenario_focusing(scn: Scenario) -> FocusingState:
 
 def _cascade(betas, h_t, h_r, gain) -> ChannelSet:
     theta = np.exp(1j * betas)
-    h = gain * ((h_r * theta[None, :]) @ h_t)
+    h = gain * ((h_r * theta[..., None, :]) @ h_t)
     return ChannelSet(h_t=h_t, h_r=h_r, theta=theta, eta0=gain, h=h)
 
 
@@ -198,9 +251,52 @@ def build_channels(scn: Scenario) -> ChannelSet:
     focusing phases and both hops come from one evaluation of each side."""
     if scn.focusing_mode != "reflective":
         return assemble(scn, scenario_focusing(scn))
-    parts_t, parts_r, betas = _reflective_parts(scn)
+    parts_t = _pose_parts(scn.wave, scn.irs, scn.tx)
+    parts_r = _pose_parts(scn.wave, scn.irs, scn.rx)
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
+    betas = _reflective_betas(_center_parts(parts_t), _center_parts(parts_r))
     return _cascade(betas, _hop(parts_t), _hop(parts_r).T.copy(), gain)
+
+
+def _distinct_poses(wave, layout: IrsLayout, pose: ArrayPose, distances, settings):
+    """One side's distinct (distance, gamma, psi) among a batch of points.
+
+    Returns the posed ArrayPoses, each point's index into them, and their
+    (small, big) phase parts synthesized as one (U, Q, N) batch.
+    """
+    keys: dict = {}
+    index = [keys.setdefault((d, s.gamma, s.psi), len(keys)) for d, s in zip(distances, settings)]
+    poses = [replace(pose, distance=d, orient_azimuth=g, orient_elevation=p) for d, g, p in keys]
+    trig = np.array([_tilt_trig(g, p) for _, g, p in keys]).T[:, :, None, None]
+    d = np.array([d for d, _, _ in keys])[:, None, None]
+    offsets = _link_offsets(re_local_components(layout, pose), _antenna_row(pose), tuple(trig))
+    return poses, np.array(index), _phase_parts(wave.wavelength, offsets, d)
+
+
+def reflective_cascades(scn: Scenario, d_t, d_r, tx_settings, rx_settings):
+    """(h, eta0): reflectively focused cascades of B posed links, h shaped
+    (B, N_r, N_t) and eta0 (B,).
+
+    Point i moves the Tx to distance d_t[i] tilted by tx_settings[i] (an
+    orientation with gamma and psi) and the Rx likewise.  Each distinct pose
+    of a side is synthesized once; every cascade equals build_channels of
+    the posed scenario bit for bit.
+    """
+    poses_t, at, parts_t = _distinct_poses(scn.wave, scn.irs, scn.tx, d_t, tx_settings)
+    poses_r, ar, parts_r = _distinct_poses(scn.wave, scn.irs, scn.rx, d_r, rx_settings)
+    gain = np.array(
+        [
+            response.eta0(scn.wave, scn.reflection, scn.irs, poses_t[i], poses_r[j])
+            for i, j in zip(at, ar)
+        ]
+    )
+    betas = _reflective_betas(
+        [part[at] for part in _center_parts(parts_t)],
+        [part[ar] for part in _center_parts(parts_r)],
+    )
+    h_t = _hop(parts_t)[at]
+    h_r = np.swapaxes(_hop(parts_r)[ar], -1, -2)
+    return _cascade(betas, h_t, h_r, gain[:, None, None]).h, gain
 
 
 def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:

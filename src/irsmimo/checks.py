@@ -84,13 +84,23 @@ def posed_scenario(scn: Scenario, d_t: float, d_r: float, settings) -> Scenario:
     )
 
 
-def gram_passes(scn: Scenario, d_t: float, d_r: float, settings) -> bool:
-    """Gram check of the posed link; only the shorter side of the N_r x N_t
-    cascade can be orthogonal."""
-    cs = chan.build_channels(posed_scenario(scn, d_t, d_r, settings))
-    target = cs.eta0**2 * scn.irs.n_elements**2
+def gram_verdicts(scn: Scenario, points, settings) -> np.ndarray:
+    """Gram check of the link posed at each (d_t, d_r) of points with the
+    (Tx, Rx) settings beside it, as one batch; only the shorter side of the
+    N_r x N_t cascade can be orthogonal."""
+    d_t, d_r = zip(*points)
+    tx_settings, rx_settings = zip(*settings)
+    h, gain = chan.reflective_cascades(scn, d_t, d_r, tx_settings, rx_settings)
+    # squared as Python floats: libm's pow and numpy's x*x differ in the
+    # last bit for about 1 in 1000 values, which would move the tolerances
+    target = np.array([g**2 for g in gain.tolist()]) * scn.irs.n_elements**2
     mode = "rows" if scn.rx.n_antennas <= scn.tx.n_antennas else "columns"
-    return mux.check_orthogonality(cs.h, mode, target).passed
+    return mux.check_orthogonality(h, mode, target).passed
+
+
+def gram_passes(scn: Scenario, d_t: float, d_r: float, settings) -> bool:
+    """gram_verdicts at the one point (d_t, d_r)."""
+    return bool(gram_verdicts(scn, [(d_t, d_r)], [settings])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -364,7 +364,7 @@ def fmr_probe_orientation(
 def check_orthogonality(
     matrix: ComplexMatrix,
     mode: str,
-    target_gain: float,
+    target_gain,
     tol_off: float = 1e-6,
     tol_diag: float = 1e-8,
 ) -> GramReport:
@@ -374,23 +374,31 @@ def check_orthogonality(
     checks row inner products (M M^H).  Passing requires the largest
     off-diagonal magnitude to stay below tol_off * target_gain and every
     diagonal to stay within tol_diag relative of target_gain.
+
+    matrix may be a (..., n, m) stack, with target_gain a scalar or one
+    value per matrix; the report's fields then carry the leading axes.
     """
     m = np.asarray(matrix)
     if m.size == 0:
         raise ValueError("matrix must be nonempty")
+    m_h = np.swapaxes(m.conj(), -1, -2)
     if mode == "columns":
-        gram = m.conj().T @ m
+        gram = m_h @ m
     elif mode == "rows":
-        gram = m @ m.conj().T
+        gram = m @ m_h
     else:
         raise ValueError("mode must be 'columns' or 'rows'")
-    diag = np.real(np.diag(gram)).copy()
-    off = gram - np.diag(np.diag(gram))
-    max_off = float(np.max(np.abs(off))) if gram.shape[0] > 1 else 0.0
-    passed = bool(
-        max_off <= tol_off * target_gain
-        and np.all(np.abs(diag - target_gain) <= tol_diag * target_gain)
+    n = gram.shape[-1]
+    diag_c = np.diagonal(gram, axis1=-2, axis2=-1)
+    diag = np.real(diag_c).copy()
+    off = np.where(np.eye(n, dtype=bool), gram - diag_c[..., None], gram)
+    max_off = np.max(np.abs(off), axis=(-2, -1)) if n > 1 else np.zeros(gram.shape[:-2])
+    target = np.asarray(target_gain)[..., None]
+    passed = (max_off <= tol_off * target[..., 0]) & np.all(
+        np.abs(diag - target) <= tol_diag * target, axis=-1
     )
+    if m.ndim == 2:
+        max_off, passed = float(max_off), bool(passed)
     return GramReport(
         max_offdiag=max_off, diag_values=diag, target_gain=target_gain, passed=passed
     )

@@ -293,7 +293,7 @@ def mi_gradient(scn: Scenario, theta, m) -> np.ndarray:
     """Analytic gradient of the negated MI in the four orientation angles."""
     theta = np.asarray(theta)
     sc = oriented_scenario(scn, m)
-    h_t, h_r, gain = chan.hop_matrices(sc)
+    h_t, h_r, gain, (dz_gt, dz_pt), (dz_gr, dz_pr) = chan.hop_jacobians(sc)
     rho_eff = sc.power.snr * gain**2
 
     w = h_r * theta[None, :]
@@ -304,8 +304,6 @@ def mi_gradient(scn: Scenario, theta, m) -> np.ndarray:
 
     e_t = (x @ w).T * h_t
     e_r = (theta[:, None] * (h_t @ x)).T * h_r
-    dz_gt, dz_pt = chan.orientation_phase_jacobian(sc.wave, sc.irs, sc.tx)
-    dz_gr, dz_pr = chan.orientation_phase_jacobian(sc.wave, sc.irs, sc.rx)
     coef = -(2.0 * rho_eff / LOG2)
     return np.array(
         [

@@ -1,7 +1,9 @@
 """Hop matrices, focusing phases, assembly and the product closed form."""
 
 import math
+from collections import namedtuple
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,16 +18,26 @@ from irsmimo.channel import (
     closed_form_channel,
     coupling_constants,
     dirichlet_ratio,
+    hop_jacobians,
+    hop_matrices,
     irs_rx_channel,
+    orientation_phase_jacobian,
     propagation_phases,
+    reflective_cascades,
     reflective_focusing,
     scenario_focusing,
     side_anchors,
     tx_irs_channel,
 )
-from irsmimo.checks import random_scenario
+from irsmimo.checks import posed_scenario, random_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout, centered_indices
-from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, with_tx
+from irsmimo.multiplexing import (
+    fmr_inner_bound,
+    fmr_orientations,
+    fmr_probe_orientation,
+    region_contains,
+)
+from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, parse_scenario, with_tx
 
 
 def tiny_scenario(d_t=10.0, d_r=12.0, lam=0.005):
@@ -142,6 +154,16 @@ class TestAssembly:
             assert np.array_equal(chans.h_t, tx_irs_channel(scn))
             assert np.array_equal(chans.h_r, irs_rx_channel(scn))
 
+    def test_hop_jacobians_resolve_each_side_once(self, golden_scenario, rng):
+        for scn in [golden_scenario] + [random_scenario(rng) for _ in range(5)]:
+            h_t, h_r, gain, jac_t, jac_r = hop_jacobians(scn)
+            ref_t, ref_r, ref_gain = hop_matrices(scn)
+            assert np.array_equal(h_t, ref_t) and np.array_equal(h_r, ref_r)
+            assert gain == ref_gain
+            for jac, pose in ((jac_t, scn.tx), (jac_r, scn.rx)):
+                ref = orientation_phase_jacobian(scn.wave, scn.irs, pose)
+                assert all(np.array_equal(a, b) for a, b in zip(jac, ref))
+
     def test_frobenius_energy_of_the_hops(self, golden_scenario):
         chans = build_channels(golden_scenario)
         n_elems = golden_scenario.irs.n_elements
@@ -177,6 +199,65 @@ class TestAssembly:
     def test_wrong_length_phase_vector_rejected(self, golden_scenario):
         with pytest.raises(ValueError, match="225"):
             assemble(golden_scenario, FocusingState(np.zeros(16)))
+
+
+Tilt = namedtuple("Tilt", "gamma psi")
+SCENARIO_FILES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.txt"))
+
+
+def posed_cascades_agree(scn, d_t, d_r, tx_settings, rx_settings):
+    """Batched cascades against build_channels of each posed scenario, bit for bit."""
+    h, gain = reflective_cascades(scn, d_t, d_r, tx_settings, rx_settings)
+    assert h.shape == (len(d_t), scn.rx.n_antennas, scn.tx.n_antennas)
+    for i, point in enumerate(zip(d_t, d_r, tx_settings, rx_settings)):
+        dt, dr, st, sr = point
+        cs = build_channels(posed_scenario(scn, dt, dr, (st, sr)))
+        assert np.array_equal(h[i], cs.h)
+        assert gain[i] == cs.eta0
+
+
+class TestReflectiveCascades:
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+    def test_bit_identical_on_a_solved_grid(self, path):
+        # 9 x 9 points at the fmr-map settings: Tx tilts repeat along d_r and
+        # Rx tilts across d_t, so both sides' deduplication is exercised
+        scn = parse_scenario(str(path))
+        bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+
+        def solved(dt, dr):
+            for region in ("x", "y"):
+                if region_contains(bound, dt, dr, region):
+                    return (dt, dr, *fmr_orientations(bound, dt, dr, region))
+            return (dt, dr, *fmr_probe_orientation(bound, dt, dr, "x"))
+
+        axis = np.linspace(2.0, 32.0, 9).tolist()
+        points = [solved(dt, dr) for dt in axis for dr in axis]
+        posed_cascades_agree(scn, *(list(column) for column in zip(*points)))
+
+    def test_bit_identical_on_random_scenarios(self, rng):
+        seen_tall = False
+        for _ in range(12):
+            scn = random_scenario(rng)
+            seen_tall = seen_tall or scn.rx.n_antennas > scn.tx.n_antennas
+            # draws from small pools so that side poses repeat within the batch
+            dists = rng.uniform(2.0, 20.0, 3).tolist()
+            tilts = [Tilt(float(g), float(p)) for g, p in
+                     zip(rng.uniform(0, 2 * math.pi, 3), rng.uniform(0, math.pi, 3))]
+            pick = rng.integers(0, 3, (4, 10)).tolist()
+            posed_cascades_agree(
+                scn,
+                [dists[i] for i in pick[0]],
+                [dists[i] for i in pick[1]],
+                [tilts[i] for i in pick[2]],
+                [tilts[i] for i in pick[3]],
+            )
+        assert seen_tall
+
+    def test_invalid_tilt_is_rejected(self, golden_scenario):
+        with pytest.raises(ValueError, match="orient_elevation"):
+            reflective_cascades(
+                golden_scenario, [5.0], [5.0], [Tilt(0.0, 4.0)], [Tilt(0.0, 1.0)]
+            )
 
 
 class TestCouplingConstants:

@@ -20,8 +20,15 @@ import numpy as np
 import pytest
 
 from irsmimo.channel import build_channels
+from irsmimo.checks import posed_scenario
 from irsmimo.cli import main
-from irsmimo.multiplexing import fmr_inner_bound, region_contains
+from irsmimo.multiplexing import (
+    check_orthogonality,
+    fmr_inner_bound,
+    fmr_orientations,
+    fmr_probe_orientation,
+    region_contains,
+)
 from irsmimo.optimize import mutual_information
 from irsmimo.scenario import parse_scenario
 
@@ -250,6 +257,33 @@ class TestFmrMapCommand:
             verdicts["in" if "1" in (in_x, in_y) else "out"].add(gram)
         assert verdicts == {"in": {"1"}, "out": {"0"}}
 
+    def test_tiled_verdicts_match_the_per_point_check(self, capsys, tmp_path):
+        # a 6 x 7 grid leaves partial tiles on both axes; every verdict must
+        # equal a Gram check of the one posed cascade at that point
+        out_file = tmp_path / "tiled.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "fmr-map", "--scenario", BASELINE,
+            "--dt-start", "3.0", "--dt-stop", "40.0", "--dt-count", "6",
+            "--dr-start", "2.5", "--dr-stop", "36.0", "--dr-count", "7",
+            "--verify", "--out", str(out_file),
+        )
+        assert code == 0
+        _, rows = read_csv(out_file)
+        assert len(rows) == 42
+        scn = parse_scenario(BASELINE)
+        bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+        for d_t, d_r, in_x, in_y, gram in rows:
+            d_t, d_r = float(d_t), float(d_r)
+            if "1" in (in_x, in_y):
+                settings = fmr_orientations(bound, d_t, d_r, "x" if in_x == "1" else "y")
+            else:
+                settings = fmr_probe_orientation(bound, d_t, d_r, "x")
+            cs = build_channels(posed_scenario(scn, d_t, d_r, settings))
+            target = cs.eta0**2 * scn.irs.n_elements**2
+            assert gram == ("1" if check_orthogonality(cs.h, "rows", target).passed else "0")
+        assert {row[4] for row in rows} == {"0", "1"}
+
     def test_nonpositive_distances_are_rejected(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -274,6 +308,19 @@ class TestFmrMapCommand:
         header, rows = read_csv(out_file)
         assert header == ["d_t", "d_r", "in_region_x", "in_region_y", "gram_pass"]
         assert rows == []
+
+    def test_empty_verified_grid_prints_only_the_header(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "fmr-map", "--scenario", BASELINE, "--verify",
+            "--dt-start", "1.0", "--dt-stop", "2.0", "--dt-count", "0",
+            "--dr-start", "1.0", "--dr-stop", "2.0", "--dr-count", "3",
+        )
+        assert code == 0, err
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("# scenario=")
+        assert lines[1] == "d_t,d_r,in_region_x,in_region_y,gram_pass"
 
 
 class TestFmrOrientCommand:
@@ -450,6 +497,12 @@ class TestVerifyCommand:
         assert code == 1
         assert "unknown check" in err
 
+    def test_repeated_check_name(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--checks", "far_field_golden,far_field_golden")
+        assert code == 1
+        assert out == ""
+        assert "error: check 'far_field_golden' given twice" in err
+
     def test_subset_runs_only_named_checks(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--checks", "rayleigh_golden,far_field_golden")
         assert code == 0
@@ -485,10 +538,23 @@ def test_options_a_command_does_not_read_are_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "option", ["--seeds", "--max-outer", "--max-inner", "--max-orient-iters", "--max-rounds"]
+    "option, value",
+    [
+        pytest.param(option, "-3", id=option)
+        for option in (
+            "--seeds", "--max-outer", "--max-inner", "--max-orient-iters", "--max-rounds"
+        )
+    ]
+    + [
+        pytest.param(option, value, id=f"{option}={value}")
+        for option in ("--eps-theta", "--eps-mm", "--eps-orient", "--eps-oa")
+        for value in ("-1", "nan")
+    ],
 )
-def test_negative_counts_are_rejected(capsys, option):
-    code, out, err = run_cli(capsys, "optimize", "--scenario", SMALL, option, "-3")
+def test_negative_counts_are_rejected(capsys, option, value):
+    # a negative tolerance never fires on a monotone climb, so it is refused
+    # at parse time like a negative count
+    code, out, err = run_cli(capsys, "optimize", "--scenario", SMALL, option, value)
     assert code == 1
     assert out == ""
     assert f"argument {option}: must be >= 0" in err

@@ -455,6 +455,24 @@ class TestGramCheck:
         target = chans.eta0**2 * GOLD_LAYOUT.n_elements**2
         assert not check_orthogonality(chans.h, "columns", target).passed
 
+    @pytest.mark.parametrize("mode", ["rows", "columns"])
+    def test_stack_matches_the_per_matrix_reports(self, rng, mode):
+        unitary, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        leaky = unitary.copy()
+        leaky[0, 1] += 1e-5
+        noise = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        stack = np.stack([2.0 * unitary, 2.0 * leaky, noise, unitary, 2.0 * unitary])
+        targets = np.array([4.0, 4.0, 4.0, 1.0, 4.4])
+        report = check_orthogonality(stack, mode, targets)
+        singles = [check_orthogonality(m, mode, t) for m, t in zip(stack, targets)]
+        assert [s.passed for s in singles] == [True, False, False, True, False]
+        assert report.passed.tolist() == [s.passed for s in singles]
+        assert report.max_offdiag.tolist() == [s.max_offdiag for s in singles]
+        assert np.array_equal(report.diag_values, np.stack([s.diag_values for s in singles]))
+        # one target for the whole stack broadcasts like a per-matrix one
+        shared = check_orthogonality(stack, mode, 4.0)
+        assert shared.passed.tolist() == [True, False, False, False, True]
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="nonempty"):
             check_orthogonality(np.zeros((0, 3), dtype=complex), "columns", 1.0)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from irsmimo import channel as chan
 from irsmimo.channel import FocusingState, assemble, build_channels, scenario_focusing
 from irsmimo.checks import golden_scenario, posed_scenario, random_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout
@@ -384,6 +385,17 @@ class TestGradients:
         m = pose_orientation(scn)
         assert np.all(np.abs(mi_gradient(scn, theta, m)) < 1e-9)
         assert np.all(np.abs(finite_difference_gradient(scn, theta, m)) < 1e-9)
+
+    def test_resolves_each_pose_once(self, monkeypatch):
+        # the hops and the phase jacobians of one side share one resolution
+        # of the pose against the surface
+        scn = parse_scenario(SMALL)
+        theta, m = random_init(scn, 1)
+        calls = []
+        real = chan.re_local_components
+        monkeypatch.setattr(chan, "re_local_components", lambda *a: calls.append(a) or real(*a))
+        mi_gradient(scn, theta, m)
+        assert len(calls) == 2
 
     def test_rejects_bad_step(self):
         scn = fmr_anchor_scenario()
