@@ -325,7 +325,10 @@ def cmd_verify(args) -> int:
         return 0
     failures = 0
     for name, fn in selected:
-        ok, detail = fn(scn)
+        try:
+            ok, detail = fn(scn)
+        except ValueError as exc:  # a scenario the check cannot be posed on
+            ok, detail = False, str(exc)
         line = "PASS" if ok else "FAIL"
         print(f"{line} {name}: {detail}")
         failures += 0 if ok else 1

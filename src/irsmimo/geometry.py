@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,15 @@ class IrsLayout:
     def total_len_y(self) -> float:
         return (self.q_y - 1) * self.spacing_y + self.re_len_y
 
+    @cached_property
+    def element_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Global x and y of every element center, row-major (k slow, l
+        fast); built once per layout and read-only."""
+        x = np.repeat(centered_indices(self.q_x), self.q_y) * self.spacing_x
+        y = np.tile(centered_indices(self.q_y), self.q_x) * self.spacing_y
+        x.flags.writeable = y.flags.writeable = False
+        return x, y
+
 
 def centered_indices(n: int) -> np.ndarray:
     """Index set {-(n-1)/2, ..., (n-1)/2} for odd n."""
@@ -169,8 +179,7 @@ def re_local_components(
     first two global coordinates contribute.
     """
     n_x, n_y, n_z = local_frame(pose)
-    k = np.repeat(centered_indices(layout.q_x), layout.q_y) * layout.spacing_x
-    l = np.tile(centered_indices(layout.q_y), layout.q_x) * layout.spacing_y
+    k, l = layout.element_grid
     v1 = k * n_x[0] + l * n_x[1]
     v2 = k * n_y[0] + l * n_y[1]
     v3 = k * n_z[0] + l * n_z[1]

@@ -197,8 +197,7 @@ def link_directions(layout: IrsLayout, pose: ArrayPose, antenna: int):
     order; polar is measured from the surface normal.
     """
     w = antenna_position(pose, antenna)
-    ex = np.repeat(centered_indices(layout.q_x), layout.q_y) * layout.spacing_x
-    ey = np.tile(centered_indices(layout.q_y), layout.q_x) * layout.spacing_y
+    ex, ey = layout.element_grid
     vx, vy, vz = w[0] - ex, w[1] - ey, np.full(ex.shape, w[2])
     r = np.sqrt(vx**2 + vy**2 + vz**2)
     return np.arccos(vz / r), np.arctan2(vy, vx)

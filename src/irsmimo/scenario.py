@@ -14,15 +14,16 @@ key prefixes for sections, `#` comments, SI units spelled in key suffixes
     focusing = reflective
     meta.label = desk check
 
-Unknown keys are rejected so typos fail loudly.  `parse_scenario` reports
-the offending line number for both syntax and validation errors.
+Unknown keys are rejected so typos fail loudly.  Syntax and conversion
+errors carry the offending line; a value a section's dataclass rejects
+carries the line of that section's first key in the file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 
 from .geometry import ArrayPose, IrsLayout
 from .response import ReflectionConfig, WaveConfig
@@ -71,7 +72,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.focusing_mode not in FOCUSING_MODES:
-            raise ValueError(f"focusing mode must be one of {FOCUSING_MODES}")
+            raise ValueError(
+                f"focusing mode must be one of {FOCUSING_MODES}, got '{self.focusing_mode}'"
+            )
         if self.focusing_mode == "explicit":
             if self.focusing_betas is None:
                 raise ValueError("explicit focusing requires a beta list")
@@ -84,50 +87,55 @@ class Scenario:
             raise ValueError("beta list is only allowed with focusing = explicit")
 
 
-_INT_KEYS = {"tx.count", "rx.count", "irs.count_x", "irs.count_y"}
-
-_FLOAT_KEYS = {
-    "wave.wavelength_m",
-    "wave.carrier_hz",
-    "wave.absorption_inv_m",
-    "tx.spacing_m",
-    "tx.distance_m",
-    "tx.azimuth_rad",
-    "tx.elevation_rad",
-    "tx.orient_azimuth_rad",
-    "tx.orient_elevation_rad",
-    "rx.spacing_m",
-    "rx.distance_m",
-    "rx.azimuth_rad",
-    "rx.elevation_rad",
-    "rx.orient_azimuth_rad",
-    "rx.orient_elevation_rad",
-    "irs.spacing_x_m",
-    "irs.spacing_y_m",
-    "irs.element_len_x_m",
-    "irs.element_len_y_m",
-    "reflection.amplitude",
-    "reflection.polarization_rad",
-    "power.per_antenna_w",
-    "power.noise_w",
+# The file format: every key besides focusing and meta.*, with the dataclass
+# field it sets and its type.  A key is required exactly when its field has
+# no dataclass default; an absent optional key leaves the field at that
+# default.  wave.carrier_hz sets no field of its own (it stands in for the
+# wavelength) and is, like tile lengths defaulting to the pitch, focusing
+# and meta.*, handled by hand in parse_scenario_text.
+FORMAT = {
+    "wave.wavelength_m": ("wavelength", float),
+    "wave.carrier_hz": (None, float),
+    "wave.absorption_inv_m": ("absorption", float),
+    "tx.count": ("n_antennas", int),
+    "tx.spacing_m": ("spacing", float),
+    "tx.distance_m": ("distance", float),
+    "tx.azimuth_rad": ("azimuth", float),
+    "tx.elevation_rad": ("elevation", float),
+    "tx.orient_azimuth_rad": ("orient_azimuth", float),
+    "tx.orient_elevation_rad": ("orient_elevation", float),
+    "rx.count": ("n_antennas", int),
+    "rx.spacing_m": ("spacing", float),
+    "rx.distance_m": ("distance", float),
+    "rx.azimuth_rad": ("azimuth", float),
+    "rx.elevation_rad": ("elevation", float),
+    "rx.orient_azimuth_rad": ("orient_azimuth", float),
+    "rx.orient_elevation_rad": ("orient_elevation", float),
+    "irs.count_x": ("q_x", int),
+    "irs.count_y": ("q_y", int),
+    "irs.spacing_x_m": ("spacing_x", float),
+    "irs.spacing_y_m": ("spacing_y", float),
+    "irs.element_len_x_m": ("re_len_x", float),
+    "irs.element_len_y_m": ("re_len_y", float),
+    "reflection.amplitude": ("amplitude", float),
+    "reflection.polarization_rad": ("polarization", float),
+    "power.per_antenna_w": ("per_antenna_power", float),
+    "power.noise_w": ("noise_power", float),
 }
 
-_REQUIRED = [
-    "tx.count",
-    "tx.spacing_m",
-    "tx.distance_m",
-    "tx.azimuth_rad",
-    "tx.elevation_rad",
-    "rx.count",
-    "rx.spacing_m",
-    "rx.distance_m",
-    "rx.azimuth_rad",
-    "rx.elevation_rad",
-    "irs.count_x",
-    "irs.count_y",
-    "irs.spacing_x_m",
-    "irs.spacing_y_m",
-]
+# Scenario parts built straight from their keys: dataclass and error label.
+_PARTS = {
+    "tx": (ArrayPose, "tx array"),
+    "rx": (ArrayPose, "rx array"),
+    "irs": (IrsLayout, "surface layout"),
+    "reflection": (ReflectionConfig, "reflection"),
+    "power": (PowerConfig, "power"),
+}
+
+_TILE_PITCH = {"irs.element_len_x_m": "irs.spacing_x_m", "irs.element_len_y_m": "irs.spacing_y_m"}
+
+KEYS = (*FORMAT, "focusing", "focusing.betas_rad")
+"""Every key the format accepts besides the free-form meta.* ones."""
 
 
 def _parse_lines(text: str) -> tuple[dict, dict]:
@@ -152,6 +160,37 @@ def _parse_lines(text: str) -> tuple[dict, dict]:
     return values, lines
 
 
+def _part_keys(part: str) -> list[str]:
+    return [key for key in KEYS if key.split(".")[0] == part]
+
+
+def _value(values: dict, lines: dict, key: str):
+    kind = FORMAT[key][1]
+    try:
+        return kind(values[key])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ScenarioError(f"'{key}' expects {what}, got '{values[key]}'", lines.get(key)) from None
+
+
+def _fields(values: dict, lines: dict, part: str) -> dict:
+    """{field: value} for the keys of one part present in the file."""
+    return {
+        FORMAT[key][0]: _value(values, lines, key)
+        for key in _part_keys(part)
+        if key in values and FORMAT[key][0]
+    }
+
+
+def _build(make, kwargs: dict, lines: dict, part: str, label: str):
+    """make(**kwargs), with a ValueError re-raised at the part's first key in the file."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        line = min((lines[key] for key in _part_keys(part) if key in lines), default=None)
+        raise ScenarioError(f"{label}: {exc}", line) from None
+
+
 def parse_scenario(path) -> Scenario:
     """Read and validate a scenario file; raise ScenarioError on any problem."""
     with open(path, encoding="utf-8") as fh:
@@ -160,171 +199,61 @@ def parse_scenario(path) -> Scenario:
 
 def parse_scenario_text(text: str) -> Scenario:
     values, lines = _parse_lines(text)
+    for tile, pitch in _TILE_PITCH.items():
+        if pitch in values:
+            values.setdefault(tile, values[pitch])
+    for key, (name, _) in FORMAT.items():
+        part = _PARTS.get(key.split(".")[0])
+        if part and key not in values:
+            if any(f.name == name and f.default is MISSING for f in fields(part[0])):
+                raise ScenarioError(f"missing required key '{key}'")
 
-    def take_float(key: str, default: float | None = None) -> float | None:
-        if key not in values:
-            return default
-        raw = values.pop(key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ScenarioError(f"'{key}' expects a number, got '{raw}'", lines[key]) from None
-
-    def take_int(key: str) -> int | None:
-        if key not in values:
-            return None
-        raw = values.pop(key)
-        try:
-            val = int(raw)
-        except ValueError:
-            raise ScenarioError(f"'{key}' expects an integer, got '{raw}'", lines[key]) from None
-        return val
-
-    for key in _REQUIRED:
-        if key not in values:
-            raise ScenarioError(f"missing required key '{key}'")
-
-    wavelength = take_float("wave.wavelength_m")
-    carrier = take_float("wave.carrier_hz")
-    if (wavelength is None) == (carrier is None):
+    wave = _fields(values, lines, "wave")
+    carrier = _value(values, lines, "wave.carrier_hz") if "wave.carrier_hz" in values else None
+    if ("wavelength" in wave) == (carrier is not None):
         key = "wave.carrier_hz" if carrier is not None else "wave.wavelength_m"
         raise ScenarioError(
-            "exactly one of wave.wavelength_m / wave.carrier_hz is required",
-            lines.get(key),
+            "exactly one of wave.wavelength_m / wave.carrier_hz is required", lines.get(key)
         )
-    absorption = take_float("wave.absorption_inv_m", 0.0)
+    make = WaveConfig if carrier is None else partial(WaveConfig.from_carrier, carrier)
+    parts = {"wave": _build(make, wave, lines, "wave", "wave")}
+    for part, (cls, label) in _PARTS.items():
+        parts[part] = _build(cls, _fields(values, lines, part), lines, part, label)
 
-    def build_pose(side: str) -> ArrayPose:
-        count = take_int(f"{side}.count")
-        count_line = lines[f"{side}.count"]
-        if count is None or count < 1 or count % 2 == 0:
-            raise ScenarioError(f"'{side}.count' must be a positive odd integer", count_line)
-        kwargs = dict(
-            n_antennas=count,
-            spacing=take_float(f"{side}.spacing_m"),
-            distance=take_float(f"{side}.distance_m"),
-            azimuth=take_float(f"{side}.azimuth_rad"),
-            elevation=take_float(f"{side}.elevation_rad"),
-            orient_azimuth=take_float(f"{side}.orient_azimuth_rad", 0.0),
-            orient_elevation=take_float(f"{side}.orient_elevation_rad", math.pi / 2),
-        )
-        try:
-            return ArrayPose(**kwargs)
-        except ValueError as exc:
-            raise ScenarioError(f"{side} array: {exc}", count_line) from None
-
-    tx = build_pose("tx")
-    rx = build_pose("rx")
-
-    irs_line = lines["irs.count_x"]
-    qx, qy = take_int("irs.count_x"), take_int("irs.count_y")
-    for name, q in (("irs.count_x", qx), ("irs.count_y", qy)):
-        if q is None or q < 1 or q % 2 == 0:
-            raise ScenarioError(f"'{name}' must be a positive odd integer", lines.get(name))
-    sx = take_float("irs.spacing_x_m")
-    sy = take_float("irs.spacing_y_m")
-    try:
-        irs = IrsLayout(
-            q_x=qx,
-            q_y=qy,
-            spacing_x=sx,
-            spacing_y=sy,
-            re_len_x=take_float("irs.element_len_x_m", sx),
-            re_len_y=take_float("irs.element_len_y_m", sy),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"surface layout: {exc}", irs_line) from None
-
-    try:
-        wave = (
-            WaveConfig(wavelength, absorption)
-            if wavelength is not None
-            else WaveConfig.from_carrier(carrier, absorption)
-        )
-        reflection = ReflectionConfig(
-            amplitude=take_float("reflection.amplitude", 1.0),
-            polarization=take_float("reflection.polarization_rad", math.pi / 3),
-        )
-        power = PowerConfig(
-            per_antenna_power=take_float("power.per_antenna_w", 1.0),
-            noise_power=take_float("power.noise_w", 1.0),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc))
-
-    mode = values.pop("focusing", "reflective")
-    if mode not in FOCUSING_MODES:
-        raise ScenarioError(
-            f"focusing must be one of {FOCUSING_MODES}, got '{mode}'", lines.get("focusing")
-        )
-    betas = None
+    if "focusing" in values:
+        parts["focusing_mode"] = values["focusing"]
     if "focusing.betas_rad" in values:
-        raw = values.pop("focusing.betas_rad")
         try:
-            betas = tuple(float(tok) for tok in raw.split(","))
+            parts["focusing_betas"] = tuple(
+                float(tok) for tok in values["focusing.betas_rad"].split(",")
+            )
         except ValueError:
             raise ScenarioError(
                 "'focusing.betas_rad' expects comma-separated numbers",
                 lines["focusing.betas_rad"],
             ) from None
+    parts["metadata"] = {
+        key[len("meta.") :]: value for key, value in sorted(values.items()) if key.startswith("meta.")
+    }
+    scn = _build(Scenario, parts, lines, "focusing", "focusing")
 
-    metadata = {}
-    for key in sorted(k for k in values if k.startswith("meta.")):
-        metadata[key[len("meta.") :]] = values.pop(key)
-
-    if values:
-        stray = min(values, key=lambda k: lines[k])
-        raise ScenarioError(f"unknown key '{stray}'", lines[stray])
-
-    try:
-        return Scenario(
-            wave=wave,
-            tx=tx,
-            rx=rx,
-            irs=irs,
-            reflection=reflection,
-            power=power,
-            focusing_mode=mode,
-            focusing_betas=betas,
-            metadata=metadata,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-
-
-def _num(value) -> str:
-    return repr(float(value))
+    stray = [key for key in values if key not in KEYS and not key.startswith("meta.")]
+    if stray:
+        key = min(stray, key=lines.get)
+        raise ScenarioError(f"unknown key '{key}'", lines[key])
+    return scn
 
 
 def serialize_scenario(scn: Scenario) -> str:
     """Canonical text form: sorted keys, exact float round trip via repr."""
-    pairs: list[tuple[str, str]] = [
-        ("wave.wavelength_m", _num(scn.wave.wavelength)),
-        ("wave.absorption_inv_m", _num(scn.wave.absorption)),
-        ("reflection.amplitude", _num(scn.reflection.amplitude)),
-        ("reflection.polarization_rad", _num(scn.reflection.polarization)),
-        ("power.per_antenna_w", _num(scn.power.per_antenna_power)),
-        ("power.noise_w", _num(scn.power.noise_power)),
-        ("irs.count_x", str(scn.irs.q_x)),
-        ("irs.count_y", str(scn.irs.q_y)),
-        ("irs.spacing_x_m", _num(scn.irs.spacing_x)),
-        ("irs.spacing_y_m", _num(scn.irs.spacing_y)),
-        ("irs.element_len_x_m", _num(scn.irs.re_len_x)),
-        ("irs.element_len_y_m", _num(scn.irs.re_len_y)),
-        ("focusing", scn.focusing_mode),
+    pairs = [
+        (key, str(kind(getattr(getattr(scn, key.split(".")[0]), name))))
+        for key, (name, kind) in FORMAT.items()
+        if name
     ]
-    for side, pose in (("tx", scn.tx), ("rx", scn.rx)):
-        pairs += [
-            (f"{side}.count", str(pose.n_antennas)),
-            (f"{side}.spacing_m", _num(pose.spacing)),
-            (f"{side}.distance_m", _num(pose.distance)),
-            (f"{side}.azimuth_rad", _num(pose.azimuth)),
-            (f"{side}.elevation_rad", _num(pose.elevation)),
-            (f"{side}.orient_azimuth_rad", _num(pose.orient_azimuth)),
-            (f"{side}.orient_elevation_rad", _num(pose.orient_elevation)),
-        ]
+    pairs.append(("focusing", scn.focusing_mode))
     if scn.focusing_betas is not None:
-        pairs.append(("focusing.betas_rad", ", ".join(_num(b) for b in scn.focusing_betas)))
+        pairs.append(("focusing.betas_rad", ", ".join(str(float(b)) for b in scn.focusing_betas)))
     for key, value in scn.metadata.items():
         pairs.append((f"meta.{key}", str(value)))
     return "\n".join(f"{key} = {value}" for key, value in sorted(pairs)) + "\n"

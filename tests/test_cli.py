@@ -486,6 +486,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "pass=True, outside" in out and "PASS gram_fmr" in out
 
+    def test_a_check_that_raises_fails_and_the_rest_still_run(self, capsys, tmp_path):
+        small_surface = write_variant(tmp_path, "q3.txt", {"irs.count_x": "3", "irs.count_y": "3"})
+        code, out, err = run_cli(
+            capsys, "verify", "--scenario", small_surface, "--checks", "gram_fmr,far_field_golden"
+        )
+        assert code == 2, err
+        assert "FAIL gram_fmr: needs N_t + N_r - 2 < 2*Q_x (8 >= 6)" in out
+        assert "PASS far_field_golden" in out
+        assert "1/2 checks passed" in out
+
     def test_empty_selection_warns_and_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--checks", "")
         assert code == 0

@@ -120,6 +120,18 @@ class TestPositions:
                 idx += 1
         assert v3.shape == (15,)
 
+    def test_element_grid_is_built_once_per_layout_and_read_only(self):
+        layout = IrsLayout(3, 5, 0.2, 0.1, 0.1, 0.1)
+        x, y = layout.element_grid
+        assert layout.element_grid[0] is x
+        want = [re_position(layout, k, ell) for k in (-1, 0, 1) for ell in range(-2, 3)]
+        assert np.array_equal(np.stack([x, y], axis=1), np.array(want)[:, :2])
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        # the cached grid takes no part in equality or hashing
+        twin = IrsLayout(3, 5, 0.2, 0.1, 0.1, 0.1)
+        assert twin == layout and hash(twin) == hash(layout)
+
 
 class TestDistances:
     def test_exact_distance_equals_position_norm(self, rng):

@@ -1,11 +1,16 @@
 """Scenario file grammar, validation errors, canonical form and hashing."""
 
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from irsmimo.checks import random_scenario
+from irsmimo.response import ReflectionConfig, WaveConfig
 from irsmimo.scenario import (
+    KEYS,
     PowerConfig,
     Scenario,
     ScenarioError,
@@ -17,7 +22,8 @@ from irsmimo.scenario import (
     with_tx,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "scenarios"
 
 MINIMAL = """
 wave.wavelength_m = 0.005
@@ -36,6 +42,13 @@ irs.count_y = 5
 irs.spacing_x_m = 0.1
 irs.spacing_y_m = 0.1
 """
+
+
+def line_of(text, key):
+    """1-based line number of the line setting key."""
+    return next(
+        i for i, line in enumerate(text.splitlines(), 1) if line.split("=")[0].strip() == key
+    )
 
 
 def edit(text, key, value):
@@ -130,6 +143,32 @@ class TestErrors:
         with pytest.raises(ScenarioError, match="25"):
             parse_scenario_text(MINIMAL + "focusing = explicit\nfocusing.betas_rad = 0.0, 0.1\n")
 
+    @pytest.mark.parametrize(
+        "extra, first_key, message",
+        [
+            ("power.noise_w = -1", "power.noise_w", "powers must be > 0"),
+            ("reflection.amplitude = 2", "reflection.amplitude", "amplitude must lie in"),
+            (
+                "focusing = explicit\nfocusing.betas_rad = 0.0, 0.1",
+                "focusing",
+                "needs 25 phases, got 2",
+            ),
+            ("tx.orient_elevation_rad = 4", "tx.count", "tx array: orient_elevation"),
+        ],
+        ids=["noise", "amplitude", "short_betas", "tx_tilt"],
+    )
+    def test_rejected_value_reports_its_section_line(self, extra, first_key, message):
+        text = MINIMAL + "meta.pad = x\n" + extra + "\n"
+        with pytest.raises(ScenarioError, match=message) as err:
+            parse_scenario_text(text)
+        assert err.value.line == line_of(text, first_key)
+
+    def test_rejected_wavelength_reports_its_line(self):
+        text = edit(MINIMAL, "wave.wavelength_m", -0.005)
+        with pytest.raises(ScenarioError, match="wavelength must be > 0") as err:
+            parse_scenario_text(text)
+        assert err.value.line == line_of(text, "wave.wavelength_m")
+
     def test_missing_file_propagates(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_scenario(tmp_path / "nope.txt")
@@ -153,6 +192,23 @@ class TestCanonicalForm:
         assert with_tx(scn, distance=9.0).rx == scn.rx
         assert with_rx(scn, distance=9.0).tx == scn.tx
         assert with_rx(scn, distance=9.0).rx.distance == 9.0
+
+
+    def test_round_trip_keeps_every_field(self, rng):
+        for i in range(12):
+            scn = random_scenario(rng)
+            scn = replace(
+                scn,
+                wave=WaveConfig(scn.wave.wavelength, float(rng.uniform(0.0, 0.5))),
+                reflection=ReflectionConfig(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0, 3))),
+                power=PowerConfig(float(rng.uniform(0.1, 2.0)), float(rng.uniform(1e-12, 1.0))),
+                focusing_mode="explicit",
+                focusing_betas=tuple(rng.uniform(-math.pi, math.pi, scn.irs.n_elements).tolist()),
+                metadata={"label": f"draw {i}", "note": "a = b"},
+            )
+            again = parse_scenario_text(serialize_scenario(scn))
+            assert again == scn
+            assert scenario_hash(again) == scenario_hash(scn)
 
 
 class TestShippedFiles:
@@ -193,3 +249,16 @@ def test_scenario_dataclass_validates_focusing_mode():
             irs=base.irs,
             focusing_mode="wibble",
         )
+
+
+def test_readme_documents_every_key():
+    """The README key table lists exactly the keys the parser accepts."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    # "The rx.* keys mirror the tx.* ones."
+    documented |= {"rx." + key[3:] for key in documented if key.startswith("tx.")}
+    assert documented == set(KEYS) | {"meta.*"}
