@@ -10,7 +10,10 @@ which this module also evaluates directly.
 
 The hop synthesis broadcasts over a leading batch of side poses, so
 reflective_cascades builds many posed cascades in one numpy pass, bit for
-bit equal to building each alone.
+bit equal to building each alone.  resolve_link takes the terms of a link
+that do not depend on the array tilts once, and pose_link evaluates both
+hops at any tilt vector from them, bit for bit equal to hop_matrices of the
+posed scenario; the optimizer's orientation descent runs on these two.
 
 Element-to-matrix ordering: elements are laid out row-major with the x
 index k slow and the y index l fast, i.e. element (k, l) occupies row
@@ -26,7 +29,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import response
-from .geometry import ArrayPose, IrsLayout, centered_indices, re_local_components
+from .geometry import (
+    ArrayPose,
+    IrsLayout,
+    centered_indices,
+    check_orientation,
+    fold_orientation,
+    re_local_components,
+)
 from .scenario import Scenario
 
 ComplexMatrix = np.ndarray
@@ -182,18 +192,78 @@ def hop_matrices(scn: Scenario) -> tuple[ComplexMatrix, ComplexMatrix, float]:
     return tx_irs_channel(scn), irs_rx_channel(scn), gain
 
 
-def hop_jacobians(scn: Scenario):
-    """(h_t, h_r, eta0, jac_t, jac_r): hop_matrices plus each side's
-    orientation_phase_jacobian, with each pose resolved once for both."""
-    lam = scn.wave.wavelength
-    sides = []
-    for pose in (scn.tx, scn.rx):
-        offsets, r, trig = _pose_terms(scn.irs, pose)
-        hop = _hop(_phase_parts(lam, offsets, pose.distance))
-        sides.append((hop, _phase_jacobian(lam, offsets, r, trig, pose.distance)))
-    (h_t, jac_t), (h_r, jac_r) = sides
+@dataclass(frozen=True)
+class LinkSide:
+    """The orientation-free terms of one side: its element components
+    (re_local_components), its antennas as a (1, N) row and its distance."""
+
+    v: tuple
+    r: np.ndarray
+    distance: float
+
+
+@dataclass(frozen=True)
+class ResolvedLink:
+    """A scenario's link with everything but the two array tilts resolved:
+    both sides, the wavelength and the common gain eta0."""
+
+    tx: LinkSide
+    rx: LinkSide
+    wavelength: float
+    eta0: float
+
+
+def resolve_link(scn: Scenario) -> ResolvedLink:
+    """The orientation-free terms of scn, for evaluating many tilts of one link."""
+
+    def side(pose: ArrayPose) -> LinkSide:
+        return LinkSide(re_local_components(scn.irs, pose), _antenna_row(pose), pose.distance)
+
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
-    return h_t, h_r.T.copy(), gain, jac_t, jac_r
+    return ResolvedLink(side(scn.tx), side(scn.rx), scn.wave.wavelength, gain)
+
+
+@dataclass(frozen=True)
+class PosedLink:
+    """Both hops of a resolved link at one tilt of each side, with the
+    per-side (offsets, trig) their phase Jacobians are taken from."""
+
+    link: ResolvedLink
+    h_t: ComplexMatrix
+    h_r: ComplexMatrix
+    terms: tuple
+
+    @property
+    def eta0(self) -> float:
+        return self.link.eta0
+
+    def jacobians(self):
+        """(jac_t, jac_r): each side's (d_phase/d_gamma, d_phase/d_psi), as
+        orientation_phase_jacobian gives them for the posed scenario."""
+        sides = (self.link.tx, self.link.rx)
+        return tuple(
+            _phase_jacobian(self.link.wavelength, offsets, side.r, trig, side.distance)
+            for side, (offsets, trig) in zip(sides, self.terms)
+        )
+
+
+def pose_link(link: ResolvedLink, m) -> PosedLink:
+    """Both hops at the orientation vector m = [gamma_t, psi_t, gamma_r, psi_r].
+
+    Each (gamma, psi) is folded and range-checked as a posed ArrayPose
+    would be, so h_t and h_r equal hop_matrices of the posed scenario bit
+    for bit.
+    """
+    g_t, p_t, g_r, p_r = m
+    hops, terms = [], []
+    for side, gamma, psi in ((link.tx, g_t, p_t), (link.rx, g_r, p_r)):
+        gamma, psi = fold_orientation(gamma, psi)
+        check_orientation(gamma, psi)
+        trig = _tilt_trig(gamma, psi)
+        offsets = _link_offsets(side.v, side.r, trig)
+        hops.append(_hop(_phase_parts(link.wavelength, offsets, side.distance)))
+        terms.append((offsets, trig))
+    return PosedLink(link, hops[0], hops[1].T.copy(), tuple(terms))
 
 
 def _center_parts(parts):

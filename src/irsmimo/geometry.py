@@ -49,15 +49,37 @@ class ArrayPose:
             raise ValueError("azimuth must lie in [0, 2*pi)")
         if not 0.0 <= self.elevation <= math.pi / 2:
             raise ValueError("elevation must lie in [0, pi/2]")
-        if not 0.0 <= self.orient_azimuth < TWO_PI:
-            raise ValueError("orient_azimuth must lie in [0, 2*pi)")
-        if not 0.0 <= self.orient_elevation <= math.pi:
-            raise ValueError("orient_elevation must lie in [0, pi]")
+        check_orientation(self.orient_azimuth, self.orient_elevation)
 
     @property
     def span(self) -> float:
         """End-to-end array length (n-1 spacings)."""
         return (self.n_antennas - 1) * self.spacing
+
+
+def check_orientation(gamma: float, psi: float) -> None:
+    """Raise ValueError unless (gamma, psi) lies in a pose's orientation domain."""
+    if not 0.0 <= gamma < TWO_PI:
+        raise ValueError("orient_azimuth must lie in [0, 2*pi)")
+    if not 0.0 <= psi <= math.pi:
+        raise ValueError("orient_elevation must lie in [0, pi]")
+
+
+def fold_orientation(gamma: float, psi: float) -> tuple[float, float]:
+    """(gamma, psi) folded into a pose's orientation domain, axis preserved.
+
+    (gamma, psi) and (gamma + pi, -psi) describe the same physical axis, so
+    a tilt outside [0, pi] is mirrored rather than rejected, and gamma wraps
+    into [0, 2*pi).  A tilt beyond the mirror, psi < -pi or psi > 2*pi, is
+    left for check_orientation to reject.
+    """
+    if psi < 0.0:
+        psi, gamma = -psi, gamma + math.pi
+    if psi > math.pi:
+        psi, gamma = TWO_PI - psi, gamma + math.pi
+    gamma = float(gamma % TWO_PI)
+    # a tiny negative gamma rounds up to exactly 2*pi, which is the angle 0
+    return (0.0 if gamma == TWO_PI else gamma), float(psi)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as chan
+from .geometry import fold_orientation
 from .scenario import PowerConfig, Scenario  # noqa: F401  (PowerConfig re-exported)
 
 LOG2 = math.log(2.0)
@@ -24,6 +25,7 @@ TWO_PI = 2.0 * math.pi
 
 GAMMA_BOX = (-math.pi / 2, math.pi / 2)
 PSI_BOX = (0.0, math.pi)
+_BOX_LOW, _BOX_HIGH = np.array([GAMMA_BOX, PSI_BOX, GAMMA_BOX, PSI_BOX]).T
 
 SIGMA_FLOOR_SCALE = 1e-12
 
@@ -181,8 +183,12 @@ def mm_auxiliaries(h_t, h_r, theta, eta0: float, power: PowerConfig) -> MmAuxili
 def qcqp_objective(w, alpha, theta) -> float:
     """Quadratic surrogate theta^H Lambda theta + 2 Re(alpha^H theta), Lambda = w w^H."""
     theta = np.asarray(theta)
-    z = w.conj().T @ theta
-    return float(np.real(np.vdot(z, z)) + 2.0 * np.real(np.vdot(alpha, theta)))
+    return _surrogate(w.conj().T @ theta, alpha, theta)
+
+
+def _surrogate(z, alpha, theta) -> float:
+    """qcqp_objective from z = w^H theta."""
+    return float(np.vdot(z, z).real + 2.0 * np.vdot(alpha, theta).real)
 
 
 def largest_eigenvalue(a) -> float:
@@ -194,15 +200,22 @@ def largest_eigenvalue(a) -> float:
     return float(np.linalg.eigvalsh(a)[-1])
 
 
-def mm_step(w, alpha, theta, lam_max: float | None = None) -> np.ndarray:
+def mm_step(w, alpha, theta, lam_max: float | None = None, z=None) -> np.ndarray:
     """One majorized phase update for Lambda = w w^H; entries with a zero
-    update direction keep their current phase."""
-    theta = np.asarray(theta)
+    update direction keep their current phase.  z = w^H theta is computed
+    unless the caller already has it."""
+    theta = np.asarray(theta, dtype=complex)
     if lam_max is None:
         lam_max = largest_eigenvalue(w.conj().T @ w)
-    q = lam_max * theta - w @ (w.conj().T @ theta) - alpha
+    if z is None:
+        z = w.conj().T @ theta
+    q = lam_max * theta
+    q -= w @ z
+    q -= alpha
     mag = np.abs(q)
-    return np.divide(q, mag, out=theta.astype(complex), where=mag > 0)
+    if mag.min() > 0:  # false on a zero or a NaN, as where= below
+        return np.divide(q, mag, out=q)
+    return np.divide(q, mag, out=theta.copy(), where=mag > 0)
 
 
 def _cascade_mi(h_t, h_r, gain, theta, power) -> float:
@@ -237,11 +250,15 @@ def optimize_theta(
     reason = "max_iters"
     for outer in range(1, max_outer + 1):
         aux = mm_auxiliaries(h_t, h_r, theta, gain, scn.power)
-        lam_max = largest_eigenvalue(aux.w.conj().T @ aux.w)
-        obj = qcqp_objective(aux.w, aux.alpha, theta)
+        wh = aux.w.conj().T
+        lam_max = largest_eigenvalue(wh @ aux.w)
+        # z = w^H theta serves both the surrogate of theta and its next update
+        z = wh @ theta
+        obj = _surrogate(z, aux.alpha, theta)
         for _ in range(max_inner):
-            theta = mm_step(aux.w, aux.alpha, theta, lam_max=lam_max)
-            new_obj = qcqp_objective(aux.w, aux.alpha, theta)
+            theta = mm_step(aux.w, aux.alpha, theta, lam_max=lam_max, z=z)
+            z = wh @ theta
+            new_obj = _surrogate(z, aux.alpha, theta)
             if obj - new_obj < eps_mm:
                 obj = new_obj
                 break
@@ -268,15 +285,12 @@ def _as_vector(m) -> np.ndarray:
 def _posed(pose, gamma: float, psi: float):
     """Pose with the given orientation, folded into the pose's angle domain.
 
-    (gamma, psi) and (gamma + pi, -psi) describe the same physical axis, so
-    out-of-domain tilts are mirrored rather than rejected; this keeps
-    finite-difference probes valid near the tilt limits.
+    Out-of-domain tilts are mirrored rather than rejected
+    (geometry.fold_orientation); this keeps finite-difference probes valid
+    near the tilt limits.
     """
-    if psi < 0.0:
-        psi, gamma = -psi, gamma + math.pi
-    if psi > math.pi:
-        psi, gamma = TWO_PI - psi, gamma + math.pi
-    return replace(pose, orient_azimuth=float(gamma % TWO_PI), orient_elevation=float(psi))
+    gamma, psi = fold_orientation(gamma, psi)
+    return replace(pose, orient_azimuth=gamma, orient_elevation=psi)
 
 
 def oriented_scenario(scn: Scenario, m) -> Scenario:
@@ -285,16 +299,24 @@ def oriented_scenario(scn: Scenario, m) -> Scenario:
     return replace(scn, tx=_posed(scn.tx, g_t, p_t), rx=_posed(scn.rx, g_r, p_r))
 
 
-def _descent_objective(scn: Scenario, theta, m) -> float:
-    return -_cascade_mi(*chan.hop_matrices(oriented_scenario(scn, m)), theta, scn.power)
+def _descent_objective(link, power: PowerConfig, theta, m):
+    """(negated MI, posed link) at orientation vector m of a resolved link."""
+    posed = chan.pose_link(link, m)
+    return -_cascade_mi(posed.h_t, posed.h_r, posed.eta0, theta, power), posed
 
 
-def mi_gradient(scn: Scenario, theta, m) -> np.ndarray:
-    """Analytic gradient of the negated MI in the four orientation angles."""
+def mi_gradient(scn: Scenario, theta, m, posed=None) -> np.ndarray:
+    """Analytic gradient of the negated MI in the four orientation angles.
+
+    posed is the link already posed at m (channel.pose_link), whose hops
+    are then reused rather than synthesized again.
+    """
     theta = np.asarray(theta)
-    sc = oriented_scenario(scn, m)
-    h_t, h_r, gain, (dz_gt, dz_pt), (dz_gr, dz_pr) = chan.hop_jacobians(sc)
-    rho_eff = sc.power.snr * gain**2
+    if posed is None:
+        posed = chan.pose_link(chan.resolve_link(scn), _as_vector(m))
+    h_t, h_r, gain = posed.h_t, posed.h_r, posed.eta0
+    (dz_gt, dz_pt), (dz_gr, dz_pr) = posed.jacobians()
+    rho_eff = scn.power.snr * gain**2
 
     w = h_r * theta[None, :]
     g_mat = w @ h_t
@@ -320,12 +342,13 @@ def finite_difference_gradient(scn: Scenario, theta, m, step: float = 1e-6) -> n
     if step <= 0.0:
         raise ValueError("step must be > 0")
     vec = _as_vector(m)
+    link = chan.resolve_link(scn)
     out = np.zeros(4)
     for i in range(4):
         probe = np.zeros(4)
         probe[i] = step
-        hi = _descent_objective(scn, theta, vec + probe)
-        lo = _descent_objective(scn, theta, vec - probe)
+        hi, _ = _descent_objective(link, scn.power, theta, vec + probe)
+        lo, _ = _descent_objective(link, scn.power, theta, vec - probe)
         out[i] = (hi - lo) / (2.0 * step)
     return out
 
@@ -354,15 +377,7 @@ def normalize_orientation(m) -> np.ndarray:
 
 def project_box(m) -> np.ndarray:
     """Clip an orientation vector to the box (after a descent step)."""
-    g_t, p_t, g_r, p_r = _as_vector(m)
-    return np.array(
-        [
-            float(np.clip(g_t, *GAMMA_BOX)),
-            float(np.clip(p_t, *PSI_BOX)),
-            float(np.clip(g_r, *GAMMA_BOX)),
-            float(np.clip(p_r, *PSI_BOX)),
-        ]
-    )
+    return np.clip(_as_vector(m), _BOX_LOW, _BOX_HIGH)
 
 
 def optimize_orientation(
@@ -385,26 +400,28 @@ def optimize_orientation(
     trials raises the objective, and "max_iters" otherwise.
     """
     theta = np.asarray(theta)
+    link = chan.resolve_link(scn)
     m = normalize_orientation(m_init)
-    obj = _descent_objective(scn, theta, m)
+    obj, posed = _descent_objective(link, scn.power, theta, m)
     rows = [(0, -obj, "orientation")]
     reason = "max_iters"
     for it in range(1, max_iters + 1):
-        grad = mi_gradient(scn, theta, m)
+        # the hops of the accepted point feed its gradient
+        grad = mi_gradient(scn, theta, m, posed)
         step = init_step
-        trial, trial_obj, accepted = m, obj, False
+        accepted = False
         for _ in range(max_backtracks):
             cand = project_box(m - step * grad)
-            cand_obj = _descent_objective(scn, theta, cand)
+            cand_obj, cand_posed = _descent_objective(link, scn.power, theta, cand)
             if cand_obj <= obj:
-                trial, trial_obj, accepted = cand, cand_obj, True
+                accepted = True
                 break
             step *= shrink
         if not accepted:
             reason = "no_descent"
             break
-        m, gain = trial, obj - trial_obj
-        obj = trial_obj
+        m, gain, posed = cand, obj - cand_obj, cand_posed
+        obj = cand_obj
         rows.append((it, -obj, "orientation"))
         if gain < eps_orient:
             reason = "threshold"
@@ -469,7 +486,7 @@ def alternating_optimize(
     theta_stop = theta_stop or {}
     orient_stop = orient_stop or {}
 
-    mi_prev = -_descent_objective(scn, theta, m_vec)
+    mi_prev = -_descent_objective(chan.resolve_link(scn), scn.power, theta, m_vec)[0]
     rows = [(0, mi_prev, "init")]
     reason = "max_iters"
     for rnd in range(1, max_rounds + 1):

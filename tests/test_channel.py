@@ -18,13 +18,14 @@ from irsmimo.channel import (
     closed_form_channel,
     coupling_constants,
     dirichlet_ratio,
-    hop_jacobians,
     hop_matrices,
     irs_rx_channel,
     orientation_phase_jacobian,
+    pose_link,
     propagation_phases,
     reflective_cascades,
     reflective_focusing,
+    resolve_link,
     scenario_focusing,
     side_anchors,
     tx_irs_channel,
@@ -37,6 +38,7 @@ from irsmimo.multiplexing import (
     fmr_probe_orientation,
     region_contains,
 )
+from irsmimo.optimize import oriented_scenario
 from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, parse_scenario, with_tx
 
 
@@ -154,15 +156,38 @@ class TestAssembly:
             assert np.array_equal(chans.h_t, tx_irs_channel(scn))
             assert np.array_equal(chans.h_r, irs_rx_channel(scn))
 
-    def test_hop_jacobians_resolve_each_side_once(self, golden_scenario, rng):
+    def test_posed_link_matches_the_posed_scenario(self, golden_scenario, rng):
+        # pose_link folds each tilt as oriented_scenario does; its hops, gain
+        # and phase Jacobians must be those of the posed scenario bit for
+        # bit, also for psi < 0, psi > pi and gamma outside [0, 2*pi)
+        tilts = [(-5.5, -2.4), (0.3, 1.1), (8.0, 4.2), (-0.2, 3.5), (7.0, -0.4)]
         for scn in [golden_scenario] + [random_scenario(rng) for _ in range(5)]:
-            h_t, h_r, gain, jac_t, jac_r = hop_jacobians(scn)
-            ref_t, ref_r, ref_gain = hop_matrices(scn)
-            assert np.array_equal(h_t, ref_t) and np.array_equal(h_r, ref_r)
-            assert gain == ref_gain
-            for jac, pose in ((jac_t, scn.tx), (jac_r, scn.rx)):
-                ref = orientation_phase_jacobian(scn.wave, scn.irs, pose)
-                assert all(np.array_equal(a, b) for a, b in zip(jac, ref))
+            link = resolve_link(scn)
+            own = [scn.tx.orient_azimuth, scn.tx.orient_elevation,
+                   scn.rx.orient_azimuth, scn.rx.orient_elevation]
+            vectors = [np.array(own)] + [
+                np.array([*tilts[i], *tilts[(i + 2) % len(tilts)]])
+                + rng.uniform(-0.1, 0.1, 4)
+                for i in range(len(tilts))
+            ]
+            for m in vectors:
+                posed = pose_link(link, m)
+                sc = oriented_scenario(scn, m)
+                ref_t, ref_r, ref_gain = hop_matrices(sc)
+                assert np.array_equal(posed.h_t, ref_t) and np.array_equal(posed.h_r, ref_r)
+                assert posed.eta0 == ref_gain
+                for jac, pose in zip(posed.jacobians(), (sc.tx, sc.rx)):
+                    ref = orientation_phase_jacobian(sc.wave, sc.irs, pose)
+                    assert all(np.array_equal(a, b) for a, b in zip(jac, ref))
+
+    def test_posed_link_rejects_what_a_pose_rejects(self, golden_scenario):
+        link = resolve_link(golden_scenario)
+        for m, what in (([0.1, 7.0, 0.1, 1.0], "orient_elevation"),
+                        ([0.1, 1.0, math.nan, 1.0], "orient_azimuth")):
+            with pytest.raises(ValueError, match=what):
+                oriented_scenario(golden_scenario, m)
+            with pytest.raises(ValueError, match=what):
+                pose_link(link, m)
 
     def test_frobenius_energy_of_the_hops(self, golden_scenario):
         chans = build_channels(golden_scenario)

@@ -9,6 +9,7 @@ line-search loops.
 
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from irsmimo import channel as chan
+from irsmimo import optimize as opt
 from irsmimo.channel import FocusingState, assemble, build_channels, scenario_focusing
 from irsmimo.checks import golden_scenario, posed_scenario, random_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout
@@ -257,6 +259,25 @@ class TestMmMachinery:
             after = qcqp_objective(w, alpha, mm_step(w, alpha, theta))
             assert after <= before + 1e-9 * max(1.0, abs(before))
 
+    def test_step_is_the_normalized_update_bit_for_bit(self, rng):
+        # mm_step builds q in place and skips the masked divide when no
+        # entry is zero; both must give the plain formula's bits
+        for zero in (False, True):
+            n = 12
+            w = (rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))) / math.sqrt(n)
+            alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
+            theta = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+            lam_max = largest_eigenvalue(w.conj().T @ w)
+            if zero:  # make entry 4 of the update direction exactly zero
+                alpha[4] = (lam_max * theta - w @ (w.conj().T @ theta))[4]
+            q = lam_max * theta - w @ (w.conj().T @ theta) - alpha
+            mag = np.abs(q)
+            assert (mag[4] == 0) == zero
+            want = np.divide(q, mag, out=theta.astype(complex), where=mag > 0)
+            assert np.array_equal(mm_step(w, alpha, theta, lam_max=lam_max), want)
+            z = w.conj().T @ theta
+            assert np.array_equal(mm_step(w, alpha, theta, lam_max=lam_max, z=z), want)
+
     def test_optimal_point_is_fixed(self, rng):
         n = 8
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -276,6 +297,32 @@ class TestMmMachinery:
             float(np.linalg.eigvalsh(psd)[-1]), rel=1e-8
         )
         assert largest_eigenvalue(psd) >= float(np.linalg.eigvalsh(psd)[-1]) * (1 - 1e-12)
+
+
+def reference_optimize_theta(scn, theta0, *, eps_theta=1e-6, eps_mm=1e-8, max_outer, max_inner=500):
+    """optimize_theta spelled out with mm_step and qcqp_objective."""
+    theta = np.asarray(theta0, dtype=complex)
+    theta = theta / np.abs(theta)
+    h_t, h_r, gain = chan.hop_matrices(scn)
+
+    def mi(th):
+        return mutual_information(gain * ((h_r * th[None, :]) @ h_t), scn.power)
+
+    mis = [mi(theta)]
+    for _ in range(max_outer):
+        aux = mm_auxiliaries(h_t, h_r, theta, gain, scn.power)
+        lam_max = largest_eigenvalue(aux.w.conj().T @ aux.w)
+        obj = qcqp_objective(aux.w, aux.alpha, theta)
+        for _ in range(max_inner):
+            theta = mm_step(aux.w, aux.alpha, theta, lam_max=lam_max)
+            new_obj = qcqp_objective(aux.w, aux.alpha, theta)
+            if obj - new_obj < eps_mm:
+                break
+            obj = new_obj
+        mis.append(mi(theta))
+        if mis[-1] - mis[-2] < eps_theta:
+            break
+    return theta, mis
 
 
 class TestThetaOptimizer:
@@ -327,6 +374,20 @@ class TestThetaOptimizer:
         finally:
             tracemalloc.stop()
         assert peak < 16 * q * q / 4  # a quarter of one complex Q x Q array
+
+    def test_matches_the_reference_mm_loop_bit_for_bit(self, rng):
+        # optimize_theta carries z = w^H theta from step to step; its phases
+        # and trace must be those of plain mm_step / qcqp_objective calls
+        draws = [random_scenario(rng, high_snr=True) for _ in range(4)]
+        while draws[-1].rx.n_antennas <= draws[-1].tx.n_antennas:
+            draws[-1] = random_scenario(rng, high_snr=True)
+        draws.insert(0, random_scenario(rng, high_snr=True))
+        for scn in draws:
+            theta0, _ = random_init(scn, 17)
+            theta, trace = optimize_theta(scn, theta0, max_outer=6)
+            want_theta, want_mis = reference_optimize_theta(scn, theta0, max_outer=6)
+            assert np.array_equal(theta, want_theta)
+            assert trace.mi_values == want_mis
 
     def test_rejects_zero_entries(self):
         scn = fmr_anchor_scenario()
@@ -464,6 +525,36 @@ class TestOrientationDescent:
         assert trace.stop_reason == "no_descent"
         assert len(trace.iterations) == 1
         assert np.array_equal(m.as_array(), start)
+
+    def test_hops_synthesized_once_per_evaluation(self, monkeypatch):
+        # the link is resolved once per descent, each objective evaluation
+        # synthesizes both hops once, and the gradient at an accepted point
+        # reuses that point's hops instead of synthesizing them again
+        scn = parse_scenario(SMALL)
+        theta, m0 = random_init(scn, 1)
+        calls = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.update([name]) or real(*a, **k))
+
+        for module, name in ((chan, "_hop"), (chan, "re_local_components"),
+                             (opt, "mutual_information"), (opt, "mi_gradient")):
+            count(module, name)
+        _, trace = optimize_orientation(scn, theta, m0, max_iters=5)
+        assert calls["mi_gradient"] >= 2
+        assert calls["mutual_information"] > calls["mi_gradient"]
+        assert calls["_hop"] == 2 * calls["mutual_information"]
+        assert calls["re_local_components"] == 2
+
+    def test_tiny_negative_azimuth_folds_to_zero(self):
+        # -1e-17 % (2*pi) rounds to exactly 2*pi, the same angle as 0
+        scn = golden_scenario()
+        m = [-1e-17, 1.0, 0.3, 1.0]
+        sc = oriented_scenario(scn, m)
+        assert sc.tx.orient_azimuth == 0.0
+        assert np.array_equal(chan.pose_link(chan.resolve_link(scn), m).h_t,
+                              chan.tx_irs_channel(sc))
 
     def test_projection_clips_to_the_box(self):
         out = project_box([10.0, -1.0, -9.0, 7.0])

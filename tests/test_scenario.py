@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irsmimo.checks import random_scenario
 from irsmimo.response import ReflectionConfig, WaveConfig
@@ -209,6 +211,27 @@ class TestCanonicalForm:
             again = parse_scenario_text(serialize_scenario(scn))
             assert again == scn
             assert scenario_hash(again) == scenario_hash(scn)
+
+    @given(st.dictionaries(st.text("ab =#.\n\t\x85", max_size=5),
+                           st.text("ab =#.\n\t\x85", max_size=5), max_size=3))
+    def test_accepted_metadata_round_trips(self, metadata):
+        base = parse_scenario_text(MINIMAL)
+        try:
+            scn = replace(base, metadata=metadata)
+        except ValueError as exc:
+            assert any(f"'meta.{key}'" in str(exc) for key in metadata)
+            return
+        again = parse_scenario_text(serialize_scenario(scn))
+        assert again == scn
+        assert scenario_hash(again) == scenario_hash(scn)
+
+    def test_unreadable_metadata_is_rejected_by_key(self):
+        base = parse_scenario_text(MINIMAL)
+        for value in ("rx #2 moved", "", " padded", "two\nlines"):
+            with pytest.raises(ValueError, match="'meta.note'"):
+                replace(base, metadata={"note": value})
+        with pytest.raises(ValueError, match="'meta.a=b'"):
+            replace(base, metadata={"a=b": "c"})
 
 
 class TestShippedFiles:
