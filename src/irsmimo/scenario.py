@@ -86,14 +86,14 @@ class Scenario:
         elif self.focusing_betas is not None:
             raise ValueError("beta list is only allowed with focusing = explicit")
         for key, value in self.metadata.items():
-            pair = (f"meta.{key}", str(value))
+            name, text = f"meta.{key}", str(value)
             try:
-                readable = _parse_lines("%s = %s" % pair)[0] == dict([pair])
+                readable = _parse_lines(f"{name} = {text}")[0] == {name: text}
             except ScenarioError:
                 readable = False
             if not readable:
                 raise ValueError(
-                    f"metadata '{pair[0]}' = {pair[1]!r} would not read back from a scenario "
+                    f"metadata '{name}' = {text!r} would not read back from a scenario "
                     "file: keys and values must each be one line without '#' or surrounding "
                     "whitespace, values nonempty and keys without '='"
                 )
