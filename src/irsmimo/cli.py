@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or scenario errors, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -45,6 +46,8 @@ class SweepSpec:
     count: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("start and stop must be finite")
         if self.count < 0:
             raise ValueError("count must be >= 0")
         if self.count >= 2 and not self.start < self.stop:
@@ -231,6 +234,9 @@ def cmd_fmr_orient(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.seeds == 0 and args.overlay:
+        print("error: --overlay needs a converged run; --seeds 0 runs none", file=sys.stderr)
+        return 1
     scn = parse_scenario(args.scenario)
     theta_stop = {
         "eps_theta": args.eps_theta,
@@ -444,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="alternating phase/orientation optimization")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=None, help="base RNG seed")
     p.add_argument("--seeds", type=_nonnegative_int, default=1, help="number of random restarts")
     p.add_argument("--overlay", help="write the converged configuration as a scenario file")
     p.add_argument("--eps-theta", type=_nonnegative_float, default=1e-6)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as chan
-from .geometry import fold_orientation
+from .geometry import check_orientation, fold_orientation
 from .scenario import PowerConfig, Scenario  # noqa: F401  (PowerConfig re-exported)
 
 LOG2 = math.log(2.0)
@@ -48,24 +48,6 @@ class MmAuxiliaries:
     sigma: np.ndarray
     w: np.ndarray
     alpha: np.ndarray
-
-
-@dataclass(frozen=True)
-class OrientationVector:
-    """The four orientation angles the descent optimizes, in radians."""
-
-    gamma_t: float
-    psi_t: float
-    gamma_r: float
-    psi_r: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.gamma_t, self.psi_t, self.gamma_r, self.psi_r])
-
-    @classmethod
-    def from_array(cls, vec) -> "OrientationVector":
-        g_t, p_t, g_r, p_r = (float(x) for x in vec)
-        return cls(g_t, p_t, g_r, p_r)
 
 
 @dataclass
@@ -274,29 +256,26 @@ def optimize_theta(
 
 
 def _as_vector(m) -> np.ndarray:
-    if isinstance(m, OrientationVector):
-        return m.as_array()
     vec = np.asarray(m, dtype=float)
     if vec.shape != (4,):
         raise ValueError("orientation vector must have four components")
     return vec
 
 
-def _posed(pose, gamma: float, psi: float):
-    """Pose with the given orientation, folded into the pose's angle domain.
+def oriented_scenario(scn: Scenario, m) -> Scenario:
+    """Scenario with both array orientations replaced by the vector m.
 
     Out-of-domain tilts are mirrored rather than rejected
     (geometry.fold_orientation); this keeps finite-difference probes valid
     near the tilt limits.
     """
-    gamma, psi = fold_orientation(gamma, psi)
-    return replace(pose, orient_azimuth=gamma, orient_elevation=psi)
-
-
-def oriented_scenario(scn: Scenario, m) -> Scenario:
-    """Scenario with both array orientations replaced by the vector m."""
-    g_t, p_t, g_r, p_r = _as_vector(m)
-    return replace(scn, tx=_posed(scn.tx, g_t, p_t), rx=_posed(scn.rx, g_r, p_r))
+    vec = _as_vector(m)
+    (g_t, p_t), (g_r, p_r) = fold_orientation(*vec[:2]), fold_orientation(*vec[2:])
+    return replace(
+        scn,
+        tx=replace(scn.tx, orient_azimuth=g_t, orient_elevation=p_t),
+        rx=replace(scn.rx, orient_azimuth=g_r, orient_elevation=p_r),
+    )
 
 
 def _descent_objective(link, power: PowerConfig, theta, m):
@@ -356,23 +335,23 @@ def finite_difference_gradient(scn: Scenario, theta, m, step: float = 1e-6) -> n
 def normalize_orientation(m) -> np.ndarray:
     """Fold an orientation vector into the optimizer box, axis preserved.
 
-    (gamma + pi, pi - psi) relabels the same antenna line, so gamma wraps
-    into [-pi/2, pi/2) with the matching psi flip; psi then clips to
-    [0, pi].  The fold never changes the physical configuration.
+    Each (gamma, psi) is folded into a pose's domain
+    (geometry.fold_orientation) and range-checked as a pose would be; then
+    (gamma - pi, pi - psi), which relabels the same antenna line, brings
+    gamma into [-pi/2, pi/2).  The fold never changes the physical
+    configuration.
     """
-
-    def fold(gamma, psi):
-        gamma = gamma % TWO_PI
+    vec = _as_vector(m)
+    out = []
+    for gamma, psi in (vec[:2], vec[2:]):
+        gamma, psi = fold_orientation(gamma, psi)
+        check_orientation(gamma, psi)
         if math.pi / 2 <= gamma < 3 * math.pi / 2:
             gamma, psi = gamma - math.pi, math.pi - psi
         elif gamma >= 3 * math.pi / 2:
             gamma -= TWO_PI
-        return gamma, float(np.clip(psi, *PSI_BOX))
-
-    g_t, p_t, g_r, p_r = _as_vector(m)
-    g_t, p_t = fold(g_t, p_t)
-    g_r, p_r = fold(g_r, p_r)
-    return np.array([g_t, p_t, g_r, p_r])
+        out += [gamma, psi]
+    return np.array(out)
 
 
 def project_box(m) -> np.ndarray:
@@ -390,7 +369,7 @@ def optimize_orientation(
     shrink: float = 0.5,
     max_backtracks: int = 40,
     init_step: float = 1.0,
-) -> tuple[OrientationVector, OptTrace]:
+) -> tuple[np.ndarray, OptTrace]:
     """Projected gradient descent on the orientation angles.
 
     Backtracking halves the step until the objective does not increase
@@ -426,39 +405,27 @@ def optimize_orientation(
         if gain < eps_orient:
             reason = "threshold"
             break
-    return OrientationVector.from_array(m), OptTrace(iterations=rows, stop_reason=reason)
+    return m, OptTrace(iterations=rows, stop_reason=reason)
 
 
-def random_init(scn: Scenario, seed) -> tuple[np.ndarray, OrientationVector]:
+def random_init(scn: Scenario, seed) -> tuple[np.ndarray, np.ndarray]:
     """Seeded random start: uniform phases, orientations uniform in the box."""
     rng = np.random.default_rng(seed)
     theta = np.exp(1j * rng.uniform(0.0, TWO_PI, scn.irs.n_elements))
-    m = OrientationVector(
-        gamma_t=rng.uniform(*GAMMA_BOX),
-        psi_t=rng.uniform(*PSI_BOX),
-        gamma_r=rng.uniform(*GAMMA_BOX),
-        psi_r=rng.uniform(*PSI_BOX),
-    )
+    m = np.array([rng.uniform(*box) for box in (GAMMA_BOX, PSI_BOX, GAMMA_BOX, PSI_BOX)])
     return theta, m
 
 
-def focusing_init(scn: Scenario) -> tuple[np.ndarray, OrientationVector]:
+def focusing_init(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Start from the scenario's declared focusing phases and orientations.
 
     Because the alternation is monotone, a run launched here can only end
     at or above the plain focusing MI, which makes it the natural anchor of
     a multi-start portfolio.
     """
-    theta = chan.scenario_focusing(scn).phasor
-    m_vec = normalize_orientation(
-        [
-            scn.tx.orient_azimuth,
-            scn.tx.orient_elevation,
-            scn.rx.orient_azimuth,
-            scn.rx.orient_elevation,
-        ]
-    )
-    return theta, OrientationVector.from_array(m_vec)
+    tx, rx = scn.tx, scn.rx
+    m = [tx.orient_azimuth, tx.orient_elevation, rx.orient_azimuth, rx.orient_elevation]
+    return chan.scenario_focusing(scn).phasor, normalize_orientation(m)
 
 
 def alternating_optimize(
@@ -470,7 +437,7 @@ def alternating_optimize(
     max_rounds: int = 50,
     theta_stop: dict | None = None,
     orient_stop: dict | None = None,
-) -> tuple[np.ndarray, OrientationVector, OptTrace]:
+) -> tuple[np.ndarray, np.ndarray, OptTrace]:
     """Alternate surface-phase MM and orientation descent until MI settles.
 
     init is a (theta, orientation) pair; when omitted a seeded random start
@@ -492,12 +459,11 @@ def alternating_optimize(
     for rnd in range(1, max_rounds + 1):
         theta, theta_trace = optimize_theta(oriented_scenario(scn, m_vec), theta, **theta_stop)
         rows.append((rnd, theta_trace.mi_values[-1], "theta"))
-        m_out, orient_trace = optimize_orientation(scn, theta, m_vec, **orient_stop)
-        m_vec = m_out.as_array()
+        m_vec, orient_trace = optimize_orientation(scn, theta, m_vec, **orient_stop)
         mi_now = orient_trace.mi_values[-1]
         rows.append((rnd, mi_now, "orientation"))
         if mi_now - mi_prev < eps_oa:
             reason = "threshold"
             break
         mi_prev = mi_now
-    return theta, OrientationVector.from_array(m_vec), OptTrace(iterations=rows, stop_reason=reason)
+    return theta, m_vec, OptTrace(iterations=rows, stop_reason=reason)

@@ -22,8 +22,11 @@ carries the line of that section's first key in the file.
 from __future__ import annotations
 
 import hashlib
+import math
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
+from types import MappingProxyType
 
 from .geometry import ArrayPose, IrsLayout
 from .response import ReflectionConfig, WaveConfig
@@ -68,9 +71,11 @@ class Scenario:
     power: PowerConfig = PowerConfig()
     focusing_mode: str = "reflective"
     focusing_betas: tuple[float, ...] | None = None
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # a read-only copy, so the read-back check below cannot be bypassed
+        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         if self.focusing_mode not in FOCUSING_MODES:
             raise ValueError(
                 f"focusing mode must be one of {FOCUSING_MODES}, got '{self.focusing_mode}'"
@@ -179,10 +184,13 @@ def _part_keys(part: str) -> list[str]:
 def _value(values: dict, lines: dict, key: str):
     kind = FORMAT[key][1]
     try:
-        return kind(values[key])
+        value = kind(values[key])
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ScenarioError(f"'{key}' expects {what}, got '{values[key]}'", lines.get(key)) from None
+        value = math.nan
+    if not math.isfinite(value):
+        what = "an integer" if kind is int else "a finite number"
+        raise ScenarioError(f"'{key}' expects {what}, got '{values[key]}'", lines.get(key))
+    return value
 
 
 def _fields(values: dict, lines: dict, part: str) -> dict:
@@ -236,14 +244,15 @@ def parse_scenario_text(text: str) -> Scenario:
         parts["focusing_mode"] = values["focusing"]
     if "focusing.betas_rad" in values:
         try:
-            parts["focusing_betas"] = tuple(
-                float(tok) for tok in values["focusing.betas_rad"].split(",")
-            )
+            betas = tuple(float(tok) for tok in values["focusing.betas_rad"].split(","))
         except ValueError:
+            betas = (math.nan,)
+        if not all(math.isfinite(b) for b in betas):
             raise ScenarioError(
-                "'focusing.betas_rad' expects comma-separated numbers",
+                "'focusing.betas_rad' expects comma-separated finite numbers",
                 lines["focusing.betas_rad"],
-            ) from None
+            )
+        parts["focusing_betas"] = betas
     parts["metadata"] = {
         key[len("meta.") :]: value for key, value in sorted(values.items()) if key.startswith("meta.")
     }

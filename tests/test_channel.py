@@ -38,7 +38,7 @@ from irsmimo.multiplexing import (
     fmr_probe_orientation,
     region_contains,
 )
-from irsmimo.optimize import oriented_scenario
+from irsmimo.optimize import normalize_orientation, oriented_scenario
 from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, parse_scenario, with_tx
 
 
@@ -188,6 +188,8 @@ class TestAssembly:
                 oriented_scenario(golden_scenario, m)
             with pytest.raises(ValueError, match=what):
                 pose_link(link, m)
+            with pytest.raises(ValueError, match=what):
+                normalize_orientation(m)
 
     def test_frobenius_energy_of_the_hops(self, golden_scenario):
         chans = build_channels(golden_scenario)

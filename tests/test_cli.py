@@ -435,6 +435,16 @@ class TestOptimizeCommand:
             blobs.append(out_file.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_overlay_without_a_run_is_refused(self, capsys, tmp_path):
+        overlay = tmp_path / "converged.txt"
+        code, out, err = run_cli(
+            capsys, "optimize", "--scenario", SMALL, "--seeds", "0", "--overlay", str(overlay)
+        )
+        assert code == 1
+        assert out == ""
+        assert "--overlay" in err
+        assert not overlay.exists()
+
     def test_overlay_reproduces_the_reported_mi(self, capsys, tmp_path):
         out_file = tmp_path / "trace.csv"
         overlay = tmp_path / "converged.txt"
@@ -552,7 +562,8 @@ def test_options_a_command_does_not_read_are_rejected(capsys, argv):
     [
         pytest.param(option, "-3", id=option)
         for option in (
-            "--seeds", "--max-outer", "--max-inner", "--max-orient-iters", "--max-rounds"
+            "--seed", "--seeds", "--max-outer", "--max-inner", "--max-orient-iters",
+            "--max-rounds",
         )
     ]
     + [
@@ -568,6 +579,33 @@ def test_negative_counts_are_rejected(capsys, option, value):
     assert code == 1
     assert out == ""
     assert f"argument {option}: must be >= 0" in err
+
+
+SWEEPS = {
+    "eigensweep": ("--start", "2", "--stop", "30", "--count", "3"),
+    "fmr-map": ("--dt-start", "2", "--dt-stop", "30", "--dt-count", "3",
+                "--dr-start", "2", "--dr-stop", "30", "--dr-count", "3"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        pytest.param(command, option, "-inf" if option.endswith("start") else "inf",
+                     id=f"{command}{option}")
+        for command, argv in SWEEPS.items()
+        for option in argv[::2]
+        if not option.endswith("count")
+    ],
+)
+def test_non_finite_sweep_bounds_are_rejected(capsys, command, option, value):
+    argv = list(SWEEPS[command])
+    i = argv.index(option)
+    argv[i : i + 2] = [f"{option}={value}"]  # "-inf" alone would parse as an option
+    code, out, err = run_cli(capsys, command, "--scenario", BASELINE, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: start and stop must be finite"
 
 
 def declared_console_script(name):

@@ -25,7 +25,6 @@ from irsmimo.multiplexing import fmr_inner_bound, fmr_orientations
 from irsmimo.optimize import (
     GAMMA_BOX,
     PSI_BOX,
-    OrientationVector,
     allocation_rate,
     alternating_optimize,
     finite_difference_gradient,
@@ -471,7 +470,7 @@ class TestOrientationDescent:
         theta = scenario_focusing(scn).phasor
         m0 = pose_orientation(scn)
         m, trace = optimize_orientation(scn, theta, m0, max_iters=30)
-        sc = oriented_scenario(scn, m.as_array())
+        sc = oriented_scenario(scn, m)
         chans = build_channels(sc)
         mi = mutual_information(cascade(chans, theta), scn.power)
         bound = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
@@ -487,26 +486,26 @@ class TestOrientationDescent:
             m, trace = optimize_orientation(scn, theta, m0, max_iters=15)
             mis = trace.mi_values
             assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
-            vec = m.as_array()
-            assert GAMMA_BOX[0] <= vec[0] <= GAMMA_BOX[1]
-            assert PSI_BOX[0] <= vec[1] <= PSI_BOX[1]
-            assert GAMMA_BOX[0] <= vec[2] <= GAMMA_BOX[1]
-            assert PSI_BOX[0] <= vec[3] <= PSI_BOX[1]
+            assert GAMMA_BOX[0] <= m[0] <= GAMMA_BOX[1]
+            assert PSI_BOX[0] <= m[1] <= PSI_BOX[1]
+            assert GAMMA_BOX[0] <= m[2] <= GAMMA_BOX[1]
+            assert PSI_BOX[0] <= m[3] <= PSI_BOX[1]
 
     def test_normalization_keeps_the_physics(self, rng):
+        # gamma outside the box, psi < 0 and psi > pi: each lands in the box
+        # on the same antenna line
         scn = random_scenario(rng, high_snr=True)
         theta = np.exp(1j * rng.uniform(0, 2 * math.pi, scn.irs.n_elements))
-        raw = np.array([2.5, 2.9, -2.0, 0.4])
-        folded = normalize_orientation(raw)
-        assert GAMMA_BOX[0] <= folded[0] <= GAMMA_BOX[1]
-        assert GAMMA_BOX[0] <= folded[2] <= GAMMA_BOX[1]
-        mi_raw = mutual_information(
-            cascade(build_channels(oriented_scenario(scn, raw)), theta), scn.power
-        )
-        mi_fold = mutual_information(
-            cascade(build_channels(oriented_scenario(scn, folded)), theta), scn.power
-        )
-        assert mi_fold == pytest.approx(mi_raw, rel=1e-12, abs=1e-12)
+        for raw in ([2.5, 2.9, -2.0, 0.4], [0.1, -0.5, 0.2, 1.0], [-1.0, 4.0, 2.0, -2.5]):
+            folded = normalize_orientation(raw)
+            assert np.array_equal(folded, project_box(folded))
+            mi_raw = mutual_information(
+                cascade(build_channels(oriented_scenario(scn, raw)), theta), scn.power
+            )
+            mi_fold = mutual_information(
+                cascade(build_channels(oriented_scenario(scn, folded)), theta), scn.power
+            )
+            assert mi_fold == pytest.approx(mi_raw, rel=1e-12, abs=1e-12)
 
     def test_failed_backtracking_has_its_own_stop_reason(self):
         scn = parse_scenario(SMALL)
@@ -524,7 +523,7 @@ class TestOrientationDescent:
         m, trace = optimize_orientation(scn, theta, m0, max_backtracks=1, init_step=10.0)
         assert trace.stop_reason == "no_descent"
         assert len(trace.iterations) == 1
-        assert np.array_equal(m.as_array(), start)
+        assert np.array_equal(m, start)
 
     def test_hops_synthesized_once_per_evaluation(self, monkeypatch):
         # the link is resolved once per descent, each objective evaluation
@@ -560,9 +559,7 @@ class TestOrientationDescent:
         out = project_box([10.0, -1.0, -9.0, 7.0])
         assert out == pytest.approx([GAMMA_BOX[1], 0.0, GAMMA_BOX[0], PSI_BOX[1]])
 
-    def test_vector_round_trip(self):
-        m = OrientationVector(0.1, 0.2, -0.3, 0.4)
-        assert OrientationVector.from_array(m.as_array()) == m
+    def test_rejects_a_vector_without_four_components(self):
         with pytest.raises(ValueError, match="four components"):
             optimize_orientation(fmr_anchor_scenario(), np.ones(225, dtype=complex), [1.0, 2.0])
 
@@ -582,7 +579,7 @@ class TestAlternatingDriver:
         mis = trace.mi_values
         assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
         assert mis[-1] >= mi_focus - 1e-9
-        sc = oriented_scenario(scn, m.as_array())
+        sc = oriented_scenario(scn, m)
         final = build_channels(sc)
         assert mis[-1] <= mi_upper_bound(final.h_t, final.h_r, final.eta0, scn.power) + 1e-9
 
@@ -599,19 +596,18 @@ class TestAlternatingDriver:
         for rnd in (1, 2):
             replay, t_trace = optimize_theta(oriented_scenario(scn, m_vec), replay, **theta_stop)
             rows.append((rnd, t_trace.mi_values[-1], "theta"))
-            m_out, o_trace = optimize_orientation(scn, replay, m_vec, **orient_stop)
-            m_vec = m_out.as_array()
+            m_vec, o_trace = optimize_orientation(scn, replay, m_vec, **orient_stop)
             rows.append((rnd, o_trace.mi_values[-1], "orientation"))
         assert trace.iterations == rows
         assert np.array_equal(theta, replay)
-        assert np.array_equal(m.as_array(), m_vec)
+        assert np.array_equal(m, m_vec)
 
     def test_zero_rounds_returns_the_start(self):
         scn = fmr_anchor_scenario()
         init = focusing_init(scn)
         theta, m, trace = alternating_optimize(scn, init=init, max_rounds=0)
         assert np.array_equal(theta, np.asarray(init[0], dtype=complex))
-        assert np.allclose(m.as_array(), normalize_orientation(init[1]))
+        assert np.allclose(m, normalize_orientation(init[1]))
         assert len(trace.iterations) == 1
         assert trace.iterations[0][2] == "init"
 
@@ -622,15 +618,14 @@ class TestAlternatingDriver:
         a = alternating_optimize(scn, **kwargs)
         b = alternating_optimize(scn, **kwargs)
         assert np.array_equal(a[0], b[0])
-        assert a[1] == b[1]
+        assert np.array_equal(a[1], b[1])
         assert a[2].iterations == b[2].iterations
 
     def test_random_start_is_deterministic_and_feasible(self):
         scn = fmr_anchor_scenario()
         t1, m1 = random_init(scn, 123)
         t2, m2 = random_init(scn, 123)
-        assert np.array_equal(t1, t2) and m1 == m2
+        assert np.array_equal(t1, t2) and np.array_equal(m1, m2)
         assert np.allclose(np.abs(t1), 1.0)
-        vec = m1.as_array()
-        assert GAMMA_BOX[0] <= vec[0] <= GAMMA_BOX[1]
-        assert PSI_BOX[0] <= vec[1] <= PSI_BOX[1]
+        assert GAMMA_BOX[0] <= m1[0] <= GAMMA_BOX[1]
+        assert PSI_BOX[0] <= m1[1] <= PSI_BOX[1]

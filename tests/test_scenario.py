@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from irsmimo.checks import random_scenario
 from irsmimo.response import ReflectionConfig, WaveConfig
 from irsmimo.scenario import (
+    FORMAT,
     KEYS,
     PowerConfig,
     Scenario,
@@ -165,6 +166,22 @@ class TestErrors:
             parse_scenario_text(text)
         assert err.value.line == line_of(text, first_key)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [key for key, (_, kind) in FORMAT.items() if kind is float])
+    def test_non_finite_value_reports_its_line(self, key, value):
+        text = edit(MINIMAL, "wave.wavelength_m", None) if key == "wave.carrier_hz" else MINIMAL
+        text = edit(text, key, None) + f"meta.pad = x\n{key} = {value}\n"
+        with pytest.raises(ScenarioError, match=f"'{key}' expects a finite number") as err:
+            parse_scenario_text(text)
+        assert err.value.line == line_of(text, key)
+
+    def test_non_finite_beta_reports_its_line(self):
+        betas = ", ".join(["0.0"] * 24 + ["nan"])
+        text = MINIMAL + f"focusing = explicit\nfocusing.betas_rad = {betas}\n"
+        with pytest.raises(ScenarioError, match="finite numbers") as err:
+            parse_scenario_text(text)
+        assert err.value.line == line_of(text, "focusing.betas_rad")
+
     def test_rejected_wavelength_reports_its_line(self):
         text = edit(MINIMAL, "wave.wavelength_m", -0.005)
         with pytest.raises(ScenarioError, match="wavelength must be > 0") as err:
@@ -232,6 +249,17 @@ class TestCanonicalForm:
                 replace(base, metadata={"note": value})
         with pytest.raises(ValueError, match="'meta.a=b'"):
             replace(base, metadata={"a=b": "c"})
+
+    def test_metadata_is_a_read_only_copy(self):
+        source = {"note": "ok"}
+        scn = replace(parse_scenario_text(MINIMAL), metadata=source)
+        source["note"] = "rx #2"
+        with pytest.raises(TypeError):
+            scn.metadata["note"] = "rx #2"
+        assert scn.metadata == {"note": "ok"}
+        assert parse_scenario_text(serialize_scenario(scn)) == scn
+        with pytest.raises(ValueError, match="'meta.note'"):
+            replace(scn, metadata={**scn.metadata, "note": "rx #2"})
 
 
 class TestShippedFiles:
