@@ -41,10 +41,10 @@ class ArrayPose:
     def __post_init__(self) -> None:
         if self.n_antennas < 1 or self.n_antennas % 2 == 0:
             raise ValueError(f"n_antennas must be a positive odd integer, got {self.n_antennas}")
-        if self.spacing <= 0.0:
-            raise ValueError("antenna spacing must be > 0")
-        if self.distance <= 0.0:
-            raise ValueError("center distance must be > 0")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("antenna spacing must be > 0 and finite")
+        if not 0.0 < self.distance < math.inf:
+            raise ValueError("center distance must be > 0 and finite")
         if not 0.0 <= self.azimuth < TWO_PI:
             raise ValueError("azimuth must lie in [0, 2*pi)")
         if not 0.0 <= self.elevation <= math.pi / 2:
@@ -97,8 +97,9 @@ class IrsLayout:
         for name, q in (("q_x", self.q_x), ("q_y", self.q_y)):
             if q < 1 or q % 2 == 0:
                 raise ValueError(f"{name} must be a positive odd integer, got {q}")
-        if self.spacing_x <= 0.0 or self.spacing_y <= 0.0:
-            raise ValueError("element spacings must be > 0")
+        for name, spacing in (("spacing_x", self.spacing_x), ("spacing_y", self.spacing_y)):
+            if not 0.0 < spacing < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
         if not 0.0 < self.re_len_x <= self.spacing_x:
             raise ValueError("re_len_x must satisfy 0 < re_len_x <= spacing_x")
         if not 0.0 < self.re_len_y <= self.spacing_y:

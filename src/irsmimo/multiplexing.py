@@ -22,6 +22,7 @@ from .geometry import ArrayPose, IrsLayout
 from .response import WaveConfig
 
 TWO_PI = 2.0 * math.pi
+BOUNDARY_SAMPLES = 200  # (D_t, cap) rows of each sampled boundary curve
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def _gamma_star(a_t, g_t, a_r, g_r) -> float:
     return math.atan2(num, den)
 
 
-def _axis_region(a_t, g_t, a_r, g_r, d_t_rayleigh, d_r_rayleigh, samples) -> AxisRegion:
+def _axis_region(a_t, g_t, a_r, g_r, d_t_rayleigh, d_r_rayleigh) -> AxisRegion:
     """One axis's region from both sides' (this axis, other axis) anchors."""
     gamma_star = _gamma_star(a_t, g_t, a_r, g_r)
     gamma_star_r = _gamma_star(a_r, g_r, a_t, g_t)
@@ -186,17 +187,13 @@ def _axis_region(a_t, g_t, a_r, g_r, d_t_rayleigh, d_r_rayleigh, samples) -> Axi
         boundary=np.empty((0, 2)),
     )
     # _boundary_cap reads the record, so the curve is sampled once it exists
-    d_vals = np.linspace(reg.d_t_star, d_t_rayleigh, samples)
+    d_vals = np.linspace(reg.d_t_star, d_t_rayleigh, BOUNDARY_SAMPLES)
     rows = [(float(d_t), _boundary_cap(reg, float(d_t))[0]) for d_t in d_vals]
     return replace(reg, boundary=np.array(rows))
 
 
 def fmr_inner_bound(
-    tx: ArrayPose,
-    rx: ArrayPose,
-    layout: IrsLayout,
-    wave: WaveConfig,
-    samples: int = 200,
+    tx: ArrayPose, rx: ArrayPose, layout: IrsLayout, wave: WaveConfig
 ) -> FmrBound:
     """Closed-form inner bound of the cascaded full-multiplexing region.
 
@@ -219,18 +216,18 @@ def fmr_inner_bound(
     rr = rayleigh_distances(rx, layout, wave)
     return FmrBound(
         x=_axis_region((a_tx, a_ty), (g_tx, g_ty), (a_rx, a_ry), (g_rx, g_ry),
-                       rt.d_rx_axis, rr.d_rx_axis, samples),
+                       rt.d_rx_axis, rr.d_rx_axis),
         y=_axis_region((a_ty, a_tx), (g_ty, g_tx), (a_ry, a_rx), (g_ry, g_rx),
-                       rt.d_ry_axis, rr.d_ry_axis, samples),
+                       rt.d_ry_axis, rr.d_ry_axis),
     )
 
 
 def _boundary_cap(reg: AxisRegion, d_t: float):
-    """Boundary D_r cap at one D_t, the Rx angle achieving it and its branch.
+    """Boundary D_r cap at one D_t and the (Rx, Tx) angles achieving it.
 
     The two Tx tilt branches tan(gamma_t - gbar_t) = s * ratio, with ratio
     = sqrt((d_t_rayleigh/D_t)^2 - 1), each induce one Rx angle; the branch
-    with the larger cap wins and its s must be reused for the Tx angle.
+    with the larger cap wins and sets the Tx angle.
     """
     (a_t1, a_t2), (g_t1, g_t2) = reg.a_t, reg.gbar_t
     (a_r1, a_r2), (g_r1, g_r2) = reg.a_r, reg.gbar_r
@@ -245,7 +242,7 @@ def _boundary_cap(reg: AxisRegion, d_t: float):
         cap = reg.d_r_rayleigh * abs(math.cos(gamma - g_r1))
         if cap > best_cap:
             best_cap, best_gamma, best_branch = cap, gamma, s
-    return best_cap, best_gamma, best_branch
+    return best_cap, best_gamma, g_t1 + math.atan(best_branch * ratio)
 
 
 def boundary_cap(bound: FmrBound, axis: str, d_t: float) -> float:
@@ -253,57 +250,43 @@ def boundary_cap(bound: FmrBound, axis: str, d_t: float) -> float:
     return _boundary_cap(bound.axis(axis), d_t)[0]
 
 
+def _column(reg: AxisRegion, d_t: float):
+    """(part, D_r cap, gamma_r, gamma_t) of the region at one D_t, or None
+    beyond the axis limit.
+
+    The region holds every D_r up to the cap.  On the rectangle (D_t up to
+    d_t_star) the cap is the Rx axis limit, reached with the Rx at its axis
+    anchor and the Tx at its apex angle; on the lobe it is the boundary
+    curve.  Each angle is fixed modulo pi only.
+    """
+    if d_t <= reg.d_t_star:
+        return "rect", reg.d_r_rayleigh, reg.gbar_r[0], reg.gamma_star
+    if d_t <= reg.d_t_rayleigh:
+        return ("lobe", *_boundary_cap(reg, d_t))
+    return None
+
+
+def _settings(reg: AxisRegion, column, d_t: float, d_r: float, branch: str):
+    """(Tx, Rx) orientations of one column at (d_t, d_r), tilts clamped at
+    fully open.
+
+    Turning an azimuth by pi negates both of that side's axis couplings,
+    which keeps their sign match, so each azimuth is taken modulo pi.
+    """
+    part, cap, gamma_r, gamma_t = column
+    psi_t = math.pi / 2 if part == "lobe" else math.asin(min(1.0, d_t / reg.d_t_star))
+    return (
+        OrientationSetting(psi=psi_t, gamma=gamma_t % math.pi, branch=branch),
+        OrientationSetting(
+            psi=math.asin(min(1.0, d_r / cap)), gamma=gamma_r % math.pi, branch=branch
+        ),
+    )
+
+
 def region_contains(bound: FmrBound, d_t: float, d_r: float, axis: str) -> bool:
     """Closed-form membership of (d_t, d_r) in the x- or y-region."""
-    reg = bound.axis(axis)
-    if d_t <= 0.0 or d_r <= 0.0:
-        return False
-    if d_t <= reg.d_t_star:
-        return d_r <= reg.d_r_rayleigh
-    if d_t <= reg.d_t_rayleigh:
-        return d_r <= _boundary_cap(reg, d_t)[0]
-    return False
-
-
-def _pick_gamma_pair(gamma_t_base, gamma_r_base, reg: AxisRegion):
-    """Resolve the two-fold ambiguity of each tan-defined orientation angle.
-
-    Both angles are only fixed modulo pi; of the four (gamma_t, gamma_r)
-    combinations in [0, 2*pi) the solver keeps those where the coupling
-    products along the two surface axes share signs, preferring smaller
-    angles on ties.
-    """
-    (gbar_t1, gbar_t2), (gbar_r1, gbar_r2) = reg.gbar_t, reg.gbar_r
-    cand_t = sorted((gamma_t_base % math.pi, gamma_t_base % math.pi + math.pi))
-    cand_r = sorted((gamma_r_base % math.pi, gamma_r_base % math.pi + math.pi))
-    viable = []
-    for g_t in cand_t:
-        for g_r in cand_r:
-            s1 = np.sign(round_tiny(math.cos(g_t - gbar_t1)) * round_tiny(math.cos(g_r - gbar_r1)))
-            s2 = np.sign(round_tiny(math.cos(g_t - gbar_t2)) * round_tiny(math.cos(g_r - gbar_r2)))
-            if s1 == s2:
-                viable.append((g_t, g_r))
-    if not viable:
-        # the sign condition cannot reject all four combinations; keep the
-        # smallest pair as a safe fallback
-        viable = [(cand_t[0], cand_r[0])]
-    return min(viable)
-
-
-def round_tiny(x: float, eps: float = 1e-12) -> float:
-    """Snap values within eps of zero to exactly zero (sign bookkeeping)."""
-    return 0.0 if abs(x) < eps else x
-
-
-def _rect_settings(reg: AxisRegion, d_t: float, d_r: float, branch: str):
-    """Rectangle-part orientations, with both tilts clamped at fully open."""
-    gamma_t, gamma_r = _pick_gamma_pair(reg.gamma_star, reg.gbar_r[0], reg)
-    psi_t = math.asin(min(1.0, d_t / reg.d_t_star))
-    psi_r = math.asin(min(1.0, d_r / reg.d_r_rayleigh))
-    return (
-        OrientationSetting(psi=psi_t, gamma=gamma_t % TWO_PI, branch=branch),
-        OrientationSetting(psi=psi_r, gamma=gamma_r % TWO_PI, branch=branch),
-    )
+    column = _column(bound.axis(axis), d_t)
+    return d_t > 0.0 and column is not None and 0.0 < d_r <= column[1]
 
 
 def fmr_orientations(
@@ -315,36 +298,22 @@ def fmr_orientations(
     D_t/D_t_star, the Rx at its axis anchor with sin(psi_r) = D_r/D_r_axis.
     Lobe part: the Tx opens fully (psi_t = pi/2) with the angle offset
     tan(gamma_t - gbar) = ratio, and the Rx follows the boundary-curve
-    angle.
+    angle with sin(psi_r) = D_r/cap.
     """
     reg = bound.axis(region)
-    if d_t <= 0.0 or d_r <= 0.0:
+    if not (d_t > 0.0 and d_r > 0.0):
         raise ValueError("distances must be positive")
-
-    if d_t <= reg.d_t_star:
-        if d_r > reg.d_r_rayleigh:
-            raise ValueError(
-                f"D_r = {d_r:g} m exceeds the rectangle cap {reg.d_r_rayleigh:g} m"
-            )
-        return _rect_settings(reg, d_t, d_r, f"{region}-rect")
-    if d_t <= reg.d_t_rayleigh:
-        cap, gamma_curve, t_branch = _boundary_cap(reg, d_t)
-        if d_r > cap:
-            raise ValueError(
-                f"D_r = {d_r:g} m exceeds the boundary cap {cap:g} m at D_t = {d_t:g} m"
-            )
-        ratio = math.sqrt(max(0.0, (reg.d_t_rayleigh / d_t) ** 2 - 1.0))
-        gamma_t, gamma_r = _pick_gamma_pair(
-            reg.gbar_t[0] + math.atan(t_branch * ratio), gamma_curve, reg
+    column = _column(reg, d_t)
+    if column is None:
+        raise ValueError(f"D_t = {d_t:g} m exceeds the axis limit {reg.d_t_rayleigh:g} m")
+    part, cap = column[:2]
+    if d_r > cap:
+        if part == "rect":
+            raise ValueError(f"D_r = {d_r:g} m exceeds the rectangle cap {cap:g} m")
+        raise ValueError(
+            f"D_r = {d_r:g} m exceeds the boundary cap {cap:g} m at D_t = {d_t:g} m"
         )
-        denom = reg.d_r_rayleigh * abs(math.cos(gamma_curve - reg.gbar_r[0]))
-        psi_r = math.asin(min(1.0, d_r / denom))
-        branch = f"{region}-lobe"
-        return (
-            OrientationSetting(psi=math.pi / 2, gamma=gamma_t % TWO_PI, branch=branch),
-            OrientationSetting(psi=psi_r, gamma=gamma_r % TWO_PI, branch=branch),
-        )
-    raise ValueError(f"D_t = {d_t:g} m exceeds the axis limit {reg.d_t_rayleigh:g} m")
+    return _settings(reg, column, d_t, d_r, f"{region}-{part}")
 
 
 def fmr_probe_orientation(
@@ -353,12 +322,13 @@ def fmr_probe_orientation(
     """Best-effort orientations at any point, clamping the in-region formulas.
 
     Outside the region the tilt equations have no solution; the clamped
-    settings are the natural diagnostic probe (they fail the Gram check
-    there, which is the point)."""
+    rectangle settings are the natural diagnostic probe (they fail the Gram
+    check there, which is the point)."""
     reg = bound.axis(region)
-    if d_t <= 0.0 or d_r <= 0.0:
+    if not (d_t > 0.0 and d_r > 0.0):
         raise ValueError("distances must be positive")
-    return _rect_settings(reg, d_t, d_r, f"{region}-probe")
+    # D_t = 0 always lies on the rectangle
+    return _settings(reg, _column(reg, 0.0), d_t, d_r, f"{region}-probe")
 
 
 def check_orthogonality(

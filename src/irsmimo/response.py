@@ -29,10 +29,10 @@ class WaveConfig:
     absorption: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be > 0")
-        if self.absorption < 0.0:
-            raise ValueError("absorption must be >= 0")
+        if not 0.0 < self.wavelength < math.inf:
+            raise ValueError("wavelength must be > 0 and finite")
+        if not 0.0 <= self.absorption < math.inf:
+            raise ValueError("absorption must be >= 0 and finite")
 
     @property
     def carrier(self) -> float:
@@ -55,6 +55,8 @@ class ReflectionConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.amplitude <= 1.0:
             raise ValueError("reflection amplitude must lie in (0, 1]")
+        if not math.isfinite(self.polarization):
+            raise ValueError("polarization must be finite")
 
 
 @dataclass(frozen=True)

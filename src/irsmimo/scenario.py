@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from types import MappingProxyType
 
@@ -51,8 +51,9 @@ class PowerConfig:
     noise_power: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.per_antenna_power <= 0.0 or self.noise_power <= 0.0:
-            raise ValueError("powers must be > 0")
+        for name in ("per_antenna_power", "noise_power"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
 
     @property
     def snr(self) -> float:
@@ -88,6 +89,8 @@ class Scenario:
                     f"explicit focusing needs {self.irs.n_elements} phases, "
                     f"got {len(self.focusing_betas)}"
                 )
+            if not all(math.isfinite(b) for b in self.focusing_betas):
+                raise ValueError("focusing_betas must be finite")
         elif self.focusing_betas is not None:
             raise ValueError("beta list is only allowed with focusing = explicit")
         for key, value in self.metadata.items():
@@ -283,11 +286,3 @@ def serialize_scenario(scn: Scenario) -> str:
 def scenario_hash(scn: Scenario) -> str:
     """Stable content hash used to stamp CSV outputs."""
     return hashlib.sha256(serialize_scenario(scn).encode("utf-8")).hexdigest()
-
-
-def with_tx(scn: Scenario, **changes) -> Scenario:
-    return replace(scn, tx=replace(scn.tx, **changes))
-
-
-def with_rx(scn: Scenario, **changes) -> Scenario:
-    return replace(scn, rx=replace(scn.rx, **changes))

@@ -39,7 +39,7 @@ from irsmimo.multiplexing import (
     region_contains,
 )
 from irsmimo.optimize import normalize_orientation, oriented_scenario
-from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, parse_scenario, with_tx
+from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, parse_scenario
 
 
 def tiny_scenario(d_t=10.0, d_r=12.0, lam=0.005):
@@ -322,11 +322,14 @@ class TestCouplingConstants:
         d_star = (
             scn.tx.spacing * scn.irs.spacing_x * scn.irs.q_x * cc.a_tx / scn.wave.wavelength
         )
-        aligned = with_tx(
+        aligned = replace(
             scn,
-            distance=d_star,
-            orient_azimuth=cc.gbar_tx % (2 * math.pi),
-            orient_elevation=math.pi / 2,
+            tx=replace(
+                scn.tx,
+                distance=d_star,
+                orient_azimuth=cc.gbar_tx % (2 * math.pi),
+                orient_elevation=math.pi / 2,
+            ),
         )
         assert coupling_constants(aligned).c_tx == pytest.approx(1.0, rel=1e-12)
 

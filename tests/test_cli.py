@@ -367,6 +367,16 @@ class TestFmrOrientCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("dt, dr", [("20", "nan"), ("nan", "20")])
+    def test_nan_distance_is_refused(self, capsys, dt, dr):
+        code, out, err = run_cli(
+            capsys,
+            "fmr-orient", "--scenario", BASELINE, "--dt", dt, "--dr", dr, "--region", "x",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: distances must be positive"
+
 
 class TestOptimizeCommand:
     FAST = (

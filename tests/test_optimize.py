@@ -53,7 +53,7 @@ SMALL = str(Path(__file__).resolve().parents[1] / "scenarios" / "optimize_small.
 def fmr_anchor_scenario(power=None):
     """Reference-direction link placed at an interior feasible point."""
     gold = golden_scenario()
-    b = fmr_inner_bound(gold.tx, gold.rx, gold.irs, gold.wave, samples=8)
+    b = fmr_inner_bound(gold.tx, gold.rx, gold.irs, gold.wave)
     d_t, d_r = 0.6 * b.x.d_t_star, 0.6 * b.x.d_r_rayleigh
     posed = posed_scenario(gold, d_t, d_r, fmr_orientations(b, d_t, d_r, "x"))
     return replace(posed, power=power or PowerConfig(per_antenna_power=1e9, noise_power=1.0))
