@@ -35,6 +35,7 @@ from .geometry import (
     centered_indices,
     check_orientation,
     fold_orientation,
+    local_frame,
     re_local_components,
 )
 from .scenario import Scenario
@@ -375,20 +376,18 @@ def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:
     The a-factors measure how much of the surface's x / y axis survives
     projection transverse to the link; the gbar angles are where an array
     axis must point (in orientation-azimuth terms) to couple purely to that
-    surface axis.
+    surface axis.  Both are read off the surface axes resolved in the
+    pose's local_frame, the frame the hops are built in, so they follow its
+    fixed convention at elevation 0 too.
     """
-    sin_o, cos_o = math.sin(pose.azimuth), math.cos(pose.azimuth)
-    cos_p = math.cos(pose.elevation)
-    a_x = math.hypot(sin_o, cos_p * cos_o)
-    a_y = math.hypot(cos_o, cos_p * sin_o)
+    n_x, n_y, _ = local_frame(pose)
+    a_x, a_y = math.hypot(n_x[0], n_y[0]), math.hypot(n_x[1], n_y[1])
     if a_x < DEGENERATE_A or a_y < DEGENERATE_A:
         raise ValueError(
             "degenerate geometry: array direction lies in the surface plane "
             "along a surface axis, coupling anchors are undefined"
         )
-    gbar_x = math.atan2(cos_p * cos_o, sin_o)
-    gbar_y = math.atan2(cos_p * sin_o, -cos_o)
-    return a_x, gbar_x, a_y, gbar_y
+    return a_x, math.atan2(n_y[0], n_x[0]), a_y, math.atan2(n_y[1], n_x[1])
 
 
 def coupling_constants(scn: Scenario) -> CouplingConstants:

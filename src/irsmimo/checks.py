@@ -218,12 +218,15 @@ def _check_gram_fmr(scn: Scenario):
     bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
     d_t, d_r = 0.8 * bound.x.d_t_star, 0.8 * bound.x.d_r_rayleigh
     inside = gram_passes(scn, d_t, d_r, mux.fmr_orientations(bound, d_t, d_r, "x"))
-    d_t_out = 1.5 * bound.x.d_t_rayleigh
-    outside = gram_passes(scn, d_t_out, d_r, mux.fmr_probe_orientation(bound, d_t_out, d_r, "x"))
+    # past both sides' limits, so a one-antenna side, which has none, still
+    # leaves the other side unable to separate its streams
+    far_t = 1.2 * bound.x.d_t_rayleigh
+    far_r = 1.2 * max(bound.x.d_r_rayleigh, bound.y.d_r_rayleigh)
+    outside = gram_passes(scn, far_t, far_r, mux.fmr_probe_orientation(bound, far_t, far_r, "x"))
     ok = inside and not outside
     return ok, (
         f"in-region (D_t={d_t:.3f} m, D_r={d_r:.3f} m) pass={inside}, "
-        f"outside (D_t={d_t_out:.3f} m) pass={outside} (want True/False)"
+        f"outside (D_t={far_t:.3f} m, D_r={far_r:.3f} m) pass={outside} (want True/False)"
     )
 
 

@@ -466,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run named verification checks")
     p.add_argument(
         "--scenario",
-        help="scenario file for rayleigh_golden, closed_form and gram_fmr (default: golden setup)",
+        help="scenario file for rayleigh_golden, closed_form and gram_fmr (default: golden "
+        "setup); rayleigh_golden compares its Tx limits with the golden setup's 27.0416 and "
+        "29.0474 m, so any other geometry fails it",
     )
     p.add_argument(
         "--checks",

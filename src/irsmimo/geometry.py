@@ -135,11 +135,10 @@ def centered_indices(n: int) -> np.ndarray:
     return np.arange(-half, half + 1)
 
 
-def check_centered(value: int, n: int, what: str = "index") -> int:
-    """Validate a centered index against its declared odd size."""
-    if abs(int(value)) > (n - 1) // 2:
+def check_centered(value, n: int, what: str = "index") -> None:
+    """Validate a centered index, or an array of them, against its declared odd size."""
+    if np.any(np.abs(value) > (n - 1) // 2):
         raise IndexError(f"{what} {value} outside centered range for size {n}")
-    return int(value)
 
 
 def local_frame(pose: ArrayPose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,8 +165,11 @@ def local_frame(pose: ArrayPose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n_x, n_y, n_z
 
 
-def antenna_local_components(pose: ArrayPose, p: int) -> tuple[float, float, float]:
-    """Local-frame coordinates of antenna p: transverse pair plus axial."""
+def antenna_local_components(pose: ArrayPose, p):
+    """Local-frame coordinates of antenna p: transverse pair plus axial.
+
+    p is an index or an array of them; each coordinate takes its shape.
+    """
     r = p * pose.spacing
     sin_psi = math.sin(pose.orient_elevation)
     u1 = r * sin_psi * math.cos(pose.orient_azimuth)
@@ -176,11 +178,14 @@ def antenna_local_components(pose: ArrayPose, p: int) -> tuple[float, float, flo
     return u1, u2, u3
 
 
-def antenna_position(pose: ArrayPose, p: int) -> np.ndarray:
-    """Global position of antenna p of the array described by ``pose``."""
+def antenna_position(pose: ArrayPose, p) -> np.ndarray:
+    """Global position of antenna p of the array described by ``pose``.
+
+    p is an index or an array of them; the result is shaped p.shape + (3,).
+    """
     check_centered(p, pose.n_antennas, "antenna")
     n_x, n_y, n_z = local_frame(pose)
-    u1, u2, u3 = antenna_local_components(pose, p)
+    u1, u2, u3 = (np.asarray(u)[..., None] for u in antenna_local_components(pose, np.asarray(p)))
     return u1 * n_x + u2 * n_y + u3 * n_z
 
 

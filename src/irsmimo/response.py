@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,16 +60,14 @@ class ReflectionConfig:
             raise ValueError("polarization must be finite")
 
 
-@dataclass(frozen=True)
-class IncidentDirection:
+class IncidentDirection(NamedTuple):
     """Arrival direction at the surface: polar angle from the normal, azimuth."""
 
     polar: float
     azimuth: float
 
 
-@dataclass(frozen=True)
-class ReflectDirection:
+class ReflectDirection(NamedTuple):
     """Departure direction from the surface, same convention as arrivals."""
 
     polar: float
@@ -99,9 +98,7 @@ def sinc_ratio(x):
 
 def tilde_g(incident: IncidentDirection, reflect: ReflectDirection, polarization: float) -> float:
     """Polarization-dependent reflection factor for a direction pair."""
-    return float(
-        _tilde_g(incident.polar, incident.azimuth, reflect.polar, reflect.azimuth, polarization)
-    )
+    return float(_tilde_g(*incident, *reflect, polarization))
 
 
 def _tilde_g(d_in, a_in, d_out, a_out, pol):
@@ -128,37 +125,27 @@ def re_response_amplitude(
     the element.
     """
     return float(
-        _pattern(
-            wave,
-            reflection,
-            layout,
-            incident.polar,
-            incident.azimuth,
-            reflect.polar,
-            reflect.azimuth,
-            programmed_incident.polar,
-            programmed_incident.azimuth,
-            programmed_reflect.polar,
-            programmed_reflect.azimuth,
-        )
+        _pattern(wave, reflection, layout, incident, reflect, programmed_incident, programmed_reflect)
     )
 
 
-def _cosine_sums(d_in, a_in, d_out, a_out):
+def _cosine_sums(incident, reflect):
+    (d_in, a_in), (d_out, a_out) = incident, reflect
     ax = np.sin(d_in) * np.cos(a_in) + np.sin(d_out) * np.cos(a_out)
     ay = np.sin(d_in) * np.sin(a_in) + np.sin(d_out) * np.sin(a_out)
     return ax, ay
 
 
-def _pattern(wave, reflection, layout, d_in, a_in, d_out, a_out, pd_in, pa_in, pd_out, pa_out):
+def _pattern(wave, reflection, layout, incident, reflect, programmed_incident, programmed_reflect):
+    """re_response_amplitude of (polar, azimuth) pairs whose angles may be
+    arrays; the result broadcasts over all of them."""
     lam = wave.wavelength
-    pol = reflection.polarization
-    ax, ay = _cosine_sums(d_in, a_in, d_out, a_out)
-    px, py = _cosine_sums(pd_in, pa_in, pd_out, pa_out)
+    ax, ay = _cosine_sums(incident, reflect)
+    px, py = _cosine_sums(programmed_incident, programmed_reflect)
     pre = math.sqrt(4.0 * math.pi) * reflection.amplitude * layout.re_len_x * layout.re_len_y / lam
     return (
         pre
-        * _tilde_g(d_in, a_in, d_out, a_out, pol)
+        * _tilde_g(*incident, *reflect, reflection.polarization)
         * sinc_ratio(math.pi * layout.re_len_x * (ax - px) / lam)
         * sinc_ratio(math.pi * layout.re_len_y * (ay - py) / lam)
     )
@@ -192,15 +179,16 @@ def path_loss(wave: WaveConfig, distance: float) -> float:
     )
 
 
-def link_directions(layout: IrsLayout, pose: ArrayPose, antenna: int):
-    """Direction from every element center to one antenna of a posed array.
+def link_directions(layout: IrsLayout, pose: ArrayPose):
+    """Directions from every element center to every antenna of a posed array.
 
-    Returns (polar, azimuth) arrays of length q_x*q_y in row-major element
-    order; polar is measured from the surface normal.
+    Returns (polar, azimuth), each shaped (n_antennas, q_x*q_y): row
+    p + (N-1)/2 holds antenna p, columns run in row-major element order;
+    polar is measured from the surface normal.
     """
-    w = antenna_position(pose, antenna)
+    w = antenna_position(pose, centered_indices(pose.n_antennas))
     ex, ey = layout.element_grid
-    vx, vy, vz = w[0] - ex, w[1] - ey, np.full(ex.shape, w[2])
+    vx, vy, vz = w[:, :1] - ex, w[:, 1:2] - ey, w[:, 2:]
     r = np.sqrt(vx**2 + vy**2 + vz**2)
     return np.arccos(vz / r), np.arctan2(vy, vx)
 
@@ -215,37 +203,18 @@ def amplitude_variation(
     """Worst relative deviation of element responses from the central one.
 
     Every element is programmed for the center antennas; the deviation is
-    then scanned over all antenna pairs and all elements.  Small values mean
-    a single common gain describes the whole surface well.
+    then scanned over all antenna pairs and all elements, as one
+    (N_t, N_r, Q) broadcast.  The central response g0 is the pattern at
+    the directions of the two array centers.  Small values mean a single
+    common gain describes the whole surface well.
     """
-    pol = reflection.polarization
-    g0 = (
-        math.sqrt(4.0 * math.pi)
-        * reflection.amplitude
-        * layout.re_len_x
-        * layout.re_len_y
-        / wave.wavelength
-        * _tilde_g(tx.elevation, tx.azimuth, rx.elevation, rx.azimuth, pol)
+    incident, reflect = link_directions(layout, tx), link_directions(layout, rx)
+    center = ((tx.elevation, tx.azimuth), (rx.elevation, rx.azimuth))
+    g0 = _pattern(wave, reflection, layout, *center, *center)
+    programmed = (
+        [d[tx.n_antennas // 2] for d in incident],
+        [d[rx.n_antennas // 2] for d in reflect],
     )
-    prog_in = link_directions(layout, tx, 0)
-    prog_out = link_directions(layout, rx, 0)
-    worst = 0.0
-    for p in centered_indices(tx.n_antennas):
-        d_in, a_in = link_directions(layout, tx, int(p))
-        for q in centered_indices(rx.n_antennas):
-            d_out, a_out = link_directions(layout, rx, int(q))
-            amp = _pattern(
-                wave,
-                reflection,
-                layout,
-                d_in,
-                a_in,
-                d_out,
-                a_out,
-                prog_in[0],
-                prog_in[1],
-                prog_out[0],
-                prog_out[1],
-            )
-            worst = max(worst, float(np.max(np.abs(amp - g0) / abs(g0))))
-    return worst
+    # Tx antennas along a new middle axis: (N_t, 1, Q) against (N_r, Q)
+    amp = _pattern(wave, reflection, layout, [d[:, None] for d in incident], reflect, *programmed)
+    return float(np.max(np.abs(amp - g0) / abs(g0)))

@@ -295,9 +295,11 @@ class TestCouplingConstants:
 
     def test_overhead_arrays_have_unit_amplitudes(self):
         for omega in (0.0, 1.0, 2.5, 5.0):
-            a_x, _, a_y, _ = side_anchors(ArrayPose(3, 0.1, 5.0, omega, 0.0))
+            a_x, g_x, a_y, g_y = side_anchors(ArrayPose(3, 0.1, 5.0, omega, 0.0))
             assert a_x == pytest.approx(1.0, rel=1e-12)
             assert a_y == pytest.approx(1.0, rel=1e-12)
+            # the anchors follow the pinned zenith frame, not omega
+            assert (g_x, g_y) == (math.pi, -math.pi / 2)
 
     def test_anchor_angles_decompose_the_amplitudes(self, rng):
         for _ in range(20):
@@ -380,15 +382,23 @@ class TestDirichletRatio:
 
 class TestClosedForm:
     def test_matches_assembly_on_the_reference_setup(self, golden_scenario):
-        assembled = build_channels(golden_scenario).h
-        closed = closed_form_channel(golden_scenario)
-        scale = np.max(np.abs(assembled))
-        err = np.abs(closed - assembled)
-        big = np.abs(assembled) > 1e-6 * scale
-        # plain relative error away from the Dirichlet zeros; entries sitting
-        # on a zero are compared against the matrix scale instead
-        assert np.max(err[big] / np.abs(assembled)[big]) < 1e-9
-        assert np.max(err[~big] / scale) < 1e-9 if np.any(~big) else True
+        # also with either array at the zenith, where the local frame is
+        # pinned and the azimuth must not steer the coupling anchors
+        setups = [golden_scenario] + [
+            replace(golden_scenario, **{side: replace(pose, elevation=0.0, azimuth=az)})
+            for side, pose in (("tx", golden_scenario.tx), ("rx", golden_scenario.rx))
+            for az in (0.0, 1.0, 3 * math.pi / 2, 4.0)
+        ]
+        for scn in setups:
+            assembled = build_channels(scn).h
+            closed = closed_form_channel(scn)
+            scale = np.max(np.abs(assembled))
+            err = np.abs(closed - assembled)
+            big = np.abs(assembled) > 1e-6 * scale
+            # plain relative error away from the Dirichlet zeros; entries sitting
+            # on a zero are compared against the matrix scale instead
+            assert np.max(err[big] / np.abs(assembled)[big]) < 1e-9
+            assert np.max(err[~big] / scale) < 1e-9 if np.any(~big) else True
 
     def test_matches_assembly_on_seeded_setups(self, rng):
         worst = 0.0

@@ -62,6 +62,15 @@ def read_csv(path_or_text, from_file=True):
     return header, rows
 
 
+# one array at the zenith, each side at four azimuths: the local frame is
+# pinned there, so the azimuth must steer nothing
+ZENITH_VARIANTS = [
+    {f"{side}.elevation_rad": "0", f"{side}.azimuth_rad": repr(az)}
+    for side in ("tx", "rx")
+    for az in (0.0, 1.0, 3 * math.pi / 2, 4.0)
+]
+
+
 def write_variant(tmp_path, name, replacements, base=BASELINE):
     text = Path(base).read_text()
     for key, value in replacements.items():
@@ -146,19 +155,22 @@ class TestChannelCommand:
 class TestEigensweepCommand:
     def test_flat_spectrum_inside_the_limit(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "eigensweep", "--scenario", BASELINE, "--orient", "auto-x",
-            "--start", "5.0", "--stop", "27.0416", "--count", "4",
-            "--out", str(out_file),
-        )
-        assert code == 0
-        header, rows = read_csv(out_file)
-        assert header == ["d_t", "eig_1", "eig_2", "eig_3", "eig_4", "eig_5"]
-        assert len(rows) == 4
-        for row in rows:
-            eigs = [float(x) for x in row[1:]]
-            assert max(eigs) / min(eigs) < 1.0 + 1e-6
+        for i, replacements in enumerate([{}] + ZENITH_VARIANTS):
+            # 27.0416 m is the baseline Tx limit; at the zenith it is 30 m
+            code, _, _ = run_cli(
+                capsys,
+                "eigensweep", "--scenario", write_variant(tmp_path, f"v{i}.txt", replacements),
+                "--orient", "auto-x",
+                "--start", "5.0", "--stop", "27.0416", "--count", "4",
+                "--out", str(out_file),
+            )
+            assert code == 0
+            header, rows = read_csv(out_file)
+            assert header == ["d_t", "eig_1", "eig_2", "eig_3", "eig_4", "eig_5"]
+            assert len(rows) == 4
+            for row in rows:
+                eigs = [float(x) for x in row[1:]]
+                assert max(eigs) / min(eigs) < 1.0 + 1e-6, replacements
 
     def test_spectrum_collapses_far_out(self, capsys, tmp_path):
         out_file = tmp_path / "far.csv"
@@ -221,23 +233,24 @@ class TestFmrMapCommand:
 
     def test_verified_grid_matches_membership(self, capsys, tmp_path):
         out_file = tmp_path / "verified.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "fmr-map", "--scenario", BASELINE,
-            "--dt-start", "8.0", "--dt-stop", "30.0", "--dt-count", "4",
-            "--dr-start", "8.0", "--dr-stop", "30.0", "--dr-count", "4",
-            "--verify", "--out", str(out_file),
-        )
-        assert code == 0
-        _, rows = read_csv(out_file)
-        in_count = out_count = 0
-        for _, _, in_x, in_y, gram in rows:
-            if in_x == "1" or in_y == "1":
-                assert gram == "1"
-                in_count += 1
-            else:
-                out_count += 1
-        assert in_count > 0 and out_count > 0
+        for i, replacements in enumerate([{}] + ZENITH_VARIANTS):
+            code, _, _ = run_cli(
+                capsys,
+                "fmr-map", "--scenario", write_variant(tmp_path, f"v{i}.txt", replacements),
+                "--dt-start", "8.0", "--dt-stop", "30.0", "--dt-count", "4",
+                "--dr-start", "8.0", "--dr-stop", "30.0", "--dr-count", "4",
+                "--verify", "--out", str(out_file),
+            )
+            assert code == 0
+            _, rows = read_csv(out_file)
+            in_count = out_count = 0
+            for _, _, in_x, in_y, gram in rows:
+                if in_x == "1" or in_y == "1":
+                    assert gram == "1", replacements
+                    in_count += 1
+                else:
+                    out_count += 1
+            assert in_count > 0 and out_count > 0
 
     def test_more_receivers_than_transmitters_checks_columns(self, capsys, tmp_path):
         # the 5 x 3 cascade cannot have orthogonal rows; its columns must be
@@ -616,6 +629,46 @@ def test_non_finite_sweep_bounds_are_rejected(capsys, command, option, value):
     assert code == 1
     assert out == ""
     assert err.strip() == "error: start and stop must be finite"
+
+
+SMOKE_SCENARIOS = [
+    pytest.param(str(path), {}, id=path.stem) for path in sorted(SCENARIO_DIR.glob("*.txt"))
+] + [
+    pytest.param(BASELINE, replacements, id=name)
+    for name, replacements in (
+        ("tx-zenith", {"tx.elevation_rad": "0"}),
+        ("rx-zenith", {"rx.elevation_rad": "0"}),
+        ("tx-single", {"tx.count": "1"}),
+        ("rx-single", {"rx.count": "1"}),
+    )
+]
+
+
+@pytest.mark.parametrize("base, replacements", SMOKE_SCENARIOS)
+def test_every_command_runs_on_the_scenario(capsys, tmp_path, base, replacements):
+    path = write_variant(tmp_path, "scenario.txt", replacements, base=base)
+    scn = parse_scenario(path)
+    x = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave).x
+    runs = [
+        ("rayleigh",),
+        ("channel", "--matrix", "h"),
+        ("channel", "--matrix", "closed"),
+        ("fmr-map", "--dt-start", "2", "--dt-stop", "30", "--dt-count", "5",
+         "--dr-start", "2", "--dr-stop", "30", "--dr-count", "5", "--verify"),
+        ("fmr-orient", "--dt", repr(0.5 * x.d_t_star), "--dr", repr(0.5 * x.d_r_rayleigh)),
+        ("optimize", "--seeds", "1", "--max-rounds", "1", "--max-outer", "2",
+         "--max-inner", "2", "--max-orient-iters", "2"),
+    ] + [
+        ("eigensweep", "--orient", orient, "--start", "2", "--stop", "30", "--count", "3")
+        for orient in ("fixed", "auto-x", "auto-y")
+    ]
+    for command, *argv in runs:
+        code, _, err = run_cli(capsys, command, "--scenario", path, *argv)
+        assert code == 0, (command, err)
+    code, out, _ = run_cli(
+        capsys, "verify", "--scenario", path, "--checks", "closed_form,gram_fmr"
+    )
+    assert code == 0, out
 
 
 def declared_console_script(name):

@@ -119,8 +119,9 @@ class TestPolarizationFactor:
         tx = ArrayPose(5, 0.01, 2.5, 3 * math.pi / 2, math.pi / 4)
         rx = ArrayPose(5, 0.01, 2.5, math.pi / 2, math.pi / 6)
         pol = ReflectionConfig().polarization
-        d_in, a_in = link_directions(layout, tx, 0)
-        d_out, a_out = link_directions(layout, rx, 0)
+        # row 2 of each 5-antenna array is its center antenna
+        d_in, a_in = (d[2] for d in link_directions(layout, tx))
+        d_out, a_out = (d[2] for d in link_directions(layout, rx))
         center = tilde_g(
             IncidentDirection(tx.elevation, tx.azimuth),
             ReflectDirection(rx.elevation, rx.azimuth),
