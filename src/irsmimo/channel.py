@@ -8,12 +8,17 @@ by the common gain.  For reflective focusing the double sum collapses to a
 product of a per-antenna quadratic phase factor and two Dirichlet ratios,
 which this module also evaluates directly.
 
-The hop synthesis broadcasts over a leading batch of side poses, so
-reflective_cascades builds many posed cascades in one numpy pass, bit for
-bit equal to building each alone.  resolve_link takes the terms of a link
-that do not depend on the array tilts once, and pose_link evaluates both
-hops at any tilt vector from them, bit for bit equal to hop_matrices of the
-posed scenario; the optimizer's orientation descent runs on these two.
+The hop synthesis broadcasts over a leading batch of side poses.
+synthesize_side builds one side at a list of distinct poses, and
+posed_cascades assembles reflectively focused cascades from two such sides
+and per-point pose indices, bit for bit equal to building each cascade
+alone.  reflective_cascades is the two in one call.  fmr-map --verify
+shares each Tx pose across its whole map and each Rx pose across a strip
+of tiles, and eigensweep builds its Tx hops through synthesize_side too.
+resolve_link takes the terms of a link that do not depend on the array
+tilts once, and pose_link evaluates both hops at any tilt vector from them,
+bit for bit equal to hop_matrices of the posed scenario; the optimizer's
+orientation descent runs on these two.
 
 Element-to-matrix ordering: elements are laid out row-major with the x
 index k slow and the y index l fast, i.e. element (k, l) occupies row
@@ -45,6 +50,11 @@ ComplexMatrix = np.ndarray
 # A-factors below this are treated as a degenerate pose (array edge-on in
 # the surface plane); the anchor angles are undefined there.
 DEGENERATE_A = 1e-15
+
+# synthesize_side builds this many poses per numpy pass: enough to amortize
+# the per-pass overhead, few enough that the (chunk, Q, N) phase temporaries
+# stay small beside the hops it keeps
+SIDE_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -329,19 +339,54 @@ def build_channels(scn: Scenario) -> ChannelSet:
     return _cascade(betas, _hop(parts_t), _hop(parts_r).T.copy(), gain)
 
 
-def _distinct_poses(wave, layout: IrsLayout, pose: ArrayPose, distances, settings):
-    """One side's distinct (distance, gamma, psi) among a batch of points.
-
-    Returns the posed ArrayPoses, each point's index into them, and their
-    (small, big) phase parts synthesized as one (U, Q, N) batch.
-    """
+def _pose_keys(distances, settings):
+    """(keys, index): the distinct (distance, gamma, psi) of one side over a
+    batch of points, in first-seen order, and each point's index into them."""
     keys: dict = {}
     index = [keys.setdefault((d, s.gamma, s.psi), len(keys)) for d, s in zip(distances, settings)]
+    return list(keys), np.array(index, dtype=int)
+
+
+def synthesize_side(wave, layout: IrsLayout, pose: ArrayPose, keys):
+    """(poses, center, hops): pose moved and tilted to each (distance,
+    gamma, psi) of keys.
+
+    poses are the posed ArrayPoses, center their center-antenna phase parts
+    (small (U, Q, 1), big (U, 1, 1)) and hops their (U, Q, N) hops, elements
+    along rows.  The poses are synthesized SIDE_CHUNK at a time, so only
+    that many poses' phase temporaries are alive at once; every hop equals
+    the one-pose hop of its posed scenario bit for bit.  The center parts
+    are copies, so a caller can keep them without the full phase arrays.
+    """
     poses = [replace(pose, distance=d, orient_azimuth=g, orient_elevation=p) for d, g, p in keys]
-    trig = np.array([_tilt_trig(g, p) for _, g, p in keys]).T[:, :, None, None]
-    d = np.array([d for d, _, _ in keys])[:, None, None]
-    offsets = _link_offsets(re_local_components(layout, pose), _antenna_row(pose), tuple(trig))
-    return poses, np.array(index), _phase_parts(wave.wavelength, offsets, d)
+    v, r = re_local_components(layout, pose), _antenna_row(pose)
+    hops = np.empty((len(keys), layout.n_elements, pose.n_antennas), dtype=complex)
+    small = np.empty((len(keys), layout.n_elements, 1))
+    big = np.empty((len(keys), 1, 1))
+    for s in range(0, len(keys), SIDE_CHUNK):
+        chunk = keys[s : s + SIDE_CHUNK]
+        trig = np.array([_tilt_trig(g, p) for _, g, p in chunk]).T[:, :, None, None]
+        d = np.array([d for d, _, _ in chunk])[:, None, None]
+        parts = _phase_parts(wave.wavelength, _link_offsets(v, r, tuple(trig)), d)
+        small[s : s + len(chunk)], big[s : s + len(chunk)] = _center_parts(parts)
+        hops[s : s + len(chunk)] = _hop(parts)
+    return poses, (small, big), hops
+
+
+def posed_cascades(scn: Scenario, side_t, side_r, at, ar):
+    """(h, eta0) of the B links with the Tx at pose at[i] of side_t and the
+    Rx at pose ar[i] of side_r (each from synthesize_side), reflectively
+    focused: h shaped (B, N_r, N_t) and eta0 (B,)."""
+    (poses_t, center_t, hops_t), (poses_r, center_r, hops_r) = side_t, side_r
+    gain = np.array(
+        [
+            response.eta0(scn.wave, scn.reflection, scn.irs, poses_t[i], poses_r[j])
+            for i, j in zip(at, ar)
+        ]
+    )
+    betas = _reflective_betas([part[at] for part in center_t], [part[ar] for part in center_r])
+    h_r = np.swapaxes(hops_r[ar], -1, -2)
+    return _cascade(betas, hops_t[at], h_r, gain[:, None, None]).h, gain
 
 
 def reflective_cascades(scn: Scenario, d_t, d_r, tx_settings, rx_settings):
@@ -351,23 +396,15 @@ def reflective_cascades(scn: Scenario, d_t, d_r, tx_settings, rx_settings):
     Point i moves the Tx to distance d_t[i] tilted by tx_settings[i] (an
     orientation with gamma and psi) and the Rx likewise.  Each distinct pose
     of a side is synthesized once; every cascade equals build_channels of
-    the posed scenario bit for bit.
+    the posed scenario bit for bit.  A caller that meets the same poses in
+    several batches (fmr-map --verify) synthesizes each side once with
+    synthesize_side and assembles every batch from it with posed_cascades.
     """
-    poses_t, at, parts_t = _distinct_poses(scn.wave, scn.irs, scn.tx, d_t, tx_settings)
-    poses_r, ar, parts_r = _distinct_poses(scn.wave, scn.irs, scn.rx, d_r, rx_settings)
-    gain = np.array(
-        [
-            response.eta0(scn.wave, scn.reflection, scn.irs, poses_t[i], poses_r[j])
-            for i, j in zip(at, ar)
-        ]
-    )
-    betas = _reflective_betas(
-        [part[at] for part in _center_parts(parts_t)],
-        [part[ar] for part in _center_parts(parts_r)],
-    )
-    h_t = _hop(parts_t)[at]
-    h_r = np.swapaxes(_hop(parts_r)[ar], -1, -2)
-    return _cascade(betas, h_t, h_r, gain[:, None, None]).h, gain
+    keys_t, at = _pose_keys(d_t, tx_settings)
+    keys_r, ar = _pose_keys(d_r, rx_settings)
+    side_t = synthesize_side(scn.wave, scn.irs, scn.tx, keys_t)
+    side_r = synthesize_side(scn.wave, scn.irs, scn.rx, keys_r)
+    return posed_cascades(scn, side_t, side_r, at, ar)
 
 
 def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:

@@ -84,13 +84,11 @@ def posed_scenario(scn: Scenario, d_t: float, d_r: float, settings) -> Scenario:
     )
 
 
-def gram_verdicts(scn: Scenario, points, settings) -> np.ndarray:
-    """Gram check of the link posed at each (d_t, d_r) of points with the
-    (Tx, Rx) settings beside it, as one batch; only the shorter side of the
-    N_r x N_t cascade can be orthogonal."""
-    d_t, d_r = zip(*points)
-    tx_settings, rx_settings = zip(*settings)
-    h, gain = chan.reflective_cascades(scn, d_t, d_r, tx_settings, rx_settings)
+def gram_verdicts(scn: Scenario, side_t, side_r, at, ar) -> np.ndarray:
+    """Gram check of each link posed at Tx pose at[i] of side_t and Rx pose
+    ar[i] of side_r (channel.synthesize_side), as one batch; only the
+    shorter side of the N_r x N_t cascade can be orthogonal."""
+    h, gain = chan.posed_cascades(scn, side_t, side_r, at, ar)
     # squared as Python floats: libm's pow and numpy's x*x differ in the
     # last bit for about 1 in 1000 values, which would move the tolerances
     target = np.array([g**2 for g in gain.tolist()]) * scn.irs.n_elements**2
@@ -99,8 +97,11 @@ def gram_verdicts(scn: Scenario, points, settings) -> np.ndarray:
 
 
 def gram_passes(scn: Scenario, d_t: float, d_r: float, settings) -> bool:
-    """gram_verdicts at the one point (d_t, d_r)."""
-    return bool(gram_verdicts(scn, [(d_t, d_r)], [settings])[0])
+    """gram_verdicts at the one point (d_t, d_r) with the (Tx, Rx) settings."""
+    ot, orx = settings
+    side_t = chan.synthesize_side(scn.wave, scn.irs, scn.tx, [(d_t, ot.gamma, ot.psi)])
+    side_r = chan.synthesize_side(scn.wave, scn.irs, scn.rx, [(d_r, orx.gamma, orx.psi)])
+    return bool(gram_verdicts(scn, side_t, side_r, [0], [0])[0])
 
 
 # ---------------------------------------------------------------------------

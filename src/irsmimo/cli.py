@@ -30,10 +30,11 @@ from .scenario import (
     serialize_scenario,
 )
 
-# fmr-map --verify checks its grid in FMR_TILE x FMR_TILE batches.  A 4 x 4
-# batch already amortizes most of the per-point numpy overhead; larger
-# tiles buy less time than they add peak memory (on a 60 x 60 map, 6 x 6
-# tiles run 20% faster at +2 MB, one whole-map batch 45% faster at +230 MB)
+# fmr-map --verify assembles and Gram-checks its grid in FMR_TILE x FMR_TILE
+# batches.  Every distinct Tx pose is synthesized once per map and every
+# distinct Rx pose once per strip of FMR_TILE D_r columns, so a tile only
+# gathers its hops.  A 4 x 4 batch already amortizes most of the per-point
+# numpy overhead; larger tiles buy less time than they add peak memory
 FMR_TILE = 4
 
 
@@ -134,25 +135,64 @@ def cmd_eigensweep(args) -> int:
     axis = {"auto-x": "x", "auto-y": "y"}.get(args.orient)
     d_axis = rr.d_rx_axis if axis == "x" else rr.d_ry_axis
 
-    def eigenvalues(d_t: float):
-        pose = replace(scn.tx, distance=float(d_t))
-        if axis is not None:
-            # solve the per-distance orientation; beyond the limit keep the
-            # setting solved exactly at the limit
-            solved = mux.single_hop_orientation(
-                replace(pose, distance=min(float(d_t), d_axis)), scn.irs, scn.wave, axis
-            )
-            pose = replace(pose, orient_azimuth=solved.gamma, orient_elevation=solved.psi)
-        h_t = chan.tx_irs_channel(replace(scn, tx=pose))
-        ev = np.linalg.eigvalsh(h_t.conj().T @ h_t) / scn.irs.n_elements
-        return (float(d_t), *np.sort(ev)[::-1])
+    def key(d_t: float):
+        if axis is None:
+            return d_t, scn.tx.orient_azimuth, scn.tx.orient_elevation
+        # solve the per-distance orientation; beyond the limit keep the
+        # setting solved exactly at the limit
+        solved = mux.single_hop_orientation(
+            replace(scn.tx, distance=min(d_t, d_axis)), scn.irs, scn.wave, axis
+        )
+        return d_t, solved.gamma, solved.psi
 
-    rows = [eigenvalues(d_t) for d_t in sweep.values()]
+    rows = []
+    distances = sweep.values().tolist()
+    for i in range(0, len(distances), chan.SIDE_CHUNK):
+        keys = [key(d_t) for d_t in distances[i : i + chan.SIDE_CHUNK]]
+        _, _, hops = chan.synthesize_side(scn.wave, scn.irs, scn.tx, keys)
+        for (d_t, _, _), h_t in zip(keys, hops):
+            ev = np.linalg.eigvalsh(h_t.conj().T @ h_t) / scn.irs.n_elements
+            rows.append((d_t, *np.sort(ev)[::-1]))
     header = ["d_t"] + [f"eig_{i + 1}" for i in range(scn.tx.n_antennas)]
     _emit(args, header, rows, scn)
     if args.gnuplot_hints:
         _hint_eigensweep(args, scn.tx.n_antennas)
     return 0
+
+
+def _map_verdicts(scn, bound, points, members, shape) -> np.ndarray:
+    """Gram verdicts of the row-major (D_t, D_r) grid of the given shape.
+
+    One pass keeps each point's pose keys: its index among the distinct Tx
+    (d_t, gamma, psi) and its Rx (gamma, psi).  The Tx poses are then
+    synthesized once for the map and the Rx poses once per strip of
+    FMR_TILE D_r columns, and each FMR_TILE x FMR_TILE tile of a strip only
+    gathers, assembles and Gram-checks its points.
+    """
+    tx_keys: dict = {}
+    at = np.empty(len(points), dtype=int)
+    rx_tilts = np.empty((len(points), 2))
+    for k, ((d_t, d_r), (in_x, in_y)) in enumerate(zip(points, members)):
+        if in_x or in_y:
+            ot, orx = mux.fmr_orientations(bound, d_t, d_r, "x" if in_x else "y")
+        else:
+            ot, orx = mux.fmr_probe_orientation(bound, d_t, d_r, "x")
+        at[k] = tx_keys.setdefault((d_t, ot.gamma, ot.psi), len(tx_keys))
+        rx_tilts[k] = orx.gamma, orx.psi
+    side_t = chan.synthesize_side(scn.wave, scn.irs, scn.tx, list(tx_keys))
+    verdicts = np.empty(len(points), dtype=bool)
+    grid = np.arange(len(points)).reshape(shape)
+    for j in range(0, grid.shape[1], FMR_TILE):
+        strip = grid[:, j : j + FMR_TILE]
+        rx_keys: dict = {}
+        ar = np.empty(len(points), dtype=int)
+        for k, tilt in zip(strip.ravel().tolist(), rx_tilts[strip.ravel()].tolist()):
+            ar[k] = rx_keys.setdefault((points[k][1], *tilt), len(rx_keys))
+        side_r = chan.synthesize_side(scn.wave, scn.irs, scn.rx, list(rx_keys))
+        for i in range(0, grid.shape[0], FMR_TILE):
+            tile = strip[i : i + FMR_TILE].ravel()
+            verdicts[tile] = checks.gram_verdicts(scn, side_t, side_r, at[tile], ar[tile])
+    return verdicts
 
 
 def cmd_fmr_map(args) -> int:
@@ -166,25 +206,10 @@ def cmd_fmr_map(args) -> int:
         for d_t, d_r in points
     ]
 
-    def settings(k):
-        d_t, d_r = points[k]
-        in_x, in_y = members[k]
-        if in_x or in_y:
-            return mux.fmr_orientations(bound, d_t, d_r, "x" if in_x else "y")
-        return mux.fmr_probe_orientation(bound, d_t, d_r, "x")
-
-    verdicts = [None] * len(points)
     if args.verify:
-        # settings are solved tile by tile, so only one tile's are ever held
-        grid = np.arange(len(points)).reshape(len(dt_vals), len(dr_vals))
-        for i in range(0, grid.shape[0], FMR_TILE):
-            for j in range(0, grid.shape[1], FMR_TILE):
-                tile = grid[i : i + FMR_TILE, j : j + FMR_TILE].ravel().tolist()
-                passed = checks.gram_verdicts(
-                    scn, [points[k] for k in tile], [settings(k) for k in tile]
-                )
-                for k, ok in zip(tile, passed):
-                    verdicts[k] = ok
+        verdicts = _map_verdicts(scn, bound, points, members, (len(dt_vals), len(dr_vals)))
+    else:
+        verdicts = [None] * len(points)
     rows = (point + member + (ok,) for point, member, ok in zip(points, members, verdicts))
     _emit(args, ["d_t", "d_r", "in_region_x", "in_region_y", "gram_pass"], rows, scn)
     if args.gnuplot_hints:

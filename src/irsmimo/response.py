@@ -162,12 +162,19 @@ def eta0(
 
     Uses the center-to-center polarization factor, i.e. the reflection factor
     evaluated for the directions of the two array centers as seen from the
-    surface origin.
+    surface origin.  Raises ValueError when D_t*D_r is so small that the
+    squared gain would overflow a float.
     """
     g0 = _tilde_g(tx.elevation, tx.azimuth, rx.elevation, rx.azimuth, reflection.polarization)
-    spread = (reflection.amplitude * layout.re_len_x * layout.re_len_y) / (
-        4.0 * math.pi * tx.distance * rx.distance
-    )
+    # tiny distances underflow the denominator to 0 or overflow the power
+    # gain; testing before the division keeps it the one expression it was
+    den = 4.0 * math.pi * tx.distance * rx.distance
+    spread = (reflection.amplitude * layout.re_len_x * layout.re_len_y) / den if den else math.inf
+    if spread * spread == math.inf:
+        raise ValueError(
+            f"distances D_t = {tx.distance:g} m and D_r = {rx.distance:g} m are too small: "
+            "the power gain of 1/(4*pi*D_t*D_r) overflows a float"
+        )
     damp = math.exp(-wave.absorption * (tx.distance + rx.distance) / 2.0)
     return spread * g0 * damp
 

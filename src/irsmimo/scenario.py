@@ -16,7 +16,9 @@ key prefixes for sections, `#` comments, SI units spelled in key suffixes
 
 Unknown keys are rejected so typos fail loudly.  Syntax and conversion
 errors carry the offending line; a value a section's dataclass rejects
-carries the line of that section's first key in the file.
+carries the line of that section's first key in the file, and a distance
+pair too small for the common gain (response.eta0) the later of its two
+lines.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import partial
 from types import MappingProxyType
 
 from .geometry import ArrayPose, IrsLayout
-from .response import ReflectionConfig, WaveConfig
+from .response import ReflectionConfig, WaveConfig, eta0
 
 FOCUSING_MODES = ("reflective", "zero", "explicit")
 
@@ -242,6 +244,11 @@ def parse_scenario_text(text: str) -> Scenario:
     parts = {"wave": _build(make, wave, lines, "wave", "wave")}
     for part, (cls, label) in _PARTS.items():
         parts[part] = _build(cls, _fields(values, lines, part), lines, part, label)
+    try:
+        eta0(*(parts[part] for part in ("wave", "reflection", "irs", "tx", "rx")))
+    except ValueError as exc:
+        line = max(lines["tx.distance_m"], lines["rx.distance_m"])
+        raise ScenarioError(str(exc), line) from None
 
     if "focusing" in values:
         parts["focusing_mode"] = values["focusing"]

@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsmimo.channel import build_channels
-from irsmimo.checks import posed_scenario
-from irsmimo.cli import main
+from irsmimo import channel as chan
+from irsmimo.channel import build_channels, synthesize_side
+from irsmimo.checks import posed_scenario, random_scenario
+from irsmimo.cli import FMR_TILE, main
 from irsmimo.multiplexing import (
     check_orthogonality,
     fmr_inner_bound,
@@ -30,7 +31,7 @@ from irsmimo.multiplexing import (
     region_contains,
 )
 from irsmimo.optimize import mutual_information
-from irsmimo.scenario import parse_scenario
+from irsmimo.scenario import parse_scenario, serialize_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -201,6 +202,37 @@ class TestEigensweepCommand:
             assert float(row[1]) == pytest.approx(1.0, rel=1e-9)
 
 
+def write_scenario(tmp_path, name, scn):
+    target = tmp_path / name
+    target.write_text(serialize_scenario(scn))
+    return str(target)
+
+
+def tall_scenario_with_mixed_rows():
+    """(scn, bound) of the first random_scenario draw of a fixed stream with
+    N_r > N_t and a region, whose 7 x 9 grid over the region has a D_t row
+    that mixes x, y and probe settings."""
+    rng = np.random.default_rng(11)
+    while True:
+        scn = random_scenario(rng)
+        if scn.rx.n_antennas <= scn.tx.n_antennas:
+            continue
+        try:
+            bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+        except ValueError:
+            continue
+        t_max = max(bound.x.d_t_rayleigh, bound.y.d_t_rayleigh)
+        r_max = max(bound.x.d_r_rayleigh, bound.y.d_r_rayleigh)
+        for d_t in np.linspace(0.1 * t_max, 1.2 * t_max, 7).tolist():
+            members = [
+                (region_contains(bound, d_t, d_r, "x"), region_contains(bound, d_t, d_r, "y"))
+                for d_r in np.linspace(0.1 * r_max, 1.2 * r_max, 9).tolist()
+            ]
+            kinds = {"x" if in_x else "y" if in_y else "probe" for in_x, in_y in members}
+            if len(kinds) == 3:
+                return scn, bound
+
+
 class TestFmrMapCommand:
     def test_sideways_grid_shows_nested_rectangles(self, capsys, tmp_path):
         sideways = write_variant(
@@ -271,31 +303,84 @@ class TestFmrMapCommand:
         assert verdicts == {"in": {"1"}, "out": {"0"}}
 
     def test_tiled_verdicts_match_the_per_point_check(self, capsys, tmp_path):
-        # a 6 x 7 grid leaves partial tiles on both axes; every verdict must
-        # equal a Gram check of the one posed cascade at that point
+        # grids whose counts leave partial tiles on both axes; every verdict
+        # must equal a Gram check of the one posed cascade at that point.
+        # The baseline checks rows; the tall draw (N_r > N_t) checks columns
+        # and has D_t rows that mix x, y and probe settings
+        tall, tall_bound = tall_scenario_with_mixed_rows()
+        t_max = max(tall_bound.x.d_t_rayleigh, tall_bound.y.d_t_rayleigh)
+        r_max = max(tall_bound.x.d_r_rayleigh, tall_bound.y.d_r_rayleigh)
+        cases = [
+            (BASELINE, (3.0, 40.0, 6), (2.5, 36.0, 7), "rows"),
+            (write_scenario(tmp_path, "tall.txt", tall),
+             (0.1 * t_max, 1.2 * t_max, 7), (0.1 * r_max, 1.2 * r_max, 9), "columns"),
+        ]
         out_file = tmp_path / "tiled.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "fmr-map", "--scenario", BASELINE,
-            "--dt-start", "3.0", "--dt-stop", "40.0", "--dt-count", "6",
-            "--dr-start", "2.5", "--dr-stop", "36.0", "--dr-count", "7",
-            "--verify", "--out", str(out_file),
-        )
-        assert code == 0
-        _, rows = read_csv(out_file)
-        assert len(rows) == 42
+        for path, (dt0, dt1, n_dt), (dr0, dr1, n_dr), mode in cases:
+            code, _, err = run_cli(
+                capsys,
+                "fmr-map", "--scenario", path,
+                "--dt-start", repr(dt0), "--dt-stop", repr(dt1), "--dt-count", str(n_dt),
+                "--dr-start", repr(dr0), "--dr-stop", repr(dr1), "--dr-count", str(n_dr),
+                "--verify", "--out", str(out_file),
+            )
+            assert code == 0, err
+            _, rows = read_csv(out_file)
+            assert len(rows) == n_dt * n_dr
+            scn = parse_scenario(path)
+            bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+            kinds = {}
+            for d_t, d_r, in_x, in_y, gram in rows:
+                d_t, d_r = float(d_t), float(d_r)
+                kind = "x" if in_x == "1" else "y" if in_y == "1" else "probe"
+                kinds.setdefault(d_t, set()).add(kind)
+                if kind == "probe":
+                    settings = fmr_probe_orientation(bound, d_t, d_r, "x")
+                else:
+                    settings = fmr_orientations(bound, d_t, d_r, kind)
+                cs = build_channels(posed_scenario(scn, d_t, d_r, settings))
+                target = cs.eta0**2 * scn.irs.n_elements**2
+                assert gram == ("1" if check_orthogonality(cs.h, mode, target).passed else "0")
+            assert {row[4] for row in rows} == {"0", "1"}
+        assert {"x", "y", "probe"} in kinds.values()  # of the tall draw, run last
+
+    def test_each_pose_is_synthesized_once_per_map_or_strip(self, capsys, monkeypatch):
+        # the Tx side is synthesized in one call per map and the Rx side in
+        # one call per strip of FMR_TILE D_r columns, each call over the
+        # distinct poses of its points only
         scn = parse_scenario(BASELINE)
+        calls = []
+
+        def counted(wave, layout, pose, keys):
+            calls.append(("tx" if pose == scn.tx else "rx", list(keys)))
+            return synthesize_side(wave, layout, pose, keys)
+
+        monkeypatch.setattr(chan, "synthesize_side", counted)
+        dt_vals, dr_vals = np.linspace(3.0, 40.0, 9), np.linspace(2.5, 36.0, 10)
+        code, _, err = run_cli(
+            capsys,
+            "fmr-map", "--scenario", BASELINE, "--verify",
+            "--dt-start", "3.0", "--dt-stop", "40.0", "--dt-count", "9",
+            "--dr-start", "2.5", "--dr-stop", "36.0", "--dr-count", "10",
+        )
+        assert code == 0, err
         bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
-        for d_t, d_r, in_x, in_y, gram in rows:
-            d_t, d_r = float(d_t), float(d_r)
-            if "1" in (in_x, in_y):
-                settings = fmr_orientations(bound, d_t, d_r, "x" if in_x == "1" else "y")
-            else:
-                settings = fmr_probe_orientation(bound, d_t, d_r, "x")
-            cs = build_channels(posed_scenario(scn, d_t, d_r, settings))
-            target = cs.eta0**2 * scn.irs.n_elements**2
-            assert gram == ("1" if check_orthogonality(cs.h, "rows", target).passed else "0")
-        assert {row[4] for row in rows} == {"0", "1"}
+        tx_keys, rx_keys = set(), [set() for _ in range(0, len(dr_vals), FMR_TILE)]
+        for d_t in dt_vals.tolist():
+            for j, d_r in enumerate(dr_vals.tolist()):
+                region = next(
+                    (r for r in ("x", "y") if region_contains(bound, d_t, d_r, r)), None
+                )
+                if region is None:
+                    ot, orx = fmr_probe_orientation(bound, d_t, d_r, "x")
+                else:
+                    ot, orx = fmr_orientations(bound, d_t, d_r, region)
+                tx_keys.add((d_t, ot.gamma, ot.psi))
+                rx_keys[j // FMR_TILE].add((d_r, orx.gamma, orx.psi))
+        assert [side for side, _ in calls] == ["tx"] + ["rx"] * len(rx_keys)
+        synthesized = [keys for _, keys in calls]
+        assert all(len(keys) == len(set(keys)) for keys in synthesized)
+        assert [set(keys) for keys in synthesized] == [tx_keys] + rx_keys
 
     def test_nonpositive_distances_are_rejected(self, capsys):
         code, out, err = run_cli(
@@ -602,6 +687,36 @@ def test_negative_counts_are_rejected(capsys, option, value):
     assert code == 1
     assert out == ""
     assert f"argument {option}: must be >= 0" in err
+
+
+TINY_PAIR = {"tx.distance_m": "1e-200", "rx.distance_m": "1e-200"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("channel", "--matrix", "h"), ("channel", "--matrix", "closed"), ("optimize", "--seeds", "0")],
+    ids=["channel-h", "channel-closed", "optimize-seeds-0"],
+)
+def test_too_small_distance_pair_is_a_scenario_error(capsys, tmp_path, argv):
+    # 4*pi*D_t*D_r underflows to 0, so the common gain cannot be formed
+    path = write_variant(tmp_path, "tiny.txt", TINY_PAIR)
+    line = Path(path).read_text().splitlines().index("rx.distance_m = 1e-200") + 1
+    code, out, err = run_cli(capsys, argv[0], "--scenario", path, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"scenario error: line {line}: distances D_t = 1e-200 m")
+
+
+def test_too_small_swept_distances_are_an_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "fmr-map", "--scenario", BASELINE, "--verify",
+        "--dt-start", "1e-300", "--dt-stop", "2", "--dt-count", "2",
+        "--dr-start", "1e-300", "--dr-stop", "2", "--dr-count", "2",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: distances D_t = 1e-300 m and D_r = 1e-300 m are too small")
 
 
 SWEEPS = {

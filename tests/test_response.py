@@ -17,6 +17,7 @@ from irsmimo.response import (
     eta0,
     far_field_boundary_irs,
     far_field_boundary_re,
+    _tilde_g,
     link_directions,
     path_loss,
     re_response_amplitude,
@@ -199,6 +200,27 @@ class TestCommonGain:
                 * path_loss(wave, rx.distance)
             )
             assert eta0(wave, cfg, layout, tx, rx) == pytest.approx(composed, rel=1e-12)
+
+    @pytest.mark.parametrize("d_t, d_r", [(1e-200, 1e-200), (1e-300, 1.0), (1e-320, 30.0)])
+    def test_too_small_distances_are_refused(self, d_t, d_r):
+        layout = square_tiles(5, 0.04)
+        tx, rx = ArrayPose(3, 0.05, d_t, 1.0, 0.7), ArrayPose(3, 0.05, d_r, 2.0, 0.4)
+        with pytest.raises(ValueError, match="are too small"):
+            eta0(WaveConfig(0.005), ReflectionConfig(), layout, tx, rx)
+
+    def test_guard_keeps_the_gain_expression(self, rng):
+        # the guard tests before dividing, so every accepted pair keeps the
+        # bits of the one unguarded expression
+        wave, cfg = WaveConfig(0.005, 0.01), ReflectionConfig(0.8, 0.3)
+        layout = square_tiles(5, 0.04)
+        for d_t, d_r in [(1e-70, 1e-70), (1e-3, 2e-3)] + rng.uniform(0.1, 60.0, (50, 2)).tolist():
+            tx, rx = ArrayPose(3, 0.05, d_t, 1.0, 0.7), ArrayPose(3, 0.05, d_r, 2.0, 0.4)
+            g0 = _tilde_g(tx.elevation, tx.azimuth, rx.elevation, rx.azimuth, cfg.polarization)
+            spread = (cfg.amplitude * layout.re_len_x * layout.re_len_y) / (
+                4.0 * math.pi * tx.distance * rx.distance
+            )
+            damp = math.exp(-wave.absorption * (tx.distance + rx.distance) / 2.0)
+            assert eta0(wave, cfg, layout, tx, rx) == spread * g0 * damp
 
     def test_doubling_both_distances_quarters_the_gain(self):
         wave = WaveConfig(0.005)

@@ -186,6 +186,15 @@ class TestErrors:
             parse_scenario_text(text)
         assert err.value.line == line_of(text, "wave.wavelength_m")
 
+    @pytest.mark.parametrize("d_t, d_r", [("1e-200", "1e-200"), ("1e-300", "1.0")])
+    def test_too_small_distance_pair_reports_the_later_line(self, d_t, d_r):
+        # 4*pi*D_t*D_r underflows to 0 (or its squared inverse overflows),
+        # which every command would meet in the common gain
+        text = edit(edit(MINIMAL, "tx.distance_m", d_t), "rx.distance_m", d_r)
+        with pytest.raises(ScenarioError, match="are too small") as err:
+            parse_scenario_text(text)
+        assert err.value.line == line_of(text, "rx.distance_m")
+
     def test_missing_file_propagates(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_scenario(tmp_path / "nope.txt")
