@@ -348,17 +348,18 @@ def _pose_keys(distances, settings):
 
 
 def synthesize_side(wave, layout: IrsLayout, pose: ArrayPose, keys):
-    """(poses, center, hops): pose moved and tilted to each (distance,
-    gamma, psi) of keys.
+    """(center, hops) of pose moved and tilted to each (distance, gamma,
+    psi) of keys, each of which must make a valid pose.
 
-    poses are the posed ArrayPoses, center their center-antenna phase parts
-    (small (U, Q, 1), big (U, 1, 1)) and hops their (U, Q, N) hops, elements
-    along rows.  The poses are synthesized SIDE_CHUNK at a time, so only
-    that many poses' phase temporaries are alive at once; every hop equals
-    the one-pose hop of its posed scenario bit for bit.  The center parts
-    are copies, so a caller can keep them without the full phase arrays.
+    center holds the center-antenna phase parts (small (U, Q, 1), big
+    (U, 1, 1)) and hops the (U, Q, N) hops, elements along rows.  The poses
+    are synthesized SIDE_CHUNK at a time, so only that many poses' phase
+    temporaries are alive at once; every hop equals the one-pose hop of its
+    posed scenario bit for bit.  The center parts are copies, so a caller
+    can keep them without the full phase arrays.
     """
-    poses = [replace(pose, distance=d, orient_azimuth=g, orient_elevation=p) for d, g, p in keys]
+    for d, g, p in keys:  # ArrayPose refuses a key that makes no valid pose
+        replace(pose, distance=d, orient_azimuth=g, orient_elevation=p)
     v, r = re_local_components(layout, pose), _antenna_row(pose)
     hops = np.empty((len(keys), layout.n_elements, pose.n_antennas), dtype=complex)
     small = np.empty((len(keys), layout.n_elements, 1))
@@ -370,23 +371,18 @@ def synthesize_side(wave, layout: IrsLayout, pose: ArrayPose, keys):
         parts = _phase_parts(wave.wavelength, _link_offsets(v, r, tuple(trig)), d)
         small[s : s + len(chunk)], big[s : s + len(chunk)] = _center_parts(parts)
         hops[s : s + len(chunk)] = _hop(parts)
-    return poses, (small, big), hops
+    return (small, big), hops
 
 
-def posed_cascades(scn: Scenario, side_t, side_r, at, ar):
-    """(h, eta0) of the B links with the Tx at pose at[i] of side_t and the
-    Rx at pose ar[i] of side_r (each from synthesize_side), reflectively
-    focused: h shaped (B, N_r, N_t) and eta0 (B,)."""
-    (poses_t, center_t, hops_t), (poses_r, center_r, hops_r) = side_t, side_r
-    gain = np.array(
-        [
-            response.eta0(scn.wave, scn.reflection, scn.irs, poses_t[i], poses_r[j])
-            for i, j in zip(at, ar)
-        ]
-    )
+def posed_cascades(side_t, side_r, at, ar, gain):
+    """Reflectively focused cascades (B, N_r, N_t) of the B links with the Tx
+    at pose at[i] of side_t and the Rx at pose ar[i] of side_r (each from
+    synthesize_side), scaled by their common gains (B,) from
+    response.cascade_gains."""
+    (center_t, hops_t), (center_r, hops_r) = side_t, side_r
     betas = _reflective_betas([part[at] for part in center_t], [part[ar] for part in center_r])
     h_r = np.swapaxes(hops_r[ar], -1, -2)
-    return _cascade(betas, hops_t[at], h_r, gain[:, None, None]).h, gain
+    return _cascade(betas, hops_t[at], h_r, gain[:, None, None]).h
 
 
 def reflective_cascades(scn: Scenario, d_t, d_r, tx_settings, rx_settings):
@@ -394,17 +390,18 @@ def reflective_cascades(scn: Scenario, d_t, d_r, tx_settings, rx_settings):
     (B, N_r, N_t) and eta0 (B,).
 
     Point i moves the Tx to distance d_t[i] tilted by tx_settings[i] (an
-    orientation with gamma and psi) and the Rx likewise.  Each distinct pose
-    of a side is synthesized once; every cascade equals build_channels of
-    the posed scenario bit for bit.  A caller that meets the same poses in
-    several batches (fmr-map --verify) synthesizes each side once with
-    synthesize_side and assembles every batch from it with posed_cascades.
+    orientation with gamma and psi) and the Rx likewise.  The gains are
+    formed, and refused, before any hop; each distinct pose of a side is
+    synthesized once, and every cascade equals build_channels of the posed
+    scenario bit for bit.  fmr-map --verify, which meets the same poses in
+    many batches, calls synthesize_side and posed_cascades itself.
     """
+    gain = response.cascade_gains(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, d_t, d_r)
     keys_t, at = _pose_keys(d_t, tx_settings)
     keys_r, ar = _pose_keys(d_r, rx_settings)
     side_t = synthesize_side(scn.wave, scn.irs, scn.tx, keys_t)
     side_r = synthesize_side(scn.wave, scn.irs, scn.rx, keys_r)
-    return posed_cascades(scn, side_t, side_r, at, ar)
+    return posed_cascades(side_t, side_r, at, ar, gain), gain
 
 
 def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:

@@ -84,11 +84,9 @@ def posed_scenario(scn: Scenario, d_t: float, d_r: float, settings) -> Scenario:
     )
 
 
-def gram_verdicts(scn: Scenario, side_t, side_r, at, ar) -> np.ndarray:
-    """Gram check of each link posed at Tx pose at[i] of side_t and Rx pose
-    ar[i] of side_r (channel.synthesize_side), as one batch; only the
-    shorter side of the N_r x N_t cascade can be orthogonal."""
-    h, gain = chan.posed_cascades(scn, side_t, side_r, at, ar)
+def gram_verdicts(scn: Scenario, h, gain) -> np.ndarray:
+    """Gram check of each cascade of a (B, N_r, N_t) batch h with common
+    gains gain (B,); only the shorter side of a cascade can be orthogonal."""
     # squared as Python floats: libm's pow and numpy's x*x differ in the
     # last bit for about 1 in 1000 values, which would move the tolerances
     target = np.array([g**2 for g in gain.tolist()]) * scn.irs.n_elements**2
@@ -99,9 +97,8 @@ def gram_verdicts(scn: Scenario, side_t, side_r, at, ar) -> np.ndarray:
 def gram_passes(scn: Scenario, d_t: float, d_r: float, settings) -> bool:
     """gram_verdicts at the one point (d_t, d_r) with the (Tx, Rx) settings."""
     ot, orx = settings
-    side_t = chan.synthesize_side(scn.wave, scn.irs, scn.tx, [(d_t, ot.gamma, ot.psi)])
-    side_r = chan.synthesize_side(scn.wave, scn.irs, scn.rx, [(d_r, orx.gamma, orx.psi)])
-    return bool(gram_verdicts(scn, side_t, side_r, [0], [0])[0])
+    h, gain = chan.reflective_cascades(scn, [d_t], [d_r], [ot], [orx])
+    return bool(gram_verdicts(scn, h, gain)[0])
 
 
 # ---------------------------------------------------------------------------

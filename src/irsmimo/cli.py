@@ -22,6 +22,7 @@ from . import channel as chan
 from . import checks
 from . import multiplexing as mux
 from . import optimize as opt
+from . import response
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -76,7 +77,7 @@ def _fmt(value) -> str:
 
 def _emit(args, header, rows, scn: Scenario) -> None:
     lines = [f"# scenario={scenario_hash(scn)}", ",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    lines += [row if isinstance(row, str) else ",".join(_fmt(cell) for cell in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -149,7 +150,7 @@ def cmd_eigensweep(args) -> int:
     distances = sweep.values().tolist()
     for i in range(0, len(distances), chan.SIDE_CHUNK):
         keys = [key(d_t) for d_t in distances[i : i + chan.SIDE_CHUNK]]
-        _, _, hops = chan.synthesize_side(scn.wave, scn.irs, scn.tx, keys)
+        _, hops = chan.synthesize_side(scn.wave, scn.irs, scn.tx, keys)
         for (d_t, _, _), h_t in zip(keys, hops):
             ev = np.linalg.eigvalsh(h_t.conj().T @ h_t) / scn.irs.n_elements
             rows.append((d_t, *np.sort(ev)[::-1]))
@@ -160,57 +161,58 @@ def cmd_eigensweep(args) -> int:
     return 0
 
 
-def _map_verdicts(scn, bound, points, members, shape) -> np.ndarray:
-    """Gram verdicts of the row-major (D_t, D_r) grid of the given shape.
+def _map_verdicts(scn, grid) -> np.ndarray:
+    """Gram verdicts of a (D_t, D_r) grid at the poses region_grid serves.
 
-    One pass keeps each point's pose keys: its index among the distinct Tx
-    (d_t, gamma, psi) and its Rx (gamma, psi).  The Tx poses are then
-    synthesized once for the map and the Rx poses once per strip of
-    FMR_TILE D_r columns, and each FMR_TILE x FMR_TILE tile of a strip only
-    gathers, assembles and Gram-checks its points.
+    The map's gains are formed, and refused, before any hop.  The distinct
+    Tx poses are synthesized once for the map and the Rx poses once per
+    strip of FMR_TILE D_r columns; each FMR_TILE x FMR_TILE tile of a strip
+    only gathers, assembles and Gram-checks its points.
     """
+    _, served, poses, _ = grid
+    gain = response.cascade_gains(
+        scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[..., 0], poses[..., 3]
+    ).ravel()
     tx_keys: dict = {}
-    at = np.empty(len(points), dtype=int)
-    rx_tilts = np.empty((len(points), 2))
-    for k, ((d_t, d_r), (in_x, in_y)) in enumerate(zip(points, members)):
-        if in_x or in_y:
-            ot, orx = mux.fmr_orientations(bound, d_t, d_r, "x" if in_x else "y")
-        else:
-            ot, orx = mux.fmr_probe_orientation(bound, d_t, d_r, "x")
-        at[k] = tx_keys.setdefault((d_t, ot.gamma, ot.psi), len(tx_keys))
-        rx_tilts[k] = orx.gamma, orx.psi
+    at = np.empty(served.shape, dtype=int)
+    for i, row in enumerate(served.tolist()):
+        for k in dict.fromkeys(row):
+            key = tuple(poses[i, row.index(k), :3].tolist())
+            at[i, served[i] == k] = tx_keys.setdefault(key, len(tx_keys))
     side_t = chan.synthesize_side(scn.wave, scn.irs, scn.tx, list(tx_keys))
-    verdicts = np.empty(len(points), dtype=bool)
-    grid = np.arange(len(points)).reshape(shape)
-    for j in range(0, grid.shape[1], FMR_TILE):
-        strip = grid[:, j : j + FMR_TILE]
+    at, verdicts = at.ravel(), np.empty(served.size, dtype=bool)
+    index = np.arange(served.size).reshape(served.shape)
+    ar = np.empty(served.size, dtype=int)
+    for j in range(0, index.shape[1], FMR_TILE):
+        strip = index[:, j : j + FMR_TILE]
         rx_keys: dict = {}
-        ar = np.empty(len(points), dtype=int)
-        for k, tilt in zip(strip.ravel().tolist(), rx_tilts[strip.ravel()].tolist()):
-            ar[k] = rx_keys.setdefault((points[k][1], *tilt), len(rx_keys))
+        keys = poses[:, j : j + FMR_TILE, 3:].reshape(-1, 3).tolist()
+        ar[strip.ravel()] = [rx_keys.setdefault(tuple(key), len(rx_keys)) for key in keys]
         side_r = chan.synthesize_side(scn.wave, scn.irs, scn.rx, list(rx_keys))
-        for i in range(0, grid.shape[0], FMR_TILE):
+        for i in range(0, index.shape[0], FMR_TILE):
             tile = strip[i : i + FMR_TILE].ravel()
-            verdicts[tile] = checks.gram_verdicts(scn, side_t, side_r, at[tile], ar[tile])
-    return verdicts
+            h = chan.posed_cascades(side_t, side_r, at[tile], ar[tile], gain[tile])
+            verdicts[tile] = checks.gram_verdicts(scn, h, gain[tile])
+    return verdicts.reshape(index.shape)
 
 
 def cmd_fmr_map(args) -> int:
     scn = parse_scenario(args.scenario)
     bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
-    dt_vals = SweepSpec(args.dt_start, args.dt_stop, args.dt_count).values()
-    dr_vals = SweepSpec(args.dr_start, args.dr_stop, args.dr_count).values()
-    points = [(float(dt), float(dr)) for dt in dt_vals for dr in dr_vals]
-    members = [
-        (mux.region_contains(bound, d_t, d_r, "x"), mux.region_contains(bound, d_t, d_r, "y"))
-        for d_t, d_r in points
-    ]
-
+    d_t = SweepSpec(args.dt_start, args.dt_stop, args.dt_count).values()
+    d_r = SweepSpec(args.dr_start, args.dr_stop, args.dr_count).values()
+    grid = mux.region_grid(bound, d_t, d_r, probe="x" if args.verify else None)
+    # a point's last three cells as one code: x member 4, y member 2, Gram pass 1
+    codes = grid[0] @ [4, 2]
     if args.verify:
-        verdicts = _map_verdicts(scn, bound, points, members, (len(dt_vals), len(dr_vals)))
-    else:
-        verdicts = [None] * len(points)
-    rows = (point + member + (ok,) for point, member, ok in zip(points, members, verdicts))
+        codes += _map_verdicts(scn, grid)
+    tails = [f"{c >> 2},{c >> 1 & 1},{c & 1 if args.verify else ''}" for c in range(8)]
+    d_r_cells = [_fmt(v) for v in d_r.tolist()]
+    rows = [
+        f"{t},{r},{tails[c]}"
+        for t, row in zip(map(_fmt, d_t.tolist()), codes.tolist())
+        for r, c in zip(d_r_cells, row)
+    ]
     _emit(args, ["d_t", "d_r", "in_region_x", "in_region_y", "gram_pass"], rows, scn)
     if args.gnuplot_hints:
         _hint_fmr_map(args)
@@ -222,11 +224,10 @@ def cmd_fmr_orient(args) -> int:
     bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
     region = args.region
     if region == "auto":
-        if mux.region_contains(bound, args.dt, args.dr, "x"):
-            region = "x"
-        elif mux.region_contains(bound, args.dt, args.dr, "y"):
-            region = "y"
-        else:
+        # the first region holding the point, as fmr-map --verify picks it
+        served = mux.region_grid(bound, [args.dt], [args.dr], probe=None)[1].item()
+        region = ("x", "y", None)[served]
+        if region is None:
             print(
                 f"point (D_t={_fmt(args.dt)}, D_r={_fmt(args.dr)}) is outside both regions",
                 file=sys.stderr,

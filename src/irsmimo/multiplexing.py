@@ -251,42 +251,78 @@ def boundary_cap(bound: FmrBound, axis: str, d_t: float) -> float:
 
 
 def _column(reg: AxisRegion, d_t: float):
-    """(part, D_r cap, gamma_r, gamma_t) of the region at one D_t, or None
-    beyond the axis limit.
+    """(part, D_r cap, gamma_t, psi_t, gamma_r) of the region at one D_t >= 0,
+    or None beyond the axis limit.
 
     The region holds every D_r up to the cap.  On the rectangle (D_t up to
     d_t_star) the cap is the Rx axis limit, reached with the Rx at its axis
-    anchor and the Tx at its apex angle; on the lobe it is the boundary
-    curve.  Each angle is fixed modulo pi only.
+    anchor and the Tx at its apex angle, tilted to sin(psi_t) =
+    D_t/d_t_star; on the lobe it is the boundary curve, with the Tx fully
+    open.  Turning an azimuth by pi negates both of that side's axis
+    couplings, which keeps their sign match, so each is taken modulo pi.
     """
     if d_t <= reg.d_t_star:
-        return "rect", reg.d_r_rayleigh, reg.gbar_r[0], reg.gamma_star
+        psi_t = math.asin(min(1.0, d_t / reg.d_t_star))
+        return "rect", reg.d_r_rayleigh, reg.gamma_star % math.pi, psi_t, reg.gbar_r[0] % math.pi
     if d_t <= reg.d_t_rayleigh:
-        return ("lobe", *_boundary_cap(reg, d_t))
+        cap, gamma_r, gamma_t = _boundary_cap(reg, d_t)
+        return "lobe", cap, gamma_t % math.pi, math.pi / 2, gamma_r % math.pi
     return None
 
 
-def _settings(reg: AxisRegion, column, d_t: float, d_r: float, branch: str):
-    """(Tx, Rx) orientations of one column at (d_t, d_r), tilts clamped at
-    fully open.
+def region_grid(bound: FmrBound, d_t, d_r, regions=("x", "y"), probe="x"):
+    """(inside, served, poses, columns) of the (D_t, D_r) grid.
 
-    Turning an azimuth by pi negates both of that side's axis couplings,
-    which keeps their sign match, so each azimuth is taken modulo pi.
+    columns[i] holds the K + 1 columns at D_t i: one _column per region
+    (None past its axis limit) and the probe, the rectangle of region probe
+    at D_t = 0 (None if probe is None); all are None at D_t <= 0.
+    inside (T, R, K) flags each region's points (0 < D_r <= cap), and
+    served (T, R) picks a point's column: the first region holding it, else
+    the probe (K), whose clamped settings fail the Gram check outside, which
+    is the point.  poses (T, R, 6) holds each point's Tx (D_t, gamma, psi)
+    and Rx (D_r, gamma, psi) from its column, NaN where none serves; the Rx
+    tilt asin(min(1, D_r/cap)) is the only per-point angle.
     """
-    part, cap, gamma_r, gamma_t = column
-    psi_t = math.pi / 2 if part == "lobe" else math.asin(min(1.0, d_t / reg.d_t_star))
-    return (
-        OrientationSetting(psi=psi_t, gamma=gamma_t % math.pi, branch=branch),
-        OrientationSetting(
-            psi=math.asin(min(1.0, d_r / cap)), gamma=gamma_r % math.pi, branch=branch
-        ),
-    )
+    regs = [bound.axis(name) for name in regions]
+    d_t, d_r = np.asarray(d_t, dtype=float), np.asarray(d_r, dtype=float)
+    if probe is not None:
+        reg_p = bound.axis(probe)
+        if d_t.size and d_r.size and not (np.all(d_t > 0.0) and np.all(d_r > 0.0)):
+            raise ValueError("distances must be positive")
+        # D_t = 0 always lies on the rectangle
+        _, cap_p, gamma_t_p, _, gamma_r_p = _column(reg_p, 0.0)
+    columns = [[None] * (len(regs) + 1) for _ in range(len(d_t))]
+    for row, t in zip(columns, d_t.tolist()):
+        if t > 0.0:
+            row[:-1] = [_column(reg, t) for reg in regs]
+            if probe is not None:  # the rectangle's settings, Tx tilt clamped
+                psi_t = math.asin(min(1.0, t / reg_p.d_t_star))
+                row[-1] = ("probe", cap_p, gamma_t_p, psi_t, gamma_r_p)
+    # per column: cap, gamma_t, psi_t, gamma_r
+    table = np.array([[(math.nan,) * 4 if c is None else c[1:] for c in row] for row in columns])
+    table = table.reshape(len(columns), len(regs) + 1, 4)
+    inside = (0.0 < d_r)[:, None] & (d_r[:, None] <= table[:, None, :-1, 0])
+    served = np.argmax(np.dstack([inside, np.ones(inside.shape[:2], dtype=bool)]), axis=-1)
+    picked = table[np.arange(len(table))[:, None], served]
+    cap, gamma_t, psi_t, gamma_r = picked.transpose(2, 0, 1)
+    ratio = np.minimum(1.0, d_r / cap)
+    psi_r = np.reshape([math.asin(v) for v in ratio.ravel().tolist()], ratio.shape)
+    d_t, d_r = np.broadcast_arrays(d_t[:, None], d_r)
+    return inside, served, np.stack([d_t, gamma_t, psi_t, d_r, gamma_r, psi_r], -1), columns
+
+
+def _point_settings(grid, region: str):
+    """The (Tx, Rx) orientations serving the one point of a region_grid."""
+    _, served, poses, columns = grid
+    _, gamma_t, psi_t, _, gamma_r, psi_r = poses[0, 0].tolist()
+    branch = f"{region}-{columns[0][served[0, 0]][0]}"
+    tx = OrientationSetting(psi=psi_t, gamma=gamma_t, branch=branch)
+    return tx, OrientationSetting(psi=psi_r, gamma=gamma_r, branch=branch)
 
 
 def region_contains(bound: FmrBound, d_t: float, d_r: float, axis: str) -> bool:
     """Closed-form membership of (d_t, d_r) in the x- or y-region."""
-    column = _column(bound.axis(axis), d_t)
-    return d_t > 0.0 and column is not None and 0.0 < d_r <= column[1]
+    return bool(region_grid(bound, [d_t], [d_r], (axis,), None)[0])
 
 
 def fmr_orientations(
@@ -303,7 +339,8 @@ def fmr_orientations(
     reg = bound.axis(region)
     if not (d_t > 0.0 and d_r > 0.0):
         raise ValueError("distances must be positive")
-    column = _column(reg, d_t)
+    grid = region_grid(bound, [d_t], [d_r], (region,), None)
+    column = grid[3][0][0]
     if column is None:
         raise ValueError(f"D_t = {d_t:g} m exceeds the axis limit {reg.d_t_rayleigh:g} m")
     part, cap = column[:2]
@@ -313,22 +350,14 @@ def fmr_orientations(
         raise ValueError(
             f"D_r = {d_r:g} m exceeds the boundary cap {cap:g} m at D_t = {d_t:g} m"
         )
-    return _settings(reg, column, d_t, d_r, f"{region}-{part}")
+    return _point_settings(grid, region)
 
 
 def fmr_probe_orientation(
     bound: FmrBound, d_t: float, d_r: float, region: str
 ) -> tuple[OrientationSetting, OrientationSetting]:
-    """Best-effort orientations at any point, clamping the in-region formulas.
-
-    Outside the region the tilt equations have no solution; the clamped
-    rectangle settings are the natural diagnostic probe (they fail the Gram
-    check there, which is the point)."""
-    reg = bound.axis(region)
-    if not (d_t > 0.0 and d_r > 0.0):
-        raise ValueError("distances must be positive")
-    # D_t = 0 always lies on the rectangle
-    return _settings(reg, _column(reg, 0.0), d_t, d_r, f"{region}-probe")
+    """Best-effort orientations at any point: region_grid's clamped probe."""
+    return _point_settings(region_grid(bound, [d_t], [d_r], (), region), region)
 
 
 def check_orthogonality(

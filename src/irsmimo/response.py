@@ -151,32 +151,38 @@ def _pattern(wave, reflection, layout, incident, reflect, programmed_incident, p
     )
 
 
-def eta0(
-    wave: WaveConfig,
-    reflection: ReflectionConfig,
-    layout: IrsLayout,
-    tx: ArrayPose,
-    rx: ArrayPose,
-) -> float:
-    """Common cascade gain: element area, spreading over both hops, absorption.
-
-    Uses the center-to-center polarization factor, i.e. the reflection factor
-    evaluated for the directions of the two array centers as seen from the
-    surface origin.  Raises ValueError when D_t*D_r is so small that the
-    squared gain would overflow a float.
+def cascade_gains(wave: WaveConfig, reflection: ReflectionConfig, layout: IrsLayout,
+                  tx: ArrayPose, rx: ArrayPose, d_t, d_r) -> np.ndarray:
+    """Common cascade gains (element area, spreading over both hops,
+    absorption) with the arrays moved to distances d_t and d_r, broadcast
+    against each other.  The polarization factor g0 is the reflection factor
+    for the directions of the two array centers as seen from the surface
+    origin, which the move keeps, so it is formed once.  Raises ValueError
+    at the first pair so close that the squared gain would overflow a float.
     """
     g0 = _tilde_g(tx.elevation, tx.azimuth, rx.elevation, rx.azimuth, reflection.polarization)
-    # tiny distances underflow the denominator to 0 or overflow the power
-    # gain; testing before the division keeps it the one expression it was
-    den = 4.0 * math.pi * tx.distance * rx.distance
-    spread = (reflection.amplitude * layout.re_len_x * layout.re_len_y) / den if den else math.inf
-    if spread * spread == math.inf:
+    d_t, d_r = np.asarray(d_t, dtype=float), np.asarray(d_r, dtype=float)
+    # tiny distances underflow the denominator to 0 or overflow the power gain
+    with np.errstate(divide="ignore", over="ignore"):
+        den = 4.0 * math.pi * d_t * d_r
+        spread = reflection.amplitude * layout.re_len_x * layout.re_len_y / den
+        refused = spread * spread == math.inf
+    if refused.any():
+        k = np.argmax(refused)
         raise ValueError(
-            f"distances D_t = {tx.distance:g} m and D_r = {rx.distance:g} m are too small: "
+            f"distances D_t = {np.broadcast_to(d_t, den.shape).flat[k]:g} m and "
+            f"D_r = {np.broadcast_to(d_r, den.shape).flat[k]:g} m are too small: "
             "the power gain of 1/(4*pi*D_t*D_r) overflows a float"
         )
-    damp = math.exp(-wave.absorption * (tx.distance + rx.distance) / 2.0)
-    return spread * g0 * damp
+    # libm's exp per pair: numpy's may differ from it in the last bit
+    damp = [math.exp(x) for x in np.ravel(-wave.absorption * (d_t + d_r) / 2.0).tolist()]
+    return spread * g0 * np.reshape(damp, np.shape(den))
+
+
+def eta0(wave: WaveConfig, reflection: ReflectionConfig, layout: IrsLayout,
+         tx: ArrayPose, rx: ArrayPose) -> float:
+    """cascade_gains at the two poses' own distances."""
+    return cascade_gains(wave, reflection, layout, tx, rx, tx.distance, rx.distance)
 
 
 def path_loss(wave: WaveConfig, distance: float) -> float:

@@ -8,18 +8,23 @@ found on PATH and runs only where the package is installed.  File outputs
 land in tmp_path, and determinism is asserted on raw bytes.
 """
 
+import hashlib
 import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from irsmimo import channel as chan
+from irsmimo import cli
+from irsmimo import multiplexing as mux
+from irsmimo import response
 from irsmimo.channel import build_channels, synthesize_side
 from irsmimo.checks import posed_scenario, random_scenario
 from irsmimo.cli import FMR_TILE, main
@@ -382,6 +387,35 @@ class TestFmrMapCommand:
         assert all(len(keys) == len(set(keys)) for keys in synthesized)
         assert [set(keys) for keys in synthesized] == [tx_keys] + rx_keys
 
+    def test_one_column_per_distance_and_one_gain_pass_per_map(self, capsys, monkeypatch):
+        # a 60 x 60 map solves one region column per (D_t, axis) plus one
+        # probe column, and forms g0 once for all its gains
+        scn = parse_scenario(BASELINE)
+        monkeypatch.setattr(cli, "parse_scenario", lambda path: scn)
+        calls = {"_column": 0, "_tilde_g": 0}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(mux, "_column")
+        count(response, "_tilde_g")
+        code, out, err = run_cli(
+            capsys,
+            "fmr-map", "--scenario", BASELINE, "--verify",
+            "--dt-start", "2.1", "--dt-stop", "32.1", "--dt-count", "60",
+            "--dr-start", "2.05", "--dr-stop", "32.05", "--dr-count", "60",
+        )
+        assert code == 0, err
+        assert len(out.splitlines()) == 2 + 60 * 60
+        assert 0 < calls["_column"] <= 2 * 60 + 1
+        assert calls["_tilde_g"] == 1
+
     def test_nonpositive_distances_are_rejected(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -717,6 +751,43 @@ def test_too_small_swept_distances_are_an_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: distances D_t = 1e-300 m and D_r = 1e-300 m are too small")
+
+
+def test_too_small_distances_are_refused_before_any_hop(capsys):
+    # the gains are formed, and refused, before either side is synthesized,
+    # so no overflow in the hop phases is ever computed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys,
+            "fmr-map", "--scenario", BASELINE, "--verify",
+            "--dt-start", "1e-320", "--dt-stop", "2", "--dt-count", "2",
+            "--dr-start", "1e-10", "--dr-stop", "2", "--dr-count", "3",
+        )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: distances D_t = 9.99989e-321 m and D_r = 1e-10 m are too small")
+
+
+# SHA-256 of the fmr-map CSV of a seed-shifted 20 x 20 grid on the baseline,
+# with and without --verify, as written at commit e2a786049de2 (the per-point
+# region solve); the grid solve and the batched gains must keep every byte
+SHIFTED_GRID = (
+    "--dt-start", "2.224710039281368", "--dt-stop", "32.22471003928137", "--dt-count", "20",
+    "--dr-start", "2.71633665959316", "--dr-stop", "32.71633665959316", "--dr-count", "20",
+)
+SHIFTED_GRID_SHA256 = {
+    True: "d0ea790b10a808b276f46330f536bb9af52d730bb22f5eb5cfa863d1efa36555",
+    False: "498a7090c3f7bb10e82e4a80e7682eb56de01ddc868fe097f72d6f3ff17513d2",
+}
+
+
+@pytest.mark.parametrize("verify", [True, False], ids=["verify", "plain"])
+def test_shifted_grid_csv_is_byte_identical(capsys, verify):
+    argv = ["fmr-map", "--scenario", BASELINE, *SHIFTED_GRID] + ["--verify"] * verify
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SHIFTED_GRID_SHA256[verify]
 
 
 SWEEPS = {

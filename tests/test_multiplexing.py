@@ -7,7 +7,9 @@ matrix to be (numerically) a scaled identity.
 """
 
 import math
+from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from irsmimo.channel import (
 from irsmimo.checks import golden_scenario, posed_scenario, random_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout
 from irsmimo.multiplexing import (
+    _boundary_cap,
     boundary_cap,
     check_orthogonality,
     fmr_inner_bound,
@@ -30,10 +33,11 @@ from irsmimo.multiplexing import (
     fmr_probe_orientation,
     rayleigh_distances,
     region_contains,
+    region_grid,
     single_hop_orientation,
 )
 from irsmimo.response import WaveConfig
-from irsmimo.scenario import Scenario
+from irsmimo.scenario import Scenario, parse_scenario
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +45,7 @@ GOLD = golden_scenario()
 GOLD_WAVE, GOLD_LAYOUT, GOLD_TX, GOLD_RX = GOLD.wave, GOLD.irs, GOLD.tx, GOLD.rx
 
 RIGHT_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+BASELINE = Path(__file__).resolve().parents[1] / "scenarios" / "cascade_baseline.txt"
 
 
 @lru_cache(maxsize=None)
@@ -507,3 +512,163 @@ def test_solver_agrees_with_membership_on_random_draws(rng):
                 rect = settings[1].branch == f"{axis}-rect"
                 cap = reg.d_r_rayleigh if rect else boundary_cap(b, axis, d_t)
                 assert math.sin(settings[1].psi) * cap == pytest.approx(d_r, rel=1e-12)
+
+
+# The per-point region solver that region_grid replaced, kept as the oracle
+# of the grid solve: one column per call, settings from its own asin.
+
+
+def _oracle_column(reg, d_t):
+    if d_t <= reg.d_t_star:
+        return "rect", reg.d_r_rayleigh, reg.gbar_r[0], reg.gamma_star
+    if d_t <= reg.d_t_rayleigh:
+        return ("lobe", *_boundary_cap(reg, d_t))
+    return None
+
+
+def _oracle_settings(reg, column, d_t, d_r, branch):
+    part, cap, gamma_r, gamma_t = column
+    psi_t = math.pi / 2 if part == "lobe" else math.asin(min(1.0, d_t / reg.d_t_star))
+    return (
+        (gamma_t % math.pi, psi_t, branch),
+        (gamma_r % math.pi, math.asin(min(1.0, d_r / cap)), branch),
+    )
+
+
+def oracle_contains(bound, d_t, d_r, axis):
+    column = _oracle_column(bound.axis(axis), d_t)
+    return d_t > 0.0 and column is not None and 0.0 < d_r <= column[1]
+
+
+def oracle_orientations(bound, d_t, d_r, region):
+    """((gamma, psi, branch) of Tx, of Rx), or the ValueError message."""
+    reg = bound.axis(region)
+    if not (d_t > 0.0 and d_r > 0.0):
+        return "distances must be positive"
+    column = _oracle_column(reg, d_t)
+    if column is None:
+        return f"D_t = {d_t:g} m exceeds the axis limit {reg.d_t_rayleigh:g} m"
+    part, cap = column[:2]
+    if d_r > cap:
+        if part == "rect":
+            return f"D_r = {d_r:g} m exceeds the rectangle cap {cap:g} m"
+        return f"D_r = {d_r:g} m exceeds the boundary cap {cap:g} m at D_t = {d_t:g} m"
+    return _oracle_settings(reg, column, d_t, d_r, f"{region}-{part}")
+
+
+def oracle_probe(bound, d_t, d_r, region):
+    reg = bound.axis(region)
+    return _oracle_settings(reg, _oracle_column(reg, 0.0), d_t, d_r, f"{region}-probe")
+
+
+def bits(*values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def as_tuples(settings):
+    return tuple((s.gamma, s.psi, s.branch) for s in settings)
+
+
+def straddling_grid(bound):
+    """D_t and D_r values on, just inside and just past every edge of both
+    regions: the rectangle corner, D_t = d_t_star exactly, the lobe and its
+    boundary caps, and the axis limits."""
+    d_t, d_r = [], []
+    for reg in (bound.x, bound.y):
+        mid = 0.5 * (reg.d_t_star + reg.d_t_rayleigh)
+        d_t += [0.3 * reg.d_t_star, reg.d_t_star, mid, reg.d_t_rayleigh, 1.05 * reg.d_t_rayleigh]
+        d_t += [float(np.nextafter(reg.d_t_star, math.inf))]
+        cap = _boundary_cap(reg, mid)[0]
+        d_r += [0.5 * reg.d_r_star, reg.d_r_star, cap, float(np.nextafter(cap, math.inf))]
+        d_r += [reg.d_r_rayleigh, float(np.nextafter(reg.d_r_rayleigh, math.inf))]
+    return sorted(d_t), sorted(d_r)
+
+
+def assert_grid_matches_oracle(bound, d_t, d_r, one_point=lambda i, j: True):
+    """region_grid against the oracle at every point, and the one-point
+    calls against it where one_point(i, j) holds."""
+    inside, served, poses, _ = region_grid(bound, d_t, d_r)
+    assert inside.shape == (len(d_t), len(d_r), 2) and poses.shape == inside.shape[:2] + (6,)
+    for i, t in enumerate(d_t):
+        for j, r in enumerate(d_r):
+            member = [oracle_contains(bound, t, r, axis) for axis in ("x", "y")]
+            assert inside[i, j].tolist() == member
+            # the map's pick: the first region holding the point, else the probe
+            probe = oracle_probe(bound, t, r, "x")
+            region = next((a for a, m in zip(("x", "y"), member) if m), None)
+            (g_t, p_t, _), (g_r, p_r, _) = (
+                probe if region is None else oracle_orientations(bound, t, r, region)
+            )
+            assert served[i, j] == (2 if region is None else "xy".index(region))
+            assert bits(*poses[i, j]) == bits(t, g_t, p_t, r, g_r, p_r)
+            if not one_point(i, j):
+                continue
+            assert [region_contains(bound, t, r, axis) for axis in ("x", "y")] == member
+            assert as_tuples(fmr_probe_orientation(bound, t, r, "x")) == probe
+            for axis in ("x", "y"):
+                want = oracle_orientations(bound, t, r, axis)
+                if isinstance(want, str):
+                    with pytest.raises(ValueError) as err:
+                        fmr_orientations(bound, t, r, axis)
+                    assert str(err.value) == want
+                else:
+                    got = as_tuples(fmr_orientations(bound, t, r, axis))
+                    assert got == want and bits(*got[0][:2], *got[1][:2]) == bits(
+                        *want[0][:2], *want[1][:2]
+                    )
+
+
+class TestRegionGrid:
+    def test_matches_the_per_point_solver_on_random_scenarios(self, rng):
+        draws, tall = 0, False
+        while draws < 110:
+            scn = random_scenario(rng)
+            try:
+                b = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+            except ValueError:
+                continue
+            draws += 1
+            tall = tall or scn.rx.n_antennas > scn.tx.n_antennas
+            d_t, d_r = straddling_grid(b)
+            picks = rng.choice(len(d_t), 4, replace=False), rng.choice(len(d_r), 4, replace=False)
+            extra = rng.uniform(0.0, 1.3, (2, 3)) * [[b.x.d_t_rayleigh], [b.x.d_r_rayleigh]]
+            assert_grid_matches_oracle(
+                b,
+                sorted([d_t[k] for k in picks[0]] + extra[0].tolist()),
+                sorted([d_r[k] for k in picks[1]] + extra[1].tolist()),
+                one_point=lambda i, j: i == j,
+            )
+        assert tall
+
+    @pytest.mark.parametrize("side", ["tx", "rx"])
+    def test_matches_the_per_point_solver_at_the_zenith(self, side):
+        base = parse_scenario(str(BASELINE))
+        scn = replace(base, **{side: replace(getattr(base, side), elevation=0.0)})
+        b = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+        assert_grid_matches_oracle(b, *straddling_grid(b))
+
+    def test_matches_the_per_point_solver_on_the_baseline(self):
+        scn = parse_scenario(str(BASELINE))
+        b = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+        d_t, d_r = straddling_grid(b)
+        assert_grid_matches_oracle(b, d_t + [20.0, 26.0], d_r + [10.0, 20.0])
+
+    def test_probe_refuses_nonpositive_distances_only_when_it_serves(self):
+        b = golden_bound()
+        inside, served, poses, _ = region_grid(b, [-1.0, 0.0, 5.0], [0.0, 3.0], probe=None)
+        assert not inside[:2].any() and (served[:2] == 2).all()
+        assert np.isnan(poses[:2, :, 1:3]).all() and np.isnan(poses[:2, :, 4:]).all()
+        with pytest.raises(ValueError, match="distances must be positive"):
+            region_grid(b, [-1.0, 5.0], [3.0])
+        # an empty grid serves no point, so nothing is refused
+        assert region_grid(b, [-1.0, 5.0], [])[2].shape == (2, 0, 6)
+
+    def test_one_solve_per_column(self, monkeypatch):
+        import irsmimo.multiplexing as mux
+
+        calls = []
+        real = mux._column
+        monkeypatch.setattr(mux, "_column", lambda reg, d_t: calls.append(d_t) or real(reg, d_t))
+        b = golden_bound()
+        region_grid(b, np.linspace(1.0, 40.0, 13), np.linspace(1.0, 40.0, 17))
+        assert len(calls) == 2 * 13 + 1

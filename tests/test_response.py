@@ -1,6 +1,7 @@
 """Element power response, polarization factor and far-field boundaries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from irsmimo.response import (
     ReflectionConfig,
     WaveConfig,
     amplitude_variation,
+    cascade_gains,
     eta0,
     far_field_boundary_irs,
     far_field_boundary_re,
@@ -221,6 +223,57 @@ class TestCommonGain:
             )
             damp = math.exp(-wave.absorption * (tx.distance + rx.distance) / 2.0)
             assert eta0(wave, cfg, layout, tx, rx) == spread * g0 * damp
+
+    def test_batched_gains_keep_the_per_pair_expression(self, rng):
+        # the per-pair gain as eta0 formed it before the batch, in Python
+        # floats with libm's exp; the batch must keep its bits everywhere,
+        # next to the overflow edge and with absorption too
+        cfg = ReflectionConfig(0.8, 0.3)
+        layout = square_tiles(5, 0.04)
+        tx, rx = ArrayPose(3, 0.05, 5.0, 1.0, 0.7), ArrayPose(3, 0.05, 8.0, 2.0, 0.4)
+        g0 = _tilde_g(tx.elevation, tx.azimuth, rx.elevation, rx.azimuth, cfg.polarization)
+        area = cfg.amplitude * layout.re_len_x * layout.re_len_y
+
+        def squared(d_t):
+            spread = area / (4.0 * math.pi * d_t * 1.0)
+            return spread * spread
+
+        # the smallest D_t at D_r = 1 whose squared gain stays finite
+        edge = area / (4.0 * math.pi * math.sqrt(np.finfo(float).max))
+        while squared(edge) != math.inf:
+            edge = float(np.nextafter(edge, 0.0))
+        while squared(edge) == math.inf:
+            edge = float(np.nextafter(edge, math.inf))
+        near = [edge, float(np.nextafter(edge, math.inf)), 2.0 * edge]
+        with pytest.raises(ValueError, match="are too small"):
+            cascade_gains(WaveConfig(0.005), cfg, layout, tx, rx, np.nextafter(edge, 0.0), 1.0)
+        for absorption in (0.0, 0.01, 3.7):
+            wave = WaveConfig(0.005, absorption)
+            d_t = np.array(near + rng.uniform(0.05, 80.0, 40).tolist())
+            d_r = np.array([1.0] * len(near) + rng.uniform(0.05, 80.0, 40).tolist())
+
+            def per_pair(dt, dr):
+                den = 4.0 * math.pi * dt * dr
+                damp = math.exp(-wave.absorption * (dt + dr) / 2.0)
+                return area / den * g0 * damp
+
+            want = [per_pair(dt, dr) for dt, dr in zip(d_t.tolist(), d_r.tolist())]
+            got = cascade_gains(wave, cfg, layout, tx, rx, d_t, d_r)
+            assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+            outer = cascade_gains(wave, cfg, layout, tx, rx, d_t[:, None], d_r[:7])
+            assert outer.shape == (len(d_t), 7)
+            assert outer[5, 3] == per_pair(d_t[5], d_r[3])
+            one = eta0(wave, cfg, layout, replace(tx, distance=edge), replace(rx, distance=1.0))
+            assert one == want[0]
+
+    def test_batch_refuses_its_first_overflowing_pair(self):
+        layout = square_tiles(5, 0.04)
+        tx, rx = ArrayPose(3, 0.05, 5.0, 1.0, 0.7), ArrayPose(3, 0.05, 8.0, 2.0, 0.4)
+        args = (WaveConfig(0.005), ReflectionConfig(), layout, tx, rx)
+        with pytest.raises(ValueError, match=r"D_t = 3 m and D_r = 0 m are too small"):
+            cascade_gains(*args, [1.0, 3.0, 1e-300], [2.0, 0.0, 1e-300])
+        with pytest.raises(ValueError, match=r"D_t = 1e-300 m and D_r = 1e-08 m are too small"):
+            cascade_gains(*args, np.array([[2.0], [1e-300]]), [1e-8, 1.0])
 
     def test_doubling_both_distances_quarters_the_gain(self):
         wave = WaveConfig(0.005)
