@@ -9,12 +9,12 @@ product of a per-antenna quadratic phase factor and two Dirichlet ratios,
 which this module also evaluates directly.
 
 The hop synthesis broadcasts over a leading batch of side poses.
-synthesize_side builds one side at a list of distinct poses, and
-posed_cascades assembles reflectively focused cascades from two such sides
-and per-point pose indices, bit for bit equal to building each cascade
-alone.  reflective_cascades is the two in one call.  fmr-map --verify
-shares each Tx pose across its whole map and each Rx pose across a strip
-of tiles, and eigensweep builds its Tx hops through synthesize_side too.
+synthesize_side builds one side at a list of poses, and posed_cascades
+assembles reflectively focused cascades from two such sides, pose by pose,
+bit for bit equal to building each cascade alone.  reflective_cascades is the two in one call, and eigensweep builds
+its Tx hops through synthesize_side too.  closed_form_cascades gives the
+same cascades at O(N_r*N_t) per link; fmr-map --verify checks its grid on
+them and builds only its spot-check points by brute force.
 resolve_link takes the terms of a link that do not depend on the array
 tilts once, and pose_link evaluates both hops at any tilt vector from them,
 bit for bit equal to hop_matrices of the posed scenario; the optimizer's
@@ -50,11 +50,6 @@ ComplexMatrix = np.ndarray
 # A-factors below this are treated as a degenerate pose (array edge-on in
 # the surface plane); the anchor angles are undefined there.
 DEGENERATE_A = 1e-15
-
-# synthesize_side builds this many poses per numpy pass: enough to amortize
-# the per-pass overhead, few enough that the (chunk, Q, N) phase temporaries
-# stay small beside the hops it keeps
-SIDE_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -339,50 +334,33 @@ def build_channels(scn: Scenario) -> ChannelSet:
     return _cascade(betas, _hop(parts_t), _hop(parts_r).T.copy(), gain)
 
 
-def _pose_keys(distances, settings):
-    """(keys, index): the distinct (distance, gamma, psi) of one side over a
-    batch of points, in first-seen order, and each point's index into them."""
-    keys: dict = {}
-    index = [keys.setdefault((d, s.gamma, s.psi), len(keys)) for d, s in zip(distances, settings)]
-    return list(keys), np.array(index, dtype=int)
-
-
 def synthesize_side(wave, layout: IrsLayout, pose: ArrayPose, keys):
     """(center, hops) of pose moved and tilted to each (distance, gamma,
     psi) of keys, each of which must make a valid pose.
 
     center holds the center-antenna phase parts (small (U, Q, 1), big
-    (U, 1, 1)) and hops the (U, Q, N) hops, elements along rows.  The poses
-    are synthesized SIDE_CHUNK at a time, so only that many poses' phase
-    temporaries are alive at once; every hop equals the one-pose hop of its
-    posed scenario bit for bit.  The center parts are copies, so a caller
-    can keep them without the full phase arrays.
+    (U, 1, 1)) and hops the (U, Q, N) hops, elements along rows.  All poses
+    are synthesized in one numpy pass, so a caller bounds its (U, Q, N)
+    temporaries by the keys it passes; every hop equals the one-pose hop of
+    its posed scenario bit for bit.
     """
     for d, g, p in keys:  # ArrayPose refuses a key that makes no valid pose
         replace(pose, distance=d, orient_azimuth=g, orient_elevation=p)
     v, r = re_local_components(layout, pose), _antenna_row(pose)
-    hops = np.empty((len(keys), layout.n_elements, pose.n_antennas), dtype=complex)
-    small = np.empty((len(keys), layout.n_elements, 1))
-    big = np.empty((len(keys), 1, 1))
-    for s in range(0, len(keys), SIDE_CHUNK):
-        chunk = keys[s : s + SIDE_CHUNK]
-        trig = np.array([_tilt_trig(g, p) for _, g, p in chunk]).T[:, :, None, None]
-        d = np.array([d for d, _, _ in chunk])[:, None, None]
-        parts = _phase_parts(wave.wavelength, _link_offsets(v, r, tuple(trig)), d)
-        small[s : s + len(chunk)], big[s : s + len(chunk)] = _center_parts(parts)
-        hops[s : s + len(chunk)] = _hop(parts)
-    return (small, big), hops
+    trig = np.array([_tilt_trig(g, p) for _, g, p in keys]).reshape(-1, 4).T[:, :, None, None]
+    d = np.array([d for d, _, _ in keys], dtype=float)[:, None, None]
+    parts = _phase_parts(wave.wavelength, _link_offsets(v, r, tuple(trig)), d)
+    return _center_parts(parts), _hop(parts)
 
 
-def posed_cascades(side_t, side_r, at, ar, gain):
+def posed_cascades(side_t, side_r, gain):
     """Reflectively focused cascades (B, N_r, N_t) of the B links with the Tx
-    at pose at[i] of side_t and the Rx at pose ar[i] of side_r (each from
+    at pose i of side_t and the Rx at pose i of side_r (each from
     synthesize_side), scaled by their common gains (B,) from
     response.cascade_gains."""
     (center_t, hops_t), (center_r, hops_r) = side_t, side_r
-    betas = _reflective_betas([part[at] for part in center_t], [part[ar] for part in center_r])
-    h_r = np.swapaxes(hops_r[ar], -1, -2)
-    return _cascade(betas, hops_t[at], h_r, gain[:, None, None]).h
+    betas = _reflective_betas(center_t, center_r)
+    return _cascade(betas, hops_t, np.swapaxes(hops_r, -1, -2), gain[:, None, None]).h
 
 
 def reflective_cascades(scn: Scenario, d_t, d_r, tx_settings, rx_settings):
@@ -391,17 +369,15 @@ def reflective_cascades(scn: Scenario, d_t, d_r, tx_settings, rx_settings):
 
     Point i moves the Tx to distance d_t[i] tilted by tx_settings[i] (an
     orientation with gamma and psi) and the Rx likewise.  The gains are
-    formed, and refused, before any hop; each distinct pose of a side is
-    synthesized once, and every cascade equals build_channels of the posed
-    scenario bit for bit.  fmr-map --verify, which meets the same poses in
-    many batches, calls synthesize_side and posed_cascades itself.
+    formed, and refused, before any hop, and every cascade equals
+    build_channels of the posed scenario bit for bit.
     """
     gain = response.cascade_gains(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, d_t, d_r)
-    keys_t, at = _pose_keys(d_t, tx_settings)
-    keys_r, ar = _pose_keys(d_r, rx_settings)
-    side_t = synthesize_side(scn.wave, scn.irs, scn.tx, keys_t)
-    side_r = synthesize_side(scn.wave, scn.irs, scn.rx, keys_r)
-    return posed_cascades(side_t, side_r, at, ar, gain), gain
+    sides = [
+        synthesize_side(scn.wave, scn.irs, pose, [(d, s.gamma, s.psi) for d, s in zip(ds, tilts)])
+        for pose, ds, tilts in ((scn.tx, d_t, tx_settings), (scn.rx, d_r, rx_settings))
+    ]
+    return posed_cascades(*sides, gain), gain
 
 
 def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:
@@ -424,28 +400,52 @@ def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:
     return a_x, math.atan2(n_y[0], n_x[0]), a_y, math.atan2(n_y[1], n_x[1])
 
 
+def _side_terms(scn: Scenario, pose: ArrayPose, rows):
+    """(c_x, c_y, sq, lin), each (B, 1, 1), of one side at the B poses
+    (distance, gamma, psi) of rows (B, 3).
+
+    c_x, c_y are the side's couplings to the surface axes, and sq = (s sin
+    psi)**2 and lin = s cos psi, with s the antenna spacing, the
+    coefficients of its antennas' quadratic and linear phase.  Each distinct
+    pose gets them as Python floats in one fixed association: numpy's x*x
+    and libm's pow(x, 2) differ in the last bit for about 1 in 1000 values.
+    """
+    a_x, g_x, a_y, g_y = side_anchors(pose)
+    lam, irs, s = scn.wave.wavelength, scn.irs, pose.spacing
+    k_x = s * irs.spacing_x * irs.q_x * a_x
+    k_y = s * irs.spacing_y * irs.q_y * a_y
+    keys: dict = {}  # a map repeats each side's poses across the other side's distances
+    at = [keys.setdefault(tuple(row), len(keys)) for row in np.asarray(rows).tolist()]
+    terms = [
+        (
+            k_x * sin_psi * math.cos(gamma - g_x) / (lam * d),
+            k_y * sin_psi * math.cos(gamma - g_y) / (lam * d),
+            (s * sin_psi) ** 2,
+            s * math.cos(psi),
+        )
+        for d, gamma, psi in keys
+        for sin_psi in (math.sin(psi),)
+    ]
+    return np.array(terms, dtype=float).reshape(-1, 4)[at].T[..., None, None]
+
+
+def _own_pose(pose: ArrayPose) -> list[float]:
+    """The (distance, gamma, psi) a pose stands at."""
+    return [pose.distance, pose.orient_azimuth, pose.orient_elevation]
+
+
 def coupling_constants(scn: Scenario) -> CouplingConstants:
     """All twelve coupling quantities of the cascade."""
+    (c_tx, c_ty, _, _), (c_rx, c_ry, _, _) = (
+        _side_terms(scn, pose, [_own_pose(pose)]).ravel().tolist() for pose in (scn.tx, scn.rx)
+    )
     a_tx, g_tx, a_ty, g_ty = side_anchors(scn.tx)
     a_rx, g_rx, a_ry, g_ry = side_anchors(scn.rx)
-    lam = scn.wave.wavelength
-
-    def c(pose, spacing, count, amp, anchor):
-        return (
-            pose.spacing
-            * spacing
-            * count
-            * amp
-            * math.sin(pose.orient_elevation)
-            * math.cos(pose.orient_azimuth - anchor)
-            / (lam * pose.distance)
-        )
-
     return CouplingConstants(
-        c_tx=c(scn.tx, scn.irs.spacing_x, scn.irs.q_x, a_tx, g_tx),
-        c_ty=c(scn.tx, scn.irs.spacing_y, scn.irs.q_y, a_ty, g_ty),
-        c_rx=c(scn.rx, scn.irs.spacing_x, scn.irs.q_x, a_rx, g_rx),
-        c_ry=c(scn.rx, scn.irs.spacing_y, scn.irs.q_y, a_ry, g_ry),
+        c_tx=c_tx,
+        c_ty=c_ty,
+        c_rx=c_rx,
+        c_ry=c_ry,
         a_tx=a_tx,
         a_ty=a_ty,
         a_rx=a_rx,
@@ -476,33 +476,42 @@ def dirichlet_ratio(u, q: int):
     return float(out[0]) if scalar else out
 
 
-def closed_form_channel(scn: Scenario) -> ComplexMatrix:
-    """Cascade under reflective focusing without the double sum.
+def closed_form_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
+    """Reflectively focused cascades (B, N_r, N_t) of B posed links, without
+    the double sum.
 
-    Entry (q, p) is eta0 times a per-antenna quadratic/linear phase factor
-    times the two Dirichlet ratios of the coupled spatial frequencies.
+    Row i of poses (B, 6) holds link i's Tx (D_t, gamma, psi) and Rx (D_r,
+    gamma, psi), as multiplexing.region_grid gives them, and gain (B,) its
+    common gains from response.cascade_gains.  Entry (q, p) is the gain
+    times a per-antenna quadratic/linear phase factor times the two
+    Dirichlet ratios of the coupled spatial frequencies.  The coupling
+    anchors depend only on where each array sits, so they are read once per
+    side, and no array has a surface-sized axis.  Every operation is
+    elementwise, so a link's cascade does not depend on the batch around it.
     """
-    if scn.focusing_mode != "reflective":
-        raise ValueError("closed form assumes reflective focusing on the center pair")
-    cc = coupling_constants(scn)
-    lam = scn.wave.wavelength
+    poses = np.asarray(poses, dtype=float).reshape(-1, 6)
     p = centered_indices(scn.tx.n_antennas).astype(float)
-    q = centered_indices(scn.rx.n_antennas).astype(float)
-
-    def quad(pose, idx):
-        sin_psi = math.sin(pose.orient_elevation)
-        cos_psi = math.cos(pose.orient_elevation)
-        return (pose.spacing * sin_psi) ** 2 * idx**2 / (2.0 * pose.distance) + (
-            pose.spacing * cos_psi
-        ) * idx
-
-    phase = (2.0 * math.pi / lam) * (quad(scn.tx, p)[None, :] + quad(scn.rx, q)[:, None])
-    ux = cc.c_tx * p[None, :] + cc.c_rx * q[:, None]
-    uy = cc.c_ty * p[None, :] + cc.c_ry * q[:, None]
-    gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
+    q = centered_indices(scn.rx.n_antennas).astype(float)[:, None]
+    c_tx, c_ty, sq_t, lin_t = _side_terms(scn, scn.tx, poses[:, :3])
+    c_rx, c_ry, sq_r, lin_r = _side_terms(scn, scn.rx, poses[:, 3:])
+    d_t, d_r = poses[:, 0, None, None], poses[:, 3, None, None]
+    quad_t = sq_t * p**2 / (2.0 * d_t) + lin_t * p
+    quad_r = sq_r * q**2 / (2.0 * d_r) + lin_r * q
+    phase = (2.0 * math.pi / scn.wave.wavelength) * (quad_t + quad_r)
+    ux = c_tx * p + c_rx * q
+    uy = c_ty * p + c_ry * q
     return (
-        gain
+        np.asarray(gain, dtype=float)[:, None, None]
         * np.exp(-1j * phase)
         * dirichlet_ratio(ux, scn.irs.q_x)
         * dirichlet_ratio(uy, scn.irs.q_y)
     )
+
+
+def closed_form_channel(scn: Scenario) -> ComplexMatrix:
+    """Cascade under reflective focusing without the double sum:
+    closed_form_cascades at the scenario's own poses."""
+    if scn.focusing_mode != "reflective":
+        raise ValueError("closed form assumes reflective focusing on the center pair")
+    gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
+    return closed_form_cascades(scn, [_own_pose(scn.tx) + _own_pose(scn.rx)], [gain])[0]

@@ -31,12 +31,14 @@ from .scenario import (
     serialize_scenario,
 )
 
-# fmr-map --verify assembles and Gram-checks its grid in FMR_TILE x FMR_TILE
-# batches.  Every distinct Tx pose is synthesized once per map and every
-# distinct Rx pose once per strip of FMR_TILE D_r columns, so a tile only
-# gathers its hops.  A 4 x 4 batch already amortizes most of the per-point
-# numpy overhead; larger tiles buy less time than they add peak memory
-FMR_TILE = 4
+# eigensweep synthesizes this many distances per numpy pass: enough to
+# amortize the per-pass overhead, few enough that the (chunk, Q, N) phase
+# temporaries stay small
+SWEEP_CHUNK = 4
+
+# fmr-map --verify evaluates its closed-form cascades this many points at a
+# time, so the (block, N_r, N_t) temporaries stay small at any grid size
+MAP_BLOCK = 240
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,8 @@ def cmd_eigensweep(args) -> int:
 
     rows = []
     distances = sweep.values().tolist()
-    for i in range(0, len(distances), chan.SIDE_CHUNK):
-        keys = [key(d_t) for d_t in distances[i : i + chan.SIDE_CHUNK]]
+    for i in range(0, len(distances), SWEEP_CHUNK):
+        keys = [key(d_t) for d_t in distances[i : i + SWEEP_CHUNK]]
         _, hops = chan.synthesize_side(scn.wave, scn.irs, scn.tx, keys)
         for (d_t, _, _), h_t in zip(keys, hops):
             ev = np.linalg.eigvalsh(h_t.conj().T @ h_t) / scn.irs.n_elements
@@ -164,36 +166,45 @@ def cmd_eigensweep(args) -> int:
 def _map_verdicts(scn, grid) -> np.ndarray:
     """Gram verdicts of a (D_t, D_r) grid at the poses region_grid serves.
 
-    The map's gains are formed, and refused, before any hop.  The distinct
-    Tx poses are synthesized once for the map and the Rx poses once per
-    strip of FMR_TILE D_r columns; each FMR_TILE x FMR_TILE tile of a strip
-    only gathers, assembles and Gram-checks its points.
+    The map's gains are formed, and refused, before any cascade.  The
+    cascades come from the closed form, MAP_BLOCK points at a time.  The
+    first in-region and the first out-of-region point in row-major order
+    are also built by brute force, and the map is refused unless the two
+    agree there.
     """
-    _, served, poses, _ = grid
+    inside, served, poses, _ = grid
+    poses = poses.reshape(-1, 6)
     gain = response.cascade_gains(
-        scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[..., 0], poses[..., 3]
-    ).ravel()
-    tx_keys: dict = {}
-    at = np.empty(served.shape, dtype=int)
-    for i, row in enumerate(served.tolist()):
-        for k in dict.fromkeys(row):
-            key = tuple(poses[i, row.index(k), :3].tolist())
-            at[i, served[i] == k] = tx_keys.setdefault(key, len(tx_keys))
-    side_t = chan.synthesize_side(scn.wave, scn.irs, scn.tx, list(tx_keys))
-    at, verdicts = at.ravel(), np.empty(served.size, dtype=bool)
-    index = np.arange(served.size).reshape(served.shape)
-    ar = np.empty(served.size, dtype=int)
-    for j in range(0, index.shape[1], FMR_TILE):
-        strip = index[:, j : j + FMR_TILE]
-        rx_keys: dict = {}
-        keys = poses[:, j : j + FMR_TILE, 3:].reshape(-1, 3).tolist()
-        ar[strip.ravel()] = [rx_keys.setdefault(tuple(key), len(rx_keys)) for key in keys]
-        side_r = chan.synthesize_side(scn.wave, scn.irs, scn.rx, list(rx_keys))
-        for i in range(0, index.shape[0], FMR_TILE):
-            tile = strip[i : i + FMR_TILE].ravel()
-            h = chan.posed_cascades(side_t, side_r, at[tile], ar[tile], gain[tile])
-            verdicts[tile] = checks.gram_verdicts(scn, h, gain[tile])
-    return verdicts.reshape(index.shape)
+        scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
+    )
+    in_region = (served < inside.shape[-1]).ravel()
+    spots = {int(np.argmax(in_region == flag)) for flag in (True, False) if flag in in_region}
+    verdicts = np.empty(len(poses), dtype=bool)
+    for s in range(0, len(poses), MAP_BLOCK):
+        block = slice(s, s + MAP_BLOCK)
+        h = chan.closed_form_cascades(scn, poses[block], gain[block])
+        verdicts[block] = checks.gram_verdicts(scn, h, gain[block])
+        for i in sorted(spots & set(range(s, s + len(h)))):
+            _spot_check(scn, poses[i], gain[i : i + 1], h[i - s], verdicts[i])
+    return verdicts.reshape(served.shape)
+
+
+def _spot_check(scn, pose, gain, h, passed) -> None:
+    """Refuse a map unless the brute-force cascade at one of its points,
+    with the map's gain, gives the closed form's Gram verdict and matches
+    the closed-form h entrywise to 1e-8 of its largest entry, the bound of
+    verify's closed_form check."""
+    d_t, gamma_t, psi_t, d_r, gamma_r, psi_r = pose.tolist()
+    side_t = chan.synthesize_side(scn.wave, scn.irs, scn.tx, [(d_t, gamma_t, psi_t)])
+    side_r = chan.synthesize_side(scn.wave, scn.irs, scn.rx, [(d_r, gamma_r, psi_r)])
+    brute = chan.posed_cascades(side_t, side_r, gain)
+    scale = float(np.max(np.abs(brute)))
+    if checks.gram_verdicts(scn, brute, gain)[0] != passed or not (
+        np.max(np.abs(h - brute[0])) <= 1e-8 * scale
+    ):
+        raise ValueError(
+            f"closed form and brute force disagree at (D_t={_fmt(d_t)}, D_r={_fmt(d_r)})"
+        )
 
 
 def cmd_fmr_map(args) -> int:
@@ -201,7 +212,8 @@ def cmd_fmr_map(args) -> int:
     bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
     d_t = SweepSpec(args.dt_start, args.dt_stop, args.dt_count).values()
     d_r = SweepSpec(args.dr_start, args.dr_stop, args.dr_count).values()
-    grid = mux.region_grid(bound, d_t, d_r, probe="x" if args.verify else None)
+    # the probe columns refuse nonpositive distances, with --verify or without
+    grid = mux.region_grid(bound, d_t, d_r)
     # a point's last three cells as one code: x member 4, y member 2, Gram pass 1
     codes = grid[0] @ [4, 2]
     if args.verify:

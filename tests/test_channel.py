@@ -15,6 +15,7 @@ from irsmimo.channel import (
     FocusingState,
     assemble,
     build_channels,
+    closed_form_cascades,
     closed_form_channel,
     coupling_constants,
     dirichlet_ratio,
@@ -246,8 +247,7 @@ def posed_cascades_agree(scn, d_t, d_r, tx_settings, rx_settings):
 class TestReflectiveCascades:
     @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
     def test_bit_identical_on_a_solved_grid(self, path):
-        # 9 x 9 points at the fmr-map settings: Tx tilts repeat along d_r and
-        # Rx tilts across d_t, so both sides' deduplication is exercised
+        # 9 x 9 points at the fmr-map settings, one batch
         scn = parse_scenario(str(path))
         bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
 
@@ -266,7 +266,7 @@ class TestReflectiveCascades:
         for _ in range(12):
             scn = random_scenario(rng)
             seen_tall = seen_tall or scn.rx.n_antennas > scn.tx.n_antennas
-            # draws from small pools so that side poses repeat within the batch
+            # draws from small pools, so side poses repeat within the batch
             dists = rng.uniform(2.0, 20.0, 3).tolist()
             tilts = [Tilt(float(g), float(p)) for g, p in
                      zip(rng.uniform(0, 2 * math.pi, 3), rng.uniform(0, math.pi, 3))]
@@ -431,3 +431,127 @@ class TestClosedForm:
         assembled = build_channels(scn).h
         closed = closed_form_channel(scn)
         assert np.max(np.abs(closed - assembled) / np.abs(assembled)) < 1e-8
+
+
+def reference_closed_form(scn):
+    """The closed form as closed_form_channel evaluated it before it became a
+    one-point call of closed_form_cascades; the reference for its bits."""
+    lam = scn.wave.wavelength
+
+    def c(pose, spacing, count, amp, anchor):
+        return (
+            pose.spacing
+            * spacing
+            * count
+            * amp
+            * math.sin(pose.orient_elevation)
+            * math.cos(pose.orient_azimuth - anchor)
+            / (lam * pose.distance)
+        )
+
+    def quad(pose, idx):
+        sin_psi = math.sin(pose.orient_elevation)
+        cos_psi = math.cos(pose.orient_elevation)
+        return (pose.spacing * sin_psi) ** 2 * idx**2 / (2.0 * pose.distance) + (
+            pose.spacing * cos_psi
+        ) * idx
+
+    a_tx, g_tx, a_ty, g_ty = side_anchors(scn.tx)
+    a_rx, g_rx, a_ry, g_ry = side_anchors(scn.rx)
+    irs = scn.irs
+    c_tx = c(scn.tx, irs.spacing_x, irs.q_x, a_tx, g_tx)
+    c_ty = c(scn.tx, irs.spacing_y, irs.q_y, a_ty, g_ty)
+    c_rx = c(scn.rx, irs.spacing_x, irs.q_x, a_rx, g_rx)
+    c_ry = c(scn.rx, irs.spacing_y, irs.q_y, a_ry, g_ry)
+    p = centered_indices(scn.tx.n_antennas).astype(float)
+    q = centered_indices(scn.rx.n_antennas).astype(float)
+    phase = (2.0 * math.pi / lam) * (quad(scn.tx, p)[None, :] + quad(scn.rx, q)[:, None])
+    ux = c_tx * p[None, :] + c_rx * q[:, None]
+    uy = c_ty * p[None, :] + c_ry * q[:, None]
+    gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
+    h = gain * np.exp(-1j * phase) * dirichlet_ratio(ux, irs.q_x) * dirichlet_ratio(uy, irs.q_y)
+    return h, (c_tx, c_ty, c_rx, c_ry)
+
+
+def pow_slips(x):
+    """Whether libm's pow(x, 2) and x*x differ in the last bit."""
+    return x**2 != x * x
+
+
+def own_pose(scn):
+    """The scenario's own (D_t, gamma, psi, D_r, gamma, psi) row."""
+    return [
+        pose_value
+        for pose in (scn.tx, scn.rx)
+        for pose_value in (pose.distance, pose.orient_azimuth, pose.orient_elevation)
+    ]
+
+
+class TestClosedFormCascades:
+    def test_one_point_keeps_the_bits_of_the_closed_form(self, rng):
+        # the three scenario files and 20 draws, among them N_r > N_t and
+        # either array at the zenith, where the local frame is pinned
+        setups = [parse_scenario(str(path)) for path in SCENARIO_FILES]
+        for i in range(20):
+            scn = random_scenario(rng)
+            side = ("tx", "rx", None)[i % 3]
+            if side:
+                scn = replace(scn, **{side: replace(getattr(scn, side), elevation=0.0)})
+            setups.append(scn)
+        assert any(scn.rx.n_antennas > scn.tx.n_antennas for scn in setups)
+        for scn in setups:
+            want, couplings = reference_closed_form(scn)
+            gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
+            h = closed_form_cascades(scn, [own_pose(scn)], [gain])
+            assert h.shape == (1, *want.shape)
+            assert h[0].tobytes() == want.tobytes()
+            assert closed_form_channel(scn).tobytes() == want.tobytes()
+            cc = coupling_constants(scn)
+            assert (cc.c_tx, cc.c_ty, cc.c_rx, cc.c_ry) == couplings
+            # 40 more poses in one batch, each against the reference of its
+            # posed scenario; the first pose's tilts are ones where libm's
+            # pow(x, 2) and x*x differ for x = s sin psi, so a slip shows
+            poses = np.column_stack([
+                rng.uniform(2.0, 20.0, 40), rng.uniform(0, 2 * math.pi, 40), rng.uniform(0, math.pi, 40),
+                rng.uniform(2.0, 20.0, 40), rng.uniform(0, 2 * math.pi, 40), rng.uniform(0, math.pi, 40),
+            ])
+            for col, pose in ((2, scn.tx), (5, scn.rx)):
+                poses[0, col] = next(
+                    psi for psi in rng.uniform(0, math.pi, 100000).tolist()
+                    if pow_slips(pose.spacing * math.sin(psi))
+                )
+            gain = response.cascade_gains(
+                scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
+            )
+            h = closed_form_cascades(scn, poses, gain)
+            for i, (d_t, g_t, p_t, d_r, g_r, p_r) in enumerate(poses.tolist()):
+                posed = replace(
+                    scn,
+                    tx=replace(scn.tx, distance=d_t, orient_azimuth=g_t, orient_elevation=p_t),
+                    rx=replace(scn.rx, distance=d_r, orient_azimuth=g_r, orient_elevation=p_r),
+                )
+                assert h[i].tobytes() == reference_closed_form(posed)[0].tobytes()
+
+    def test_a_link_does_not_depend_on_its_batch(self, rng):
+        # repeated side poses share their terms; every link equals its
+        # one-point evaluation bit for bit and the brute-force cascade to 1e-8
+        for _ in range(6):
+            scn = random_scenario(rng)
+            dists = rng.uniform(2.0, 20.0, 3)
+            tilts = np.column_stack([rng.uniform(0, 2 * math.pi, 3), rng.uniform(0, math.pi, 3)])
+            pick = rng.integers(0, 3, (4, 12))
+            poses = np.column_stack([dists[pick[0]], tilts[pick[2]], dists[pick[1]], tilts[pick[3]]])
+            gain = response.cascade_gains(
+                scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
+            )
+            h = closed_form_cascades(scn, poses, gain)
+            settings = [[Tilt(*row[k : k + 2]) for row in poses.tolist()] for k in (1, 4)]
+            brute, _ = reflective_cascades(scn, poses[:, 0], poses[:, 3], *settings)
+            for i in range(len(poses)):
+                one = closed_form_cascades(scn, poses[i : i + 1], gain[i : i + 1])
+                assert one[0].tobytes() == h[i].tobytes()
+                assert np.max(np.abs(h[i] - brute[i])) <= 1e-8 * np.max(np.abs(brute[i]))
+
+    def test_an_empty_batch_has_no_links(self, golden_scenario):
+        h = closed_form_cascades(golden_scenario, np.empty((0, 6)), np.empty(0))
+        assert h.shape == (0, 5, 5)

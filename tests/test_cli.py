@@ -9,6 +9,7 @@ land in tmp_path, and determinism is asserted on raw bytes.
 """
 
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -16,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,9 @@ from irsmimo import cli
 from irsmimo import multiplexing as mux
 from irsmimo import response
 from irsmimo.channel import build_channels, synthesize_side
-from irsmimo.checks import posed_scenario, random_scenario
-from irsmimo.cli import FMR_TILE, main
+from irsmimo.checks import gram_passes, posed_scenario, random_scenario
+from irsmimo.cli import main
+from irsmimo.geometry import IrsLayout
 from irsmimo.multiplexing import (
     check_orthogonality,
     fmr_inner_bound,
@@ -349,10 +352,10 @@ class TestFmrMapCommand:
             assert {row[4] for row in rows} == {"0", "1"}
         assert {"x", "y", "probe"} in kinds.values()  # of the tall draw, run last
 
-    def test_each_pose_is_synthesized_once_per_map_or_strip(self, capsys, monkeypatch):
-        # the Tx side is synthesized in one call per map and the Rx side in
-        # one call per strip of FMR_TILE D_r columns, each call over the
-        # distinct poses of its points only
+    def test_only_the_spot_points_are_synthesized(self, capsys, monkeypatch):
+        # the closed form builds no hop: synthesize_side runs only for the
+        # brute-force spot check, once per side at the first in-region and
+        # the first out-of-region point, one pose each
         scn = parse_scenario(BASELINE)
         calls = []
 
@@ -361,31 +364,39 @@ class TestFmrMapCommand:
             return synthesize_side(wave, layout, pose, keys)
 
         monkeypatch.setattr(chan, "synthesize_side", counted)
-        dt_vals, dr_vals = np.linspace(3.0, 40.0, 9), np.linspace(2.5, 36.0, 10)
-        code, _, err = run_cli(
-            capsys,
-            "fmr-map", "--scenario", BASELINE, "--verify",
-            "--dt-start", "3.0", "--dt-stop", "40.0", "--dt-count", "9",
-            "--dr-start", "2.5", "--dr-stop", "36.0", "--dr-count", "10",
-        )
-        assert code == 0, err
         bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
-        tx_keys, rx_keys = set(), [set() for _ in range(0, len(dr_vals), FMR_TILE)]
-        for d_t in dt_vals.tolist():
-            for j, d_r in enumerate(dr_vals.tolist()):
-                region = next(
-                    (r for r in ("x", "y") if region_contains(bound, d_t, d_r, r)), None
-                )
+        for (dt0, dt1, n_dt), (dr0, dr1, n_dr) in [
+            ((3.0, 40.0, 9), (2.5, 36.0, 10)),
+            ((2.1, 32.1, 60), (2.05, 32.05, 60)),
+            ((3.0, 6.0, 3), (2.5, 5.0, 4)),  # every point in the region
+        ]:
+            calls.clear()
+            code, _, err = run_cli(
+                capsys,
+                "fmr-map", "--scenario", BASELINE, "--verify",
+                "--dt-start", repr(dt0), "--dt-stop", repr(dt1), "--dt-count", str(n_dt),
+                "--dr-start", repr(dr0), "--dr-stop", repr(dr1), "--dr-count", str(n_dr),
+            )
+            assert code == 0, err
+            spots = {}  # in region or not -> keys of the first such point, row-major
+            grid = itertools.product(np.linspace(dt0, dt1, n_dt).tolist(),
+                                     np.linspace(dr0, dr1, n_dr).tolist())
+            for d_t, d_r in grid:
+                region = next((r for r in ("x", "y") if region_contains(bound, d_t, d_r, r)), None)
+                if (region is not None) in spots:
+                    continue
                 if region is None:
                     ot, orx = fmr_probe_orientation(bound, d_t, d_r, "x")
                 else:
                     ot, orx = fmr_orientations(bound, d_t, d_r, region)
-                tx_keys.add((d_t, ot.gamma, ot.psi))
-                rx_keys[j // FMR_TILE].add((d_r, orx.gamma, orx.psi))
-        assert [side for side, _ in calls] == ["tx"] + ["rx"] * len(rx_keys)
-        synthesized = [keys for _, keys in calls]
-        assert all(len(keys) == len(set(keys)) for keys in synthesized)
-        assert [set(keys) for keys in synthesized] == [tx_keys] + rx_keys
+                spots[region is not None] = [
+                    ("tx", [(d_t, ot.gamma, ot.psi)]), ("rx", [(d_r, orx.gamma, orx.psi)])
+                ]
+                if len(spots) == 2:
+                    break
+            assert len(calls) <= 4
+            assert sorted(calls) == sorted(call for pair in spots.values() for call in pair)
+        assert len(spots) == 1  # the last grid lies in the region
 
     def test_one_column_per_distance_and_one_gain_pass_per_map(self, capsys, monkeypatch):
         # a 60 x 60 map solves one region column per (D_t, axis) plus one
@@ -415,6 +426,122 @@ class TestFmrMapCommand:
         assert len(out.splitlines()) == 2 + 60 * 60
         assert 0 < calls["_column"] <= 2 * 60 + 1
         assert calls["_tilde_g"] == 1
+
+    @pytest.mark.parametrize("spot", ["in", "out"])
+    def test_a_wrong_closed_form_at_a_spot_point_refuses_the_map(self, capsys, monkeypatch, spot):
+        # one entry of the first in-region (or out-of-region) point is off by
+        # 1e-6 relative: below what the Gram check sees, above the 1e-8 bound
+        scn = parse_scenario(BASELINE)
+        bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+        d_t_vals, d_r_vals = np.linspace(3.0, 40.0, 9).tolist(), np.linspace(2.5, 36.0, 10).tolist()
+        target = next(
+            (d_t, d_r)
+            for d_t in d_t_vals
+            for d_r in d_r_vals
+            if any(region_contains(bound, d_t, d_r, r) for r in ("x", "y")) == (spot == "in")
+        )
+        real = chan.closed_form_cascades
+
+        def perturbed(scn, poses, gain):
+            h = real(scn, poses, gain)
+            hit = (poses[:, 0] == target[0]) & (poses[:, 3] == target[1])
+            h[hit, 0, 0] *= 1.0 + 1e-6
+            return h
+
+        monkeypatch.setattr(chan, "closed_form_cascades", perturbed)
+        code, out, err = run_cli(
+            capsys,
+            "fmr-map", "--scenario", BASELINE, "--verify",
+            "--dt-start", "3.0", "--dt-stop", "40.0", "--dt-count", "9",
+            "--dr-start", "2.5", "--dr-stop", "36.0", "--dr-count", "10",
+        )
+        assert code == 1
+        assert out == ""
+        d_t, d_r = ("%.17g" % v for v in target)
+        assert err == f"error: closed form and brute force disagree at (D_t={d_t}, D_r={d_r})\n"
+
+    def test_verdicts_match_the_per_point_check_on_random_scenarios(self, capsys, tmp_path):
+        # 12 draws with a region, one in three with the Tx and one in three
+        # with the Rx at the zenith, on a 5 x 6 grid straddling the regions
+        rng = np.random.default_rng(31)
+        draws, seen = 0, {"tall": False, "1": False, "0": False}
+        while draws < 12:
+            scn = random_scenario(rng)
+            side = ("tx", "rx", None)[draws % 3]
+            if side:
+                scn = replace(scn, **{side: replace(getattr(scn, side), elevation=0.0)})
+            try:
+                bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+            except ValueError:
+                continue
+            draws += 1
+            seen["tall"] = seen["tall"] or scn.rx.n_antennas > scn.tx.n_antennas
+            mode = "rows" if scn.rx.n_antennas <= scn.tx.n_antennas else "columns"
+            t_max = max(bound.x.d_t_rayleigh, bound.y.d_t_rayleigh)
+            r_max = max(bound.x.d_r_rayleigh, bound.y.d_r_rayleigh)
+            code, out, err = run_cli(
+                capsys,
+                "fmr-map", "--scenario", write_scenario(tmp_path, f"d{draws}.txt", scn),
+                "--dt-start", repr(0.1 * t_max), "--dt-stop", repr(1.2 * t_max), "--dt-count", "5",
+                "--dr-start", repr(0.1 * r_max), "--dr-stop", repr(1.2 * r_max), "--dr-count", "6",
+                "--verify",
+            )
+            assert code == 0, err
+            _, rows = read_csv(out, from_file=False)
+            for d_t, d_r, in_x, in_y, gram in rows:
+                d_t, d_r = float(d_t), float(d_r)
+                region = "x" if in_x == "1" else "y" if in_y == "1" else None
+                if region is None:
+                    settings = fmr_probe_orientation(bound, d_t, d_r, "x")
+                else:
+                    settings = fmr_orientations(bound, d_t, d_r, region)
+                cs = build_channels(posed_scenario(scn, d_t, d_r, settings))
+                target = cs.eta0**2 * scn.irs.n_elements**2
+                assert gram == ("1" if check_orthogonality(cs.h, mode, target).passed else "0")
+                seen[gram] = True
+        assert all(seen.values())
+
+    def test_holographic_surface_matches_brute_force(self, capsys, tmp_path):
+        # the baseline with a 201 x 201 surface at half-wavelength pitch
+        # (Q = 40401), built here rather than shipped: the tests brute-force
+        # every file under scenarios/
+        scn = parse_scenario(BASELINE)
+        pitch = scn.wave.wavelength / 2
+        holo = replace(scn, irs=IrsLayout(201, 201, pitch, pitch, pitch, pitch))
+        code, out, err = run_cli(
+            capsys,
+            "fmr-map", "--scenario", write_scenario(tmp_path, "holo.txt", holo),
+            "--dt-start", "1.0", "--dt-stop", "16.0", "--dt-count", "6",
+            "--dr-start", "1.0", "--dr-stop", "16.0", "--dr-count", "6",
+            "--verify",
+        )
+        assert code == 0, err
+        _, rows = read_csv(out, from_file=False)
+        bound = fmr_inner_bound(holo.tx, holo.rx, holo.irs, holo.wave)
+        checked = {"in": 0, "out": 0}
+        for d_t, d_r, in_x, in_y, gram in rows[::7]:  # a diagonal of the grid
+            d_t, d_r = float(d_t), float(d_r)
+            region = "x" if in_x == "1" else "y" if in_y == "1" else None
+            if region is None:
+                settings = fmr_probe_orientation(bound, d_t, d_r, "x")
+            else:
+                settings = fmr_orientations(bound, d_t, d_r, region)
+            assert gram == ("1" if gram_passes(holo, d_t, d_r, settings) else "0")
+            checked["out" if region is None else "in"] += 1
+        assert sum(checked.values()) >= 4 and min(checked.values()) >= 1
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verify", "plain"])
+    def test_nonpositive_swept_distances_are_refused(self, capsys, verify):
+        code, out, err = run_cli(
+            capsys,
+            "fmr-map", "--scenario", BASELINE,
+            "--dt-start", "-3", "--dt-stop", "10", "--dt-count", "4",
+            "--dr-start", "-1", "--dr-stop", "5", "--dr-count", "3",
+            *["--verify"] * verify,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: distances must be positive\n"
 
     def test_nonpositive_distances_are_rejected(self, capsys):
         code, out, err = run_cli(
