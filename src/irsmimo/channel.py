@@ -16,9 +16,11 @@ its Tx hops through synthesize_side too.  closed_form_cascades gives the
 same cascades at O(N_r*N_t) per link; fmr-map --verify checks its grid on
 them and builds only its spot-check points by brute force.
 resolve_link takes the terms of a link that do not depend on the array
-tilts once, and pose_link evaluates both hops at any tilt vector from them,
-bit for bit equal to hop_matrices of the posed scenario; the optimizer's
-orientation descent runs on these two.
+tilts once, and pose_link evaluates both hops from them at a tilt vector or
+at a (B, 4) stack of tilt vectors in one numpy pass per side, each bit for
+bit equal to hop_matrices of its posed scenario; a vector is posed as the
+stack of one.  The optimizer's orientation descent runs on these two: each
+line search poses its trial tilts as one stack.
 
 Element-to-matrix ordering: elements are laid out row-major with the x
 index k slow and the y index l fast, i.e. element (k, l) occupies row
@@ -100,6 +102,12 @@ class ChannelSet:
 def _tilt_trig(gamma: float, psi: float):
     """(sin psi, cos psi, cos gamma, sin gamma) of one array tilt."""
     return math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)
+
+
+def _tilt_stack(tilts):
+    """The _tilt_trig of each (gamma, psi) of tilts, as four (B, 1, 1) arrays."""
+    trig = np.array([_tilt_trig(g, p) for g, p in tilts]).reshape(-1, 4)
+    return tuple(trig.T[:, :, None, None])
 
 
 def _link_offsets(v, r, trig):
@@ -232,7 +240,11 @@ def resolve_link(scn: Scenario) -> ResolvedLink:
 @dataclass(frozen=True)
 class PosedLink:
     """Both hops of a resolved link at one tilt of each side, with the
-    per-side (offsets, trig) their phase Jacobians are taken from."""
+    per-side (offsets, trig) their phase Jacobians are taken from.
+
+    A stacked PosedLink holds B tilts: h_t (B, Q, N_t), h_r (B, N_r, Q) and
+    (B, ...) offsets and trig; its [i] is the link posed at tilt i alone.
+    """
 
     link: ResolvedLink
     h_t: ComplexMatrix
@@ -242,6 +254,15 @@ class PosedLink:
     @property
     def eta0(self) -> float:
         return self.link.eta0
+
+    def __getitem__(self, i) -> PosedLink:
+        # lists, not generator expressions: with generators, 2000 one-vector
+        # pose_link calls grew the anonymous RSS by 0.4 MB (CPython 3.11)
+        terms = tuple([
+            (tuple([x[i] for x in offsets]), tuple([t[i] for t in trig]))
+            for offsets, trig in self.terms
+        ])
+        return PosedLink(self.link, self.h_t[i], self.h_r[i], terms)
 
     def jacobians(self):
         """(jac_t, jac_r): each side's (d_phase/d_gamma, d_phase/d_psi), as
@@ -254,22 +275,29 @@ class PosedLink:
 
 
 def pose_link(link: ResolvedLink, m) -> PosedLink:
-    """Both hops at the orientation vector m = [gamma_t, psi_t, gamma_r, psi_r].
+    """Both hops at the orientation vector m = [gamma_t, psi_t, gamma_r,
+    psi_r], or at each row of a (B, 4) stack of them.
 
     Each (gamma, psi) is folded and range-checked as a posed ArrayPose
-    would be, so h_t and h_r equal hop_matrices of the posed scenario bit
-    for bit.
+    would be, so every hop equals hop_matrices of its posed scenario bit
+    for bit.  A stack gives a stacked PosedLink, each side synthesized in
+    one numpy pass; a vector is posed as the stack of one and gives its [0].
     """
-    g_t, p_t, g_r, p_r = m
+    vec = np.asarray(m, dtype=float)
+    if vec.ndim not in (1, 2) or vec.shape[-1] != 4:
+        raise ValueError("orientation vectors must have four components")
+    rows = vec.reshape(-1, 4).tolist()
     hops, terms = [], []
-    for side, gamma, psi in ((link.tx, g_t, p_t), (link.rx, g_r, p_r)):
-        gamma, psi = fold_orientation(gamma, psi)
-        check_orientation(gamma, psi)
-        trig = _tilt_trig(gamma, psi)
+    for side, at in ((link.tx, 0), (link.rx, 2)):
+        tilts = [fold_orientation(row[at], row[at + 1]) for row in rows]
+        for gamma, psi in tilts:
+            check_orientation(gamma, psi)
+        trig = _tilt_stack(tilts)
         offsets = _link_offsets(side.v, side.r, trig)
         hops.append(_hop(_phase_parts(link.wavelength, offsets, side.distance)))
         terms.append((offsets, trig))
-    return PosedLink(link, hops[0], hops[1].T.copy(), tuple(terms))
+    posed = PosedLink(link, hops[0], np.swapaxes(hops[1], -1, -2).copy(), tuple(terms))
+    return posed if vec.ndim == 2 else posed[0]
 
 
 def _center_parts(parts):
@@ -347,9 +375,9 @@ def synthesize_side(wave, layout: IrsLayout, pose: ArrayPose, keys):
     for d, g, p in keys:  # ArrayPose refuses a key that makes no valid pose
         replace(pose, distance=d, orient_azimuth=g, orient_elevation=p)
     v, r = re_local_components(layout, pose), _antenna_row(pose)
-    trig = np.array([_tilt_trig(g, p) for _, g, p in keys]).reshape(-1, 4).T[:, :, None, None]
+    trig = _tilt_stack([(g, p) for _, g, p in keys])
     d = np.array([d for d, _, _ in keys], dtype=float)[:, None, None]
-    parts = _phase_parts(wave.wavelength, _link_offsets(v, r, tuple(trig)), d)
+    parts = _phase_parts(wave.wavelength, _link_offsets(v, r, trig), d)
     return _center_parts(parts), _hop(parts)
 
 

@@ -13,7 +13,7 @@ interior point, and verifies the resulting channels numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .geometry import ArrayPose, IrsLayout
 from .response import WaveConfig
 
 TWO_PI = 2.0 * math.pi
-BOUNDARY_SAMPLES = 200  # (D_t, cap) rows of each sampled boundary curve
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,9 @@ class AxisRegion:
 
     The region is the union of a rectangle (D_t up to d_t_star, D_r up to
     d_r_rayleigh) and a curved lobe for D_t in (d_t_star, d_t_rayleigh]
-    capped by the boundary curve; boundary is an (n, 2) sampled array of
-    (D_t, cap) pairs.  The direction amplitudes a_t / a_r and anchor angles
-    gbar_t / gbar_r of each side are (this axis, other axis) pairs.
+    capped by the boundary curve (boundary_cap).  The direction amplitudes
+    a_t / a_r and anchor angles gbar_t / gbar_r of each side are (this
+    axis, other axis) pairs.
     """
 
     d_t_star: float
@@ -71,7 +70,6 @@ class AxisRegion:
     gbar_t: tuple[float, float]
     a_r: tuple[float, float]
     gbar_r: tuple[float, float]
-    boundary: np.ndarray
 
     @property
     def r_t(self) -> tuple[float, float]:
@@ -173,7 +171,7 @@ def _axis_region(a_t, g_t, a_r, g_r, d_t_rayleigh, d_r_rayleigh) -> AxisRegion:
     """One axis's region from both sides' (this axis, other axis) anchors."""
     gamma_star = _gamma_star(a_t, g_t, a_r, g_r)
     gamma_star_r = _gamma_star(a_r, g_r, a_t, g_t)
-    reg = AxisRegion(
+    return AxisRegion(
         d_t_star=d_t_rayleigh * abs(math.cos(gamma_star - g_t[0])),
         d_t_rayleigh=d_t_rayleigh,
         d_r_star=d_r_rayleigh * abs(math.cos(gamma_star_r - g_r[0])),
@@ -184,12 +182,7 @@ def _axis_region(a_t, g_t, a_r, g_r, d_t_rayleigh, d_r_rayleigh) -> AxisRegion:
         gbar_t=g_t,
         a_r=a_r,
         gbar_r=g_r,
-        boundary=np.empty((0, 2)),
     )
-    # _boundary_cap reads the record, so the curve is sampled once it exists
-    d_vals = np.linspace(reg.d_t_star, d_t_rayleigh, BOUNDARY_SAMPLES)
-    rows = [(float(d_t), _boundary_cap(reg, float(d_t))[0]) for d_t in d_vals]
-    return replace(reg, boundary=np.array(rows))
 
 
 def fmr_inner_bound(

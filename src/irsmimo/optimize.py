@@ -29,6 +29,12 @@ _BOX_LOW, _BOX_HIGH = np.array([GAMMA_BOX, PSI_BOX, GAMMA_BOX, PSI_BOX]).T
 
 SIGMA_FLOOR_SCALE = 1e-12
 
+# Trial poses per stacked evaluation of the orientation line search.  On
+# optimize_small.txt 97% of descent steps accept one of their first 6 trials,
+# a stack of 6 costs about two trials posed one by one, and a stack of 8 a
+# third more than a stack of 6.
+LINE_BATCH = 6
+
 logger = logging.getLogger(__name__)
 
 
@@ -71,14 +77,20 @@ class SingularAllocation:
     regime: str
 
 
-def mutual_information(h, power: PowerConfig) -> float:
-    """log2 det(rho H^H H + I) in bits, via the smaller-side Gram spectrum."""
+def mutual_information(h, power: PowerConfig):
+    """log2 det(rho H^H H + I) in bits, via the smaller-side Gram spectrum.
+
+    A float for one matrix; for a (..., N_r, N_t) stack, one MI per matrix,
+    each bit for bit the MI of that matrix alone.
+    """
     h = np.asarray(h)
-    if h.ndim != 2:
+    if h.ndim < 2:
         raise ValueError("expected a matrix")
-    gram = h @ h.conj().T if h.shape[0] < h.shape[1] else h.conj().T @ h
+    h_herm = np.swapaxes(h.conj(), -1, -2)
+    gram = h @ h_herm if h.shape[-2] < h.shape[-1] else h_herm @ h
     ev = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    return float(np.sum(np.log1p(power.snr * ev)) / LOG2)
+    mi = np.sum(np.log1p(power.snr * ev), axis=-1) / LOG2
+    return float(mi) if h.ndim == 2 else mi
 
 
 def mi_upper_bound(h_t, h_r, eta0: float, power: PowerConfig) -> float:
@@ -195,7 +207,7 @@ def mm_step(w, alpha, theta, lam_max: float | None = None, z=None) -> np.ndarray
     q -= w @ z
     q -= alpha
     mag = np.abs(q)
-    if mag.min() > 0:  # false on a zero or a NaN, as where= below
+    if np.minimum.reduce(mag) > 0:  # false on a zero or a NaN, as where= below
         return np.divide(q, mag, out=q)
     return np.divide(q, mag, out=theta.copy(), where=mag > 0)
 
@@ -279,7 +291,8 @@ def oriented_scenario(scn: Scenario, m) -> Scenario:
 
 
 def _descent_objective(link, power: PowerConfig, theta, m):
-    """(negated MI, posed link) at orientation vector m of a resolved link."""
+    """(negated MI, posed link) at orientation vector m of a resolved link;
+    for a (B, 4) stack of vectors, B negated MIs and the stacked posed link."""
     posed = chan.pose_link(link, m)
     return -_cascade_mi(posed.h_t, posed.h_r, posed.eta0, theta, power), posed
 
@@ -372,9 +385,12 @@ def optimize_orientation(
 ) -> tuple[np.ndarray, OptTrace]:
     """Projected gradient descent on the orientation angles.
 
-    Backtracking halves the step until the objective does not increase
+    Backtracking shrinks the step until the objective does not increase
     (simple-decrease rule); each trial point is clipped to the box first.
-    The trace's stop_reason is "threshold" when an accepted step gains less
+    The trial points of a step are posed LINE_BATCH at a time, each batch
+    in one stacked evaluation, and the first trial that does not increase
+    the objective is accepted, as if they were tried one by one.  The
+    trace's stop_reason is "threshold" when an accepted step gains less
     than eps_orient, "no_descent" when every one of the max_backtracks
     trials raises the objective, and "max_iters" otherwise.
     """
@@ -384,22 +400,27 @@ def optimize_orientation(
     obj, posed = _descent_objective(link, scn.power, theta, m)
     rows = [(0, -obj, "orientation")]
     reason = "max_iters"
+    steps = []
+    step = init_step
+    for _ in range(max_backtracks):
+        steps.append(step)
+        step *= shrink
+    steps = np.array(steps, dtype=float)[:, None]
     for it in range(1, max_iters + 1):
         # the hops of the accepted point feed its gradient
         grad = mi_gradient(scn, theta, m, posed)
-        step = init_step
-        accepted = False
-        for _ in range(max_backtracks):
-            cand = project_box(m - step * grad)
-            cand_obj, cand_posed = _descent_objective(link, scn.power, theta, cand)
-            if cand_obj <= obj:
-                accepted = True
+        trials = np.clip(m - steps * grad, _BOX_LOW, _BOX_HIGH)
+        for first in range(0, max_backtracks, LINE_BATCH):
+            batch = trials[first : first + LINE_BATCH]
+            objs, batch_posed = _descent_objective(link, scn.power, theta, batch)
+            hits = np.flatnonzero(objs <= obj)
+            if hits.size:
                 break
-            step *= shrink
-        if not accepted:
+        else:
             reason = "no_descent"
             break
-        m, gain, posed = cand, obj - cand_obj, cand_posed
+        cand_obj = float(objs[hits[0]])
+        m, gain, posed = batch[hits[0]], obj - cand_obj, batch_posed[hits[0]]
         obj = cand_obj
         rows.append((it, -obj, "orientation"))
         if gain < eps_orient:

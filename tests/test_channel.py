@@ -192,6 +192,50 @@ class TestAssembly:
             with pytest.raises(ValueError, match=what):
                 normalize_orientation(m)
 
+    def test_stacked_posed_link_matches_one_vector_calls(self, rng):
+        # row i of a (B, 4) stack gives the hops and phase Jacobians of
+        # vector i posed alone, bit for bit: the three scenario files and 12
+        # draws, among them N_r > N_t, one-antenna sides and zenith arrays,
+        # at tilts that fold (psi < 0, psi > pi, a tiny negative gamma)
+        setups = [parse_scenario(str(path)) for path in SCENARIO_FILES]
+        for i in range(12):
+            scn = random_scenario(rng)
+            if i % 4 == 3:
+                scn = replace(scn, tx=replace(scn.tx, n_antennas=1))
+            side = ("tx", "rx", None)[i % 3]
+            if side:
+                scn = replace(scn, **{side: replace(getattr(scn, side), elevation=0.0)})
+            setups.append(scn)
+        assert any(scn.rx.n_antennas > scn.tx.n_antennas for scn in setups)
+        assert any(scn.tx.n_antennas == 1 for scn in setups)
+        assert any(scn.rx.n_antennas == 1 for scn in setups)
+        folding = [[-1e-17, -0.4, 0.3, 3.5], [2.0, 3.6, -1e-17, -1.2], [7.0, 1.0, -4.0, 2.0]]
+        for scn in setups:
+            link = resolve_link(scn)
+            low, high = [-1.6, 0.0, -1.6, 0.0], [1.6, math.pi, 1.6, math.pi]
+            stack = np.vstack([rng.uniform(low, high, (5, 4)), folding])
+            posed = pose_link(link, stack)
+            q = scn.irs.n_elements
+            assert posed.h_t.shape == (len(stack), q, scn.tx.n_antennas)
+            assert posed.h_r.shape == (len(stack), scn.rx.n_antennas, q)
+            stacked_jacs = posed.jacobians()
+            for i, m in enumerate(stack):
+                alone = pose_link(link, m)
+                ref_t, ref_r, _ = hop_matrices(oriented_scenario(scn, m))
+                assert np.array_equal(alone.h_t, ref_t) and np.array_equal(alone.h_r, ref_r)
+                assert np.array_equal(posed.h_t[i], ref_t) and np.array_equal(posed.h_r[i], ref_r)
+                for row_jac, stacked, want in zip(
+                    posed[i].jacobians(), stacked_jacs, alone.jacobians()
+                ):
+                    assert all(np.array_equal(a, b) for a, b in zip(row_jac, want))
+                    assert all(np.array_equal(a[i], b) for a, b in zip(stacked, want))
+
+    def test_posed_link_rejects_a_malformed_stack(self, golden_scenario):
+        link = resolve_link(golden_scenario)
+        for m in ([0.1, 1.0, 0.2], np.ones((2, 5)), np.ones((2, 2, 4)), 1.0):
+            with pytest.raises(ValueError, match="four components"):
+                pose_link(link, m)
+
     def test_frobenius_energy_of_the_hops(self, golden_scenario):
         chans = build_channels(golden_scenario)
         n_elems = golden_scenario.irs.n_elements

@@ -197,12 +197,20 @@ class TestInnerBound:
 
     def test_sampled_curves_span_the_lobe(self):
         b = golden_bound()
-        assert b.x.boundary.shape == (200, 2)
-        assert b.x.boundary[0, 0] == pytest.approx(b.x.d_t_star, rel=1e-12)
-        assert b.x.boundary[-1, 0] == pytest.approx(b.x.d_t_rayleigh, rel=1e-12)
-        assert b.x.boundary[0, 1] == pytest.approx(b.x.d_r_rayleigh, rel=1e-9)
-        assert b.x.boundary[-1, 1] == pytest.approx(b.x.d_r_star, rel=1e-9)
-        assert b.y.boundary[0, 1] == pytest.approx(b.y.d_r_rayleigh, rel=1e-9)
+
+        def sampled(axis):
+            """200 (D_t, cap) rows of the axis's boundary curve over its lobe."""
+            reg = b.axis(axis)
+            d_vals = np.linspace(reg.d_t_star, reg.d_t_rayleigh, 200)
+            return np.array([(float(d), boundary_cap(b, axis, float(d))) for d in d_vals])
+
+        curve_x, curve_y = sampled("x"), sampled("y")
+        assert curve_x.shape == (200, 2)
+        assert curve_x[0, 0] == pytest.approx(b.x.d_t_star, rel=1e-12)
+        assert curve_x[-1, 0] == pytest.approx(b.x.d_t_rayleigh, rel=1e-12)
+        assert curve_x[0, 1] == pytest.approx(b.x.d_r_rayleigh, rel=1e-9)
+        assert curve_x[-1, 1] == pytest.approx(b.x.d_r_star, rel=1e-9)
+        assert curve_y[0, 1] == pytest.approx(b.y.d_r_rayleigh, rel=1e-9)
 
     def test_right_angle_directions_make_rectangles(self):
         # with both azimuths on a quadrant boundary the apex reaches the

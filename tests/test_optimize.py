@@ -7,6 +7,7 @@ singular-value split, and the monotonicity contracts of the MM and
 line-search loops.
 """
 
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -103,6 +104,23 @@ class TestMutualInformation:
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError, match="matrix"):
             mutual_information(np.ones(5, dtype=complex), PowerConfig(1.0, 1.0))
+
+    def test_stack_gives_each_matrix_its_own_bits(self, rng):
+        # one MI per matrix of a (..., N_r, N_t) stack, equal to the MI of
+        # that matrix alone, also with 8 or more modes, where numpy's sum
+        # goes pairwise
+        power = PowerConfig(3.0, 0.7)
+        for n_r, n_t in ((3, 3), (2, 5), (5, 2), (1, 4), (4, 1), (9, 9), (12, 10)):
+            h = rng.normal(size=(2, 4, n_r, n_t)) + 1j * rng.normal(size=(2, 4, n_r, n_t))
+            got = mutual_information(h, power)
+            assert got.shape == (2, 4)
+            for idx in np.ndindex(2, 4):
+                assert got[idx] == mutual_information(h[idx], power)
+            assert isinstance(mutual_information(h[0, 0], power), float)
+
+    def test_rejects_a_scalar(self):
+        with pytest.raises(ValueError, match="matrix"):
+            mutual_information(np.complex128(1.0), PowerConfig(1.0, 1.0))
 
 
 class TestUpperBound:
@@ -464,7 +482,110 @@ class TestGradients:
             finite_difference_gradient(scn, theta, pose_orientation(scn), step=0.0)
 
 
+def reference_optimize_orientation(
+    scn, theta, m_init, *, eps_orient=1e-6, max_iters=200, shrink=0.5, max_backtracks=40,
+    init_step=1.0,
+):
+    """optimize_orientation with its trials tried one by one, each on the
+    hops of its posed scenario; returns (m, MI trace, stop reason, the
+    index of every accepted trial)."""
+    theta = np.asarray(theta)
+
+    def objective(m):
+        h_t, h_r, gain = chan.hop_matrices(oriented_scenario(scn, m))
+        return -mutual_information(gain * ((h_r * theta[None, :]) @ h_t), scn.power)
+
+    m = normalize_orientation(m_init)
+    obj = objective(m)
+    mis, accepted = [-obj], []
+    for _ in range(max_iters):
+        grad = mi_gradient(scn, theta, m)
+        step = init_step
+        for trial in range(max_backtracks):
+            cand = project_box(m - step * grad)
+            cand_obj = objective(cand)
+            if cand_obj <= obj:
+                break
+            step *= shrink
+        else:
+            return m, mis, "no_descent", accepted
+        m, gain, obj = cand, obj - cand_obj, cand_obj
+        mis.append(-obj)
+        accepted.append(trial)
+        if gain < eps_orient:
+            return m, mis, "threshold", accepted
+    return m, mis, "max_iters", accepted
+
+
+def assert_descents_agree(scn, theta, m0, **stops):
+    """optimize_orientation and the one-by-one reference agree bit for bit;
+    returns the reference's accepted trial indices and stop reason."""
+    m, trace = optimize_orientation(scn, theta, m0, **stops)
+    want_m, want_mis, want_reason, accepted = reference_optimize_orientation(
+        scn, theta, m0, **stops
+    )
+    assert np.array_equal(m, want_m)
+    assert trace.mi_values == want_mis
+    assert trace.stop_reason == want_reason
+    return accepted, want_reason
+
+
 class TestOrientationDescent:
+    def test_batched_line_search_matches_the_serial_one(self):
+        # every trial budget, shrink and initial step gives the trace, final
+        # orientation and stop reason of trials tried one by one, also when
+        # max_backtracks is not a multiple of the batch; init_step 0.1 lets
+        # a budget of one trial accept
+        scn = parse_scenario(SMALL)
+        accepted, past_first_batch, reasons = Counter(), 0, set()
+        for k, (tries, shrink, init_step) in enumerate(
+            itertools.product((1, 3, 8, 9, 41), (0.5, 0.3), (1.0, 10.0, 0.1))
+        ):
+            theta, m0 = random_init(scn, 40 + k % 4)
+            got, reason = assert_descents_agree(
+                scn, theta, m0, max_iters=6, shrink=shrink, max_backtracks=tries,
+                init_step=init_step,
+            )
+            accepted[tries] += len(got)
+            past_first_batch += sum(i >= opt.LINE_BATCH for i in got)
+            reasons.add(reason)
+        assert all(accepted[tries] for tries in (1, 3, 8, 9, 41))
+        assert past_first_batch
+        assert {"no_descent", "max_iters"} <= reasons
+
+    def test_every_batch_rejected_is_no_descent(self):
+        # with shrink = 1 every trial is the full step of 10, which lowers
+        # the MI at the focusing start: all three batches are rejected
+        scn = parse_scenario(SMALL)
+        theta, m0 = focusing_init(scn)
+        tries = 2 * opt.LINE_BATCH + 1
+        _, reason = assert_descents_agree(
+            scn, theta, m0, max_iters=5, shrink=1.0, max_backtracks=tries, init_step=10.0
+        )
+        assert reason == "no_descent"
+
+    def test_bench_portfolio_starts_match_the_serial_descent(self):
+        # the benchmark's stops on optimize_small.txt, from focusing and two
+        # seeds: the alternation replayed with the one-by-one descent gives
+        # the same rows, phases and orientation bit for bit
+        scn = parse_scenario(SMALL)
+        theta_stop, orient_stop = {"max_outer": 10}, {"max_iters": 40}
+        for start in (focusing_init(scn), random_init(scn, 1), random_init(scn, 2)):
+            theta, m, trace = alternating_optimize(
+                scn, start, max_rounds=5, theta_stop=theta_stop, orient_stop=orient_stop
+            )
+            replay, m_vec = np.asarray(start[0], dtype=complex), normalize_orientation(start[1])
+            rows = [trace.iterations[0]]
+            for rnd in range(1, len(trace.iterations) // 2 + 1):
+                replay, t_trace = optimize_theta(oriented_scenario(scn, m_vec), replay, **theta_stop)
+                rows.append((rnd, t_trace.mi_values[-1], "theta"))
+                m_vec, mis, _, _ = reference_optimize_orientation(scn, replay, m_vec, **orient_stop)
+                rows.append((rnd, mis[-1], "orientation"))
+            assert trace.iterations == rows
+            assert np.array_equal(theta, replay)
+            assert np.array_equal(m, m_vec)
+
+
     def test_feasible_point_is_a_fixed_point(self):
         scn = fmr_anchor_scenario()
         theta = scenario_focusing(scn).phasor
