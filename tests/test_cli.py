@@ -917,6 +917,73 @@ def test_shifted_grid_csv_is_byte_identical(capsys, verify):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SHIFTED_GRID_SHA256[verify]
 
 
+# SHA-256 of the stdout of commands that synthesize hops, as written at
+# commit 759e47b9fdab (one-pose, keyed and stacked hop syntheses kept side
+# by side); a single synthesis path must keep every byte
+HOP_OUTPUT_SHA256 = {
+    "channel-h": "66110b467c16602454d3425c7ee139eda28da749f2ffc290aaccb6b26de71683",
+    "channel-ht": "69c53d8d460e2fb27443bb25acbc6d8fea8671e0d00c0081bba239692dd274a4",
+    "channel-hr": "328537f9919783dbfe36aa7a54276ba4d2f08d5671e3b9ac96fba0b000480352",
+    "channel-theta": "fa32356c1939cd3bfb35b9b8de8346e1b839de4bd34d8a659eb8b2baf35c2db9",
+    "channel-closed": "28f2346902d01953d292f92c18923db740915765873ade512672d26de81629fa",
+    "eigensweep-fixed": "fd97af09408fd55fc74c68d79344004a8bd2bd3479cad5f7f31dca86efa739ad",
+    "eigensweep-auto-x": "3a8cac5ad0bf9ee483492f4dde740cc0a67aef7f85695fc2b6629834b3e5328a",
+    "eigensweep-auto-y": "eb3cd0243d91203fa49707d3ca438c2c52ffdc39f9510d97c922261397be3c53",
+    "optimize": "4432bed336ebc3dabc9e78288873936761bf0f8b81091a8d0517fb9a14981869",
+}
+HOP_OUTPUT_ARGV = {
+    **{
+        f"channel-{m}": ("channel", "--scenario", BASELINE, "--matrix", m)
+        for m in ("h", "ht", "hr", "theta", "closed")
+    },
+    **{
+        f"eigensweep-{o}": ("eigensweep", "--scenario", BASELINE, "--orient", o,
+                            "--start", "1", "--stop", "60", "--count", "37")
+        for o in ("fixed", "auto-x", "auto-y")
+    },
+    "optimize": ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
+                 "--max-outer", "2", "--max-orient-iters", "3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOP_OUTPUT_SHA256))
+def test_hop_outputs_are_byte_identical(capsys, name):
+    code, out, err = run_cli(capsys, *HOP_OUTPUT_ARGV[name])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HOP_OUTPUT_SHA256[name]
+
+
+class TestEigensweepEdges:
+    """A surface axis with 3 elements for the baseline's 5 Tx antennas."""
+
+    @pytest.fixture
+    def narrow(self, tmp_path):
+        return write_variant(tmp_path, "narrow.txt", {"irs.count_x": "3"})
+
+    def sweep(self, capsys, path, orient, start, count):
+        return run_cli(
+            capsys, "eigensweep", "--scenario", path, "--orient", orient,
+            "--start", start, "--stop", "2", "--count", count,
+        )
+
+    def test_an_empty_sweep_solves_no_tilt(self, capsys, narrow):
+        code, out, err = self.sweep(capsys, narrow, "auto-x", "1", "0")
+        assert code == 0, err
+        assert out.splitlines()[1:] == ["d_t,eig_1,eig_2,eig_3,eig_4,eig_5"]
+
+    def test_a_short_axis_is_refused(self, capsys, narrow):
+        code, out, err = self.sweep(capsys, narrow, "auto-x", "1", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: axis 'x' has 3 elements for 5 antennas; ")
+
+    @pytest.mark.parametrize("orient", ["fixed", "auto-x"])
+    @pytest.mark.parametrize("start", ["0", "-1"])
+    def test_a_nonpositive_distance_is_refused_first(self, capsys, narrow, orient, start):
+        code, out, err = self.sweep(capsys, narrow, orient, start, "2")
+        assert (code, out) == (1, "")
+        assert err == "error: center distance must be > 0 and finite\n"
+
+
 SWEEPS = {
     "eigensweep": ("--start", "2", "--stop", "30", "--count", "3"),
     "fmr-map": ("--dt-start", "2", "--dt-stop", "30", "--dt-count", "3",
