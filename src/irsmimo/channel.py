@@ -8,19 +8,17 @@ by the common gain.  For reflective focusing the double sum collapses to a
 product of a per-antenna quadratic phase factor and two Dirichlet ratios,
 which this module also evaluates directly.
 
-The hop synthesis broadcasts over a leading batch of side poses.
-synthesize_side builds one side at a list of poses, and posed_cascades
-assembles reflectively focused cascades from two such sides, pose by pose,
-bit for bit equal to building each cascade alone.  reflective_cascades is the two in one call, and eigensweep builds
-its Tx hops through synthesize_side too.  closed_form_cascades gives the
-same cascades at O(N_r*N_t) per link; fmr-map --verify checks its grid on
-them and builds only its spot-check points by brute force.
-resolve_link takes the terms of a link that do not depend on the array
-tilts once, and pose_link evaluates both hops from them at a tilt vector or
-at a (B, 4) stack of tilt vectors in one numpy pass per side, each bit for
-bit equal to hop_matrices of its posed scenario; a vector is posed as the
-stack of one.  The optimizer's orientation descent runs on these two: each
-line search poses its trial tilts as one stack.
+One function builds link phases: pose_side takes the orientation-free terms
+of one side (link_side) and synthesizes that side at every (distance, gamma,
+psi) row of a (B, 3) stack in one numpy pass.  A scenario's own array is the
+stack of one, which feeds tx_irs_channel, irs_rx_channel, propagation_phases,
+orientation_phase_jacobian, reflective_focusing and build_channels.
+pose_link poses both sides of a resolved link at a (B, 4) stack of tilt
+vectors, one per trial of the optimizer's line search.  reflective_cascades
+builds focused cascades by brute force at the (B, 6) poses and (B,) gains
+that closed_form_cascades takes, which gives the same cascades at
+O(N_r*N_t) per link.  Every operation on a stack is elementwise per row, so
+a pose's hops do not depend on the stack around it.
 
 Element-to-matrix ordering: elements are laid out row-major with the x
 index k slow and the y index l fast, i.e. element (k, l) occupies row
@@ -31,7 +29,7 @@ p + (N-1)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +38,7 @@ from .geometry import (
     ArrayPose,
     IrsLayout,
     centered_indices,
+    check_distance,
     check_orientation,
     fold_orientation,
     local_frame,
@@ -99,24 +98,28 @@ class ChannelSet:
     h: ComplexMatrix
 
 
-def _tilt_trig(gamma: float, psi: float):
-    """(sin psi, cos psi, cos gamma, sin gamma) of one array tilt."""
-    return math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)
+@dataclass(frozen=True)
+class LinkSide:
+    """The orientation-free terms of one side: its element components
+    (re_local_components), its antennas as a (1, N) row and its distance."""
+
+    v: tuple
+    r: np.ndarray
+    distance: float
 
 
-def _tilt_stack(tilts):
-    """The _tilt_trig of each (gamma, psi) of tilts, as four (B, 1, 1) arrays."""
-    trig = np.array([_tilt_trig(g, p) for g, p in tilts]).reshape(-1, 4)
-    return tuple(trig.T[:, :, None, None])
+def link_side(layout: IrsLayout, pose: ArrayPose) -> LinkSide:
+    """The LinkSide of pose against the surface, for pose_side to move and tilt."""
+    r = (centered_indices(pose.n_antennas) * pose.spacing)[None, :]
+    return LinkSide(re_local_components(layout, pose), r, pose.distance)
 
 
 def _link_offsets(v, r, trig):
     """Offsets a, b, ax per (element, antenna) of one side.
 
-    v holds the side's element components (re_local_components), r its
-    antenna positions as a (1, N) row and trig its tilt as from _tilt_trig:
-    floats for one pose, or (B, 1, 1) arrays for a batch of poses, which
-    broadcasts every result to (B, Q, N).
+    v holds the side's element components, r its antenna positions as a
+    (1, N) row and trig the (sin psi, cos psi, cos gamma, sin gamma) of its
+    tilts as (B, 1, 1) arrays, which broadcasts every result to (B, Q, N).
     """
     v1, v2, v3 = v
     sin_psi, cos_psi, cos_g, sin_g = trig
@@ -140,37 +143,54 @@ def _phase_parts(lam: float, offsets, d):
     return small, k0 * d
 
 
-def _phase_jacobian(lam: float, offsets, r, trig, d):
-    """(d_phase/d_gamma, d_phase/d_psi) from one side's _link_offsets."""
+def pose_side(lam: float, side: LinkSide, keys):
+    """(offsets, trig, parts) of side moved and tilted to each (distance,
+    gamma, psi) row of the (B, 3) sequence keys; each row must make a valid
+    pose.
+
+    trig holds the rows' (sin psi, cos psi, cos gamma, sin gamma) as four
+    (B, 1, 1) arrays, each taken with libm as for a single pose; offsets
+    (_link_offsets) and the (small, big) phase parts (_phase_parts)
+    broadcast to (B, Q, N).  All rows are synthesized in one numpy pass, so
+    a caller bounds its temporaries by the rows it passes.
+    """
+    for d, gamma, psi in keys:
+        check_distance(d)
+        check_orientation(gamma, psi)
+    trig = np.array([(math.sin(p), math.cos(p), math.cos(g), math.sin(g)) for _, g, p in keys])
+    trig = tuple(trig.reshape(-1, 4).T[:, :, None, None])
+    d = np.array([row[0] for row in keys], dtype=float)[:, None, None]
+    offsets = _link_offsets(side.v, side.r, trig)
+    return offsets, trig, _phase_parts(lam, offsets, d)
+
+
+def _own_pose(pose: ArrayPose) -> list[float]:
+    """The (distance, gamma, psi) a pose stands at."""
+    return [pose.distance, pose.orient_azimuth, pose.orient_elevation]
+
+
+def _own_parts(wave, layout: IrsLayout, pose: ArrayPose):
+    """(small, big) phase parts of one array at its own pose, a stack of one."""
+    return pose_side(wave.wavelength, link_side(layout, pose), [_own_pose(pose)])[2]
+
+
+def _phase_jacobian(lam: float, side: LinkSide, offsets, trig):
+    """(d_phase/d_gamma, d_phase/d_psi) of one side at its own distance,
+    from the offsets and trig pose_side gave it."""
     a, b, _ = offsets
+    r = side.r
     sin_psi, cos_psi, cos_g, sin_g = trig
     k0 = 2.0 * math.pi / lam
-    pref = k0 / d
+    pref = k0 / side.distance
     d_gamma = pref * (a * (-r * sin_psi * sin_g) + b * (r * sin_psi * cos_g))
     d_psi = pref * (a * (r * cos_psi * cos_g) + b * (r * cos_psi * sin_g)) + k0 * (-r * sin_psi)
     return d_gamma, d_psi
 
 
-def _antenna_row(pose: ArrayPose) -> np.ndarray:
-    return (centered_indices(pose.n_antennas) * pose.spacing)[None, :]
-
-
-def _pose_terms(layout: IrsLayout, pose: ArrayPose):
-    """(offsets, r, trig) of one posed side: the pose resolved against the surface once."""
-    r = _antenna_row(pose)
-    trig = _tilt_trig(pose.orient_azimuth, pose.orient_elevation)
-    return _link_offsets(re_local_components(layout, pose), r, trig), r, trig
-
-
-def _pose_parts(wave, layout: IrsLayout, pose: ArrayPose):
-    """(small, big) phase parts of one posed side."""
-    return _phase_parts(wave.wavelength, _pose_terms(layout, pose)[0], pose.distance)
-
-
 def propagation_phases(wave, layout: IrsLayout, pose: ArrayPose) -> np.ndarray:
     """Full link phases 2*pi*d_approx/lambda, shape (q_x*q_y, n_antennas)."""
-    small, big = _pose_parts(wave, layout, pose)
-    return small + big
+    small, big = _own_parts(wave, layout, pose)
+    return (small + big)[0]
 
 
 def orientation_phase_jacobian(wave, layout: IrsLayout, pose: ArrayPose):
@@ -180,11 +200,12 @@ def orientation_phase_jacobian(wave, layout: IrsLayout, pose: ArrayPose):
     propagation_phases.  The transverse offsets contribute through the
     quadratic terms; the tilt additionally moves the axial coordinate.
     """
-    offsets, r, trig = _pose_terms(layout, pose)
-    return _phase_jacobian(wave.wavelength, offsets, r, trig, pose.distance)
+    side = link_side(layout, pose)
+    offsets, trig, _ = pose_side(wave.wavelength, side, [_own_pose(pose)])
+    return tuple(x[0] for x in _phase_jacobian(wave.wavelength, side, offsets, trig))
 
 
-def _hop(parts) -> ComplexMatrix:
+def side_hops(parts) -> ComplexMatrix:
     """Unit-modulus link phasors of one side's (small, big) phases, elements along rows."""
     small, big = parts
     return np.exp(-1j * (small + big))
@@ -192,28 +213,18 @@ def _hop(parts) -> ComplexMatrix:
 
 def tx_irs_channel(scn: Scenario) -> ComplexMatrix:
     """Unit-modulus Tx-to-surface matrix, elements along rows."""
-    return _hop(_pose_parts(scn.wave, scn.irs, scn.tx))
+    return side_hops(_own_parts(scn.wave, scn.irs, scn.tx))[0]
 
 
 def irs_rx_channel(scn: Scenario) -> ComplexMatrix:
     """Unit-modulus surface-to-Rx matrix, antennas along rows."""
-    return _hop(_pose_parts(scn.wave, scn.irs, scn.rx)).T.copy()
+    return side_hops(_own_parts(scn.wave, scn.irs, scn.rx))[0].T.copy()
 
 
 def hop_matrices(scn: Scenario) -> tuple[ComplexMatrix, ComplexMatrix, float]:
     """(h_t, h_r, eta0): both hops and the common gain at the scenario's poses."""
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
     return tx_irs_channel(scn), irs_rx_channel(scn), gain
-
-
-@dataclass(frozen=True)
-class LinkSide:
-    """The orientation-free terms of one side: its element components
-    (re_local_components), its antennas as a (1, N) row and its distance."""
-
-    v: tuple
-    r: np.ndarray
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -229,12 +240,10 @@ class ResolvedLink:
 
 def resolve_link(scn: Scenario) -> ResolvedLink:
     """The orientation-free terms of scn, for evaluating many tilts of one link."""
-
-    def side(pose: ArrayPose) -> LinkSide:
-        return LinkSide(re_local_components(scn.irs, pose), _antenna_row(pose), pose.distance)
-
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
-    return ResolvedLink(side(scn.tx), side(scn.rx), scn.wave.wavelength, gain)
+    return ResolvedLink(
+        link_side(scn.irs, scn.tx), link_side(scn.irs, scn.rx), scn.wave.wavelength, gain
+    )
 
 
 @dataclass(frozen=True)
@@ -269,7 +278,7 @@ class PosedLink:
         orientation_phase_jacobian gives them for the posed scenario."""
         sides = (self.link.tx, self.link.rx)
         return tuple(
-            _phase_jacobian(self.link.wavelength, offsets, side.r, trig, side.distance)
+            _phase_jacobian(self.link.wavelength, side, offsets, trig)
             for side, (offsets, trig) in zip(sides, self.terms)
         )
 
@@ -278,10 +287,10 @@ def pose_link(link: ResolvedLink, m) -> PosedLink:
     """Both hops at the orientation vector m = [gamma_t, psi_t, gamma_r,
     psi_r], or at each row of a (B, 4) stack of them.
 
-    Each (gamma, psi) is folded and range-checked as a posed ArrayPose
-    would be, so every hop equals hop_matrices of its posed scenario bit
-    for bit.  A stack gives a stacked PosedLink, each side synthesized in
-    one numpy pass; a vector is posed as the stack of one and gives its [0].
+    Each (gamma, psi) is folded into a pose's domain and then posed at the
+    side's own distance by pose_side, so every hop equals hop_matrices of
+    its posed scenario bit for bit.  A stack gives a stacked PosedLink; a
+    vector is posed as the stack of one and gives its [0].
     """
     vec = np.asarray(m, dtype=float)
     if vec.ndim not in (1, 2) or vec.shape[-1] != 4:
@@ -289,29 +298,20 @@ def pose_link(link: ResolvedLink, m) -> PosedLink:
     rows = vec.reshape(-1, 4).tolist()
     hops, terms = [], []
     for side, at in ((link.tx, 0), (link.rx, 2)):
-        tilts = [fold_orientation(row[at], row[at + 1]) for row in rows]
-        for gamma, psi in tilts:
-            check_orientation(gamma, psi)
-        trig = _tilt_stack(tilts)
-        offsets = _link_offsets(side.v, side.r, trig)
-        hops.append(_hop(_phase_parts(link.wavelength, offsets, side.distance)))
+        keys = [(side.distance, *fold_orientation(row[at], row[at + 1])) for row in rows]
+        offsets, trig, parts = pose_side(link.wavelength, side, keys)
+        hops.append(side_hops(parts))
         terms.append((offsets, trig))
     posed = PosedLink(link, hops[0], np.swapaxes(hops[1], -1, -2).copy(), tuple(terms))
     return posed if vec.ndim == 2 else posed[0]
 
 
-def _center_parts(parts):
-    """(small, big) of one side's center antenna, small kept as a (..., Q, 1) column."""
-    small, big = parts
-    c = small.shape[-1] // 2
-    return small[..., c : c + 1], big
-
-
-def _reflective_betas(center_t, center_r):
-    """Reflective focusing phases: the summed center-link phases of both
+def _reflective_betas(parts_t, parts_r):
+    """Reflective focusing phases: the summed center-antenna phases of both
     sides per element; leading batch axes carry through."""
-    (small_t, big_t), (small_r, big_r) = center_t, center_r
-    return ((small_t + small_r) + (big_t + big_r))[..., 0]
+    (small_t, big_t), (small_r, big_r) = parts_t, parts_r
+    c_t, c_r = small_t.shape[-1] // 2, small_r.shape[-1] // 2
+    return (small_t[..., c_t] + small_r[..., c_r]) + (big_t + big_r)[..., 0]
 
 
 def reflective_focusing(scn: Scenario) -> FocusingState:
@@ -320,9 +320,8 @@ def reflective_focusing(scn: Scenario) -> FocusingState:
     beta equals the summed center-link phases 2*pi*(d_t0 + d_0r)/lambda, so
     the compensated center-to-center entry carries zero residual phase.
     """
-    center_t = _center_parts(_pose_parts(scn.wave, scn.irs, scn.tx))
-    center_r = _center_parts(_pose_parts(scn.wave, scn.irs, scn.rx))
-    return FocusingState(_reflective_betas(center_t, center_r))
+    parts_t, parts_r = (_own_parts(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
+    return FocusingState(_reflective_betas(parts_t, parts_r)[0])
 
 
 def scenario_focusing(scn: Scenario) -> FocusingState:
@@ -355,57 +354,29 @@ def build_channels(scn: Scenario) -> ChannelSet:
     focusing phases and both hops come from one evaluation of each side."""
     if scn.focusing_mode != "reflective":
         return assemble(scn, scenario_focusing(scn))
-    parts_t = _pose_parts(scn.wave, scn.irs, scn.tx)
-    parts_r = _pose_parts(scn.wave, scn.irs, scn.rx)
+    parts_t, parts_r = (_own_parts(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
-    betas = _reflective_betas(_center_parts(parts_t), _center_parts(parts_r))
-    return _cascade(betas, _hop(parts_t), _hop(parts_r).T.copy(), gain)
+    betas = _reflective_betas(parts_t, parts_r)[0]
+    return _cascade(betas, side_hops(parts_t)[0], side_hops(parts_r)[0].T.copy(), gain)
 
 
-def synthesize_side(wave, layout: IrsLayout, pose: ArrayPose, keys):
-    """(center, hops) of pose moved and tilted to each (distance, gamma,
-    psi) of keys, each of which must make a valid pose.
+def reflective_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
+    """Reflectively focused cascades (B, N_r, N_t) of B posed links by brute
+    force: both hops synthesized and the phased double sum assembled.
 
-    center holds the center-antenna phase parts (small (U, Q, 1), big
-    (U, 1, 1)) and hops the (U, Q, N) hops, elements along rows.  All poses
-    are synthesized in one numpy pass, so a caller bounds its (U, Q, N)
-    temporaries by the keys it passes; every hop equals the one-pose hop of
+    poses (B, 6) and gain (B,) are what closed_form_cascades takes, and
+    every row must make valid poses.  Each cascade equals build_channels of
     its posed scenario bit for bit.
     """
-    for d, g, p in keys:  # ArrayPose refuses a key that makes no valid pose
-        replace(pose, distance=d, orient_azimuth=g, orient_elevation=p)
-    v, r = re_local_components(layout, pose), _antenna_row(pose)
-    trig = _tilt_stack([(g, p) for _, g, p in keys])
-    d = np.array([d for d, _, _ in keys], dtype=float)[:, None, None]
-    parts = _phase_parts(wave.wavelength, _link_offsets(v, r, trig), d)
-    return _center_parts(parts), _hop(parts)
-
-
-def posed_cascades(side_t, side_r, gain):
-    """Reflectively focused cascades (B, N_r, N_t) of the B links with the Tx
-    at pose i of side_t and the Rx at pose i of side_r (each from
-    synthesize_side), scaled by their common gains (B,) from
-    response.cascade_gains."""
-    (center_t, hops_t), (center_r, hops_r) = side_t, side_r
-    betas = _reflective_betas(center_t, center_r)
-    return _cascade(betas, hops_t, np.swapaxes(hops_r, -1, -2), gain[:, None, None]).h
-
-
-def reflective_cascades(scn: Scenario, d_t, d_r, tx_settings, rx_settings):
-    """(h, eta0): reflectively focused cascades of B posed links, h shaped
-    (B, N_r, N_t) and eta0 (B,).
-
-    Point i moves the Tx to distance d_t[i] tilted by tx_settings[i] (an
-    orientation with gamma and psi) and the Rx likewise.  The gains are
-    formed, and refused, before any hop, and every cascade equals
-    build_channels of the posed scenario bit for bit.
-    """
-    gain = response.cascade_gains(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, d_t, d_r)
-    sides = [
-        synthesize_side(scn.wave, scn.irs, pose, [(d, s.gamma, s.psi) for d, s in zip(ds, tilts)])
-        for pose, ds, tilts in ((scn.tx, d_t, tx_settings), (scn.rx, d_r, rx_settings))
-    ]
-    return posed_cascades(*sides, gain), gain
+    rows = np.asarray(poses, dtype=float).reshape(-1, 6).tolist()
+    lam = scn.wave.wavelength
+    parts_t, parts_r = (
+        pose_side(lam, link_side(scn.irs, pose), [row[at : at + 3] for row in rows])[2]
+        for pose, at in ((scn.tx, 0), (scn.rx, 3))
+    )
+    hops_r = np.swapaxes(side_hops(parts_r), -1, -2)
+    gain = np.asarray(gain, dtype=float)[:, None, None]
+    return _cascade(_reflective_betas(parts_t, parts_r), side_hops(parts_t), hops_r, gain).h
 
 
 def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:
@@ -455,11 +426,6 @@ def _side_terms(scn: Scenario, pose: ArrayPose, rows):
         for sin_psi in (math.sin(psi),)
     ]
     return np.array(terms, dtype=float).reshape(-1, 4)[at].T[..., None, None]
-
-
-def _own_pose(pose: ArrayPose) -> list[float]:
-    """The (distance, gamma, psi) a pose stands at."""
-    return [pose.distance, pose.orient_azimuth, pose.orient_elevation]
 
 
 def coupling_constants(scn: Scenario) -> CouplingConstants:

@@ -95,9 +95,11 @@ def gram_verdicts(scn: Scenario, h, gain) -> np.ndarray:
 
 
 def gram_passes(scn: Scenario, d_t: float, d_r: float, settings) -> bool:
-    """gram_verdicts at the one point (d_t, d_r) with the (Tx, Rx) settings."""
+    """gram_verdicts of the brute-force cascade (channel.reflective_cascades)
+    at the one point (d_t, d_r) with the (Tx, Rx) orientation settings."""
     ot, orx = settings
-    h, gain = chan.reflective_cascades(scn, [d_t], [d_r], [ot], [orx])
+    gain = response.cascade_gains(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, [d_t], [d_r])
+    h = chan.reflective_cascades(scn, [d_t, ot.gamma, ot.psi, d_r, orx.gamma, orx.psi], gain)
     return bool(gram_verdicts(scn, h, gain)[0])
 
 

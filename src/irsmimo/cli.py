@@ -137,23 +137,22 @@ def cmd_eigensweep(args) -> int:
     rr = mux.rayleigh_distances(scn.tx, scn.irs, scn.wave)
     axis = {"auto-x": "x", "auto-y": "y"}.get(args.orient)
     d_axis = rr.d_rx_axis if axis == "x" else rr.d_ry_axis
-
-    def key(d_t: float):
-        if axis is None:
-            return d_t, scn.tx.orient_azimuth, scn.tx.orient_elevation
-        # solve the per-distance orientation; beyond the limit keep the
-        # setting solved exactly at the limit
-        solved = mux.single_hop_orientation(
-            replace(scn.tx, distance=min(d_t, d_axis)), scn.irs, scn.wave, axis
-        )
-        return d_t, solved.gamma, solved.psi
-
-    rows = []
     distances = sweep.values().tolist()
-    for i in range(0, len(distances), SWEEP_CHUNK):
-        keys = [key(d_t) for d_t in distances[i : i + SWEEP_CHUNK]]
-        _, hops = chan.synthesize_side(scn.wave, scn.irs, scn.tx, keys)
-        for (d_t, _, _), h_t in zip(keys, hops):
+    gamma, psi = scn.tx.orient_azimuth, scn.tx.orient_elevation
+    if axis is not None and distances:
+        # the anchor gamma does not depend on distance: one solve, at the
+        # first distance, refuses what a solve at every distance would
+        gamma = mux.single_hop_orientation(
+            replace(scn.tx, distance=min(distances[0], d_axis)), scn.irs, scn.wave, axis
+        ).gamma
+    # the solver's tilt asin(D/D_axis), held at its value at the limit beyond it
+    keys = [(d, gamma, psi if axis is None else math.asin(min(1.0, d / d_axis))) for d in distances]
+    side = chan.link_side(scn.irs, scn.tx)
+    rows = []
+    for i in range(0, len(keys), SWEEP_CHUNK):
+        chunk = keys[i : i + SWEEP_CHUNK]
+        hops = chan.side_hops(chan.pose_side(scn.wave.wavelength, side, chunk)[2])
+        for (d_t, _, _), h_t in zip(chunk, hops):
             ev = np.linalg.eigvalsh(h_t.conj().T @ h_t) / scn.irs.n_elements
             rows.append((d_t, *np.sort(ev)[::-1]))
     header = ["d_t"] + [f"eig_{i + 1}" for i in range(scn.tx.n_antennas)]
@@ -194,10 +193,8 @@ def _spot_check(scn, pose, gain, h, passed) -> None:
     with the map's gain, gives the closed form's Gram verdict and matches
     the closed-form h entrywise to 1e-8 of its largest entry, the bound of
     verify's closed_form check."""
-    d_t, gamma_t, psi_t, d_r, gamma_r, psi_r = pose.tolist()
-    side_t = chan.synthesize_side(scn.wave, scn.irs, scn.tx, [(d_t, gamma_t, psi_t)])
-    side_r = chan.synthesize_side(scn.wave, scn.irs, scn.rx, [(d_r, gamma_r, psi_r)])
-    brute = chan.posed_cascades(side_t, side_r, gain)
+    d_t, _, _, d_r, _, _ = pose.tolist()
+    brute = chan.reflective_cascades(scn, pose, gain)
     scale = float(np.max(np.abs(brute)))
     if checks.gram_verdicts(scn, brute, gain)[0] != passed or not (
         np.max(np.abs(h - brute[0])) <= 1e-8 * scale

@@ -43,8 +43,7 @@ class ArrayPose:
             raise ValueError(f"n_antennas must be a positive odd integer, got {self.n_antennas}")
         if not 0.0 < self.spacing < math.inf:
             raise ValueError("antenna spacing must be > 0 and finite")
-        if not 0.0 < self.distance < math.inf:
-            raise ValueError("center distance must be > 0 and finite")
+        check_distance(self.distance)
         if not 0.0 <= self.azimuth < TWO_PI:
             raise ValueError("azimuth must lie in [0, 2*pi)")
         if not 0.0 <= self.elevation <= math.pi / 2:
@@ -55,6 +54,12 @@ class ArrayPose:
     def span(self) -> float:
         """End-to-end array length (n-1 spacings)."""
         return (self.n_antennas - 1) * self.spacing
+
+
+def check_distance(distance: float) -> None:
+    """Raise ValueError unless distance is a valid pose center distance."""
+    if not 0.0 < distance < math.inf:
+        raise ValueError("center distance must be > 0 and finite")
 
 
 def check_orientation(gamma: float, psi: float) -> None:

@@ -367,11 +367,6 @@ def normalize_orientation(m) -> np.ndarray:
     return np.array(out)
 
 
-def project_box(m) -> np.ndarray:
-    """Clip an orientation vector to the box (after a descent step)."""
-    return np.clip(_as_vector(m), _BOX_LOW, _BOX_HIGH)
-
-
 def optimize_orientation(
     scn: Scenario,
     theta,

@@ -279,7 +279,10 @@ SCENARIO_FILES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob
 
 def posed_cascades_agree(scn, d_t, d_r, tx_settings, rx_settings):
     """Batched cascades against build_channels of each posed scenario, bit for bit."""
-    h, gain = reflective_cascades(scn, d_t, d_r, tx_settings, rx_settings)
+    poses = [[dt, st.gamma, st.psi, dr, sr.gamma, sr.psi]
+             for dt, dr, st, sr in zip(d_t, d_r, tx_settings, rx_settings)]
+    gain = response.cascade_gains(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, d_t, d_r)
+    h = reflective_cascades(scn, poses, gain)
     assert h.shape == (len(d_t), scn.rx.n_antennas, scn.tx.n_antennas)
     for i, point in enumerate(zip(d_t, d_r, tx_settings, rx_settings)):
         dt, dr, st, sr = point
@@ -326,9 +329,7 @@ class TestReflectiveCascades:
 
     def test_invalid_tilt_is_rejected(self, golden_scenario):
         with pytest.raises(ValueError, match="orient_elevation"):
-            reflective_cascades(
-                golden_scenario, [5.0], [5.0], [Tilt(0.0, 4.0)], [Tilt(0.0, 1.0)]
-            )
+            reflective_cascades(golden_scenario, [5.0, 0.0, 4.0, 5.0, 0.0, 1.0], [1.0])
 
 
 class TestCouplingConstants:
@@ -589,8 +590,7 @@ class TestClosedFormCascades:
                 scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
             )
             h = closed_form_cascades(scn, poses, gain)
-            settings = [[Tilt(*row[k : k + 2]) for row in poses.tolist()] for k in (1, 4)]
-            brute, _ = reflective_cascades(scn, poses[:, 0], poses[:, 3], *settings)
+            brute = reflective_cascades(scn, poses, gain)
             for i in range(len(poses)):
                 one = closed_form_cascades(scn, poses[i : i + 1], gain[i : i + 1])
                 assert one[0].tobytes() == h[i].tobytes()

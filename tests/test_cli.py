@@ -27,7 +27,7 @@ from irsmimo import channel as chan
 from irsmimo import cli
 from irsmimo import multiplexing as mux
 from irsmimo import response
-from irsmimo.channel import build_channels, synthesize_side
+from irsmimo.channel import build_channels, pose_side
 from irsmimo.checks import gram_passes, posed_scenario, random_scenario
 from irsmimo.cli import main
 from irsmimo.geometry import IrsLayout
@@ -353,17 +353,19 @@ class TestFmrMapCommand:
         assert {"x", "y", "probe"} in kinds.values()  # of the tall draw, run last
 
     def test_only_the_spot_points_are_synthesized(self, capsys, monkeypatch):
-        # the closed form builds no hop: synthesize_side runs only for the
+        # the closed form builds no hop: pose_side runs only for the
         # brute-force spot check, once per side at the first in-region and
         # the first out-of-region point, one pose each
         scn = parse_scenario(BASELINE)
+        tx_v = chan.link_side(scn.irs, scn.tx).v
         calls = []
 
-        def counted(wave, layout, pose, keys):
-            calls.append(("tx" if pose == scn.tx else "rx", list(keys)))
-            return synthesize_side(wave, layout, pose, keys)
+        def counted(lam, side, keys):
+            is_tx = all(np.array_equal(a, b) for a, b in zip(side.v, tx_v))
+            calls.append(("tx" if is_tx else "rx", np.asarray(keys).tolist()))
+            return pose_side(lam, side, keys)
 
-        monkeypatch.setattr(chan, "synthesize_side", counted)
+        monkeypatch.setattr(chan, "pose_side", counted)
         bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
         for (dt0, dt1, n_dt), (dr0, dr1, n_dr) in [
             ((3.0, 40.0, 9), (2.5, 36.0, 10)),
@@ -390,7 +392,7 @@ class TestFmrMapCommand:
                 else:
                     ot, orx = fmr_orientations(bound, d_t, d_r, region)
                 spots[region is not None] = [
-                    ("tx", [(d_t, ot.gamma, ot.psi)]), ("rx", [(d_r, orx.gamma, orx.psi)])
+                    ("tx", [[d_t, ot.gamma, ot.psi]]), ("rx", [[d_r, orx.gamma, orx.psi]])
                 ]
                 if len(spots) == 2:
                     break
