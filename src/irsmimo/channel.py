@@ -17,8 +17,8 @@ pose_link poses both sides of a resolved link at a (B, 4) stack of tilt
 vectors, one per trial of the optimizer's line search.  reflective_cascades
 builds focused cascades by brute force at the (B, 6) poses and (B,) gains
 that closed_form_cascades takes, which gives the same cascades at
-O(N_r*N_t) per link.  Every operation on a stack is elementwise per row, so
-a pose's hops do not depend on the stack around it.
+O(N_r*N_t) per link.  Each row of a stack is computed apart from the
+others, so a pose's hops do not depend on the stack around it.
 
 Element-to-matrix ordering: elements are laid out row-major with the x
 index k slow and the y index l fast, i.e. element (k, l) occupies row
