@@ -1,11 +1,12 @@
 """Mutual information and its maximization over surface phases and array tilts.
 
-Three nested optimizers: a majorization-minimization (MM) loop for the
-unit-modulus surface phases theta, a projected gradient descent with
-backtracking for the four orientation angles [gamma_t, psi_t, gamma_r,
-psi_r], and an alternating driver calling both until the MI gain per round
-drops below threshold.  MI is reported in bits; the descent works on the
-negated MI.
+Two phase solvers for the unit-modulus surface phases theta: exact
+per-element updates swept over the surface (the default of the joint
+loop), and the paper's majorization-minimization (MM) loop.  A projected
+gradient descent with backtracking moves the four orientation angles
+[gamma_t, psi_t, gamma_r, psi_r], and an alternating driver calls a phase
+solver and the descent until the MI gain per round drops below threshold.
+MI is reported in bits; the descent works on the negated MI.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ SIGMA_FLOOR_SCALE = 1e-12
 # a stack of 6 costs about two trials posed one by one, and a stack of 8 a
 # third more than a stack of 6.
 LINE_BATCH = 6
+
+# the phase blocks alternating_optimize can run
+PHASE_SOLVERS = ("elementwise", "mm")
 
 logger = logging.getLogger(__name__)
 
@@ -217,6 +221,33 @@ def _cascade_mi(h_t, h_r, gain, theta, power) -> float:
     return mutual_information(h, power)
 
 
+def _climb(scn: Scenario, theta_init, eps_theta: float, max_outer: int, step):
+    """Repeat theta = step(h_t, h_r, gain, theta) at the scenario's hops.
+
+    One trace row per step; stops with "threshold" when a step gains less
+    than eps_theta bits, else with "max_iters" after max_outer steps.
+    """
+    theta = np.asarray(theta_init, dtype=complex)
+    mags = np.abs(theta)
+    if np.any(mags == 0):
+        raise ValueError("theta entries must be nonzero unit phasors")
+    theta = theta / mags
+
+    h_t, h_r, gain = chan.hop_matrices(scn)
+    mi_prev = _cascade_mi(h_t, h_r, gain, theta, scn.power)
+    rows = [(0, mi_prev, "theta")]
+    reason = "max_iters"
+    for outer in range(1, max_outer + 1):
+        theta = step(h_t, h_r, gain, theta)
+        mi_now = _cascade_mi(h_t, h_r, gain, theta, scn.power)
+        rows.append((outer, mi_now, "theta"))
+        if mi_now - mi_prev < eps_theta:
+            reason = "threshold"
+            break
+        mi_prev = mi_now
+    return theta, OptTrace(iterations=rows, stop_reason=reason)
+
+
 def optimize_theta(
     scn: Scenario,
     theta_init,
@@ -232,17 +263,7 @@ def optimize_theta(
     under eps_theta bits; the inner loop repeats the majorized update until
     the surrogate objective improves by less than eps_mm.
     """
-    theta = np.asarray(theta_init, dtype=complex)
-    mags = np.abs(theta)
-    if np.any(mags == 0):
-        raise ValueError("theta entries must be nonzero unit phasors")
-    theta = theta / mags
-
-    h_t, h_r, gain = chan.hop_matrices(scn)
-    mi_prev = _cascade_mi(h_t, h_r, gain, theta, scn.power)
-    rows = [(0, mi_prev, "theta")]
-    reason = "max_iters"
-    for outer in range(1, max_outer + 1):
+    def mm_round(h_t, h_r, gain, theta):
         aux = mm_auxiliaries(h_t, h_r, theta, gain, scn.power)
         wh = aux.w.conj().T
         lam_max = largest_eigenvalue(wh @ aux.w)
@@ -254,17 +275,58 @@ def optimize_theta(
             z = wh @ theta
             new_obj = _surrogate(z, aux.alpha, theta)
             if obj - new_obj < eps_mm:
-                obj = new_obj
                 break
             obj = new_obj
-        mi_now = _cascade_mi(h_t, h_r, gain, theta, scn.power)
-        rows.append((outer, mi_now, "theta"))
-        if mi_now - mi_prev < eps_theta:
-            mi_prev = mi_now
-            reason = "threshold"
-            break
-        mi_prev = mi_now
-    return theta, OptTrace(iterations=rows, stop_reason=reason)
+        return theta
+
+    return _climb(scn, theta_init, eps_theta, max_outer, mm_round)
+
+
+def phase_sweep(h_t, h_r, theta, eta0: float, power: PowerConfig) -> np.ndarray:
+    """Give each surface element in turn, in index order, its MI-maximizing phase.
+
+    With G = eta0 H_r diag(theta) H_t, b = eta0 H_r[:, q] and c = H_t[q],
+    take element q out: G' = G - theta_q b c^T.  On |theta_q| = 1,
+    det(I + rho G G^H) depends on theta_q only through |1 + theta_q s|^2
+    with s = d^H (I + rho G' G'^H)^-1 b and d = G' conj(c), up to a
+    positive factor (S. Zhang and R. Zhang, IEEE JSAC 2020,
+    arXiv:1910.01573), so theta_q = exp(-j arg s).  An element whose s is
+    zero keeps its phase.  G follows each update by a rank-one term.
+    Returns the updated phases; theta itself is not modified.
+    """
+    h_t, h_r = np.asarray(h_t), np.asarray(h_r)
+    theta = np.array(theta, dtype=complex)
+    # sqrt(rho) is folded into b and G, so the matrix solved is I + G' G'^H
+    b_rows = (math.sqrt(power.snr) * eta0) * h_r.T
+    terms = b_rows[:, :, None] * h_t[:, None, :]  # b c^T of every element
+    h_t_conj = h_t.conj()
+    eye = np.eye(h_r.shape[0])
+    g = (b_rows.T * theta[None, :]) @ h_t
+    for q in range(len(theta)):
+        g -= theta[q] * terms[q]
+        a = g @ g.conj().T
+        a += eye
+        s = np.vdot(g @ h_t_conj[q], np.linalg.solve(a, b_rows[q]))
+        mag = abs(s)
+        if mag > 0:  # false on a zero or a NaN
+            theta[q] = s.conjugate() / mag
+        g += theta[q] * terms[q]
+    return theta
+
+
+def optimize_theta_elementwise(
+    scn: Scenario, theta_init, *, eps_theta: float = 1e-6, max_outer: int = 200
+) -> tuple[np.ndarray, OptTrace]:
+    """Maximize MI over the surface phases at fixed geometry by phase_sweep.
+
+    One trace row per sweep over every element; stops when a sweep gains
+    less than eps_theta bits ("threshold"), else after max_outer sweeps
+    ("max_iters").  Each element update is exact, so the trace is monotone.
+    """
+    return _climb(
+        scn, theta_init, eps_theta, max_outer,
+        lambda h_t, h_r, gain, theta: phase_sweep(h_t, h_r, theta, gain, scn.power),
+    )
 
 
 def _as_vector(m) -> np.ndarray:
@@ -453,13 +515,21 @@ def alternating_optimize(
     max_rounds: int = 50,
     theta_stop: dict | None = None,
     orient_stop: dict | None = None,
+    phase_solver: str = "elementwise",
 ) -> tuple[np.ndarray, np.ndarray, OptTrace]:
-    """Alternate surface-phase MM and orientation descent until MI settles.
+    """Alternate a phase solver and orientation descent until MI settles.
 
     init is a (theta, orientation) pair; when omitted a seeded random start
-    is drawn.  Returns the final phases, orientation and the joint trace,
-    whose block rows are the final rows of the blocks' own traces.
+    is drawn.  phase_solver picks the phase block: "elementwise"
+    (optimize_theta_elementwise, exact per-element sweeps) or "mm"
+    (optimize_theta, the paper's MM loop); theta_stop holds the chosen
+    solver's stops, so eps_mm and max_inner go with "mm" only.  Returns
+    the final phases, orientation and the joint trace, whose block rows
+    are the final rows of the blocks' own traces.
     """
+    if phase_solver not in PHASE_SOLVERS:
+        raise ValueError(f"phase_solver must be one of {', '.join(PHASE_SOLVERS)}")
+    solve_theta = optimize_theta if phase_solver == "mm" else optimize_theta_elementwise
     if init is None:
         theta, m = random_init(scn, seed)
     else:
@@ -473,7 +543,7 @@ def alternating_optimize(
     rows = [(0, mi_prev, "init")]
     reason = "max_iters"
     for rnd in range(1, max_rounds + 1):
-        theta, theta_trace = optimize_theta(oriented_scenario(scn, m_vec), theta, **theta_stop)
+        theta, theta_trace = solve_theta(oriented_scenario(scn, m_vec), theta, **theta_stop)
         rows.append((rnd, theta_trace.mi_values[-1], "theta"))
         m_vec, orient_trace = optimize_orientation(scn, theta, m_vec, **orient_stop)
         mi_now = orient_trace.mi_values[-1]

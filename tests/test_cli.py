@@ -640,10 +640,7 @@ class TestFmrOrientCommand:
 
 
 class TestOptimizeCommand:
-    FAST = (
-        "--max-rounds", "1", "--max-outer", "5", "--max-inner", "50",
-        "--max-orient-iters", "5",
-    )
+    FAST = ("--max-rounds", "1", "--max-outer", "5", "--max-orient-iters", "5")
 
     def test_zero_seeds_scores_the_declared_focusing(self, capsys, tmp_path):
         out_file = tmp_path / "trace.csv"
@@ -705,6 +702,24 @@ class TestOptimizeCommand:
             assert code == 0
             blobs.append(out_file.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("option, value", [("--eps-mm", "1e-6"), ("--max-inner", "50")])
+    @pytest.mark.parametrize("solver", [(), ("--phase-solver", "elementwise")],
+                             ids=["default", "elementwise"])
+    def test_mm_stops_are_refused_without_mm(self, capsys, option, value, solver):
+        code, out, err = run_cli(
+            capsys, "optimize", "--scenario", SMALL, "--seeds", "0", *solver, option, value
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {option} is read only by --phase-solver mm\n"
+
+    def test_mm_reads_its_stops(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize", "--scenario", SMALL, "--seeds", "1", "--phase-solver", "mm",
+            *self.FAST, "--max-inner", "50", "--eps-mm", "1e-6",
+        )
+        assert code == 0, err
+        assert re.search(r"^best_seed=\S+ mi_bits=\S+$", out, re.M)
 
     def test_overlay_without_a_run_is_refused(self, capsys, tmp_path):
         overlay = tmp_path / "converged.txt"
@@ -921,7 +936,9 @@ def test_shifted_grid_csv_is_byte_identical(capsys, verify):
 
 # SHA-256 of the stdout of commands that synthesize hops, as written at
 # commit 759e47b9fdab (one-pose, keyed and stacked hop syntheses kept side
-# by side); a single synthesis path must keep every byte
+# by side); a single synthesis path must keep every byte.  "optimize" runs
+# the MM phase block those bytes were written with; "optimize-elementwise"
+# pins the default phase block from its introduction on
 HOP_OUTPUT_SHA256 = {
     "channel-h": "66110b467c16602454d3425c7ee139eda28da749f2ffc290aaccb6b26de71683",
     "channel-ht": "69c53d8d460e2fb27443bb25acbc6d8fea8671e0d00c0081bba239692dd274a4",
@@ -932,7 +949,10 @@ HOP_OUTPUT_SHA256 = {
     "eigensweep-auto-x": "3a8cac5ad0bf9ee483492f4dde740cc0a67aef7f85695fc2b6629834b3e5328a",
     "eigensweep-auto-y": "eb3cd0243d91203fa49707d3ca438c2c52ffdc39f9510d97c922261397be3c53",
     "optimize": "4432bed336ebc3dabc9e78288873936761bf0f8b81091a8d0517fb9a14981869",
+    "optimize-elementwise": "4b5f9a74b5d204f6251581031f815c23a3bacc42d095c173145b83f2409acbbb",
 }
+OPTIMIZE_ARGV = ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
+                 "--max-outer", "2", "--max-orient-iters", "3")
 HOP_OUTPUT_ARGV = {
     **{
         f"channel-{m}": ("channel", "--scenario", BASELINE, "--matrix", m)
@@ -943,8 +963,8 @@ HOP_OUTPUT_ARGV = {
                             "--start", "1", "--stop", "60", "--count", "37")
         for o in ("fixed", "auto-x", "auto-y")
     },
-    "optimize": ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
-                 "--max-outer", "2", "--max-orient-iters", "3"),
+    "optimize": (*OPTIMIZE_ARGV, "--phase-solver", "mm"),
+    "optimize-elementwise": OPTIMIZE_ARGV,
 }
 
 
@@ -1039,7 +1059,9 @@ def test_every_command_runs_on_the_scenario(capsys, tmp_path, base, replacements
          "--dr-start", "2", "--dr-stop", "30", "--dr-count", "5", "--verify"),
         ("fmr-orient", "--dt", repr(0.5 * x.d_t_star), "--dr", repr(0.5 * x.d_r_rayleigh)),
         ("optimize", "--seeds", "1", "--max-rounds", "1", "--max-outer", "2",
-         "--max-inner", "2", "--max-orient-iters", "2"),
+         "--max-orient-iters", "2"),
+        ("optimize", "--seeds", "1", "--max-rounds", "1", "--max-outer", "2",
+         "--phase-solver", "mm", "--max-inner", "2", "--max-orient-iters", "2"),
     ] + [
         ("eigensweep", "--orient", orient, "--start", "2", "--stop", "30", "--count", "3")
         for orient in ("fixed", "auto-x", "auto-y")

@@ -39,7 +39,9 @@ from irsmimo.optimize import (
     normalize_orientation,
     optimize_orientation,
     optimize_theta,
+    optimize_theta_elementwise,
     oriented_scenario,
+    phase_sweep,
     qcqp_objective,
     random_init,
     relaxed_optimum,
@@ -47,8 +49,10 @@ from irsmimo.optimize import (
 from irsmimo.response import WaveConfig
 from irsmimo.scenario import PowerConfig, Scenario, parse_scenario
 
-SMALL = str(Path(__file__).resolve().parents[1] / "scenarios" / "optimize_small.txt")
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SMALL = str(SCENARIO_DIR / "optimize_small.txt")
 BOX_LOW, BOX_HIGH = np.array([GAMMA_BOX, PSI_BOX, GAMMA_BOX, PSI_BOX]).T
+PHASE_SOLVERS = {"elementwise": optimize_theta_elementwise, "mm": optimize_theta}
 
 
 def fmr_anchor_scenario(power=None):
@@ -414,6 +418,130 @@ class TestThetaOptimizer:
             optimize_theta(scn, bad)
 
 
+def exactness_draws(rng):
+    """random_scenario draws covering N_r > N_t, a one-antenna Rx and Tx
+    side, and a noise-dominated link (1e-3 W)."""
+    draws, wanted = [], {"tall": None, "rx_single": None, "tx_single": None}
+    while any(v is None for v in wanted.values()):
+        scn = random_scenario(rng, high_snr=True)
+        n_t, n_r = scn.tx.n_antennas, scn.rx.n_antennas
+        if n_r == 1 and wanted["rx_single"] is None:
+            wanted["rx_single"] = scn
+            wanted["tx_single"] = replace(scn, tx=scn.rx, rx=scn.tx)
+        elif n_r > n_t and wanted["tall"] is None:
+            wanted["tall"] = scn
+        elif len(draws) < 2:
+            draws.append(scn)
+    noisy = replace(random_scenario(rng), power=PowerConfig(1.0, 1e-3))
+    return draws + list(wanted.values()) + [noisy]
+
+
+class TestElementwiseSolver:
+    def test_one_update_beats_a_phase_grid(self, rng):
+        # the closed-form phase of one element is at least as good as every
+        # point of a 720-point grid over that element's phase; a sweep
+        # updates element 0 first, against the start phases of the others,
+        # so the surface is relabelled to bring element k to the front
+        grid = np.exp(2j * math.pi * np.arange(720) / 720)
+        for scn in exactness_draws(rng):
+            chans = build_channels(scn)
+            q = scn.irs.n_elements
+            for k in (0, int(rng.integers(q)), q - 1):
+                theta = np.exp(1j * rng.uniform(0, 2 * math.pi, q))
+                before = mutual_information(cascade(chans, theta), scn.power)
+                order = np.roll(np.arange(q), -k)
+                swept = phase_sweep(
+                    chans.h_t[order], chans.h_r[:, order], theta[order], chans.eta0, scn.power
+                )
+                after = theta.copy()
+                after[k] = swept[0]
+                assert abs(after[k]) == pytest.approx(1.0, abs=1e-15)
+                got = mutual_information(cascade(chans, after), scn.power)
+                trials = np.repeat(theta[None, :], len(grid), axis=0)
+                trials[:, k] = grid
+                stack = chans.eta0 * ((chans.h_r[None] * trials[:, None, :]) @ chans.h_t)
+                best = float(np.max(mutual_information(stack, scn.power)))
+                assert got >= best - 1e-9
+                assert got >= before
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.txt")), ids=lambda p: p.stem)
+    def test_sweeps_are_monotone_and_bounded_on_the_shipped_scenarios(self, path):
+        scn = parse_scenario(str(path))
+        chans = build_channels(scn)
+        bound = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
+        for theta0 in (chans.theta, random_init(scn, 4)[0]):
+            _, trace = optimize_theta_elementwise(scn, theta0, max_outer=15)
+            mis = trace.mi_values
+            assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
+            assert max(mis) <= bound + 1e-9
+            assert all(row[2] == "theta" for row in trace.iterations)
+
+    def test_sweeps_are_monotone_and_bounded_on_random_draws(self, rng):
+        for scn in exactness_draws(rng):
+            chans = build_channels(scn)
+            bound = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
+            theta0, _ = random_init(scn, 8)
+            theta, trace = optimize_theta_elementwise(scn, theta0, max_outer=30)
+            mis = trace.mi_values
+            assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
+            assert max(mis) <= bound + 1e-9
+            assert len(mis) == 31 or trace.stop_reason == "threshold"
+            assert mutual_information(cascade(chans, theta), scn.power) == mis[-1]
+
+    def test_stops_on_the_mi_gain_of_a_sweep(self):
+        scn = parse_scenario(SMALL)
+        theta0, _ = random_init(scn, 2)
+        _, capped = optimize_theta_elementwise(scn, theta0, max_outer=2)
+        assert capped.stop_reason == "max_iters"
+        assert [row[0] for row in capped.iterations] == [0, 1, 2]
+        _, settled = optimize_theta_elementwise(scn, theta0, eps_theta=1e-3)
+        assert settled.stop_reason == "threshold"
+        mis = settled.mi_values
+        assert mis[-1] - mis[-2] < 1e-3 <= min(np.diff(mis[:-1]))
+
+    @pytest.mark.parametrize("zero", ["tx-row", "rx-column"])
+    def test_an_element_with_zero_s_keeps_its_phase(self, rng, zero):
+        # element 3 couples to nothing, so its s is exactly 0
+        q, n_t, n_r = 9, 3, 2
+        h_t = rng.normal(size=(q, n_t)) + 1j * rng.normal(size=(q, n_t))
+        h_r = rng.normal(size=(n_r, q)) + 1j * rng.normal(size=(n_r, q))
+        if zero == "tx-row":
+            h_t[3] = 0.0
+        else:
+            h_r[:, 3] = 0.0
+        theta = np.exp(1j * rng.uniform(0, 2 * math.pi, q))
+        kept = theta.copy()
+        out = phase_sweep(h_t, h_r, theta, 0.5, PowerConfig(2.0, 1.0))
+        assert np.array_equal(theta, kept)  # the input is not modified
+        assert out[3] == theta[3]
+        assert not np.any(out[np.arange(q) != 3] == theta[np.arange(q) != 3])
+
+    def test_rejects_zero_entries(self):
+        scn = fmr_anchor_scenario()
+        bad = np.ones(scn.irs.n_elements, dtype=complex)
+        bad[3] = 0.0
+        with pytest.raises(ValueError, match="^theta entries must be nonzero unit phasors$"):
+            optimize_theta_elementwise(scn, bad)
+
+    def test_large_surface_never_forms_a_q_by_q_matrix(self):
+        base = parse_scenario(SMALL)
+        scn = replace(base, irs=replace(base.irs, q_x=31, q_y=31))
+        theta0, _ = random_init(scn, 3)
+        q = scn.irs.n_elements
+        tracemalloc.start()
+        try:
+            optimize_theta_elementwise(scn, theta0, max_outer=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * q * q / 4  # a quarter of one complex Q x Q array
+
+    def test_unknown_phase_solver_is_refused(self):
+        scn = fmr_anchor_scenario()
+        with pytest.raises(ValueError, match="phase_solver must be one of elementwise, mm"):
+            alternating_optimize(scn, focusing_init(scn), phase_solver="cd")
+
+
 class TestGradients:
     def test_matches_central_differences(self, rng):
         worst = 0.0
@@ -564,20 +692,23 @@ class TestOrientationDescent:
         )
         assert reason == "no_descent"
 
-    def test_bench_portfolio_starts_match_the_serial_descent(self):
+    @pytest.mark.parametrize("solver", sorted(PHASE_SOLVERS))
+    def test_bench_portfolio_starts_match_the_serial_descent(self, solver):
         # the benchmark's stops on optimize_small.txt, from focusing and two
         # seeds: the alternation replayed with the one-by-one descent gives
         # the same rows, phases and orientation bit for bit
         scn = parse_scenario(SMALL)
         theta_stop, orient_stop = {"max_outer": 10}, {"max_iters": 40}
+        solve_theta = PHASE_SOLVERS[solver]
         for start in (focusing_init(scn), random_init(scn, 1), random_init(scn, 2)):
             theta, m, trace = alternating_optimize(
-                scn, start, max_rounds=5, theta_stop=theta_stop, orient_stop=orient_stop
+                scn, start, max_rounds=5, theta_stop=theta_stop, orient_stop=orient_stop,
+                phase_solver=solver,
             )
             replay, m_vec = np.asarray(start[0], dtype=complex), normalize_orientation(start[1])
             rows = [trace.iterations[0]]
             for rnd in range(1, len(trace.iterations) // 2 + 1):
-                replay, t_trace = optimize_theta(oriented_scenario(scn, m_vec), replay, **theta_stop)
+                replay, t_trace = solve_theta(oriented_scenario(scn, m_vec), replay, **theta_stop)
                 rows.append((rnd, t_trace.mi_values[-1], "theta"))
                 m_vec, mis, _, _ = reference_optimize_orientation(scn, replay, m_vec, **orient_stop)
                 rows.append((rnd, mis[-1], "orientation"))
@@ -700,18 +831,22 @@ class TestAlternatingDriver:
         final = build_channels(sc)
         assert mis[-1] <= mi_upper_bound(final.h_t, final.h_r, final.eta0, scn.power) + 1e-9
 
-    def test_rows_are_the_final_rows_of_each_block(self):
+    @pytest.mark.parametrize("solver", sorted(PHASE_SOLVERS))
+    def test_rows_are_the_final_rows_of_each_block(self, solver):
         scn = parse_scenario(SMALL)
         theta_stop, orient_stop = {"max_outer": 4}, {"max_iters": 4}
         theta, m, trace = alternating_optimize(
-            scn, seed=2, max_rounds=2, theta_stop=theta_stop, orient_stop=orient_stop
+            scn, seed=2, max_rounds=2, theta_stop=theta_stop, orient_stop=orient_stop,
+            phase_solver=solver,
         )
         assert trace.stop_reason == "max_iters"
         replay, m_vec = random_init(scn, 2)
         m_vec = normalize_orientation(m_vec)
         rows = [trace.iterations[0]]
         for rnd in (1, 2):
-            replay, t_trace = optimize_theta(oriented_scenario(scn, m_vec), replay, **theta_stop)
+            replay, t_trace = PHASE_SOLVERS[solver](
+                oriented_scenario(scn, m_vec), replay, **theta_stop
+            )
             rows.append((rnd, t_trace.mi_values[-1], "theta"))
             m_vec, o_trace = optimize_orientation(scn, replay, m_vec, **orient_stop)
             rows.append((rnd, o_trace.mi_values[-1], "orientation"))
