@@ -13,6 +13,8 @@ of one side (link_side) and synthesizes that side at every (distance, gamma,
 psi) row of a (B, 3) stack in one numpy pass.  A scenario's own array is the
 stack of one, which feeds tx_irs_channel, irs_rx_channel, propagation_phases,
 orientation_phase_jacobian, reflective_focusing and build_channels.
+build_channels, the one scenario-level builder, evaluates each side once
+and takes the surface phases from the scenario's focusing mode.
 pose_link poses both sides of a resolved link at a (B, 4) stack of tilt
 vectors, one per trial of the optimizer's line search.  reflective_cascades
 builds focused cascades by brute force at the (B, 6) poses and (B,) gains
@@ -51,17 +53,6 @@ ComplexMatrix = np.ndarray
 # A-factors below this are treated as a degenerate pose (array edge-on in
 # the surface plane); the anchor angles are undefined there.
 DEGENERATE_A = 1e-15
-
-
-@dataclass(frozen=True)
-class FocusingState:
-    """Per-element programmed phases, in the module's element row order."""
-
-    betas: np.ndarray
-
-    @property
-    def phasor(self) -> np.ndarray:
-        return np.exp(1j * self.betas)
 
 
 @dataclass(frozen=True)
@@ -221,12 +212,6 @@ def irs_rx_channel(scn: Scenario) -> ComplexMatrix:
     return side_hops(_own_parts(scn.wave, scn.irs, scn.rx))[0].T.copy()
 
 
-def hop_matrices(scn: Scenario) -> tuple[ComplexMatrix, ComplexMatrix, float]:
-    """(h_t, h_r, eta0): both hops and the common gain at the scenario's poses."""
-    gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
-    return tx_irs_channel(scn), irs_rx_channel(scn), gain
-
-
 @dataclass(frozen=True)
 class ResolvedLink:
     """A scenario's link with everything but the two array tilts resolved:
@@ -288,9 +273,10 @@ def pose_link(link: ResolvedLink, m) -> PosedLink:
     psi_r], or at each row of a (B, 4) stack of them.
 
     Each (gamma, psi) is folded into a pose's domain and then posed at the
-    side's own distance by pose_side, so every hop equals hop_matrices of
-    its posed scenario bit for bit.  A stack gives a stacked PosedLink; a
-    vector is posed as the stack of one and gives its [0].
+    side's own distance by pose_side, so every hop equals that of
+    build_channels at its posed scenario bit for bit.  A stack gives a
+    stacked PosedLink; a vector is posed as the stack of one and gives its
+    [0].
     """
     vec = np.asarray(m, dtype=float)
     if vec.ndim not in (1, 2) or vec.shape[-1] != 4:
@@ -314,23 +300,14 @@ def _reflective_betas(parts_t, parts_r):
     return (small_t[..., c_t] + small_r[..., c_r]) + (big_t + big_r)[..., 0]
 
 
-def reflective_focusing(scn: Scenario) -> FocusingState:
-    """Phases that make all element paths from Tx center add in phase at Rx center.
+def reflective_focusing(scn: Scenario) -> np.ndarray:
+    """Phases beta that make all element paths from Tx center add in phase at Rx center.
 
     beta equals the summed center-link phases 2*pi*(d_t0 + d_0r)/lambda, so
     the compensated center-to-center entry carries zero residual phase.
     """
     parts_t, parts_r = (_own_parts(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
-    return FocusingState(_reflective_betas(parts_t, parts_r)[0])
-
-
-def scenario_focusing(scn: Scenario) -> FocusingState:
-    """The FocusingState declared by the scenario's focusing mode."""
-    if scn.focusing_mode == "reflective":
-        return reflective_focusing(scn)
-    if scn.focusing_mode == "zero":
-        return FocusingState(np.zeros(scn.irs.n_elements))
-    return FocusingState(np.asarray(scn.focusing_betas, dtype=float))
+    return _reflective_betas(parts_t, parts_r)[0]
 
 
 def _cascade(betas, h_t, h_r, gain) -> ChannelSet:
@@ -339,24 +316,17 @@ def _cascade(betas, h_t, h_r, gain) -> ChannelSet:
     return ChannelSet(h_t=h_t, h_r=h_r, theta=theta, eta0=gain, h=h)
 
 
-def assemble(scn: Scenario, focusing: FocusingState) -> ChannelSet:
-    """Build both hops and the cascade h = eta0 * H_r diag(theta) H_t."""
-    betas = np.asarray(focusing.betas, dtype=float)
-    if betas.shape != (scn.irs.n_elements,):
-        raise ValueError(
-            f"focusing needs {scn.irs.n_elements} phases, got shape {betas.shape}"
-        )
-    return _cascade(betas, *hop_matrices(scn))
-
-
 def build_channels(scn: Scenario) -> ChannelSet:
-    """Assemble with the scenario's own focusing declaration; reflective
-    focusing phases and both hops come from one evaluation of each side."""
-    if scn.focusing_mode != "reflective":
-        return assemble(scn, scenario_focusing(scn))
+    """Both hops, the surface phases of the scenario's focusing mode and
+    the cascade h = eta0 * H_r diag(theta) H_t; each side is evaluated once."""
     parts_t, parts_r = (_own_parts(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
-    betas = _reflective_betas(parts_t, parts_r)[0]
+    if scn.focusing_mode == "reflective":
+        betas = _reflective_betas(parts_t, parts_r)[0]
+    elif scn.focusing_mode == "zero":
+        betas = np.zeros(scn.irs.n_elements)
+    else:
+        betas = np.asarray(scn.focusing_betas, dtype=float)
     return _cascade(betas, side_hops(parts_t)[0], side_hops(parts_r)[0].T.copy(), gain)
 
 

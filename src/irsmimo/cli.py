@@ -317,7 +317,8 @@ def cmd_optimize(args) -> int:
             phase_solver=args.phase_solver,
         )
         mi = trace.iterations[-1][1]
-        bound = opt.mi_upper_bound(*chan.hop_matrices(opt.oriented_scenario(scn, m)), scn.power)
+        cs = chan.build_channels(opt.oriented_scenario(scn, m))
+        bound = opt.mi_upper_bound(cs.h_t, cs.h_r, cs.eta0, scn.power)
         return label, theta, m, trace, mi, bound
 
     # the declared-focusing start anchors the portfolio: being monotone, it

@@ -221,19 +221,28 @@ def _cascade_mi(h_t, h_r, gain, theta, power) -> float:
     return mutual_information(h, power)
 
 
+def _finite_phases(theta) -> np.ndarray:
+    """theta as an array, refused when an entry is NaN or infinite."""
+    theta = np.asarray(theta)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta entries must be finite")
+    return theta
+
+
 def _climb(scn: Scenario, theta_init, eps_theta: float, max_outer: int, step):
     """Repeat theta = step(h_t, h_r, gain, theta) at the scenario's hops.
 
     One trace row per step; stops with "threshold" when a step gains less
     than eps_theta bits, else with "max_iters" after max_outer steps.
     """
-    theta = np.asarray(theta_init, dtype=complex)
+    theta = _finite_phases(np.asarray(theta_init, dtype=complex))
     mags = np.abs(theta)
     if np.any(mags == 0):
         raise ValueError("theta entries must be nonzero unit phasors")
     theta = theta / mags
 
-    h_t, h_r, gain = chan.hop_matrices(scn)
+    cs = chan.build_channels(scn)
+    h_t, h_r, gain = cs.h_t, cs.h_r, cs.eta0
     mi_prev = _cascade_mi(h_t, h_r, gain, theta, scn.power)
     rows = [(0, mi_prev, "theta")]
     reason = "max_iters"
@@ -451,7 +460,7 @@ def optimize_orientation(
     than eps_orient, "no_descent" when every one of the max_backtracks
     trials raises the objective, and "max_iters" otherwise.
     """
-    theta = np.asarray(theta)
+    theta = _finite_phases(theta)
     link = chan.resolve_link(scn)
     m = normalize_orientation(m_init)
     obj, posed = _descent_objective(link, scn.power, theta, m)
@@ -503,7 +512,7 @@ def focusing_init(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """
     tx, rx = scn.tx, scn.rx
     m = [tx.orient_azimuth, tx.orient_elevation, rx.orient_azimuth, rx.orient_elevation]
-    return chan.scenario_focusing(scn).phasor, normalize_orientation(m)
+    return chan.build_channels(scn).theta, normalize_orientation(m)
 
 
 def alternating_optimize(
@@ -534,7 +543,7 @@ def alternating_optimize(
         theta, m = random_init(scn, seed)
     else:
         theta, m = init
-        theta = np.asarray(theta, dtype=complex)
+        theta = _finite_phases(np.asarray(theta, dtype=complex))
     m_vec = normalize_orientation(m)
     theta_stop = theta_stop or {}
     orient_stop = orient_stop or {}

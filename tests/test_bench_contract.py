@@ -1,14 +1,17 @@
-"""The names the benchmark's tracer patches must exist on the package.
+"""The names the benchmark uses must exist on the package.
 
 perfbench/spans.py wraps each (module, attribute) pair of its TRACED table
-with getattr/setattr at run time, so a renamed or deleted function breaks
-every traced benchmark run without failing any other test.  The table is
-read from the file itself, so it is never copied here.
+with getattr/setattr at run time, and perfbench/workloads.py calls irsmimo
+functions by module attribute and keyword, so a renamed or deleted function
+or keyword breaks every benchmark run without failing any other test.  The
+table, the attributes and the keywords are read from the files themselves,
+so they are never copied here.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,69 @@ def traced_pairs():
 @pytest.mark.parametrize("module, attr", traced_pairs())
 def test_traced_attribute_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"irsmimo.{module}"), attr))
+
+
+def workload_uses():
+    """({(module, attribute)}, {(module, function, keyword)}) of workloads.py.
+
+    Modules are found through the file's `from irsmimo import x as y`
+    aliases.  A `**name` argument is resolved to the string keys of the dict
+    literal assigned to that name (or self attribute) in the file.
+    """
+    tree = ast.parse((REPO_ROOT / "perfbench" / "workloads.py").read_text())
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "irsmimo"
+        for alias in node.names
+    }
+    dicts = {
+        ast.unparse(target): [k.value for k in node.value.keys if isinstance(k, ast.Constant)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        for target in node.targets
+    }
+
+    def module_attr(node):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            return aliases[node.value.id], node.attr
+        return None
+
+    attrs, keywords = set(), set()
+    for node in ast.walk(tree):
+        if module_attr(node):
+            attrs.add(module_attr(node))
+        if isinstance(node, ast.Call) and module_attr(node.func):
+            for kw in node.keywords:
+                names = [kw.arg] if kw.arg else dicts[ast.unparse(kw.value)]
+                keywords.update((*module_attr(node.func), name) for name in names)
+    return attrs, keywords
+
+
+WORKLOAD_ATTRS, WORKLOAD_KEYWORDS = (sorted(uses) for uses in workload_uses())
+
+
+def test_workload_uses_are_found():
+    # the parse must see the workloads' calls, or the tests below check nothing
+    assert ("optimize", "alternating_optimize") in WORKLOAD_ATTRS
+    assert {kw for _, _, kw in WORKLOAD_KEYWORDS} >= {
+        "theta_stop", "orient_stop", "max_rounds", "max_outer", "seed"
+    }
+
+
+@pytest.mark.parametrize("module, attr", WORKLOAD_ATTRS)
+def test_workload_attribute_resolves(module, attr):
+    assert hasattr(importlib.import_module(f"irsmimo.{module}"), attr)
+
+
+@pytest.mark.parametrize("module, func, keyword", WORKLOAD_KEYWORDS)
+def test_workload_keyword_is_accepted(module, func, keyword):
+    fn = getattr(importlib.import_module(f"irsmimo.{module}"), func)
+    params = inspect.signature(fn).parameters
+    assert keyword in params and params[keyword].kind in (
+        inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY
+    )
 
 
 def test_mm_auxiliaries_returns_a_dataclass_of_arrays():

@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 
 from irsmimo import response
 from irsmimo.channel import (
-    FocusingState,
-    assemble,
     build_channels,
     closed_form_cascades,
     closed_form_channel,
     coupling_constants,
     dirichlet_ratio,
-    hop_matrices,
     irs_rx_channel,
     orientation_phase_jacobian,
     pose_link,
@@ -27,7 +24,6 @@ from irsmimo.channel import (
     reflective_cascades,
     reflective_focusing,
     resolve_link,
-    scenario_focusing,
     side_anchors,
     tx_irs_channel,
 )
@@ -110,7 +106,7 @@ class TestFocusing:
 
     def test_scalar_case_beta_is_the_summed_center_phase(self):
         scn = tiny_scenario(d_t=10.0, d_r=12.0, lam=0.005)
-        betas = reflective_focusing(scn).betas
+        betas = reflective_focusing(scn)
         assert betas.shape == (1,)
         assert betas[0] == pytest.approx(2 * math.pi * 22.0 / 0.005, rel=1e-15)
 
@@ -123,20 +119,21 @@ class TestFocusing:
         qrow = q + (scn.rx.n_antennas - 1) // 2
         prop_t = propagation_phases(scn.wave, scn.irs, scn.tx)
         prop_r = propagation_phases(scn.wave, scn.irs, scn.rx)
-        chans = assemble(scn, FocusingState(prop_t[:, pcol] + prop_r[:, qrow]))
+        betas = tuple(prop_t[:, pcol] + prop_r[:, qrow])
+        chans = build_channels(replace(scn, focusing_mode="explicit", focusing_betas=betas))
         assert abs(chans.h[qrow, pcol]) == pytest.approx(
             chans.eta0 * scn.irs.n_elements, rel=1e-9
         )
 
     def test_focusing_mode_dispatch(self, golden_scenario):
         zeroed = replace(golden_scenario, focusing_mode="zero")
-        assert np.all(scenario_focusing(zeroed).betas == 0.0)
+        assert np.all(build_channels(zeroed).theta == 1.0)
         listed = replace(
             tiny_scenario(), focusing_mode="explicit", focusing_betas=(0.25,)
         )
-        assert scenario_focusing(listed).betas[0] == 0.25
-        reflective = scenario_focusing(golden_scenario).betas
-        assert np.allclose(reflective, reflective_focusing(golden_scenario).betas)
+        assert build_channels(listed).theta[0] == np.exp(0.25j)
+        reflective = build_channels(golden_scenario).theta
+        assert np.array_equal(reflective, np.exp(1j * reflective_focusing(golden_scenario)))
 
 
 class TestAssembly:
@@ -146,16 +143,30 @@ class TestAssembly:
         assert np.linalg.norm(chans.h - product) <= 1e-10 * np.linalg.norm(chans.h)
 
     def test_reflective_build_is_the_single_hop_path(self, golden_scenario, rng):
-        # the reflective build evaluates each side once; it must agree bit
-        # for bit with the focusing and hops evaluated separately
-        for scn in [golden_scenario] + [random_scenario(rng) for _ in range(5)]:
-            chans = build_channels(scn)
-            ref = assemble(scn, reflective_focusing(scn))
-            for name in ("h_t", "h_r", "theta", "h"):
-                assert np.array_equal(getattr(chans, name), getattr(ref, name))
-            assert chans.eta0 == ref.eta0
-            assert np.array_equal(chans.h_t, tx_irs_channel(scn))
-            assert np.array_equal(chans.h_r, irs_rx_channel(scn))
+        # build_channels evaluates each side once for every focusing mode; it
+        # must agree bit for bit with eta0 * (h_r * e^{j beta}) @ h_t built by
+        # hand from the hops and the focusing evaluated separately, also for
+        # N_r > N_t and a one-antenna side
+        setups = [golden_scenario] + [random_scenario(rng) for _ in range(6)]
+        setups[-2] = replace(setups[-2], tx=replace(setups[-2].tx, n_antennas=1))
+        setups[-1] = replace(setups[-1], rx=replace(setups[-1].rx, n_antennas=1))
+        assert any(scn.rx.n_antennas > scn.tx.n_antennas for scn in setups)
+        for base in setups:
+            q = base.irs.n_elements
+            listed = rng.uniform(-10.0, 10.0, q)
+            for scn, betas in (
+                (base, reflective_focusing(base)),
+                (replace(base, focusing_mode="zero"), np.zeros(q)),
+                (replace(base, focusing_mode="explicit", focusing_betas=tuple(listed)), listed),
+            ):
+                chans = build_channels(scn)
+                h_t, h_r = tx_irs_channel(scn), irs_rx_channel(scn)
+                gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
+                theta = np.exp(1j * betas)
+                assert np.array_equal(chans.h_t, h_t) and np.array_equal(chans.h_r, h_r)
+                assert np.array_equal(chans.theta, theta)
+                assert chans.eta0 == gain
+                assert np.array_equal(chans.h, gain * ((h_r * theta) @ h_t))
 
     def test_posed_link_matches_the_posed_scenario(self, golden_scenario, rng):
         # pose_link folds each tilt as oriented_scenario does; its hops, gain
@@ -174,7 +185,8 @@ class TestAssembly:
             for m in vectors:
                 posed = pose_link(link, m)
                 sc = oriented_scenario(scn, m)
-                ref_t, ref_r, ref_gain = hop_matrices(sc)
+                ref = build_channels(sc)
+                ref_t, ref_r, ref_gain = ref.h_t, ref.h_r, ref.eta0
                 assert np.array_equal(posed.h_t, ref_t) and np.array_equal(posed.h_r, ref_r)
                 assert posed.eta0 == ref_gain
                 for jac, pose in zip(posed.jacobians(), (sc.tx, sc.rx)):
@@ -221,7 +233,8 @@ class TestAssembly:
             stacked_jacs = posed.jacobians()
             for i, m in enumerate(stack):
                 alone = pose_link(link, m)
-                ref_t, ref_r, _ = hop_matrices(oriented_scenario(scn, m))
+                ref = build_channels(oriented_scenario(scn, m))
+                ref_t, ref_r = ref.h_t, ref.h_r
                 assert np.array_equal(alone.h_t, ref_t) and np.array_equal(alone.h_r, ref_r)
                 assert np.array_equal(posed.h_t[i], ref_t) and np.array_equal(posed.h_r[i], ref_r)
                 for row_jac, stacked, want in zip(
@@ -270,7 +283,7 @@ class TestAssembly:
 
     def test_wrong_length_phase_vector_rejected(self, golden_scenario):
         with pytest.raises(ValueError, match="225"):
-            assemble(golden_scenario, FocusingState(np.zeros(16)))
+            replace(golden_scenario, focusing_mode="explicit", focusing_betas=(0.0,) * 16)
 
 
 Tilt = namedtuple("Tilt", "gamma psi")

@@ -10,6 +10,7 @@ line-search loops.
 import itertools
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ import pytest
 
 from irsmimo import channel as chan
 from irsmimo import optimize as opt
-from irsmimo.channel import FocusingState, assemble, build_channels, scenario_focusing
+from irsmimo.channel import build_channels
 from irsmimo.checks import golden_scenario, posed_scenario, random_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout
 from irsmimo.multiplexing import fmr_inner_bound, fmr_orientations
@@ -133,7 +134,9 @@ class TestUpperBound:
         for _ in range(100):
             scn = random_scenario(rng)
             betas = rng.uniform(0.0, 2 * math.pi, scn.irs.n_elements)
-            chans = assemble(scn, FocusingState(betas))
+            chans = build_channels(
+                replace(scn, focusing_mode="explicit", focusing_betas=tuple(betas))
+            )
             mi = mutual_information(chans.h, scn.power)
             ub = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
             assert mi <= ub + 1e-9
@@ -159,7 +162,9 @@ class TestUpperBound:
             scn = random_scenario(rng)
             scn = replace(scn, tx=scn.rx, rx=scn.tx)
             betas = rng.uniform(0.0, 2 * math.pi, scn.irs.n_elements)
-            chans = assemble(scn, FocusingState(betas))
+            chans = build_channels(
+                replace(scn, focusing_mode="explicit", focusing_betas=tuple(betas))
+            )
             mi = mutual_information(chans.h, scn.power)
             worst = max(worst, mi - mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power))
         assert worst <= 1e-9
@@ -324,7 +329,8 @@ def reference_optimize_theta(scn, theta0, *, eps_theta=1e-6, eps_mm=1e-8, max_ou
     """optimize_theta spelled out with mm_step and qcqp_objective."""
     theta = np.asarray(theta0, dtype=complex)
     theta = theta / np.abs(theta)
-    h_t, h_r, gain = chan.hop_matrices(scn)
+    cs = build_channels(scn)
+    h_t, h_r, gain = cs.h_t, cs.h_r, cs.eta0
 
     def mi(th):
         return mutual_information(gain * ((h_r * th[None, :]) @ h_t), scn.power)
@@ -375,7 +381,7 @@ class TestThetaOptimizer:
 
     def test_focusing_start_is_already_converged(self):
         scn = fmr_anchor_scenario()
-        theta0 = scenario_focusing(scn).phasor
+        theta0 = build_channels(scn).theta
         chans = build_channels(scn)
         before = mutual_information(cascade(chans, theta0), scn.power)
         theta, trace = optimize_theta(scn, theta0, max_outer=20)
@@ -620,7 +626,8 @@ def reference_optimize_orientation(
     theta = np.asarray(theta)
 
     def objective(m):
-        h_t, h_r, gain = chan.hop_matrices(oriented_scenario(scn, m))
+        cs = build_channels(oriented_scenario(scn, m))
+        h_t, h_r, gain = cs.h_t, cs.h_r, cs.eta0
         return -mutual_information(gain * ((h_r * theta[None, :]) @ h_t), scn.power)
 
     m = normalize_orientation(m_init)
@@ -719,7 +726,7 @@ class TestOrientationDescent:
 
     def test_feasible_point_is_a_fixed_point(self):
         scn = fmr_anchor_scenario()
-        theta = scenario_focusing(scn).phasor
+        theta = build_channels(scn).theta
         m0 = pose_orientation(scn)
         m, trace = optimize_orientation(scn, theta, m0, max_iters=30)
         sc = oriented_scenario(scn, m)
@@ -853,6 +860,26 @@ class TestAlternatingDriver:
         assert trace.iterations == rows
         assert np.array_equal(theta, replay)
         assert np.array_equal(m, m_vec)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_non_finite_start_phases_are_refused(self, bad):
+        # refused up front by name, before any numpy warning or LinAlgError
+        scn = parse_scenario(SMALL)
+        theta, m = focusing_init(scn)
+        theta = theta.copy()
+        theta[3] = bad
+        calls = [
+            lambda: optimize_theta(scn, theta, max_outer=2),
+            lambda: optimize_theta_elementwise(scn, theta, max_outer=2),
+            lambda: optimize_orientation(scn, theta, m, max_iters=2),
+            lambda: alternating_optimize(scn, (theta, m), max_rounds=1),
+            lambda: alternating_optimize(scn, (theta, m), max_rounds=1, phase_solver="mm"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="^theta entries must be finite$"):
+                    call()
 
     def test_zero_rounds_returns_the_start(self):
         scn = fmr_anchor_scenario()
