@@ -30,6 +30,12 @@ _BOX_LOW, _BOX_HIGH = np.array([GAMMA_BOX, PSI_BOX, GAMMA_BOX, PSI_BOX]).T
 
 SIGMA_FLOOR_SCALE = 1e-12
 
+# numpy's complex division forms 1/|divisor|, which overflows when the
+# divisor is subnormal; the phase updates first scale such a value by this
+# power of two, which moves no bit of its phase
+_NORMAL_MIN = np.finfo(float).tiny
+_UNSUBNORMAL = 2.0**600
+
 # Trial poses per stacked evaluation of the orientation line search.  On
 # optimize_small.txt 97% of descent steps accept one of their first 6 trials,
 # a stack of 6 costs about two trials posed one by one, and a stack of 8 a
@@ -211,8 +217,10 @@ def mm_step(w, alpha, theta, lam_max: float | None = None, z=None) -> np.ndarray
     q -= w @ z
     q -= alpha
     mag = np.abs(q)
-    if np.minimum.reduce(mag) > 0:  # false on a zero or a NaN, as where= below
+    if np.minimum.reduce(mag) >= _NORMAL_MIN:  # false on a zero, a subnormal or a NaN
         return np.divide(q, mag, out=q)
+    q[mag < _NORMAL_MIN] *= _UNSUBNORMAL
+    mag = np.abs(q)
     return np.divide(q, mag, out=theta.copy(), where=mag > 0)
 
 
@@ -224,7 +232,7 @@ def _cascade_mi(h_t, h_r, gain, theta, power) -> float:
 def _finite_phases(theta) -> np.ndarray:
     """theta as an array, refused when an entry is NaN or infinite."""
     theta = np.asarray(theta)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("theta entries must be finite")
     return theta
 
@@ -318,6 +326,9 @@ def phase_sweep(h_t, h_r, theta, eta0: float, power: PowerConfig) -> np.ndarray:
         s = np.vdot(g @ h_t_conj[q], np.linalg.solve(a, b_rows[q]))
         mag = abs(s)
         if mag > 0:  # false on a zero or a NaN
+            if mag < _NORMAL_MIN:
+                s *= _UNSUBNORMAL
+                mag = abs(s)
             theta[q] = s.conjugate() / mag
         g += theta[q] * terms[q]
     return theta
@@ -374,7 +385,7 @@ def mi_gradient(scn: Scenario, theta, m, posed=None) -> np.ndarray:
     posed is the link already posed at m (channel.pose_link), whose hops
     are then reused rather than synthesized again.
     """
-    theta = np.asarray(theta)
+    theta = _finite_phases(theta)
     if posed is None:
         posed = chan.pose_link(chan.resolve_link(scn), _as_vector(m))
     h_t, h_r, gain = posed.h_t, posed.h_r, posed.eta0
@@ -404,6 +415,7 @@ def finite_difference_gradient(scn: Scenario, theta, m, step: float = 1e-6) -> n
     """Central-difference gradient of the negated MI (oracle for mi_gradient)."""
     if step <= 0.0:
         raise ValueError("step must be > 0")
+    theta = _finite_phases(theta)
     vec = _as_vector(m)
     link = chan.resolve_link(scn)
     out = np.zeros(4)

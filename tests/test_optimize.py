@@ -304,6 +304,15 @@ class TestMmMachinery:
             z = w.conj().T @ theta
             assert np.array_equal(mm_step(w, alpha, theta, lam_max=lam_max, z=z), want)
 
+    def test_step_normalizes_a_subnormal_update(self):
+        # numpy's complex division by a subnormal magnitude overflows
+        alpha = np.array([3e-310 + 4e-310j, -5e-311j, 1.0 + 0j, 0j])
+        theta = np.exp(1j * np.arange(4.0))
+        with np.errstate(all="raise", under="ignore"):
+            out = mm_step(np.zeros((4, 1)), alpha, theta, lam_max=0.0)
+        assert np.allclose(out[:3], np.exp(1j * np.angle(-alpha[:3])), rtol=0, atol=1e-12)
+        assert out[3] == theta[3]
+
     def test_optimal_point_is_fixed(self, rng):
         n = 8
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -542,6 +551,19 @@ class TestElementwiseSolver:
             tracemalloc.stop()
         assert peak < 16 * q * q / 4  # a quarter of one complex Q x Q array
 
+    @pytest.mark.parametrize("solver", sorted(PHASE_SOLVERS))
+    @pytest.mark.parametrize("name", ["cascade_baseline", "response_variation"])
+    def test_both_solvers_run_at_a_subnormal_snr(self, name, solver):
+        # at 1e-300 W the sweep's s and the MM update are subnormal; underflow
+        # stays ignored because the weak modes' MI terms are themselves subnormal
+        base = parse_scenario(str(SCENARIO_DIR / f"{name}.txt"))
+        scn = replace(base, power=PowerConfig(per_antenna_power=1e-300))
+        theta0, _ = random_init(scn, 1)
+        with np.errstate(all="raise", under="ignore"):
+            theta, trace = PHASE_SOLVERS[solver](scn, theta0, max_outer=3)
+        assert np.allclose(np.abs(theta), 1.0)
+        assert np.all(np.isfinite(trace.mi_values))
+
     def test_unknown_phase_solver_is_refused(self):
         scn = fmr_anchor_scenario()
         with pytest.raises(ValueError, match="phase_solver must be one of elementwise, mm"):
@@ -614,6 +636,17 @@ class TestGradients:
         theta = np.ones(scn.irs.n_elements, dtype=complex)
         with pytest.raises(ValueError, match="step"):
             finite_difference_gradient(scn, theta, pose_orientation(scn), step=0.0)
+
+    def test_non_finite_phases_are_refused(self):
+        # refused by name: before, mi_gradient returned NaNs and the finite
+        # difference raised numpy's LinAlgError
+        scn = parse_scenario(SMALL)
+        theta, m = focusing_init(scn)
+        theta = theta.copy()
+        theta[3] = math.nan
+        for gradient in (mi_gradient, finite_difference_gradient):
+            with pytest.raises(ValueError, match="^theta entries must be finite$"):
+                gradient(scn, theta, m)
 
 
 def reference_optimize_orientation(
