@@ -57,25 +57,14 @@ DEGENERATE_A = 1e-15
 
 @dataclass(frozen=True)
 class CouplingConstants:
-    """Geometry couplings of both hops along both surface axes.
-
-    c_* are the dimensionless spatial-frequency couplings; a_* the direction
-    amplitudes in [0, 1]; gbar_* the anchor angles the array orientation is
-    measured against.
-    """
+    """Dimensionless spatial-frequency couplings of both hops along both
+    surface axes; side_anchors gives the direction amplitudes and anchor
+    angles they are formed from."""
 
     c_tx: float
     c_ty: float
     c_rx: float
     c_ry: float
-    a_tx: float
-    a_ty: float
-    a_rx: float
-    a_ry: float
-    gbar_tx: float
-    gbar_ty: float
-    gbar_rx: float
-    gbar_ry: float
 
 
 @dataclass(frozen=True)
@@ -399,26 +388,11 @@ def _side_terms(scn: Scenario, pose: ArrayPose, rows):
 
 
 def coupling_constants(scn: Scenario) -> CouplingConstants:
-    """All twelve coupling quantities of the cascade."""
+    """The four couplings of the cascade at the scenario's own poses."""
     (c_tx, c_ty, _, _), (c_rx, c_ry, _, _) = (
         _side_terms(scn, pose, [_own_pose(pose)]).ravel().tolist() for pose in (scn.tx, scn.rx)
     )
-    a_tx, g_tx, a_ty, g_ty = side_anchors(scn.tx)
-    a_rx, g_rx, a_ry, g_ry = side_anchors(scn.rx)
-    return CouplingConstants(
-        c_tx=c_tx,
-        c_ty=c_ty,
-        c_rx=c_rx,
-        c_ry=c_ry,
-        a_tx=a_tx,
-        a_ty=a_ty,
-        a_rx=a_rx,
-        a_ry=a_ry,
-        gbar_tx=g_tx,
-        gbar_ty=g_ty,
-        gbar_rx=g_rx,
-        gbar_ry=g_ry,
-    )
+    return CouplingConstants(c_tx, c_ty, c_rx, c_ry)
 
 
 def dirichlet_ratio(u, q: int):

@@ -190,9 +190,10 @@ def _map_verdicts(scn, grid) -> np.ndarray:
 
 def _spot_check(scn, pose, gain, h, passed) -> None:
     """Refuse a map unless the brute-force cascade at one of its points,
-    with the map's gain, gives the closed form's Gram verdict and matches
-    the closed-form h entrywise to 1e-8 of its largest entry, the bound of
-    verify's closed_form check."""
+    with the map's gain, gives the closed form's Gram verdict and max|h -
+    brute| is at most 1e-8 of brute's largest entry.  One bound for every
+    entry, unlike verify's closed_form check, which judges each entry above
+    1e-6 of the largest against itself."""
     d_t, _, _, d_r, _, _ = pose.tolist()
     brute = chan.reflective_cascades(scn, pose, gain)
     scale = float(np.max(np.abs(brute)))
@@ -233,8 +234,9 @@ def cmd_fmr_orient(args) -> int:
     bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
     region = args.region
     if region == "auto":
-        # the first region holding the point, as fmr-map --verify picks it
-        served = mux.region_grid(bound, [args.dt], [args.dr], probe=None)[1].item()
+        # the first region holding the point, as fmr-map --verify picks it;
+        # the probe column refuses a nonpositive or NaN distance as fmr-map does
+        served = mux.region_grid(bound, [args.dt], [args.dr])[1].item()
         region = ("x", "y", None)[served]
         if region is None:
             print(
@@ -396,9 +398,11 @@ def cmd_verify(args) -> int:
 
 def _hint_eigensweep(args, n: int) -> None:
     src = args.out or "eigensweep.csv"
-    cols = ", ".join(f"'' using 1:{i + 2} with lines title 'eig {i + 1}'" for i in range(1, n))
-    print(f"# gnuplot\nset datafile commentschars '#'\nset logscale y\n"
-          f"plot '{src}' using 1:2 with lines title 'eig 1', {cols}")
+    curves = ", ".join(
+        f"'{src if i == 0 else ''}' using 1:{i + 2} with lines title 'eig {i + 1}'" for i in range(n)
+    )
+    print(f"# gnuplot\nset datafile separator ','\nset datafile commentschars '#'\n"
+          f"set logscale y\nplot {curves}")
 
 
 def _hint_fmr_map(args) -> None:

@@ -50,11 +50,6 @@ class ArrayPose:
             raise ValueError("elevation must lie in [0, pi/2]")
         check_orientation(self.orient_azimuth, self.orient_elevation)
 
-    @property
-    def span(self) -> float:
-        """End-to-end array length (n-1 spacings)."""
-        return (self.n_antennas - 1) * self.spacing
-
 
 def check_distance(distance: float) -> None:
     """Raise ValueError unless distance is a valid pose center distance."""
@@ -219,13 +214,20 @@ def re_local_components(
     return v1, v2, v3
 
 
-def link_distance_exact(pose: ArrayPose, layout: IrsLayout, antenna: int, k: int, l: int) -> float:
-    """Exact Euclidean distance from an antenna to an element center."""
+def _link_components(pose: ArrayPose, layout: IrsLayout, antenna: int, k: int, l: int):
+    """(u, v): antenna's and element (k, l)'s local-frame components, the
+    element's read from its row of re_local_components."""
     check_centered(antenna, pose.n_antennas, "antenna")
     check_centered(k, layout.q_x, "k")
     check_centered(l, layout.q_y, "l")
-    u1, u2, u3 = antenna_local_components(pose, antenna)
-    v1, v2, v3 = _re_local_scalar(layout, pose, k, l)
+    row = (k + (layout.q_x - 1) // 2) * layout.q_y + l + (layout.q_y - 1) // 2
+    v = [c[row] for c in re_local_components(layout, pose)]
+    return antenna_local_components(pose, antenna), v
+
+
+def link_distance_exact(pose: ArrayPose, layout: IrsLayout, antenna: int, k: int, l: int) -> float:
+    """Exact Euclidean distance from an antenna to an element center."""
+    (u1, u2, u3), (v1, v2, v3) = _link_components(pose, layout, antenna, k, l)
     return math.hypot(u1 - v1, u2 - v2, u3 - v3)
 
 
@@ -235,23 +237,7 @@ def link_distance_approx(pose: ArrayPose, layout: IrsLayout, antenna: int, k: in
     Transverse offsets enter quadratically over twice the center distance;
     the axial offset stays linear.  Good to ~|offset|^4/D^3 absolute error.
     """
-    check_centered(antenna, pose.n_antennas, "antenna")
-    check_centered(k, layout.q_x, "k")
-    check_centered(l, layout.q_y, "l")
-    u1, u2, u3 = antenna_local_components(pose, antenna)
-    v1, v2, v3 = _re_local_scalar(layout, pose, k, l)
+    (u1, u2, u3), (v1, v2, v3) = _link_components(pose, layout, antenna, k, l)
     a, b = u1 - v1, u2 - v2
     d = pose.distance
     return a * a / (2.0 * d) + b * b / (2.0 * d) + (u3 - v3)
-
-
-def _re_local_scalar(
-    layout: IrsLayout, pose: ArrayPose, k: int, l: int
-) -> tuple[float, float, float]:
-    n_x, n_y, n_z = local_frame(pose)
-    gx, gy = k * layout.spacing_x, l * layout.spacing_y
-    return (
-        gx * n_x[0] + gy * n_x[1],
-        gx * n_y[0] + gy * n_y[1],
-        gx * n_z[0] + gy * n_z[1],
-    )

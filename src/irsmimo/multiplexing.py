@@ -55,9 +55,10 @@ class AxisRegion:
 
     The region is the union of a rectangle (D_t up to d_t_star, D_r up to
     d_r_rayleigh) and a curved lobe for D_t in (d_t_star, d_t_rayleigh]
-    capped by the boundary curve (boundary_cap).  The direction amplitudes
-    a_t / a_r and anchor angles gbar_t / gbar_r of each side are (this
-    axis, other axis) pairs.
+    capped by the boundary curve (boundary_cap), which runs from the corner
+    (d_t_star, d_r_rayleigh) to (d_t_rayleigh, d_r_star).  The direction
+    amplitudes a_t / a_r and anchor angles gbar_t / gbar_r of each side are
+    (this axis, other axis) pairs.
     """
 
     d_t_star: float
@@ -70,16 +71,6 @@ class AxisRegion:
     gbar_t: tuple[float, float]
     a_r: tuple[float, float]
     gbar_r: tuple[float, float]
-
-    @property
-    def r_t(self) -> tuple[float, float]:
-        """(D_t, D_r) corner where the boundary meets the Tx axis limit."""
-        return (self.d_t_rayleigh, self.d_r_star)
-
-    @property
-    def r_r(self) -> tuple[float, float]:
-        """(D_t, D_r) corner where the boundary meets the Rx axis limit."""
-        return (self.d_t_star, self.d_r_rayleigh)
 
 
 @dataclass(frozen=True)
@@ -104,7 +95,6 @@ class GramReport:
 
     max_offdiag: float
     diag_values: np.ndarray
-    target_gain: float
     passed: bool
 
 
@@ -391,6 +381,4 @@ def check_orthogonality(
     )
     if m.ndim == 2:
         max_off, passed = float(max_off), bool(passed)
-    return GramReport(
-        max_offdiag=max_off, diag_values=diag, target_gain=target_gain, passed=passed
-    )
+    return GramReport(max_offdiag=max_off, diag_values=diag, passed=passed)

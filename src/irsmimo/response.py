@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,10 +34,6 @@ class WaveConfig:
         if not 0.0 <= self.absorption < math.inf:
             raise ValueError("absorption must be >= 0 and finite")
 
-    @property
-    def carrier(self) -> float:
-        return SPEED_OF_LIGHT / self.wavelength
-
     @classmethod
     def from_carrier(cls, carrier_hz: float, absorption: float = 0.0) -> "WaveConfig":
         if carrier_hz <= 0.0:
@@ -58,20 +53,6 @@ class ReflectionConfig:
             raise ValueError("reflection amplitude must lie in (0, 1]")
         if not math.isfinite(self.polarization):
             raise ValueError("polarization must be finite")
-
-
-class IncidentDirection(NamedTuple):
-    """Arrival direction at the surface: polar angle from the normal, azimuth."""
-
-    polar: float
-    azimuth: float
-
-
-class ReflectDirection(NamedTuple):
-    """Departure direction from the surface, same convention as arrivals."""
-
-    polar: float
-    azimuth: float
 
 
 def far_field_boundary_re(layout: IrsLayout, wavelength: float) -> float:
@@ -96,37 +77,19 @@ def sinc_ratio(x):
     return out
 
 
-def tilde_g(incident: IncidentDirection, reflect: ReflectDirection, polarization: float) -> float:
-    """Polarization-dependent reflection factor for a direction pair."""
-    return float(_tilde_g(*incident, *reflect, polarization))
+def tilde_g(incident, reflect, polarization):
+    """Polarization-dependent reflection factor for a direction pair.
 
-
-def _tilde_g(d_in, a_in, d_out, a_out, pol):
-    a_z = np.cos(d_in)
-    a_xy = np.sin(d_in) * (np.cos(pol) * np.cos(a_in) + np.sin(pol) * np.sin(a_in))
-    c = a_z / np.sqrt(a_xy**2 + a_z**2)
-    rel = a_out - pol
-    return c * np.sqrt(np.cos(d_out) ** 2 * np.sin(rel) ** 2 + np.cos(rel) ** 2)
-
-
-def re_response_amplitude(
-    wave: WaveConfig,
-    reflection: ReflectionConfig,
-    layout: IrsLayout,
-    incident: IncidentDirection,
-    reflect: ReflectDirection,
-    programmed_incident: IncidentDirection,
-    programmed_reflect: ReflectDirection,
-) -> float:
-    """Magnitude of one element's response for an actual direction pair.
-
-    The element is configured for the ``programmed_*`` pair; mismatch in the
-    summed direction cosines is penalized by sinc rolloff along each side of
-    the element.
+    incident and reflect are (polar, azimuth) pairs, polar measured from
+    the surface normal; the angles may be arrays, and the result
+    broadcasts over all of them.
     """
-    return float(
-        _pattern(wave, reflection, layout, incident, reflect, programmed_incident, programmed_reflect)
-    )
+    (d_in, a_in), (d_out, a_out) = incident, reflect
+    a_z = np.cos(d_in)
+    a_xy = np.sin(d_in) * (np.cos(polarization) * np.cos(a_in) + np.sin(polarization) * np.sin(a_in))
+    c = a_z / np.sqrt(a_xy**2 + a_z**2)
+    rel = a_out - polarization
+    return c * np.sqrt(np.cos(d_out) ** 2 * np.sin(rel) ** 2 + np.cos(rel) ** 2)
 
 
 def _cosine_sums(incident, reflect):
@@ -136,16 +99,30 @@ def _cosine_sums(incident, reflect):
     return ax, ay
 
 
-def _pattern(wave, reflection, layout, incident, reflect, programmed_incident, programmed_reflect):
-    """re_response_amplitude of (polar, azimuth) pairs whose angles may be
-    arrays; the result broadcasts over all of them."""
+def re_response_amplitude(
+    wave: WaveConfig,
+    reflection: ReflectionConfig,
+    layout: IrsLayout,
+    incident,
+    reflect,
+    programmed_incident,
+    programmed_reflect,
+):
+    """Magnitude of one element's response for an actual direction pair.
+
+    The element is configured for the ``programmed_*`` pair; mismatch in the
+    summed direction cosines is penalized by sinc rolloff along each side of
+    the element.  Every direction is a (polar, azimuth) pair as tilde_g
+    takes it; the angles may be arrays, and the result broadcasts over all
+    of them.
+    """
     lam = wave.wavelength
     ax, ay = _cosine_sums(incident, reflect)
     px, py = _cosine_sums(programmed_incident, programmed_reflect)
     pre = math.sqrt(4.0 * math.pi) * reflection.amplitude * layout.re_len_x * layout.re_len_y / lam
     return (
         pre
-        * _tilde_g(*incident, *reflect, reflection.polarization)
+        * tilde_g(incident, reflect, reflection.polarization)
         * sinc_ratio(math.pi * layout.re_len_x * (ax - px) / lam)
         * sinc_ratio(math.pi * layout.re_len_y * (ay - py) / lam)
     )
@@ -160,7 +137,7 @@ def cascade_gains(wave: WaveConfig, reflection: ReflectionConfig, layout: IrsLay
     origin, which the move keeps, so it is formed once.  Raises ValueError
     at the first pair so close that the squared gain would overflow a float.
     """
-    g0 = _tilde_g(tx.elevation, tx.azimuth, rx.elevation, rx.azimuth, reflection.polarization)
+    g0 = tilde_g((tx.elevation, tx.azimuth), (rx.elevation, rx.azimuth), reflection.polarization)
     d_t, d_r = np.asarray(d_t, dtype=float), np.asarray(d_r, dtype=float)
     # tiny distances underflow the denominator to 0 or overflow the power gain
     with np.errstate(divide="ignore", over="ignore"):
@@ -223,11 +200,13 @@ def amplitude_variation(
     """
     incident, reflect = link_directions(layout, tx), link_directions(layout, rx)
     center = ((tx.elevation, tx.azimuth), (rx.elevation, rx.azimuth))
-    g0 = _pattern(wave, reflection, layout, *center, *center)
+    g0 = re_response_amplitude(wave, reflection, layout, *center, *center)
     programmed = (
         [d[tx.n_antennas // 2] for d in incident],
         [d[rx.n_antennas // 2] for d in reflect],
     )
     # Tx antennas along a new middle axis: (N_t, 1, Q) against (N_r, Q)
-    amp = _pattern(wave, reflection, layout, [d[:, None] for d in incident], reflect, *programmed)
+    amp = re_response_amplitude(
+        wave, reflection, layout, [d[:, None] for d in incident], reflect, *programmed
+    )
     return float(np.max(np.abs(amp - g0) / abs(g0)))

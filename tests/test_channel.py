@@ -347,9 +347,9 @@ class TestReflectiveCascades:
 
 class TestCouplingConstants:
     def test_direction_amplitude_reference_value(self, golden_scenario):
-        cc = coupling_constants(golden_scenario)
-        assert cc.a_tx == pytest.approx(math.sqrt(0.8125), rel=1e-12)
-        assert cc.a_tx == pytest.approx(0.901388, abs=1e-6)
+        a_tx = side_anchors(golden_scenario.tx)[0]
+        assert a_tx == pytest.approx(math.sqrt(0.8125), rel=1e-12)
+        assert a_tx == pytest.approx(0.901388, abs=1e-6)
 
     def test_overhead_arrays_have_unit_amplitudes(self):
         for omega in (0.0, 1.0, 2.5, 5.0):
@@ -377,17 +377,17 @@ class TestCouplingConstants:
             assert a_y * math.sin(g_y) == pytest.approx(cp * so, abs=1e-12)
 
     def test_coupling_is_one_at_its_own_rayleigh_distance(self, golden_scenario):
-        cc = coupling_constants(golden_scenario)
         scn = golden_scenario
+        a_tx, gbar_tx, _, _ = side_anchors(scn.tx)
         d_star = (
-            scn.tx.spacing * scn.irs.spacing_x * scn.irs.q_x * cc.a_tx / scn.wave.wavelength
+            scn.tx.spacing * scn.irs.spacing_x * scn.irs.q_x * a_tx / scn.wave.wavelength
         )
         aligned = replace(
             scn,
             tx=replace(
                 scn.tx,
                 distance=d_star,
-                orient_azimuth=cc.gbar_tx % (2 * math.pi),
+                orient_azimuth=gbar_tx % (2 * math.pi),
                 orient_elevation=math.pi / 2,
             ),
         )

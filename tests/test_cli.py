@@ -406,7 +406,7 @@ class TestFmrMapCommand:
         # probe column, and forms g0 once for all its gains
         scn = parse_scenario(BASELINE)
         monkeypatch.setattr(cli, "parse_scenario", lambda path: scn)
-        calls = {"_column": 0, "_tilde_g": 0}
+        calls = {"_column": 0, "tilde_g": 0}
 
         def count(module, name):
             real = getattr(module, name)
@@ -418,7 +418,7 @@ class TestFmrMapCommand:
             monkeypatch.setattr(module, name, counted)
 
         count(mux, "_column")
-        count(response, "_tilde_g")
+        count(response, "tilde_g")
         code, out, err = run_cli(
             capsys,
             "fmr-map", "--scenario", BASELINE, "--verify",
@@ -428,7 +428,7 @@ class TestFmrMapCommand:
         assert code == 0, err
         assert len(out.splitlines()) == 2 + 60 * 60
         assert 0 < calls["_column"] <= 2 * 60 + 1
-        assert calls["_tilde_g"] == 1
+        assert calls["tilde_g"] == 1
 
     @pytest.mark.parametrize("spot", ["in", "out"])
     def test_a_wrong_closed_form_at_a_spot_point_refuses_the_map(self, capsys, monkeypatch, spot):
@@ -629,11 +629,21 @@ class TestFmrOrientCommand:
         assert code == 1
         assert "error:" in err
 
-    @pytest.mark.parametrize("dt, dr", [("20", "nan"), ("nan", "20")])
-    def test_nan_distance_is_refused(self, capsys, dt, dr):
+    @pytest.mark.parametrize(
+        "dt, dr, region",
+        [
+            pytest.param("20", "nan", "x", id="20-nan"),
+            pytest.param("nan", "20", "x", id="nan-20"),
+            # the default region refuses a zero or NaN distance as x does
+            pytest.param("0", "5", "auto", id="0-5-auto"),
+            pytest.param("20", "nan", "auto", id="20-nan-auto"),
+            pytest.param("nan", "20", "auto", id="nan-20-auto"),
+        ],
+    )
+    def test_nan_distance_is_refused(self, capsys, dt, dr, region):
         code, out, err = run_cli(
             capsys,
-            "fmr-orient", "--scenario", BASELINE, "--dt", dt, "--dr", dr, "--region", "x",
+            "fmr-orient", "--scenario", BASELINE, "--dt", dt, "--dr", dr, "--region", region,
         )
         assert code == 1
         assert out == ""
@@ -1077,6 +1087,66 @@ def test_non_finite_sweep_bounds_are_rejected(capsys, command, option, value):
     assert err.strip() == "error: start and stop must be finite"
 
 
+@pytest.mark.parametrize(
+    "command, count", [("eigensweep", "1"), ("eigensweep", "5"), ("fmr-map", "5")]
+)
+def test_gnuplot_hints_read_the_csv_written(capsys, tmp_path, command, count):
+    # the hint plots the --out file as comma-separated columns, one curve
+    # per eigenvalue, with no dangling separator for a one-antenna array
+    path = write_variant(tmp_path, "scenario.txt", {"tx.count": count})
+    out_file = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        capsys, command, "--scenario", path, *SWEEPS[command], "--out", str(out_file),
+        "--gnuplot-hints",
+    )
+    assert code == 0, err
+    assert out.startswith("# gnuplot\n")
+    assert "set datafile separator ','\n" in out
+    assert f"plot '{out_file}' using 1:" in out
+    assert not any(line.rstrip().endswith(",") for line in out.splitlines())
+    if command == "eigensweep":
+        assert out.count("with lines") == int(count)
+
+
+# refusals of the sweep ranges and of the scenario parser: (command, scenario
+# replacements, appended lines, key naming the reported line, message)
+REFUSALS = {
+    "sweep-count": (("eigensweep", "--start", "2", "--stop", "30", "--count", "-1"), {}, "",
+                    None, "count must be >= 0"),
+    "sweep-order": (("eigensweep", "--start", "30", "--stop", "2", "--count", "3"), {}, "",
+                    None, "start must be < stop"),
+    "empty-key": (("rayleigh",), {}, "= 5\n", "= 5", "empty key"),
+    "betas-not-numbers": (("rayleigh",), {}, "focusing = explicit\nfocusing.betas_rad = 0.5, x\n",
+                          "focusing.betas_rad",
+                          "'focusing.betas_rad' expects comma-separated finite numbers"),
+    "explicit-without-betas": (("rayleigh",), {}, "focusing = explicit\n", "focusing =",
+                               "focusing: explicit focusing requires a beta list"),
+    "azimuth-full-turn": (("rayleigh",), {"tx.azimuth_rad": repr(2 * math.pi)}, "", "tx.count",
+                          "tx array: azimuth must lie in [0, 2*pi)"),
+    "tile-x-above-pitch": (("rayleigh",), {"irs.element_len_x_m": "0.2"}, "", "irs.count_x",
+                           "surface layout: re_len_x must satisfy 0 < re_len_x <= spacing_x"),
+    "tile-y-above-pitch": (("rayleigh",), {"irs.element_len_y_m": "0.2"}, "", "irs.count_x",
+                           "surface layout: re_len_y must satisfy 0 < re_len_y <= spacing_y"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_malformed_input_is_refused_with_its_message(capsys, tmp_path, case):
+    argv, replacements, appended, key, message = REFUSALS[case]
+    path = write_variant(tmp_path, "scenario.txt", replacements)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(appended)
+    code, out, err = run_cli(capsys, argv[0], "--scenario", path, *argv[1:])
+    assert code == 1
+    assert out == ""
+    if key is None:
+        assert err == f"error: {message}\n"
+    else:
+        lines = Path(path).read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if text.startswith(key))
+        assert err == f"scenario error: line {line}: {message}\n"
+
+
 SMOKE_SCENARIOS = [
     pytest.param(str(path), {}, id=path.stem) for path in sorted(SCENARIO_DIR.glob("*.txt"))
 ] + [
@@ -1086,6 +1156,7 @@ SMOKE_SCENARIOS = [
         ("rx-zenith", {"rx.elevation_rad": "0"}),
         ("tx-single", {"tx.count": "1"}),
         ("rx-single", {"rx.count": "1"}),
+        ("both-single", {"tx.count": "1", "rx.count": "1"}),
     )
 ]
 
@@ -1115,7 +1186,11 @@ def test_every_command_runs_on_the_scenario(capsys, tmp_path, base, replacements
         assert code == 0, (command, err)
     code, out, _ = run_cli(capsys, "verify", "--scenario", path)
     assert code == 0, out
-    assert "4/4 checks passed" in out
+    if scn.tx.n_antennas == scn.rx.n_antennas == 1:  # one stream: no region to check
+        assert "SKIP gram_fmr: one antenna on each side" in out
+        assert "3/3 checks passed, 1 skipped" in out
+    else:
+        assert "4/4 checks passed" in out
 
 
 def test_commands_run_at_a_subnormal_snr(capsys, tmp_path):

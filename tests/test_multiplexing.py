@@ -188,13 +188,6 @@ class TestInnerBound:
         assert boundary_cap(b, axis, d_star) == pytest.approx(d_ray_r, rel=1e-9)
         assert boundary_cap(b, axis, d_ray_t) == pytest.approx(d_star_r, rel=1e-9)
 
-    def test_corner_tuples_match_limits(self):
-        b = golden_bound()
-        assert b.x.r_r == (b.x.d_t_star, b.x.d_r_rayleigh)
-        assert b.x.r_t == (b.x.d_t_rayleigh, b.x.d_r_star)
-        assert b.y.r_r == (b.y.d_t_star, b.y.d_r_rayleigh)
-        assert b.y.r_t == (b.y.d_t_rayleigh, b.y.d_r_star)
-
     def test_sampled_curves_span_the_lobe(self):
         b = golden_bound()
 

@@ -8,6 +8,7 @@ line-search loops.
 """
 
 import itertools
+import logging
 import math
 import tracemalloc
 import warnings
@@ -267,6 +268,18 @@ class TestMmMachinery:
         assert np.allclose(aux.sigma, 3.0 * np.eye(aux.sigma.shape[0]), atol=1e-9)
         assert np.linalg.norm(aux.w @ aux.w.conj().T) < 1e-9
         assert np.linalg.norm(aux.alpha) < 1e-9
+
+    def test_a_negative_error_covariance_eigenvalue_is_floored(self, caplog):
+        # at 1e-30 W of noise the error covariance is rounding noise with a
+        # negative eigenvalue; the floor lifts it so its Cholesky factor exists
+        scn = replace(parse_scenario(SMALL), power=PowerConfig(1.0, 1e-30))
+        chans = build_channels(scn)
+        with caplog.at_level(logging.WARNING, logger=opt.logger.name):
+            aux = mm_auxiliaries(chans.h_t, chans.h_r, chans.theta, chans.eta0, scn.power)
+        assert "error covariance regularized: min eigenvalue -" in caplog.text
+        assert np.isfinite(aux.w).all() and np.isfinite(aux.alpha).all()
+        theta = mm_step(aux.w, aux.alpha, chans.theta)
+        assert np.abs(theta) == pytest.approx(np.ones(scn.irs.n_elements), abs=1e-12)
 
     def test_step_solves_the_pure_linear_case(self, rng):
         v = rng.normal(size=6) + 1j * rng.normal(size=6)

@@ -9,9 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from irsmimo.response import (
-    IncidentDirection,
     IrsLayout,
-    ReflectDirection,
     ReflectionConfig,
     WaveConfig,
     amplitude_variation,
@@ -19,7 +17,6 @@ from irsmimo.response import (
     eta0,
     far_field_boundary_irs,
     far_field_boundary_re,
-    _tilde_g,
     link_directions,
     path_loss,
     re_response_amplitude,
@@ -28,8 +25,7 @@ from irsmimo.response import (
 )
 from irsmimo.geometry import ArrayPose
 
-NORMAL = IncidentDirection(0.0, 0.0)
-NORMAL_OUT = ReflectDirection(0.0, 0.0)
+NORMAL = NORMAL_OUT = (0.0, 0.0)
 
 
 def square_tiles(count, tile):
@@ -98,9 +94,9 @@ class TestPolarizationFactor:
         assert tilde_g(NORMAL, NORMAL_OUT, pol) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_turn_of_reflect_azimuth_changes_nothing(self):
-        inc = IncidentDirection(0.7, 1.1)
-        a = tilde_g(inc, ReflectDirection(0.4, 0.9), 1.0)
-        b = tilde_g(inc, ReflectDirection(0.4, 0.9 + 2 * math.pi), 1.0)
+        inc = (0.7, 1.1)
+        a = tilde_g(inc, (0.4, 0.9), 1.0)
+        b = tilde_g(inc, (0.4, 0.9 + 2 * math.pi), 1.0)
         assert a == pytest.approx(b, rel=1e-14)
 
     @given(
@@ -111,7 +107,7 @@ class TestPolarizationFactor:
         pol=st.floats(0.0, 2 * math.pi),
     )
     def test_bounded_by_sqrt_two(self, d_in, a_in, d_out, a_out, pol):
-        value = tilde_g(IncidentDirection(d_in, a_in), ReflectDirection(d_out, a_out), pol)
+        value = tilde_g((d_in, a_in), (d_out, a_out), pol)
         assert 0.0 <= value <= math.sqrt(2.0) + 1e-12
 
     def test_mild_variation_across_the_surface_near_crossover(self):
@@ -126,12 +122,12 @@ class TestPolarizationFactor:
         d_in, a_in = (d[2] for d in link_directions(layout, tx))
         d_out, a_out = (d[2] for d in link_directions(layout, rx))
         center = tilde_g(
-            IncidentDirection(tx.elevation, tx.azimuth),
-            ReflectDirection(rx.elevation, rx.azimuth),
+            (tx.elevation, tx.azimuth),
+            (rx.elevation, rx.azimuth),
             pol,
         )
         values = [
-            tilde_g(IncidentDirection(di, ai), ReflectDirection(do, ao), pol)
+            tilde_g((di, ai), (do, ao), pol)
             for di, ai, do, ao in zip(d_in, a_in, d_out, a_out)
         ]
         assert max(abs(v - center) / center for v in values) < 0.1
@@ -144,15 +140,15 @@ class TestElementResponse:
     TILES = square_tiles(11, 0.05)
 
     def test_matched_directions_hit_the_peak_value(self):
-        inc = IncidentDirection(0.5, 1.2)
-        out = ReflectDirection(0.3, -0.4)
+        inc = (0.5, 1.2)
+        out = (0.3, -0.4)
         got = re_response_amplitude(self.WAVE, self.CFG, self.TILES, inc, out, inc, out)
         prefactor = math.sqrt(4 * math.pi) * 0.9 * 0.05 * 0.05 / 0.005
         assert got == pytest.approx(prefactor * tilde_g(inc, out, math.pi / 3), rel=1e-12)
 
     def test_detuned_by_one_grating_period_gives_zero(self):
         # sin(d_in) = lambda / L_x puts the first sinc factor exactly on a zero
-        inc = IncidentDirection(math.asin(0.005 / 0.05), 0.0)
+        inc = (math.asin(0.005 / 0.05), 0.0)
         got = re_response_amplitude(
             self.WAVE, self.CFG, self.TILES, inc, NORMAL_OUT, NORMAL, NORMAL_OUT
         )
@@ -165,10 +161,10 @@ class TestElementResponse:
         a_out=st.floats(0.0, 2 * math.pi),
     )
     def test_never_exceeds_the_matched_response(self, d_in, a_in, d_out, a_out):
-        inc = IncidentDirection(d_in, a_in)
-        out = ReflectDirection(d_out, a_out)
-        prog_inc = IncidentDirection(0.4, 0.1)
-        prog_out = ReflectDirection(0.2, 2.5)
+        inc = (d_in, a_in)
+        out = (d_out, a_out)
+        prog_inc = (0.4, 0.1)
+        prog_out = (0.2, 2.5)
         detuned = re_response_amplitude(
             self.WAVE, self.CFG, self.TILES, inc, out, prog_inc, prog_out
         )
@@ -193,8 +189,8 @@ class TestCommonGain:
             layout = square_tiles(5, tile)
             tx = ArrayPose(3, 0.05, float(rng.uniform(2.0, 20.0)), float(rng.uniform(0.0, 2 * math.pi)), float(rng.uniform(0.0, 1.4)))
             rx = ArrayPose(3, 0.05, float(rng.uniform(2.0, 20.0)), float(rng.uniform(0.0, 2 * math.pi)), float(rng.uniform(0.0, 1.4)))
-            inc = IncidentDirection(tx.elevation, tx.azimuth)
-            out = ReflectDirection(rx.elevation, rx.azimuth)
+            inc = (tx.elevation, tx.azimuth)
+            out = (rx.elevation, rx.azimuth)
             g0 = re_response_amplitude(wave, cfg, layout, inc, out, inc, out)
             composed = math.sqrt(
                 4.0 * math.pi * g0**2 / wave.wavelength**2
@@ -217,7 +213,7 @@ class TestCommonGain:
         layout = square_tiles(5, 0.04)
         for d_t, d_r in [(1e-70, 1e-70), (1e-3, 2e-3)] + rng.uniform(0.1, 60.0, (50, 2)).tolist():
             tx, rx = ArrayPose(3, 0.05, d_t, 1.0, 0.7), ArrayPose(3, 0.05, d_r, 2.0, 0.4)
-            g0 = _tilde_g(tx.elevation, tx.azimuth, rx.elevation, rx.azimuth, cfg.polarization)
+            g0 = tilde_g((tx.elevation, tx.azimuth), (rx.elevation, rx.azimuth), cfg.polarization)
             spread = (cfg.amplitude * layout.re_len_x * layout.re_len_y) / (
                 4.0 * math.pi * tx.distance * rx.distance
             )
@@ -231,7 +227,7 @@ class TestCommonGain:
         cfg = ReflectionConfig(0.8, 0.3)
         layout = square_tiles(5, 0.04)
         tx, rx = ArrayPose(3, 0.05, 5.0, 1.0, 0.7), ArrayPose(3, 0.05, 8.0, 2.0, 0.4)
-        g0 = _tilde_g(tx.elevation, tx.azimuth, rx.elevation, rx.azimuth, cfg.polarization)
+        g0 = tilde_g((tx.elevation, tx.azimuth), (rx.elevation, rx.azimuth), cfg.polarization)
         area = cfg.amplitude * layout.re_len_x * layout.re_len_y
 
         def squared(d_t):
