@@ -2,10 +2,12 @@
 
 Two phase solvers for the unit-modulus surface phases theta: exact
 per-element updates swept over the surface (the default of the joint
-loop), and the paper's majorization-minimization (MM) loop.  A projected
-gradient descent with backtracking moves the four orientation angles
-[gamma_t, psi_t, gamma_r, psi_r], and an alternating driver calls a phase
-solver and the descent until the MI gain per round drops below threshold.
+loop), and the paper's majorization-minimization (MM) loop.  A box-bounded
+quasi-Newton (BFGS) descent with backtracking moves the four orientation
+angles [gamma_t, psi_t, gamma_r, psi_r], falling back to projected steepest
+descent at the box faces and where a quasi-Newton step fails, and
+alternating_optimize calls a phase solver and the descent in turn until the
+MI gain per round drops below threshold.
 MI is reported in bits; the descent works on the negated MI.
 """
 
@@ -37,10 +39,15 @@ _NORMAL_MIN = np.finfo(float).tiny
 _UNSUBNORMAL = 2.0**600
 
 # Trial poses per stacked evaluation of the orientation line search.  On
-# optimize_small.txt 97% of descent steps accept one of their first 6 trials,
-# a stack of 6 costs about two trials posed one by one, and a stack of 8 a
-# third more than a stack of 6.
-LINE_BATCH = 6
+# the benchmark's optimize_small.txt portfolios 97% of quasi-Newton steps
+# accept their first trial, while steepest-descent steps mostly accept their
+# fourth or fifth.  A stack of 2 costs 1.2 single poses and a stack of 6 two;
+# whole portfolios ran 3-5% faster with stacks of 2 or 3 than of 6, and
+# stacks of 2 and 3 were within 1% of each other.
+LINE_BATCH = 2
+
+# s^T y must exceed this share of |s| |y| for a BFGS update to be taken
+_CURVATURE_FLOOR = 1e-8
 
 # the phase blocks alternating_optimize can run
 PHASE_SOLVERS = ("elementwise", "mm")
@@ -450,6 +457,24 @@ def normalize_orientation(m) -> np.ndarray:
     return np.array(out)
 
 
+def _bfgs_update(h_inv, s, y):
+    """BFGS update of the inverse-Hessian estimate h_inv by the step s and
+    the gradient change y (Nocedal & Wright, Numerical Optimization, eq.
+    6.17).  h_inv is None for steepest descent; the first pair after it
+    only sets the scale, h_inv = (s^T y / y^T y) I (eq. 6.20).  When s^T y
+    is not safely positive the update would lose positive definiteness,
+    and h_inv is returned unchanged.
+    """
+    sy = float(s @ y)
+    yy = float(y @ y)
+    if not sy > _CURVATURE_FLOOR * math.sqrt(float(s @ s) * yy):
+        return h_inv
+    if h_inv is None:
+        return (sy / yy) * np.eye(4)
+    v = np.eye(4) - np.outer(s / sy, y)
+    return v @ h_inv @ v.T + np.outer(s / sy, s)
+
+
 def optimize_orientation(
     scn: Scenario,
     theta,
@@ -461,16 +486,20 @@ def optimize_orientation(
     max_backtracks: int = 40,
     init_step: float = 1.0,
 ) -> tuple[np.ndarray, OptTrace]:
-    """Projected gradient descent on the orientation angles.
+    """Quasi-Newton (BFGS) descent on the orientation angles within the box.
 
-    Backtracking shrinks the step until the objective does not increase
-    (simple-decrease rule); each trial point is clipped to the box first.
-    The trial points of a step are posed LINE_BATCH at a time, each batch
-    in one stacked evaluation, and the first trial that does not increase
-    the objective is accepted, as if they were tried one by one.  The
-    trace's stop_reason is "threshold" when an accepted step gains less
-    than eps_orient, "no_descent" when every one of the max_backtracks
-    trials raises the objective, and "max_iters" otherwise.
+    Each step moves along d = -H grad, with H the BFGS inverse-Hessian
+    estimate over the four angles (_bfgs_update), and tries the points
+    m + init_step * shrink^k * d, k < max_backtracks, each clipped to the
+    box.  The trials are posed LINE_BATCH at a time, each batch in one
+    stacked evaluation, and the first trial that does not increase the
+    objective is accepted, as if they were tried one by one.  H is dropped
+    and the step falls back to projected steepest descent, d = -grad, when
+    d is not a descent direction, when the box clips the first trial along
+    d, or when no trial along d is accepted.  The trace's stop_reason is
+    "threshold" when an accepted step gains less than eps_orient,
+    "no_descent" when every steepest-descent trial raises the objective,
+    and "max_iters" otherwise.
     """
     theta = _finite_phases(theta)
     link = chan.resolve_link(scn)
@@ -484,22 +513,41 @@ def optimize_orientation(
         steps.append(step)
         step *= shrink
     steps = np.array(steps, dtype=float)[:, None]
-    for it in range(1, max_iters + 1):
-        # the hops of the accepted point feed its gradient
-        grad = mi_gradient(scn, theta, m, posed)
-        trials = np.clip(m - steps * grad, _BOX_LOW, _BOX_HIGH)
+
+    def first_descent(trials):
+        """(objective, trial, posed link) of the first trial that does not
+        increase the objective, or None."""
         for first in range(0, max_backtracks, LINE_BATCH):
             batch = trials[first : first + LINE_BATCH]
             objs, batch_posed = _descent_objective(link, scn.power, theta, batch)
             hits = np.flatnonzero(objs <= obj)
             if hits.size:
-                break
-        else:
+                return float(objs[hits[0]]), batch[hits[0]], batch_posed[hits[0]]
+        return None
+
+    h_inv = prev = None
+    for it in range(1, max_iters + 1):
+        # the hops of the accepted point feed its gradient
+        grad = mi_gradient(scn, theta, m, posed)
+        if prev is not None:
+            h_inv = _bfgs_update(h_inv, m - prev[0], grad - prev[1])
+        found = None
+        if h_inv is not None:
+            d = -(h_inv @ grad)
+            raw = m + steps * d
+            trials = np.clip(raw, _BOX_LOW, _BOX_HIGH)
+            # a clipped first trial would step along another direction than d
+            if d @ grad < 0 and np.array_equal(trials[0], raw[0]):
+                found = first_descent(trials)
+        if found is None:
+            h_inv = None
+            found = first_descent(np.clip(m - steps * grad, _BOX_LOW, _BOX_HIGH))
+        if found is None:
             reason = "no_descent"
             break
-        cand_obj = float(objs[hits[0]])
-        m, gain, posed = batch[hits[0]], obj - cand_obj, batch_posed[hits[0]]
-        obj = cand_obj
+        prev = m, grad
+        cand_obj, m, posed = found
+        gain, obj = obj - cand_obj, cand_obj
         rows.append((it, -obj, "orientation"))
         if gain < eps_orient:
             reason = "threshold"

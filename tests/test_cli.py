@@ -1002,8 +1002,8 @@ HOP_OUTPUT_SHA256 = {
     "eigensweep-fixed": "fd97af09408fd55fc74c68d79344004a8bd2bd3479cad5f7f31dca86efa739ad",
     "eigensweep-auto-x": "3a8cac5ad0bf9ee483492f4dde740cc0a67aef7f85695fc2b6629834b3e5328a",
     "eigensweep-auto-y": "eb3cd0243d91203fa49707d3ca438c2c52ffdc39f9510d97c922261397be3c53",
-    "optimize": "4432bed336ebc3dabc9e78288873936761bf0f8b81091a8d0517fb9a14981869",
-    "optimize-elementwise": "4b5f9a74b5d204f6251581031f815c23a3bacc42d095c173145b83f2409acbbb",
+    "optimize": "3eae65453f9088e85d8ba7b5bad7a5e0371a5b5bacf12f472ca1fa46099457e0",
+    "optimize-elementwise": "b2ced57871243ed67f8d8bb70d60318ddf6387262a8430387abfe4a4667e8605",
 }
 OPTIMIZE_ARGV = ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
                  "--max-outer", "2", "--max-orient-iters", "3")

@@ -667,8 +667,12 @@ def reference_optimize_orientation(
     init_step=1.0,
 ):
     """optimize_orientation with its trials tried one by one, each on the
-    hops of its posed scenario; returns (m, MI trace, stop reason, the
-    index of every accepted trial)."""
+    hops of its posed scenario, and its direction rules spelled out: the
+    BFGS direction when there is an estimate, it descends, its first trial
+    is inside the box and some trial is accepted, else steepest descent.
+    Returns (m, MI trace, stop reason, the (trial index, cause) of every
+    accepted step), where the cause is None for a BFGS step and, for a
+    steepest-descent one, "no estimate", "uphill", "outside" or "failed"."""
     theta = np.asarray(theta)
 
     def objective(m):
@@ -676,23 +680,46 @@ def reference_optimize_orientation(
         h_t, h_r, gain = cs.h_t, cs.h_r, cs.eta0
         return -mutual_information(gain * ((h_r * theta[None, :]) @ h_t), scn.power)
 
+    def search(d):
+        step = init_step
+        for trial in range(max_backtracks):
+            cand = np.clip(m + step * d, BOX_LOW, BOX_HIGH)
+            cand_obj = objective(cand)
+            if cand_obj <= obj:
+                return trial, cand, cand_obj
+            step *= shrink
+        return None
+
     m = normalize_orientation(m_init)
     obj = objective(m)
     mis, accepted = [-obj], []
+    h_inv = prev = None
     for _ in range(max_iters):
         grad = mi_gradient(scn, theta, m)
-        step = init_step
-        for trial in range(max_backtracks):
-            cand = np.clip(m - step * grad, BOX_LOW, BOX_HIGH)
-            cand_obj = objective(cand)
-            if cand_obj <= obj:
-                break
-            step *= shrink
+        if prev is not None:
+            h_inv = opt._bfgs_update(h_inv, m - prev[0], grad - prev[1])
+        found, cause = None, "no estimate"
+        if h_inv is not None:
+            d = -(h_inv @ grad)
+            first = m + init_step * d
+            if not float(d @ grad) < 0:
+                cause = "uphill"
+            elif not np.array_equal(first, np.clip(first, BOX_LOW, BOX_HIGH)):
+                cause = "outside"
+            else:
+                found, cause = search(d), "failed"
+        if found is None:
+            h_inv = None
+            found = search(-grad)
         else:
+            cause = None
+        if found is None:
             return m, mis, "no_descent", accepted
-        m, gain, obj = cand, obj - cand_obj, cand_obj
+        prev = m, grad
+        trial, m, cand_obj = found
+        gain, obj = obj - cand_obj, cand_obj
         mis.append(-obj)
-        accepted.append(trial)
+        accepted.append((trial, cause))
         if gain < eps_orient:
             return m, mis, "threshold", accepted
     return m, mis, "max_iters", accepted
@@ -711,6 +738,32 @@ def assert_descents_agree(scn, theta, m0, **stops):
     return accepted, want_reason
 
 
+def on_steepest_ladder(scn, theta, m, rows, max_backtracks=40, init_step=1.0):
+    """Each row is one of the clipped steepest-descent trials
+    m - init_step 2^-k grad, k < max_backtracks, bit for bit."""
+    grad = mi_gradient(scn, theta, m)
+    steps = init_step * 0.5 ** np.arange(max_backtracks)[:, None]
+    ladder = np.clip(m - steps * grad, BOX_LOW, BOX_HIGH)
+    return all(any(np.array_equal(row, want) for want in ladder) for row in np.atleast_2d(rows))
+
+
+def fallback_step(scn, theta, m0, cause, **stops):
+    """(m before, m after, the trials posed in between) around the first
+    step that the serial descent takes by steepest descent for cause, each
+    from optimize_orientation itself."""
+    _, _, _, accepted = reference_optimize_orientation(scn, theta, m0, **stops)
+    k = 1 + [c for _, c in accepted].index(cause)
+    posed, real = [], opt._descent_objective
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "_descent_objective",
+                   lambda link, power, th, m: posed.append(np.atleast_2d(m)) or real(link, power, th, m))
+        before, _ = optimize_orientation(scn, theta, m0, **{**stops, "max_iters": k - 1})
+        calls = len(posed)
+        after, _ = optimize_orientation(scn, theta, m0, **{**stops, "max_iters": k})
+    # the second run repeats the first one's calls before it takes step k
+    return before, after, np.vstack(posed[2 * calls:])
+
+
 class TestOrientationDescent:
     def test_batched_line_search_matches_the_serial_one(self):
         # every trial budget, shrink and initial step gives the trace, final
@@ -718,7 +771,7 @@ class TestOrientationDescent:
         # max_backtracks is not a multiple of the batch; init_step 0.1 lets
         # a budget of one trial accept
         scn = parse_scenario(SMALL)
-        accepted, past_first_batch, reasons = Counter(), 0, set()
+        accepted, past_first_batch, reasons, causes = Counter(), 0, set(), Counter()
         for k, (tries, shrink, init_step) in enumerate(
             itertools.product((1, 3, 8, 9, 41), (0.5, 0.3), (1.0, 10.0, 0.1))
         ):
@@ -728,11 +781,13 @@ class TestOrientationDescent:
                 init_step=init_step,
             )
             accepted[tries] += len(got)
-            past_first_batch += sum(i >= opt.LINE_BATCH for i in got)
+            past_first_batch += sum(i >= opt.LINE_BATCH for i, _ in got)
             reasons.add(reason)
+            causes.update(cause for _, cause in got)
         assert all(accepted[tries] for tries in (1, 3, 8, 9, 41))
         assert past_first_batch
         assert {"no_descent", "max_iters"} <= reasons
+        assert causes[None] and causes["no estimate"]
 
     def test_every_batch_rejected_is_no_descent(self):
         # with shrink = 1 every trial is the full step of 10, which lowers
@@ -769,6 +824,105 @@ class TestOrientationDescent:
             assert np.array_equal(theta, replay)
             assert np.array_equal(m, m_vec)
 
+    def test_descent_properties_on_random_draws(self, rng):
+        # N_r > N_t, one-antenna sides and zenith arrays, each start with
+        # one angle on a face of the box (gamma = pi/2 folds onto -pi/2):
+        # every trace is monotone, every accepted tilt lies in the box and
+        # the stop reason is one of the three
+        faces = [(i, edge) for i in range(4) for edge in (BOX_LOW[i], BOX_HIGH[i])]
+        setups = []
+        for k, (i, edge) in enumerate(faces * 2):
+            scn = random_scenario(rng, high_snr=k % 2 == 0)
+            if k % 4 == 1:
+                scn = replace(scn, tx=replace(scn.tx, n_antennas=1))
+            if k % 4 == 3:
+                scn = replace(scn, rx=replace(scn.rx, n_antennas=1))
+            side = ("tx", "rx", None)[k % 3]
+            if side:
+                scn = replace(scn, **{side: replace(getattr(scn, side), elevation=0.0)})
+            theta, m0 = random_init(scn, k)
+            m0[i] = edge
+            setups.append((scn, theta, m0))
+        assert any(scn.rx.n_antennas > scn.tx.n_antennas for scn, _, _ in setups)
+        assert any(scn.tx.n_antennas == 1 for scn, _, _ in setups)
+        assert any(scn.rx.n_antennas == 1 for scn, _, _ in setups)
+        reasons = set()
+        for scn, theta, m0 in setups:
+            visited = []
+            real = opt.mi_gradient
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(opt, "mi_gradient",
+                           lambda s, t, m, p=None: visited.append(m) or real(s, t, m, p))
+                m, trace = optimize_orientation(scn, theta, m0, max_iters=12)
+            mis = trace.mi_values
+            assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
+            for tilt in visited + [m]:
+                assert np.array_equal(tilt, np.clip(tilt, BOX_LOW, BOX_HIGH))
+            assert trace.stop_reason in ("threshold", "no_descent", "max_iters")
+            reasons.add(trace.stop_reason)
+        assert len(reasons) >= 2
+
+    def test_a_non_descent_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        # a negated, shortened estimate points uphill with its first trial
+        # inside the box; the step is then taken along the steepest-descent
+        # ladder
+        scn = parse_scenario(SMALL)
+        theta, m0 = random_init(scn, 1)
+        real = opt._bfgs_update
+        monkeypatch.setattr(opt, "_bfgs_update", lambda h, s, y: -1e-3 * real(h, s, y))
+        before, after, trials = fallback_step(scn, theta, m0, "uphill", max_iters=3)
+        assert on_steepest_ladder(scn, theta, before, after)
+        # no trial is spent on the uphill direction
+        assert on_steepest_ladder(scn, theta, before, trials)
+
+    def test_a_first_trial_outside_the_box_falls_back_to_steepest_descent(self):
+        # seed 7: the full BFGS step of the second iteration leaves the box
+        scn = parse_scenario(SMALL)
+        theta, m0 = random_init(scn, 7)
+        before, after, trials = fallback_step(scn, theta, m0, "outside", max_iters=3)
+        assert on_steepest_ladder(scn, theta, before, after)
+        assert on_steepest_ladder(scn, theta, before, trials)
+
+    def test_a_failed_quasi_newton_ladder_falls_back_to_steepest_descent(self):
+        # one trial of 0.03 per ladder: at seed 21 a BFGS trial raises the
+        # objective, the steepest-descent trial does not, and the descent
+        # goes on rather than stopping with "no_descent"
+        scn = parse_scenario(SMALL)
+        theta, m0 = random_init(scn, 21)
+        stops = {"max_iters": 40, "max_backtracks": 1, "init_step": 0.03}
+        before, after, trials = fallback_step(scn, theta, m0, "failed", **stops)
+        assert on_steepest_ladder(scn, theta, before, after, max_backtracks=1, init_step=0.03)
+        # the BFGS trial, then the steepest-descent one
+        assert len(trials) == 2
+        assert not on_steepest_ladder(scn, theta, before, trials[0], 1, 0.03)
+
+    def test_bfgs_update_is_the_textbook_one(self, rng):
+        # the first pair sets (s^T y / y^T y) I; each later update meets
+        # the secant condition H y = s, stays symmetric positive definite
+        # and equals the expanded form of Nocedal & Wright eq. 6.17; a
+        # step with s^T y <= 0 leaves the estimate as it was
+        for _ in range(10):
+            a = rng.normal(size=(4, 4))
+            hess = a @ a.T + 0.1 * np.eye(4)
+            s = rng.normal(size=4)
+            y = hess @ s
+            h_inv = opt._bfgs_update(None, s, y)
+            assert np.array_equal(h_inv, (s @ y) / (y @ y) * np.eye(4))
+            for _ in range(3):
+                s = rng.normal(size=4)
+                y = hess @ s
+                sy = s @ y
+                want = (h_inv + (sy + y @ h_inv @ y) * np.outer(s, s) / sy**2
+                        - (np.outer(h_inv @ y, s) + np.outer(s, y @ h_inv)) / sy)
+                h_inv = opt._bfgs_update(h_inv, s, y)
+                assert np.allclose(h_inv, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+                assert np.allclose(h_inv @ y, s, rtol=1e-9, atol=1e-12)
+                assert np.allclose(h_inv, h_inv.T, rtol=1e-12, atol=0.0)
+                assert np.linalg.eigvalsh(h_inv)[0] > 0
+        s = np.array([1.0, 0.0, 0.0, 0.0])
+        assert opt._bfgs_update(None, s, -s) is None
+        assert opt._bfgs_update(None, s, np.array([0.0, 1.0, 0.0, 0.0])) is None
+        assert opt._bfgs_update(h_inv, s, -s) is h_inv
 
     def test_feasible_point_is_a_fixed_point(self):
         scn = fmr_anchor_scenario()
@@ -906,6 +1060,16 @@ class TestAlternatingDriver:
         assert trace.iterations == rows
         assert np.array_equal(theta, replay)
         assert np.array_equal(m, m_vec)
+
+    def test_focusing_start_reaches_its_pose_bound(self):
+        # the default stops from focusing_init on optimize_small.txt end
+        # within 1e-7 bits of the bound at the final pose (projected
+        # steepest descent ended 2.06e-6 bits short)
+        scn = parse_scenario(SMALL)
+        _, m, trace = alternating_optimize(scn, focusing_init(scn))
+        posed = chan.pose_link(chan.resolve_link(scn), m)
+        bound = mi_upper_bound(posed.h_t, posed.h_r, posed.eta0, scn.power)
+        assert bound - 1e-7 <= trace.mi_values[-1] <= bound + 1e-9
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
     def test_non_finite_start_phases_are_refused(self, bad):
