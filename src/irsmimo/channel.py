@@ -1,12 +1,23 @@
 """Cascaded two-hop channel matrices and their closed form.
 
 Every Tx-antenna/element and element/Rx-antenna link contributes a unit
-phasor exp(-j*2*pi*d/lambda) with d the second-order expanded distance from
-the geometry module.  The surface applies one programmable phase per
-element; the end-to-end N_r x N_t channel is the phased double sum scaled
-by the common gain.  For reflective focusing the double sum collapses to a
-product of a per-antenna quadratic phase factor and two Dirichlet ratios,
-which this module also evaluates directly.
+phasor exp(-j*2*pi*(d - D)/lambda) with d the second-order expanded
+distance from the geometry module and D the side's center distance.  The
+phase 2*pi*D/lambda is common to every entry of a hop, so it is left out:
+it changes no MI, singular value, Gram verdict or bound, and kept in each
+entry it would cost about D/lambda * 1e-16 rad of phase there.  The
+surface applies one programmable phase per element; the end-to-end
+N_r x N_t channel is the phased double sum scaled by the common gain.  For
+reflective focusing the double sum collapses to a product of a
+per-antenna quadratic phase factor and two Dirichlet ratios, which this
+module also evaluates directly.
+
+The phase is separable in the tilt.  With v1, v2, v3 the element's
+local-frame components, r_p the antenna position and (gamma, psi) the
+tilt, the expanded path phase pi*(a^2 + b^2)/(lambda*D) + k0*a_z splits
+exactly into an element term pi*(v1^2 + v2^2)/(lambda*D) - k0*v3, an
+antenna term k0*(r_p^2 sin^2 psi/(2D) + r_p cos psi) and one rank-one
+coupling r_p * k0/D * sin psi * (v1 cos gamma + v2 sin gamma).
 
 One function builds link phases: pose_side takes the orientation-free terms
 of one side (link_side) and synthesizes that side at every (distance, gamma,
@@ -16,11 +27,13 @@ orientation_phase_jacobian, reflective_focusing and build_channels.
 build_channels, the one scenario-level builder, evaluates each side once
 and takes the surface phases from the scenario's focusing mode.
 pose_link poses both sides of a resolved link at a (B, 4) stack of tilt
-vectors, one per trial of the optimizer's line search.  reflective_cascades
-builds focused cascades by brute force at the (B, 6) poses and (B,) gains
-that closed_form_cascades takes, which gives the same cascades at
-O(N_r*N_t) per link.  Each row of a stack is computed apart from the
-others, so a pose's hops do not depend on the stack around it.
+vectors, one per trial of the optimizer's line search, and tilt_gradient
+contracts weights against one side's phase derivatives without forming
+them.  reflective_cascades builds focused cascades by brute force at the
+(B, 6) poses and (B,) gains that closed_form_cascades takes, which gives
+the same cascades at O(N_r*N_t) per link.  Each row of a stack is computed
+apart from the others, so a pose's hops do not depend on the stack around
+it.
 
 Element-to-matrix ordering: elements are laid out row-major with the x
 index k slow and the y index l fast, i.e. element (k, l) occupies row
@@ -80,68 +93,59 @@ class ChannelSet:
 
 @dataclass(frozen=True)
 class LinkSide:
-    """The orientation-free terms of one side: its element components
-    (re_local_components), its antennas as a (1, N) row and its distance."""
+    """The orientation-free terms of one side at one wavelength.
 
-    v: tuple
+    v1, v2 are the element components along the side's local n_x and n_y
+    (re_local_components), fresnel = pi*(v1^2 + v2^2)/lambda and axial =
+    k0*v3 the numerator and the axial part of the element term
+    fresnel/D - axial, each (Q,); r holds the antenna positions (N,).
+    """
+
+    v1: np.ndarray
+    v2: np.ndarray
+    fresnel: np.ndarray
+    axial: np.ndarray
     r: np.ndarray
     distance: float
+    k0: float
 
 
-def link_side(layout: IrsLayout, pose: ArrayPose) -> LinkSide:
+def link_side(lam: float, layout: IrsLayout, pose: ArrayPose) -> LinkSide:
     """The LinkSide of pose against the surface, for pose_side to move and tilt."""
-    r = (centered_indices(pose.n_antennas) * pose.spacing)[None, :]
-    return LinkSide(re_local_components(layout, pose), r, pose.distance)
-
-
-def _link_offsets(v, r, trig):
-    """Offsets a, b, ax per (element, antenna) of one side.
-
-    v holds the side's element components, r its antenna positions as a
-    (1, N) row and trig the (sin psi, cos psi, cos gamma, sin gamma) of its
-    tilts as (B, 1, 1) arrays, which broadcasts every result to (B, Q, N).
-    """
-    v1, v2, v3 = v
-    sin_psi, cos_psi, cos_g, sin_g = trig
-    a = r * sin_psi * cos_g - v1[:, None]
-    b = r * sin_psi * sin_g - v2[:, None]
-    ax = r * cos_psi - v3[:, None]
-    return a, b, ax
-
-
-def _phase_parts(lam: float, offsets, d):
-    """(small, big) with small + big = 2*pi*d_approx/lambda per (element, antenna).
-
-    d is the pose distance, broadcast like the trig of _link_offsets.  The
-    distance-dominated term big = 2*pi*D/lambda is kept separate so callers
-    that only need phase differences can cancel it exactly; the remaining
-    polynomial stays on the order of the array/surface spans.
-    """
-    a, b, ax = offsets
+    v1, v2, v3 = re_local_components(layout, pose)
     k0 = 2.0 * math.pi / lam
-    small = math.pi * (a * a) / (lam * d) + math.pi * (b * b) / (lam * d) + k0 * ax
-    return small, k0 * d
+    r = centered_indices(pose.n_antennas) * pose.spacing
+    fresnel = (math.pi / lam) * (v1 * v1 + v2 * v2)
+    return LinkSide(v1, v2, fresnel, k0 * v3, r, pose.distance, k0)
 
 
-def pose_side(lam: float, side: LinkSide, keys):
-    """(offsets, trig, parts) of side moved and tilted to each (distance,
-    gamma, psi) row of the (B, 3) sequence keys; each row must make a valid
-    pose.
+def pose_side(side: LinkSide, keys):
+    """(trig, phases) of side moved and tilted to each (distance, gamma,
+    psi) row of the (B, 3) sequence keys; each row must make a valid pose.
 
-    trig holds the rows' (sin psi, cos psi, cos gamma, sin gamma) as four
-    (B, 1, 1) arrays, each taken with libm as for a single pose; offsets
-    (_link_offsets) and the (small, big) phase parts (_phase_parts)
-    broadcast to (B, Q, N).  All rows are synthesized in one numpy pass, so
-    a caller bounds its temporaries by the rows it passes.
+    trig (B, 4) holds the rows' (sin psi, cos psi, cos gamma, sin gamma),
+    each taken with libm as for a single pose.  phases (B, Q, N) is the
+    separable phase elem_q + k0*(r_p^2 sin^2 psi/(2D) + r_p cos psi) -
+    r_p*t_q, with the tilt coupling t = k0/D * sin psi * (v1 cos gamma + v2
+    sin gamma) (B, Q).  Only elementwise broadcasts form it, so a row is
+    computed apart from the rest of its stack, and a caller bounds its
+    temporaries by the rows it passes.
     """
+    rows = []
     for d, gamma, psi in keys:
         check_distance(d)
         check_orientation(gamma, psi)
-    trig = np.array([(math.sin(p), math.cos(p), math.cos(g), math.sin(g)) for _, g, p in keys])
-    trig = tuple(trig.reshape(-1, 4).T[:, :, None, None])
-    d = np.array([row[0] for row in keys], dtype=float)[:, None, None]
-    offsets = _link_offsets(side.v, side.r, trig)
-    return offsets, trig, _phase_parts(lam, offsets, d)
+        s, c, cg, sg = math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)
+        kappa = side.k0 / d
+        rows.append((s, c, cg, sg, kappa * s * cg, kappa * s * sg, 0.5 * kappa * s * s,
+                     side.k0 * c, d))
+    coef = np.array(rows, dtype=float).reshape(-1, 9)
+    along_x, along_y, quad, lin, d = (coef[:, i, None] for i in range(4, 9))
+    coupling = side.v1 * along_x + side.v2 * along_y
+    antenna = (side.r * side.r) * quad + side.r * lin
+    elem = side.fresnel / d - side.axial
+    phases = (elem[..., None] + antenna[:, None, :]) - side.r * coupling[..., None]
+    return coef[:, :4], phases
 
 
 def _own_pose(pose: ArrayPose) -> list[float]:
@@ -149,56 +153,71 @@ def _own_pose(pose: ArrayPose) -> list[float]:
     return [pose.distance, pose.orient_azimuth, pose.orient_elevation]
 
 
-def _own_parts(wave, layout: IrsLayout, pose: ArrayPose):
-    """(small, big) phase parts of one array at its own pose, a stack of one."""
-    return pose_side(wave.wavelength, link_side(layout, pose), [_own_pose(pose)])[2]
+def _own_phases(wave, layout: IrsLayout, pose: ArrayPose):
+    """Link phases of one array at its own pose, a stack of one."""
+    return pose_side(link_side(wave.wavelength, layout, pose), [_own_pose(pose)])[1]
 
 
-def _phase_jacobian(lam: float, side: LinkSide, offsets, trig):
-    """(d_phase/d_gamma, d_phase/d_psi) of one side at its own distance,
-    from the offsets and trig pose_side gave it."""
-    a, b, _ = offsets
-    r = side.r
-    sin_psi, cos_psi, cos_g, sin_g = trig
-    k0 = 2.0 * math.pi / lam
-    pref = k0 / side.distance
-    d_gamma = pref * (a * (-r * sin_psi * sin_g) + b * (r * sin_psi * cos_g))
-    d_psi = pref * (a * (r * cos_psi * cos_g) + b * (r * cos_psi * sin_g)) + k0 * (-r * sin_psi)
+def _phase_jacobian(side: LinkSide, trig):
+    """(d_phase/d_gamma, d_phase/d_psi) (Q, N) of one side at its own
+    distance and the (sin psi, cos psi, cos gamma, sin gamma) trig."""
+    s, c, cg, sg = trig
+    kappa = side.k0 / side.distance
+    d_gamma = np.multiply.outer(kappa * s * (side.v1 * sg - side.v2 * cg), side.r)
+    d_psi = ((side.r * side.r) * (kappa * s * c) - side.r * (side.k0 * s)) - np.multiply.outer(
+        kappa * c * (side.v1 * cg + side.v2 * sg), side.r
+    )
+    return d_gamma, d_psi
+
+
+def tilt_gradient(side: LinkSide, trig, weights):
+    """(sum of weights * d_phase/d_gamma, sum of weights * d_phase/d_psi)
+    over one side's (Q, N) real weights, at its own distance and trig.
+
+    The r^2 terms of the gamma derivative cancel and the rest is rank one
+    in (element, antenna), so both sums come from the 3 x 2 contraction
+    [1; v1; v2] (weights [r, r^2]); no (Q, N) Jacobian is formed.
+    """
+    basis = np.array([np.ones_like(side.v1), side.v1, side.v2])
+    radial = np.stack([side.r, side.r * side.r], axis=1)
+    (w_r, w_rr), (v1_r, _), (v2_r, _) = (basis @ (weights @ radial)).tolist()
+    s, c, cg, sg = trig
+    kappa = side.k0 / side.distance
+    d_gamma = kappa * s * (sg * v1_r - cg * v2_r)
+    d_psi = kappa * s * c * w_rr - side.k0 * s * w_r - kappa * c * (cg * v1_r + sg * v2_r)
     return d_gamma, d_psi
 
 
 def propagation_phases(wave, layout: IrsLayout, pose: ArrayPose) -> np.ndarray:
-    """Full link phases 2*pi*d_approx/lambda, shape (q_x*q_y, n_antennas)."""
-    small, big = _own_parts(wave, layout, pose)
-    return (small + big)[0]
+    """Link phases 2*pi*(d_approx - D)/lambda, shape (q_x*q_y, n_antennas)."""
+    return _own_phases(wave, layout, pose)[0]
 
 
 def orientation_phase_jacobian(wave, layout: IrsLayout, pose: ArrayPose):
     """Partial derivatives of the link phases in the pose's orientation angles.
 
     Returns (d_phase/d_gamma, d_phase/d_psi), both shaped like
-    propagation_phases.  The transverse offsets contribute through the
-    quadratic terms; the tilt additionally moves the axial coordinate.
+    propagation_phases.  The tilt moves each antenna's transverse offsets,
+    which enter the phase quadratically, and its axial coordinate.
     """
-    side = link_side(layout, pose)
-    offsets, trig, _ = pose_side(wave.wavelength, side, [_own_pose(pose)])
-    return tuple(x[0] for x in _phase_jacobian(wave.wavelength, side, offsets, trig))
+    side = link_side(wave.wavelength, layout, pose)
+    trig, _ = pose_side(side, [_own_pose(pose)])
+    return _phase_jacobian(side, trig[0].tolist())
 
 
-def side_hops(parts) -> ComplexMatrix:
-    """Unit-modulus link phasors of one side's (small, big) phases, elements along rows."""
-    small, big = parts
-    return np.exp(-1j * (small + big))
+def side_hops(phases) -> ComplexMatrix:
+    """Unit-modulus link phasors of one side's phases, elements along rows."""
+    return np.exp(-1j * phases)
 
 
 def tx_irs_channel(scn: Scenario) -> ComplexMatrix:
     """Unit-modulus Tx-to-surface matrix, elements along rows."""
-    return side_hops(_own_parts(scn.wave, scn.irs, scn.tx))[0]
+    return side_hops(_own_phases(scn.wave, scn.irs, scn.tx))[0]
 
 
 def irs_rx_channel(scn: Scenario) -> ComplexMatrix:
     """Unit-modulus surface-to-Rx matrix, antennas along rows."""
-    return side_hops(_own_parts(scn.wave, scn.irs, scn.rx))[0].T.copy()
+    return side_hops(_own_phases(scn.wave, scn.irs, scn.rx))[0].T.copy()
 
 
 @dataclass(frozen=True)
@@ -215,46 +234,31 @@ class ResolvedLink:
 def resolve_link(scn: Scenario) -> ResolvedLink:
     """The orientation-free terms of scn, for evaluating many tilts of one link."""
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
-    return ResolvedLink(
-        link_side(scn.irs, scn.tx), link_side(scn.irs, scn.rx), scn.wave.wavelength, gain
-    )
+    lam = scn.wave.wavelength
+    return ResolvedLink(link_side(lam, scn.irs, scn.tx), link_side(lam, scn.irs, scn.rx), lam, gain)
 
 
 @dataclass(frozen=True)
 class PosedLink:
-    """Both hops of a resolved link at one tilt of each side, with the
-    per-side (offsets, trig) their phase Jacobians are taken from.
+    """Both hops of a resolved link at one tilt of each side, with each
+    side's (sin psi, cos psi, cos gamma, sin gamma) trig, from which
+    tilt_gradient takes its phase derivatives.
 
     A stacked PosedLink holds B tilts: h_t (B, Q, N_t), h_r (B, N_r, Q) and
-    (B, ...) offsets and trig; its [i] is the link posed at tilt i alone.
+    (B, 4) trig per side; its [i] is the link posed at tilt i alone.
     """
 
     link: ResolvedLink
     h_t: ComplexMatrix
     h_r: ComplexMatrix
-    terms: tuple
+    trig: tuple
 
     @property
     def eta0(self) -> float:
         return self.link.eta0
 
     def __getitem__(self, i) -> PosedLink:
-        # lists, not generator expressions: with generators, 2000 one-vector
-        # pose_link calls grew the anonymous RSS by 0.4 MB (CPython 3.11)
-        terms = tuple([
-            (tuple([x[i] for x in offsets]), tuple([t[i] for t in trig]))
-            for offsets, trig in self.terms
-        ])
-        return PosedLink(self.link, self.h_t[i], self.h_r[i], terms)
-
-    def jacobians(self):
-        """(jac_t, jac_r): each side's (d_phase/d_gamma, d_phase/d_psi), as
-        orientation_phase_jacobian gives them for the posed scenario."""
-        sides = (self.link.tx, self.link.rx)
-        return tuple(
-            _phase_jacobian(self.link.wavelength, side, offsets, trig)
-            for side, (offsets, trig) in zip(sides, self.terms)
-        )
+        return PosedLink(self.link, self.h_t[i], self.h_r[i], (self.trig[0][i], self.trig[1][i]))
 
 
 def pose_link(link: ResolvedLink, m) -> PosedLink:
@@ -271,32 +275,31 @@ def pose_link(link: ResolvedLink, m) -> PosedLink:
     if vec.ndim not in (1, 2) or vec.shape[-1] != 4:
         raise ValueError("orientation vectors must have four components")
     rows = vec.reshape(-1, 4).tolist()
-    hops, terms = [], []
+    hops, trig = [], []
     for side, at in ((link.tx, 0), (link.rx, 2)):
         keys = [(side.distance, *fold_orientation(row[at], row[at + 1])) for row in rows]
-        offsets, trig, parts = pose_side(link.wavelength, side, keys)
-        hops.append(side_hops(parts))
-        terms.append((offsets, trig))
-    posed = PosedLink(link, hops[0], np.swapaxes(hops[1], -1, -2).copy(), tuple(terms))
+        side_trig, phases = pose_side(side, keys)
+        hops.append(side_hops(phases))
+        trig.append(side_trig)
+    posed = PosedLink(link, hops[0], np.swapaxes(hops[1], -1, -2).copy(), tuple(trig))
     return posed if vec.ndim == 2 else posed[0]
 
 
-def _reflective_betas(parts_t, parts_r):
+def _reflective_betas(phases_t, phases_r):
     """Reflective focusing phases: the summed center-antenna phases of both
     sides per element; leading batch axes carry through."""
-    (small_t, big_t), (small_r, big_r) = parts_t, parts_r
-    c_t, c_r = small_t.shape[-1] // 2, small_r.shape[-1] // 2
-    return (small_t[..., c_t] + small_r[..., c_r]) + (big_t + big_r)[..., 0]
+    return phases_t[..., phases_t.shape[-1] // 2] + phases_r[..., phases_r.shape[-1] // 2]
 
 
 def reflective_focusing(scn: Scenario) -> np.ndarray:
     """Phases beta that make all element paths from Tx center add in phase at Rx center.
 
-    beta equals the summed center-link phases 2*pi*(d_t0 + d_0r)/lambda, so
-    the compensated center-to-center entry carries zero residual phase.
+    beta equals the summed center-link phases 2*pi*(d_t0 - D_t + d_0r -
+    D_r)/lambda, so the compensated center-to-center entry carries zero
+    residual phase.
     """
-    parts_t, parts_r = (_own_parts(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
-    return _reflective_betas(parts_t, parts_r)[0]
+    phases_t, phases_r = (_own_phases(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
+    return _reflective_betas(phases_t, phases_r)[0]
 
 
 def _cascade(betas, h_t, h_r, gain) -> ChannelSet:
@@ -308,15 +311,15 @@ def _cascade(betas, h_t, h_r, gain) -> ChannelSet:
 def build_channels(scn: Scenario) -> ChannelSet:
     """Both hops, the surface phases of the scenario's focusing mode and
     the cascade h = eta0 * H_r diag(theta) H_t; each side is evaluated once."""
-    parts_t, parts_r = (_own_parts(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
+    phases_t, phases_r = (_own_phases(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
     if scn.focusing_mode == "reflective":
-        betas = _reflective_betas(parts_t, parts_r)[0]
+        betas = _reflective_betas(phases_t, phases_r)[0]
     elif scn.focusing_mode == "zero":
         betas = np.zeros(scn.irs.n_elements)
     else:
         betas = np.asarray(scn.focusing_betas, dtype=float)
-    return _cascade(betas, side_hops(parts_t)[0], side_hops(parts_r)[0].T.copy(), gain)
+    return _cascade(betas, side_hops(phases_t)[0], side_hops(phases_r)[0].T.copy(), gain)
 
 
 def reflective_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
@@ -329,13 +332,13 @@ def reflective_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
     """
     rows = np.asarray(poses, dtype=float).reshape(-1, 6).tolist()
     lam = scn.wave.wavelength
-    parts_t, parts_r = (
-        pose_side(lam, link_side(scn.irs, pose), [row[at : at + 3] for row in rows])[2]
+    phases_t, phases_r = (
+        pose_side(link_side(lam, scn.irs, pose), [row[at : at + 3] for row in rows])[1]
         for pose, at in ((scn.tx, 0), (scn.rx, 3))
     )
-    hops_r = np.swapaxes(side_hops(parts_r), -1, -2)
+    hops_r = np.swapaxes(side_hops(phases_r), -1, -2)
     gain = np.asarray(gain, dtype=float)[:, None, None]
-    return _cascade(_reflective_betas(parts_t, parts_r), side_hops(parts_t), hops_r, gain).h
+    return _cascade(_reflective_betas(phases_t, phases_r), side_hops(phases_t), hops_r, gain).h
 
 
 def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:

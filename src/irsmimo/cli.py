@@ -147,11 +147,11 @@ def cmd_eigensweep(args) -> int:
         ).gamma
     # the solver's tilt asin(D/D_axis), held at its value at the limit beyond it
     keys = [(d, gamma, psi if axis is None else math.asin(min(1.0, d / d_axis))) for d in distances]
-    side = chan.link_side(scn.irs, scn.tx)
+    side = chan.link_side(scn.wave.wavelength, scn.irs, scn.tx)
     rows = []
     for i in range(0, len(keys), SWEEP_CHUNK):
         chunk = keys[i : i + SWEEP_CHUNK]
-        hops = chan.side_hops(chan.pose_side(scn.wave.wavelength, side, chunk)[2])
+        hops = chan.side_hops(chan.pose_side(side, chunk)[1])
         for (d_t, _, _), h_t in zip(chunk, hops):
             ev = np.linalg.eigvalsh(h_t.conj().T @ h_t) / scn.irs.n_elements
             rows.append((d_t, *np.sort(ev)[::-1]))

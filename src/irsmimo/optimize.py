@@ -95,18 +95,19 @@ class SingularAllocation:
 
 
 def mutual_information(h, power: PowerConfig):
-    """log2 det(rho H^H H + I) in bits, via the smaller-side Gram spectrum.
+    """log2 det(rho H^H H + I) in bits, as the sum of log2(1 + rho sigma^2)
+    over the singular values sigma of H.
 
-    A float for one matrix; for a (..., N_r, N_t) stack, one MI per matrix,
-    each bit for bit the MI of that matrix alone.
+    The singular values keep the weak modes' relative accuracy, which the
+    eigenvalues of the Gram H^H H lose to rounding on the scale of the
+    strongest.  A float for one matrix; for a (..., N_r, N_t) stack, one MI
+    per matrix, each bit for bit the MI of that matrix alone.
     """
     h = np.asarray(h)
     if h.ndim < 2:
         raise ValueError("expected a matrix")
-    h_herm = np.swapaxes(h.conj(), -1, -2)
-    gram = h @ h_herm if h.shape[-2] < h.shape[-1] else h_herm @ h
-    ev = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    mi = np.sum(np.log1p(power.snr * ev), axis=-1) / LOG2
+    sigma = np.linalg.svd(h, compute_uv=False)
+    mi = np.sum(np.log1p(power.snr * (sigma * sigma)), axis=-1) / LOG2
     return float(mi) if h.ndim == 2 else mi
 
 
@@ -173,7 +174,9 @@ def mm_auxiliaries(h_t, h_r, theta, eta0: float, power: PowerConfig) -> MmAuxili
     sigma = p_pow * np.eye(n_t) - phi @ c_xy.conj().T
     sigma = 0.5 * (sigma + sigma.conj().T)
 
-    floor = SIGMA_FLOOR_SCALE * float(np.real(np.trace(sigma))) / n_t
+    # |trace|: when sigma is rounding noise its trace can be negative, and a
+    # negative floor would leave it indefinite
+    floor = SIGMA_FLOOR_SCALE * abs(float(np.real(np.trace(sigma)))) / n_t
     ev_min = float(np.linalg.eigvalsh(sigma)[0])
     if ev_min < floor:
         logger.warning(
@@ -389,14 +392,16 @@ def _descent_objective(link, power: PowerConfig, theta, m):
 def mi_gradient(scn: Scenario, theta, m, posed=None) -> np.ndarray:
     """Analytic gradient of the negated MI in the four orientation angles.
 
-    posed is the link already posed at m (channel.pose_link), whose hops
-    are then reused rather than synthesized again.
+    Each side's share is the phase derivative of every link weighted by
+    Im of its term of d MI/d phase, which channel.tilt_gradient contracts
+    without forming the derivatives.  posed is the link already posed at m
+    (channel.pose_link), whose hops are then reused rather than synthesized
+    again.
     """
     theta = _finite_phases(theta)
     if posed is None:
         posed = chan.pose_link(chan.resolve_link(scn), _as_vector(m))
     h_t, h_r, gain = posed.h_t, posed.h_r, posed.eta0
-    (dz_gt, dz_pt), (dz_gr, dz_pr) = posed.jacobians()
     rho_eff = scn.power.snr * gain**2
 
     w = h_r * theta[None, :]
@@ -405,17 +410,12 @@ def mi_gradient(scn: Scenario, theta, m, posed=None) -> np.ndarray:
     delta = rho_eff * (g_mat.conj().T @ g_mat) + np.eye(n_t)
     x = np.linalg.solve(delta, g_mat.conj().T)
 
-    e_t = (x @ w).T * h_t
-    e_r = (theta[:, None] * (h_t @ x)).T * h_r
-    coef = -(2.0 * rho_eff / LOG2)
-    return np.array(
-        [
-            coef * float(np.imag(np.sum(e_t * dz_gt))),
-            coef * float(np.imag(np.sum(e_t * dz_pt))),
-            coef * float(np.imag(np.sum(e_r * dz_gr.T))),
-            coef * float(np.imag(np.sum(e_r * dz_pr.T))),
-        ]
-    )
+    e_t = ((x @ w).T * h_t).imag
+    e_r = (theta[:, None] * (h_t @ x) * h_r.T).imag
+    (trig_t, trig_r), link = posed.trig, posed.link
+    grad = (*chan.tilt_gradient(link.tx, trig_t.tolist(), e_t),
+            *chan.tilt_gradient(link.rx, trig_r.tolist(), e_r))
+    return -(2.0 * rho_eff / LOG2) * np.array(grad)
 
 
 def finite_difference_gradient(scn: Scenario, theta, m, step: float = 1e-6) -> np.ndarray:

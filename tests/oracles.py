@@ -1,0 +1,144 @@
+"""Independent oracles for the separable link phase, its gradient and the MI.
+
+The link phase is computed here the long way, from the per-entry offsets
+a = r sin(psi) cos(gamma) - v1, b = r sin(psi) sin(gamma) - v2 and
+a_z = r cos(psi) - v3, as pi*(a^2 + b^2)/(lambda*D) + k0*a_z, and its tilt
+derivatives as full (Q, N) matrices.  These are the forms the channel module
+used before it split the phase into element, antenna and coupling terms.
+The MI is taken exactly from the float entries of a cascade.
+"""
+
+import itertools
+import math
+from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from irsmimo.channel import build_channels
+from irsmimo.checks import random_scenario
+from irsmimo.geometry import centered_indices, re_local_components
+from irsmimo.optimize import oriented_scenario
+from irsmimo.scenario import parse_scenario
+
+SCENARIO_FILES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.txt"))
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _offsets(scn, pose, dtype):
+    v1, v2, v3 = (np.asarray(c, dtype=dtype) for c in re_local_components(scn.irs, pose))
+    r = np.asarray(centered_indices(pose.n_antennas) * pose.spacing, dtype=dtype)[None, :]
+    gamma, psi = pose.orient_azimuth, pose.orient_elevation
+    sin_psi, cos_psi = dtype(math.sin(psi)), dtype(math.cos(psi))
+    cos_g, sin_g = dtype(math.cos(gamma)), dtype(math.sin(gamma))
+    a = r * sin_psi * cos_g - v1[:, None]
+    b = r * sin_psi * sin_g - v2[:, None]
+    return a, b, r * cos_psi - v3[:, None], (r, sin_psi, cos_psi, cos_g, sin_g)
+
+
+def offset_phases(scn, pose, dtype=float):
+    """(small, big) per (element, antenna) of pose's hop in the given float
+    type: small = pi*(a^2 + b^2)/(lambda*D) + k0*a_z and big = k0*D, so
+    that small + big = 2*pi*d/lambda."""
+    a, b, a_z, _ = _offsets(scn, pose, dtype)
+    pi = LONG_PI if dtype is np.longdouble else math.pi
+    lam, d = dtype(scn.wave.wavelength), dtype(pose.distance)
+    k0 = 2 * pi / lam
+    return pi * (a * a) / (lam * d) + pi * (b * b) / (lam * d) + k0 * a_z, k0 * d
+
+
+def offset_jacobian(scn, pose):
+    """(d_phase/d_gamma, d_phase/d_psi) (Q, N) of pose's hop, from the offsets."""
+    a, b, _, (r, sin_psi, cos_psi, cos_g, sin_g) = _offsets(scn, pose, float)
+    k0 = 2.0 * math.pi / scn.wave.wavelength
+    pref = k0 / pose.distance
+    d_gamma = pref * (a * (-r * sin_psi * sin_g) + b * (r * sin_psi * cos_g))
+    d_psi = pref * (a * (r * cos_psi * cos_g) + b * (r * cos_psi * sin_g)) + k0 * (-r * sin_psi)
+    return d_gamma, d_psi
+
+
+def full_jacobian_gradient(scn, theta, m):
+    """(gradient, scale): the gradient of the negated MI in [gamma_t, psi_t,
+    gamma_r, psi_r] as the sum over every link of its term of d MI/d phase
+    times its full offset_jacobian entry, and per component the sum of the
+    magnitudes of those products, the scale its rounding is relative to."""
+    sc = oriented_scenario(scn, m)
+    cs = build_channels(sc)
+    h_t, h_r, gain = cs.h_t, cs.h_r, cs.eta0
+    (dz_gt, dz_pt), (dz_gr, dz_pr) = offset_jacobian(sc, sc.tx), offset_jacobian(sc, sc.rx)
+    rho_eff = scn.power.snr * gain**2
+    w = h_r * theta[None, :]
+    g_mat = w @ h_t
+    delta = rho_eff * (g_mat.conj().T @ g_mat) + np.eye(h_t.shape[1])
+    x = np.linalg.solve(delta, g_mat.conj().T)
+    e_t = (x @ w).T * h_t
+    e_r = (theta[:, None] * (h_t @ x)).T * h_r
+    coef = -(2.0 * rho_eff / math.log(2.0))
+    sums = (e_t * dz_gt, e_t * dz_pt, e_r * dz_gr.T, e_r * dz_pr.T)
+    grad = [coef * float(np.sum(s).imag) for s in sums]
+    return np.array(grad), np.array([abs(coef) * float(np.sum(np.abs(s.imag))) for s in sums])
+
+
+def edge_setups(rng):
+    """The scenario files and 12 random_scenario draws, among them N_r > N_t,
+    one-antenna sides and zenith arrays."""
+    setups = [parse_scenario(str(path)) for path in SCENARIO_FILES]
+    for i in range(12):
+        scn = random_scenario(rng)
+        if i % 4 == 3:
+            scn = replace(scn, tx=replace(scn.tx, n_antennas=1))
+        if i % 4 == 1:
+            scn = replace(scn, rx=replace(scn.rx, n_antennas=1))
+        side = ("tx", "rx", None)[i % 3]
+        if side:
+            scn = replace(scn, **{side: replace(getattr(scn, side), elevation=0.0)})
+        setups.append(scn)
+    assert any(scn.rx.n_antennas > scn.tx.n_antennas for scn in setups)
+    assert any(scn.tx.n_antennas == 1 for scn in setups)
+    assert any(scn.rx.n_antennas == 1 for scn in setups)
+    return setups
+
+
+def edge_tilts(rng):
+    """Tilt vectors inside the optimizer box and on each of its faces."""
+    low, high = [-math.pi / 2, 0.0, -math.pi / 2, 0.0], [math.pi / 2, math.pi] * 2
+    tilts = rng.uniform(low, high, (8, 4))
+    for i in range(4):
+        tilts[2 * i, i] = low[i]
+        tilts[2 * i + 1, i] = high[i]
+    return tilts
+
+
+def exact_mutual_information(h, snr: float) -> float:
+    """log2 det(I + snr H^H H) of the float entries of h, with the
+    determinant taken exactly in rationals and the logarithm to 60 digits."""
+    h = np.asarray(h)
+    entries = [[(Fraction(float(z.real)), Fraction(float(z.imag))) for z in row] for row in h]
+    rho = Fraction(snr)
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    n_r, n_t = h.shape
+    gram = [[(Fraction(i == j), Fraction(0)) for j in range(n_t)] for i in range(n_t)]
+    for i, j, k in itertools.product(range(n_t), range(n_t), range(n_r)):
+        re, im = mul((entries[k][i][0], -entries[k][i][1]), entries[k][j])
+        gram[i][j] = (gram[i][j][0] + rho * re, gram[i][j][1] + rho * im)
+
+    def det(mat):
+        if len(mat) == 1:
+            return mat[0][0]
+        total = (Fraction(0), Fraction(0))
+        for j, entry in enumerate(mat[0]):
+            re, im = mul(entry, det([row[:j] + row[j + 1 :] for row in mat[1:]]))
+            sign = -1 if j % 2 else 1
+            total = (total[0] + sign * re, total[1] + sign * im)
+        return total
+
+    value = det(gram)[0]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log = Decimal(value.numerator).ln() - Decimal(value.denominator).ln()
+        return float(log / Decimal(2).ln())

@@ -37,6 +37,7 @@ from irsmimo.multiplexing import (
 )
 from irsmimo.optimize import normalize_orientation, oriented_scenario
 from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, parse_scenario
+from oracles import LONG_PI, edge_setups, edge_tilts, offset_jacobian, offset_phases
 
 
 def tiny_scenario(d_t=10.0, d_r=12.0, lam=0.005):
@@ -59,14 +60,16 @@ class TestHopMatrices:
             assert np.max(np.abs(np.abs(mat) - 1.0)) < 1e-12
 
     def test_scalar_case_is_a_pure_center_phasor(self):
-        scn = tiny_scenario()
-        k0 = 2 * math.pi / 0.005
-        assert tx_irs_channel(scn)[0, 0] == pytest.approx(np.exp(-1j * k0 * 10.0), abs=1e-12)
-        assert irs_rx_channel(scn)[0, 0] == pytest.approx(np.exp(-1j * k0 * 12.0), abs=1e-12)
+        # the one link runs center to center, exactly the distance D its
+        # hop's phase is measured from; at D = 10.3 m, D/lambda is no integer
+        scn = tiny_scenario(d_t=10.3, d_r=12.0)
+        assert tx_irs_channel(scn)[0, 0] == 1.0
+        assert irs_rx_channel(scn)[0, 0] == 1.0
 
     def test_entries_match_a_longhand_exponent(self, golden_scenario):
         # scalar re-derivation of the phase polynomial, including the
-        # row/column placement of (k, l) and p
+        # row/column placement of (k, l) and p; a hop's phase is measured
+        # from its center distance D, so 2*pi*D/lambda is not in it
         scn = golden_scenario
         h_t = tx_irs_channel(scn)
         pose, layout, lam = scn.tx, scn.irs, scn.wave.wavelength
@@ -84,7 +87,6 @@ class TestHopMatrices:
                 math.pi * a * a / (lam * pose.distance)
                 + math.pi * b * b / (lam * pose.distance)
                 + (2 * math.pi / lam) * ax
-                + (2 * math.pi / lam) * pose.distance
             )
             got = h_t[element_row(layout, k, l), p + (pose.n_antennas - 1) // 2]
             assert got == pytest.approx(np.exp(-1j * zeta), abs=1e-12)
@@ -108,7 +110,9 @@ class TestFocusing:
         scn = tiny_scenario(d_t=10.0, d_r=12.0, lam=0.005)
         betas = reflective_focusing(scn)
         assert betas.shape == (1,)
-        assert betas[0] == pytest.approx(2 * math.pi * 22.0 / 0.005, rel=1e-15)
+        # the one element sits at the origin, so each center link is exactly
+        # its hop's center distance, from which the hop's phase is measured
+        assert betas[0] == 0.0
 
     def test_any_antenna_pair_can_be_focused(self, rng):
         # programming each element for a non-center pair maxes that entry instead
@@ -170,8 +174,8 @@ class TestAssembly:
 
     def test_posed_link_matches_the_posed_scenario(self, golden_scenario, rng):
         # pose_link folds each tilt as oriented_scenario does; its hops, gain
-        # and phase Jacobians must be those of the posed scenario bit for
-        # bit, also for psi < 0, psi > pi and gamma outside [0, 2*pi)
+        # and trig must be those of the posed scenario bit for bit, also for
+        # psi < 0, psi > pi and gamma outside [0, 2*pi)
         tilts = [(-5.5, -2.4), (0.3, 1.1), (8.0, 4.2), (-0.2, 3.5), (7.0, -0.4)]
         for scn in [golden_scenario] + [random_scenario(rng) for _ in range(5)]:
             link = resolve_link(scn)
@@ -189,9 +193,10 @@ class TestAssembly:
                 ref_t, ref_r, ref_gain = ref.h_t, ref.h_r, ref.eta0
                 assert np.array_equal(posed.h_t, ref_t) and np.array_equal(posed.h_r, ref_r)
                 assert posed.eta0 == ref_gain
-                for jac, pose in zip(posed.jacobians(), (sc.tx, sc.rx)):
-                    ref = orientation_phase_jacobian(sc.wave, sc.irs, pose)
-                    assert all(np.array_equal(a, b) for a, b in zip(jac, ref))
+                for trig, pose in zip(posed.trig, (sc.tx, sc.rx)):
+                    gamma, psi = pose.orient_azimuth, pose.orient_elevation
+                    want = [math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)]
+                    assert trig.tolist() == want
 
     def test_posed_link_rejects_what_a_pose_rejects(self, golden_scenario):
         link = resolve_link(golden_scenario)
@@ -205,8 +210,8 @@ class TestAssembly:
                 normalize_orientation(m)
 
     def test_stacked_posed_link_matches_one_vector_calls(self, rng):
-        # row i of a (B, 4) stack gives the hops and phase Jacobians of
-        # vector i posed alone, bit for bit: the three scenario files and 12
+        # row i of a (B, 4) stack gives the hops and trig of vector i posed
+        # alone, bit for bit: the three scenario files and 12
         # draws, among them N_r > N_t, one-antenna sides and zenith arrays,
         # at tilts that fold (psi < 0, psi > pi, a tiny negative gamma)
         setups = [parse_scenario(str(path)) for path in SCENARIO_FILES]
@@ -230,18 +235,14 @@ class TestAssembly:
             q = scn.irs.n_elements
             assert posed.h_t.shape == (len(stack), q, scn.tx.n_antennas)
             assert posed.h_r.shape == (len(stack), scn.rx.n_antennas, q)
-            stacked_jacs = posed.jacobians()
             for i, m in enumerate(stack):
                 alone = pose_link(link, m)
                 ref = build_channels(oriented_scenario(scn, m))
                 ref_t, ref_r = ref.h_t, ref.h_r
                 assert np.array_equal(alone.h_t, ref_t) and np.array_equal(alone.h_r, ref_r)
                 assert np.array_equal(posed.h_t[i], ref_t) and np.array_equal(posed.h_r[i], ref_r)
-                for row_jac, stacked, want in zip(
-                    posed[i].jacobians(), stacked_jacs, alone.jacobians()
-                ):
-                    assert all(np.array_equal(a, b) for a, b in zip(row_jac, want))
-                    assert all(np.array_equal(a[i], b) for a, b in zip(stacked, want))
+                for row_trig, stacked, want in zip(posed[i].trig, posed.trig, alone.trig):
+                    assert np.array_equal(row_trig, want) and np.array_equal(stacked[i], want)
 
     def test_posed_link_rejects_a_malformed_stack(self, golden_scenario):
         link = resolve_link(golden_scenario)
@@ -284,6 +285,40 @@ class TestAssembly:
     def test_wrong_length_phase_vector_rejected(self, golden_scenario):
         with pytest.raises(ValueError, match="225"):
             replace(golden_scenario, focusing_mode="explicit", focusing_betas=(0.0,) * 16)
+
+
+class TestSeparablePhase:
+    """The element + antenna + coupling split of the link phase against the
+    per-entry offset form it replaced (tests/oracles.py)."""
+
+    def test_hops_are_no_less_accurate_than_the_summed_exponent(self, rng):
+        # against a long-double oracle of the same float inputs: the split
+        # hops (center distance left out) and the old exp(-j(small + big))
+        # (center distance in every entry), each against its own phase
+        def error(hop, phase):
+            ref = np.exp(-1j * np.mod(phase, 2 * LONG_PI).astype(np.clongdouble))
+            return float(np.max(np.abs(hop - ref)))
+
+        for scn in edge_setups(rng):
+            link = resolve_link(scn)
+            for m in edge_tilts(rng):
+                posed = pose_link(link, m)
+                sc = oriented_scenario(scn, m)
+                for pose, hop in ((sc.tx, posed.h_t), (sc.rx, posed.h_r.T)):
+                    small, big = offset_phases(sc, pose)
+                    small_ld, big_ld = offset_phases(sc, pose, np.longdouble)
+                    old = error(np.exp(-1j * (small + big)), small_ld + big_ld)
+                    assert error(hop, small_ld) <= old
+
+    def test_phase_jacobian_matches_the_offset_form(self, rng):
+        for scn in edge_setups(rng):
+            for m in edge_tilts(rng)[:3]:
+                sc = oriented_scenario(scn, m)
+                for pose in (sc.tx, sc.rx):
+                    got = orientation_phase_jacobian(sc.wave, sc.irs, pose)
+                    for a, b in zip(got, offset_jacobian(sc, pose)):
+                        scale = max(float(np.max(np.abs(b))), np.finfo(float).tiny)
+                        assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
 Tilt = namedtuple("Tilt", "gamma psi")

@@ -358,13 +358,13 @@ class TestFmrMapCommand:
         # brute-force spot check, once per side at the first in-region and
         # the first out-of-region point, one pose each
         scn = parse_scenario(BASELINE)
-        tx_v = chan.link_side(scn.irs, scn.tx).v
+        tx_v1 = chan.link_side(scn.wave.wavelength, scn.irs, scn.tx).v1
         calls = []
 
-        def counted(lam, side, keys):
-            is_tx = all(np.array_equal(a, b) for a, b in zip(side.v, tx_v))
+        def counted(side, keys):
+            is_tx = np.array_equal(side.v1, tx_v1)
             calls.append(("tx" if is_tx else "rx", np.asarray(keys).tolist()))
-            return pose_side(lam, side, keys)
+            return pose_side(side, keys)
 
         monkeypatch.setattr(chan, "pose_side", counted)
         bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
@@ -769,6 +769,15 @@ class TestVerifyCommand:
         ]
         assert "4/4 checks passed" in out
 
+    @pytest.mark.parametrize("distance", ["1000", "1e5"])
+    def test_closed_form_holds_far_from_the_surface(self, capsys, tmp_path, distance):
+        # the brute force once carried 2*pi*D/lambda in every entry's phase
+        # and failed here (2.1e-8 at 1 km, 1.4e-4 at 100 km)
+        far = write_variant(tmp_path, "far.txt", {"rx.distance_m": distance})
+        code, out, _ = run_cli(capsys, "verify", "--scenario", far, "--checks", "closed_form")
+        assert code == 0, out
+        assert "PASS closed_form" in out
+
     def test_gram_check_reads_the_given_scenario(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--scenario", SMALL, "--checks", "gram_fmr")
         assert code == 0
@@ -988,22 +997,22 @@ def test_shifted_grid_csv_is_byte_identical(capsys, verify):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SHIFTED_GRID_SHA256[verify]
 
 
-# SHA-256 of the stdout of commands that synthesize hops, as written at
-# commit 759e47b9fdab (one-pose, keyed and stacked hop syntheses kept side
-# by side); a single synthesis path must keep every byte.  "optimize" runs
-# the MM phase block those bytes were written with; "optimize-elementwise"
-# pins the default phase block from its introduction on
+# SHA-256 of the stdout of commands that synthesize hops, pinned when the
+# hops became separable in the tilt with the center distance left out of
+# their phase; "channel-closed" is the closed form, which has been
+# byte-identical since commit 759e47b9fdab.  "optimize" runs the MM phase
+# block and "optimize-elementwise" the default one
 HOP_OUTPUT_SHA256 = {
-    "channel-h": "66110b467c16602454d3425c7ee139eda28da749f2ffc290aaccb6b26de71683",
-    "channel-ht": "69c53d8d460e2fb27443bb25acbc6d8fea8671e0d00c0081bba239692dd274a4",
-    "channel-hr": "328537f9919783dbfe36aa7a54276ba4d2f08d5671e3b9ac96fba0b000480352",
-    "channel-theta": "fa32356c1939cd3bfb35b9b8de8346e1b839de4bd34d8a659eb8b2baf35c2db9",
+    "channel-h": "46a70a555ae8f421afe2f2cde3285d45edc4bac1b9f361f7ed12eecb218b6305",
+    "channel-ht": "d8784f923f6c6d7b6a71fbb86e783fe7772ff390678dc2550cb0d2ba6bfdb914",
+    "channel-hr": "108fc9ecdb21408ecb7c3a4f1e0ec1d982caee30dbf07203eca8f0740a4de960",
+    "channel-theta": "b21f5996ebad0a65e03c519e11f5c1f15464cd79f3b0907d25eccdfee2e7f6b5",
     "channel-closed": "28f2346902d01953d292f92c18923db740915765873ade512672d26de81629fa",
-    "eigensweep-fixed": "fd97af09408fd55fc74c68d79344004a8bd2bd3479cad5f7f31dca86efa739ad",
-    "eigensweep-auto-x": "3a8cac5ad0bf9ee483492f4dde740cc0a67aef7f85695fc2b6629834b3e5328a",
-    "eigensweep-auto-y": "eb3cd0243d91203fa49707d3ca438c2c52ffdc39f9510d97c922261397be3c53",
-    "optimize": "3eae65453f9088e85d8ba7b5bad7a5e0371a5b5bacf12f472ca1fa46099457e0",
-    "optimize-elementwise": "b2ced57871243ed67f8d8bb70d60318ddf6387262a8430387abfe4a4667e8605",
+    "eigensweep-fixed": "b106c2d207f23f8745a1d802c1e523348feefac9da53d72cab75e298d66a0e95",
+    "eigensweep-auto-x": "ff82bf5b622b17295412646dc3899cc19d7faef9ece8fb6c611c81dfa061e425",
+    "eigensweep-auto-y": "0dea5aac9670d8a9fd5e41b264a4ff38aa0b1aa802e6e824972a2a2664838ccc",
+    "optimize": "837760d6e928cbdfff4dd3ddac3303badae358bd3193f2c9823a21a7b2299d88",
+    "optimize-elementwise": "57249dcb48c8ff80e4ce055b1cad84676da730326c04e549f754f1108221b49e",
 }
 OPTIMIZE_ARGV = ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
                  "--max-outer", "2", "--max-orient-iters", "3")

@@ -50,6 +50,7 @@ from irsmimo.optimize import (
 )
 from irsmimo.response import WaveConfig
 from irsmimo.scenario import PowerConfig, Scenario, parse_scenario
+from oracles import edge_setups, edge_tilts, exact_mutual_information, full_jacobian_gradient
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SMALL = str(SCENARIO_DIR / "optimize_small.txt")
@@ -127,6 +128,31 @@ class TestMutualInformation:
     def test_rejects_a_scalar(self):
         with pytest.raises(ValueError, match="matrix"):
             mutual_information(np.complex128(1.0), PowerConfig(1.0, 1.0))
+
+    def test_weak_modes_keep_their_bits(self, rng):
+        # H = U diag(sigma) V^H with rho sigma^2 from 1e-6 to 1e7: the
+        # eigenvalues of the Gram lost the weak modes to rounding on the
+        # scale of the strongest (2e-9 bits off here)
+        power = PowerConfig(1.0, 1e-13)
+        for n_r, n_t in ((5, 5), (5, 7), (7, 5)):
+            n = min(n_r, n_t)
+            gains = np.logspace(-6.0, 7.0, n)
+            sigma = np.sqrt(gains / power.snr)
+            u = np.linalg.qr(rng.normal(size=(n_r, n_r)) + 1j * rng.normal(size=(n_r, n_r)))[0]
+            v = np.linalg.qr(rng.normal(size=(n_t, n_t)) + 1j * rng.normal(size=(n_t, n_t)))[0]
+            h = (u[:, :n] * sigma) @ v[:, :n].conj().T
+            want = sum(math.log1p(g) for g in gains.tolist()) / math.log(2.0)
+            assert abs(mutual_information(h, power) - want) <= 1e-12
+
+    def test_matches_an_exact_reference_at_a_reachable_pose(self):
+        # the focusing phases at the tilts of one benchmark start, where
+        # rho * eig spans 1e-6 to 7e6: the Gram spectrum was 2.95e-9 bits off
+        scn = parse_scenario(SMALL)
+        _, m = random_init(scn, 8127014756763608238)
+        posed = chan.pose_link(chan.resolve_link(scn), m)
+        h = posed.eta0 * ((posed.h_r * focusing_init(scn)[0]) @ posed.h_t)
+        want = exact_mutual_information(h, scn.power.snr)
+        assert abs(mutual_information(h, scn.power) - want) <= 1e-12
 
 
 class TestUpperBound:
@@ -633,6 +659,25 @@ class TestGradients:
         assert np.all(np.abs(mi_gradient(scn, theta, m)) < 1e-9)
         assert np.all(np.abs(finite_difference_gradient(scn, theta, m)) < 1e-9)
 
+    def test_contracted_gradient_matches_the_full_jacobian_sum(self, rng):
+        # the 3 x 2 contraction per side against the sum over every link of
+        # its full offset Jacobian, at tilts inside the box and on its faces,
+        # relative to the summed magnitudes of the links' terms: on a face a
+        # component can itself be rounding noise of those terms
+        for scn in edge_setups(rng):
+            for m in edge_tilts(rng):
+                theta = np.exp(1j * rng.uniform(0, 2 * math.pi, scn.irs.n_elements))
+                want, scale = full_jacobian_gradient(scn, theta, m)
+                assert np.all(np.abs(mi_gradient(scn, theta, m) - want) <= 1e-12 * scale)
+
+    def test_matches_central_differences_on_edge_setups(self, rng):
+        for scn in edge_setups(rng):
+            theta = np.exp(1j * rng.uniform(0, 2 * math.pi, scn.irs.n_elements))
+            m = normalize_orientation(rng.uniform(BOX_LOW, BOX_HIGH) * [1, 0.8, 1, 0.8] + [0, 0.3, 0, 0.3])
+            g = mi_gradient(scn, theta, m)
+            fd = finite_difference_gradient(scn, theta, m, step=1e-6)
+            assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-9)
+
     def test_resolves_each_pose_once(self, monkeypatch):
         # the hops and the phase jacobians of one side share one resolution
         # of the pose against the surface
@@ -1039,27 +1084,41 @@ class TestAlternatingDriver:
         assert mis[-1] <= mi_upper_bound(final.h_t, final.h_r, final.eta0, scn.power) + 1e-9
 
     @pytest.mark.parametrize("solver", sorted(PHASE_SOLVERS))
-    def test_rows_are_the_final_rows_of_each_block(self, solver):
-        scn = parse_scenario(SMALL)
-        theta_stop, orient_stop = {"max_outer": 4}, {"max_iters": 4}
-        theta, m, trace = alternating_optimize(
-            scn, seed=2, max_rounds=2, theta_stop=theta_stop, orient_stop=orient_stop,
-            phase_solver=solver,
-        )
-        assert trace.stop_reason == "max_iters"
-        replay, m_vec = random_init(scn, 2)
-        m_vec = normalize_orientation(m_vec)
-        rows = [trace.iterations[0]]
-        for rnd in (1, 2):
-            replay, t_trace = PHASE_SOLVERS[solver](
-                oriented_scenario(scn, m_vec), replay, **theta_stop
+    def test_rows_are_the_final_rows_of_each_block(self, solver, rng):
+        # the joint trace equals the public blocks called one after another,
+        # bit for bit: from a seed, from focusing, from phases off the unit
+        # circle, which each phase block scales back, and on random draws
+        # with N_r > N_t
+        theta_stop, orient_stop = {"max_outer": 6}, {"max_iters": 8}
+        small = parse_scenario(SMALL)
+        theta, m = random_init(small, 5)
+        runs = [(small, {"seed": 2}, random_init(small, 2))]
+        runs += [(small, {"init": start}, start) for start in (
+            focusing_init(small), (1.5 * theta, m + [-1.0, 0.0, 0.5, 0.0])
+        )]
+        draws = [random_scenario(rng, n_max=5, q_max=9, high_snr=True) for _ in range(4)]
+        draws[0] = replace(draws[0], tx=replace(draws[0].tx, n_antennas=3),
+                           rx=replace(draws[0].rx, n_antennas=5))
+        runs += [(scn, {"seed": 7}, random_init(scn, 7)) for scn in draws]
+        for scn, how, start in runs:
+            theta, m, trace = alternating_optimize(
+                scn, **how, max_rounds=4, theta_stop=theta_stop, orient_stop=orient_stop,
+                phase_solver=solver,
             )
-            rows.append((rnd, t_trace.mi_values[-1], "theta"))
-            m_vec, o_trace = optimize_orientation(scn, replay, m_vec, **orient_stop)
-            rows.append((rnd, o_trace.mi_values[-1], "orientation"))
-        assert trace.iterations == rows
-        assert np.array_equal(theta, replay)
-        assert np.array_equal(m, m_vec)
+            replay, m_vec = np.asarray(start[0], dtype=complex), normalize_orientation(start[1])
+            rows = [(0, mutual_information(
+                cascade(build_channels(oriented_scenario(scn, m_vec)), replay), scn.power
+            ), "init")]
+            for rnd in range(1, len(trace.iterations) // 2 + 1):
+                replay, t_trace = PHASE_SOLVERS[solver](
+                    oriented_scenario(scn, m_vec), replay, **theta_stop
+                )
+                rows.append((rnd, t_trace.mi_values[-1], "theta"))
+                m_vec, o_trace = optimize_orientation(scn, replay, m_vec, **orient_stop)
+                rows.append((rnd, o_trace.mi_values[-1], "orientation"))
+            assert trace.iterations == rows
+            assert np.array_equal(theta, replay)
+            assert np.array_equal(m, m_vec)
 
     def test_focusing_start_reaches_its_pose_bound(self):
         # the default stops from focusing_init on optimize_small.txt end
