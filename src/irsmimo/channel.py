@@ -23,13 +23,13 @@ One function builds link phases: pose_side takes the orientation-free terms
 of one side (link_side) and synthesizes that side at every (distance, gamma,
 psi) row of a (B, 3) stack in one numpy pass.  A scenario's own array is the
 stack of one, which feeds tx_irs_channel, irs_rx_channel, propagation_phases,
-orientation_phase_jacobian, reflective_focusing and build_channels.
+reflective_focusing and build_channels.
 build_channels, the one scenario-level builder, evaluates each side once
 and takes the surface phases from the scenario's focusing mode.
-pose_link poses both sides of a resolved link at a (B, 4) stack of tilt
-vectors, one per trial of the optimizer's line search, and tilt_gradient
-contracts weights against one side's phase derivatives without forming
-them.  reflective_cascades builds focused cascades by brute force at the
+pose_link poses both sides of a resolved link at one tilt vector, a trial
+of the optimizer's line search, and tilt_gradient contracts weights
+against one side's phase derivatives without forming them.
+reflective_cascades builds focused cascades by brute force at the
 (B, 6) poses and (B,) gains that closed_form_cascades takes, which gives
 the same cascades at O(N_r*N_t) per link.  Each row of a stack is computed
 apart from the others, so a pose's hops do not depend on the stack around
@@ -158,18 +158,6 @@ def _own_phases(wave, layout: IrsLayout, pose: ArrayPose):
     return pose_side(link_side(wave.wavelength, layout, pose), [_own_pose(pose)])[1]
 
 
-def _phase_jacobian(side: LinkSide, trig):
-    """(d_phase/d_gamma, d_phase/d_psi) (Q, N) of one side at its own
-    distance and the (sin psi, cos psi, cos gamma, sin gamma) trig."""
-    s, c, cg, sg = trig
-    kappa = side.k0 / side.distance
-    d_gamma = np.multiply.outer(kappa * s * (side.v1 * sg - side.v2 * cg), side.r)
-    d_psi = ((side.r * side.r) * (kappa * s * c) - side.r * (side.k0 * s)) - np.multiply.outer(
-        kappa * c * (side.v1 * cg + side.v2 * sg), side.r
-    )
-    return d_gamma, d_psi
-
-
 def tilt_gradient(side: LinkSide, trig, weights):
     """(sum of weights * d_phase/d_gamma, sum of weights * d_phase/d_psi)
     over one side's (Q, N) real weights, at its own distance and trig.
@@ -201,8 +189,14 @@ def orientation_phase_jacobian(wave, layout: IrsLayout, pose: ArrayPose):
     which enter the phase quadratically, and its axial coordinate.
     """
     side = link_side(wave.wavelength, layout, pose)
-    trig, _ = pose_side(side, [_own_pose(pose)])
-    return _phase_jacobian(side, trig[0].tolist())
+    gamma, psi = pose.orient_azimuth, pose.orient_elevation
+    s, c, cg, sg = math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)
+    kappa = side.k0 / side.distance
+    d_gamma = np.multiply.outer(kappa * s * (side.v1 * sg - side.v2 * cg), side.r)
+    d_psi = ((side.r * side.r) * (kappa * s * c) - side.r * (side.k0 * s)) - np.multiply.outer(
+        kappa * c * (side.v1 * cg + side.v2 * sg), side.r
+    )
+    return d_gamma, d_psi
 
 
 def side_hops(phases) -> ComplexMatrix:
@@ -223,11 +217,10 @@ def irs_rx_channel(scn: Scenario) -> ComplexMatrix:
 @dataclass(frozen=True)
 class ResolvedLink:
     """A scenario's link with everything but the two array tilts resolved:
-    both sides, the wavelength and the common gain eta0."""
+    both sides and the common gain eta0."""
 
     tx: LinkSide
     rx: LinkSide
-    wavelength: float
     eta0: float
 
 
@@ -235,18 +228,14 @@ def resolve_link(scn: Scenario) -> ResolvedLink:
     """The orientation-free terms of scn, for evaluating many tilts of one link."""
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
     lam = scn.wave.wavelength
-    return ResolvedLink(link_side(lam, scn.irs, scn.tx), link_side(lam, scn.irs, scn.rx), lam, gain)
+    return ResolvedLink(link_side(lam, scn.irs, scn.tx), link_side(lam, scn.irs, scn.rx), gain)
 
 
 @dataclass(frozen=True)
 class PosedLink:
     """Both hops of a resolved link at one tilt of each side, with each
     side's (sin psi, cos psi, cos gamma, sin gamma) trig, from which
-    tilt_gradient takes its phase derivatives.
-
-    A stacked PosedLink holds B tilts: h_t (B, Q, N_t), h_r (B, N_r, Q) and
-    (B, 4) trig per side; its [i] is the link posed at tilt i alone.
-    """
+    tilt_gradient takes its phase derivatives."""
 
     link: ResolvedLink
     h_t: ComplexMatrix
@@ -257,32 +246,24 @@ class PosedLink:
     def eta0(self) -> float:
         return self.link.eta0
 
-    def __getitem__(self, i) -> PosedLink:
-        return PosedLink(self.link, self.h_t[i], self.h_r[i], (self.trig[0][i], self.trig[1][i]))
-
 
 def pose_link(link: ResolvedLink, m) -> PosedLink:
-    """Both hops at the orientation vector m = [gamma_t, psi_t, gamma_r,
-    psi_r], or at each row of a (B, 4) stack of them.
+    """Both hops at the orientation vector m = [gamma_t, psi_t, gamma_r, psi_r].
 
     Each (gamma, psi) is folded into a pose's domain and then posed at the
     side's own distance by pose_side, so every hop equals that of
-    build_channels at its posed scenario bit for bit.  A stack gives a
-    stacked PosedLink; a vector is posed as the stack of one and gives its
-    [0].
+    build_channels at its posed scenario bit for bit.
     """
     vec = np.asarray(m, dtype=float)
-    if vec.ndim not in (1, 2) or vec.shape[-1] != 4:
+    if vec.shape != (4,):
         raise ValueError("orientation vectors must have four components")
-    rows = vec.reshape(-1, 4).tolist()
-    hops, trig = [], []
-    for side, at in ((link.tx, 0), (link.rx, 2)):
-        keys = [(side.distance, *fold_orientation(row[at], row[at + 1])) for row in rows]
-        side_trig, phases = pose_side(side, keys)
-        hops.append(side_hops(phases))
-        trig.append(side_trig)
-    posed = PosedLink(link, hops[0], np.swapaxes(hops[1], -1, -2).copy(), tuple(trig))
-    return posed if vec.ndim == 2 else posed[0]
+    gamma_t, psi_t, gamma_r, psi_r = vec.tolist()
+    (trig_t, phases_t), (trig_r, phases_r) = (
+        pose_side(side, [(side.distance, *fold_orientation(gamma, psi))])
+        for side, gamma, psi in ((link.tx, gamma_t, psi_t), (link.rx, gamma_r, psi_r))
+    )
+    h_r = side_hops(phases_r)[0].T.copy()
+    return PosedLink(link, side_hops(phases_t)[0], h_r, (trig_t[0], trig_r[0]))
 
 
 def _reflective_betas(phases_t, phases_r):

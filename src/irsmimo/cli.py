@@ -58,11 +58,8 @@ class SweepSpec:
             raise ValueError("start must be < stop")
 
     def values(self) -> np.ndarray:
-        if self.count == 0:
-            return np.empty(0)
-        if self.count == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.count)
+        # fewer than two values never reach stop, and stop - start can overflow
+        return np.linspace(self.start, self.stop if self.count >= 2 else self.start, self.count)
 
 
 def _fmt(value) -> str:

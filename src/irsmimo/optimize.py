@@ -38,14 +38,6 @@ SIGMA_FLOOR_SCALE = 1e-12
 _NORMAL_MIN = np.finfo(float).tiny
 _UNSUBNORMAL = 2.0**600
 
-# Trial poses per stacked evaluation of the orientation line search.  On
-# the benchmark's optimize_small.txt portfolios 97% of quasi-Newton steps
-# accept their first trial, while steepest-descent steps mostly accept their
-# fourth or fifth.  A stack of 2 costs 1.2 single poses and a stack of 6 two;
-# whole portfolios ran 3-5% faster with stacks of 2 or 3 than of 6, and
-# stacks of 2 and 3 were within 1% of each other.
-LINE_BATCH = 2
-
 # s^T y must exceed this share of |s| |y| for a BFGS update to be taken
 _CURVATURE_FLOOR = 1e-8
 
@@ -383,8 +375,7 @@ def oriented_scenario(scn: Scenario, m) -> Scenario:
 
 
 def _descent_objective(link, power: PowerConfig, theta, m):
-    """(negated MI, posed link) at orientation vector m of a resolved link;
-    for a (B, 4) stack of vectors, B negated MIs and the stacked posed link."""
+    """(negated MI, posed link) at orientation vector m of a resolved link."""
     posed = chan.pose_link(link, m)
     return -_cascade_mi(posed.h_t, posed.h_r, posed.eta0, theta, power), posed
 
@@ -491,12 +482,11 @@ def optimize_orientation(
     Each step moves along d = -H grad, with H the BFGS inverse-Hessian
     estimate over the four angles (_bfgs_update), and tries the points
     m + init_step * shrink^k * d, k < max_backtracks, each clipped to the
-    box.  The trials are posed LINE_BATCH at a time, each batch in one
-    stacked evaluation, and the first trial that does not increase the
-    objective is accepted, as if they were tried one by one.  H is dropped
-    and the step falls back to projected steepest descent, d = -grad, when
-    d is not a descent direction, when the box clips the first trial along
-    d, or when no trial along d is accepted.  The trace's stop_reason is
+    box.  The trials are posed one at a time, and the first that does not
+    increase the objective is accepted.  H is dropped and the step falls
+    back to projected steepest descent, d = -grad, when d is not a descent
+    direction, when the box clips the first trial along d, or when no trial
+    along d is accepted.  The trace's stop_reason is
     "threshold" when an accepted step gains less than eps_orient,
     "no_descent" when every steepest-descent trial raises the objective,
     and "max_iters" otherwise.
@@ -517,12 +507,10 @@ def optimize_orientation(
     def first_descent(trials):
         """(objective, trial, posed link) of the first trial that does not
         increase the objective, or None."""
-        for first in range(0, max_backtracks, LINE_BATCH):
-            batch = trials[first : first + LINE_BATCH]
-            objs, batch_posed = _descent_objective(link, scn.power, theta, batch)
-            hits = np.flatnonzero(objs <= obj)
-            if hits.size:
-                return float(objs[hits[0]]), batch[hits[0]], batch_posed[hits[0]]
+        for trial in trials:
+            trial_obj, trial_posed = _descent_objective(link, scn.power, theta, trial)
+            if trial_obj <= obj:
+                return trial_obj, trial, trial_posed
         return None
 
     h_inv = prev = None

@@ -546,6 +546,24 @@ class TestFmrMapCommand:
         assert out == ""
         assert err == "error: distances must be positive\n"
 
+    def test_a_spot_check_past_double_precision_refuses_the_map(self, capsys, tmp_path):
+        # at lambda = 1e-9 m and 5 m Tx spacing the in-region point (2, 2) m
+        # has a Tx antenna phase of 6.3e10 rad, whose ulp is 7.6e-6 rad: the
+        # closed form and brute force differ by 4.2e-6 of the largest entry,
+        # and no double-precision evaluation can meet the 1e-8 bound there
+        fine = write_variant(
+            tmp_path, "fine.txt", {"wave.wavelength_m": "1e-9", "tx.spacing_m": "5.0"}
+        )
+        code, out, err = run_cli(
+            capsys,
+            "fmr-map", "--scenario", fine, "--verify",
+            "--dt-start", "2", "--dt-stop", "20", "--dt-count", "4",
+            "--dr-start", "2", "--dr-stop", "20", "--dr-count", "4",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: closed form and brute force disagree at (D_t=2, D_r=2)\n"
+
     def test_nonpositive_distances_are_rejected(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -556,6 +574,20 @@ class TestFmrMapCommand:
         assert code == 1
         assert out == ""
         assert err.strip() == "error: distances must be positive"
+
+    def test_a_single_distance_is_its_start_whatever_the_stop(self, capsys):
+        # stop - start overflows here; one value must still be the start
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "fmr-map", "--scenario", BASELINE,
+                "--dt-start", "1e308", "--dt-stop=-1e308", "--dt-count", "1",
+                "--dr-start", "5", "--dr-stop", "6", "--dr-count", "2",
+            )
+        assert code == 0, err
+        _, rows = read_csv(out, from_file=False)
+        assert [row[:2] for row in rows] == [["1e+308", "5"], ["1e+308", "6"]]
 
     def test_empty_grid_emits_header_only(self, capsys, tmp_path):
         out_file = tmp_path / "empty.csv"

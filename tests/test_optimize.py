@@ -801,7 +801,7 @@ def fallback_step(scn, theta, m0, cause, **stops):
     posed, real = [], opt._descent_objective
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(opt, "_descent_objective",
-                   lambda link, power, th, m: posed.append(np.atleast_2d(m)) or real(link, power, th, m))
+                   lambda link, power, th, m: posed.append(m) or real(link, power, th, m))
         before, _ = optimize_orientation(scn, theta, m0, **{**stops, "max_iters": k - 1})
         calls = len(posed)
         after, _ = optimize_orientation(scn, theta, m0, **{**stops, "max_iters": k})
@@ -812,11 +812,10 @@ def fallback_step(scn, theta, m0, cause, **stops):
 class TestOrientationDescent:
     def test_batched_line_search_matches_the_serial_one(self):
         # every trial budget, shrink and initial step gives the trace, final
-        # orientation and stop reason of trials tried one by one, also when
-        # max_backtracks is not a multiple of the batch; init_step 0.1 lets
-        # a budget of one trial accept
+        # orientation and stop reason of the serial reference; init_step 0.1
+        # lets a budget of one trial accept
         scn = parse_scenario(SMALL)
-        accepted, past_first_batch, reasons, causes = Counter(), 0, set(), Counter()
+        accepted, reasons, causes = Counter(), set(), Counter()
         for k, (tries, shrink, init_step) in enumerate(
             itertools.product((1, 3, 8, 9, 41), (0.5, 0.3), (1.0, 10.0, 0.1))
         ):
@@ -826,22 +825,19 @@ class TestOrientationDescent:
                 init_step=init_step,
             )
             accepted[tries] += len(got)
-            past_first_batch += sum(i >= opt.LINE_BATCH for i, _ in got)
             reasons.add(reason)
             causes.update(cause for _, cause in got)
         assert all(accepted[tries] for tries in (1, 3, 8, 9, 41))
-        assert past_first_batch
         assert {"no_descent", "max_iters"} <= reasons
         assert causes[None] and causes["no estimate"]
 
     def test_every_batch_rejected_is_no_descent(self):
         # with shrink = 1 every trial is the full step of 10, which lowers
-        # the MI at the focusing start: all three batches are rejected
+        # the MI at the focusing start: all five trials are rejected
         scn = parse_scenario(SMALL)
         theta, m0 = focusing_init(scn)
-        tries = 2 * opt.LINE_BATCH + 1
         _, reason = assert_descents_agree(
-            scn, theta, m0, max_iters=5, shrink=1.0, max_backtracks=tries, init_step=10.0
+            scn, theta, m0, max_iters=5, shrink=1.0, max_backtracks=5, init_step=10.0
         )
         assert reason == "no_descent"
 
