@@ -57,6 +57,7 @@ from .geometry import (
     check_orientation,
     fold_orientation,
     local_frame,
+    orientation_vector,
     re_local_components,
 )
 from .scenario import Scenario
@@ -254,10 +255,7 @@ def pose_link(link: ResolvedLink, m) -> PosedLink:
     side's own distance by pose_side, so every hop equals that of
     build_channels at its posed scenario bit for bit.
     """
-    vec = np.asarray(m, dtype=float)
-    if vec.shape != (4,):
-        raise ValueError("orientation vectors must have four components")
-    gamma_t, psi_t, gamma_r, psi_r = vec.tolist()
+    gamma_t, psi_t, gamma_r, psi_r = orientation_vector(m).tolist()
     (trig_t, phases_t), (trig_r, phases_r) = (
         pose_side(side, [(side.distance, *fold_orientation(gamma, psi))])
         for side, gamma, psi in ((link.tx, gamma_t, psi_t), (link.rx, gamma_r, psi_r))

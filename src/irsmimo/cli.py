@@ -270,8 +270,9 @@ def cmd_fmr_orient(args) -> int:
 def cmd_optimize(args) -> int:
     """Focusing start plus --seeds random starts of alternating_optimize.
 
-    --phase-solver picks the phase block: exact per-element sweeps
-    (elementwise, the default) or the paper's MM loop (mm).  --eps-mm and
+    --phase-solver picks the phase block: one exact sweep, then an L-BFGS
+    refinement of the phase angles, per outer step (elementwise, the
+    default), or the paper's MM loop (mm).  --eps-mm and
     --max-inner are MM stops; given with any other solver they are refused.
     """
     if args.seeds == 0 and args.overlay:
@@ -506,13 +507,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--phase-solver",
         choices=opt.PHASE_SOLVERS,
         default="elementwise",
-        help="phase block: exact per-element sweeps (elementwise) or the paper's MM loop",
+        help="phase block: one exact sweep, then an L-BFGS refinement of the phase angles, "
+        "per outer step until one gains less than --eps-theta bits or --max-outer steps "
+        "(elementwise), or the paper's MM loop (mm)",
     )
     p.add_argument("--eps-theta", type=_nonnegative_float, default=1e-6)
     p.add_argument("--eps-mm", type=_nonnegative_float, help="MM only (default 1e-8)")
     p.add_argument("--eps-orient", type=_nonnegative_float, default=1e-6)
     p.add_argument("--eps-oa", type=_nonnegative_float, default=1e-6)
-    p.add_argument("--max-outer", type=_nonnegative_int, default=200, help="MM rounds or sweeps")
+    p.add_argument("--max-outer", type=_nonnegative_int, default=200,
+                   help="MM rounds or outer steps")
     p.add_argument("--max-inner", type=_nonnegative_int, help="MM only (default 500)")
     p.add_argument("--max-orient-iters", type=_nonnegative_int, default=200)
     p.add_argument("--max-rounds", type=_nonnegative_int, default=50)

@@ -65,6 +65,15 @@ def check_orientation(gamma: float, psi: float) -> None:
         raise ValueError("orient_elevation must lie in [0, pi]")
 
 
+def orientation_vector(m) -> np.ndarray:
+    """The tilts m = [gamma_t, psi_t, gamma_r, psi_r] as a float array,
+    refused unless m has exactly four components."""
+    vec = np.asarray(m, dtype=float)
+    if vec.shape != (4,):
+        raise ValueError("orientation vector must have four components")
+    return vec
+
+
 def fold_orientation(gamma: float, psi: float) -> tuple[float, float]:
     """(gamma, psi) folded into a pose's orientation domain, axis preserved.
 

@@ -1,8 +1,12 @@
 """Mutual information and its maximization over surface phases and array tilts.
 
-Two phase solvers for the unit-modulus surface phases theta: exact
-per-element updates swept over the surface (the default of the joint
-loop), and the paper's majorization-minimization (MM) loop.  A box-bounded
+Two phase solvers for the unit-modulus surface phases theta.  The default
+of the joint loop repeats one exact sweep, then an L-BFGS refinement of the
+phase angles: the sweep gives each element in turn its exact MI-maximizing
+phase, and the refinement climbs in all the angles at once until one of its
+steps gains less than eps_theta bits; the block stops when an outer step
+gains less than eps_theta bits or after max_outer steps.  The other is the
+paper's majorization-minimization (MM) loop.  A box-bounded
 quasi-Newton (BFGS) descent with backtracking moves the four orientation
 angles [gamma_t, psi_t, gamma_r, psi_r], falling back to projected steepest
 descent at the box faces and where a quasi-Newton step fails, and
@@ -15,12 +19,13 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import channel as chan
-from .geometry import check_orientation, fold_orientation
+from .geometry import check_orientation, fold_orientation, orientation_vector
 from .scenario import PowerConfig, Scenario  # noqa: F401  (PowerConfig re-exported)
 
 LOG2 = math.log(2.0)
@@ -40,6 +45,12 @@ _UNSUBNORMAL = 2.0**600
 
 # s^T y must exceed this share of |s| |y| for a BFGS update to be taken
 _CURVATURE_FLOOR = 1e-8
+
+# the phase refinement's L-BFGS: (step, gradient change) pairs kept, trials
+# per step, and the share of its slope's predicted gain a trial must reach
+_LBFGS_MEMORY = 5
+_BACKTRACKS = 30
+_ARMIJO = 1e-4
 
 # the phase blocks alternating_optimize can run
 PHASE_SOLVERS = ("elementwise", "mm")
@@ -336,26 +347,105 @@ def phase_sweep(h_t, h_r, theta, eta0: float, power: PowerConfig) -> np.ndarray:
     return theta
 
 
+def _mi_weights(h_t, h_r, theta, rho_eff):
+    """(X, e_t) of the cascade G = H_r diag(theta) H_t at effective SNR rho_eff.
+
+    X = (I + rho_eff G^H G)^-1 G^H, and e_t[q, p] = Im(theta_q H_t[q, p]
+    (X H_r)[p, q]) are the Tx-side weights of d MI/d phase.  Row q of e_t
+    sums to Im(theta_q (H_t X H_r)_qq), so with theta_q = exp(j phi_q),
+    d MI/d phi_q = -(2 rho_eff / ln 2) times that sum.
+    """
+    w = h_r * theta[None, :]
+    g_mat = w @ h_t
+    delta = rho_eff * (g_mat.conj().T @ g_mat) + np.eye(h_t.shape[1])
+    x = np.linalg.solve(delta, g_mat.conj().T)
+    return x, ((x @ w).T * h_t).imag
+
+
+def _refine_phases(h_t, h_r, gain, theta, power, eps_theta):
+    """L-BFGS ascent of the MI in the phase angles phi, theta = exp(j phi).
+
+    The direction comes from the two-loop recursion over the last
+    _LBFGS_MEMORY (step, gradient change) pairs (Nocedal & Wright,
+    Numerical Optimization, Alg. 7.4); the first is steepest ascent with
+    its largest phase move one radian.  Of at most _BACKTRACKS trials
+    along it, the first that raises the MI by at least _ARMIJO of the gain
+    its slope predicts is taken, so every step raises the MI.  Stops when
+    a step gains less than eps_theta bits, when no trial is taken, or
+    after Q steps; returns theta itself when no step is taken.  Forms no
+    Q x Q matrix.
+    """
+    rho_eff = power.snr * gain**2
+    scale = -2.0 * rho_eff / LOG2
+
+    def mi_slopes(theta):
+        return scale * _mi_weights(h_t, h_r, theta, rho_eff)[1].sum(axis=1)
+
+    phi = np.angle(theta)
+    mi = _cascade_mi(h_t, h_r, gain, theta, power)
+    grad = mi_slopes(theta)
+    pairs = deque(maxlen=_LBFGS_MEMORY)
+    for _ in range(len(theta)):
+        d = grad.copy()
+        coefs = []
+        for s, y, sy in reversed(pairs):
+            coef = float(s @ d) / sy
+            d -= coef * y
+            coefs.append(coef)
+        if pairs:
+            s, y, sy = pairs[-1]
+            d *= sy / float(y @ y)
+        else:
+            d /= max(float(np.max(np.abs(d))), _NORMAL_MIN)
+        for (s, y, sy), coef in zip(pairs, reversed(coefs)):
+            d += (coef - float(y @ d) / sy) * s
+        slope = float(grad @ d)
+        if not slope > 0.0:  # false on a NaN
+            break
+        step = 1.0
+        for _ in range(_BACKTRACKS):
+            trial = np.exp(1j * (phi + step * d))
+            mi_trial = _cascade_mi(h_t, h_r, gain, trial, power)
+            rise = mi_trial - mi
+            if rise > 0.0 and rise >= _ARMIJO * step * slope:
+                break
+            # the peak of the quadratic through the MI, its slope and the
+            # trial, kept within [0.1, 0.5] of the step (N&W eq. 3.57)
+            excess = slope * step - rise
+            peak = 0.5 * slope * step * step / excess if excess > 0.0 else 0.5 * step
+            step = min(max(peak, 0.1 * step), 0.5 * step)
+        else:
+            break
+        s = step * d
+        grad_new = mi_slopes(trial)
+        y = grad - grad_new
+        sy, yy = float(s @ y), float(y @ y)
+        if yy > 0.0 and sy > _CURVATURE_FLOOR * math.sqrt(float(s @ s) * yy):
+            pairs.append((s, y, sy))
+        phi, theta, mi, grad = phi + s, trial, mi_trial, grad_new
+        if rise < eps_theta:
+            break
+    return theta
+
+
 def optimize_theta_elementwise(
     scn: Scenario, theta_init, *, eps_theta: float = 1e-6, max_outer: int = 200
 ) -> tuple[np.ndarray, OptTrace]:
-    """Maximize MI over the surface phases at fixed geometry by phase_sweep.
+    """Maximize MI over the surface phases at fixed geometry: each outer
+    step is one exact sweep, then an L-BFGS refinement of the phase angles.
 
-    One trace row per sweep over every element; stops when a sweep gains
-    less than eps_theta bits ("threshold"), else after max_outer sweeps
-    ("max_iters").  Each element update is exact, so the trace is monotone.
+    The sweep is phase_sweep; the refinement (_refine_phases) climbs from
+    the swept phases until one of its steps gains less than eps_theta
+    bits.  One trace row per outer step; stops when an outer step gains
+    less than eps_theta bits ("threshold"), else after max_outer steps
+    ("max_iters").  Each element update is exact and the refinement takes
+    only steps that raise the MI, so the trace is monotone.
     """
-    return _climb(
-        scn, theta_init, eps_theta, max_outer,
-        lambda h_t, h_r, gain, theta: phase_sweep(h_t, h_r, theta, gain, scn.power),
-    )
+    def sweep_and_refine(h_t, h_r, gain, theta):
+        theta = phase_sweep(h_t, h_r, theta, gain, scn.power)
+        return _refine_phases(h_t, h_r, gain, theta, scn.power, eps_theta)
 
-
-def _as_vector(m) -> np.ndarray:
-    vec = np.asarray(m, dtype=float)
-    if vec.shape != (4,):
-        raise ValueError("orientation vector must have four components")
-    return vec
+    return _climb(scn, theta_init, eps_theta, max_outer, sweep_and_refine)
 
 
 def oriented_scenario(scn: Scenario, m) -> Scenario:
@@ -365,7 +455,7 @@ def oriented_scenario(scn: Scenario, m) -> Scenario:
     (geometry.fold_orientation); this keeps finite-difference probes valid
     near the tilt limits.
     """
-    vec = _as_vector(m)
+    vec = orientation_vector(m)
     (g_t, p_t), (g_r, p_r) = fold_orientation(*vec[:2]), fold_orientation(*vec[2:])
     return replace(
         scn,
@@ -391,17 +481,11 @@ def mi_gradient(scn: Scenario, theta, m, posed=None) -> np.ndarray:
     """
     theta = _finite_phases(theta)
     if posed is None:
-        posed = chan.pose_link(chan.resolve_link(scn), _as_vector(m))
+        posed = chan.pose_link(chan.resolve_link(scn), m)
     h_t, h_r, gain = posed.h_t, posed.h_r, posed.eta0
     rho_eff = scn.power.snr * gain**2
 
-    w = h_r * theta[None, :]
-    g_mat = w @ h_t
-    n_t = h_t.shape[1]
-    delta = rho_eff * (g_mat.conj().T @ g_mat) + np.eye(n_t)
-    x = np.linalg.solve(delta, g_mat.conj().T)
-
-    e_t = ((x @ w).T * h_t).imag
+    x, e_t = _mi_weights(h_t, h_r, theta, rho_eff)
     e_r = (theta[:, None] * (h_t @ x) * h_r.T).imag
     (trig_t, trig_r), link = posed.trig, posed.link
     grad = (*chan.tilt_gradient(link.tx, trig_t.tolist(), e_t),
@@ -414,7 +498,7 @@ def finite_difference_gradient(scn: Scenario, theta, m, step: float = 1e-6) -> n
     if step <= 0.0:
         raise ValueError("step must be > 0")
     theta = _finite_phases(theta)
-    vec = _as_vector(m)
+    vec = orientation_vector(m)
     link = chan.resolve_link(scn)
     out = np.zeros(4)
     for i in range(4):
@@ -435,7 +519,7 @@ def normalize_orientation(m) -> np.ndarray:
     gamma into [-pi/2, pi/2).  The fold never changes the physical
     configuration.
     """
-    vec = _as_vector(m)
+    vec = orientation_vector(m)
     out = []
     for gamma, psi in (vec[:2], vec[2:]):
         gamma, psi = fold_orientation(gamma, psi)
@@ -578,7 +662,8 @@ def alternating_optimize(
 
     init is a (theta, orientation) pair; when omitted a seeded random start
     is drawn.  phase_solver picks the phase block: "elementwise"
-    (optimize_theta_elementwise, exact per-element sweeps) or "mm"
+    (optimize_theta_elementwise, one exact sweep, then an L-BFGS refinement
+    of the phase angles, per outer step) or "mm"
     (optimize_theta, the paper's MM loop); theta_stop holds the chosen
     solver's stops, so eps_mm and max_inner go with "mm" only.  Returns
     the final phases, orientation and the joint trace, whose block rows

@@ -871,16 +871,21 @@ class TestVerifyCommand:
         assert "FAIL gradient" in out
         assert "3/4 checks passed" in out
 
-    def test_a_phase_sweep_that_lowers_the_mi_fails(self, capsys, monkeypatch):
-        right = opt.phase_sweep
+    def test_a_phase_block_that_lowers_the_mi_fails(self, capsys, monkeypatch):
+        # the fault sits in the refinement, the last move of an outer step:
+        # one in the sweep would be climbed back by the refinement after it
+        right = opt._refine_phases
         starts = []
 
-        def undoing_sweep(h_t, h_r, theta, eta0, power):
-            # the first sweep climbs, every later one returns to the start
+        def undoing_refinement(h_t, h_r, gain, theta, power, eps_theta):
+            # the first refinement climbs, every later one returns to the
+            # phases the first one started from
             starts.append(theta)
-            return right(h_t, h_r, theta, eta0, power) if len(starts) == 1 else starts[0]
+            if len(starts) == 1:
+                return right(h_t, h_r, gain, theta, power, eps_theta)
+            return starts[0]
 
-        monkeypatch.setattr(opt, "phase_sweep", undoing_sweep)
+        monkeypatch.setattr(opt, "_refine_phases", undoing_refinement)
         code, out, _ = run_cli(capsys, "verify", "--scenario", SMALL)
         assert code == 2
         assert "FAIL phase_solvers" in out
@@ -1033,7 +1038,8 @@ def test_shifted_grid_csv_is_byte_identical(capsys, verify):
 # hops became separable in the tilt with the center distance left out of
 # their phase; "channel-closed" is the closed form, which has been
 # byte-identical since commit 759e47b9fdab.  "optimize" runs the MM phase
-# block and "optimize-elementwise" the default one
+# block and "optimize-elementwise" the default one, pinned again when each
+# of its outer steps became a sweep and an L-BFGS refinement
 HOP_OUTPUT_SHA256 = {
     "channel-h": "46a70a555ae8f421afe2f2cde3285d45edc4bac1b9f361f7ed12eecb218b6305",
     "channel-ht": "d8784f923f6c6d7b6a71fbb86e783fe7772ff390678dc2550cb0d2ba6bfdb914",
@@ -1044,7 +1050,7 @@ HOP_OUTPUT_SHA256 = {
     "eigensweep-auto-x": "ff82bf5b622b17295412646dc3899cc19d7faef9ece8fb6c611c81dfa061e425",
     "eigensweep-auto-y": "0dea5aac9670d8a9fd5e41b264a4ff38aa0b1aa802e6e824972a2a2664838ccc",
     "optimize": "837760d6e928cbdfff4dd3ddac3303badae358bd3193f2c9823a21a7b2299d88",
-    "optimize-elementwise": "57249dcb48c8ff80e4ce055b1cad84676da730326c04e549f754f1108221b49e",
+    "optimize-elementwise": "78f03b6e56b34b4e0263a83c2de05e4c007b2207b39992aac27a5877eb3b4a40",
 }
 OPTIMIZE_ARGV = ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
                  "--max-outer", "2", "--max-orient-iters", "3")

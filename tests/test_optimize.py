@@ -609,6 +609,78 @@ class TestElementwiseSolver:
             alternating_optimize(scn, focusing_init(scn), phase_solver="cd")
 
 
+class TestPhaseRefinement:
+    @staticmethod
+    def phase_gradients(chans, theta, power):
+        """d MI/d phi of theta = exp(j phi) from the row sums of the Tx-side
+        weights of opt._mi_weights and from those of the Rx-side weights."""
+        rho_eff = power.snr * chans.eta0**2
+        x, e_t = opt._mi_weights(chans.h_t, chans.h_r, theta, rho_eff)
+        e_r = (theta[:, None] * (chans.h_t @ x) * chans.h_r.T).imag
+        coef = -2.0 * rho_eff / math.log(2.0)
+        return coef * e_t.sum(axis=1), coef * e_r.sum(axis=1)
+
+    def test_phase_gradient_matches_central_differences(self, rng):
+        step = 1e-5
+        for scn in edge_setups(rng):
+            chans = build_channels(scn)
+            theta = np.exp(1j * rng.uniform(0, 2 * math.pi, scn.irs.n_elements))
+            tx_side, rx_side = self.phase_gradients(chans, theta, scn.power)
+            fd = np.zeros(len(theta))
+            for q in range(len(theta)):
+                hi, lo = theta.copy(), theta.copy()
+                hi[q] *= np.exp(1j * step)
+                lo[q] *= np.exp(-1j * step)
+                fd[q] = (opt._cascade_mi(chans.h_t, chans.h_r, chans.eta0, hi, scn.power)
+                         - opt._cascade_mi(chans.h_t, chans.h_r, chans.eta0, lo, scn.power))
+            fd /= 2.0 * step
+            assert np.linalg.norm(tx_side - fd) <= 1e-6 * np.linalg.norm(fd)
+            assert np.allclose(tx_side, rx_side, rtol=0.0,
+                               atol=1e-12 * float(np.max(np.abs(tx_side))))
+
+    def test_refinement_raises_the_mi_and_stays_bounded(self, rng):
+        setups = exactness_draws(rng) + [parse_scenario(str(p))
+                                         for p in sorted(SCENARIO_DIR.glob("*.txt"))]
+        for scn in setups:
+            chans = build_channels(scn)
+            bound = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
+            for theta0 in (chans.theta, random_init(scn, 5)[0]):
+                swept = phase_sweep(chans.h_t, chans.h_r, theta0, chans.eta0, scn.power)
+                refined = opt._refine_phases(chans.h_t, chans.h_r, chans.eta0, swept,
+                                             scn.power, 1e-6)
+                before = mutual_information(cascade(chans, swept), scn.power)
+                after = mutual_information(cascade(chans, refined), scn.power)
+                assert before <= after <= bound + 1e-9
+                assert np.allclose(np.abs(refined), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_refinement_stops_on_the_gain_of_a_step(self, monkeypatch):
+        scn = parse_scenario(SMALL)
+        chans = build_channels(scn)
+        swept = phase_sweep(chans.h_t, chans.h_r, random_init(scn, 2)[0], chans.eta0, scn.power)
+        gradients = []
+        real = opt._mi_weights
+        monkeypatch.setattr(opt, "_mi_weights", lambda *a: gradients.append(a) or real(*a))
+        for eps_theta in (math.inf, 1e-3, 0.0):
+            gradients.clear()
+            opt._refine_phases(chans.h_t, chans.h_r, chans.eta0, swept, scn.power, eps_theta)
+            steps = len(gradients) - 1  # one gradient at the start and one per step
+            if eps_theta == math.inf:
+                assert steps == 1  # the first step gains less than infinity
+            else:
+                assert 1 < steps <= scn.irs.n_elements
+
+    def test_first_outer_step_beats_ten_plain_sweeps(self):
+        scn = parse_scenario(SMALL)
+        chans = build_channels(scn)
+        for seed in range(5):
+            theta0, _ = random_init(scn, seed)
+            _, trace = optimize_theta_elementwise(scn, theta0, max_outer=1)
+            swept = theta0
+            for _ in range(10):
+                swept = phase_sweep(chans.h_t, chans.h_r, swept, chans.eta0, scn.power)
+            assert trace.mi_values[1] >= mutual_information(cascade(chans, swept), scn.power)
+
+
 class TestGradients:
     def test_matches_central_differences(self, rng):
         worst = 0.0
@@ -1058,6 +1130,17 @@ class TestOrientationDescent:
     def test_rejects_a_vector_without_four_components(self):
         with pytest.raises(ValueError, match="four components"):
             optimize_orientation(fmr_anchor_scenario(), np.ones(225, dtype=complex), [1.0, 2.0])
+
+    def test_a_malformed_vector_is_refused_with_one_message(self):
+        scn = parse_scenario(SMALL)
+        theta = focusing_init(scn)[0]
+        link = chan.resolve_link(scn)
+        for m in ([1.0, 2.0], np.ones(5), np.ones((1, 4)), 1.0):
+            for call in (lambda: mi_gradient(scn, theta, m), lambda: oriented_scenario(scn, m),
+                         lambda: chan.pose_link(link, m)):
+                with pytest.raises(ValueError,
+                                   match="^orientation vector must have four components$"):
+                    call()
 
 
 class TestAlternatingDriver:
