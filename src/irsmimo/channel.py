@@ -26,9 +26,13 @@ stack of one, which feeds tx_irs_channel, irs_rx_channel, propagation_phases,
 reflective_focusing and build_channels.
 build_channels, the one scenario-level builder, evaluates each side once
 and takes the surface phases from the scenario's focusing mode.
-pose_link poses both sides of a resolved link at one tilt vector, a trial
-of the optimizer's line search, and tilt_gradient contracts weights
-against one side's phase derivatives without forming them.
+The antenna term is a unit-modulus factor per antenna, which leaves every
+singular value of the cascade as it is, so at fixed surface phases the MI
+depends on the tilts only through each side's coupling_factor E[q, p] =
+exp(j r_p t_q).  The optimizer's tilt descent runs on the reduced cascade
+eta0 E_r^T diag(theta * elements) E_t of a resolved link at any real
+angles, and tilt_gradient contracts weights against the coupling's
+derivatives without forming them.
 reflective_cascades builds focused cascades by brute force at the
 (B, 6) poses and (B,) gains that closed_form_cascades takes, which gives
 the same cascades at O(N_r*N_t) per link.  Each row of a stack is computed
@@ -55,9 +59,7 @@ from .geometry import (
     centered_indices,
     check_distance,
     check_orientation,
-    fold_orientation,
     local_frame,
-    orientation_vector,
     re_local_components,
 )
 from .scenario import Scenario
@@ -121,32 +123,29 @@ def link_side(lam: float, layout: IrsLayout, pose: ArrayPose) -> LinkSide:
 
 
 def pose_side(side: LinkSide, keys):
-    """(trig, phases) of side moved and tilted to each (distance, gamma,
+    """Phases (B, Q, N) of side moved and tilted to each (distance, gamma,
     psi) row of the (B, 3) sequence keys; each row must make a valid pose.
 
-    trig (B, 4) holds the rows' (sin psi, cos psi, cos gamma, sin gamma),
-    each taken with libm as for a single pose.  phases (B, Q, N) is the
-    separable phase elem_q + k0*(r_p^2 sin^2 psi/(2D) + r_p cos psi) -
-    r_p*t_q, with the tilt coupling t = k0/D * sin psi * (v1 cos gamma + v2
-    sin gamma) (B, Q).  Only elementwise broadcasts form it, so a row is
-    computed apart from the rest of its stack, and a caller bounds its
-    temporaries by the rows it passes.
+    The phase is the separable elem_q + k0*(r_p^2 sin^2 psi/(2D) + r_p cos
+    psi) - r_p*t_q, with the tilt coupling t = k0/D * sin psi * (v1 cos
+    gamma + v2 sin gamma) (B, Q) and each row's trig taken with libm.  Only
+    elementwise broadcasts form it, so a row is computed apart from the
+    rest of its stack, and a caller bounds its temporaries by the rows it
+    passes.
     """
     rows = []
     for d, gamma, psi in keys:
         check_distance(d)
         check_orientation(gamma, psi)
-        s, c, cg, sg = math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)
+        s = math.sin(psi)
         kappa = side.k0 / d
-        rows.append((s, c, cg, sg, kappa * s * cg, kappa * s * sg, 0.5 * kappa * s * s,
-                     side.k0 * c, d))
-    coef = np.array(rows, dtype=float).reshape(-1, 9)
-    along_x, along_y, quad, lin, d = (coef[:, i, None] for i in range(4, 9))
+        rows.append((kappa * s * math.cos(gamma), kappa * s * math.sin(gamma),
+                     0.5 * kappa * s * s, side.k0 * math.cos(psi), d))
+    along_x, along_y, quad, lin, d = np.array(rows, dtype=float).reshape(-1, 5).T[..., None]
     coupling = side.v1 * along_x + side.v2 * along_y
     antenna = (side.r * side.r) * quad + side.r * lin
     elem = side.fresnel / d - side.axial
-    phases = (elem[..., None] + antenna[:, None, :]) - side.r * coupling[..., None]
-    return coef[:, :4], phases
+    return (elem[..., None] + antenna[:, None, :]) - side.r * coupling[..., None]
 
 
 def _own_pose(pose: ArrayPose) -> list[float]:
@@ -156,25 +155,33 @@ def _own_pose(pose: ArrayPose) -> list[float]:
 
 def _own_phases(wave, layout: IrsLayout, pose: ArrayPose):
     """Link phases of one array at its own pose, a stack of one."""
-    return pose_side(link_side(wave.wavelength, layout, pose), [_own_pose(pose)])[1]
+    return pose_side(link_side(wave.wavelength, layout, pose), [_own_pose(pose)])
 
 
-def tilt_gradient(side: LinkSide, trig, weights):
+def coupling_factor(side: LinkSide, gamma: float, psi: float) -> ComplexMatrix:
+    """E[q, p] = exp(j r_p t_q) (Q, N), the factor of one side's hop that
+    the tilt couples, at any real (gamma, psi): the hop is E times the
+    unit-modulus element and antenna factors exp(-j elem_q), exp(-j
+    antenna_p) of pose_side's split, at the side's own distance."""
+    kappa_s = side.k0 / side.distance * math.sin(psi)
+    t = side.v1 * (kappa_s * math.cos(gamma)) + side.v2 * (kappa_s * math.sin(gamma))
+    return np.exp(1j * np.multiply.outer(t, side.r))
+
+
+def tilt_gradient(side: LinkSide, gamma: float, psi: float, weights):
     """(sum of weights * d_phase/d_gamma, sum of weights * d_phase/d_psi)
-    over one side's (Q, N) real weights, at its own distance and trig.
+    over one side's (Q, N) real weights of d MI/d phase, at (gamma, psi).
 
-    The r^2 terms of the gamma derivative cancel and the rest is rank one
-    in (element, antenna), so both sums come from the 3 x 2 contraction
-    [1; v1; v2] (weights [r, r^2]); no (Q, N) Jacobian is formed.
+    The MI is blind to the antenna factor, so each antenna's column of
+    weights sums to zero and only the coupling -r_p t_q moves it; both sums
+    then come from v1_r = v1^T W r and v2_r = v2^T W r, and no (Q, N)
+    Jacobian is formed.
     """
-    basis = np.array([np.ones_like(side.v1), side.v1, side.v2])
-    radial = np.stack([side.r, side.r * side.r], axis=1)
-    (w_r, w_rr), (v1_r, _), (v2_r, _) = (basis @ (weights @ radial)).tolist()
-    s, c, cg, sg = trig
+    moment = weights @ side.r
+    v1_r, v2_r = float(side.v1 @ moment), float(side.v2 @ moment)
+    s, c, cg, sg = math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)
     kappa = side.k0 / side.distance
-    d_gamma = kappa * s * (sg * v1_r - cg * v2_r)
-    d_psi = kappa * s * c * w_rr - side.k0 * s * w_r - kappa * c * (cg * v1_r + sg * v2_r)
-    return d_gamma, d_psi
+    return kappa * s * (sg * v1_r - cg * v2_r), -kappa * c * (cg * v1_r + sg * v2_r)
 
 
 def propagation_phases(wave, layout: IrsLayout, pose: ArrayPose) -> np.ndarray:
@@ -218,50 +225,22 @@ def irs_rx_channel(scn: Scenario) -> ComplexMatrix:
 @dataclass(frozen=True)
 class ResolvedLink:
     """A scenario's link with everything but the two array tilts resolved:
-    both sides and the common gain eta0."""
+    both sides, the common gain eta0 and the element phasors
+    exp(-j(elem_t + elem_r)) (Q,) of both sides' element terms."""
 
     tx: LinkSide
     rx: LinkSide
     eta0: float
+    elements: np.ndarray
 
 
 def resolve_link(scn: Scenario) -> ResolvedLink:
     """The orientation-free terms of scn, for evaluating many tilts of one link."""
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
     lam = scn.wave.wavelength
-    return ResolvedLink(link_side(lam, scn.irs, scn.tx), link_side(lam, scn.irs, scn.rx), gain)
-
-
-@dataclass(frozen=True)
-class PosedLink:
-    """Both hops of a resolved link at one tilt of each side, with each
-    side's (sin psi, cos psi, cos gamma, sin gamma) trig, from which
-    tilt_gradient takes its phase derivatives."""
-
-    link: ResolvedLink
-    h_t: ComplexMatrix
-    h_r: ComplexMatrix
-    trig: tuple
-
-    @property
-    def eta0(self) -> float:
-        return self.link.eta0
-
-
-def pose_link(link: ResolvedLink, m) -> PosedLink:
-    """Both hops at the orientation vector m = [gamma_t, psi_t, gamma_r, psi_r].
-
-    Each (gamma, psi) is folded into a pose's domain and then posed at the
-    side's own distance by pose_side, so every hop equals that of
-    build_channels at its posed scenario bit for bit.
-    """
-    gamma_t, psi_t, gamma_r, psi_r = orientation_vector(m).tolist()
-    (trig_t, phases_t), (trig_r, phases_r) = (
-        pose_side(side, [(side.distance, *fold_orientation(gamma, psi))])
-        for side, gamma, psi in ((link.tx, gamma_t, psi_t), (link.rx, gamma_r, psi_r))
-    )
-    h_r = side_hops(phases_r)[0].T.copy()
-    return PosedLink(link, side_hops(phases_t)[0], h_r, (trig_t[0], trig_r[0]))
+    tx, rx = (link_side(lam, scn.irs, pose) for pose in (scn.tx, scn.rx))
+    elem = (tx.fresnel / tx.distance - tx.axial) + (rx.fresnel / rx.distance - rx.axial)
+    return ResolvedLink(tx, rx, gain, np.exp(-1j * elem))
 
 
 def _reflective_betas(phases_t, phases_r):
@@ -312,7 +291,7 @@ def reflective_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
     rows = np.asarray(poses, dtype=float).reshape(-1, 6).tolist()
     lam = scn.wave.wavelength
     phases_t, phases_r = (
-        pose_side(link_side(lam, scn.irs, pose), [row[at : at + 3] for row in rows])[1]
+        pose_side(link_side(lam, scn.irs, pose), [row[at : at + 3] for row in rows])
         for pose, at in ((scn.tx, 0), (scn.rx, 3))
     )
     hops_r = np.swapaxes(side_hops(phases_r), -1, -2)

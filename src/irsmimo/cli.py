@@ -148,7 +148,7 @@ def cmd_eigensweep(args) -> int:
     rows = []
     for i in range(0, len(keys), SWEEP_CHUNK):
         chunk = keys[i : i + SWEEP_CHUNK]
-        hops = chan.side_hops(chan.pose_side(side, chunk)[1])
+        hops = chan.side_hops(chan.pose_side(side, chunk))
         for (d_t, _, _), h_t in zip(chunk, hops):
             ev = np.linalg.eigvalsh(h_t.conj().T @ h_t) / scn.irs.n_elements
             rows.append((d_t, *np.sort(ev)[::-1]))

@@ -67,10 +67,12 @@ def check_orientation(gamma: float, psi: float) -> None:
 
 def orientation_vector(m) -> np.ndarray:
     """The tilts m = [gamma_t, psi_t, gamma_r, psi_r] as a float array,
-    refused unless m has exactly four components."""
+    refused unless m has exactly four components, each finite."""
     vec = np.asarray(m, dtype=float)
     if vec.shape != (4,):
         raise ValueError("orientation vector must have four components")
+    if not np.isfinite(vec).all():
+        raise ValueError("orientation angles must be finite")
     return vec
 
 

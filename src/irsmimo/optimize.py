@@ -6,12 +6,13 @@ phase angles: the sweep gives each element in turn its exact MI-maximizing
 phase, and the refinement climbs in all the angles at once until one of its
 steps gains less than eps_theta bits; the block stops when an outer step
 gains less than eps_theta bits or after max_outer steps.  The other is the
-paper's majorization-minimization (MM) loop.  A box-bounded
-quasi-Newton (BFGS) descent with backtracking moves the four orientation
-angles [gamma_t, psi_t, gamma_r, psi_r], falling back to projected steepest
-descent at the box faces and where a quasi-Newton step fails, and
-alternating_optimize calls a phase solver and the descent in turn until the
-MI gain per round drops below threshold.
+paper's majorization-minimization (MM) loop.  A quasi-Newton (BFGS)
+descent with backtracking moves the four orientation angles [gamma_t,
+psi_t, gamma_r, psi_r] on the reduced cascade of channel.coupling_factor,
+which is analytic in every real angle, so it steps in all of R^4; it
+falls back to steepest descent where a quasi-Newton step fails.
+alternating_optimize calls a phase solver and the descent in turn until
+the MI gain per round drops below threshold.
 MI is reported in bits; the descent works on the negated MI.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as chan
-from .geometry import check_orientation, fold_orientation, orientation_vector
+from .geometry import fold_orientation, orientation_vector
 from .scenario import PowerConfig, Scenario  # noqa: F401  (PowerConfig re-exported)
 
 LOG2 = math.log(2.0)
@@ -33,7 +34,6 @@ TWO_PI = 2.0 * math.pi
 
 GAMMA_BOX = (-math.pi / 2, math.pi / 2)
 PSI_BOX = (0.0, math.pi)
-_BOX_LOW, _BOX_HIGH = np.array([GAMMA_BOX, PSI_BOX, GAMMA_BOX, PSI_BOX]).T
 
 SIGMA_FLOOR_SCALE = 1e-12
 
@@ -464,66 +464,78 @@ def oriented_scenario(scn: Scenario, m) -> Scenario:
     )
 
 
-def _descent_objective(link, power: PowerConfig, theta, m):
-    """(negated MI, posed link) at orientation vector m of a resolved link."""
-    posed = chan.pose_link(link, m)
-    return -_cascade_mi(posed.h_t, posed.h_r, posed.eta0, theta, power), posed
+def _posed_mi(scn: Scenario, theta, m) -> float:
+    """MI at the phases theta of the hops build_channels gives at the tilts m."""
+    cs = chan.build_channels(oriented_scenario(scn, m))
+    return _cascade_mi(cs.h_t, cs.h_r, cs.eta0, theta, scn.power)
+
+
+def _tilted(link, m):
+    """(link, E_t, E_r): both sides' coupling factors at the tilt vector m,
+    any real angles, which mi_gradient takes as posed."""
+    gamma_t, psi_t, gamma_r, psi_r = m.tolist()
+    return (link, chan.coupling_factor(link.tx, gamma_t, psi_t),
+            chan.coupling_factor(link.rx, gamma_r, psi_r))
 
 
 def mi_gradient(scn: Scenario, theta, m, posed=None) -> np.ndarray:
-    """Analytic gradient of the negated MI in the four orientation angles.
+    """Analytic gradient of the negated MI in the four orientation angles,
+    at any finite angles.
 
-    Each side's share is the phase derivative of every link weighted by
-    Im of its term of d MI/d phase, which channel.tilt_gradient contracts
-    without forming the derivatives.  posed is the link already posed at m
-    (channel.pose_link), whose hops are then reused rather than synthesized
-    again.
+    The MI is that of the reduced cascade eta0 E_r^T diag(w) E_t, E the
+    sides' coupling factors and w = theta times the link's element phasors,
+    whose singular values are those of the full one.  Each side's share is
+    the coupling's phase derivative of every link weighted by Im of its
+    term of d MI/d phase, which channel.tilt_gradient contracts.  posed is
+    (link, E_t, E_r) already at m (_tilted), whose factors are then reused.
     """
     theta = _finite_phases(theta)
+    vec = orientation_vector(m)
     if posed is None:
-        posed = chan.pose_link(chan.resolve_link(scn), m)
-    h_t, h_r, gain = posed.h_t, posed.h_r, posed.eta0
-    rho_eff = scn.power.snr * gain**2
+        posed = _tilted(chan.resolve_link(scn), vec)
+    link, e_t, e_r = posed
+    w = theta * link.elements
+    rho_eff = scn.power.snr * link.eta0**2
 
-    x, e_t = _mi_weights(h_t, h_r, theta, rho_eff)
-    e_r = (theta[:, None] * (h_t @ x) * h_r.T).imag
-    (trig_t, trig_r), link = posed.trig, posed.link
-    grad = (*chan.tilt_gradient(link.tx, trig_t.tolist(), e_t),
-            *chan.tilt_gradient(link.rx, trig_r.tolist(), e_r))
+    x, wt_t = _mi_weights(e_t, e_r.T, w, rho_eff)
+    wt_r = (w[:, None] * (e_t @ x) * e_r).imag
+    gamma_t, psi_t, gamma_r, psi_r = vec.tolist()
+    grad = (*chan.tilt_gradient(link.tx, gamma_t, psi_t, wt_t),
+            *chan.tilt_gradient(link.rx, gamma_r, psi_r, wt_r))
     return -(2.0 * rho_eff / LOG2) * np.array(grad)
 
 
 def finite_difference_gradient(scn: Scenario, theta, m, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of the negated MI (oracle for mi_gradient)."""
+    """Central-difference gradient of the negated MI (oracle for
+    mi_gradient), each probe on the hops of its posed scenario."""
     if step <= 0.0:
         raise ValueError("step must be > 0")
     theta = _finite_phases(theta)
     vec = orientation_vector(m)
-    link = chan.resolve_link(scn)
     out = np.zeros(4)
     for i in range(4):
         probe = np.zeros(4)
         probe[i] = step
-        hi, _ = _descent_objective(link, scn.power, theta, vec + probe)
-        lo, _ = _descent_objective(link, scn.power, theta, vec - probe)
-        out[i] = (hi - lo) / (2.0 * step)
+        hi, lo = _posed_mi(scn, theta, vec + probe), _posed_mi(scn, theta, vec - probe)
+        out[i] = (lo - hi) / (2.0 * step)
     return out
 
 
 def normalize_orientation(m) -> np.ndarray:
-    """Fold an orientation vector into the optimizer box, axis preserved.
+    """Fold an orientation vector of any finite tilts into the box gamma in
+    [-pi/2, pi/2), psi in [0, pi], axis preserved.
 
-    Each (gamma, psi) is folded into a pose's domain
-    (geometry.fold_orientation) and range-checked as a pose would be; then
-    (gamma - pi, pi - psi), which relabels the same antenna line, brings
-    gamma into [-pi/2, pi/2).  The fold never changes the physical
-    configuration.
+    Each psi is reduced mod 2*pi into [-pi, pi] (exactly, by
+    math.remainder), and each (gamma, psi) is folded into a pose's domain
+    (geometry.fold_orientation); then (gamma - pi, pi - psi), which
+    relabels the same antenna line, brings gamma into [-pi/2, pi/2).  The
+    fold never changes the physical configuration.  A NaN or infinite
+    angle is refused (geometry.orientation_vector).
     """
     vec = orientation_vector(m)
     out = []
     for gamma, psi in (vec[:2], vec[2:]):
-        gamma, psi = fold_orientation(gamma, psi)
-        check_orientation(gamma, psi)
+        gamma, psi = fold_orientation(gamma, math.remainder(psi, TWO_PI))
         if math.pi / 2 <= gamma < 3 * math.pi / 2:
             gamma, psi = gamma - math.pi, math.pi - psi
         elif gamma >= 3 * math.pi / 2:
@@ -561,24 +573,33 @@ def optimize_orientation(
     max_backtracks: int = 40,
     init_step: float = 1.0,
 ) -> tuple[np.ndarray, OptTrace]:
-    """Quasi-Newton (BFGS) descent on the orientation angles within the box.
+    """Quasi-Newton (BFGS) descent on the four orientation angles.
 
-    Each step moves along d = -H grad, with H the BFGS inverse-Hessian
-    estimate over the four angles (_bfgs_update), and tries the points
-    m + init_step * shrink^k * d, k < max_backtracks, each clipped to the
-    box.  The trials are posed one at a time, and the first that does not
-    increase the objective is accepted.  H is dropped and the step falls
-    back to projected steepest descent, d = -grad, when d is not a descent
-    direction, when the box clips the first trial along d, or when no trial
-    along d is accepted.  The trace's stop_reason is
+    No hop is posed: each point is scored on the reduced cascade of the
+    sides' coupling factors (mi_gradient), which is analytic in every real
+    angle, so the descent steps on the raw angles in all of R^4.  Each step
+    moves along d = -H grad, with H the BFGS inverse-Hessian estimate
+    (_bfgs_update), and tries the points m + init_step * shrink^k * d,
+    k < max_backtracks, one at a time; the first that does not increase
+    the objective is accepted.  H is dropped and the step falls back to
+    steepest descent, d = -grad, when d is not a descent direction or when
+    no trial along d is accepted.  The end point is returned through
+    normalize_orientation.  The trace's stop_reason is
     "threshold" when an accepted step gains less than eps_orient,
     "no_descent" when every steepest-descent trial raises the objective,
     and "max_iters" otherwise.
     """
     theta = _finite_phases(theta)
     link = chan.resolve_link(scn)
+    w = theta * link.elements
+
+    def objective(m):
+        """(negated MI, posed factors) at the tilt vector m."""
+        posed = _tilted(link, m)
+        return -_cascade_mi(posed[1], posed[2].T, link.eta0, w, scn.power), posed
+
     m = normalize_orientation(m_init)
-    obj, posed = _descent_objective(link, scn.power, theta, m)
+    obj, posed = objective(m)
     rows = [(0, -obj, "orientation")]
     reason = "max_iters"
     steps = []
@@ -589,31 +610,28 @@ def optimize_orientation(
     steps = np.array(steps, dtype=float)[:, None]
 
     def first_descent(trials):
-        """(objective, trial, posed link) of the first trial that does not
-        increase the objective, or None."""
+        """(objective, trial, posed factors) of the first trial that does
+        not increase the objective, or None."""
         for trial in trials:
-            trial_obj, trial_posed = _descent_objective(link, scn.power, theta, trial)
+            trial_obj, trial_posed = objective(trial)
             if trial_obj <= obj:
                 return trial_obj, trial, trial_posed
         return None
 
     h_inv = prev = None
     for it in range(1, max_iters + 1):
-        # the hops of the accepted point feed its gradient
+        # the factors of the accepted point feed its gradient
         grad = mi_gradient(scn, theta, m, posed)
         if prev is not None:
             h_inv = _bfgs_update(h_inv, m - prev[0], grad - prev[1])
         found = None
         if h_inv is not None:
             d = -(h_inv @ grad)
-            raw = m + steps * d
-            trials = np.clip(raw, _BOX_LOW, _BOX_HIGH)
-            # a clipped first trial would step along another direction than d
-            if d @ grad < 0 and np.array_equal(trials[0], raw[0]):
-                found = first_descent(trials)
+            if d @ grad < 0:
+                found = first_descent(m + steps * d)
         if found is None:
             h_inv = None
-            found = first_descent(np.clip(m - steps * grad, _BOX_LOW, _BOX_HIGH))
+            found = first_descent(m - steps * grad)
         if found is None:
             reason = "no_descent"
             break
@@ -624,7 +642,7 @@ def optimize_orientation(
         if gain < eps_orient:
             reason = "threshold"
             break
-    return m, OptTrace(iterations=rows, stop_reason=reason)
+    return normalize_orientation(m), OptTrace(iterations=rows, stop_reason=reason)
 
 
 def random_init(scn: Scenario, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -681,7 +699,7 @@ def alternating_optimize(
     theta_stop = theta_stop or {}
     orient_stop = orient_stop or {}
 
-    mi_prev = -_descent_objective(chan.resolve_link(scn), scn.power, theta, m_vec)[0]
+    mi_prev = _posed_mi(scn, theta, m_vec)
     rows = [(0, mi_prev, "init")]
     reason = "max_iters"
     for rnd in range(1, max_rounds + 1):

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from irsmimo.channel import build_channels
 from irsmimo.checks import random_scenario
 from irsmimo.geometry import centered_indices, re_local_components
 from irsmimo.optimize import oriented_scenario
@@ -59,26 +58,20 @@ def offset_jacobian(scn, pose):
     return d_gamma, d_psi
 
 
-def full_jacobian_gradient(scn, theta, m):
+def full_jacobian_gradient(scn, m, weights, rho_eff):
     """(gradient, scale): the gradient of the negated MI in [gamma_t, psi_t,
-    gamma_r, psi_r] as the sum over every link of its term of d MI/d phase
-    times its full offset_jacobian entry, and per component the sum of the
-    magnitudes of those products, the scale its rounding is relative to."""
+    gamma_r, psi_r] as the sum over every link of its weight of d MI/d
+    phase times its full offset_jacobian entry, antenna terms included, and
+    per component the sum of the magnitudes of those products, the scale
+    its rounding is relative to.  weights holds the Tx- and Rx-side (Q, N)
+    weights at effective SNR rho_eff."""
     sc = oriented_scenario(scn, m)
-    cs = build_channels(sc)
-    h_t, h_r, gain = cs.h_t, cs.h_r, cs.eta0
-    (dz_gt, dz_pt), (dz_gr, dz_pr) = offset_jacobian(sc, sc.tx), offset_jacobian(sc, sc.rx)
-    rho_eff = scn.power.snr * gain**2
-    w = h_r * theta[None, :]
-    g_mat = w @ h_t
-    delta = rho_eff * (g_mat.conj().T @ g_mat) + np.eye(h_t.shape[1])
-    x = np.linalg.solve(delta, g_mat.conj().T)
-    e_t = (x @ w).T * h_t
-    e_r = (theta[:, None] * (h_t @ x)).T * h_r
+    jacobians = offset_jacobian(sc, sc.tx) + offset_jacobian(sc, sc.rx)
+    e_t, e_r = weights
     coef = -(2.0 * rho_eff / math.log(2.0))
-    sums = (e_t * dz_gt, e_t * dz_pt, e_r * dz_gr.T, e_r * dz_pr.T)
-    grad = [coef * float(np.sum(s).imag) for s in sums]
-    return np.array(grad), np.array([abs(coef) * float(np.sum(np.abs(s.imag))) for s in sums])
+    sums = [e * dz for e, dz in zip((e_t, e_t, e_r, e_r), jacobians)]
+    grad = [coef * float(np.sum(s)) for s in sums]
+    return np.array(grad), np.array([abs(coef) * float(np.sum(np.abs(s))) for s in sums])
 
 
 def edge_setups(rng):

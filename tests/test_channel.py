@@ -16,10 +16,10 @@ from irsmimo.channel import (
     closed_form_cascades,
     closed_form_channel,
     coupling_constants,
+    coupling_factor,
     dirichlet_ratio,
     irs_rx_channel,
     orientation_phase_jacobian,
-    pose_link,
     propagation_phases,
     reflective_cascades,
     reflective_focusing,
@@ -35,7 +35,12 @@ from irsmimo.multiplexing import (
     fmr_probe_orientation,
     region_contains,
 )
-from irsmimo.optimize import normalize_orientation, oriented_scenario
+from irsmimo.optimize import (
+    mi_gradient,
+    mutual_information,
+    normalize_orientation,
+    oriented_scenario,
+)
 from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, parse_scenario
 from oracles import LONG_PI, edge_setups, edge_tilts, offset_jacobian, offset_phases
 
@@ -173,49 +178,44 @@ class TestAssembly:
                 assert np.array_equal(chans.h, gain * ((h_r * theta) @ h_t))
 
     def test_posed_link_matches_the_posed_scenario(self, golden_scenario, rng):
-        # pose_link folds each tilt as oriented_scenario does; its hops, gain
-        # and trig must be those of the posed scenario bit for bit, also for
-        # psi < 0, psi > pi and gamma outside [0, 2*pi), on one-antenna
-        # sides, zenith arrays and N_r > N_t
-        tilts = [(-5.5, -2.4), (0.3, 1.1), (8.0, 4.2), (-0.2, 3.5), (7.0, -0.4)]
-        folding = [[-1e-17, -0.4, 0.3, 3.5], [2.0, 3.6, -1e-17, -1.2], [7.0, 1.0, -4.0, 2.0]]
+        # a resolved link posed by its coupling factors alone, eta0 E_r^T
+        # diag(theta * elements) E_t, has the singular values and the MI of
+        # build_channels' cascade at the normalized tilts, also for tilts
+        # outside the box, on one-antenna sides, zenith arrays and N_r > N_t
+        outside = [[-5.0, -0.3, 9.0, math.pi + 0.2], [9.0, 7.0, -5.0, -0.3],
+                   [-5.0, math.pi + 0.2, 9.0, 7.0]]
+        worst_mi = worst_sv = 0.0
         for scn in [golden_scenario] + edge_setups(rng):
             link = resolve_link(scn)
-            own = [scn.tx.orient_azimuth, scn.tx.orient_elevation,
-                   scn.rx.orient_azimuth, scn.rx.orient_elevation]
-            vectors = [np.array(own)] + [
-                np.array([*tilts[i], *tilts[(i + 2) % len(tilts)]])
-                + rng.uniform(-0.1, 0.1, 4)
-                for i in range(len(tilts))
-            ] + [np.array(m) for m in folding]
+            vectors = [np.array(m) for m in outside] + list(rng.uniform(-1.6, 3.2, (3, 4)))
             for m in vectors:
-                posed = pose_link(link, m)
-                sc = oriented_scenario(scn, m)
-                ref = build_channels(sc)
-                ref_t, ref_r, ref_gain = ref.h_t, ref.h_r, ref.eta0
-                assert np.array_equal(posed.h_t, ref_t) and np.array_equal(posed.h_r, ref_r)
-                assert posed.eta0 == ref_gain
-                for trig, pose in zip(posed.trig, (sc.tx, sc.rx)):
-                    gamma, psi = pose.orient_azimuth, pose.orient_elevation
-                    want = [math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)]
-                    assert trig.tolist() == want
+                theta = np.exp(1j * rng.uniform(0, 2 * math.pi, scn.irs.n_elements))
+                e_t, e_r = (coupling_factor(side, *m[at : at + 2])
+                            for side, at in ((link.tx, 0), (link.rx, 2)))
+                reduced = link.eta0 * ((e_r.T * (theta * link.elements)) @ e_t)
+                ref = build_channels(oriented_scenario(scn, normalize_orientation(m)))
+                assert ref.eta0 == link.eta0
+                full = ref.eta0 * ((ref.h_r * theta) @ ref.h_t)
+                sv, sv_ref = (np.linalg.svd(h, compute_uv=False) for h in (reduced, full))
+                worst_sv = max(worst_sv, float(np.max(np.abs(sv - sv_ref)) / sv_ref[0]))
+                worst_mi = max(worst_mi, abs(mutual_information(reduced, scn.power)
+                                             - mutual_information(full, scn.power)))
+        assert worst_sv <= 1e-12
+        assert worst_mi <= 1e-10
 
-    def test_posed_link_rejects_what_a_pose_rejects(self, golden_scenario):
-        link = resolve_link(golden_scenario)
-        for m, what in (([0.1, 7.0, 0.1, 1.0], "orient_elevation"),
-                        ([0.1, 1.0, math.nan, 1.0], "orient_azimuth")):
-            with pytest.raises(ValueError, match=what):
-                oriented_scenario(golden_scenario, m)
-            with pytest.raises(ValueError, match=what):
-                pose_link(link, m)
-            with pytest.raises(ValueError, match=what):
-                normalize_orientation(m)
-
-    def test_posed_link_rejects_a_malformed_stack(self, golden_scenario):
-        link = resolve_link(golden_scenario)
-        for m in ([0.1, 1.0, 0.2], np.ones((2, 4)), np.ones((2, 5)), np.ones((2, 2, 4)), 1.0):
-            with pytest.raises(ValueError, match="four components"):
-                pose_link(link, m)
+    def test_posed_scenario_rejects_what_a_pose_rejects(self, golden_scenario):
+        # a posed scenario keeps the pose's domain; a NaN or infinite tilt is
+        # refused by name by the scenario, the gradient and the normalization
+        with pytest.raises(ValueError, match="orient_elevation"):
+            oriented_scenario(golden_scenario, [0.1, 7.0, 0.1, 1.0])
+        theta = build_channels(golden_scenario).theta
+        for bad in (math.nan, math.inf, -math.inf):
+            m = [0.1, 1.0, bad, 1.0]
+            for call in (lambda: oriented_scenario(golden_scenario, m),
+                         lambda: mi_gradient(golden_scenario, theta, m),
+                         lambda: normalize_orientation(m)):
+                with pytest.raises(ValueError, match="^orientation angles must be finite$"):
+                    call()
 
     def test_frobenius_energy_of_the_hops(self, golden_scenario):
         chans = build_channels(golden_scenario)
@@ -267,10 +267,9 @@ class TestSeparablePhase:
             return float(np.max(np.abs(hop - ref)))
 
         for scn in edge_setups(rng):
-            link = resolve_link(scn)
             for m in edge_tilts(rng):
-                posed = pose_link(link, m)
                 sc = oriented_scenario(scn, m)
+                posed = build_channels(sc)
                 for pose, hop in ((sc.tx, posed.h_t), (sc.rx, posed.h_r.T)):
                     small, big = offset_phases(sc, pose)
                     small_ld, big_ld = offset_phases(sc, pose, np.longdouble)

@@ -1038,8 +1038,8 @@ def test_shifted_grid_csv_is_byte_identical(capsys, verify):
 # hops became separable in the tilt with the center distance left out of
 # their phase; "channel-closed" is the closed form, which has been
 # byte-identical since commit 759e47b9fdab.  "optimize" runs the MM phase
-# block and "optimize-elementwise" the default one, pinned again when each
-# of its outer steps became a sweep and an L-BFGS refinement
+# block and "optimize-elementwise" the default one; both were pinned again
+# when the orientation descent left the tilt box for the reduced cascade
 HOP_OUTPUT_SHA256 = {
     "channel-h": "46a70a555ae8f421afe2f2cde3285d45edc4bac1b9f361f7ed12eecb218b6305",
     "channel-ht": "d8784f923f6c6d7b6a71fbb86e783fe7772ff390678dc2550cb0d2ba6bfdb914",
@@ -1049,8 +1049,8 @@ HOP_OUTPUT_SHA256 = {
     "eigensweep-fixed": "b106c2d207f23f8745a1d802c1e523348feefac9da53d72cab75e298d66a0e95",
     "eigensweep-auto-x": "ff82bf5b622b17295412646dc3899cc19d7faef9ece8fb6c611c81dfa061e425",
     "eigensweep-auto-y": "0dea5aac9670d8a9fd5e41b264a4ff38aa0b1aa802e6e824972a2a2664838ccc",
-    "optimize": "837760d6e928cbdfff4dd3ddac3303badae358bd3193f2c9823a21a7b2299d88",
-    "optimize-elementwise": "78f03b6e56b34b4e0263a83c2de05e4c007b2207b39992aac27a5877eb3b4a40",
+    "optimize": "c385de0d4299b85d08324aadb11911b12fd2d323d4c28cab96adbb6457d8efdd",
+    "optimize-elementwise": "8e2b091384001d2e427dae75959b185c786f34105deb72cf6cb118c643e91e8c",
 }
 OPTIMIZE_ARGV = ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
                  "--max-outer", "2", "--max-orient-iters", "3")
