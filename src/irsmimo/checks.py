@@ -150,22 +150,41 @@ def _check_gram_fmr(scn: Scenario):
     )
 
 
+# a central difference of step h carries a rounding error of about
+# eps |MI| / h; below this many times that, its norm is noise and cannot
+# judge a relative error of 1e-5 (measured: 1.5-112 at end-fire tilts and
+# at 1e6 m, 1.7e8 and more on the golden setup and the shipped scenarios)
+_FD_NOISE_MULTIPLE = 1e6
+
+
 def _check_gradient(scn: Scenario):
     # random phases: the focusing phases can be a stationary point, where the
     # finite difference is rounding noise
     tx, rx = scn.tx, scn.rx
     m = [tx.orient_azimuth, tx.orient_elevation, rx.orient_azimuth, rx.orient_elevation]
+    cs = chan.build_channels(scn)
+    step = 1e-6
     rng = np.random.default_rng(42)
-    errors = []
+    errors, noisy = [], []
     for _ in range(3):
         theta = np.exp(1j * rng.uniform(0.0, opt.TWO_PI, scn.irs.n_elements))
         an = opt.mi_gradient(scn, theta, m)
-        fd = opt.finite_difference_gradient(scn, theta, m, step=1e-6)
+        fd = opt.finite_difference_gradient(scn, theta, m, step=step)
         # a link with one antenna per side is orientation-blind: both are 0
-        scale = max(float(np.linalg.norm(fd)), np.finfo(float).tiny)
+        norm = float(np.linalg.norm(fd))
+        scale = max(norm, np.finfo(float).tiny)
         errors.append(float(np.linalg.norm(an - fd)) / scale)
+        mi = opt.mutual_information(cs.eta0 * ((cs.h_r * theta) @ cs.h_t), scn.power)
+        noisy.append(norm < _FD_NOISE_MULTIPLE * np.finfo(float).eps * abs(mi) / step)
     ok = all(err < 1e-5 for err in errors)  # false on a NaN
-    return ok, f"worst relative gradient error {max(errors):.3e} at 3 random phase draws (< 1e-5)"
+    detail = f"worst relative gradient error {max(errors):.3e} at 3 random phase draws (< 1e-5)"
+    if not ok and all(noise for err, noise in zip(errors, noisy) if not err < 1e-5):
+        return None, (
+            f"where it fails, the central difference is rounding noise (|fd| < "
+            f"{_FD_NOISE_MULTIPLE:.0e} eps |MI| / step): stationary tilts or a vanishing MI; "
+            + detail
+        )
+    return ok, detail
 
 
 def _check_phase_solvers(scn: Scenario):

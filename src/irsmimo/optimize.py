@@ -9,8 +9,7 @@ gains less than eps_theta bits or after max_outer steps.  The other is the
 paper's majorization-minimization (MM) loop.  A quasi-Newton (BFGS)
 descent with backtracking moves the four orientation angles [gamma_t,
 psi_t, gamma_r, psi_r] on the reduced cascade of channel.coupling_factor,
-which is analytic in every real angle, so it steps in all of R^4; it
-falls back to steepest descent where a quasi-Newton step fails.
+which is analytic in every real angle, so it steps in all of R^4.
 alternating_optimize calls a phase solver and the descent in turn until
 the MI gain per round drops below threshold.
 MI is reported in bits; the descent works on the negated MI.
@@ -45,6 +44,9 @@ _UNSUBNORMAL = 2.0**600
 
 # s^T y must exceed this share of |s| |y| for a BFGS update to be taken
 _CURVATURE_FLOOR = 1e-8
+
+# the orientation descent's trial steps along its direction: 1, 1/2, ..., 2^-39
+_LADDER = 0.5 ** np.arange(40.0)[:, None]
 
 # the phase refinement's L-BFGS: (step, gradient change) pairs kept, trials
 # per step, and the share of its slope's predicted gain a trial must reach
@@ -563,15 +565,7 @@ def _bfgs_update(h_inv, s, y):
 
 
 def optimize_orientation(
-    scn: Scenario,
-    theta,
-    m_init,
-    *,
-    eps_orient: float = 1e-6,
-    max_iters: int = 200,
-    shrink: float = 0.5,
-    max_backtracks: int = 40,
-    init_step: float = 1.0,
+    scn: Scenario, theta, m_init, *, eps_orient: float = 1e-6, max_iters: int = 200
 ) -> tuple[np.ndarray, OptTrace]:
     """Quasi-Newton (BFGS) descent on the four orientation angles.
 
@@ -579,15 +573,12 @@ def optimize_orientation(
     sides' coupling factors (mi_gradient), which is analytic in every real
     angle, so the descent steps on the raw angles in all of R^4.  Each step
     moves along d = -H grad, with H the BFGS inverse-Hessian estimate
-    (_bfgs_update), and tries the points m + init_step * shrink^k * d,
-    k < max_backtracks, one at a time; the first that does not increase
-    the objective is accepted.  H is dropped and the step falls back to
-    steepest descent, d = -grad, when d is not a descent direction or when
-    no trial along d is accepted.  The end point is returned through
-    normalize_orientation.  The trace's stop_reason is
-    "threshold" when an accepted step gains less than eps_orient,
-    "no_descent" when every steepest-descent trial raises the objective,
-    and "max_iters" otherwise.
+    (_bfgs_update; d = -grad until the first pair sets it), and tries the
+    points m + 2^-k d, k < 40, one at a time; the first that does not
+    increase the objective is accepted.  The end point is returned through
+    normalize_orientation.  The trace's stop_reason is "threshold" when an
+    accepted step gains less than eps_orient, "no_descent" when every
+    trial of a step raises the objective, and "max_iters" otherwise.
     """
     theta = _finite_phases(theta)
     link = chan.resolve_link(scn)
@@ -602,42 +593,23 @@ def optimize_orientation(
     obj, posed = objective(m)
     rows = [(0, -obj, "orientation")]
     reason = "max_iters"
-    steps = []
-    step = init_step
-    for _ in range(max_backtracks):
-        steps.append(step)
-        step *= shrink
-    steps = np.array(steps, dtype=float)[:, None]
-
-    def first_descent(trials):
-        """(objective, trial, posed factors) of the first trial that does
-        not increase the objective, or None."""
-        for trial in trials:
-            trial_obj, trial_posed = objective(trial)
-            if trial_obj <= obj:
-                return trial_obj, trial, trial_posed
-        return None
-
     h_inv = prev = None
     for it in range(1, max_iters + 1):
         # the factors of the accepted point feed its gradient
         grad = mi_gradient(scn, theta, m, posed)
         if prev is not None:
             h_inv = _bfgs_update(h_inv, m - prev[0], grad - prev[1])
-        found = None
-        if h_inv is not None:
-            d = -(h_inv @ grad)
-            if d @ grad < 0:
-                found = first_descent(m + steps * d)
-        if found is None:
-            h_inv = None
-            found = first_descent(m - steps * grad)
-        if found is None:
+        d = -grad if h_inv is None else -(h_inv @ grad)
+        for trial in m + _LADDER * d:
+            trial_obj, trial_posed = objective(trial)
+            if trial_obj <= obj:
+                break
+        else:
             reason = "no_descent"
             break
         prev = m, grad
-        cand_obj, m, posed = found
-        gain, obj = obj - cand_obj, cand_obj
+        m, posed = trial, trial_posed
+        gain, obj = obj - trial_obj, trial_obj
         rows.append((it, -obj, "orientation"))
         if gain < eps_orient:
             reason = "threshold"

@@ -38,11 +38,13 @@ def test_traced_attribute_resolves(module, attr):
 
 
 def workload_uses():
-    """({(module, attribute)}, {(module, function, keyword)}) of workloads.py.
+    """({(module, attribute)}, {(module, function, keyword)}, {(module,
+    function, keyword, key)}) of workloads.py, the last for each key of a
+    dict literal passed as a keyword (the stops handed to a block).
 
     Modules are found through the file's `from irsmimo import x as y`
-    aliases.  A `**name` argument is resolved to the string keys of the dict
-    literal assigned to that name (or self attribute) in the file.
+    aliases.  A `**name` argument is resolved to the dict literal assigned
+    to that name (or self attribute) in the file.
     """
     tree = ast.parse((REPO_ROOT / "perfbench" / "workloads.py").read_text())
     aliases = {
@@ -52,7 +54,7 @@ def workload_uses():
         for alias in node.names
     }
     dicts = {
-        ast.unparse(target): [k.value for k in node.value.keys if isinstance(k, ast.Constant)]
+        ast.unparse(target): node.value
         for node in ast.walk(tree)
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
         for target in node.targets
@@ -64,18 +66,35 @@ def workload_uses():
             return aliases[node.value.id], node.attr
         return None
 
-    attrs, keywords = set(), set()
+    def passed(kw):
+        """(keyword, value node) of each keyword the argument kw passes."""
+        if kw.arg:
+            return [(kw.arg, kw.value)]
+        literal = dicts[ast.unparse(kw.value)]
+        return [(k.value, v) for k, v in zip(literal.keys, literal.values)
+                if isinstance(k, ast.Constant)]
+
+    attrs, keywords, keys = set(), set(), set()
     for node in ast.walk(tree):
         if module_attr(node):
             attrs.add(module_attr(node))
         if isinstance(node, ast.Call) and module_attr(node.func):
             for kw in node.keywords:
-                names = [kw.arg] if kw.arg else dicts[ast.unparse(kw.value)]
-                keywords.update((*module_attr(node.func), name) for name in names)
-    return attrs, keywords
+                for name, value in passed(kw):
+                    keywords.add((*module_attr(node.func), name))
+                    if isinstance(value, ast.Dict):
+                        keys.update((*module_attr(node.func), name, k.value)
+                                    for k in value.keys if isinstance(k, ast.Constant))
+    return attrs, keywords, keys
 
 
-WORKLOAD_ATTRS, WORKLOAD_KEYWORDS = (sorted(uses) for uses in workload_uses())
+WORKLOAD_ATTRS, WORKLOAD_KEYWORDS, WORKLOAD_STOP_KEYS = (sorted(uses) for uses in workload_uses())
+
+# the solvers alternating_optimize hands each of its stop dicts to
+STOP_SOLVERS = {
+    "theta_stop": ("optimize_theta", "optimize_theta_elementwise"),
+    "orient_stop": ("optimize_orientation",),
+}
 
 
 def test_workload_uses_are_found():
@@ -84,6 +103,16 @@ def test_workload_uses_are_found():
     assert {kw for _, _, kw in WORKLOAD_KEYWORDS} >= {
         "theta_stop", "orient_stop", "max_rounds", "max_outer", "seed"
     }
+    assert {(kw, key) for _, _, kw, key in WORKLOAD_STOP_KEYS} >= {
+        ("theta_stop", "max_outer"), ("orient_stop", "max_iters")
+    }
+
+
+def accepts_keyword(fn, keyword):
+    params = inspect.signature(fn).parameters
+    return keyword in params and params[keyword].kind in (
+        inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY
+    )
 
 
 @pytest.mark.parametrize("module, attr", WORKLOAD_ATTRS)
@@ -93,11 +122,16 @@ def test_workload_attribute_resolves(module, attr):
 
 @pytest.mark.parametrize("module, func, keyword", WORKLOAD_KEYWORDS)
 def test_workload_keyword_is_accepted(module, func, keyword):
-    fn = getattr(importlib.import_module(f"irsmimo.{module}"), func)
-    params = inspect.signature(fn).parameters
-    assert keyword in params and params[keyword].kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY
-    )
+    assert accepts_keyword(getattr(importlib.import_module(f"irsmimo.{module}"), func), keyword)
+
+
+@pytest.mark.parametrize("module, func, keyword, key", WORKLOAD_STOP_KEYS)
+def test_workload_stop_key_is_accepted(module, func, keyword, key):
+    # each key of a stop dict is a keyword of every solver it is handed to
+    mod = importlib.import_module(f"irsmimo.{module}")
+    assert (module, func) == ("optimize", "alternating_optimize")
+    for solver in STOP_SOLVERS[keyword]:
+        assert accepts_keyword(getattr(mod, solver), key), solver
 
 
 def test_mm_auxiliaries_returns_a_dataclass_of_arrays():

@@ -792,6 +792,30 @@ class TestOptimizeCommand:
         assert scn.metadata["converged_mi_bits"] == "%.17g" % reported
 
 
+# variants of optimize_small.txt the parser accepts, each with the verdict
+# of the gradient check: at end-fire tilts the MI is stationary in psi, and
+# at 1e6 m it is about 1e-16 bits, so both leave central differences that
+# are rounding noise
+VERIFY_EDGE_VARIANTS = {
+    "end-fire": ({"tx.orient_elevation_rad": "0", "rx.orient_elevation_rad": "0"}, "SKIP"),
+    "far": ({"tx.distance_m": "1e6", "rx.distance_m": "1e6"}, "SKIP"),
+    "both-single": ({"tx.count": "1", "rx.count": "1"}, "PASS"),
+    "more-receivers": ({"tx.count": "1", "rx.count": "5"}, "PASS"),
+    "zenith": ({"tx.elevation_rad": "0", "rx.elevation_rad": "0"}, "PASS"),
+    "tx-flipped": ({"tx.orient_elevation_rad": repr(math.pi)}, "PASS"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_EDGE_VARIANTS))
+def test_verify_fails_nothing_on_accepted_edge_variants(capsys, tmp_path, case):
+    replacements, gradient = VERIFY_EDGE_VARIANTS[case]
+    path = write_variant(tmp_path, "edge.txt", replacements, base=SMALL)
+    code, out, _ = run_cli(capsys, "verify", "--scenario", path)
+    assert code == 0, out
+    assert "FAIL" not in out
+    assert f"{gradient} gradient: " in out
+
+
 class TestVerifyCommand:
     def test_shipped_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")

@@ -870,18 +870,12 @@ class TestReducedCascade:
             assert err <= 1e-6 * max(float(np.linalg.norm(fd)), np.finfo(float).tiny)
 
 
-def reference_optimize_orientation(
-    scn, theta, m_init, *, eps_orient=1e-6, max_iters=200, shrink=0.5, max_backtracks=40,
-    init_step=1.0,
-):
-    """optimize_orientation with its trials tried one by one, each scored on
-    the reduced cascade of the public coupling factors (reduced_mi), and its
-    direction rules spelled out: the BFGS direction when there is an
-    estimate, it descends and some trial along it is accepted, else steepest
-    descent.  Returns (m folded into the box, MI trace, stop reason, the
-    (trial index, cause) of every accepted step), where the cause is None
-    for a BFGS step and, for a steepest-descent one, "no estimate",
-    "uphill" or "failed"."""
+def reference_optimize_orientation(scn, theta, m_init, *, eps_orient=1e-6, max_iters=200):
+    """optimize_orientation with its trials m + step d, step in opt._LADDER,
+    tried one by one, each scored on the reduced cascade of the public
+    coupling factors (reduced_mi): d is -grad until there is a BFGS
+    estimate, -H grad after.  Returns (m folded into the box, MI trace,
+    stop reason, the trial index of every accepted step)."""
     theta = np.asarray(theta)
     link = chan.resolve_link(scn)
 
@@ -889,13 +883,11 @@ def reference_optimize_orientation(
         return -reduced_mi(scn, theta, m, link)
 
     def search(d):
-        step = init_step
-        for trial in range(max_backtracks):
+        for trial, step in enumerate(opt._LADDER.ravel()):
             cand = m + step * d
             cand_obj = objective(cand)
             if cand_obj <= obj:
                 return trial, cand, cand_obj
-            step *= shrink
         return None
 
     m = normalize_orientation(m_init)
@@ -906,25 +898,14 @@ def reference_optimize_orientation(
         grad = mi_gradient(scn, theta, m)
         if prev is not None:
             h_inv = opt._bfgs_update(h_inv, m - prev[0], grad - prev[1])
-        found, cause = None, "no estimate"
-        if h_inv is not None:
-            d = -(h_inv @ grad)
-            if not float(d @ grad) < 0:
-                cause = "uphill"
-            else:
-                found, cause = search(d), "failed"
-        if found is None:
-            h_inv = None
-            found = search(-grad)
-        else:
-            cause = None
+        found = search(-grad if h_inv is None else -(h_inv @ grad))
         if found is None:
             return normalize_orientation(m), mis, "no_descent", accepted
         prev = m, grad
         trial, m, cand_obj = found
         gain, obj = obj - cand_obj, cand_obj
         mis.append(-obj)
-        accepted.append((trial, cause))
+        accepted.append(trial)
         if gain < eps_orient:
             return normalize_orientation(m), mis, "threshold", accepted
     return normalize_orientation(m), mis, "max_iters", accepted
@@ -941,14 +922,6 @@ def assert_descents_agree(scn, theta, m0, **stops):
     assert trace.mi_values == want_mis
     assert trace.stop_reason == want_reason
     return accepted, want_reason
-
-
-def on_steepest_ladder(scn, theta, m, rows, max_backtracks=40, init_step=1.0):
-    """Each row is one of the steepest-descent trials m - init_step 2^-k
-    grad, k < max_backtracks, bit for bit."""
-    grad = mi_gradient(scn, theta, m)
-    ladder = m - init_step * 0.5 ** np.arange(max_backtracks)[:, None] * grad
-    return all(any(np.array_equal(row, want) for want in ladder) for row in np.atleast_2d(rows))
 
 
 def spied_descent(scn, theta, m0, **stops):
@@ -969,47 +942,39 @@ def spied_descent(scn, theta, m0, **stops):
     return result, np.array(factors, dtype=float).reshape(-1, 4), points
 
 
-def fallback_step(scn, theta, m0, cause, **stops):
-    """(m before, m after, the trials scored in between) of the first step
-    that the serial descent takes by steepest descent for cause, each as
-    optimize_orientation itself visits it."""
-    _, _, _, accepted = reference_optimize_orientation(scn, theta, m0, **stops)
-    k = 1 + [c for _, c in accepted].index(cause)
-    _, scored, points = spied_descent(scn, theta, m0, **{**stops, "max_iters": k})
-    at, before = points[k - 1]
-    return before, scored[-1], scored[at:]
-
-
 class TestOrientationDescent:
-    def test_batched_line_search_matches_the_serial_one(self):
-        # every trial budget, shrink and initial step gives the trace, final
-        # orientation and stop reason of the serial reference; init_step 0.1
-        # lets a budget of one trial accept
+    def test_ladder_halves_from_a_full_step(self):
+        # 40 trials, 1, 1/2, ..., 2^-39, as repeated halving gives them
+        steps, step = [], 1.0
+        for _ in range(40):
+            steps.append(step)
+            step *= 0.5
+        assert np.array_equal(opt._LADDER, np.array(steps)[:, None])
+
+    def test_batched_line_search_matches_the_serial_one(self, monkeypatch):
+        # every trial budget, ratio and first step of the ladder gives the
+        # trace, final orientation and stop reason of the serial reference;
+        # a first step of 0.1 lets a budget of one trial accept
         scn = parse_scenario(SMALL)
-        accepted, reasons, causes = Counter(), set(), Counter()
+        accepted, reasons = Counter(), set()
         for k, (tries, shrink, init_step) in enumerate(
             itertools.product((1, 3, 8, 9, 41), (0.5, 0.3), (1.0, 10.0, 0.1))
         ):
+            monkeypatch.setattr(opt, "_LADDER", init_step * shrink ** np.arange(tries)[:, None])
             theta, m0 = random_init(scn, 40 + k % 4)
-            got, reason = assert_descents_agree(
-                scn, theta, m0, max_iters=6, shrink=shrink, max_backtracks=tries,
-                init_step=init_step,
-            )
+            got, reason = assert_descents_agree(scn, theta, m0, max_iters=6)
             accepted[tries] += len(got)
             reasons.add(reason)
-            causes.update(cause for _, cause in got)
         assert all(accepted[tries] for tries in (1, 3, 8, 9, 41))
         assert {"no_descent", "max_iters"} <= reasons
-        assert causes[None] and causes["no estimate"]
 
-    def test_every_batch_rejected_is_no_descent(self):
-        # with shrink = 1 every trial is the full step of 10, which lowers
-        # the MI at the focusing start: all five trials are rejected
+    def test_every_batch_rejected_is_no_descent(self, monkeypatch):
+        # a ladder of five full steps of 10, each of which lowers the MI at
+        # the focusing start: all five trials are rejected
         scn = parse_scenario(SMALL)
         theta, m0 = focusing_init(scn)
-        _, reason = assert_descents_agree(
-            scn, theta, m0, max_iters=5, shrink=1.0, max_backtracks=5, init_step=10.0
-        )
+        monkeypatch.setattr(opt, "_LADDER", np.full((5, 1), 10.0))
+        _, reason = assert_descents_agree(scn, theta, m0, max_iters=5)
         assert reason == "no_descent"
 
     @pytest.mark.parametrize("solver", sorted(PHASE_SOLVERS))
@@ -1078,30 +1043,24 @@ class TestOrientationDescent:
         assert outside >= 1
         assert len(reasons) >= 2
 
-    def test_a_non_descent_direction_falls_back_to_steepest_descent(self, monkeypatch):
-        # a negated, shortened estimate points uphill; the step is then
-        # taken along the steepest-descent ladder
+    def test_an_uphill_direction_stops_with_no_descent(self, monkeypatch):
+        # a negated, shortened estimate points uphill from the second step
+        # on: every trial along it raises the objective, and the descent
+        # stops there with "no_descent", at the point it had reached
         scn = parse_scenario(SMALL)
         theta, m0 = random_init(scn, 1)
         real = opt._bfgs_update
         monkeypatch.setattr(opt, "_bfgs_update", lambda h, s, y: -1e-3 * real(h, s, y))
-        before, after, trials = fallback_step(scn, theta, m0, "uphill", max_iters=3)
-        assert on_steepest_ladder(scn, theta, before, after)
-        # no trial is spent on the uphill direction
-        assert on_steepest_ladder(scn, theta, before, trials)
-
-    def test_a_failed_quasi_newton_ladder_falls_back_to_steepest_descent(self):
-        # one trial of 0.03 per ladder: at seed 15 a BFGS trial raises the
-        # objective, the steepest-descent trial does not, and the descent
-        # goes on rather than stopping with "no_descent"
-        scn = parse_scenario(SMALL)
-        theta, m0 = random_init(scn, 15)
-        stops = {"max_iters": 40, "max_backtracks": 1, "init_step": 0.03}
-        before, after, trials = fallback_step(scn, theta, m0, "failed", **stops)
-        assert on_steepest_ladder(scn, theta, before, after, max_backtracks=1, init_step=0.03)
-        # the BFGS trial, then the steepest-descent one
-        assert len(trials) == 2
-        assert not on_steepest_ladder(scn, theta, before, trials[0], 1, 0.03)
+        (m, trace), scored, points = spied_descent(scn, theta, m0, max_iters=3)
+        assert trace.stop_reason == "no_descent"
+        assert len(points) == 2 and len(trace.iterations) == 2
+        at, before = points[-1]
+        assert np.array_equal(m, normalize_orientation(before))
+        first = points[0][1]
+        g_first, grad = (mi_gradient(scn, theta, p) for p in (first, before))
+        d = -(opt._bfgs_update(None, before - first, grad - g_first) @ grad)
+        assert d @ grad > 0
+        assert np.array_equal(scored[at:], before + opt._LADDER * d)
 
     def test_bfgs_update_is_the_textbook_one(self, rng):
         # the first pair sets (s^T y / y^T y) I; each later update meets
@@ -1196,7 +1155,7 @@ class TestOrientationDescent:
             with pytest.raises(ValueError, match="^orientation angles must be finite$"):
                 normalize_orientation([0.0, bad, 0.0, 1.0])
 
-    def test_failed_backtracking_has_its_own_stop_reason(self):
+    def test_failed_backtracking_has_its_own_stop_reason(self, monkeypatch):
         scn = parse_scenario(SMALL)
         theta, m0 = focusing_init(scn)
         start = normalize_orientation(m0)
@@ -1207,9 +1166,11 @@ class TestOrientationDescent:
                 cascade(build_channels(oriented_scenario(scn, m)), theta), scn.power
             )
 
-        # the one trial allowed, a full step of 10, lowers the MI here
+        # the one trial of a ladder of one rung, a full step of 10, lowers
+        # the MI here
         assert mi_at(normalize_orientation(start - 10.0 * grad)) < mi_at(start)
-        m, trace = optimize_orientation(scn, theta, m0, max_backtracks=1, init_step=10.0)
+        monkeypatch.setattr(opt, "_LADDER", np.array([[10.0]]))
+        m, trace = optimize_orientation(scn, theta, m0)
         assert trace.stop_reason == "no_descent"
         assert len(trace.iterations) == 1
         assert np.array_equal(m, start)
