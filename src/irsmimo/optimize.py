@@ -3,13 +3,15 @@
 Two phase solvers for the unit-modulus surface phases theta.  The default
 of the joint loop repeats one exact sweep, then an L-BFGS refinement of the
 phase angles: the sweep gives each element in turn its exact MI-maximizing
-phase, and the refinement climbs in all the angles at once until one of its
-steps gains less than eps_theta bits; the block stops when an outer step
-gains less than eps_theta bits or after max_outer steps.  The other is the
-paper's majorization-minimization (MM) loop.  A quasi-Newton (BFGS)
-descent with backtracking moves the four orientation angles [gamma_t,
-psi_t, gamma_r, psi_r] on the reduced cascade of channel.coupling_factor,
-which is analytic in every real angle, so it steps in all of R^4.
+phase, skipping the elements that one batched pass finds would gain less
+than eps_theta / Q bits each, and the refinement climbs in all the angles
+at once until one of its steps gains less than eps_theta bits; the block
+stops when an outer step gains less than eps_theta bits or after max_outer
+steps.  The other is the paper's majorization-minimization (MM) loop.  A
+quasi-Newton (BFGS) descent with backtracking moves the four orientation
+angles [gamma_t, psi_t, gamma_r, psi_r] on the reduced cascade of
+channel.coupling_factor, which is analytic in every real angle, so it steps
+in all of R^4.
 alternating_optimize calls a phase solver and the descent in turn until
 the MI gain per round drops below threshold.
 MI is reported in bits; the descent works on the negated MI.
@@ -314,7 +316,34 @@ def optimize_theta(
     return _climb(scn, theta_init, eps_theta, max_outer, mm_round)
 
 
-def phase_sweep(h_t, h_r, theta, eta0: float, power: PowerConfig) -> np.ndarray:
+def _element_gains(b_rows, h_t, terms, g, theta):
+    """The MI gain in bits each element would get from its own phase_sweep
+    update at the cascade g, with every other phase held: all Q in one
+    batched pass.
+
+    Symbols as in phase_sweep, sqrt(rho) folded into b and G, and
+    gamma = |c|^2.  With A' = I + G' G'^H, beta_b = b^H A'^-1 b,
+    beta_d = d^H A'^-1 d and s = d^H A'^-1 b, the determinant lemma for a
+    rank-two update gives det(I + G G^H) = det(A') (C + 2 Re(theta_q s))
+    with C = 1 + gamma beta_b + |s|^2 - beta_b beta_d, whose largest value
+    on |theta_q| = 1 is C + 2|s|.  The Q systems A' x = [b, d] are one
+    stacked solve.
+    """
+    g_out = g - theta[:, None, None] * terms  # G' of every element
+    a = g_out @ g_out.conj().transpose(0, 2, 1)
+    a += np.eye(len(g))
+    bd = np.concatenate((b_rows[:, :, None], g_out @ h_t.conj()[:, :, None]), axis=2)
+    k = bd.conj().transpose(0, 2, 1) @ np.linalg.solve(a, bd)  # [b, d]^H A'^-1 [b, d]
+    beta_b, s, beta_d = k[:, 0, 0].real, k[:, 1, 0], k[:, 1, 1].real
+    gamma = np.sum(h_t.real**2 + h_t.imag**2, axis=1)
+    now = (theta * s).real
+    det_ratio = 1.0 + gamma * beta_b + (s.real**2 + s.imag**2) - beta_b * beta_d + 2.0 * now
+    return np.log1p(2.0 * (np.abs(s) - now) / det_ratio) / LOG2
+
+
+def phase_sweep(
+    h_t, h_r, theta, eta0: float, power: PowerConfig, *, min_gain: float = 0.0
+) -> np.ndarray:
     """Give each surface element in turn, in index order, its MI-maximizing phase.
 
     With G = eta0 H_r diag(theta) H_t, b = eta0 H_r[:, q] and c = H_t[q],
@@ -324,7 +353,13 @@ def phase_sweep(h_t, h_r, theta, eta0: float, power: PowerConfig) -> np.ndarray:
     positive factor (S. Zhang and R. Zhang, IEEE JSAC 2020,
     arXiv:1910.01573), so theta_q = exp(-j arg s).  An element whose s is
     zero keeps its phase.  G follows each update by a rank-one term.
-    Returns the updated phases; theta itself is not modified.
+
+    With min_gain > 0 bits, one batched pass (_element_gains) first finds
+    each element's gain from its own update at the input phases, and only
+    the elements whose gain is not below min_gain (a NaN gain included)
+    are updated, in index order at the running cascade; the others keep
+    their phase bit for bit.  Returns the updated phases; theta itself is
+    not modified.
     """
     h_t, h_r = np.asarray(h_t), np.asarray(h_r)
     theta = np.array(theta, dtype=complex)
@@ -334,7 +369,11 @@ def phase_sweep(h_t, h_r, theta, eta0: float, power: PowerConfig) -> np.ndarray:
     h_t_conj = h_t.conj()
     eye = np.eye(h_r.shape[0])
     g = (b_rows.T * theta[None, :]) @ h_t
-    for q in range(len(theta)):
+    visit = range(len(theta))
+    if min_gain > 0.0:
+        gains = _element_gains(b_rows, h_t, terms, g, theta)
+        visit = np.flatnonzero(~(gains < min_gain)).tolist()  # a NaN gain is visited
+    for q in visit:
         g -= theta[q] * terms[q]
         a = g @ g.conj().T
         a += eye
@@ -436,15 +475,21 @@ def optimize_theta_elementwise(
     """Maximize MI over the surface phases at fixed geometry: each outer
     step is one exact sweep, then an L-BFGS refinement of the phase angles.
 
-    The sweep is phase_sweep; the refinement (_refine_phases) climbs from
-    the swept phases until one of its steps gains less than eps_theta
-    bits.  One trace row per outer step; stops when an outer step gains
-    less than eps_theta bits ("threshold"), else after max_outer steps
-    ("max_iters").  Each element update is exact and the refinement takes
-    only steps that raise the MI, so the trace is monotone.
+    The sweep is phase_sweep with min_gain = eps_theta / Q: it updates only
+    the elements whose own update would gain at least that much, so the
+    gains of the skipped ones sum to less than the block's stop
+    resolution; at eps_theta = 0 it visits every element.  The refinement
+    (_refine_phases) climbs from the swept phases until one of its steps
+    gains less than eps_theta bits.  One trace row per outer step; stops
+    when an outer step gains less than eps_theta bits ("threshold"), else
+    after max_outer steps ("max_iters").  Each element update is exact and
+    the refinement takes only steps that raise the MI, so the trace is
+    monotone.
     """
+    min_gain = eps_theta / scn.irs.n_elements
+
     def sweep_and_refine(h_t, h_r, gain, theta):
-        theta = phase_sweep(h_t, h_r, theta, gain, scn.power)
+        theta = phase_sweep(h_t, h_r, theta, gain, scn.power, min_gain=min_gain)
         return _refine_phases(h_t, h_r, gain, theta, scn.power, eps_theta)
 
     return _climb(scn, theta_init, eps_theta, max_outer, sweep_and_refine)

@@ -1063,7 +1063,9 @@ def test_shifted_grid_csv_is_byte_identical(capsys, verify):
 # their phase; "channel-closed" is the closed form, which has been
 # byte-identical since commit 759e47b9fdab.  "optimize" runs the MM phase
 # block and "optimize-elementwise" the default one; both were pinned again
-# when the orientation descent left the tilt box for the reduced cascade
+# when the orientation descent left the tilt box for the reduced cascade,
+# and "optimize-elementwise" again when the phase sweep began to skip the
+# elements whose own update would gain less than eps_theta / Q bits
 HOP_OUTPUT_SHA256 = {
     "channel-h": "46a70a555ae8f421afe2f2cde3285d45edc4bac1b9f361f7ed12eecb218b6305",
     "channel-ht": "d8784f923f6c6d7b6a71fbb86e783fe7772ff390678dc2550cb0d2ba6bfdb914",
@@ -1074,7 +1076,7 @@ HOP_OUTPUT_SHA256 = {
     "eigensweep-auto-x": "ff82bf5b622b17295412646dc3899cc19d7faef9ece8fb6c611c81dfa061e425",
     "eigensweep-auto-y": "0dea5aac9670d8a9fd5e41b264a4ff38aa0b1aa802e6e824972a2a2664838ccc",
     "optimize": "c385de0d4299b85d08324aadb11911b12fd2d323d4c28cab96adbb6457d8efdd",
-    "optimize-elementwise": "8e2b091384001d2e427dae75959b185c786f34105deb72cf6cb118c643e91e8c",
+    "optimize-elementwise": "286057e57d998064c5c8f28fad54bcd3b7d2263676d5f09007c2b853bd7c68a8",
 }
 OPTIMIZE_ARGV = ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
                  "--max-outer", "2", "--max-orient-iters", "3")

@@ -50,10 +50,17 @@ from irsmimo.optimize import (
 )
 from irsmimo.response import WaveConfig
 from irsmimo.scenario import PowerConfig, Scenario, parse_scenario
-from oracles import edge_setups, edge_tilts, exact_mutual_information, full_jacobian_gradient
+from oracles import (
+    edge_setups,
+    edge_tilts,
+    exact_mutual_information,
+    full_jacobian_gradient,
+    reference_phase_sweep,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SMALL = str(SCENARIO_DIR / "optimize_small.txt")
+BASELINE = str(SCENARIO_DIR / "cascade_baseline.txt")
 BOX_LOW, BOX_HIGH = np.array([GAMMA_BOX, PSI_BOX, GAMMA_BOX, PSI_BOX]).T
 PHASE_SOLVERS = {"elementwise": optimize_theta_elementwise, "mm": optimize_theta}
 # tilt vectors with every angle outside the box, each psi off its faces
@@ -512,6 +519,20 @@ def exactness_draws(rng):
     return draws + list(wanted.values()) + [noisy]
 
 
+def spy_gains(monkeypatch):
+    """The list that every later phase_sweep screen appends its gains to."""
+    seen = []
+    real = opt._element_gains
+    monkeypatch.setattr(opt, "_element_gains", lambda *a: seen.append(real(*a)) or seen[-1])
+    return seen
+
+
+def shipped_and_drawn(rng):
+    """exactness_draws, then the shipped scenario files."""
+    shipped = [parse_scenario(str(path)) for path in sorted(SCENARIO_DIR.glob("*.txt"))]
+    return exactness_draws(rng) + shipped
+
+
 class TestElementwiseSolver:
     def test_one_update_beats_a_phase_grid(self, rng):
         # the closed-form phase of one element is at least as good as every
@@ -539,6 +560,116 @@ class TestElementwiseSolver:
                 best = float(np.max(mutual_information(stack, scn.power)))
                 assert got >= best - 1e-9
                 assert got >= before
+
+    def test_screen_gains_are_the_best_of_a_phase_grid(self, rng, monkeypatch):
+        # each element's screened gain is what its own exact update adds with
+        # every other phase held: at least the best of a 720-point grid over
+        # that element's phase, above it by no more than the grid spacing can
+        # hide (a quarter of the grid's largest second difference), and the
+        # gain of the unscreened loop's update of that element alone; at
+        # min_gain = inf the sweep visits nothing
+        gains = spy_gains(monkeypatch)
+        steps = np.exp(2j * math.pi * np.arange(720) / 720)
+        draws = exactness_draws(rng)
+        draws += [replace(scn, power=PowerConfig(per_antenna_power=1e-300)) for scn in draws]
+        for scn in draws:
+            chans = build_channels(scn)
+            args = (chans.eta0, scn.power)
+            theta = np.exp(1j * rng.uniform(0, 2 * math.pi, scn.irs.n_elements))
+            swept = phase_sweep(chans.h_t, chans.h_r, theta, *args, min_gain=math.inf)
+            assert np.array_equal(swept, theta)
+            screen = gains[-1]
+            assert screen.shape == theta.shape
+            before = mutual_information(cascade(chans, theta), scn.power)
+            for k in range(len(theta)):
+                trials = np.repeat(theta[None, :], len(steps), axis=0)
+                trials[:, k] *= steps
+                stack = chans.eta0 * ((chans.h_r[None] * trials[:, None, :]) @ chans.h_t)
+                grid = mutual_information(stack, scn.power) - before
+                hidden = float(np.max(np.abs(np.roll(grid, 1) - 2.0 * grid + np.roll(grid, -1))))
+                assert grid.max() - 1e-9 <= screen[k] <= grid.max() + hidden / 4 + 1e-9
+                alone = reference_phase_sweep(chans.h_t, chans.h_r, theta, *args, [k])
+                exact = mutual_information(cascade(chans, alone), scn.power) - before
+                assert screen[k] == pytest.approx(exact, rel=1e-7, abs=1e-9)
+
+    def test_a_nan_gain_visits_its_element(self, rng, monkeypatch):
+        # the screen reads NaN for element k and 0 bits for the others: the
+        # sweep updates k alone, as the unscreened loop updates it
+        scn = parse_scenario(SMALL)
+        chans = build_channels(scn)
+        q = scn.irs.n_elements
+        theta = random_init(scn, 3)[0]
+        for k in (0, int(rng.integers(1, q - 1)), q - 1):
+            marked = np.zeros(q)
+            marked[k] = math.nan
+            monkeypatch.setattr(opt, "_element_gains", lambda *a: marked)
+            out = phase_sweep(chans.h_t, chans.h_r, theta, chans.eta0, scn.power, min_gain=1e-3)
+            want = reference_phase_sweep(chans.h_t, chans.h_r, theta, chans.eta0, scn.power, [k])
+            assert np.array_equal(out, want)
+            assert out[k] != theta[k]
+            assert np.array_equal(np.delete(out, k), np.delete(theta, k))
+
+    def test_the_default_sweep_is_the_unscreened_loop_bit_for_bit(self, rng):
+        for scn in shipped_and_drawn(rng):
+            chans = build_channels(scn)
+            args = (chans.eta0, scn.power)
+            for theta in (chans.theta, random_init(scn, 6)[0]):
+                want = reference_phase_sweep(chans.h_t, chans.h_r, theta, *args)
+                assert np.array_equal(phase_sweep(chans.h_t, chans.h_r, theta, *args), want)
+                got = phase_sweep(chans.h_t, chans.h_r, theta, *args, min_gain=0.0)
+                assert np.array_equal(got, want)
+
+    def test_a_screened_sweep_updates_only_the_elements_that_can_gain(self, rng, monkeypatch):
+        # with min_gain at the median screened gain, the elements under it keep
+        # their input phase bit for bit and the others get the unscreened
+        # loop's updates, in index order at the running cascade
+        gains = spy_gains(monkeypatch)
+        for scn in shipped_and_drawn(rng):
+            chans = build_channels(scn)
+            args = (chans.eta0, scn.power)
+            theta = random_init(scn, 6)[0]
+            phase_sweep(chans.h_t, chans.h_r, theta, *args, min_gain=math.inf)
+            min_gain = float(np.median(gains[-1]))
+            out = phase_sweep(chans.h_t, chans.h_r, theta, *args, min_gain=min_gain)
+            assert np.array_equal(gains[-1], gains[-2])
+            skipped = gains[-1] < min_gain
+            assert 0 < np.count_nonzero(skipped) < len(theta)
+            assert np.array_equal(out[skipped], theta[skipped])
+            visited = np.flatnonzero(~skipped).tolist()
+            want = reference_phase_sweep(chans.h_t, chans.h_r, theta, *args, visited)
+            assert np.array_equal(out, want)
+            before = mutual_information(cascade(chans, theta), scn.power)
+            assert mutual_information(cascade(chans, out), scn.power) >= before
+
+    def test_a_screened_block_ends_where_the_unscreened_one_does(self, monkeypatch):
+        # the baseline with a 31 x 31 surface at half-wavelength pitch, run to
+        # convergence from a seeded random start with the screen and with
+        # every element visited: the screened trace is monotone and bounded,
+        # skips elements, and ends within eps_theta of the unscreened one
+        base = parse_scenario(BASELINE)
+        pitch = base.wave.wavelength / 2
+        scn = replace(base, irs=IrsLayout(31, 31, pitch, pitch, pitch, pitch),
+                      power=PowerConfig(1.0, 1e-13))
+        chans = build_channels(scn)
+        bound = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
+        theta0, _ = random_init(scn, 3)
+        real, kept = opt.phase_sweep, []
+
+        def counted(h_t, h_r, theta, eta0, power, *, min_gain):
+            out = real(h_t, h_r, theta, eta0, power, min_gain=min_gain)
+            kept.append(int(np.count_nonzero(out == theta)))
+            return out
+
+        monkeypatch.setattr(opt, "phase_sweep", counted)
+        _, screened = optimize_theta_elementwise(scn, theta0)
+        monkeypatch.setattr(opt, "phase_sweep", lambda *a, min_gain: real(*a))
+        _, full = optimize_theta_elementwise(scn, theta0)
+        mis = screened.mi_values
+        assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
+        assert max(mis) <= bound + 1e-9
+        assert screened.stop_reason == full.stop_reason == "threshold"
+        assert abs(mis[-1] - full.mi_values[-1]) < 1e-6
+        assert max(kept) > 0
 
     @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.txt")), ids=lambda p: p.stem)
     def test_sweeps_are_monotone_and_bounded_on_the_shipped_scenarios(self, path):
@@ -661,9 +792,7 @@ class TestPhaseRefinement:
                                atol=1e-12 * float(np.max(np.abs(tx_side))))
 
     def test_refinement_raises_the_mi_and_stays_bounded(self, rng):
-        setups = exactness_draws(rng) + [parse_scenario(str(p))
-                                         for p in sorted(SCENARIO_DIR.glob("*.txt"))]
-        for scn in setups:
+        for scn in shipped_and_drawn(rng):
             chans = build_channels(scn)
             bound = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
             for theta0 in (chans.theta, random_init(scn, 5)[0]):
@@ -1290,10 +1419,11 @@ class TestAlternatingDriver:
 
     def test_seed_zero_ends_at_its_optimum(self):
         # irsmimo optimize --seed 0 on optimize_small.txt: the random start
-        # ends where it ended with the descent in the box
+        # ends 1.08e-8 bits above where it ended before the sweep screened its
+        # elements (59.064218075884412)
         scn = parse_scenario(SMALL)
         _, _, trace = alternating_optimize(scn, seed=0)
-        assert abs(trace.mi_values[-1] - 59.064218075884412) <= 1e-9
+        assert abs(trace.mi_values[-1] - 59.06421808672166) <= 1e-9
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
     def test_non_finite_start_phases_are_refused(self, bad):
