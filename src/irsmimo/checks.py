@@ -193,10 +193,13 @@ def _check_phase_solvers(scn: Scenario):
     bound = opt.mi_upper_bound(cs.h_t, cs.h_r, cs.eta0, scn.power)
     ok, details = True, []
     for name, solve in (("elementwise", opt.optimize_theta_elementwise), ("mm", opt.optimize_theta)):
-        mi = solve(scn, theta, eps_theta=0.0, max_outer=3)[1].mi_values
-        gain = min(after - before for before, after in zip(mi, mi[1:]))
+        trace = solve(scn, theta, eps_theta=0.0, max_outer=3)[1]
+        mi = trace.mi_values
+        # a block that takes no step has gained nothing
+        gain = min((after - before for before, after in zip(mi, mi[1:])), default=0.0)
         ok = ok and gain >= -MI_TOL_BITS and mi[-1] <= bound + MI_TOL_BITS  # false on a NaN
-        details.append(f"{name} {mi[0]:.6g} -> {mi[-1]:.6g} bits, smallest step gain {gain:.3e}")
+        details.append(f"{name} {mi[0]:.6g} -> {mi[-1]:.6g} bits ({trace.stop_reason}), "
+                       f"smallest step gain {gain:.3e}")
     return ok, f"{'; '.join(details)}; bound {bound:.6g} bits"
 
 

@@ -268,28 +268,12 @@ def cmd_fmr_orient(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    """Focusing start plus --seeds random starts of alternating_optimize.
-
-    --phase-solver picks the phase block: one exact sweep, then an L-BFGS
-    refinement of the phase angles, per outer step (elementwise, the
-    default), or the paper's MM loop (mm).  --eps-mm and
-    --max-inner are MM stops; given with any other solver they are refused.
-    """
+    """Focusing start plus --seeds random starts of alternating_optimize."""
     if args.seeds == 0 and args.overlay:
         print("error: --overlay needs a converged run; --seeds 0 runs none", file=sys.stderr)
         return 1
-    # the MM stops given; those not given keep optimize_theta's defaults
-    mm_stops = {
-        name: value
-        for name, value in (("eps_mm", args.eps_mm), ("max_inner", args.max_inner))
-        if value is not None
-    }
-    if mm_stops and args.phase_solver != "mm":
-        option = "--" + next(iter(mm_stops)).replace("_", "-")
-        print(f"error: {option} is read only by --phase-solver mm", file=sys.stderr)
-        return 1
     scn = parse_scenario(args.scenario)
-    theta_stop = {"eps_theta": args.eps_theta, "max_outer": args.max_outer, **mm_stops}
+    theta_stop = {"eps_theta": args.eps_theta, "max_outer": args.max_outer}
     orient_stop = {"eps_orient": args.eps_orient, "max_iters": args.max_orient_iters}
 
     if args.seeds == 0:
@@ -314,7 +298,6 @@ def cmd_optimize(args) -> int:
             max_rounds=args.max_rounds,
             theta_stop=theta_stop,
             orient_stop=orient_stop,
-            phase_solver=args.phase_solver,
         )
         mi = trace.iterations[-1][1]
         cs = chan.build_channels(opt.oriented_scenario(scn, m))
@@ -503,21 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_int, default=None, help="base RNG seed")
     p.add_argument("--seeds", type=_nonnegative_int, default=1, help="number of random restarts")
     p.add_argument("--overlay", help="write the converged configuration as a scenario file")
-    p.add_argument(
-        "--phase-solver",
-        choices=opt.PHASE_SOLVERS,
-        default="elementwise",
-        help="phase block: one exact sweep, then an L-BFGS refinement of the phase angles, "
-        "per outer step until one gains less than --eps-theta bits or --max-outer steps "
-        "(elementwise), or the paper's MM loop (mm)",
-    )
     p.add_argument("--eps-theta", type=_nonnegative_float, default=1e-6)
-    p.add_argument("--eps-mm", type=_nonnegative_float, help="MM only (default 1e-8)")
     p.add_argument("--eps-orient", type=_nonnegative_float, default=1e-6)
     p.add_argument("--eps-oa", type=_nonnegative_float, default=1e-6)
     p.add_argument("--max-outer", type=_nonnegative_int, default=200,
-                   help="MM rounds or outer steps")
-    p.add_argument("--max-inner", type=_nonnegative_int, help="MM only (default 500)")
+                   help="phase block outer steps: one exact sweep, then an L-BFGS refinement")
     p.add_argument("--max-orient-iters", type=_nonnegative_int, default=200)
     p.add_argument("--max-rounds", type=_nonnegative_int, default=50)
     p.set_defaults(fn=cmd_optimize)

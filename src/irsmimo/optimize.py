@@ -1,18 +1,17 @@
 """Mutual information and its maximization over surface phases and array tilts.
 
-Two phase solvers for the unit-modulus surface phases theta.  The default
-of the joint loop repeats one exact sweep, then an L-BFGS refinement of the
-phase angles: the sweep gives each element in turn its exact MI-maximizing
-phase, skipping the elements that one batched pass finds would gain less
-than eps_theta / Q bits each, and the refinement climbs in all the angles
-at once until one of its steps gains less than eps_theta bits; the block
-stops when an outer step gains less than eps_theta bits or after max_outer
-steps.  The other is the paper's majorization-minimization (MM) loop.  A
-quasi-Newton (BFGS) descent with backtracking moves the four orientation
-angles [gamma_t, psi_t, gamma_r, psi_r] on the reduced cascade of
-channel.coupling_factor, which is analytic in every real angle, so it steps
-in all of R^4.
-alternating_optimize calls a phase solver and the descent in turn until
+The joint optimizer's phase block repeats one exact sweep, then an L-BFGS
+refinement of the phase angles: the sweep gives each element in turn its
+exact MI-maximizing phase, skipping the elements that one batched pass finds
+would gain less than eps_theta / Q bits each, and the refinement climbs in
+all the angles at once until one of its steps gains less than eps_theta
+bits; the block stops when an outer step gains less than eps_theta bits or
+after max_outer steps.  The paper's majorization-minimization (MM) loop
+stays as the phase-only optimize_theta.  A quasi-Newton (BFGS) descent with
+backtracking moves the four orientation angles [gamma_t, psi_t, gamma_r,
+psi_r] on the reduced cascade of channel.coupling_factor, which is analytic
+in every real angle, so it steps in all of R^4.
+alternating_optimize runs the phase block and the descent in turn until
 the MI gain per round drops below threshold.
 MI is reported in bits; the descent works on the negated MI.
 """
@@ -56,8 +55,13 @@ _LBFGS_MEMORY = 5
 _BACKTRACKS = 30
 _ARMIJO = 1e-4
 
-# the phase blocks alternating_optimize can run
-PHASE_SOLVERS = ("elementwise", "mm")
+# optimize_theta's inner MM loop: least surrogate gain, most majorized updates
+_EPS_MM = 1e-8
+_MAX_INNER = 500
+
+# a phase step may lower the MI by rounding only, at most this share of it:
+# some 450 ulps, and under 1e-9 bits for an MI under 1e4 bits
+_ROUNDING = 1e-13
 
 logger = logging.getLogger(__name__)
 
@@ -257,8 +261,10 @@ def _finite_phases(theta) -> np.ndarray:
 def _climb(scn: Scenario, theta_init, eps_theta: float, max_outer: int, step):
     """Repeat theta = step(h_t, h_r, gain, theta) at the scenario's hops.
 
-    One trace row per step; stops with "threshold" when a step gains less
-    than eps_theta bits, else with "max_iters" after max_outer steps.
+    One trace row per step taken; stops with "threshold" when a step gains
+    less than eps_theta bits, with "no_ascent" when a step would lower the
+    MI by more than rounding (_ROUNDING of it), which is not taken, else
+    with "max_iters" after max_outer steps.
     """
     theta = _finite_phases(np.asarray(theta_init, dtype=complex))
     mags = np.abs(theta)
@@ -272,8 +278,12 @@ def _climb(scn: Scenario, theta_init, eps_theta: float, max_outer: int, step):
     rows = [(0, mi_prev, "theta")]
     reason = "max_iters"
     for outer in range(1, max_outer + 1):
-        theta = step(h_t, h_r, gain, theta)
-        mi_now = _cascade_mi(h_t, h_r, gain, theta, scn.power)
+        stepped = step(h_t, h_r, gain, theta)
+        mi_now = _cascade_mi(h_t, h_r, gain, stepped, scn.power)
+        if mi_now < mi_prev - _ROUNDING * abs(mi_prev):
+            reason = "no_ascent"
+            break
+        theta = stepped
         rows.append((outer, mi_now, "theta"))
         if mi_now - mi_prev < eps_theta:
             reason = "threshold"
@@ -283,19 +293,13 @@ def _climb(scn: Scenario, theta_init, eps_theta: float, max_outer: int, step):
 
 
 def optimize_theta(
-    scn: Scenario,
-    theta_init,
-    *,
-    eps_theta: float = 1e-6,
-    eps_mm: float = 1e-8,
-    max_outer: int = 200,
-    max_inner: int = 500,
+    scn: Scenario, theta_init, *, eps_theta: float = 1e-6, max_outer: int = 200
 ) -> tuple[np.ndarray, OptTrace]:
-    """MM maximization of MI over the surface phases at fixed geometry.
+    """The paper's MM maximization of MI over the phases at fixed geometry.
 
-    Outer loop refreshes the auxiliaries and stops when the MI gain falls
-    under eps_theta bits; the inner loop repeats the majorized update until
-    the surrogate objective improves by less than eps_mm.
+    Outer loop refreshes the auxiliaries and stops as _climb does; the
+    inner loop repeats the majorized update until the surrogate objective
+    improves by less than _EPS_MM, at most _MAX_INNER times.
     """
     def mm_round(h_t, h_r, gain, theta):
         aux = mm_auxiliaries(h_t, h_r, theta, gain, scn.power)
@@ -304,11 +308,11 @@ def optimize_theta(
         # z = w^H theta serves both the surrogate of theta and its next update
         z = wh @ theta
         obj = _surrogate(z, aux.alpha, theta)
-        for _ in range(max_inner):
+        for _ in range(_MAX_INNER):
             theta = mm_step(aux.w, aux.alpha, theta, lam_max=lam_max, z=z)
             z = wh @ theta
             new_obj = _surrogate(z, aux.alpha, theta)
-            if obj - new_obj < eps_mm:
+            if obj - new_obj < _EPS_MM:
                 break
             obj = new_obj
         return theta
@@ -481,10 +485,8 @@ def optimize_theta_elementwise(
     resolution; at eps_theta = 0 it visits every element.  The refinement
     (_refine_phases) climbs from the swept phases until one of its steps
     gains less than eps_theta bits.  One trace row per outer step; stops
-    when an outer step gains less than eps_theta bits ("threshold"), else
-    after max_outer steps ("max_iters").  Each element update is exact and
-    the refinement takes only steps that raise the MI, so the trace is
-    monotone.
+    as _climb does.  Each element update is exact and the refinement takes
+    only steps that raise the MI, so the trace is monotone.
     """
     min_gain = eps_theta / scn.irs.n_elements
 
@@ -691,22 +693,16 @@ def alternating_optimize(
     max_rounds: int = 50,
     theta_stop: dict | None = None,
     orient_stop: dict | None = None,
-    phase_solver: str = "elementwise",
 ) -> tuple[np.ndarray, np.ndarray, OptTrace]:
-    """Alternate a phase solver and orientation descent until MI settles.
+    """Alternate the phase block and orientation descent until MI settles.
 
     init is a (theta, orientation) pair; when omitted a seeded random start
-    is drawn.  phase_solver picks the phase block: "elementwise"
-    (optimize_theta_elementwise, one exact sweep, then an L-BFGS refinement
-    of the phase angles, per outer step) or "mm"
-    (optimize_theta, the paper's MM loop); theta_stop holds the chosen
-    solver's stops, so eps_mm and max_inner go with "mm" only.  Returns
-    the final phases, orientation and the joint trace, whose block rows
-    are the final rows of the blocks' own traces.
+    is drawn.  The phase block is optimize_theta_elementwise, one exact
+    sweep, then an L-BFGS refinement of the phase angles, per outer step;
+    theta_stop holds its stops, eps_theta and max_outer.  Returns the final
+    phases, orientation and the joint trace, whose block rows are the final
+    rows of the blocks' own traces.
     """
-    if phase_solver not in PHASE_SOLVERS:
-        raise ValueError(f"phase_solver must be one of {', '.join(PHASE_SOLVERS)}")
-    solve_theta = optimize_theta if phase_solver == "mm" else optimize_theta_elementwise
     if init is None:
         theta, m = random_init(scn, seed)
     else:
@@ -720,7 +716,9 @@ def alternating_optimize(
     rows = [(0, mi_prev, "init")]
     reason = "max_iters"
     for rnd in range(1, max_rounds + 1):
-        theta, theta_trace = solve_theta(oriented_scenario(scn, m_vec), theta, **theta_stop)
+        theta, theta_trace = optimize_theta_elementwise(
+            oriented_scenario(scn, m_vec), theta, **theta_stop
+        )
         rows.append((rnd, theta_trace.mi_values[-1], "theta"))
         m_vec, orient_trace = optimize_orientation(scn, theta, m_vec, **orient_stop)
         mi_now = orient_trace.mi_values[-1]

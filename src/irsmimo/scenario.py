@@ -16,9 +16,10 @@ key prefixes for sections, `#` comments, SI units spelled in key suffixes
 
 Unknown keys are rejected so typos fail loudly.  Syntax and conversion
 errors carry the offending line; a value a section's dataclass rejects
-carries the line of that section's first key in the file, and a distance
+carries the line of that section's first key in the file, a distance
 pair too small for the common gain (response.eta0) the later of its two
-lines.
+lines, and a power ratio whose product with eta0^2 N_t N_r Q^2 overflows
+the later power line (the later distance line when there is none).
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class PowerConfig:
         for name in ("per_antenna_power", "noise_power"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be > 0 and finite")
+        if self.snr == math.inf:
+            raise ValueError("per_antenna_power / noise_power overflows")
 
     @property
     def snr(self) -> float:
@@ -244,11 +247,16 @@ def parse_scenario_text(text: str) -> Scenario:
     parts = {"wave": _build(make, wave, lines, "wave", "wave")}
     for part, (cls, label) in _PARTS.items():
         parts[part] = _build(cls, _fields(values, lines, part), lines, part, label)
+    distance_line = max(lines["tx.distance_m"], lines["rx.distance_m"])
     try:
-        eta0(*(parts[part] for part in ("wave", "reflection", "irs", "tx", "rx")))
+        gain = float(eta0(*(parts[part] for part in ("wave", "reflection", "irs", "tx", "rx"))))
     except ValueError as exc:
-        line = max(lines["tx.distance_m"], lines["rx.distance_m"])
-        raise ScenarioError(str(exc), line) from None
+        raise ScenarioError(str(exc), distance_line) from None
+    # every hop entry has unit modulus, so this bounds rho sigma^2 at any phases and tilts
+    n_t, n_r, q = parts["tx"].n_antennas, parts["rx"].n_antennas, parts["irs"].n_elements
+    if parts["power"].snr * gain * gain * n_t * n_r * q * q == math.inf:
+        line = max((lines[k] for k in _part_keys("power") if k in lines), default=distance_line)
+        raise ScenarioError("the power ratio times eta0^2 N_t N_r Q^2 overflows", line)
 
     if "focusing" in values:
         parts["focusing_mode"] = values["focusing"]

@@ -90,9 +90,9 @@ def workload_uses():
 
 WORKLOAD_ATTRS, WORKLOAD_KEYWORDS, WORKLOAD_STOP_KEYS = (sorted(uses) for uses in workload_uses())
 
-# the solvers alternating_optimize hands each of its stop dicts to
+# the solver alternating_optimize hands each of its stop dicts to
 STOP_SOLVERS = {
-    "theta_stop": ("optimize_theta", "optimize_theta_elementwise"),
+    "theta_stop": ("optimize_theta_elementwise",),
     "orient_stop": ("optimize_orientation",),
 }
 

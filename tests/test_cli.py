@@ -8,6 +8,7 @@ found on PATH and runs only where the package is installed.  File outputs
 land in tmp_path, and determinism is asserted on raw bytes.
 """
 
+import argparse
 import hashlib
 import itertools
 import math
@@ -746,23 +747,16 @@ class TestOptimizeCommand:
             blobs.append(out_file.read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("option, value", [("--eps-mm", "1e-6"), ("--max-inner", "50")])
-    @pytest.mark.parametrize("solver", [(), ("--phase-solver", "elementwise")],
-                             ids=["default", "elementwise"])
-    def test_mm_stops_are_refused_without_mm(self, capsys, option, value, solver):
-        code, out, err = run_cli(
-            capsys, "optimize", "--scenario", SMALL, "--seeds", "0", *solver, option, value
-        )
+    @pytest.mark.parametrize(
+        "option, value", [("--phase-solver", "mm"), ("--eps-mm", "1e-6"), ("--max-inner", "5")]
+    )
+    def test_the_mm_options_are_gone(self, capsys, option, value):
+        # the joint optimizer has one phase block; the paper's MM loop is the
+        # phase-only optimize_theta, which verify's phase_solvers check runs
+        code, out, err = run_cli(capsys, "optimize", "--scenario", SMALL, option, value)
         assert (code, out) == (1, "")
-        assert err == f"error: {option} is read only by --phase-solver mm\n"
-
-    def test_mm_reads_its_stops(self, capsys):
-        code, out, err = run_cli(
-            capsys, "optimize", "--scenario", SMALL, "--seeds", "1", "--phase-solver", "mm",
-            *self.FAST, "--max-inner", "50", "--eps-mm", "1e-6",
-        )
-        assert code == 0, err
-        assert re.search(r"^best_seed=\S+ mi_bits=\S+$", out, re.M)
+        assert err.startswith("usage: irsmimo")
+        assert f"unrecognized arguments: {option} {value}" in err
 
     def test_overlay_without_a_run_is_refused(self, capsys, tmp_path):
         overlay = tmp_path / "converged.txt"
@@ -910,10 +904,19 @@ class TestVerifyCommand:
             return starts[0]
 
         monkeypatch.setattr(opt, "_refine_phases", undoing_refinement)
+        # with the guard against lowering steps off, the block takes that step
+        monkeypatch.setattr(opt, "_ROUNDING", math.inf)
         code, out, _ = run_cli(capsys, "verify", "--scenario", SMALL)
         assert code == 2
         assert "FAIL phase_solvers" in out
         assert "3/4 checks passed" in out
+
+    def test_a_phase_block_that_takes_no_step_passes(self, capsys, monkeypatch):
+        # with every step refused, each block's trace is its start alone
+        monkeypatch.setattr(opt, "_ROUNDING", -math.inf)
+        code, out, _ = run_cli(capsys, "verify", "--scenario", SMALL, "--checks", "phase_solvers")
+        assert code == 0, out
+        assert out.count("bits (no_ascent), smallest step gain 0.000e+00") == 2
 
     def test_empty_selection_warns_and_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--checks", "")
@@ -972,13 +975,12 @@ def test_options_a_command_does_not_read_are_rejected(capsys, argv):
     [
         pytest.param(option, "-3", id=option)
         for option in (
-            "--seed", "--seeds", "--max-outer", "--max-inner", "--max-orient-iters",
-            "--max-rounds",
+            "--seed", "--seeds", "--max-outer", "--max-orient-iters", "--max-rounds",
         )
     ]
     + [
         pytest.param(option, value, id=f"{option}={value}")
-        for option in ("--eps-theta", "--eps-mm", "--eps-orient", "--eps-oa")
+        for option in ("--eps-theta", "--eps-orient", "--eps-oa")
         for value in ("-1", "nan")
     ],
 )
@@ -1061,11 +1063,10 @@ def test_shifted_grid_csv_is_byte_identical(capsys, verify):
 # SHA-256 of the stdout of commands that synthesize hops, pinned when the
 # hops became separable in the tilt with the center distance left out of
 # their phase; "channel-closed" is the closed form, which has been
-# byte-identical since commit 759e47b9fdab.  "optimize" runs the MM phase
-# block and "optimize-elementwise" the default one; both were pinned again
-# when the orientation descent left the tilt box for the reduced cascade,
-# and "optimize-elementwise" again when the phase sweep began to skip the
-# elements whose own update would gain less than eps_theta / Q bits
+# byte-identical since commit 759e47b9fdab.  "optimize-elementwise" runs the
+# joint optimizer; it was pinned again when the orientation descent left the
+# tilt box for the reduced cascade, and again when the phase sweep began to
+# skip the elements whose own update would gain less than eps_theta / Q bits
 HOP_OUTPUT_SHA256 = {
     "channel-h": "46a70a555ae8f421afe2f2cde3285d45edc4bac1b9f361f7ed12eecb218b6305",
     "channel-ht": "d8784f923f6c6d7b6a71fbb86e783fe7772ff390678dc2550cb0d2ba6bfdb914",
@@ -1075,7 +1076,6 @@ HOP_OUTPUT_SHA256 = {
     "eigensweep-fixed": "b106c2d207f23f8745a1d802c1e523348feefac9da53d72cab75e298d66a0e95",
     "eigensweep-auto-x": "ff82bf5b622b17295412646dc3899cc19d7faef9ece8fb6c611c81dfa061e425",
     "eigensweep-auto-y": "0dea5aac9670d8a9fd5e41b264a4ff38aa0b1aa802e6e824972a2a2664838ccc",
-    "optimize": "c385de0d4299b85d08324aadb11911b12fd2d323d4c28cab96adbb6457d8efdd",
     "optimize-elementwise": "286057e57d998064c5c8f28fad54bcd3b7d2263676d5f09007c2b853bd7c68a8",
 }
 OPTIMIZE_ARGV = ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
@@ -1090,7 +1090,6 @@ HOP_OUTPUT_ARGV = {
                             "--start", "1", "--stop", "60", "--count", "37")
         for o in ("fixed", "auto-x", "auto-y")
     },
-    "optimize": (*OPTIMIZE_ARGV, "--phase-solver", "mm"),
     "optimize-elementwise": OPTIMIZE_ARGV,
 }
 
@@ -1248,8 +1247,6 @@ def test_every_command_runs_on_the_scenario(capsys, tmp_path, base, replacements
         ("fmr-orient", "--dt", repr(0.5 * x.d_t_star), "--dr", repr(0.5 * x.d_r_rayleigh)),
         ("optimize", "--seeds", "1", "--max-rounds", "1", "--max-outer", "2",
          "--max-orient-iters", "2"),
-        ("optimize", "--seeds", "1", "--max-rounds", "1", "--max-outer", "2",
-         "--phase-solver", "mm", "--max-inner", "2", "--max-orient-iters", "2"),
     ] + [
         ("eigensweep", "--orient", orient, "--start", "2", "--stop", "30", "--count", "3")
         for orient in ("fixed", "auto-x", "auto-y")
@@ -1267,20 +1264,46 @@ def test_every_command_runs_on_the_scenario(capsys, tmp_path, base, replacements
 
 
 def test_commands_run_at_a_subnormal_snr(capsys, tmp_path):
-    # at 1e-300 W the phase updates divide by subnormal magnitudes; underflow
-    # stays ignored because the weak modes' MI terms are themselves subnormal
-    faint = tmp_path / "faint.txt"
-    faint.write_text(Path(BASELINE).read_text() + "power.per_antenna_w = 1e-300\n")
+    # at 1e-300 W of signal the phase updates divide by subnormal magnitudes;
+    # underflow stays ignored because the weak modes' MI terms are themselves
+    # subnormal.  At 1e-300 W of noise an MM step can lower the MI; its block
+    # stops before that step
     runs = [
         ("optimize", "--seeds", "1", "--max-rounds", "2", "--max-outer", "3",
-         "--max-orient-iters", "3", "--phase-solver", solver)
-        for solver in ("elementwise", "mm")
-    ] + [("verify", "--checks", "phase_solvers")]
-    for command, *argv in runs:
-        with np.errstate(all="raise", under="ignore"):
-            code, out, err = run_cli(capsys, command, "--scenario", str(faint), *argv)
-        assert code == 0, (command, argv, err)
-    assert "PASS phase_solvers" in out
+         "--max-orient-iters", "3"),
+        ("verify", "--checks", "phase_solvers"),
+    ]
+    for base, key, value in ((BASELINE, "power.per_antenna_w", "1e-300"),
+                             (SMALL, "power.noise_w", "1e-300")):
+        text = "".join(line for line in Path(base).read_text().splitlines(True)
+                       if not line.startswith(key))
+        path = tmp_path / "scenario.txt"
+        path.write_text(f"{text}{key} = {value}\n")
+        for command, *argv in runs:
+            with np.errstate(all="raise", under="ignore"):
+                code, out, err = run_cli(capsys, command, "--scenario", str(path), *argv)
+            assert code == 0, (base, command, argv, err)
+        assert "PASS phase_solvers" in out
+
+
+def test_readme_names_every_option():
+    """The README's Command line section names exactly the options the
+    subcommands accept, -h/--help aside."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    accepted = {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    assert sorted(accepted - named) == [], "options the README does not name"
+    assert sorted(named - accepted) == [], "options the README names that no command accepts"
 
 
 def declared_console_script(name):

@@ -148,6 +148,11 @@ class TestErrors:
         "extra, first_key, message",
         [
             ("power.noise_w = -1", "power.noise_w", "noise_power must be > 0"),
+            (
+                "power.per_antenna_w = 1e300\npower.noise_w = 1e-13",
+                "power.per_antenna_w",
+                "per_antenna_power / noise_power overflows",
+            ),
             ("reflection.amplitude = 2", "reflection.amplitude", "amplitude must lie in"),
             (
                 "focusing = explicit\nfocusing.betas_rad = 0.0, 0.1",
@@ -156,7 +161,7 @@ class TestErrors:
             ),
             ("tx.orient_elevation_rad = 4", "tx.count", "tx array: orient_elevation"),
         ],
-        ids=["noise", "amplitude", "short_betas", "tx_tilt"],
+        ids=["noise", "power_ratio", "amplitude", "short_betas", "tx_tilt"],
     )
     def test_rejected_value_reports_its_section_line(self, extra, first_key, message):
         text = MINIMAL + "meta.pad = x\n" + extra + "\n"
@@ -194,6 +199,23 @@ class TestErrors:
         with pytest.raises(ScenarioError, match="are too small") as err:
             parse_scenario_text(text)
         assert err.value.line == line_of(text, "rx.distance_m")
+
+    @pytest.mark.parametrize(
+        "power", [{"power.per_antenna_w": "1e80", "power.noise_w": "1e-3"},
+                  {"power.noise_w": "1e-90"}, {}],
+        ids=["both", "noise_only", "neither"],
+    )
+    def test_overflowing_power_reports_the_later_line(self, power):
+        # a finite power ratio times eta0^2 N_t N_r Q^2 overflows, which
+        # bounds rho sigma^2 at every phase and tilt; without power keys
+        # the distances' line is named
+        near = "1e-78" if not power else "1e-60"
+        text = edit(edit(MINIMAL, "tx.distance_m", near), "rx.distance_m", near)
+        text += "meta.pad = x\n" + "".join(f"{key} = {value}\n" for key, value in power.items())
+        message = r"power ratio times eta0\^2 N_t N_r Q\^2 overflows"
+        with pytest.raises(ScenarioError, match=message) as err:
+            parse_scenario_text(text)
+        assert err.value.line == line_of(text, list(power)[-1] if power else "rx.distance_m")
 
     def test_missing_file_propagates(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -310,6 +332,10 @@ NAN, INF = math.nan, math.inf
         (lambda s: replace(s.power, noise_power=NAN), "noise_power"),
         (lambda s: replace(s.power, noise_power=INF), "noise_power"),
         (
+            lambda s: replace(s.power, per_antenna_power=1e300, noise_power=1e-13),
+            "^per_antenna_power / noise_power overflows$",
+        ),
+        (
             lambda s: replace(
                 s,
                 focusing_mode="explicit",
@@ -321,7 +347,8 @@ NAN, INF = math.nan, math.inf
     ids=[
         "tx_distance_nan", "rx_distance_inf", "tx_spacing_inf", "irs_spacing_x_inf",
         "irs_spacing_y_inf", "wavelength_nan", "absorption_nan", "polarization_nan",
-        "tx_power_nan", "tx_power_inf", "noise_nan", "noise_inf", "betas_nan",
+        "tx_power_nan", "tx_power_inf", "noise_nan", "noise_inf", "power_ratio_inf",
+        "betas_nan",
     ],
 )
 def test_code_built_parts_refuse_non_finite_numbers(build, field):
