@@ -481,17 +481,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", choices=["x", "y", "auto"], default="auto")
     p.set_defaults(fn=cmd_fmr_orient)
 
-    p = sub.add_parser("optimize", help="alternating phase/orientation optimization")
+    p = sub.add_parser("optimize", help="joint phase/orientation optimization")
     _add_common(p)
     p.add_argument("--seed", type=_nonnegative_int, default=None, help="base RNG seed")
     p.add_argument("--seeds", type=_nonnegative_int, default=1, help="number of random restarts")
     p.add_argument("--overlay", help="write the converged configuration as a scenario file")
-    p.add_argument("--eps-theta", type=_nonnegative_float, default=1e-6)
-    p.add_argument("--eps-orient", type=_nonnegative_float, default=1e-6)
+    p.add_argument("--eps-theta", type=_nonnegative_float, default=1e-6,
+                   help="a sweep visits the elements that can gain this / Q bits")
+    p.add_argument("--eps-orient", type=_nonnegative_float, default=1e-6,
+                   help="the joint ascent stops after 3 steps in a row gaining less (bits)")
     p.add_argument("--eps-oa", type=_nonnegative_float, default=1e-6)
     p.add_argument("--max-outer", type=_nonnegative_int, default=200,
-                   help="phase block outer steps: one exact sweep, then an L-BFGS refinement")
-    p.add_argument("--max-orient-iters", type=_nonnegative_int, default=200)
+                   help="accepted and unused: every round starts with one exact phase sweep")
+    p.add_argument("--max-orient-iters", type=_nonnegative_int, default=200,
+                   help="joint L-BFGS steps on the phases and tilts per round")
     p.add_argument("--max-rounds", type=_nonnegative_int, default=50)
     p.set_defaults(fn=cmd_optimize)
 

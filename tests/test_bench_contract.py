@@ -90,10 +90,12 @@ def workload_uses():
 
 WORKLOAD_ATTRS, WORKLOAD_KEYWORDS, WORKLOAD_STOP_KEYS = (sorted(uses) for uses in workload_uses())
 
-# the solver alternating_optimize hands each of its stop dicts to
+# what consumes each stop dict: alternating_optimize reads both itself, the
+# first's eps_theta for its sweeps (its max_outer is accepted and unused) and
+# the second for its joint ascent, and refuses any other key
 STOP_SOLVERS = {
-    "theta_stop": ("optimize_theta_elementwise",),
-    "orient_stop": ("optimize_orientation",),
+    "theta_stop": "alternating_optimize",
+    "orient_stop": "alternating_optimize",
 }
 
 
@@ -127,11 +129,26 @@ def test_workload_keyword_is_accepted(module, func, keyword):
 
 @pytest.mark.parametrize("module, func, keyword, key", WORKLOAD_STOP_KEYS)
 def test_workload_stop_key_is_accepted(module, func, keyword, key):
-    # each key of a stop dict is a keyword of every solver it is handed to
+    # each key of a stop dict is accepted by what consumes the dict, which
+    # refuses an unknown key before it runs a round
     mod = importlib.import_module(f"irsmimo.{module}")
     assert (module, func) == ("optimize", "alternating_optimize")
-    for solver in STOP_SOLVERS[keyword]:
-        assert accepts_keyword(getattr(mod, solver), key), solver
+    consumer = getattr(mod, STOP_SOLVERS[keyword])
+    scn = parse_scenario(str(REPO_ROOT / "scenarios" / "optimize_small.txt"))
+    consumer(scn, seed=0, max_rounds=0, **{keyword: {key: 1}})
+    with pytest.raises(TypeError):
+        consumer(scn, seed=0, max_rounds=0, **{keyword: {key: 1, "no_such_stop": 1}})
+
+
+def test_an_opt_portfolio_pass_fails_no_start(monkeypatch):
+    # perfbench/test_smoke.py lies outside testpaths; this is the benchmark's
+    # own failure gate on one opt_portfolio pass, run in process from the
+    # repository root as perfbench/run.py runs it
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    bench = workloads.OptPortfolio(1, workloads.FULL["opt_portfolio"])
+    assert bench.check(bench.run_pass(0))["failed"] == 0
 
 
 def test_mm_auxiliaries_returns_a_dataclass_of_arrays():

@@ -1065,8 +1065,10 @@ def test_shifted_grid_csv_is_byte_identical(capsys, verify):
 # their phase; "channel-closed" is the closed form, which has been
 # byte-identical since commit 759e47b9fdab.  "optimize-elementwise" runs the
 # joint optimizer; it was pinned again when the orientation descent left the
-# tilt box for the reduced cascade, and again when the phase sweep began to
-# skip the elements whose own update would gain less than eps_theta / Q bits
+# tilt box for the reduced cascade, again when the phase sweep began to skip
+# the elements whose own update would gain less than eps_theta / Q bits, and
+# again when each round became one sweep and one joint ascent on the phases
+# and the tilts
 HOP_OUTPUT_SHA256 = {
     "channel-h": "46a70a555ae8f421afe2f2cde3285d45edc4bac1b9f361f7ed12eecb218b6305",
     "channel-ht": "d8784f923f6c6d7b6a71fbb86e783fe7772ff390678dc2550cb0d2ba6bfdb914",
@@ -1076,7 +1078,7 @@ HOP_OUTPUT_SHA256 = {
     "eigensweep-fixed": "b106c2d207f23f8745a1d802c1e523348feefac9da53d72cab75e298d66a0e95",
     "eigensweep-auto-x": "ff82bf5b622b17295412646dc3899cc19d7faef9ece8fb6c611c81dfa061e425",
     "eigensweep-auto-y": "0dea5aac9670d8a9fd5e41b264a4ff38aa0b1aa802e6e824972a2a2664838ccc",
-    "optimize-elementwise": "286057e57d998064c5c8f28fad54bcd3b7d2263676d5f09007c2b853bd7c68a8",
+    "optimize-elementwise": "a52664d1cc64126891044d349087d46aadc80266735b3a5b3beed6feb47cd283",
 }
 OPTIMIZE_ARGV = ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
                  "--max-outer", "2", "--max-orient-iters", "3")

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from irsmimo import channel as chan
+from irsmimo import checks
 from irsmimo import optimize as opt
 from irsmimo.channel import build_channels
 from irsmimo.checks import golden_scenario, posed_scenario, random_scenario
@@ -779,6 +780,95 @@ class TestElementwiseSolver:
         assert np.all(np.isfinite(trace.mi_values))
 
 
+def quadratic_ascent(curv, peak, x0, *, eps=0.0, patience=1, max_steps=2):
+    """opt._lbfgs_ascent on f(x) = -sum(curv (x - peak)^2) / 2 from x0, with
+    a phase-like block of three coordinates (first move 1) and a tilt-like
+    block of two (first move 0.1); returns (its result, every trial it
+    scored, in order)."""
+    curv, peak, x0 = (np.asarray(v, dtype=float) for v in (curv, peak, x0))
+    trials = []
+
+    def f(x):
+        return float(-0.5 * np.sum(curv * (x - peak) ** 2))
+
+    def evaluate(x):
+        trials.append(x)
+        return f(x), x
+
+    blocks = ((slice(0, 3), 1.0), (slice(3, None), 0.1))
+    return opt._lbfgs_ascent(evaluate, lambda x: -curv * (x - peak), x0, f(x0), x0,
+                             blocks, eps, patience, max_steps), trials
+
+
+def bfgs_direction(grad, s, y, scales):
+    """H grad for the BFGS update (N&W eq. 6.17) of H0 = diag(scales) by
+    the pair (s, y), in matrix form."""
+    rho = 1.0 / float(s @ y)
+    v = np.eye(len(s)) - rho * np.outer(y, s)
+    return (v.T @ np.diag(scales) @ v + rho * np.outer(s, s)) @ grad
+
+
+class TestLbfgsAscent:
+    def test_each_block_first_moves_its_own_largest_step(self):
+        # the first direction is the gradient, scaled so the phase block's
+        # largest move is 1 and the tilt block's 0.1
+        (_, _, _), trials = quadratic_ascent([1, 1, 1, 100, 100], [3, -2, 1, 0.5, -0.25],
+                                             np.zeros(5), max_steps=1)
+        assert np.allclose(trials[0], [1.0, -2 / 3, 1 / 3, 0.1, -0.05], rtol=1e-15, atol=0)
+
+    def test_each_block_is_scaled_by_its_own_curvature(self):
+        # curvature 1 on the phases and 100 on the tilts: after one pair,
+        # s^T y / y^T y of each block is the inverse of its curvature, so the
+        # second direction is the Newton step and lands on the peak (one
+        # common scale, 0.022 here, would not)
+        curv, peak = np.array([1, 1, 1, 100, 100.0]), np.array([3, -2, 1, 0.5, -0.25])
+        (x, mi, _), trials = quadratic_ascent(curv, peak, np.zeros(5), max_steps=2)
+        s, grad = trials[0], -curv * (trials[0] - peak)
+        want = trials[0] + bfgs_direction(grad, s, curv * s, 1.0 / curv)
+        assert np.allclose(trials[1], want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(x, peak, rtol=0, atol=1e-12)
+        assert abs(mi) <= 1e-20
+        common = float(s @ (curv * s)) / float((curv * s) @ (curv * s))
+        assert not np.allclose(trials[0] + bfgs_direction(grad, s, curv * s, [common] * 5), peak,
+                               atol=1e-3)
+
+    def test_a_block_without_positive_curvature_takes_the_pairs_scale(self):
+        # the tilt block is convex (curvature -1), so its own s^T y is
+        # negative; the pair's s^T y is positive, and it scales that block by
+        # the whole pair's s^T y / y^T y, the phase block by its own (1)
+        curv, peak = np.array([1, 1, 1, -1, -1.0]), np.array([3, -2, 1, 0, 0.0])
+        x0 = np.array([0, 0, 0, 0.3, -0.2])
+        (_, _, _), trials = quadratic_ascent(curv, peak, x0, max_steps=2)
+        s, grad = trials[0] - x0, -curv * (trials[0] - peak)
+        y = curv * s
+        assert s[3:] @ y[3:] < 0 < s @ y
+        pair = float(s @ y) / float(y @ y)
+        want = trials[0] + bfgs_direction(grad, s, y, [1, 1, 1, pair, pair])
+        assert np.allclose(trials[1], want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("patience, steps", [(1, 1), (3, 8)])
+    def test_stops_after_patience_small_steps_in_a_row(self, patience, steps):
+        # scripted MI rises with a constant tiny slope, so every first trial
+        # is taken: a big rise resets the count of small steps (< eps) in a
+        # row, and the ascent stops when that count reaches patience
+        rises = [1e-8, 1.0, 1e-8, 1e-8, 1.0, 1e-8, 1e-8, 1e-8, 1.0, 1.0]
+        mis, trials = np.cumsum(rises), []
+
+        def evaluate(x):
+            trials.append(x)
+            return float(mis[len(trials) - 1]), None
+
+        _, mi, _ = opt._lbfgs_ascent(evaluate, lambda state: np.array([1e-9]), np.zeros(1),
+                                     0.0, None, ((slice(None), 1.0),), 1e-6, patience, 50)
+        assert len(trials) == steps
+        assert mi == mis[steps - 1]
+
+    def test_stops_after_max_steps(self):
+        (_, _, _), trials = quadratic_ascent([1, 4, 9, 100, 400], [3, -2, 1, 0.5, -0.25],
+                                             np.zeros(5), eps=math.inf, patience=3, max_steps=2)
+        assert len(trials) == 2
+
+
 class TestPhaseRefinement:
     @staticmethod
     def phase_gradients(chans, theta, power):
@@ -1057,6 +1147,72 @@ def reference_optimize_orientation(scn, theta, m_init, *, eps_orient=1e-6, max_i
     return normalize_orientation(m), mis, "max_iters", accepted
 
 
+def replay_joint_rounds(scn, start, *, max_rounds, eps_oa=1e-6, eps_theta=1e-6,
+                        eps_orient=1e-6, max_iters=200):
+    """alternating_optimize's rounds replayed one block call at a time on
+    the reduced cascade of the public coupling factors: one phase_sweep
+    with min_gain eps_theta / Q, not taken when it lowers the MI by more
+    than opt._ROUNDING of it, then
+    opt._lbfgs_ascent on (phi, m) with the gradient of opt._reduced_slopes,
+    first moves of 1 rad (phases) and 0.1 rad (tilts), and a stop after 3
+    small steps in a row.  Returns (theta, m folded into the box, trace
+    rows, stop reason)."""
+    link = chan.resolve_link(scn)
+    q, rho_eff = scn.irs.n_elements, scn.power.snr * link.eta0**2
+    theta = np.asarray(start[0], dtype=complex)
+    w, m = theta / np.abs(theta) * link.elements, normalize_orientation(start[1])
+
+    def factors(m):
+        return chan.coupling_factor(link.tx, m[0], m[1]), chan.coupling_factor(link.rx, m[2], m[3])
+
+    def mi_of(w, m):
+        e_t, e_r = factors(m)
+        return mutual_information(link.eta0 * ((e_r.T * w) @ e_t), scn.power)
+
+    def evaluate(x):
+        w, m = np.exp(1j * x[:q]), x[q:]
+        return mi_of(w, m), (w, m)
+
+    def slopes(state):
+        w, m = state
+        return np.concatenate(opt._reduced_slopes((link, *factors(m)), m, w, rho_eff))
+
+    mi = mi_prev = mi_of(w, m)
+    rows, reason = [(0, mi, "init")], "max_iters"
+    for rnd in range(1, max_rounds + 1):
+        e_t, e_r = factors(m)
+        swept = phase_sweep(e_t, e_r.T, w, link.eta0, scn.power, min_gain=eps_theta / q)
+        if mi_of(swept, m) >= mi - opt._ROUNDING * abs(mi):
+            w, mi = swept, mi_of(swept, m)
+        rows.append((rnd, mi, "sweep"))
+        _, mi, (w, m) = opt._lbfgs_ascent(
+            evaluate, slopes, np.concatenate((np.angle(w), m)), mi, (w, m),
+            ((slice(0, q), 1.0), (slice(q, None), 0.1)), eps_orient, 3, max_iters,
+        )
+        rows.append((rnd, mi, "joint"))
+        if mi - mi_prev < eps_oa:
+            reason = "threshold"
+            break
+        mi_prev = mi
+    return w * link.elements.conj(), normalize_orientation(m), rows, reason
+
+
+def assert_joint_replay(scn, how, start, *, max_iters, max_rounds):
+    """alternating_optimize with the keywords how and these stops agrees
+    bit for bit with replay_joint_rounds from start; returns its rows."""
+    theta, m, trace = alternating_optimize(
+        scn, **how, max_rounds=max_rounds, orient_stop={"max_iters": max_iters},
+    )
+    want_theta, want_m, rows, reason = replay_joint_rounds(
+        scn, start, max_iters=max_iters, max_rounds=max_rounds
+    )
+    assert trace.iterations == rows
+    assert trace.stop_reason == reason
+    assert np.array_equal(theta, want_theta)
+    assert np.array_equal(m, want_m)
+    return rows
+
+
 def assert_descents_agree(scn, theta, m0, **stops):
     """optimize_orientation and the one-by-one reference agree bit for bit;
     returns the reference's accepted trial indices and stop reason."""
@@ -1125,26 +1281,11 @@ class TestOrientationDescent:
 
     def test_bench_portfolio_starts_match_the_serial_descent(self):
         # the benchmark's stops on optimize_small.txt, from focusing and two
-        # seeds: the alternation replayed with the one-by-one descent gives
-        # the same rows, phases and orientation bit for bit
+        # seeds: the joint driver replayed one block call at a time gives the
+        # same rows, phases and orientation bit for bit
         scn = parse_scenario(SMALL)
-        theta_stop, orient_stop = {"max_outer": 10}, {"max_iters": 40}
         for start in (focusing_init(scn), random_init(scn, 1), random_init(scn, 2)):
-            theta, m, trace = alternating_optimize(
-                scn, start, max_rounds=5, theta_stop=theta_stop, orient_stop=orient_stop
-            )
-            replay, m_vec = np.asarray(start[0], dtype=complex), normalize_orientation(start[1])
-            rows = [trace.iterations[0]]
-            for rnd in range(1, len(trace.iterations) // 2 + 1):
-                replay, t_trace = optimize_theta_elementwise(
-                    oriented_scenario(scn, m_vec), replay, **theta_stop
-                )
-                rows.append((rnd, t_trace.mi_values[-1], "theta"))
-                m_vec, mis, _, _ = reference_optimize_orientation(scn, replay, m_vec, **orient_stop)
-                rows.append((rnd, mis[-1], "orientation"))
-            assert trace.iterations == rows
-            assert np.array_equal(theta, replay)
-            assert np.array_equal(m, m_vec)
+            assert_joint_replay(scn, {"init": start}, start, max_iters=40, max_rounds=5)
 
     def test_descent_properties_on_random_draws(self, rng):
         # N_r > N_t, one-antenna sides and zenith arrays, each start with
@@ -1386,11 +1527,10 @@ class TestAlternatingDriver:
         assert mis[-1] <= mi_upper_bound(final.h_t, final.h_r, final.eta0, scn.power) + 1e-9
 
     def test_rows_are_the_final_rows_of_each_block(self, rng):
-        # the joint trace equals the public blocks called one after another,
-        # bit for bit: from a seed, from focusing, from phases off the unit
-        # circle, which each phase block scales back, and on random draws
-        # with N_r > N_t
-        theta_stop, orient_stop = {"max_outer": 6}, {"max_iters": 8}
+        # the joint trace equals the sweep and the ascent replayed one call
+        # at a time, bit for bit: from a seed, from focusing, from phases
+        # off the unit circle, which the driver scales back, and on random
+        # draws with N_r > N_t
         small = parse_scenario(SMALL)
         theta, m = random_init(small, 5)
         runs = [(small, {"seed": 2}, random_init(small, 2))]
@@ -1402,23 +1542,8 @@ class TestAlternatingDriver:
                            rx=replace(draws[0].rx, n_antennas=5))
         runs += [(scn, {"seed": 7}, random_init(scn, 7)) for scn in draws]
         for scn, how, start in runs:
-            theta, m, trace = alternating_optimize(
-                scn, **how, max_rounds=4, theta_stop=theta_stop, orient_stop=orient_stop
-            )
-            replay, m_vec = np.asarray(start[0], dtype=complex), normalize_orientation(start[1])
-            rows = [(0, mutual_information(
-                cascade(build_channels(oriented_scenario(scn, m_vec)), replay), scn.power
-            ), "init")]
-            for rnd in range(1, len(trace.iterations) // 2 + 1):
-                replay, t_trace = optimize_theta_elementwise(
-                    oriented_scenario(scn, m_vec), replay, **theta_stop
-                )
-                rows.append((rnd, t_trace.mi_values[-1], "theta"))
-                m_vec, o_trace = optimize_orientation(scn, replay, m_vec, **orient_stop)
-                rows.append((rnd, o_trace.mi_values[-1], "orientation"))
-            assert trace.iterations == rows
-            assert np.array_equal(theta, replay)
-            assert np.array_equal(m, m_vec)
+            rows = assert_joint_replay(scn, how, start, max_iters=8, max_rounds=4)
+            assert [block for _, _, block in rows[1:]] == ["sweep", "joint"] * rows[-1][0]
 
     def test_focusing_start_reaches_its_pose_bound(self):
         # the default stops from focusing_init on optimize_small.txt end
@@ -1433,11 +1558,75 @@ class TestAlternatingDriver:
 
     def test_seed_zero_ends_at_its_optimum(self):
         # irsmimo optimize --seed 0 on optimize_small.txt: the random start
-        # ends 1.08e-8 bits above where it ended before the sweep screened its
-        # elements (59.064218075884412)
+        # ends 2.78e-8 bits above where the alternation of a phase block and
+        # an orientation descent ended (59.06421808672166)
         scn = parse_scenario(SMALL)
         _, _, trace = alternating_optimize(scn, seed=0)
-        assert abs(trace.mi_values[-1] - 59.06421808672166) <= 1e-9
+        assert abs(trace.mi_values[-1] - 59.06421811449846) <= 1e-9
+
+    def test_joint_gradient_matches_central_differences(self, rng):
+        # the ascent's (Q + 4)-vector d MI/d (phi, m) on the reduced cascade,
+        # against central differences of the reduced MI with step 1e-6, at
+        # seeded phases and tilts; where the difference is rounding noise
+        # (verify's gradient SKIP floor) it cannot judge the error
+        step, judged = 1e-6, 0
+        setups = edge_setups(rng)
+        for scn in setups:
+            link = chan.resolve_link(scn)
+            q = scn.irs.n_elements
+            phi = rng.uniform(0.0, 2.0 * math.pi, q)
+            m = rng.uniform(BOX_LOW, BOX_HIGH)
+            rho_eff = scn.power.snr * link.eta0**2
+            theta = np.exp(1j * phi)
+            grad = np.concatenate(opt._reduced_slopes(
+                opt._tilted(link, m), m, theta * link.elements, rho_eff
+            ))
+            x = np.concatenate((phi, m))
+            fd = np.zeros(q + 4)
+            for i in range(q + 4):
+                hi, lo = x.copy(), x.copy()
+                hi[i] += step
+                lo[i] -= step
+                fd[i] = (reduced_mi(scn, np.exp(1j * hi[:q]), hi[q:], link)
+                         - reduced_mi(scn, np.exp(1j * lo[:q]), lo[q:], link)) / (2.0 * step)
+            norm = float(np.linalg.norm(fd))
+            mi = reduced_mi(scn, theta, m, link)
+            if norm < checks._FD_NOISE_MULTIPLE * np.finfo(float).eps * abs(mi) / step:
+                continue
+            judged += 1
+            assert np.linalg.norm(grad - fd) <= 1e-6 * norm
+        assert judged >= len(setups) - 2
+
+    def test_reduced_cascade_agrees_with_the_full_hops(self, rng):
+        # the driver scores every point on the reduced cascade; on 6 random
+        # draws, one with N_r > N_t, its trace is monotone, and its last MI
+        # is the MI of the hops build_channels poses at the returned tilts
+        # and at most their pose bound, each to 1e-9 bits
+        draws = [random_scenario(rng, high_snr=i % 2 == 0) for i in range(6)]
+        draws[0] = replace(draws[0], tx=replace(draws[0].tx, n_antennas=3),
+                           rx=replace(draws[0].rx, n_antennas=7))
+        for i, scn in enumerate(draws):
+            theta, m, trace = alternating_optimize(
+                scn, seed=i, max_rounds=5, theta_stop={"max_outer": 10},
+                orient_stop={"max_iters": 40},
+            )
+            mis = trace.mi_values
+            assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
+            posed = build_channels(oriented_scenario(scn, m))
+            assert abs(mis[-1] - opt._cascade_mi(posed.h_t, posed.h_r, posed.eta0, theta,
+                                                  scn.power)) <= 1e-9
+            assert mis[-1] <= mi_upper_bound(posed.h_t, posed.h_r, posed.eta0, scn.power) + 1e-9
+
+    @pytest.mark.parametrize("stop, key", [
+        ("theta_stop", "max_inner"), ("theta_stop", "eps_orient"),
+        ("orient_stop", "max_outer"), ("orient_stop", "eps_mm"),
+    ])
+    def test_an_unknown_stop_key_is_refused(self, stop, key):
+        # each dict may hold only its own keys: eps_theta and max_outer
+        # (theta_stop), eps_orient and max_iters (orient_stop)
+        scn = parse_scenario(SMALL)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'$"):
+            alternating_optimize(scn, seed=0, max_rounds=0, **{stop: {key: 5}})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
     def test_non_finite_start_phases_are_refused(self, bad):
