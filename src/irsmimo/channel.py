@@ -29,7 +29,7 @@ and takes the surface phases from the scenario's focusing mode.
 The antenna term is a unit-modulus factor per antenna, which leaves every
 singular value of the cascade as it is, so at fixed surface phases the MI
 depends on the tilts only through each side's coupling_factor E[q, p] =
-exp(j r_p t_q).  The optimizer's tilt descent runs on the reduced cascade
+exp(j r_p t_q).  The optimizer's tilt steps run on the reduced cascade
 eta0 E_r^T diag(theta * elements) E_t of a resolved link at any real
 angles, and tilt_gradient contracts weights against the coupling's
 derivatives without forming them.

@@ -273,7 +273,7 @@ def cmd_optimize(args) -> int:
         print("error: --overlay needs a converged run; --seeds 0 runs none", file=sys.stderr)
         return 1
     scn = parse_scenario(args.scenario)
-    theta_stop = {"eps_theta": args.eps_theta, "max_outer": args.max_outer}
+    theta_stop = {"eps_theta": args.eps_theta}
     orient_stop = {"eps_orient": args.eps_orient, "max_iters": args.max_orient_iters}
 
     if args.seeds == 0:
@@ -491,8 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-orient", type=_nonnegative_float, default=1e-6,
                    help="the joint ascent stops after 3 steps in a row gaining less (bits)")
     p.add_argument("--eps-oa", type=_nonnegative_float, default=1e-6)
-    p.add_argument("--max-outer", type=_nonnegative_int, default=200,
-                   help="accepted and unused: every round starts with one exact phase sweep")
     p.add_argument("--max-orient-iters", type=_nonnegative_int, default=200,
                    help="joint L-BFGS steps on the phases and tilts per round")
     p.add_argument("--max-rounds", type=_nonnegative_int, default=50)

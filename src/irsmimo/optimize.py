@@ -12,9 +12,9 @@ tilts step in all of R^4 and no hop is posed.
 The phase-only solvers work at the scenario's hops: optimize_theta_elementwise
 repeats one screened sweep and an L-BFGS refinement of the phase angles,
 and the paper's majorization-minimization (MM) loop stays as
-optimize_theta.  optimize_orientation is a quasi-Newton (BFGS) descent
-with backtracking on the tilts at fixed phases.
-MI is reported in bits; the descent works on the negated MI.
+optimize_theta.  optimize_orientation is the same L-BFGS ascent on the
+tilts alone, at fixed phases.  MI is reported in bits; mi_gradient and
+finite_difference_gradient give the gradient of the negated MI.
 """
 
 from __future__ import annotations
@@ -44,13 +44,10 @@ SIGMA_FLOOR_SCALE = 1e-12
 _NORMAL_MIN = np.finfo(float).tiny
 _UNSUBNORMAL = 2.0**600
 
-# s^T y must exceed this share of |s| |y| for a BFGS update to be taken
+# s^T y must exceed this share of |s| |y| for an L-BFGS pair to be kept
 _CURVATURE_FLOOR = 1e-8
 
-# the orientation descent's trial steps along its direction: 1, 1/2, ..., 2^-39
-_LADDER = 0.5 ** np.arange(40.0)[:, None]
-
-# the L-BFGS ascents (phase refinement and joint ascent): (step, gradient
+# the L-BFGS ascents (phase refinement, tilt and joint ascents): (step, gradient
 # change) pairs kept, trials per step, and the share of its slope's
 # predicted gain a trial must reach
 _LBFGS_MEMORY = 5
@@ -433,14 +430,16 @@ def _lbfgs_ascent(evaluate, slopes, x, mi, state, blocks, eps, patience, max_ste
     own s^T y is not positive).  The first direction is steepest ascent
     scaled so each block's largest move is its first move.  Of at most
     _BACKTRACKS trials along a direction, the first that raises the MI by
-    at least _ARMIJO of the gain its slope predicts is taken.  Stops after
-    patience steps in a row that each gain less than eps, when no trial is
-    taken, or after max_steps steps; returns (x, MI, state) of the last
-    point taken.  Forms no square matrix.
+    at least _ARMIJO of the gain its slope predicts is taken.  Stops with
+    "threshold" after patience steps in a row that each gain less than eps,
+    with "no_ascent" when the direction does not point uphill (a zero
+    gradient included) or no trial is taken, else with "max_iters" after
+    max_steps steps.  Returns (state of the last point taken, its MI trace:
+    mi, then one MI per step, stop reason).  Forms no square matrix.
     """
     grad = slopes(state)
     pairs = deque(maxlen=_LBFGS_MEMORY)
-    small = 0
+    mis, small, reason = [mi], 0, "max_iters"
     for _ in range(max_steps):
         d = grad.copy()
         coefs = []
@@ -461,6 +460,7 @@ def _lbfgs_ascent(evaluate, slopes, x, mi, state, blocks, eps, patience, max_ste
             d += (coef - float(y @ d) / sy) * s
         slope = float(grad @ d)
         if not slope > 0.0:  # false on a NaN
+            reason = "no_ascent"
             break
         step = 1.0
         for _ in range(_BACKTRACKS):
@@ -475,6 +475,7 @@ def _lbfgs_ascent(evaluate, slopes, x, mi, state, blocks, eps, patience, max_ste
             peak = 0.5 * slope * step * step / excess if excess > 0.0 else 0.5 * step
             step = min(max(peak, 0.1 * step), 0.5 * step)
         else:
+            reason = "no_ascent"
             break
         s = step * d
         grad_new = slopes(trial_state)
@@ -483,10 +484,12 @@ def _lbfgs_ascent(evaluate, slopes, x, mi, state, blocks, eps, patience, max_ste
         if yy > 0.0 and sy > _CURVATURE_FLOOR * math.sqrt(float(s @ s) * yy):
             pairs.append((s, y, sy))
         x, mi, state, grad = trial, mi_trial, trial_state, grad_new
+        mis.append(mi)
         small = small + 1 if rise < eps else 0
         if small == patience:
+            reason = "threshold"
             break
-    return x, mi, state
+    return state, mis, reason
 
 
 def _refine_phases(h_t, h_r, gain, theta, power, eps_theta):
@@ -507,7 +510,7 @@ def _refine_phases(h_t, h_r, gain, theta, power, eps_theta):
 
     mi = _cascade_mi(h_t, h_r, gain, theta, power)
     return _lbfgs_ascent(evaluate, mi_slopes, np.angle(theta), mi, theta,
-                         ((slice(None), 1.0),), eps_theta, 1, len(theta))[2]
+                         ((slice(None), 1.0),), eps_theta, 1, len(theta))[0]
 
 
 def optimize_theta_elementwise(
@@ -558,13 +561,13 @@ def _posed_mi(scn: Scenario, theta, m) -> float:
 
 def _tilted(link, m):
     """(link, E_t, E_r): both sides' coupling factors at the tilt vector m,
-    any real angles, which mi_gradient takes as posed."""
+    any real angles."""
     gamma_t, psi_t, gamma_r, psi_r = m.tolist()
     return (link, chan.coupling_factor(link.tx, gamma_t, psi_t),
             chan.coupling_factor(link.rx, gamma_r, psi_r))
 
 
-def mi_gradient(scn: Scenario, theta, m, posed=None) -> np.ndarray:
+def mi_gradient(scn: Scenario, theta, m) -> np.ndarray:
     """Analytic gradient of the negated MI in the four orientation angles,
     at any finite angles.
 
@@ -572,16 +575,13 @@ def mi_gradient(scn: Scenario, theta, m, posed=None) -> np.ndarray:
     sides' coupling factors and w = theta times the link's element phasors,
     whose singular values are those of the full one.  Each side's share is
     the coupling's phase derivative of every link weighted by Im of its
-    term of d MI/d phase, which channel.tilt_gradient contracts.  posed is
-    (link, E_t, E_r) already at m (_tilted), whose factors are then reused.
+    term of d MI/d phase, which channel.tilt_gradient contracts.
     """
     theta = _finite_phases(theta)
     vec = orientation_vector(m)
-    if posed is None:
-        posed = _tilted(chan.resolve_link(scn), vec)
-    link = posed[0]
+    link = chan.resolve_link(scn)
     rho_eff = scn.power.snr * link.eta0**2
-    return -_reduced_slopes(posed, vec, theta * link.elements, rho_eff)[1]
+    return -_reduced_slopes(_tilted(link, vec), vec, theta * link.elements, rho_eff)[1]
 
 
 def _reduced_slopes(posed, m, w, rho_eff):
@@ -638,74 +638,43 @@ def normalize_orientation(m) -> np.ndarray:
     return np.array(out)
 
 
-def _bfgs_update(h_inv, s, y):
-    """BFGS update of the inverse-Hessian estimate h_inv by the step s and
-    the gradient change y (Nocedal & Wright, Numerical Optimization, eq.
-    6.17).  h_inv is None for steepest descent; the first pair after it
-    only sets the scale, h_inv = (s^T y / y^T y) I (eq. 6.20).  When s^T y
-    is not safely positive the update would lose positive definiteness,
-    and h_inv is returned unchanged.
-    """
-    sy = float(s @ y)
-    yy = float(y @ y)
-    if not sy > _CURVATURE_FLOOR * math.sqrt(float(s @ s) * yy):
-        return h_inv
-    if h_inv is None:
-        return (sy / yy) * np.eye(4)
-    v = np.eye(4) - np.outer(s / sy, y)
-    return v @ h_inv @ v.T + np.outer(s / sy, s)
-
-
 def optimize_orientation(
     scn: Scenario, theta, m_init, *, eps_orient: float = 1e-6, max_iters: int = 200
 ) -> tuple[np.ndarray, OptTrace]:
-    """Quasi-Newton (BFGS) descent on the four orientation angles.
+    """L-BFGS ascent (_lbfgs_ascent) of the MI in the four orientation
+    angles at fixed phases.
 
     No hop is posed: each point is scored on the reduced cascade of the
-    sides' coupling factors (mi_gradient), which is analytic in every real
-    angle, so the descent steps on the raw angles in all of R^4.  Each step
-    moves along d = -H grad, with H the BFGS inverse-Hessian estimate
-    (_bfgs_update; d = -grad until the first pair sets it), and tries the
-    points m + 2^-k d, k < 40, one at a time; the first that does not
-    increase the objective is accepted.  The end point is returned through
-    normalize_orientation.  The trace's stop_reason is "threshold" when an
-    accepted step gains less than eps_orient, "no_descent" when every
-    trial of a step raises the objective, and "max_iters" otherwise.
+    sides' coupling factors, as in alternating_optimize's rounds, which is
+    analytic in every real angle, so the ascent steps on the raw angles in
+    all of R^4.  Its one block first moves as far as the largest entry of
+    the gradient, so its first trial is m + grad.  The end point is
+    returned through normalize_orientation.  The trace's stop_reason is
+    "threshold" when a step gains less than eps_orient, "no_ascent" when no
+    trial of a step raises the MI or the gradient is zero, and "max_iters"
+    after max_iters steps.
     """
     theta = _finite_phases(theta)
     link = chan.resolve_link(scn)
     w = theta * link.elements
+    rho_eff = scn.power.snr * link.eta0**2
 
-    def objective(m):
-        """(negated MI, posed factors) at the tilt vector m."""
+    def evaluate(m):
         posed = _tilted(link, m)
-        return -_cascade_mi(posed[1], posed[2].T, link.eta0, w, scn.power), posed
+        return _cascade_mi(posed[1], posed[2].T, link.eta0, w, scn.power), (m, posed)
+
+    def slopes(state):
+        m, posed = state
+        return _reduced_slopes(posed, m, w, rho_eff)[1]
 
     m = normalize_orientation(m_init)
-    obj, posed = objective(m)
-    rows = [(0, -obj, "orientation")]
-    reason = "max_iters"
-    h_inv = prev = None
-    for it in range(1, max_iters + 1):
-        # the factors of the accepted point feed its gradient
-        grad = mi_gradient(scn, theta, m, posed)
-        if prev is not None:
-            h_inv = _bfgs_update(h_inv, m - prev[0], grad - prev[1])
-        d = -grad if h_inv is None else -(h_inv @ grad)
-        for trial in m + _LADDER * d:
-            trial_obj, trial_posed = objective(trial)
-            if trial_obj <= obj:
-                break
-        else:
-            reason = "no_descent"
-            break
-        prev = m, grad
-        m, posed = trial, trial_posed
-        gain, obj = obj - trial_obj, trial_obj
-        rows.append((it, -obj, "orientation"))
-        if gain < eps_orient:
-            reason = "threshold"
-            break
+    mi, state = evaluate(m)
+    # a zero gradient's first move is floored like a direction's largest
+    # move, which leaves the first direction the gradient itself
+    first = max(float(np.max(np.abs(slopes(state)))), _NORMAL_MIN)
+    (m, _), mis, reason = _lbfgs_ascent(evaluate, slopes, m, mi, state,
+                                        ((slice(None), first),), eps_orient, 1, max_iters)
+    rows = [(step, value, "orientation") for step, value in enumerate(mis)]
     return normalize_orientation(m), OptTrace(iterations=rows, stop_reason=reason)
 
 
@@ -753,15 +722,16 @@ def alternating_optimize(
 
     init is a (theta, orientation) pair; when omitted a seeded random start
     is drawn.  Each point is scored on the reduced cascade eta0 E_r^T
-    diag(w) E_t of one resolved link (mi_gradient), w = theta times the
+    diag(w) E_t of one resolved link (_reduced_slopes), w = theta times the
     element phasors, so no hop is posed.  A round is one phase_sweep with
     min_gain = eps_theta / Q, not taken when it lowers the MI by more than
     rounding, then one L-BFGS ascent (_lbfgs_ascent) on (phi, m),
     w = exp(j phi), whose phase and tilt blocks first move 1 and 0.1 rad;
     it stops after _JOINT_PATIENCE steps in a row that each gain less than
-    eps_orient bits, or after max_iters steps.  theta_stop holds eps_theta
-    and max_outer, which the rounds accept and do not use; orient_stop
-    holds eps_orient and max_iters; any other key raises TypeError.
+    eps_orient bits, or after max_iters steps.  theta_stop holds eps_theta,
+    which sets the sweep's screen, and max_outer, which the rounds accept
+    and do not use; orient_stop holds eps_orient and max_iters; any other
+    key raises TypeError.
     The rounds stop with "threshold" when one gains less than eps_oa bits,
     else with "max_iters" after max_rounds.  The trace has an "init" row,
     then a "sweep" and a "joint" row per round.
@@ -801,10 +771,11 @@ def alternating_optimize(
         if mi_swept >= mi - _ROUNDING * abs(mi):
             w, mi = swept, mi_swept
         rows.append((rnd, mi, "sweep"))
-        _, mi, (w, m, posed) = _lbfgs_ascent(
+        (w, m, posed), mis, _ = _lbfgs_ascent(
             evaluate, slopes, np.concatenate((np.angle(w), m)), mi, (w, m, posed),
             blocks, eps_orient, _JOINT_PATIENCE, max_iters,
         )
+        mi = mis[-1]
         rows.append((rnd, mi, "joint"))
         theta = w * link.elements.conj()
         if mi - mi_prev < eps_oa:

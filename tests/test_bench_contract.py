@@ -151,6 +151,25 @@ def test_an_opt_portfolio_pass_fails_no_start(monkeypatch):
     assert bench.check(bench.run_pass(0))["failed"] == 0
 
 
+@pytest.mark.parametrize("workload, entry", [
+    ("fmr_map", "cli.main"),
+    ("opt_portfolio", "optimize.alternating_optimize"),
+    ("mm_large", "optimize.optimize_theta"),
+])
+def test_a_traced_smoke_pass_fails_nothing(monkeypatch, workload, entry):
+    # perfbench/run.py --trace 1 runs input 0 with every TRACED name wrapped;
+    # here one such pass of each workload at smoke size, in process, passes
+    # the workload's own check and books calls to the function it times
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    bench = workloads.WORKLOADS[workload](1, workloads.SMOKE[workload])
+    raw, summary = spans.Tracer().run(0, lambda: bench.run_pass(0))
+    assert bench.check(raw)["failed"] == 0
+    assert summary["calls"].get(entry, 0) >= 1
+
+
 def test_mm_auxiliaries_returns_a_dataclass_of_arrays():
     # the tracer sums the nbytes of the returned record's fields
     scn = parse_scenario(str(REPO_ROOT / "scenarios" / "optimize_small.txt"))

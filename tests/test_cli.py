@@ -684,7 +684,7 @@ class TestFmrOrientCommand:
 
 
 class TestOptimizeCommand:
-    FAST = ("--max-rounds", "1", "--max-outer", "5", "--max-orient-iters", "5")
+    FAST = ("--max-rounds", "1", "--max-orient-iters", "5")
 
     def test_zero_seeds_scores_the_declared_focusing(self, capsys, tmp_path):
         out_file = tmp_path / "trace.csv"
@@ -757,6 +757,14 @@ class TestOptimizeCommand:
         assert (code, out) == (1, "")
         assert err.startswith("usage: irsmimo")
         assert f"unrecognized arguments: {option} {value}" in err
+
+    def test_the_max_outer_option_is_gone(self, capsys):
+        # every round of the joint optimizer runs one sweep, so there is no
+        # count of sweeps to cap
+        code, out, err = run_cli(capsys, "optimize", "--scenario", SMALL, "--max-outer", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: irsmimo")
+        assert "unrecognized arguments: --max-outer 5" in err
 
     def test_overlay_without_a_run_is_refused(self, capsys, tmp_path):
         overlay = tmp_path / "converged.txt"
@@ -975,7 +983,7 @@ def test_options_a_command_does_not_read_are_rejected(capsys, argv):
     [
         pytest.param(option, "-3", id=option)
         for option in (
-            "--seed", "--seeds", "--max-outer", "--max-orient-iters", "--max-rounds",
+            "--seed", "--seeds", "--max-orient-iters", "--max-rounds",
         )
     ]
     + [
@@ -1081,7 +1089,7 @@ HOP_OUTPUT_SHA256 = {
     "optimize-elementwise": "a52664d1cc64126891044d349087d46aadc80266735b3a5b3beed6feb47cd283",
 }
 OPTIMIZE_ARGV = ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
-                 "--max-outer", "2", "--max-orient-iters", "3")
+                 "--max-orient-iters", "3")
 HOP_OUTPUT_ARGV = {
     **{
         f"channel-{m}": ("channel", "--scenario", BASELINE, "--matrix", m)
@@ -1247,8 +1255,7 @@ def test_every_command_runs_on_the_scenario(capsys, tmp_path, base, replacements
         ("fmr-map", "--dt-start", "2", "--dt-stop", "30", "--dt-count", "5",
          "--dr-start", "2", "--dr-stop", "30", "--dr-count", "5", "--verify"),
         ("fmr-orient", "--dt", repr(0.5 * x.d_t_star), "--dr", repr(0.5 * x.d_r_rayleigh)),
-        ("optimize", "--seeds", "1", "--max-rounds", "1", "--max-outer", "2",
-         "--max-orient-iters", "2"),
+        ("optimize", "--seeds", "1", "--max-rounds", "1", "--max-orient-iters", "2"),
     ] + [
         ("eigensweep", "--orient", orient, "--start", "2", "--stop", "30", "--count", "3")
         for orient in ("fixed", "auto-x", "auto-y")
@@ -1271,8 +1278,7 @@ def test_commands_run_at_a_subnormal_snr(capsys, tmp_path):
     # subnormal.  At 1e-300 W of noise an MM step can lower the MI; its block
     # stops before that step
     runs = [
-        ("optimize", "--seeds", "1", "--max-rounds", "2", "--max-outer", "3",
-         "--max-orient-iters", "3"),
+        ("optimize", "--seeds", "1", "--max-rounds", "2", "--max-orient-iters", "3"),
         ("verify", "--checks", "phase_solvers"),
     ]
     for base, key, value in ((BASELINE, "power.per_antenna_w", "1e-300"),
