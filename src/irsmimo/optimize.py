@@ -9,12 +9,11 @@ ascent scales its initial inverse Hessian on the phases and on the tilts
 apart.  Both score every point on the reduced cascade of
 channel.coupling_factor, which is analytic in every real angle, so the
 tilts step in all of R^4 and no hop is posed.
-The phase-only solvers work at the scenario's hops: optimize_theta_elementwise
-repeats one screened sweep and an L-BFGS refinement of the phase angles,
-and the paper's majorization-minimization (MM) loop stays as
-optimize_theta.  optimize_orientation is the same L-BFGS ascent on the
-tilts alone, at fixed phases.  MI is reported in bits; mi_gradient and
-finite_difference_gradient give the gradient of the negated MI.
+The one phase-only solver is the paper's majorization-minimization (MM)
+loop, optimize_theta, at the scenario's hops.  optimize_orientation is the
+same L-BFGS ascent on the tilts alone, at fixed phases.  MI is reported in
+bits; mi_gradient and finite_difference_gradient give the gradient of the
+negated MI.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ _UNSUBNORMAL = 2.0**600
 # s^T y must exceed this share of |s| |y| for an L-BFGS pair to be kept
 _CURVATURE_FLOOR = 1e-8
 
-# the L-BFGS ascents (phase refinement, tilt and joint ascents): (step, gradient
+# the L-BFGS ascents (tilt and joint ascents): (step, gradient
 # change) pairs kept, trials per step, and the share of its slope's
 # predicted gain a trial must reach
 _LBFGS_MEMORY = 5
@@ -273,13 +272,18 @@ def _unit_phases(theta) -> np.ndarray:
     return theta / mags
 
 
-def _climb(scn: Scenario, theta_init, eps_theta: float, max_outer: int, step):
-    """Repeat theta = step(h_t, h_r, gain, theta) at the scenario's hops.
+def optimize_theta(
+    scn: Scenario, theta_init, *, eps_theta: float = 1e-6, max_outer: int = 200
+) -> tuple[np.ndarray, OptTrace]:
+    """The paper's MM maximization of MI over the phases at the scenario's hops.
 
-    One trace row per step taken; stops with "threshold" when a step gains
-    less than eps_theta bits, with "no_ascent" when a step would lower the
-    MI by more than rounding (_ROUNDING of it), which is not taken, else
-    with "max_iters" after max_outer steps.
+    Each outer step refreshes the auxiliaries, then repeats the majorized
+    update until the surrogate objective improves by less than _EPS_MM, at
+    most _MAX_INNER times.  One trace row per outer step taken; stops with
+    "threshold" when a step gains less than eps_theta bits, with
+    "no_ascent" when a step would lower the MI by more than rounding
+    (_ROUNDING of it), which is not taken, else with "max_iters" after
+    max_outer steps.
     """
     theta = _unit_phases(theta_init)
     cs = chan.build_channels(scn)
@@ -288,7 +292,19 @@ def _climb(scn: Scenario, theta_init, eps_theta: float, max_outer: int, step):
     rows = [(0, mi_prev, "theta")]
     reason = "max_iters"
     for outer in range(1, max_outer + 1):
-        stepped = step(h_t, h_r, gain, theta)
+        aux = mm_auxiliaries(h_t, h_r, theta, gain, scn.power)
+        wh = aux.w.conj().T
+        lam_max = largest_eigenvalue(wh @ aux.w)
+        # z = w^H theta serves both the surrogate of theta and its next update
+        stepped, z = theta, wh @ theta
+        obj = _surrogate(z, aux.alpha, stepped)
+        for _ in range(_MAX_INNER):
+            stepped = mm_step(aux.w, aux.alpha, stepped, lam_max=lam_max, z=z)
+            z = wh @ stepped
+            new_obj = _surrogate(z, aux.alpha, stepped)
+            if obj - new_obj < _EPS_MM:
+                break
+            obj = new_obj
         mi_now = _cascade_mi(h_t, h_r, gain, stepped, scn.power)
         if mi_now < mi_prev - _ROUNDING * abs(mi_prev):
             reason = "no_ascent"
@@ -300,34 +316,6 @@ def _climb(scn: Scenario, theta_init, eps_theta: float, max_outer: int, step):
             break
         mi_prev = mi_now
     return theta, OptTrace(iterations=rows, stop_reason=reason)
-
-
-def optimize_theta(
-    scn: Scenario, theta_init, *, eps_theta: float = 1e-6, max_outer: int = 200
-) -> tuple[np.ndarray, OptTrace]:
-    """The paper's MM maximization of MI over the phases at fixed geometry.
-
-    Outer loop refreshes the auxiliaries and stops as _climb does; the
-    inner loop repeats the majorized update until the surrogate objective
-    improves by less than _EPS_MM, at most _MAX_INNER times.
-    """
-    def mm_round(h_t, h_r, gain, theta):
-        aux = mm_auxiliaries(h_t, h_r, theta, gain, scn.power)
-        wh = aux.w.conj().T
-        lam_max = largest_eigenvalue(wh @ aux.w)
-        # z = w^H theta serves both the surrogate of theta and its next update
-        z = wh @ theta
-        obj = _surrogate(z, aux.alpha, theta)
-        for _ in range(_MAX_INNER):
-            theta = mm_step(aux.w, aux.alpha, theta, lam_max=lam_max, z=z)
-            z = wh @ theta
-            new_obj = _surrogate(z, aux.alpha, theta)
-            if obj - new_obj < _EPS_MM:
-                break
-            obj = new_obj
-        return theta
-
-    return _climb(scn, theta_init, eps_theta, max_outer, mm_round)
 
 
 def _element_gains(b_rows, h_t, terms, g, theta):
@@ -434,8 +422,10 @@ def _lbfgs_ascent(evaluate, slopes, x, mi, state, blocks, eps, patience, max_ste
     "threshold" after patience steps in a row that each gain less than eps,
     with "no_ascent" when the direction does not point uphill (a zero
     gradient included) or no trial is taken, else with "max_iters" after
-    max_steps steps.  Returns (state of the last point taken, its MI trace:
-    mi, then one MI per step, stop reason).  Forms no square matrix.
+    max_steps steps.  slopes is called at the start and at each point
+    taken that another step leaves from.  Returns (state of the last point
+    taken, its MI trace: mi, then one MI per step, stop reason).  Forms no
+    square matrix.
     """
     grad = slopes(state)
     pairs = deque(maxlen=_LBFGS_MEMORY)
@@ -477,64 +467,22 @@ def _lbfgs_ascent(evaluate, slopes, x, mi, state, blocks, eps, patience, max_ste
         else:
             reason = "no_ascent"
             break
-        s = step * d
-        grad_new = slopes(trial_state)
-        y = grad - grad_new
-        sy, yy = float(s @ y), float(y @ y)
-        if yy > 0.0 and sy > _CURVATURE_FLOOR * math.sqrt(float(s @ s) * yy):
-            pairs.append((s, y, sy))
-        x, mi, state, grad = trial, mi_trial, trial_state, grad_new
+        x, mi, state = trial, mi_trial, trial_state
         mis.append(mi)
         small = small + 1 if rise < eps else 0
         if small == patience:
             reason = "threshold"
             break
+        if len(mis) > max_steps:  # no direction follows the last step
+            break
+        s = step * d
+        grad_new = slopes(state)
+        y = grad - grad_new
+        sy, yy = float(s @ y), float(y @ y)
+        if yy > 0.0 and sy > _CURVATURE_FLOOR * math.sqrt(float(s @ s) * yy):
+            pairs.append((s, y, sy))
+        grad = grad_new
     return state, mis, reason
-
-
-def _refine_phases(h_t, h_r, gain, theta, power, eps_theta):
-    """L-BFGS ascent (_lbfgs_ascent) of the MI in the phase angles phi,
-    theta = exp(j phi), one block whose first move is one radian.  Stops
-    when a step gains less than eps_theta bits, when no trial is taken, or
-    after Q steps; returns theta itself when no step is taken.
-    """
-    rho_eff = power.snr * gain**2
-    scale = -2.0 * rho_eff / LOG2
-
-    def evaluate(phi):
-        trial = np.exp(1j * phi)
-        return _cascade_mi(h_t, h_r, gain, trial, power), trial
-
-    def mi_slopes(theta):
-        return scale * _mi_weights(h_t, h_r, theta, rho_eff)[1].sum(axis=1)
-
-    mi = _cascade_mi(h_t, h_r, gain, theta, power)
-    return _lbfgs_ascent(evaluate, mi_slopes, np.angle(theta), mi, theta,
-                         ((slice(None), 1.0),), eps_theta, 1, len(theta))[0]
-
-
-def optimize_theta_elementwise(
-    scn: Scenario, theta_init, *, eps_theta: float = 1e-6, max_outer: int = 200
-) -> tuple[np.ndarray, OptTrace]:
-    """Maximize MI over the surface phases at fixed geometry: each outer
-    step is one exact sweep, then an L-BFGS refinement of the phase angles.
-
-    The sweep is phase_sweep with min_gain = eps_theta / Q: it updates only
-    the elements whose own update would gain at least that much, so the
-    gains of the skipped ones sum to less than the block's stop
-    resolution; at eps_theta = 0 it visits every element.  The refinement
-    (_refine_phases) climbs from the swept phases until one of its steps
-    gains less than eps_theta bits.  One trace row per outer step; stops
-    as _climb does.  Each element update is exact and the refinement takes
-    only steps that raise the MI, so the trace is monotone.
-    """
-    min_gain = eps_theta / scn.irs.n_elements
-
-    def sweep_and_refine(h_t, h_r, gain, theta):
-        theta = phase_sweep(h_t, h_r, theta, gain, scn.power, min_gain=min_gain)
-        return _refine_phases(h_t, h_r, gain, theta, scn.power, eps_theta)
-
-    return _climb(scn, theta_init, eps_theta, max_outer, sweep_and_refine)
 
 
 def oriented_scenario(scn: Scenario, m) -> Scenario:

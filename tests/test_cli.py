@@ -898,33 +898,35 @@ class TestVerifyCommand:
         assert "3/4 checks passed" in out
 
     def test_a_phase_block_that_lowers_the_mi_fails(self, capsys, monkeypatch):
-        # the fault sits in the refinement, the last move of an outer step:
-        # one in the sweep would be climbed back by the refinement after it
-        right = opt._refine_phases
+        # every sweep after the first returns the phases the first one
+        # started from, which lowers the MI the ascent after it reached
+        right = opt.phase_sweep
         starts = []
 
-        def undoing_refinement(h_t, h_r, gain, theta, power, eps_theta):
-            # the first refinement climbs, every later one returns to the
-            # phases the first one started from
+        def undoing_sweep(h_t, h_r, theta, eta0, power, *, min_gain):
             starts.append(theta)
             if len(starts) == 1:
-                return right(h_t, h_r, gain, theta, power, eps_theta)
+                return right(h_t, h_r, theta, eta0, power, min_gain=min_gain)
             return starts[0]
 
-        monkeypatch.setattr(opt, "_refine_phases", undoing_refinement)
-        # with the guard against lowering steps off, the block takes that step
+        monkeypatch.setattr(opt, "phase_sweep", undoing_sweep)
+        # with the guard against lowering steps off, the round takes that sweep
         monkeypatch.setattr(opt, "_ROUNDING", math.inf)
         code, out, _ = run_cli(capsys, "verify", "--scenario", SMALL)
         assert code == 2
-        assert "FAIL phase_solvers" in out
+        assert "FAIL phase_solvers: joint" in out
         assert "3/4 checks passed" in out
 
     def test_a_phase_block_that_takes_no_step_passes(self, capsys, monkeypatch):
-        # with every step refused, each block's trace is its start alone
+        # with every sweep and MM step refused and no trial of the ascent,
+        # each trace keeps its start MI: MM stops on its first step, and the
+        # joint rounds, which gain 0 >= eps_oa = 0 bits each, run out
         monkeypatch.setattr(opt, "_ROUNDING", -math.inf)
+        monkeypatch.setattr(opt, "_BACKTRACKS", 0)
         code, out, _ = run_cli(capsys, "verify", "--scenario", SMALL, "--checks", "phase_solvers")
         assert code == 0, out
-        assert out.count("bits (no_ascent), smallest step gain 0.000e+00") == 2
+        assert "joint 42.7619 -> 42.7619 bits (max_iters), smallest step gain 0.000e+00" in out
+        assert "mm 42.7619 -> 42.7619 bits (no_ascent), smallest step gain 0.000e+00" in out
 
     def test_empty_selection_warns_and_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--checks", "")

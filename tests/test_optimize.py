@@ -41,7 +41,6 @@ from irsmimo.optimize import (
     normalize_orientation,
     optimize_orientation,
     optimize_theta,
-    optimize_theta_elementwise,
     oriented_scenario,
     phase_sweep,
     qcqp_objective,
@@ -62,7 +61,6 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SMALL = str(SCENARIO_DIR / "optimize_small.txt")
 BASELINE = str(SCENARIO_DIR / "cascade_baseline.txt")
 BOX_LOW, BOX_HIGH = np.array([GAMMA_BOX, PSI_BOX, GAMMA_BOX, PSI_BOX]).T
-PHASE_SOLVERS = {"elementwise": optimize_theta_elementwise, "mm": optimize_theta}
 # tilt vectors with every angle outside the box, each psi off its faces
 OUTSIDE_TILTS = [[-5.0, -0.3, 9.0, math.pi + 0.2], [9.0, 7.0, -5.0, -0.3],
                  [-5.0, math.pi + 0.2, 9.0, 7.0]]
@@ -79,6 +77,12 @@ def fmr_anchor_scenario(power=None):
 
 def cascade(chans, theta):
     return chans.eta0 * ((chans.h_r * np.asarray(theta)[None, :]) @ chans.h_t)
+
+
+def end_pose_bound(scn, m):
+    """mi_upper_bound of the hops build_channels poses at the tilts m."""
+    posed = build_channels(oriented_scenario(scn, m))
+    return mi_upper_bound(posed.h_t, posed.h_r, posed.eta0, scn.power)
 
 
 def pose_orientation(scn):
@@ -664,17 +668,16 @@ class TestElementwiseSolver:
             assert mutual_information(cascade(chans, out), scn.power) >= before
 
     def test_a_screened_block_ends_where_the_unscreened_one_does(self, monkeypatch):
-        # the baseline with a 31 x 31 surface at half-wavelength pitch, run to
-        # convergence from a seeded random start with the screen and with
-        # every element visited: the screened trace is monotone and bounded,
-        # skips elements, and ends within eps_theta of the unscreened one
+        # the baseline with a 31 x 31 surface at half-wavelength pitch, the
+        # joint optimizer run to convergence from a seeded random start with
+        # the sweep's screen and with every element visited: the screened
+        # trace is monotone and bounded at its end pose, skips elements, and
+        # ends within eps_oa of the unscreened one
         base = parse_scenario(BASELINE)
         pitch = base.wave.wavelength / 2
         scn = replace(base, irs=IrsLayout(31, 31, pitch, pitch, pitch, pitch),
                       power=PowerConfig(1.0, 1e-13))
-        chans = build_channels(scn)
-        bound = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
-        theta0, _ = random_init(scn, 3)
+        start = random_init(scn, 3)
         real, kept = opt.phase_sweep, []
 
         def counted(h_t, h_r, theta, eta0, power, *, min_gain):
@@ -683,50 +686,40 @@ class TestElementwiseSolver:
             return out
 
         monkeypatch.setattr(opt, "phase_sweep", counted)
-        _, screened = optimize_theta_elementwise(scn, theta0)
+        _, m, screened = alternating_optimize(scn, start)
         monkeypatch.setattr(opt, "phase_sweep", lambda *a, min_gain: real(*a))
-        _, full = optimize_theta_elementwise(scn, theta0)
+        _, _, full = alternating_optimize(scn, start)
         mis = screened.mi_values
         assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
-        assert max(mis) <= bound + 1e-9
+        assert mis[-1] <= end_pose_bound(scn, m) + 1e-9
         assert screened.stop_reason == full.stop_reason == "threshold"
         assert abs(mis[-1] - full.mi_values[-1]) < 1e-6
         assert max(kept) > 0
 
     @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.txt")), ids=lambda p: p.stem)
     def test_sweeps_are_monotone_and_bounded_on_the_shipped_scenarios(self, path):
+        # the joint optimizer from the focusing phases and from random ones,
+        # at the scenario's tilts; its bound is taken at the tilts it ends at
         scn = parse_scenario(str(path))
         chans = build_channels(scn)
-        bound = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
         for theta0 in (chans.theta, random_init(scn, 4)[0]):
-            _, trace = optimize_theta_elementwise(scn, theta0, max_outer=15)
+            _, m, trace = alternating_optimize(scn, (theta0, pose_orientation(scn)),
+                                               max_rounds=15)
             mis = trace.mi_values
             assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
-            assert max(mis) <= bound + 1e-9
-            assert all(row[2] == "theta" for row in trace.iterations)
+            assert mis[-1] <= end_pose_bound(scn, m) + 1e-9
+            rounds = trace.iterations[-1][0]
+            assert [row[2] for row in trace.iterations[1:]] == ["sweep", "joint"] * rounds
 
     def test_sweeps_are_monotone_and_bounded_on_random_draws(self, rng):
         for scn in exactness_draws(rng):
-            chans = build_channels(scn)
-            bound = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
-            theta0, _ = random_init(scn, 8)
-            theta, trace = optimize_theta_elementwise(scn, theta0, max_outer=30)
+            theta, m, trace = alternating_optimize(scn, random_init(scn, 8), max_rounds=30)
             mis = trace.mi_values
             assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
-            assert max(mis) <= bound + 1e-9
-            assert len(mis) == 31 or trace.stop_reason == "threshold"
-            assert mutual_information(cascade(chans, theta), scn.power) == mis[-1]
-
-    def test_stops_on_the_mi_gain_of_a_sweep(self):
-        scn = parse_scenario(SMALL)
-        theta0, _ = random_init(scn, 2)
-        _, capped = optimize_theta_elementwise(scn, theta0, max_outer=2)
-        assert capped.stop_reason == "max_iters"
-        assert [row[0] for row in capped.iterations] == [0, 1, 2]
-        _, settled = optimize_theta_elementwise(scn, theta0, eps_theta=1e-3)
-        assert settled.stop_reason == "threshold"
-        mis = settled.mi_values
-        assert mis[-1] - mis[-2] < 1e-3 <= min(np.diff(mis[:-1]))
+            assert mis[-1] <= end_pose_bound(scn, m) + 1e-9
+            assert trace.iterations[-1][0] == 30 or trace.stop_reason == "threshold"
+            posed = build_channels(oriented_scenario(scn, m))
+            assert abs(mutual_information(cascade(posed, theta), scn.power) - mis[-1]) <= 1e-9
 
     @pytest.mark.parametrize("zero", ["tx-row", "rx-column"])
     def test_an_element_with_zero_s_keeps_its_phase(self, rng, zero):
@@ -750,7 +743,7 @@ class TestElementwiseSolver:
         bad = np.ones(scn.irs.n_elements, dtype=complex)
         bad[3] = 0.0
         with pytest.raises(ValueError, match="^theta entries must be nonzero unit phasors$"):
-            optimize_theta_elementwise(scn, bad)
+            alternating_optimize(scn, (bad, pose_orientation(scn)))
 
     def test_large_surface_never_forms_a_q_by_q_matrix(self):
         base = parse_scenario(SMALL)
@@ -759,22 +752,25 @@ class TestElementwiseSolver:
         q = scn.irs.n_elements
         tracemalloc.start()
         try:
-            optimize_theta_elementwise(scn, theta0, max_outer=2)
+            alternating_optimize(scn, random_init(scn, 3), max_rounds=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * q * q / 4  # a quarter of one complex Q x Q array
 
-    @pytest.mark.parametrize("solver", sorted(PHASE_SOLVERS))
+    @pytest.mark.parametrize("solver", ["joint", "mm"])
     @pytest.mark.parametrize("name", ["cascade_baseline", "response_variation"])
     def test_both_solvers_run_at_a_subnormal_snr(self, name, solver):
         # at 1e-300 W the sweep's s and the MM update are subnormal; underflow
         # stays ignored because the weak modes' MI terms are themselves subnormal
         base = parse_scenario(str(SCENARIO_DIR / f"{name}.txt"))
         scn = replace(base, power=PowerConfig(per_antenna_power=1e-300))
-        theta0, _ = random_init(scn, 1)
+        theta0, m0 = random_init(scn, 1)
         with np.errstate(all="raise", under="ignore"):
-            theta, trace = PHASE_SOLVERS[solver](scn, theta0, max_outer=3)
+            if solver == "joint":
+                theta, _, trace = alternating_optimize(scn, (theta0, m0), max_rounds=3)
+            else:
+                theta, trace = optimize_theta(scn, theta0, max_outer=3)
         assert np.allclose(np.abs(theta), 1.0)
         assert np.all(np.isfinite(trace.mi_values))
 
@@ -872,6 +868,32 @@ class TestLbfgsAscent:
                                                   max_steps=2)
         assert reason == "max_iters"
         assert len(trials) == 2
+
+    @pytest.mark.parametrize("rises, reason, calls", [
+        ([1.0, 1e-8], "threshold", 2),
+        ([1.0, 1.0, 1.0], "max_iters", 3),
+        ([1.0, 1.0], "no_ascent", 3),
+    ], ids=["threshold", "max_iters", "no_ascent"])
+    def test_slopes_are_formed_only_where_another_step_follows(self, rises, reason, calls):
+        # the gradient at the start and at each point taken feeds the next
+        # direction; the point a "threshold" or "max_iters" stop ends on
+        # feeds none, so its gradient is not formed, while a "no_ascent"
+        # stop formed it for the direction whose trials all fail
+        mis, trials, points = np.cumsum(rises).tolist(), [], []
+
+        def evaluate(x):
+            trials.append(x)
+            return (mis[len(trials) - 1] if len(trials) <= len(mis) else -1.0), len(trials)
+
+        def slopes(state):
+            points.append(state)
+            return np.array([1e-9])
+
+        _, trace, got = opt._lbfgs_ascent(evaluate, slopes, np.zeros(1), 0.0, 0,
+                                          ((slice(None), 1.0),), 1e-6, 1, 3)
+        assert got == reason
+        assert trace == [0.0, *mis]
+        assert points == list(range(calls))
 
     def test_directions_match_dense_bfgs_updates(self):
         # each direction after k >= 2 pairs, against H grad with H built
@@ -981,46 +1003,6 @@ class TestPhaseRefinement:
             assert np.linalg.norm(tx_side - fd) <= 1e-6 * np.linalg.norm(fd)
             assert np.allclose(tx_side, rx_side, rtol=0.0,
                                atol=1e-12 * float(np.max(np.abs(tx_side))))
-
-    def test_refinement_raises_the_mi_and_stays_bounded(self, rng):
-        for scn in shipped_and_drawn(rng):
-            chans = build_channels(scn)
-            bound = mi_upper_bound(chans.h_t, chans.h_r, chans.eta0, scn.power)
-            for theta0 in (chans.theta, random_init(scn, 5)[0]):
-                swept = phase_sweep(chans.h_t, chans.h_r, theta0, chans.eta0, scn.power)
-                refined = opt._refine_phases(chans.h_t, chans.h_r, chans.eta0, swept,
-                                             scn.power, 1e-6)
-                before = mutual_information(cascade(chans, swept), scn.power)
-                after = mutual_information(cascade(chans, refined), scn.power)
-                assert before <= after <= bound + 1e-9
-                assert np.allclose(np.abs(refined), 1.0, rtol=0.0, atol=1e-15)
-
-    def test_refinement_stops_on_the_gain_of_a_step(self, monkeypatch):
-        scn = parse_scenario(SMALL)
-        chans = build_channels(scn)
-        swept = phase_sweep(chans.h_t, chans.h_r, random_init(scn, 2)[0], chans.eta0, scn.power)
-        gradients = []
-        real = opt._mi_weights
-        monkeypatch.setattr(opt, "_mi_weights", lambda *a: gradients.append(a) or real(*a))
-        for eps_theta in (math.inf, 1e-3, 0.0):
-            gradients.clear()
-            opt._refine_phases(chans.h_t, chans.h_r, chans.eta0, swept, scn.power, eps_theta)
-            steps = len(gradients) - 1  # one gradient at the start and one per step
-            if eps_theta == math.inf:
-                assert steps == 1  # the first step gains less than infinity
-            else:
-                assert 1 < steps <= scn.irs.n_elements
-
-    def test_first_outer_step_beats_ten_plain_sweeps(self):
-        scn = parse_scenario(SMALL)
-        chans = build_channels(scn)
-        for seed in range(5):
-            theta0, _ = random_init(scn, seed)
-            _, trace = optimize_theta_elementwise(scn, theta0, max_outer=1)
-            swept = theta0
-            for _ in range(10):
-                swept = phase_sweep(chans.h_t, chans.h_r, swept, chans.eta0, scn.power)
-            assert trace.mi_values[1] >= mutual_information(cascade(chans, swept), scn.power)
 
 
 class TestGradients:
@@ -1260,8 +1242,9 @@ def assert_joint_replay(scn, how, start, *, max_iters, max_rounds):
 def spied_ascent(scn, theta, m0, **stops):
     """optimize_orientation with what it calls recorded: (its result, the
     tilt vectors it scored, in order, from its coupling_factor calls, and
-    the tilt of each of its opt._reduced_slopes calls, one per point
-    taken and one more at the start)."""
+    the tilt of each of its opt._reduced_slopes calls: two at the start,
+    one for the first move and one for the first direction, then one per
+    point taken that another step leaves from)."""
     factors, points = [], []
     real_factor, real_slopes = chan.coupling_factor, opt._reduced_slopes
     with pytest.MonkeyPatch.context() as mp:
@@ -1303,11 +1286,14 @@ class TestOrientationDescent:
         reasons, outside = set(), 0
         for scn, theta, m0 in setups:
             (m, trace), scored, points = spied_ascent(scn, theta, m0, max_iters=12)
-            assert len(points) == len(trace.iterations) + 1
+            # a "no_ascent" stop leaves from its last point taken, and its
+            # last trial is refused; any other stop ends on the trial taken
+            refused = trace.stop_reason == "no_ascent"
+            assert len(points) == len(trace.iterations) + refused
             assert np.array_equal(scored[0], normalize_orientation(m0))
             mis = trace.mi_values
             assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
-            assert np.array_equal(m, normalize_orientation(points[-1]))
+            assert np.array_equal(m, normalize_orientation(points[-1] if refused else scored[-1]))
             assert np.array_equal(m, np.clip(m, BOX_LOW, BOX_HIGH))
             posed = build_channels(oriented_scenario(scn, m))
             assert abs(mutual_information(cascade(posed, theta), scn.power) - mis[-1]) <= 1e-10
@@ -1421,7 +1407,8 @@ class TestOrientationDescent:
         # the link is resolved once per ascent and no hop is posed; each
         # evaluation forms both sides' coupling factors once, and the
         # gradient at a point taken reuses them: one _reduced_slopes call
-        # per point, and one more at the start for the first move
+        # at the start for the first move, then one per point that another
+        # step leaves from; the point a max_iters stop ends on gets none
         scn = parse_scenario(SMALL)
         theta, m0 = random_init(scn, 1)
         calls = Counter()
@@ -1435,8 +1422,8 @@ class TestOrientationDescent:
                              (opt, "_reduced_slopes"), (opt, "mi_gradient")):
             count(module, name)
         _, trace = optimize_orientation(scn, theta, m0, max_iters=5)
-        assert len(trace.iterations) >= 3
-        assert calls["_reduced_slopes"] == len(trace.iterations) + 1
+        assert len(trace.iterations) >= 3 and trace.stop_reason == "max_iters"
+        assert calls["_reduced_slopes"] == len(trace.iterations)
         assert calls["mutual_information"] >= len(trace.iterations)
         assert calls["mi_gradient"] == calls["pose_side"] == 0
         assert calls["coupling_factor"] == 2 * calls["mutual_information"]
@@ -1603,7 +1590,6 @@ class TestAlternatingDriver:
         theta[3] = bad
         calls = [
             lambda: optimize_theta(scn, theta, max_outer=2),
-            lambda: optimize_theta_elementwise(scn, theta, max_outer=2),
             lambda: optimize_orientation(scn, theta, m, max_iters=2),
             lambda: alternating_optimize(scn, (theta, m), max_rounds=1),
         ]
