@@ -196,7 +196,7 @@ def _check_phase_solvers(scn: Scenario):
     # bound at the tilts it ends at
     theta = opt.random_init(scn, 42)[0]
     _, m, joint = opt.alternating_optimize(scn, (theta, _scenario_tilts(scn)), eps_oa=0.0,
-                                           max_rounds=3, theta_stop={"eps_theta": 0.0})
+                                           max_rounds=3)
     mm = opt.optimize_theta(scn, theta, eps_theta=0.0, max_outer=3)[1]
     ok, details = True, []
     for name, trace, end_pose in (("joint", joint, opt.oriented_scenario(scn, m)),

@@ -273,7 +273,6 @@ def cmd_optimize(args) -> int:
         print("error: --overlay needs a converged run; --seeds 0 runs none", file=sys.stderr)
         return 1
     scn = parse_scenario(args.scenario)
-    theta_stop = {"eps_theta": args.eps_theta}
     orient_stop = {"eps_orient": args.eps_orient, "max_iters": args.max_orient_iters}
 
     if args.seeds == 0:
@@ -296,7 +295,6 @@ def cmd_optimize(args) -> int:
             seed=seed,
             eps_oa=args.eps_oa,
             max_rounds=args.max_rounds,
-            theta_stop=theta_stop,
             orient_stop=orient_stop,
         )
         mi = trace.iterations[-1][1]
@@ -486,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_int, default=None, help="base RNG seed")
     p.add_argument("--seeds", type=_nonnegative_int, default=1, help="number of random restarts")
     p.add_argument("--overlay", help="write the converged configuration as a scenario file")
-    p.add_argument("--eps-theta", type=_nonnegative_float, default=1e-6,
-                   help="a sweep visits the elements that can gain this / Q bits")
     p.add_argument("--eps-orient", type=_nonnegative_float, default=1e-6,
                    help="the joint ascent stops after 3 steps in a row gaining less (bits)")
     p.add_argument("--eps-oa", type=_nonnegative_float, default=1e-6)

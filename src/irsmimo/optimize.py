@@ -1,14 +1,12 @@
 """Mutual information and its maximization over surface phases and array tilts.
 
-The joint optimizer, alternating_optimize, repeats rounds of one exact
-phase sweep and one L-BFGS ascent on the phases and the four tilt angles
-together until a round gains less than eps_oa bits.  The sweep gives each
-element in turn its exact MI-maximizing phase, skipping the elements that
-one batched pass finds would gain less than eps_theta / Q bits each; the
-ascent scales its initial inverse Hessian on the phases and on the tilts
-apart.  Both score every point on the reduced cascade of
-channel.coupling_factor, which is analytic in every real angle, so the
-tilts step in all of R^4 and no hop is posed.
+The joint optimizer, alternating_optimize, repeats rounds of one L-BFGS
+ascent on the phases and the four tilt angles together until a round
+gains less than eps_oa bits; the ascent scales its initial inverse Hessian
+on the phases and on the tilts apart.  It scores every point on the
+reduced cascade of channel.coupling_factor, which is analytic in every
+real angle, so the tilts step in all of R^4 and no hop is posed; one SVD
+of that cascade gives a point's MI and its gradient.
 The one phase-only solver is the paper's majorization-minimization (MM)
 loop, optimize_theta, at the scenario's hops.  optimize_orientation is the
 same L-BFGS ascent on the tilts alone, at fixed phases.  MI is reported in
@@ -318,91 +316,31 @@ def optimize_theta(
     return theta, OptTrace(iterations=rows, stop_reason=reason)
 
 
-def _element_gains(b_rows, h_t, terms, g, theta):
-    """The MI gain in bits each element would get from its own phase_sweep
-    update at the cascade g, with every other phase held: all Q in one
-    batched pass.
-
-    Symbols as in phase_sweep, sqrt(rho) folded into b and G, and
-    gamma = |c|^2.  With A' = I + G' G'^H, beta_b = b^H A'^-1 b,
-    beta_d = d^H A'^-1 d and s = d^H A'^-1 b, the determinant lemma for a
-    rank-two update gives det(I + G G^H) = det(A') (C + 2 Re(theta_q s))
-    with C = 1 + gamma beta_b + |s|^2 - beta_b beta_d, whose largest value
-    on |theta_q| = 1 is C + 2|s|.  The Q systems A' x = [b, d] are one
-    stacked solve.
-    """
-    g_out = g - theta[:, None, None] * terms  # G' of every element
-    a = g_out @ g_out.conj().transpose(0, 2, 1)
-    a += np.eye(len(g))
-    bd = np.concatenate((b_rows[:, :, None], g_out @ h_t.conj()[:, :, None]), axis=2)
-    k = bd.conj().transpose(0, 2, 1) @ np.linalg.solve(a, bd)  # [b, d]^H A'^-1 [b, d]
-    beta_b, s, beta_d = k[:, 0, 0].real, k[:, 1, 0], k[:, 1, 1].real
-    gamma = np.sum(h_t.real**2 + h_t.imag**2, axis=1)
-    now = (theta * s).real
-    det_ratio = 1.0 + gamma * beta_b + (s.real**2 + s.imag**2) - beta_b * beta_d + 2.0 * now
-    return np.log1p(2.0 * (np.abs(s) - now) / det_ratio) / LOG2
-
-
-def phase_sweep(
-    h_t, h_r, theta, eta0: float, power: PowerConfig, *, min_gain: float = 0.0
-) -> np.ndarray:
-    """Give each surface element in turn, in index order, its MI-maximizing phase.
-
-    With G = eta0 H_r diag(theta) H_t, b = eta0 H_r[:, q] and c = H_t[q],
-    take element q out: G' = G - theta_q b c^T.  On |theta_q| = 1,
-    det(I + rho G G^H) depends on theta_q only through |1 + theta_q s|^2
-    with s = d^H (I + rho G' G'^H)^-1 b and d = G' conj(c), up to a
-    positive factor (S. Zhang and R. Zhang, IEEE JSAC 2020,
-    arXiv:1910.01573), so theta_q = exp(-j arg s).  An element whose s is
-    zero keeps its phase.  G follows each update by a rank-one term.
-
-    With min_gain > 0 bits, one batched pass (_element_gains) first finds
-    each element's gain from its own update at the input phases, and only
-    the elements whose gain is not below min_gain (a NaN gain included)
-    are updated, in index order at the running cascade; the others keep
-    their phase bit for bit.  Returns the updated phases; theta itself is
-    not modified.
-    """
-    h_t, h_r = np.asarray(h_t), np.asarray(h_r)
-    theta = np.array(theta, dtype=complex)
-    # sqrt(rho) is folded into b and G, so the matrix solved is I + G' G'^H
-    b_rows = (math.sqrt(power.snr) * eta0) * h_r.T
-    terms = b_rows[:, :, None] * h_t[:, None, :]  # b c^T of every element
-    h_t_conj = h_t.conj()
-    eye = np.eye(h_r.shape[0])
-    g = (b_rows.T * theta[None, :]) @ h_t
-    visit = range(len(theta))
-    if min_gain > 0.0:
-        gains = _element_gains(b_rows, h_t, terms, g, theta)
-        visit = np.flatnonzero(~(gains < min_gain)).tolist()  # a NaN gain is visited
-    for q in visit:
-        g -= theta[q] * terms[q]
-        a = g @ g.conj().T
-        a += eye
-        s = np.vdot(g @ h_t_conj[q], np.linalg.solve(a, b_rows[q]))
-        mag = abs(s)
-        if mag > 0:  # false on a zero or a NaN
-            if mag < _NORMAL_MIN:
-                s *= _UNSUBNORMAL
-                mag = abs(s)
-            theta[q] = s.conjugate() / mag
-        g += theta[q] * terms[q]
-    return theta
-
-
-def _mi_weights(h_t, h_r, theta, rho_eff):
+def _mi_weights(h_t, h_r, theta, rho_eff, svd=None):
     """(X, e_t) of the cascade G = H_r diag(theta) H_t at effective SNR rho_eff.
 
-    X = (I + rho_eff G^H G)^-1 G^H, and e_t[q, p] = Im(theta_q H_t[q, p]
-    (X H_r)[p, q]) are the Tx-side weights of d MI/d phase.  Row q of e_t
-    sums to Im(theta_q (H_t X H_r)_qq), so with theta_q = exp(j phi_q),
-    d MI/d phi_q = -(2 rho_eff / ln 2) times that sum.
+    X = (I + rho_eff G^H G)^-1 G^H = V diag(sigma / (1 + rho_eff sigma^2))
+    U^H from the thin SVD G = U diag(sigma) V^H, svd = (U, sigma, V^H) when
+    the caller holds it; no solve with I + rho_eff G^H G scales the
+    weights' rounding by its condition number.  e_t[q, p] = Im(theta_q
+    H_t[q, p] (X H_r)[p, q]) are the Tx-side weights of d MI/d phase.  Row q
+    of e_t sums to Im(theta_q (H_t X H_r)_qq), so with theta_q =
+    exp(j phi_q), d MI/d phi_q = -(2 rho_eff / ln 2) times that sum.
     """
     w = h_r * theta[None, :]
-    g_mat = w @ h_t
-    delta = rho_eff * (g_mat.conj().T @ g_mat) + np.eye(h_t.shape[1])
-    x = np.linalg.solve(delta, g_mat.conj().T)
+    u, sigma, vh = np.linalg.svd(w @ h_t, full_matrices=False) if svd is None else svd
+    x = (vh.conj().T * (sigma / (1.0 + rho_eff * (sigma * sigma)))) @ u.conj().T
     return x, ((x @ w).T * h_t).imag
+
+
+def _reduced_point(posed, w, rho_eff):
+    """(MI in bits, thin SVD (U, sigma, V^H)) of the reduced cascade
+    G = E_r^T diag(w) E_t, posed = _tilted(link, m), at the effective SNR
+    rho_eff: the MI is the sum of log2(1 + rho_eff sigma^2), and the
+    factors are _mi_weights' svd at the same point."""
+    _, e_t, e_r = posed
+    svd = np.linalg.svd((e_r.T * w) @ e_t, full_matrices=False)
+    return float(np.sum(np.log1p(rho_eff * (svd[1] * svd[1]))) / LOG2), svd
 
 
 def _lbfgs_ascent(evaluate, slopes, x, mi, state, blocks, eps, patience, max_steps):
@@ -532,13 +470,15 @@ def mi_gradient(scn: Scenario, theta, m) -> np.ndarray:
     return -_reduced_slopes(_tilted(link, vec), vec, theta * link.elements, rho_eff)[1]
 
 
-def _reduced_slopes(posed, m, w, rho_eff):
+def _reduced_slopes(posed, m, w, rho_eff, svd=None):
     """(d MI/d phase of each w_q, d MI/d m) of the reduced cascade
     eta0 E_r^T diag(w) E_t, posed = _tilted(link, m), at the effective SNR
     rho_eff: one _mi_weights contraction gives both, the phase slopes as
-    its row sums and the tilt slopes through channel.tilt_gradient."""
+    its row sums and the tilt slopes through channel.tilt_gradient.  svd
+    is _reduced_point's factors at the same point, when the caller holds
+    them."""
     link, e_t, e_r = posed
-    x, wt_t = _mi_weights(e_t, e_r.T, w, rho_eff)
+    x, wt_t = _mi_weights(e_t, e_r.T, w, rho_eff, svd)
     wt_r = (w[:, None] * (e_t @ x) * e_r).imag
     gamma_t, psi_t, gamma_r, psi_r = m.tolist()
     tilt = (*chan.tilt_gradient(link.tx, gamma_t, psi_t, wt_t),
@@ -609,19 +549,20 @@ def optimize_orientation(
 
     def evaluate(m):
         posed = _tilted(link, m)
-        return _cascade_mi(posed[1], posed[2].T, link.eta0, w, scn.power), (m, posed)
+        mi, svd = _reduced_point(posed, w, rho_eff)
+        return mi, (m, posed, svd)
 
     def slopes(state):
-        m, posed = state
-        return _reduced_slopes(posed, m, w, rho_eff)[1]
+        m, posed, svd = state
+        return _reduced_slopes(posed, m, w, rho_eff, svd)[1]
 
     m = normalize_orientation(m_init)
     mi, state = evaluate(m)
     # a zero gradient's first move is floored like a direction's largest
     # move, which leaves the first direction the gradient itself
     first = max(float(np.max(np.abs(slopes(state)))), _NORMAL_MIN)
-    (m, _), mis, reason = _lbfgs_ascent(evaluate, slopes, m, mi, state,
-                                        ((slice(None), first),), eps_orient, 1, max_iters)
+    (m, *_), mis, reason = _lbfgs_ascent(evaluate, slopes, m, mi, state,
+                                         ((slice(None), first),), eps_orient, 1, max_iters)
     rows = [(step, value, "orientation") for step, value in enumerate(mis)]
     return normalize_orientation(m), OptTrace(iterations=rows, stop_reason=reason)
 
@@ -646,9 +587,8 @@ def focusing_init(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return chan.build_channels(scn).theta, normalize_orientation(m)
 
 
-def _sweep_stop(*, eps_theta: float = 1e-6, max_outer: int | None = None) -> float:
-    """theta_stop's sweep screen; max_outer is accepted and unused."""
-    return eps_theta
+def _theta_stop(*, max_outer: int | None = None) -> None:
+    """theta_stop's one key, max_outer, which the rounds accept and do not use."""
 
 
 def _ascent_stops(*, eps_orient: float = 1e-6, max_iters: int = 200) -> tuple:
@@ -670,64 +610,53 @@ def alternating_optimize(
 
     init is a (theta, orientation) pair; when omitted a seeded random start
     is drawn.  Each point is scored on the reduced cascade eta0 E_r^T
-    diag(w) E_t of one resolved link (_reduced_slopes), w = theta times the
-    element phasors, so no hop is posed.  A round is one phase_sweep with
-    min_gain = eps_theta / Q, not taken when it lowers the MI by more than
-    rounding, then one L-BFGS ascent (_lbfgs_ascent) on (phi, m),
-    w = exp(j phi), whose phase and tilt blocks first move 1 and 0.1 rad;
-    it stops after _JOINT_PATIENCE steps in a row that each gain less than
-    eps_orient bits, or after max_iters steps.  theta_stop holds eps_theta,
-    which sets the sweep's screen, and max_outer, which the rounds accept
-    and do not use; orient_stop holds eps_orient and max_iters; any other
-    key raises TypeError.
+    diag(w) E_t of one resolved link, w = theta times the element phasors,
+    so no hop is posed: one SVD of it (_reduced_point) gives the point's MI
+    and, where a step leaves from it, its gradient (_reduced_slopes).  A
+    round is one L-BFGS ascent (_lbfgs_ascent) on (phi, m), w = exp(j phi),
+    whose phase and tilt blocks first move 1 and 0.1 rad; it stops after
+    _JOINT_PATIENCE steps in a row that each gain less than eps_orient
+    bits, or after max_iters steps, and the next round restarts it from
+    the point it took last.  theta_stop holds max_outer, which the rounds
+    accept and do not use; orient_stop holds eps_orient and max_iters; any
+    other key raises TypeError.
     The rounds stop with "threshold" when one gains less than eps_oa bits,
     else with "max_iters" after max_rounds.  The trace has an "init" row,
-    then a "sweep" and a "joint" row per round.
+    then a "joint" row per round.
     Returns the final phases (the start's when no round runs), the tilts
     through normalize_orientation, and the trace.
     """
-    eps_theta = _sweep_stop(**(theta_stop or {}))
+    _theta_stop(**(theta_stop or {}))
     eps_orient, max_iters = _ascent_stops(**(orient_stop or {}))
     theta, m = random_init(scn, seed) if init is None else init
     theta = np.asarray(theta, dtype=complex)
     link = chan.resolve_link(scn)
-    q, power = len(link.elements), scn.power
-    rho_eff = power.snr * link.eta0**2
+    q = len(link.elements)
+    rho_eff = scn.power.snr * link.eta0**2
     blocks = ((slice(0, q), 1.0), (slice(q, None), 0.1))
 
-    def score(w, posed):
-        return _cascade_mi(posed[1], posed[2].T, link.eta0, w, power)
-
     def evaluate(x):
-        w, m = np.exp(1j * x[:q]), x[q:]
-        posed = _tilted(link, m)
-        return score(w, posed), (w, m, posed)
+        w, posed = np.exp(1j * x[:q]), _tilted(link, x[q:])
+        mi, svd = _reduced_point(posed, w, rho_eff)
+        return mi, (x, w, posed, svd)
 
     def slopes(state):
-        w, m, posed = state
-        return np.concatenate(_reduced_slopes(posed, m, w, rho_eff))
+        x, w, posed, svd = state
+        return np.concatenate(_reduced_slopes(posed, x[q:], w, rho_eff, svd))
 
-    w, m = _unit_phases(theta) * link.elements, normalize_orientation(m)
-    posed = _tilted(link, m)
-    mi = mi_prev = score(w, posed)
+    w = _unit_phases(theta) * link.elements
+    x = np.concatenate((np.angle(w), normalize_orientation(m)))
+    mi, state = evaluate(x)
     rows = [(0, mi, "init")]
     reason = "max_iters"
     for rnd in range(1, max_rounds + 1):
-        swept = phase_sweep(posed[1], posed[2].T, w, link.eta0, power,
-                            min_gain=eps_theta / q)
-        mi_swept = score(swept, posed)
-        if mi_swept >= mi - _ROUNDING * abs(mi):
-            w, mi = swept, mi_swept
-        rows.append((rnd, mi, "sweep"))
-        (w, m, posed), mis, _ = _lbfgs_ascent(
-            evaluate, slopes, np.concatenate((np.angle(w), m)), mi, (w, m, posed),
-            blocks, eps_orient, _JOINT_PATIENCE, max_iters,
-        )
+        state, mis, _ = _lbfgs_ascent(evaluate, slopes, state[0], mi, state, blocks,
+                                      eps_orient, _JOINT_PATIENCE, max_iters)
         mi = mis[-1]
         rows.append((rnd, mi, "joint"))
-        theta = w * link.elements.conj()
-        if mi - mi_prev < eps_oa:
+        theta = state[1] * link.elements.conj()
+        if mi - mis[0] < eps_oa:
             reason = "threshold"
             break
-        mi_prev = mi
-    return theta, normalize_orientation(m), OptTrace(iterations=rows, stop_reason=reason)
+    m = normalize_orientation(state[0][q:])
+    return theta, m, OptTrace(iterations=rows, stop_reason=reason)

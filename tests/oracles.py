@@ -5,8 +5,7 @@ a = r sin(psi) cos(gamma) - v1, b = r sin(psi) sin(gamma) - v2 and
 a_z = r cos(psi) - v3, as pi*(a^2 + b^2)/(lambda*D) + k0*a_z, and its tilt
 derivatives as full (Q, N) matrices.  These are the forms the channel module
 used before it split the phase into element, antenna and coupling terms.
-The MI is taken exactly from the float entries of a cascade.  The phase
-sweep's loop is kept here as it ran before the sweep screened its elements.
+The MI is taken exactly from the float entries of a cascade.
 """
 
 import itertools
@@ -20,7 +19,7 @@ import numpy as np
 
 from irsmimo.checks import random_scenario
 from irsmimo.geometry import centered_indices, re_local_components
-from irsmimo.optimize import _NORMAL_MIN, _UNSUBNORMAL, oriented_scenario
+from irsmimo.optimize import oriented_scenario
 from irsmimo.scenario import parse_scenario
 
 SCENARIO_FILES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.txt"))
@@ -137,28 +136,3 @@ def exact_mutual_information(h, snr: float) -> float:
         log = Decimal(value.numerator).ln() - Decimal(value.denominator).ln()
         return float(log / Decimal(2).ln())
 
-
-def reference_phase_sweep(h_t, h_r, theta, eta0, power, elements=None):
-    """The exact per-element phase sweep, one element at a time at the
-    running cascade, over the given element indices in order (every
-    element by default): optimize.phase_sweep's loop without its screen."""
-    h_t, h_r = np.asarray(h_t), np.asarray(h_r)
-    theta = np.array(theta, dtype=complex)
-    b_rows = (math.sqrt(power.snr) * eta0) * h_r.T
-    terms = b_rows[:, :, None] * h_t[:, None, :]
-    h_t_conj = h_t.conj()
-    eye = np.eye(h_r.shape[0])
-    g = (b_rows.T * theta[None, :]) @ h_t
-    for q in range(len(theta)) if elements is None else elements:
-        g -= theta[q] * terms[q]
-        a = g @ g.conj().T
-        a += eye
-        s = np.vdot(g @ h_t_conj[q], np.linalg.solve(a, b_rows[q]))
-        mag = abs(s)
-        if mag > 0:
-            if mag < _NORMAL_MIN:
-                s *= _UNSUBNORMAL
-                mag = abs(s)
-            theta[q] = s.conjugate() / mag
-        g += theta[q] * terms[q]
-    return theta

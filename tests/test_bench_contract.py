@@ -91,8 +91,8 @@ def workload_uses():
 WORKLOAD_ATTRS, WORKLOAD_KEYWORDS, WORKLOAD_STOP_KEYS = (sorted(uses) for uses in workload_uses())
 
 # what consumes each stop dict: alternating_optimize reads both itself, the
-# first's eps_theta for its sweeps (its max_outer is accepted and unused) and
-# the second for its joint ascent, and refuses any other key
+# first's one key, max_outer, accepted and unused, and the second for its
+# joint ascent, and refuses any other key
 STOP_SOLVERS = {
     "theta_stop": "alternating_optimize",
     "orient_stop": "alternating_optimize",

@@ -759,12 +759,19 @@ class TestOptimizeCommand:
         assert f"unrecognized arguments: {option} {value}" in err
 
     def test_the_max_outer_option_is_gone(self, capsys):
-        # every round of the joint optimizer runs one sweep, so there is no
-        # count of sweeps to cap
+        # every round of the joint optimizer is one ascent, so there is no
+        # count of phase steps to cap
         code, out, err = run_cli(capsys, "optimize", "--scenario", SMALL, "--max-outer", "5")
         assert (code, out) == (1, "")
         assert err.startswith("usage: irsmimo")
         assert "unrecognized arguments: --max-outer 5" in err
+
+    def test_the_eps_theta_option_is_gone(self, capsys):
+        # the rounds have no phase sweep, so there is no sweep screen to set
+        code, out, err = run_cli(capsys, "optimize", "--scenario", SMALL, "--eps-theta", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: irsmimo")
+        assert "unrecognized arguments: --eps-theta 0" in err
 
     def test_overlay_without_a_run_is_refused(self, capsys, tmp_path):
         overlay = tmp_path / "converged.txt"
@@ -898,27 +905,25 @@ class TestVerifyCommand:
         assert "3/4 checks passed" in out
 
     def test_a_phase_block_that_lowers_the_mi_fails(self, capsys, monkeypatch):
-        # every sweep after the first returns the phases the first one
-        # started from, which lowers the MI the ascent after it reached
-        right = opt.phase_sweep
+        # every joint ascent after the first returns the state the first one
+        # started from, which lowers the MI the first ascent reached
+        right = opt._lbfgs_ascent
         starts = []
 
-        def undoing_sweep(h_t, h_r, theta, eta0, power, *, min_gain):
-            starts.append(theta)
+        def undoing_ascent(evaluate, slopes, x, mi, state, *rest):
+            starts.append((mi, state))
             if len(starts) == 1:
-                return right(h_t, h_r, theta, eta0, power, min_gain=min_gain)
-            return starts[0]
+                return right(evaluate, slopes, x, mi, state, *rest)
+            return starts[0][1], [mi, starts[0][0]], "threshold"
 
-        monkeypatch.setattr(opt, "phase_sweep", undoing_sweep)
-        # with the guard against lowering steps off, the round takes that sweep
-        monkeypatch.setattr(opt, "_ROUNDING", math.inf)
+        monkeypatch.setattr(opt, "_lbfgs_ascent", undoing_ascent)
         code, out, _ = run_cli(capsys, "verify", "--scenario", SMALL)
         assert code == 2
         assert "FAIL phase_solvers: joint" in out
         assert "3/4 checks passed" in out
 
     def test_a_phase_block_that_takes_no_step_passes(self, capsys, monkeypatch):
-        # with every sweep and MM step refused and no trial of the ascent,
+        # with every MM step refused and no trial of the ascent,
         # each trace keeps its start MI: MM stops on its first step, and the
         # joint rounds, which gain 0 >= eps_oa = 0 bits each, run out
         monkeypatch.setattr(opt, "_ROUNDING", -math.inf)
@@ -990,7 +995,7 @@ def test_options_a_command_does_not_read_are_rejected(capsys, argv):
     ]
     + [
         pytest.param(option, value, id=f"{option}={value}")
-        for option in ("--eps-theta", "--eps-orient", "--eps-oa")
+        for option in ("--eps-orient", "--eps-oa")
         for value in ("-1", "nan")
     ],
 )
@@ -1076,9 +1081,10 @@ def test_shifted_grid_csv_is_byte_identical(capsys, verify):
 # byte-identical since commit 759e47b9fdab.  "optimize-elementwise" runs the
 # joint optimizer; it was pinned again when the orientation descent left the
 # tilt box for the reduced cascade, again when the phase sweep began to skip
-# the elements whose own update would gain less than eps_theta / Q bits, and
+# the elements whose own update would gain less than eps_theta / Q bits,
 # again when each round became one sweep and one joint ascent on the phases
-# and the tilts
+# and the tilts, and again when the sweep was deleted and each point was
+# scored from one SVD of the reduced cascade
 HOP_OUTPUT_SHA256 = {
     "channel-h": "46a70a555ae8f421afe2f2cde3285d45edc4bac1b9f361f7ed12eecb218b6305",
     "channel-ht": "d8784f923f6c6d7b6a71fbb86e783fe7772ff390678dc2550cb0d2ba6bfdb914",
@@ -1088,7 +1094,7 @@ HOP_OUTPUT_SHA256 = {
     "eigensweep-fixed": "b106c2d207f23f8745a1d802c1e523348feefac9da53d72cab75e298d66a0e95",
     "eigensweep-auto-x": "ff82bf5b622b17295412646dc3899cc19d7faef9ece8fb6c611c81dfa061e425",
     "eigensweep-auto-y": "0dea5aac9670d8a9fd5e41b264a4ff38aa0b1aa802e6e824972a2a2664838ccc",
-    "optimize-elementwise": "a52664d1cc64126891044d349087d46aadc80266735b3a5b3beed6feb47cd283",
+    "optimize-elementwise": "b2420f700b9f1182a94093975596cc8fb06e0eda649e06c13cfc09a3a4715bbf",
 }
 OPTIMIZE_ARGV = ("optimize", "--scenario", SMALL, "--seeds", "1", "--max-rounds", "1",
                  "--max-orient-iters", "3")

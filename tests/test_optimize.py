@@ -42,7 +42,6 @@ from irsmimo.optimize import (
     optimize_orientation,
     optimize_theta,
     oriented_scenario,
-    phase_sweep,
     qcqp_objective,
     random_init,
     relaxed_optimum,
@@ -54,7 +53,6 @@ from oracles import (
     edge_tilts,
     exact_mutual_information,
     full_jacobian_gradient,
-    reference_phase_sweep,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -545,156 +543,44 @@ def exactness_draws(rng):
     return draws + list(wanted.values()) + [noisy]
 
 
-def spy_gains(monkeypatch):
-    """The list that every later phase_sweep screen appends its gains to."""
-    seen = []
-    real = opt._element_gains
-    monkeypatch.setattr(opt, "_element_gains", lambda *a: seen.append(real(*a)) or seen[-1])
-    return seen
-
-
-def shipped_and_drawn(rng):
-    """exactness_draws, then the shipped scenario files."""
-    shipped = [parse_scenario(str(path)) for path in sorted(SCENARIO_DIR.glob("*.txt"))]
-    return exactness_draws(rng) + shipped
-
-
 class TestElementwiseSolver:
     def test_one_update_beats_a_phase_grid(self, rng):
-        # the closed-form phase of one element is at least as good as every
-        # point of a 720-point grid over that element's phase; a sweep
-        # updates element 0 first, against the start phases of the others,
-        # so the surface is relabelled to bring element k to the front
+        # the joint rounds' end, from focusing and from a seed, at its own
+        # hops: no element's phase moved alone to any point of a 720-point
+        # grid raises the MI by eps_oa = 1e-6 bits, so the exact
+        # one-element update of the phase sweep the rounds no longer run
+        # would not gain that much (at most 7.1e-9 bits, on the
+        # noise-dominated draw)
         grid = np.exp(2j * math.pi * np.arange(720) / 720)
         for scn in exactness_draws(rng):
-            chans = build_channels(scn)
-            q = scn.irs.n_elements
-            for k in (0, int(rng.integers(q)), q - 1):
-                theta = np.exp(1j * rng.uniform(0, 2 * math.pi, q))
-                before = mutual_information(cascade(chans, theta), scn.power)
-                order = np.roll(np.arange(q), -k)
-                swept = phase_sweep(
-                    chans.h_t[order], chans.h_r[:, order], theta[order], chans.eta0, scn.power
-                )
-                after = theta.copy()
-                after[k] = swept[0]
-                assert abs(after[k]) == pytest.approx(1.0, abs=1e-15)
-                got = mutual_information(cascade(chans, after), scn.power)
-                trials = np.repeat(theta[None, :], len(grid), axis=0)
-                trials[:, k] = grid
-                stack = chans.eta0 * ((chans.h_r[None] * trials[:, None, :]) @ chans.h_t)
-                best = float(np.max(mutual_information(stack, scn.power)))
-                assert got >= best - 1e-9
-                assert got >= before
+            for start in (focusing_init(scn), random_init(scn, 5)):
+                theta, m, _ = alternating_optimize(scn, start)
+                chans = build_channels(oriented_scenario(scn, m))
+                end = mutual_information(cascade(chans, theta), scn.power)
+                for k in range(len(theta)):
+                    trials = np.repeat(theta[None, :], len(grid), axis=0)
+                    trials[:, k] = grid
+                    stack = chans.eta0 * ((chans.h_r[None] * trials[:, None, :]) @ chans.h_t)
+                    assert float(np.max(mutual_information(stack, scn.power))) < end + 1e-6
 
-    def test_screen_gains_are_the_best_of_a_phase_grid(self, rng, monkeypatch):
-        # each element's screened gain is what its own exact update adds with
-        # every other phase held: at least the best of a 720-point grid over
-        # that element's phase, above it by no more than the grid spacing can
-        # hide (a quarter of the grid's largest second difference), and the
-        # gain of the unscreened loop's update of that element alone; at
-        # min_gain = inf the sweep visits nothing
-        gains = spy_gains(monkeypatch)
-        steps = np.exp(2j * math.pi * np.arange(720) / 720)
-        draws = exactness_draws(rng)
-        draws += [replace(scn, power=PowerConfig(per_antenna_power=1e-300)) for scn in draws]
-        for scn in draws:
-            chans = build_channels(scn)
-            args = (chans.eta0, scn.power)
-            theta = np.exp(1j * rng.uniform(0, 2 * math.pi, scn.irs.n_elements))
-            swept = phase_sweep(chans.h_t, chans.h_r, theta, *args, min_gain=math.inf)
-            assert np.array_equal(swept, theta)
-            screen = gains[-1]
-            assert screen.shape == theta.shape
-            before = mutual_information(cascade(chans, theta), scn.power)
-            for k in range(len(theta)):
-                trials = np.repeat(theta[None, :], len(steps), axis=0)
-                trials[:, k] *= steps
-                stack = chans.eta0 * ((chans.h_r[None] * trials[:, None, :]) @ chans.h_t)
-                grid = mutual_information(stack, scn.power) - before
-                hidden = float(np.max(np.abs(np.roll(grid, 1) - 2.0 * grid + np.roll(grid, -1))))
-                assert grid.max() - 1e-9 <= screen[k] <= grid.max() + hidden / 4 + 1e-9
-                alone = reference_phase_sweep(chans.h_t, chans.h_r, theta, *args, [k])
-                exact = mutual_information(cascade(chans, alone), scn.power) - before
-                assert screen[k] == pytest.approx(exact, rel=1e-7, abs=1e-9)
-
-    def test_a_nan_gain_visits_its_element(self, rng, monkeypatch):
-        # the screen reads NaN for element k and 0 bits for the others: the
-        # sweep updates k alone, as the unscreened loop updates it
-        scn = parse_scenario(SMALL)
-        chans = build_channels(scn)
-        q = scn.irs.n_elements
-        theta = random_init(scn, 3)[0]
-        for k in (0, int(rng.integers(1, q - 1)), q - 1):
-            marked = np.zeros(q)
-            marked[k] = math.nan
-            monkeypatch.setattr(opt, "_element_gains", lambda *a: marked)
-            out = phase_sweep(chans.h_t, chans.h_r, theta, chans.eta0, scn.power, min_gain=1e-3)
-            want = reference_phase_sweep(chans.h_t, chans.h_r, theta, chans.eta0, scn.power, [k])
-            assert np.array_equal(out, want)
-            assert out[k] != theta[k]
-            assert np.array_equal(np.delete(out, k), np.delete(theta, k))
-
-    def test_the_default_sweep_is_the_unscreened_loop_bit_for_bit(self, rng):
-        for scn in shipped_and_drawn(rng):
-            chans = build_channels(scn)
-            args = (chans.eta0, scn.power)
-            for theta in (chans.theta, random_init(scn, 6)[0]):
-                want = reference_phase_sweep(chans.h_t, chans.h_r, theta, *args)
-                assert np.array_equal(phase_sweep(chans.h_t, chans.h_r, theta, *args), want)
-                got = phase_sweep(chans.h_t, chans.h_r, theta, *args, min_gain=0.0)
-                assert np.array_equal(got, want)
-
-    def test_a_screened_sweep_updates_only_the_elements_that_can_gain(self, rng, monkeypatch):
-        # with min_gain at the median screened gain, the elements under it keep
-        # their input phase bit for bit and the others get the unscreened
-        # loop's updates, in index order at the running cascade
-        gains = spy_gains(monkeypatch)
-        for scn in shipped_and_drawn(rng):
-            chans = build_channels(scn)
-            args = (chans.eta0, scn.power)
-            theta = random_init(scn, 6)[0]
-            phase_sweep(chans.h_t, chans.h_r, theta, *args, min_gain=math.inf)
-            min_gain = float(np.median(gains[-1]))
-            out = phase_sweep(chans.h_t, chans.h_r, theta, *args, min_gain=min_gain)
-            assert np.array_equal(gains[-1], gains[-2])
-            skipped = gains[-1] < min_gain
-            assert 0 < np.count_nonzero(skipped) < len(theta)
-            assert np.array_equal(out[skipped], theta[skipped])
-            visited = np.flatnonzero(~skipped).tolist()
-            want = reference_phase_sweep(chans.h_t, chans.h_r, theta, *args, visited)
-            assert np.array_equal(out, want)
-            before = mutual_information(cascade(chans, theta), scn.power)
-            assert mutual_information(cascade(chans, out), scn.power) >= before
-
-    def test_a_screened_block_ends_where_the_unscreened_one_does(self, monkeypatch):
+    def test_starts_on_a_half_wavelength_surface_end_at_one_mi(self):
         # the baseline with a 31 x 31 surface at half-wavelength pitch, the
-        # joint optimizer run to convergence from a seeded random start with
-        # the sweep's screen and with every element visited: the screened
-        # trace is monotone and bounded at its end pose, skips elements, and
-        # ends within eps_oa of the unscreened one
+        # joint optimizer run to convergence from focusing and from seeds
+        # 0-2: every trace is monotone and bounded at its end pose, and all
+        # four end within 1e-6 bits of each other (at 18.098680 bits)
         base = parse_scenario(BASELINE)
         pitch = base.wave.wavelength / 2
         scn = replace(base, irs=IrsLayout(31, 31, pitch, pitch, pitch, pitch),
                       power=PowerConfig(1.0, 1e-13))
-        start = random_init(scn, 3)
-        real, kept = opt.phase_sweep, []
-
-        def counted(h_t, h_r, theta, eta0, power, *, min_gain):
-            out = real(h_t, h_r, theta, eta0, power, min_gain=min_gain)
-            kept.append(int(np.count_nonzero(out == theta)))
-            return out
-
-        monkeypatch.setattr(opt, "phase_sweep", counted)
-        _, m, screened = alternating_optimize(scn, start)
-        monkeypatch.setattr(opt, "phase_sweep", lambda *a, min_gain: real(*a))
-        _, _, full = alternating_optimize(scn, start)
-        mis = screened.mi_values
-        assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
-        assert mis[-1] <= end_pose_bound(scn, m) + 1e-9
-        assert screened.stop_reason == full.stop_reason == "threshold"
-        assert abs(mis[-1] - full.mi_values[-1]) < 1e-6
-        assert max(kept) > 0
+        ends = []
+        for start in [focusing_init(scn)] + [random_init(scn, seed) for seed in range(3)]:
+            _, m, trace = alternating_optimize(scn, start)
+            mis = trace.mi_values
+            assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
+            assert mis[-1] <= end_pose_bound(scn, m) + 1e-9
+            assert trace.stop_reason == "threshold"
+            ends.append(mis[-1])
+        assert max(ends) - min(ends) < 1e-6
 
     @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.txt")), ids=lambda p: p.stem)
     def test_sweeps_are_monotone_and_bounded_on_the_shipped_scenarios(self, path):
@@ -709,7 +595,7 @@ class TestElementwiseSolver:
             assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
             assert mis[-1] <= end_pose_bound(scn, m) + 1e-9
             rounds = trace.iterations[-1][0]
-            assert [row[2] for row in trace.iterations[1:]] == ["sweep", "joint"] * rounds
+            assert [row[2] for row in trace.iterations[1:]] == ["joint"] * rounds
 
     def test_sweeps_are_monotone_and_bounded_on_random_draws(self, rng):
         for scn in exactness_draws(rng):
@@ -720,23 +606,6 @@ class TestElementwiseSolver:
             assert trace.iterations[-1][0] == 30 or trace.stop_reason == "threshold"
             posed = build_channels(oriented_scenario(scn, m))
             assert abs(mutual_information(cascade(posed, theta), scn.power) - mis[-1]) <= 1e-9
-
-    @pytest.mark.parametrize("zero", ["tx-row", "rx-column"])
-    def test_an_element_with_zero_s_keeps_its_phase(self, rng, zero):
-        # element 3 couples to nothing, so its s is exactly 0
-        q, n_t, n_r = 9, 3, 2
-        h_t = rng.normal(size=(q, n_t)) + 1j * rng.normal(size=(q, n_t))
-        h_r = rng.normal(size=(n_r, q)) + 1j * rng.normal(size=(n_r, q))
-        if zero == "tx-row":
-            h_t[3] = 0.0
-        else:
-            h_r[:, 3] = 0.0
-        theta = np.exp(1j * rng.uniform(0, 2 * math.pi, q))
-        kept = theta.copy()
-        out = phase_sweep(h_t, h_r, theta, 0.5, PowerConfig(2.0, 1.0))
-        assert np.array_equal(theta, kept)  # the input is not modified
-        assert out[3] == theta[3]
-        assert not np.any(out[np.arange(q) != 3] == theta[np.arange(q) != 3])
 
     def test_rejects_zero_entries(self):
         scn = fmr_anchor_scenario()
@@ -761,8 +630,8 @@ class TestElementwiseSolver:
     @pytest.mark.parametrize("solver", ["joint", "mm"])
     @pytest.mark.parametrize("name", ["cascade_baseline", "response_variation"])
     def test_both_solvers_run_at_a_subnormal_snr(self, name, solver):
-        # at 1e-300 W the sweep's s and the MM update are subnormal; underflow
-        # stays ignored because the weak modes' MI terms are themselves subnormal
+        # at 1e-300 W the ascent's weights and the MM update are subnormal;
+        # underflow stays ignored because the weak modes' MI terms are themselves subnormal
         base = parse_scenario(str(SCENARIO_DIR / f"{name}.txt"))
         scn = replace(base, power=PowerConfig(per_antenna_power=1e-300))
         theta0, m0 = random_init(scn, 1)
@@ -1144,19 +1013,19 @@ class TestReducedCascade:
 
     def test_antenna_weights_sum_to_zero(self, rng):
         # the MI is blind to each antenna's phase, so each antenna's column
-        # of weights sums to zero: under 1e-12 of the largest weight, or
-        # under eps times the condition number of I + rho G^H G, which the
-        # weights are solved from (8.9e-12 at cond 1.7e5 on optimize_small
-        # at OUTSIDE_TILTS[1]; the hops of the posed scenario give 9.9e-12)
-        eps = np.finfo(float).eps
-        for scn, theta, m in self.draws(rng):
-            weights, rho_eff = reduced_weights(scn, theta, m)
-            link, e_t, e_r = opt._tilted(chan.resolve_link(scn), m)
-            g_mat = (e_r.T * (theta * link.elements)) @ e_t
-            cond = np.linalg.cond(rho_eff * (g_mat.conj().T @ g_mat) + np.eye(g_mat.shape[1]))
-            for e in weights:
+        # of weights sums to zero: under 1e-13 of the largest weight, also
+        # where I + rho G^H G is ill-conditioned and on the faces of the
+        # box, because the weights come from the SVD of G and no system
+        # with that matrix is solved (solved from it, they summed to
+        # 8.9e-12 at cond 1.7e5 on optimize_small at OUTSIDE_TILTS[1], and
+        # to 1.9e-11 on the psi faces; the SVD gives at most 4.3e-14)
+        draws = list(self.draws(rng))
+        draws += [(scn, np.exp(1j * rng.uniform(0, 2 * math.pi, scn.irs.n_elements)), m)
+                  for scn in edge_setups(rng) for m in edge_tilts(rng)]
+        for scn, theta, m in draws:
+            for e in reduced_weights(scn, theta, m)[0]:
                 largest = float(np.max(np.abs(e)))
-                assert np.max(np.abs(e.sum(axis=0))) <= max(1e-12, eps * cond) * largest
+                assert np.max(np.abs(e.sum(axis=0))) <= 1e-13 * largest
 
     def test_gradient_matches_central_differences(self, rng):
         # at any real angles, against central differences of the reduced
@@ -1172,55 +1041,48 @@ class TestReducedCascade:
             assert err <= 1e-6 * max(float(np.linalg.norm(fd)), np.finfo(float).tiny)
 
 
-def replay_joint_rounds(scn, start, *, max_rounds, eps_oa=1e-6, eps_theta=1e-6,
-                        eps_orient=1e-6, max_iters=200):
-    """alternating_optimize's rounds replayed one block call at a time on
-    the reduced cascade of the public coupling factors: one phase_sweep
-    with min_gain eps_theta / Q, not taken when it lowers the MI by more
-    than opt._ROUNDING of it, then
-    opt._lbfgs_ascent on (phi, m) with the gradient of opt._reduced_slopes,
-    first moves of 1 rad (phases) and 0.1 rad (tilts), and a stop after 3
-    small steps in a row.  Returns (theta, m folded into the box, trace
-    rows, stop reason)."""
+def replay_joint_rounds(scn, start, *, max_rounds, eps_oa=1e-6, eps_orient=1e-6,
+                        max_iters=200):
+    """alternating_optimize's rounds replayed one ascent call at a time on
+    the reduced cascade of the public coupling factors: each round is
+    opt._lbfgs_ascent on (phi, m) from the point the last one took, with
+    each point's MI summed from the singular values of the cascade and its
+    gradient from opt._reduced_slopes on those factors, first moves of 1 rad
+    (phases) and 0.1 rad (tilts), and a stop after 3 small steps in a row.
+    Returns (theta, m folded into the box, trace rows, stop reason)."""
     link = chan.resolve_link(scn)
     q, rho_eff = scn.irs.n_elements, scn.power.snr * link.eta0**2
     theta = np.asarray(start[0], dtype=complex)
-    w, m = theta / np.abs(theta) * link.elements, normalize_orientation(start[1])
-
-    def factors(m):
-        return chan.coupling_factor(link.tx, m[0], m[1]), chan.coupling_factor(link.rx, m[2], m[3])
-
-    def mi_of(w, m):
-        e_t, e_r = factors(m)
-        return mutual_information(link.eta0 * ((e_r.T * w) @ e_t), scn.power)
+    x = np.concatenate((np.angle(theta / np.abs(theta) * link.elements),
+                        normalize_orientation(start[1])))
 
     def evaluate(x):
-        w, m = np.exp(1j * x[:q]), x[q:]
-        return mi_of(w, m), (w, m)
+        m = x[q:]
+        posed = (link, chan.coupling_factor(link.tx, m[0], m[1]),
+                 chan.coupling_factor(link.rx, m[2], m[3]))
+        w = np.exp(1j * x[:q])
+        svd = np.linalg.svd((posed[2].T * w) @ posed[1], full_matrices=False)
+        mi = float(np.sum(np.log1p(rho_eff * (svd[1] * svd[1]))) / math.log(2.0))
+        return mi, (x, w, posed, svd)
 
     def slopes(state):
-        w, m = state
-        return np.concatenate(opt._reduced_slopes((link, *factors(m)), m, w, rho_eff))
+        x, w, posed, svd = state
+        return np.concatenate(opt._reduced_slopes(posed, x[q:], w, rho_eff, svd))
 
-    mi = mi_prev = mi_of(w, m)
+    mi, state = evaluate(x)
     rows, reason = [(0, mi, "init")], "max_iters"
     for rnd in range(1, max_rounds + 1):
-        e_t, e_r = factors(m)
-        swept = phase_sweep(e_t, e_r.T, w, link.eta0, scn.power, min_gain=eps_theta / q)
-        if mi_of(swept, m) >= mi - opt._ROUNDING * abs(mi):
-            w, mi = swept, mi_of(swept, m)
-        rows.append((rnd, mi, "sweep"))
-        (w, m), mis, _ = opt._lbfgs_ascent(
-            evaluate, slopes, np.concatenate((np.angle(w), m)), mi, (w, m),
+        state, mis, _ = opt._lbfgs_ascent(
+            evaluate, slopes, state[0], mi, state,
             ((slice(0, q), 1.0), (slice(q, None), 0.1)), eps_orient, 3, max_iters,
         )
         mi = mis[-1]
         rows.append((rnd, mi, "joint"))
-        if mi - mi_prev < eps_oa:
+        theta = state[1] * link.elements.conj()
+        if mi - mis[0] < eps_oa:
             reason = "threshold"
             break
-        mi_prev = mi
-    return w * link.elements.conj(), normalize_orientation(m), rows, reason
+    return theta, normalize_orientation(state[0][q:]), rows, reason
 
 
 def assert_joint_replay(scn, how, start, *, max_iters, max_rounds):
@@ -1252,7 +1114,7 @@ def spied_ascent(scn, theta, m0, **stops):
                    lambda side, gamma, psi: factors.append((gamma, psi))
                    or real_factor(side, gamma, psi))
         mp.setattr(opt, "_reduced_slopes",
-                   lambda posed, m, w, rho: points.append(m) or real_slopes(posed, m, w, rho))
+                   lambda posed, m, *rest: points.append(m) or real_slopes(posed, m, *rest))
         result = optimize_orientation(scn, theta, m0, **stops)
     return result, np.array(factors, dtype=float).reshape(-1, 4), points
 
@@ -1405,7 +1267,8 @@ class TestOrientationDescent:
 
     def test_coupling_factors_formed_once_per_evaluation(self, monkeypatch):
         # the link is resolved once per ascent and no hop is posed; each
-        # evaluation forms both sides' coupling factors once, and the
+        # evaluation forms both sides' coupling factors and one SVD of the
+        # reduced cascade once, and takes its MI from that SVD, and the
         # gradient at a point taken reuses them: one _reduced_slopes call
         # at the start for the first move, then one per point that another
         # step leaves from; the point a max_iters stop ends on gets none
@@ -1419,14 +1282,16 @@ class TestOrientationDescent:
 
         for module, name in ((chan, "pose_side"), (chan, "coupling_factor"),
                              (chan, "re_local_components"), (opt, "mutual_information"),
-                             (opt, "_reduced_slopes"), (opt, "mi_gradient")):
+                             (opt, "_reduced_point"), (opt, "_reduced_slopes"),
+                             (opt, "mi_gradient"), (np.linalg, "svd")):
             count(module, name)
         _, trace = optimize_orientation(scn, theta, m0, max_iters=5)
         assert len(trace.iterations) >= 3 and trace.stop_reason == "max_iters"
         assert calls["_reduced_slopes"] == len(trace.iterations)
-        assert calls["mutual_information"] >= len(trace.iterations)
-        assert calls["mi_gradient"] == calls["pose_side"] == 0
-        assert calls["coupling_factor"] == 2 * calls["mutual_information"]
+        assert calls["_reduced_point"] >= len(trace.iterations)
+        assert calls["mi_gradient"] == calls["pose_side"] == calls["mutual_information"] == 0
+        assert calls["coupling_factor"] == 2 * calls["_reduced_point"]
+        assert calls["svd"] == calls["_reduced_point"]
         assert calls["re_local_components"] == 2
 
     def test_tiny_negative_azimuth_folds_to_zero(self):
@@ -1455,7 +1320,7 @@ class TestOrientationDescent:
 class TestAlternatingDriver:
     def test_bench_portfolio_starts_match_the_serial_replay(self):
         # the benchmark's stops on optimize_small.txt, from focusing and two
-        # seeds: the joint driver replayed one block call at a time gives the
+        # seeds: the joint driver replayed one ascent call at a time gives the
         # same rows, phases and orientation bit for bit
         scn = parse_scenario(SMALL)
         for start in (focusing_init(scn), random_init(scn, 1), random_init(scn, 2)):
@@ -1480,8 +1345,8 @@ class TestAlternatingDriver:
         assert mis[-1] <= mi_upper_bound(final.h_t, final.h_r, final.eta0, scn.power) + 1e-9
 
     def test_rows_are_the_final_rows_of_each_block(self, rng):
-        # the joint trace equals the sweep and the ascent replayed one call
-        # at a time, bit for bit: from a seed, from focusing, from phases
+        # the joint trace equals the ascents replayed one call at a time, bit
+        # for bit: from a seed, from focusing, from phases
         # off the unit circle, which the driver scales back, and on random
         # draws with N_r > N_t
         small = parse_scenario(SMALL)
@@ -1496,18 +1361,47 @@ class TestAlternatingDriver:
         runs += [(scn, {"seed": 7}, random_init(scn, 7)) for scn in draws]
         for scn, how, start in runs:
             rows = assert_joint_replay(scn, how, start, max_iters=8, max_rounds=4)
-            assert [block for _, _, block in rows[1:]] == ["sweep", "joint"] * rows[-1][0]
+            assert [block for _, _, block in rows[1:]] == ["joint"] * rows[-1][0]
 
     def test_focusing_start_reaches_its_pose_bound(self):
         # the default stops from focusing_init on optimize_small.txt end
-        # within 4.3e-8 bits of the bound at the final pose (projected
+        # within 1e-9 bits of the bound at the final pose (projected
         # steepest descent in the box ended 2.06e-6 bits short, BFGS in the
-        # box 4.3e-8; the box-free descent ends 1.0e-8 short)
+        # box 4.3e-8, rounds of a phase sweep and a joint ascent 1.0e-8; the
+        # sweep-free rounds end 9e-13 short)
         scn = parse_scenario(SMALL)
         _, m, trace = alternating_optimize(scn, focusing_init(scn))
         posed = build_channels(oriented_scenario(scn, m))
         bound = mi_upper_bound(posed.h_t, posed.h_r, posed.eta0, scn.power)
-        assert bound - 4.3e-8 <= trace.mi_values[-1] <= bound + 1e-9
+        assert bound - 1e-9 <= trace.mi_values[-1] <= bound + 1e-9
+
+    def test_an_ascent_point_scores_the_mi_of_its_cascade(self, rng, monkeypatch):
+        # every point the joint rounds score, from focusing and from a seed,
+        # on optimize_small.txt and on random draws with N_r > N_t (high
+        # SNR) and N_r < N_t (low SNR): the MI summed from one SVD of the
+        # reduced cascade equals opt._cascade_mi of the same cascade (the MM
+        # solver's MI) to 1e-12 of it, and the trace's MIs are MIs of
+        # points scored
+        small = parse_scenario(SMALL)
+        draws = [random_scenario(rng, high_snr=high) for high in (True, False)]
+        draws[0] = replace(draws[0], tx=replace(draws[0].tx, n_antennas=3),
+                           rx=replace(draws[0].rx, n_antennas=5))
+        draws[1] = replace(draws[1], tx=replace(draws[1].tx, n_antennas=5),
+                           rx=replace(draws[1].rx, n_antennas=3))
+        real, points = opt._reduced_point, []
+        monkeypatch.setattr(opt, "_reduced_point", lambda posed, w, rho: points.append(
+            (posed, w, real(posed, w, rho)[0])) or real(posed, w, rho))
+        for scn, start in [(small, focusing_init(small)), (small, random_init(small, 1))] + [
+            (scn, random_init(scn, 2)) for scn in draws
+        ]:
+            points.clear()
+            _, _, trace = alternating_optimize(scn, start, max_rounds=3)
+            link = chan.resolve_link(scn)
+            for (_, e_t, e_r), w, mi in points:
+                want = opt._cascade_mi(e_t, e_r.T, link.eta0, w, scn.power)
+                assert abs(mi - want) <= 1e-12 * abs(want)
+            assert set(trace.mi_values) <= {mi for _, _, mi in points}
+            assert len(points) > len(trace.iterations)
 
     def test_seed_zero_ends_at_its_optimum(self):
         # irsmimo optimize --seed 0 on optimize_small.txt: the random start
@@ -1571,12 +1465,12 @@ class TestAlternatingDriver:
             assert mis[-1] <= mi_upper_bound(posed.h_t, posed.h_r, posed.eta0, scn.power) + 1e-9
 
     @pytest.mark.parametrize("stop, key", [
-        ("theta_stop", "max_inner"), ("theta_stop", "eps_orient"),
+        ("theta_stop", "max_inner"), ("theta_stop", "eps_orient"), ("theta_stop", "eps_theta"),
         ("orient_stop", "max_outer"), ("orient_stop", "eps_mm"),
     ])
     def test_an_unknown_stop_key_is_refused(self, stop, key):
-        # each dict may hold only its own keys: eps_theta and max_outer
-        # (theta_stop), eps_orient and max_iters (orient_stop)
+        # each dict may hold only its own keys: max_outer, accepted and
+        # unused (theta_stop), eps_orient and max_iters (orient_stop)
         scn = parse_scenario(SMALL)
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'$"):
             alternating_optimize(scn, seed=0, max_rounds=0, **{stop: {key: 5}})
