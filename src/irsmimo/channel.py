@@ -28,11 +28,10 @@ build_channels, the one scenario-level builder, evaluates each side once
 and takes the surface phases from the scenario's focusing mode.
 The antenna term is a unit-modulus factor per antenna, which leaves every
 singular value of the cascade as it is, so at fixed surface phases the MI
-depends on the tilts only through each side's coupling_factor E[q, p] =
-exp(j r_p t_q).  The optimizer's tilt steps run on the reduced cascade
-eta0 E_r^T diag(theta * elements) E_t of a resolved link at any real
-angles, and tilt_gradient contracts weights against the coupling's
-derivatives without forming them.
+depends on the tilts only through each side's coupling E[q, p] =
+exp(j r_p t_q).  The optimizer (optimize._LinkKernel) scores its points
+on the reduced cascade eta0 E_r^T diag(theta * elements) E_t of a
+resolved link at any real angles, built from the LinkSide terms here.
 reflective_cascades builds focused cascades by brute force at the
 (B, 6) poses and (B,) gains that closed_form_cascades takes, which gives
 the same cascades at O(N_r*N_t) per link.  Each row of a stack is computed
@@ -156,32 +155,6 @@ def _own_pose(pose: ArrayPose) -> list[float]:
 def _own_phases(wave, layout: IrsLayout, pose: ArrayPose):
     """Link phases of one array at its own pose, a stack of one."""
     return pose_side(link_side(wave.wavelength, layout, pose), [_own_pose(pose)])
-
-
-def coupling_factor(side: LinkSide, gamma: float, psi: float) -> ComplexMatrix:
-    """E[q, p] = exp(j r_p t_q) (Q, N), the factor of one side's hop that
-    the tilt couples, at any real (gamma, psi): the hop is E times the
-    unit-modulus element and antenna factors exp(-j elem_q), exp(-j
-    antenna_p) of pose_side's split, at the side's own distance."""
-    kappa_s = side.k0 / side.distance * math.sin(psi)
-    t = side.v1 * (kappa_s * math.cos(gamma)) + side.v2 * (kappa_s * math.sin(gamma))
-    return np.exp(1j * np.multiply.outer(t, side.r))
-
-
-def tilt_gradient(side: LinkSide, gamma: float, psi: float, weights):
-    """(sum of weights * d_phase/d_gamma, sum of weights * d_phase/d_psi)
-    over one side's (Q, N) real weights of d MI/d phase, at (gamma, psi).
-
-    The MI is blind to the antenna factor, so each antenna's column of
-    weights sums to zero and only the coupling -r_p t_q moves it; both sums
-    then come from v1_r = v1^T W r and v2_r = v2^T W r, and no (Q, N)
-    Jacobian is formed.
-    """
-    moment = weights @ side.r
-    v1_r, v2_r = float(side.v1 @ moment), float(side.v2 @ moment)
-    s, c, cg, sg = math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)
-    kappa = side.k0 / side.distance
-    return kappa * s * (sg * v1_r - cg * v2_r), -kappa * c * (cg * v1_r + sg * v2_r)
 
 
 def propagation_phases(wave, layout: IrsLayout, pose: ArrayPose) -> np.ndarray:

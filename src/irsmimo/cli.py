@@ -485,8 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_nonnegative_int, default=1, help="number of random restarts")
     p.add_argument("--overlay", help="write the converged configuration as a scenario file")
     p.add_argument("--eps-orient", type=_nonnegative_float, default=1e-6,
-                   help="the joint ascent stops after 3 steps in a row gaining less (bits)")
-    p.add_argument("--eps-oa", type=_nonnegative_float, default=1e-6)
+                   help="the joint ascent stops after 3 steps in a row gaining less "
+                   "(bits; times the MI below 1 bit)")
+    p.add_argument("--eps-oa", type=_nonnegative_float, default=1e-6,
+                   help="the rounds stop on one gaining less (bits; times the MI below 1 bit)")
     p.add_argument("--max-orient-iters", type=_nonnegative_int, default=200,
                    help="joint L-BFGS steps on the phases and tilts per round")
     p.add_argument("--max-rounds", type=_nonnegative_int, default=50)

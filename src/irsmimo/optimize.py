@@ -2,11 +2,13 @@
 
 The joint optimizer, alternating_optimize, repeats rounds of one L-BFGS
 ascent on the phases and the four tilt angles together until a round
-gains less than eps_oa bits; the ascent scales its initial inverse Hessian
-on the phases and on the tilts apart.  It scores every point on the
-reduced cascade of channel.coupling_factor, which is analytic in every
-real angle, so the tilts step in all of R^4 and no hop is posed; one SVD
-of that cascade gives a point's MI and its gradient.
+gains less than eps_oa min(1, |MI|) bits; the ascent scales its initial
+inverse Hessian on the phases and on the tilts apart.  It scores every
+point on the reduced cascade of one resolved link (_LinkKernel), which is
+analytic in every real angle, so the tilts step in all of R^4 and no hop
+is posed: one exponential of a fixed real tilt basis gives both sides'
+coupling factors, and one SVD of the cascade a point's MI and its
+gradient.
 The one phase-only solver is the paper's majorization-minimization (MM)
 loop, optimize_theta, at the scenario's hops.  optimize_orientation is the
 same L-BFGS ascent on the tilts alone, at fixed phases.  MI is reported in
@@ -52,7 +54,7 @@ _BACKTRACKS = 30
 _ARMIJO = 1e-4
 
 # the joint ascent stops after this many steps in a row that each gain
-# less than eps_orient; stopping on the first such step left the best start
+# less than eps_orient min(1, |MI|); stopping on the first such step left the best start
 # of 56 of the benchmark's 80 seed 1-4 portfolios up to 4e-8 bits lower
 # than the alternation of a phase block and a tilt descent reached
 _JOINT_PATIENCE = 3
@@ -316,31 +318,79 @@ def optimize_theta(
     return theta, OptTrace(iterations=rows, stop_reason=reason)
 
 
-def _mi_weights(h_t, h_r, theta, rho_eff, svd=None):
-    """(X, e_t) of the cascade G = H_r diag(theta) H_t at effective SNR rho_eff.
+class _LinkKernel:
+    """The reduced cascade of one resolved link at any real tilts: every
+    point's MI and, where a step leaves from it, its gradient.
 
-    X = (I + rho_eff G^H G)^-1 G^H = V diag(sigma / (1 + rho_eff sigma^2))
-    U^H from the thin SVD G = U diag(sigma) V^H, svd = (U, sigma, V^H) when
-    the caller holds it; no solve with I + rho_eff G^H G scales the
-    weights' rounding by its condition number.  e_t[q, p] = Im(theta_q
-    H_t[q, p] (X H_r)[p, q]) are the Tx-side weights of d MI/d phase.  Row q
-    of e_t sums to Im(theta_q (H_t X H_r)_qq), so with theta_q =
-    exp(j phi_q), d MI/d phi_q = -(2 rho_eff / ln 2) times that sum.
+    The tilts reach the MI only through each side's coupling E[q, p] =
+    exp(j r_p t_q), t_q = (k0/D) sin psi (v1_q cos gamma + v2_q sin
+    gamma), so with the real basis rows v1 (x) r and v2 (x) r of each side,
+    held on that side's columns of one (Q, N_t + N_r) grid and zero on the
+    other's, four coefficients and one exponential give [E_t | E_r] at
+    once.  G = (diag(w) E_r)^T E_t has the singular values of the posed
+    cascade over eta0.
     """
-    w = h_r * theta[None, :]
-    u, sigma, vh = np.linalg.svd(w @ h_t, full_matrices=False) if svd is None else svd
-    x = (vh.conj().T * (sigma / (1.0 + rho_eff * (sigma * sigma)))) @ u.conj().T
-    return x, ((x @ w).T * h_t).imag
 
+    def __init__(self, scn: Scenario):
+        self.link = link = chan.resolve_link(scn)
+        self.rho_eff = scn.power.snr * link.eta0**2
+        self.n_t = len(link.tx.r)
+        basis = np.zeros((4, len(link.elements), self.n_t + len(link.rx.r)))
+        for rows, side, cols in ((basis[:2], link.tx, slice(0, self.n_t)),
+                                 (basis[2:], link.rx, slice(self.n_t, None))):
+            rows[0][:, cols] = np.multiply.outer(side.v1, side.r)
+            rows[1][:, cols] = np.multiply.outer(side.v2, side.r)
+        self.basis = basis.reshape(4, -1)
+        self.kappas = (link.tx.k0 / link.tx.distance, link.rx.k0 / link.rx.distance)
 
-def _reduced_point(posed, w, rho_eff):
-    """(MI in bits, thin SVD (U, sigma, V^H)) of the reduced cascade
-    G = E_r^T diag(w) E_t, posed = _tilted(link, m), at the effective SNR
-    rho_eff: the MI is the sum of log2(1 + rho_eff sigma^2), and the
-    factors are _mi_weights' svd at the same point."""
-    _, e_t, e_r = posed
-    svd = np.linalg.svd((e_r.T * w) @ e_t, full_matrices=False)
-    return float(np.sum(np.log1p(rho_eff * (svd[1] * svd[1]))) / LOG2), svd
+    def point(self, w, m):
+        """(MI in bits, state) at the element weights w (theta times the
+        element phasors, any nonzero moduli) and the tilts m: one
+        exponential forms the grid [E_t | diag(w) E_r], one SVD of G its
+        MI, the sum of log2(1 + rho_eff sigma^2)."""
+        angles, coefs = m.tolist(), []
+        for kappa, gamma, psi in zip(self.kappas, angles[::2], angles[1::2]):
+            kappa_s = kappa * math.sin(psi)
+            coefs += [kappa_s * math.cos(gamma), kappa_s * math.sin(gamma)]
+        grid = np.exp(1j * (np.array(coefs) @ self.basis)).reshape(len(w), -1)
+        grid[:, self.n_t:] *= w[:, None]
+        svd = np.linalg.svd(grid[:, self.n_t:].T @ grid[:, :self.n_t], full_matrices=False)
+        return float(np.log1p(self.rho_eff * (svd[1] * svd[1])).sum() / LOG2), (m, grid, svd)
+
+    def weights(self, state):
+        """The real (Q, N_t + N_r) weights of d MI/d phase at a point's
+        state, Tx columns first.
+
+        From its SVD, X = (I + rho_eff G^H G)^-1 G^H = V diag(sigma / (1 +
+        rho_eff sigma^2)) U^H; no system with I + rho_eff G^H G is solved,
+        so its condition number does not scale the weights' rounding.  The
+        Tx weights are Im((diag(w) E_r X^T) o E_t), the Rx ones Im((E_t X)
+        o diag(w) E_r); row q of either sums to Im(w_q (E_t X E_r^T)_qq).
+        """
+        _, grid, (u, sigma, vh) = state
+        n_t = self.n_t
+        x = (vh.conj().T * (sigma / (1.0 + self.rho_eff * (sigma * sigma)))) @ u.conj().T
+        out = np.empty_like(grid)
+        np.matmul(grid[:, n_t:], x.T, out=out[:, :n_t])
+        np.matmul(grid[:, :n_t], x, out=out[:, n_t:])
+        return np.multiply(out, grid, out=out).imag
+
+    def slopes(self, state):
+        """(d MI/d phase of each w_q, d MI/d m) at a point's state: the
+        phase slopes from the weights' Tx row sums, the tilt slopes from
+        the moments v1^T W r and v2^T W r of both sides, one product with
+        the basis.  The MI is blind to the antenna factor, so each
+        antenna's column of weights sums to zero and only the coupling
+        -r_p t_q moves it: no (Q, N) Jacobian is formed."""
+        weights = self.weights(state)
+        moments = (self.basis @ weights.ravel()).tolist()
+        angles, tilt = state[0].tolist(), []
+        for kappa, gamma, psi, v1_r, v2_r in zip(self.kappas, angles[::2], angles[1::2],
+                                                 moments[::2], moments[1::2]):
+            s, c, cg, sg = math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)
+            tilt += [kappa * s * (sg * v1_r - cg * v2_r), -kappa * c * (cg * v1_r + sg * v2_r)]
+        coef = 2.0 * self.rho_eff / LOG2
+        return -coef * weights[:, : self.n_t].sum(axis=1), coef * np.array(tilt)
 
 
 def _lbfgs_ascent(evaluate, slopes, x, mi, state, blocks, eps, patience, max_steps):
@@ -357,7 +407,8 @@ def _lbfgs_ascent(evaluate, slopes, x, mi, state, blocks, eps, patience, max_ste
     scaled so each block's largest move is its first move.  Of at most
     _BACKTRACKS trials along a direction, the first that raises the MI by
     at least _ARMIJO of the gain its slope predicts is taken.  Stops with
-    "threshold" after patience steps in a row that each gain less than eps,
+    "threshold" after patience steps in a row that each gain less than
+    eps min(1, |MI|), the MI of the point the step leaves from,
     with "no_ascent" when the direction does not point uphill (a zero
     gradient included) or no trial is taken, else with "max_iters" after
     max_steps steps.  slopes is called at the start and at each point
@@ -405,9 +456,9 @@ def _lbfgs_ascent(evaluate, slopes, x, mi, state, blocks, eps, patience, max_ste
         else:
             reason = "no_ascent"
             break
+        small = small + 1 if rise < eps * min(1.0, abs(mi)) else 0
         x, mi, state = trial, mi_trial, trial_state
         mis.append(mi)
-        small = small + 1 if rise < eps else 0
         if small == patience:
             reason = "threshold"
             break
@@ -445,46 +496,20 @@ def _posed_mi(scn: Scenario, theta, m) -> float:
     return _cascade_mi(cs.h_t, cs.h_r, cs.eta0, theta, scn.power)
 
 
-def _tilted(link, m):
-    """(link, E_t, E_r): both sides' coupling factors at the tilt vector m,
-    any real angles."""
-    gamma_t, psi_t, gamma_r, psi_r = m.tolist()
-    return (link, chan.coupling_factor(link.tx, gamma_t, psi_t),
-            chan.coupling_factor(link.rx, gamma_r, psi_r))
-
-
 def mi_gradient(scn: Scenario, theta, m) -> np.ndarray:
     """Analytic gradient of the negated MI in the four orientation angles,
     at any finite angles.
 
     The MI is that of the reduced cascade eta0 E_r^T diag(w) E_t, E the
     sides' coupling factors and w = theta times the link's element phasors,
-    whose singular values are those of the full one.  Each side's share is
-    the coupling's phase derivative of every link weighted by Im of its
-    term of d MI/d phase, which channel.tilt_gradient contracts.
+    whose singular values are those of the full one; _LinkKernel.slopes
+    contracts the weights of d MI/d phase against the couplings' tilt
+    derivatives.
     """
     theta = _finite_phases(theta)
     vec = orientation_vector(m)
-    link = chan.resolve_link(scn)
-    rho_eff = scn.power.snr * link.eta0**2
-    return -_reduced_slopes(_tilted(link, vec), vec, theta * link.elements, rho_eff)[1]
-
-
-def _reduced_slopes(posed, m, w, rho_eff, svd=None):
-    """(d MI/d phase of each w_q, d MI/d m) of the reduced cascade
-    eta0 E_r^T diag(w) E_t, posed = _tilted(link, m), at the effective SNR
-    rho_eff: one _mi_weights contraction gives both, the phase slopes as
-    its row sums and the tilt slopes through channel.tilt_gradient.  svd
-    is _reduced_point's factors at the same point, when the caller holds
-    them."""
-    link, e_t, e_r = posed
-    x, wt_t = _mi_weights(e_t, e_r.T, w, rho_eff, svd)
-    wt_r = (w[:, None] * (e_t @ x) * e_r).imag
-    gamma_t, psi_t, gamma_r, psi_r = m.tolist()
-    tilt = (*chan.tilt_gradient(link.tx, gamma_t, psi_t, wt_t),
-            *chan.tilt_gradient(link.rx, gamma_r, psi_r, wt_r))
-    coef = 2.0 * rho_eff / LOG2
-    return -coef * wt_t.sum(axis=1), coef * np.array(tilt)
+    kernel = _LinkKernel(scn)
+    return -kernel.slopes(kernel.point(theta * kernel.link.elements, vec)[1])[1]
 
 
 def finite_difference_gradient(scn: Scenario, theta, m, step: float = 1e-6) -> np.ndarray:
@@ -532,29 +557,25 @@ def optimize_orientation(
     """L-BFGS ascent (_lbfgs_ascent) of the MI in the four orientation
     angles at fixed phases.
 
-    No hop is posed: each point is scored on the reduced cascade of the
-    sides' coupling factors, as in alternating_optimize's rounds, which is
-    analytic in every real angle, so the ascent steps on the raw angles in
-    all of R^4.  Its one block first moves as far as the largest entry of
-    the gradient, so its first trial is m + grad.  The end point is
-    returned through normalize_orientation.  The trace's stop_reason is
-    "threshold" when a step gains less than eps_orient, "no_ascent" when no
-    trial of a step raises the MI or the gradient is zero, and "max_iters"
-    after max_iters steps.
+    No hop is posed: each point is scored on the reduced cascade
+    (_LinkKernel), as in alternating_optimize's rounds, which is analytic
+    in every real angle, so the ascent steps on the raw angles in all of
+    R^4.  Its one block first moves as far as the largest entry of the
+    gradient, so its first trial is m + grad.  The end point is returned
+    through normalize_orientation.  The trace's stop_reason is "threshold"
+    when a step gains less than eps_orient min(1, |MI|), the MI of the
+    point it leaves from, "no_ascent" when no trial of a step raises the
+    MI or the gradient is zero, and "max_iters" after max_iters steps.
     """
     theta = _finite_phases(theta)
-    link = chan.resolve_link(scn)
-    w = theta * link.elements
-    rho_eff = scn.power.snr * link.eta0**2
+    kernel = _LinkKernel(scn)
+    w = theta * kernel.link.elements
 
     def evaluate(m):
-        posed = _tilted(link, m)
-        mi, svd = _reduced_point(posed, w, rho_eff)
-        return mi, (m, posed, svd)
+        return kernel.point(w, m)
 
     def slopes(state):
-        m, posed, svd = state
-        return _reduced_slopes(posed, m, w, rho_eff, svd)[1]
+        return kernel.slopes(state)[1]
 
     m = normalize_orientation(m_init)
     mi, state = evaluate(m)
@@ -611,18 +632,19 @@ def alternating_optimize(
     init is a (theta, orientation) pair; when omitted a seeded random start
     is drawn.  Each point is scored on the reduced cascade eta0 E_r^T
     diag(w) E_t of one resolved link, w = theta times the element phasors,
-    so no hop is posed: one SVD of it (_reduced_point) gives the point's MI
-    and, where a step leaves from it, its gradient (_reduced_slopes).  A
+    so no hop is posed: _LinkKernel.point gives the point's MI from one SVD
+    and, where a step leaves from it, _LinkKernel.slopes its gradient.  A
     round is one L-BFGS ascent (_lbfgs_ascent) on (phi, m), w = exp(j phi),
     whose phase and tilt blocks first move 1 and 0.1 rad; it stops after
     _JOINT_PATIENCE steps in a row that each gain less than eps_orient
-    bits, or after max_iters steps, and the next round restarts it from
-    the point it took last.  theta_stop holds max_outer, which the rounds
-    accept and do not use; orient_stop holds eps_orient and max_iters; any
-    other key raises TypeError.
-    The rounds stop with "threshold" when one gains less than eps_oa bits,
-    else with "max_iters" after max_rounds.  The trace has an "init" row,
-    then a "joint" row per round.
+    min(1, |MI|) bits, the MI of the point the step leaves from, or after
+    max_iters steps, and the next round restarts it from the point it took
+    last.  theta_stop holds max_outer, which the rounds accept and do not
+    use; orient_stop holds eps_orient and max_iters; any other key raises
+    TypeError.
+    The rounds stop with "threshold" when one gains less than eps_oa
+    min(1, |MI|) bits, the MI it starts from, else with "max_iters" after
+    max_rounds.  The trace has an "init" row, then a "joint" row per round.
     Returns the final phases (the start's when no round runs), the tilts
     through normalize_orientation, and the trace.
     """
@@ -630,19 +652,18 @@ def alternating_optimize(
     eps_orient, max_iters = _ascent_stops(**(orient_stop or {}))
     theta, m = random_init(scn, seed) if init is None else init
     theta = np.asarray(theta, dtype=complex)
-    link = chan.resolve_link(scn)
+    kernel = _LinkKernel(scn)
+    link = kernel.link
     q = len(link.elements)
-    rho_eff = scn.power.snr * link.eta0**2
     blocks = ((slice(0, q), 1.0), (slice(q, None), 0.1))
 
     def evaluate(x):
-        w, posed = np.exp(1j * x[:q]), _tilted(link, x[q:])
-        mi, svd = _reduced_point(posed, w, rho_eff)
-        return mi, (x, w, posed, svd)
+        w = np.exp(1j * x[:q])
+        mi, state = kernel.point(w, x[q:])
+        return mi, (x, w, state)
 
     def slopes(state):
-        x, w, posed, svd = state
-        return np.concatenate(_reduced_slopes(posed, x[q:], w, rho_eff, svd))
+        return np.concatenate(kernel.slopes(state[2]))
 
     w = _unit_phases(theta) * link.elements
     x = np.concatenate((np.angle(w), normalize_orientation(m)))
@@ -655,7 +676,7 @@ def alternating_optimize(
         mi = mis[-1]
         rows.append((rnd, mi, "joint"))
         theta = state[1] * link.elements.conj()
-        if mi - mis[0] < eps_oa:
+        if mi - mis[0] < eps_oa * min(1.0, abs(mis[0])):
             reason = "threshold"
             break
     m = normalize_orientation(state[0][q:])

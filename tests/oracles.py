@@ -5,7 +5,11 @@ a = r sin(psi) cos(gamma) - v1, b = r sin(psi) sin(gamma) - v2 and
 a_z = r cos(psi) - v3, as pi*(a^2 + b^2)/(lambda*D) + k0*a_z, and its tilt
 derivatives as full (Q, N) matrices.  These are the forms the channel module
 used before it split the phase into element, antenna and coupling terms.
-The MI is taken exactly from the float entries of a cascade.
+The MI is taken exactly from the float entries of a cascade.  The reduced
+cascade of the optimizer's tilt kernel is checked against each side's
+coupling factor formed alone, the weights of d MI/d phase solved on it,
+and their contraction against the coupling's tilt derivatives: the forms
+the optimizer used before it fused both sides into one tilt basis.
 """
 
 import itertools
@@ -17,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from irsmimo.channel import resolve_link
 from irsmimo.checks import random_scenario
 from irsmimo.geometry import centered_indices, re_local_components
-from irsmimo.optimize import oriented_scenario
+from irsmimo.optimize import LOG2, oriented_scenario
 from irsmimo.scenario import parse_scenario
 
 SCENARIO_FILES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.txt"))
@@ -136,3 +141,53 @@ def exact_mutual_information(h, snr: float) -> float:
         log = Decimal(value.numerator).ln() - Decimal(value.denominator).ln()
         return float(log / Decimal(2).ln())
 
+
+
+def coupling_factor(side, gamma, psi):
+    """E[q, p] = exp(j r_p t_q) (Q, N) of one LinkSide at any real (gamma,
+    psi), t = k0/D sin psi (v1 cos gamma + v2 sin gamma): the factor of the
+    side's hop that the tilt couples."""
+    kappa_s = side.k0 / side.distance * math.sin(psi)
+    t = side.v1 * (kappa_s * math.cos(gamma)) + side.v2 * (kappa_s * math.sin(gamma))
+    return np.exp(1j * np.multiply.outer(t, side.r))
+
+
+def tilt_gradient(side, gamma, psi, weights):
+    """(sum of weights * d_phase/d_gamma, sum of weights * d_phase/d_psi)
+    over one side's (Q, N) weights of d MI/d phase, through the moments
+    v1^T W r and v2^T W r of the coupling -r_p t_q alone."""
+    moment = weights @ side.r
+    v1_r, v2_r = float(side.v1 @ moment), float(side.v2 @ moment)
+    s, c, cg, sg = math.sin(psi), math.cos(psi), math.cos(gamma), math.sin(gamma)
+    kappa = side.k0 / side.distance
+    return kappa * s * (sg * v1_r - cg * v2_r), -kappa * c * (cg * v1_r + sg * v2_r)
+
+
+def mi_weights(h_t, h_r, theta, rho_eff):
+    """(X, Tx-side weights, Rx-side weights) of the cascade G = H_r
+    diag(theta) H_t at effective SNR rho_eff: X = (I + rho_eff G^H G)^-1
+    G^H = V diag(sigma / (1 + rho_eff sigma^2)) U^H from the thin SVD of G,
+    e_t[q, p] = Im(theta_q H_t[q, p] (X H_r)[p, q]) and e_r[q, k] =
+    Im(theta_q (H_t X)[q, k] H_r[k, q]); row q of either sums to
+    Im(theta_q (H_t X H_r)_qq)."""
+    w = h_r * theta[None, :]
+    u, sigma, vh = np.linalg.svd(w @ h_t, full_matrices=False)
+    x = (vh.conj().T * (sigma / (1.0 + rho_eff * (sigma * sigma)))) @ u.conj().T
+    return x, ((x @ w).T * h_t).imag, (theta[:, None] * (h_t @ x) * h_r.T).imag
+
+
+def reference_slopes(scn, theta, m):
+    """(MI in bits, d MI/d phase of each element, d MI/d m) of the reduced
+    cascade eta0 E_r^T diag(theta * elements) E_t at the tilts m, each
+    side's coupling factor formed apart and the weights solved with
+    mi_weights."""
+    link = resolve_link(scn)
+    rho_eff = scn.power.snr * link.eta0**2
+    w = theta * link.elements
+    e_t, e_r = coupling_factor(link.tx, m[0], m[1]), coupling_factor(link.rx, m[2], m[3])
+    sigma = np.linalg.svd((e_r.T * w) @ e_t, compute_uv=False)
+    mi = float(np.sum(np.log1p(rho_eff * sigma * sigma)) / LOG2)
+    _, wt_t, wt_r = mi_weights(e_t, e_r.T, w, rho_eff)
+    tilt = (*tilt_gradient(link.tx, m[0], m[1], wt_t), *tilt_gradient(link.rx, m[2], m[3], wt_r))
+    coef = 2.0 * rho_eff / LOG2
+    return mi, -coef * wt_t.sum(axis=1), coef * np.array(tilt)

@@ -16,7 +16,6 @@ from irsmimo.channel import (
     closed_form_cascades,
     closed_form_channel,
     coupling_constants,
-    coupling_factor,
     dirichlet_ratio,
     irs_rx_channel,
     orientation_phase_jacobian,
@@ -42,7 +41,14 @@ from irsmimo.optimize import (
     oriented_scenario,
 )
 from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, parse_scenario
-from oracles import LONG_PI, edge_setups, edge_tilts, offset_jacobian, offset_phases
+from oracles import (
+    LONG_PI,
+    coupling_factor,
+    edge_setups,
+    edge_tilts,
+    offset_jacobian,
+    offset_phases,
+)
 
 
 def tiny_scenario(d_t=10.0, d_r=12.0, lam=0.005):
