@@ -334,18 +334,28 @@ def dirichlet_ratio(u, q: int):
 
     u is first reduced to r = u - m*q with m = round(u/q), where the ratio is
     (-1)^(m*(q-1)) sin(pi*r)/sin(pi*r/q).  r is exact, so nothing cancels
-    next to the singular points u = m*q, and at r = 0 the limit is q.
+    next to the singular points u = m*q, and at r = 0 the limit is q.  The
+    sign is exact at every m: it is 1 for an odd q and (-1)^m for an even
+    one, where m is even exactly when the exact half m/2 is an integer, so no
+    product m*(q-1) is rounded.  A NaN or infinite u gives NaN.
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    m = np.round(u / q)
-    r = u - q * m
-    den = np.sin(np.pi * r / q)
+    # an infinite u leaves r NaN, and so the ratio; at r = 0, or where
+    # sin(pi*r/q) underflows, the division is by 0 and the limit replaces it below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.round(u / q)
+        pi_r = np.pi * (u - q * m)
+        den = np.sin(pi_r / q)
+        ratio = np.sin(pi_r, out=pi_r)
+        ratio /= den
     # below 1e-300 the quotient would be of subnormals; the limit q is exact there
-    ratio = np.divide(np.sin(np.pi * r), den, out=np.full_like(r, q), where=np.abs(den) > 1e-300)
-    out = np.where((m * (q - 1)) % 2 == 0, ratio, -ratio)
-    return float(out[0]) if scalar else out
+    ratio[np.abs(den) <= 1e-300] = q
+    if q % 2 == 0:
+        half = m / 2
+        ratio *= np.where(half == np.round(half), 1.0, -1.0)
+    return float(ratio[0]) if scalar else ratio
 
 
 def closed_form_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
@@ -375,9 +385,27 @@ def closed_form_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
     return (
         np.asarray(gain, dtype=float)[:, None, None]
         * np.exp(-1j * phase)
-        * dirichlet_ratio(ux, scn.irs.q_x)
-        * dirichlet_ratio(uy, scn.irs.q_y)
+        * _mirrored_ratio(ux, scn.irs.q_x)
+        * _mirrored_ratio(uy, scn.irs.q_y)
     )
+
+
+def _mirrored_ratio(u, q: int):
+    """dirichlet_ratio of the spatial frequencies u (B, N_r, N_t) of B
+    links, evaluated on the first ceil(N_r*N_t/2) entries of each link.
+
+    The antenna indices are centered, so flipping both axes negates u
+    exactly, and the ratio is even bit for bit wherever sin is odd bit for
+    bit, as numpy's is: each link's flattened second half is its first half
+    reversed.  The closed-form tests hold every link to a full evaluation.
+    """
+    b, n_r, n_t = u.shape
+    n = n_r * n_t
+    half = (n + 1) // 2
+    flat = np.empty((b, n))
+    flat[:, :half] = dirichlet_ratio(u.reshape(b, n)[:, :half], q)
+    flat[:, half:] = flat[:, : n - half][:, ::-1]
+    return flat.reshape(u.shape)
 
 
 def closed_form_channel(scn: Scenario) -> ComplexMatrix:

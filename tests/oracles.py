@@ -9,7 +9,9 @@ The MI is taken exactly from the float entries of a cascade.  The reduced
 cascade of the optimizer's tilt kernel is checked against each side's
 coupling factor formed alone, the weights of d MI/d phase solved on it,
 and their contraction against the coupling's tilt derivatives: the forms
-the optimizer used before it fused both sides into one tilt basis.
+the optimizer used before it fused both sides into one tilt basis.  The
+Dirichlet ratio is kept in the form it had before its sign came from the
+parity of m.
 """
 
 import itertools
@@ -191,3 +193,19 @@ def reference_slopes(scn, theta, m):
     tilt = (*tilt_gradient(link.tx, m[0], m[1], wt_t), *tilt_gradient(link.rx, m[2], m[3], wt_r))
     coef = 2.0 * rho_eff / LOG2
     return mi, -coef * wt_t.sum(axis=1), coef * np.array(tilt)
+
+
+def reference_dirichlet_ratio(u, q):
+    """dirichlet_ratio as the sign of (m*(q-1)) % 2 and a division masked
+    into a full array of the limit q formed it.  It returns -q at a NaN u,
+    and for an even q the wrong sign once |m*(q-1)| >= 2**53, where the
+    product rounds to an even float; elsewhere the kernel keeps its bits."""
+    u = np.asarray(u, dtype=float)
+    scalar = u.ndim == 0
+    u = np.atleast_1d(u)
+    m = np.round(u / q)
+    r = u - q * m
+    den = np.sin(np.pi * r / q)
+    ratio = np.divide(np.sin(np.pi * r), den, out=np.full_like(r, q), where=np.abs(den) > 1e-300)
+    out = np.where((m * (q - 1)) % 2 == 0, ratio, -ratio)
+    return float(out[0]) if scalar else out

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irsmimo import response
+from irsmimo import cli, response
 from irsmimo.channel import (
     build_channels,
     closed_form_cascades,
@@ -48,6 +48,7 @@ from oracles import (
     edge_tilts,
     offset_jacobian,
     offset_phases,
+    reference_dirichlet_ratio,
 )
 
 
@@ -425,17 +426,68 @@ class TestDirichletRatio:
         assert just_off == pytest.approx(15.0, abs=1e-5)
 
     @given(
-        q=st.sampled_from([3, 5, 7, 9, 15, 31]),
+        q=st.sampled_from([2, 3, 4, 5, 7, 9, 15, 16, 31, 64]),
         m=st.integers(-6, 6).filter(lambda v: v != 0),
         mantissa=st.floats(1.0, 10.0),
         exponent=st.integers(6, 12),
         negative=st.booleans(),
     )
     def test_accurate_next_to_the_aliased_points(self, q, m, mantissa, exponent, negative):
+        # the cosine sum runs over q indices centered on 0, half-integers for an even q
         delta = (-1.0 if negative else 1.0) * mantissa * 10.0**-exponent
         u = m * q + delta
-        want = float(np.cos(2 * math.pi * u * centered_indices(q) / q).sum())
+        want = float(np.cos(2 * math.pi * u * (np.arange(q) - (q - 1) / 2) / q).sum())
         assert dirichlet_ratio(u, q) == pytest.approx(want, rel=1e-12)
+
+    def test_nonfinite_arguments_give_nan(self):
+        for q in (15, 16):
+            for u in (math.nan, math.inf, -math.inf):
+                assert math.isnan(dirichlet_ratio(u, q))
+            vec = dirichlet_ratio(np.array([0.3, math.nan, math.inf, -math.inf, q]), q)
+            assert np.isnan(vec[1:4]).all()
+            assert vec[[0, 4]].tolist() == [dirichlet_ratio(0.3, q), dirichlet_ratio(float(q), q)]
+
+    def test_sign_is_exact_past_two_to_the_53(self):
+        # at u = m*q with m odd the limit is -q for an even q, however
+        # large m*(q-1) grows; the product rounds to an even float past 2**53
+        assert dirichlet_ratio(float((2**50 + 1) * 16), 16) == -16.0
+        for q, m in ((2, 2**52 + 1), (4, 2**51 - 1), (64, 2**46 + 3), (64, -(2**47) - 1)):
+            assert dirichlet_ratio(float(m * q), q) == -q
+            assert dirichlet_ratio(float((m + 1) * q), q) == q
+
+    def test_keeps_the_bits_of_the_modulo_form(self, rng, monkeypatch, capsys):
+        # every input but the two the parity sign mends: random u, the
+        # aliased points and their 1e-12 neighbours, quotients below 1e-300,
+        # signed zeros, and the 60 x 60 map the fmr_map benchmark runs at
+        # seed 1, each frequency array it feeds the kernel and its negation
+        inputs = []
+        for q in (1, 2, 3, 4, 15, 16, 31, 64):
+            aliased = np.arange(-20, 21) * float(q)
+            tiny = np.array([5e-324, 1e-310, 1e-301, 1e-300, 3e-300, 1e-299, 1e-290])
+            inputs.append((np.concatenate([
+                rng.uniform(-50, 50, 500), rng.uniform(-1e6, 1e6, 100),
+                aliased, aliased + 1e-12, aliased - 1e-12, tiny, -tiny, [0.0, -0.0],
+            ]), q))
+        seen = []
+
+        def recording(u, q):
+            seen.append((np.array(u), q))
+            return dirichlet_ratio(u, q)
+
+        monkeypatch.setattr("irsmimo.channel.dirichlet_ratio", recording)
+        baseline = next(str(path) for path in SCENARIO_FILES if path.stem == "cascade_baseline")
+        argv = ["fmr-map", "--scenario", baseline, "--verify",
+                "--dt-start", "2.0792880199862047", "--dt-stop", "32.07928801998621",
+                "--dt-count", "60", "--dr-start", "2.006527818289214",
+                "--dr-stop", "32.006527818289214", "--dr-count", "60"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert sum(u.size for u, _ in seen) >= 3600
+        inputs += seen + [(-u, q) for u, q in seen]
+        for u, q in inputs:
+            assert np.array_equal(
+                dirichlet_ratio(u, q).view(np.int64), reference_dirichlet_ratio(u, q).view(np.int64)
+            )
 
     def test_array_and_scalar_forms_agree(self):
         grid = np.array([0.0, 0.3, 1.0, 15.0])
