@@ -47,7 +47,7 @@ p + (N-1)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ ComplexMatrix = np.ndarray
 DEGENERATE_A = 1e-15
 
 
-@dataclass(frozen=True)
-class CouplingConstants:
+class CouplingConstants(NamedTuple):
     """Dimensionless spatial-frequency couplings of both hops along both
     surface axes; side_anchors gives the direction amplitudes and anchor
     angles they are formed from."""
@@ -82,8 +81,7 @@ class CouplingConstants:
     c_ry: float
 
 
-@dataclass(frozen=True)
-class ChannelSet:
+class ChannelSet(NamedTuple):
     """Both hop matrices, the surface phases, common gain and the cascade."""
 
     h_t: ComplexMatrix
@@ -93,8 +91,7 @@ class ChannelSet:
     h: ComplexMatrix
 
 
-@dataclass(frozen=True)
-class LinkSide:
+class LinkSide(NamedTuple):
     """The orientation-free terms of one side at one wavelength.
 
     v1, v2 are the element components along the side's local n_x and n_y
@@ -195,8 +192,7 @@ def irs_rx_channel(scn: Scenario) -> ComplexMatrix:
     return side_hops(_own_phases(scn.wave, scn.irs, scn.rx))[0].T.copy()
 
 
-@dataclass(frozen=True)
-class ResolvedLink:
+class ResolvedLink(NamedTuple):
     """A scenario's link with everything but the two array tilts resolved:
     both sides, the common gain eta0 and the element phasors
     exp(-j(elem_t + elem_r)) (Q,) of both sides' element terms."""
@@ -334,7 +330,8 @@ def dirichlet_ratio(u, q: int):
 
     u is first reduced to r = u - m*q with m = round(u/q), where the ratio is
     (-1)^(m*(q-1)) sin(pi*r)/sin(pi*r/q).  r is exact, so nothing cancels
-    next to the singular points u = m*q, and at r = 0 the limit is q.  The
+    next to the singular points u = m*q, and at r = 0 the limit is q; where
+    |u| >= 2^52 u is first reduced exactly modulo 2q, so r stays exact.  The
     sign is exact at every m: it is 1 for an odd q and (-1)^m for an even
     one, where m is even exactly when the exact half m/2 is an integer, so no
     product m*(q-1) is rounded.  A NaN or infinite u gives NaN.
@@ -346,6 +343,12 @@ def dirichlet_ratio(u, q: int):
     # sin(pi*r/q) underflows, the division is by 0 and the limit replaces it below
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.round(u / q)
+        # from 2^52 up every u is an integer and q*m is no longer exact, or
+        # overflows; the ratio has period 2q, to which fmod reduces exactly.
+        # Every |u| is below 2^52 when the squares of m sum below (2^51/q)^2.
+        if not np.vdot(m, m) < (2.0**51 / q) ** 2:
+            u = np.where(np.abs(u) < 2.0**52, u, np.fmod(u, 2 * q))
+            m = np.round(u / q)
         pi_r = np.pi * (u - q * m)
         den = np.sin(pi_r / q)
         ratio = np.sin(pi_r, out=pi_r)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,25 +41,16 @@ SWEEP_CHUNK = 4
 MAP_BLOCK = 240
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept range of a scenario field."""
-
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("start and stop must be finite")
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
-        if self.count >= 2 and not self.start < self.stop:
-            raise ValueError("start must be < stop")
-
-    def values(self) -> np.ndarray:
-        # fewer than two values never reach stop, and stop - start can overflow
-        return np.linspace(self.start, self.stop if self.count >= 2 else self.start, self.count)
+def _sweep(start: float, stop: float, count: int) -> np.ndarray:
+    """The count values of one swept range of a scenario field."""
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("start and stop must be finite")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if count >= 2 and not start < stop:
+        raise ValueError("start must be < stop")
+    # fewer than two values never reach stop, and stop - start can overflow
+    return np.linspace(start, stop if count >= 2 else start, count)
 
 
 def _fmt(value) -> str:
@@ -130,11 +121,10 @@ def cmd_channel(args) -> int:
 
 def cmd_eigensweep(args) -> int:
     scn = parse_scenario(args.scenario)
-    sweep = SweepSpec(args.start, args.stop, args.count)
+    distances = _sweep(args.start, args.stop, args.count).tolist()
     rr = mux.rayleigh_distances(scn.tx, scn.irs, scn.wave)
     axis = {"auto-x": "x", "auto-y": "y"}.get(args.orient)
     d_axis = rr.d_rx_axis if axis == "x" else rr.d_ry_axis
-    distances = sweep.values().tolist()
     gamma, psi = scn.tx.orient_azimuth, scn.tx.orient_elevation
     if axis is not None and distances:
         # the anchor gamma does not depend on distance: one solve, at the
@@ -205,8 +195,8 @@ def _spot_check(scn, pose, gain, h, passed) -> None:
 def cmd_fmr_map(args) -> int:
     scn = parse_scenario(args.scenario)
     bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
-    d_t = SweepSpec(args.dt_start, args.dt_stop, args.dt_count).values()
-    d_r = SweepSpec(args.dr_start, args.dr_stop, args.dr_count).values()
+    d_t = _sweep(args.dt_start, args.dt_stop, args.dt_count)
+    d_r = _sweep(args.dr_start, args.dr_stop, args.dr_count)
     # the probe columns refuse nonpositive distances, with --verify or without
     grid = mux.region_grid(bound, d_t, d_r)
     # a point's last three cells as one code: x member 4, y member 2, Gram pass 1

@@ -13,7 +13,7 @@ interior point, and verifies the resulting channels numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .response import WaveConfig
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class RayleighResult:
+class RayleighResult(NamedTuple):
     """Per-axis multiplexing distance limits of one array side.
 
     d_r is the overall limit max(d_rx_axis, d_ry_axis); it is only
@@ -40,8 +39,7 @@ class RayleighResult:
     d_r: float | None
 
 
-@dataclass(frozen=True)
-class OrientationSetting:
+class OrientationSetting(NamedTuple):
     """One array orientation (psi, gamma) plus the solver branch that chose it."""
 
     psi: float
@@ -49,8 +47,7 @@ class OrientationSetting:
     branch: str
 
 
-@dataclass(frozen=True)
-class AxisRegion:
+class AxisRegion(NamedTuple):
     """Closed-form description of the x- or y-region of the cascade.
 
     The region is the union of a rectangle (D_t up to d_t_star, D_r up to
@@ -73,8 +70,7 @@ class AxisRegion:
     gbar_r: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class FmrBound:
+class FmrBound(NamedTuple):
     """The cascaded multiplexing region: one AxisRegion per surface axis."""
 
     x: AxisRegion
@@ -89,8 +85,7 @@ class FmrBound:
         raise ValueError("region must be 'x' or 'y'")
 
 
-@dataclass(frozen=True)
-class GramReport:
+class GramReport(NamedTuple):
     """Outcome of an orthogonality/equal-gain check of a channel matrix."""
 
     max_offdiag: float

@@ -18,10 +18,10 @@ negated MI.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +67,6 @@ _MAX_INNER = 500
 # some 450 ulps, and under 1e-9 bits for an MI under 1e4 bits
 _ROUNDING = 1e-13
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class MmAuxiliaries:
@@ -88,8 +86,7 @@ class MmAuxiliaries:
     alpha: np.ndarray
 
 
-@dataclass
-class OptTrace:
+class OptTrace(NamedTuple):
     """Progress log: (outer step, MI in bits, which block moved)."""
 
     iterations: list
@@ -100,8 +97,7 @@ class OptTrace:
         return [row[1] for row in self.iterations]
 
 
-@dataclass(frozen=True)
-class SingularAllocation:
+class SingularAllocation(NamedTuple):
     """Squared singular values assigned to each hop under the gain budgets."""
 
     mu_t_sq: np.ndarray
@@ -194,7 +190,9 @@ def mm_auxiliaries(h_t, h_r, theta, eta0: float, power: PowerConfig) -> MmAuxili
     floor = SIGMA_FLOOR_SCALE * abs(float(np.real(np.trace(sigma)))) / n_t
     ev_min = float(np.linalg.eigvalsh(sigma)[0])
     if ev_min < floor:
-        logger.warning(
+        import logging  # only this rare branch logs; keeps it out of the package's import
+
+        logging.getLogger(__name__).warning(
             "error covariance regularized: min eigenvalue %.3e lifted to %.3e", ev_min, floor
         )
         sigma = sigma + (floor - ev_min) * np.eye(n_t)

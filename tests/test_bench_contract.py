@@ -12,6 +12,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -179,3 +183,19 @@ def test_mm_auxiliaries_returns_a_dataclass_of_arrays():
     fields = dataclasses.fields(aux)
     assert fields
     assert all(isinstance(getattr(aux, f.name), np.ndarray) for f in fields)
+
+
+@pytest.mark.parametrize(
+    "workload", [w["name"] for w in json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["workloads"]]
+)
+def test_a_worker_sets_up_each_workload(workload):
+    # the benchmark's set-up, in a fresh process from the repository root as
+    # perfbench/run.py starts it; perfbench/test_smoke.py covers the rest
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", "1", "--setup-only"],
+        capture_output=True, text=True, timeout=120, cwd=REPO_ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["setup_s"] > 0

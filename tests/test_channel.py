@@ -1,6 +1,7 @@
 """Hop matrices, focusing phases, assembly and the product closed form."""
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
@@ -454,6 +455,23 @@ class TestDirichletRatio:
         for q, m in ((2, 2**52 + 1), (4, 2**51 - 1), (64, 2**46 + 3), (64, -(2**47) - 1)):
             assert dirichlet_ratio(float(m * q), q) == -q
             assert dirichlet_ratio(float((m + 1) * q), q) == q
+
+    def test_exact_past_two_to_the_52(self):
+        # every double from 2**52 up is an integer n, where the ratio is 0
+        # unless q divides n, and then q for an odd q and (-1)**(n/q)*q for
+        # an even one; q*round(u/q) is inexact there, or overflows
+        huge = [sys.float_info.max, 2.0**1023, 1e308, 3.0 * 2**60, 2.0**54, 2.0**53, 2.0**52]
+        for q in (1, 2, 3, 4, 15, 16, 31, 64):
+            picked = huge + [float(q * m) for m in (2**52 // q + 1, 2**53 // q - 1, 2**60 + 1)]
+            picked += [-u for u in picked]
+            got = dirichlet_ratio(np.array(picked), q)
+            for u, value in zip(picked, got):
+                n = int(u)
+                assert value == dirichlet_ratio(u, q)
+                if n % q:
+                    assert abs(value) < 1e-13, (u, q)
+                else:
+                    assert value == (q if q % 2 else q * (-1) ** (n // q)), (u, q)
 
     def test_keeps_the_bits_of_the_modulo_form(self, rng, monkeypatch, capsys):
         # every input but the two the parity sign mends: random u, the

@@ -334,7 +334,7 @@ class TestMmMachinery:
         # negative eigenvalue; the floor lifts it so its Cholesky factor exists
         scn = replace(parse_scenario(SMALL), power=PowerConfig(1.0, 1e-30))
         chans = build_channels(scn)
-        with caplog.at_level(logging.WARNING, logger=opt.logger.name):
+        with caplog.at_level(logging.WARNING, logger="irsmimo.optimize"):
             aux = mm_auxiliaries(chans.h_t, chans.h_r, chans.theta, chans.eta0, scn.power)
         assert "error covariance regularized: min eigenvalue -" in caplog.text
         assert np.isfinite(aux.w).all() and np.isfinite(aux.alpha).all()
