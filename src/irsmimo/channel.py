@@ -10,7 +10,10 @@ surface applies one programmable phase per element; the end-to-end
 N_r x N_t channel is the phased double sum scaled by the common gain.  For
 reflective focusing the double sum collapses to a product of a
 per-antenna quadratic phase factor and two Dirichlet ratios, which this
-module also evaluates directly.
+module also evaluates directly (closed_form_cascades).  The phase factors
+are unit-modulus and diagonal on each side, so they change no Gram entry's
+magnitude: focused_kernels gives the real kernel gain * D_x * D_y alone,
+on which fmr-map --verify judges its points.
 
 The phase is separable in the tilt.  With v1, v2, v3 the element's
 local-frame components, r_p the antenna position and (gamma, psi) the
@@ -302,8 +305,12 @@ def _side_terms(scn: Scenario, pose: ArrayPose, rows):
     lam, irs, s = scn.wave.wavelength, scn.irs, pose.spacing
     k_x = s * irs.spacing_x * irs.q_x * a_x
     k_y = s * irs.spacing_y * irs.q_y * a_y
-    keys: dict = {}  # a map repeats each side's poses across the other side's distances
-    at = [keys.setdefault(tuple(row), len(keys)) for row in np.asarray(rows).tolist()]
+    # a map repeats each side's poses across the other side's distances; a
+    # row's 24 bytes key its terms, so equal rows share them (a sort of the
+    # rows in place of the dict raised the map's peak RSS)
+    rows = np.ascontiguousarray(rows, dtype=float).reshape(-1, 3)
+    keys: dict = {}
+    at = [keys.setdefault(row, len(keys)) for row in rows.view("V24").ravel().tolist()]
     terms = [
         (
             k_x * sin_psi * math.cos(gamma - g_x) / (lam * d),
@@ -311,7 +318,7 @@ def _side_terms(scn: Scenario, pose: ArrayPose, rows):
             (s * sin_psi) ** 2,
             s * math.cos(psi),
         )
-        for d, gamma, psi in keys
+        for d, gamma, psi in np.frombuffer(b"".join(keys)).reshape(-1, 3).tolist()
         for sin_psi in (math.sin(psi),)
     ]
     return np.array(terms, dtype=float).reshape(-1, 4)[at].T[..., None, None]
@@ -361,6 +368,36 @@ def dirichlet_ratio(u, q: int):
     return float(ratio[0]) if scalar else ratio
 
 
+def _dirichlet_factors(scn: Scenario, poses):
+    """(terms_t, terms_r, d_x, d_y) of the B reflectively focused links at
+    poses (B, 6): each side's _side_terms and the two Dirichlet ratios
+    (B, N_r, N_t) of the coupled spatial frequencies u_x = c_tx*p + c_rx*q
+    and u_y = c_ty*p + c_ry*q, with p, q the centered antenna indices."""
+    p = centered_indices(scn.tx.n_antennas).astype(float)
+    q = centered_indices(scn.rx.n_antennas).astype(float)[:, None]
+    terms_t = _side_terms(scn, scn.tx, poses[:, :3])
+    terms_r = _side_terms(scn, scn.rx, poses[:, 3:])
+    (c_tx, c_ty, _, _), (c_rx, c_ry, _, _) = terms_t, terms_r
+    d_x = _mirrored_ratio(c_tx * p + c_rx * q, scn.irs.q_x)
+    d_y = _mirrored_ratio(c_ty * p + c_ry * q, scn.irs.q_y)
+    return terms_t, terms_r, d_x, d_y
+
+
+def focused_kernels(scn: Scenario, poses, gain) -> np.ndarray:
+    """Real kernels gain * D_x * D_y (B, N_r, N_t) of the B links that
+    closed_form_cascades takes, without the per-antenna phase factors.
+
+    The cascade is diag(a_r) K diag(a_t) with unit-modulus a_r, a_t, so its
+    Gram matrices are K K^T and K^T K conjugated by a diagonal unitary:
+    every diagonal entry and off-diagonal magnitude, and so every Gram
+    verdict, is the kernel's.
+    """
+    _, _, kernel, d_y = _dirichlet_factors(scn, np.asarray(poses, dtype=float).reshape(-1, 6))
+    kernel *= np.asarray(gain, dtype=float)[:, None, None]
+    kernel *= d_y
+    return kernel
+
+
 def closed_form_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
     """Reflectively focused cascades (B, N_r, N_t) of B posed links, without
     the double sum.
@@ -375,22 +412,14 @@ def closed_form_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
     elementwise, so a link's cascade does not depend on the batch around it.
     """
     poses = np.asarray(poses, dtype=float).reshape(-1, 6)
+    (_, _, sq_t, lin_t), (_, _, sq_r, lin_r), d_x, d_y = _dirichlet_factors(scn, poses)
     p = centered_indices(scn.tx.n_antennas).astype(float)
     q = centered_indices(scn.rx.n_antennas).astype(float)[:, None]
-    c_tx, c_ty, sq_t, lin_t = _side_terms(scn, scn.tx, poses[:, :3])
-    c_rx, c_ry, sq_r, lin_r = _side_terms(scn, scn.rx, poses[:, 3:])
     d_t, d_r = poses[:, 0, None, None], poses[:, 3, None, None]
     quad_t = sq_t * p**2 / (2.0 * d_t) + lin_t * p
     quad_r = sq_r * q**2 / (2.0 * d_r) + lin_r * q
     phase = (2.0 * math.pi / scn.wave.wavelength) * (quad_t + quad_r)
-    ux = c_tx * p + c_rx * q
-    uy = c_ty * p + c_ry * q
-    return (
-        np.asarray(gain, dtype=float)[:, None, None]
-        * np.exp(-1j * phase)
-        * _mirrored_ratio(ux, scn.irs.q_x)
-        * _mirrored_ratio(uy, scn.irs.q_y)
-    )
+    return np.asarray(gain, dtype=float)[:, None, None] * np.exp(-1j * phase) * d_x * d_y
 
 
 def _mirrored_ratio(u, q: int):

@@ -86,8 +86,9 @@ def posed_scenario(scn: Scenario, d_t: float, d_r: float, settings) -> Scenario:
 
 
 def gram_verdicts(scn: Scenario, h, gain) -> np.ndarray:
-    """Gram check of each cascade of a (B, N_r, N_t) batch h with common
-    gains gain (B,); only the shorter side of a cascade can be orthogonal."""
+    """Gram check of each cascade of a (B, N_r, N_t) batch h, complex or
+    real (channel.focused_kernels), with common gains gain (B,); only the
+    shorter side of a cascade can be orthogonal."""
     # squared as Python floats: libm's pow and numpy's x*x differ in the
     # last bit for about 1 in 1000 values, which would move the tolerances
     target = np.array([g**2 for g in gain.tolist()]) * scn.irs.n_elements**2

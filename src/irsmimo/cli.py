@@ -36,8 +36,9 @@ from .scenario import (
 # temporaries stay small
 SWEEP_CHUNK = 4
 
-# fmr-map --verify evaluates its closed-form cascades this many points at a
-# time, so the (block, N_r, N_t) temporaries stay small at any grid size
+# fmr-map --verify evaluates its real closed-form kernels this many points
+# at a time, so the (block, N_r, N_t) float temporaries stay small at any
+# grid size
 MAP_BLOCK = 240
 
 
@@ -153,10 +154,11 @@ def _map_verdicts(scn, grid) -> np.ndarray:
     """Gram verdicts of a (D_t, D_r) grid at the poses region_grid serves.
 
     The map's gains are formed, and refused, before any cascade.  The
-    cascades come from the closed form, MAP_BLOCK points at a time.  The
-    first in-region and the first out-of-region point in row-major order
-    are also built by brute force, and the map is refused unless the two
-    agree there.
+    verdicts come from the real kernels of the closed form, whose Gram
+    entries the per-antenna phase factors do not change, MAP_BLOCK points
+    at a time.  The first in-region and the first out-of-region point in
+    row-major order are built as complex closed-form cascades and by brute
+    force, and the map is refused unless the two agree there.
     """
     inside, served, poses, _ = grid
     poses = poses.reshape(-1, 6)
@@ -168,20 +170,22 @@ def _map_verdicts(scn, grid) -> np.ndarray:
     verdicts = np.empty(len(poses), dtype=bool)
     for s in range(0, len(poses), MAP_BLOCK):
         block = slice(s, s + MAP_BLOCK)
-        h = chan.closed_form_cascades(scn, poses[block], gain[block])
-        verdicts[block] = checks.gram_verdicts(scn, h, gain[block])
-        for i in sorted(spots & set(range(s, s + len(h)))):
-            _spot_check(scn, poses[i], gain[i : i + 1], h[i - s], verdicts[i])
+        kernels = chan.focused_kernels(scn, poses[block], gain[block])
+        verdicts[block] = checks.gram_verdicts(scn, kernels, gain[block])
+    for i in sorted(spots):
+        _spot_check(scn, poses[i : i + 1], gain[i : i + 1], verdicts[i])
     return verdicts.reshape(served.shape)
 
 
-def _spot_check(scn, pose, gain, h, passed) -> None:
+def _spot_check(scn, pose, gain, passed) -> None:
     """Refuse a map unless the brute-force cascade at one of its points,
-    with the map's gain, gives the closed form's Gram verdict and max|h -
-    brute| is at most 1e-8 of brute's largest entry.  One bound for every
-    entry, unlike verify's closed_form check, which judges each entry above
-    1e-6 of the largest against itself."""
-    d_t, _, _, d_r, _, _ = pose.tolist()
+    pose (1, 6) with the map's gain, gives the map's Gram verdict and the
+    complex closed-form cascade h there has max|h - brute| at most 1e-8 of
+    brute's largest entry.  One bound for every entry, unlike verify's
+    closed_form check, which judges each entry above 1e-6 of the largest
+    against itself."""
+    d_t, _, _, d_r, _, _ = pose[0].tolist()
+    h = chan.closed_form_cascades(scn, pose, gain)[0]
     brute = chan.reflective_cascades(scn, pose, gain)
     scale = float(np.max(np.abs(brute)))
     if checks.gram_verdicts(scn, brute, gain)[0] != passed or not (

@@ -18,6 +18,7 @@ from irsmimo.channel import (
     closed_form_channel,
     coupling_constants,
     dirichlet_ratio,
+    focused_kernels,
     irs_rx_channel,
     orientation_phase_jacobian,
     propagation_phases,
@@ -27,13 +28,15 @@ from irsmimo.channel import (
     side_anchors,
     tx_irs_channel,
 )
-from irsmimo.checks import posed_scenario, random_scenario
+from irsmimo.checks import gram_verdicts, posed_scenario, random_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout, centered_indices
 from irsmimo.multiplexing import (
+    check_orthogonality,
     fmr_inner_bound,
     fmr_orientations,
     fmr_probe_orientation,
     region_contains,
+    region_grid,
 )
 from irsmimo.optimize import (
     mi_gradient,
@@ -687,5 +690,70 @@ class TestClosedFormCascades:
                 assert np.max(np.abs(h[i] - brute[i])) <= 1e-8 * np.max(np.abs(brute[i]))
 
     def test_an_empty_batch_has_no_links(self, golden_scenario):
-        h = closed_form_cascades(golden_scenario, np.empty((0, 6)), np.empty(0))
-        assert h.shape == (0, 5, 5)
+        for build in (closed_form_cascades, focused_kernels):
+            h = build(golden_scenario, np.empty((0, 6)), np.empty(0))
+            assert h.shape == (0, 5, 5)
+
+
+class TestFocusedKernels:
+    def test_the_phase_factors_leave_every_gram_entry(self):
+        # 12 draws with a region, in rows and in columns mode (N_r > N_t),
+        # one in three with the Tx and one in three with the Rx at the
+        # zenith; at the region and probe poses of a 5 x 6 grid straddling
+        # the regions, the real kernel's Gram is the complex cascade's
+        rng = np.random.default_rng(39)
+        draws, modes, served_kinds, verdicts = 0, set(), set(), set()
+        while draws < 12 or modes != {"rows", "columns"}:
+            scn = random_scenario(rng)
+            side = ("tx", "rx", None)[draws % 3]
+            if side:
+                scn = replace(scn, **{side: replace(getattr(scn, side), elevation=0.0)})
+            try:
+                bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+            except ValueError:
+                continue
+            draws += 1
+            mode = "rows" if scn.rx.n_antennas <= scn.tx.n_antennas else "columns"
+            modes.add(mode)
+            t_max = max(bound.x.d_t_rayleigh, bound.y.d_t_rayleigh)
+            r_max = max(bound.x.d_r_rayleigh, bound.y.d_r_rayleigh)
+            _, served, poses, _ = region_grid(
+                bound, np.linspace(0.1, 1.2, 5) * t_max, np.linspace(0.1, 1.2, 6) * r_max
+            )
+            served_kinds.update(np.where(served.ravel() < 2, "region", "probe").tolist())
+            poses = poses.reshape(-1, 6)
+            gain = response.cascade_gains(
+                scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
+            )
+            kernels = focused_kernels(scn, poses, gain)
+            h = closed_form_cascades(scn, poses, gain)
+            assert kernels.dtype == np.float64 and kernels.shape == h.shape
+            target = gain**2 * scn.irs.n_elements**2
+            real, cplx = (check_orthogonality(m, mode, target) for m in (kernels, h))
+            assert np.all(np.abs(real.max_offdiag - cplx.max_offdiag) <= 1e-12 * target)
+            assert np.all(np.abs(real.diag_values - cplx.diag_values) <= 1e-12 * target[:, None])
+            assert np.array_equal(real.passed, cplx.passed)
+            passed = gram_verdicts(scn, kernels, gain)
+            assert np.array_equal(passed, gram_verdicts(scn, h, gain))
+            verdicts.update(passed.tolist())
+        assert served_kinds == {"region", "probe"} and verdicts == {True, False}
+
+    def test_the_cascade_is_the_kernel_times_unit_phases(self, rng):
+        # at random poses every entry of the closed form has the kernel's
+        # magnitude, and a link's kernel does not depend on its batch
+        for _ in range(6):
+            scn = random_scenario(rng)
+            poses = np.column_stack([
+                rng.uniform(2.0, 20.0, 8), rng.uniform(0, 2 * math.pi, 8), rng.uniform(0, math.pi, 8),
+                rng.uniform(2.0, 20.0, 8), rng.uniform(0, 2 * math.pi, 8), rng.uniform(0, math.pi, 8),
+            ])
+            gain = response.cascade_gains(
+                scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
+            )
+            kernels = focused_kernels(scn, poses, gain)
+            h = closed_form_cascades(scn, poses, gain)
+            for i in range(len(poses)):
+                scale = np.max(np.abs(kernels[i]))
+                assert np.max(np.abs(np.abs(h[i]) - np.abs(kernels[i]))) <= 1e-14 * scale
+                one = focused_kernels(scn, poses[i : i + 1], gain[i : i + 1])
+                assert one[0].tobytes() == kernels[i].tobytes()

@@ -10,6 +10,7 @@ land in tmp_path, and determinism is asserted on raw bytes.
 
 import argparse
 import hashlib
+import importlib
 import itertools
 import math
 import os
@@ -30,7 +31,7 @@ from irsmimo import multiplexing as mux
 from irsmimo import optimize as opt
 from irsmimo import response
 from irsmimo.channel import build_channels, pose_side
-from irsmimo.checks import gram_passes, posed_scenario, random_scenario
+from irsmimo.checks import gram_passes, gram_verdicts, posed_scenario, random_scenario
 from irsmimo.cli import main
 from irsmimo.geometry import IrsLayout
 from irsmimo.multiplexing import (
@@ -404,22 +405,25 @@ class TestFmrMapCommand:
 
     def test_one_column_per_distance_and_one_gain_pass_per_map(self, capsys, monkeypatch):
         # a 60 x 60 map solves one region column per (D_t, axis) plus one
-        # probe column, and forms g0 once for all its gains
+        # probe column, forms g0 once for all its gains, and builds complex
+        # cascades, closed-form and brute-force, only at its two spot points
         scn = parse_scenario(BASELINE)
         monkeypatch.setattr(cli, "parse_scenario", lambda path: scn)
-        calls = {"_column": 0, "tilde_g": 0}
+        calls = {"_column": [], "tilde_g": [], "closed_form_cascades": [], "reflective_cascades": []}
 
         def count(module, name):
             real = getattr(module, name)
 
             def counted(*args):
-                calls[name] += 1
+                calls[name].append(args)
                 return real(*args)
 
             monkeypatch.setattr(module, name, counted)
 
         count(mux, "_column")
         count(response, "tilde_g")
+        count(chan, "closed_form_cascades")
+        count(chan, "reflective_cascades")
         code, out, err = run_cli(
             capsys,
             "fmr-map", "--scenario", BASELINE, "--verify",
@@ -428,8 +432,40 @@ class TestFmrMapCommand:
         )
         assert code == 0, err
         assert len(out.splitlines()) == 2 + 60 * 60
-        assert 0 < calls["_column"] <= 2 * 60 + 1
-        assert calls["tilde_g"] == 1
+        assert 0 < len(calls["_column"]) <= 2 * 60 + 1
+        assert len(calls["tilde_g"]) == 1
+        assert 0 < len(calls["closed_form_cascades"]) <= 2
+        assert all(np.shape(poses) == (1, 6) for _, poses, _ in calls["closed_form_cascades"])
+        assert 0 < len(calls["reflective_cascades"]) <= 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_kernel_verdicts_are_the_complex_closed_forms(self, capsys, monkeypatch, seed):
+        # the benchmark's seed-shifted 60 x 60 fmr_map grids: each block's
+        # verdicts from the real kernel are the Gram verdicts of the complex
+        # closed-form cascades at the same poses and gains
+        monkeypatch.chdir(REPO_ROOT)
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        argv = workloads.FmrMap(seed, workloads.FULL["fmr_map"]).argv
+        scn = parse_scenario(argv[argv.index("--scenario") + 1])
+        real, blocks = chan.focused_kernels, []
+
+        def recorded(scn, poses, gain):
+            blocks.append((poses, gain))
+            return real(scn, poses, gain)
+
+        monkeypatch.setattr(chan, "focused_kernels", recorded)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert len(blocks) == -(-60 * 60 // cli.MAP_BLOCK)
+        want = [
+            gram_verdicts(scn, chan.closed_form_cascades(scn, poses, gain), gain)
+            for poses, gain in blocks
+        ]
+        _, rows = read_csv(out, from_file=False)
+        gram = [row[4] for row in rows]
+        assert gram == ["1" if v else "0" for v in np.concatenate(want).tolist()]
+        assert {"0", "1"} <= set(gram)
 
     @pytest.mark.parametrize("spot", ["in", "out"])
     def test_a_wrong_closed_form_at_a_spot_point_refuses_the_map(self, capsys, monkeypatch, spot):
