@@ -10,10 +10,13 @@ surface applies one programmable phase per element; the end-to-end
 N_r x N_t channel is the phased double sum scaled by the common gain.  For
 reflective focusing the double sum collapses to a product of a
 per-antenna quadratic phase factor and two Dirichlet ratios, which this
-module also evaluates directly (closed_form_cascades).  The phase factors
-are unit-modulus and diagonal on each side, so they change no Gram entry's
-magnitude: focused_kernels gives the real kernel gain * D_x * D_y alone,
-on which fmr-map --verify judges its points.
+module also evaluates directly (closed_form_cascades) from each side's
+pose terms, one numpy pass per stack of poses: numpy's float64 sin and cos
+give libm's bits, which a test of the scalar formula holds them to, and
+only the squares of s sin psi keep libm's pow, as numpy's x*x may differ.
+The phase factors are unit-modulus and diagonal on each side, so they
+change no Gram entry's magnitude: focused_kernels gives the real kernel
+gain * D_x * D_y alone, on which fmr-map --verify judges its points.
 
 The phase is separable in the tilt.  With v1, v2, v3 the element's
 local-frame components, r_p the antenna position and (gamma, psi) the
@@ -292,44 +295,40 @@ def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:
 
 
 def _side_terms(scn: Scenario, pose: ArrayPose, rows):
-    """(c_x, c_y, sq, lin), each (B, 1, 1), of one side at the B poses
-    (distance, gamma, psi) of rows (B, 3).
-
-    c_x, c_y are the side's couplings to the surface axes, and sq = (s sin
-    psi)**2 and lin = s cos psi, with s the antenna spacing, the
-    coefficients of its antennas' quadratic and linear phase.  Each distinct
-    pose gets them as Python floats in one fixed association: numpy's x*x
-    and libm's pow(x, 2) differ in the last bit for about 1 in 1000 values.
-    """
+    """(c_x, c_y, w, lin), each (B, 1, 1), of one side at the B poses
+    (distance, gamma, psi) of rows (B, 3): its couplings to the surface
+    axes, and w = s sin psi and lin = s cos psi, with s the antenna spacing,
+    whose w**2 and lin weigh its antennas' quadratic and linear phase.  One
+    numpy pass forms them: numpy's float64 sin and cos return libm's bits
+    (a test holds them to the scalar formula), but its w*w is not libm's
+    pow(w, 2), so closed_form_cascades squares w per row.  An infinite tilt,
+    which libm refuses, and a zero lambda * distance are refused."""
     a_x, g_x, a_y, g_y = side_anchors(pose)
     lam, irs, s = scn.wave.wavelength, scn.irs, pose.spacing
     k_x = s * irs.spacing_x * irs.q_x * a_x
     k_y = s * irs.spacing_y * irs.q_y * a_y
-    # a map repeats each side's poses across the other side's distances; a
-    # row's 24 bytes key its terms, so equal rows share them (a sort of the
-    # rows in place of the dict raised the map's peak RSS)
-    rows = np.ascontiguousarray(rows, dtype=float).reshape(-1, 3)
-    keys: dict = {}
-    at = [keys.setdefault(row, len(keys)) for row in rows.view("V24").ravel().tolist()]
-    terms = [
-        (
-            k_x * sin_psi * math.cos(gamma - g_x) / (lam * d),
-            k_y * sin_psi * math.cos(gamma - g_y) / (lam * d),
-            (s * sin_psi) ** 2,
-            s * math.cos(psi),
-        )
-        for d, gamma, psi in np.frombuffer(b"".join(keys)).reshape(-1, 3).tolist()
-        for sin_psi in (math.sin(psi),)
-    ]
-    return np.array(terms, dtype=float).reshape(-1, 4)[at].T[..., None, None]
+    d, gamma, psi = np.asarray(rows, dtype=float).reshape(-1, 3).T
+    if np.isinf(gamma).any() or np.isinf(psi).any() or not (lam * d).all():
+        raise ValueError("a side pose needs finite tilts and a nonzero lambda * distance")
+    # rows fill the result in turn; stacking four finished rows raised a map's peak RSS
+    terms, sin_psi = np.empty((4, len(d))), np.sin(psi)
+    terms[0] = k_x * sin_psi * np.cos(gamma - g_x) / (lam * d)
+    terms[1] = k_y * sin_psi * np.cos(gamma - g_y) / (lam * d)
+    terms[2] = s * sin_psi
+    terms[3] = s * np.cos(psi)
+    return terms[..., None, None]
+
+
+def pose_terms(scn: Scenario, poses):
+    """The Tx and Rx _side_terms (4, B, 1, 1) of the B links at poses (B, 6)."""
+    poses = np.asarray(poses, dtype=float).reshape(-1, 6)
+    return _side_terms(scn, scn.tx, poses[:, :3]), _side_terms(scn, scn.rx, poses[:, 3:])
 
 
 def coupling_constants(scn: Scenario) -> CouplingConstants:
     """The four couplings of the cascade at the scenario's own poses."""
-    (c_tx, c_ty, _, _), (c_rx, c_ry, _, _) = (
-        _side_terms(scn, pose, [_own_pose(pose)]).ravel().tolist() for pose in (scn.tx, scn.rx)
-    )
-    return CouplingConstants(c_tx, c_ty, c_rx, c_ry)
+    own = pose_terms(scn, [_own_pose(scn.tx) + _own_pose(scn.rx)])
+    return CouplingConstants(*(c for terms in own for c in terms[:2].ravel().tolist()))
 
 
 def dirichlet_ratio(u, q: int):
@@ -368,31 +367,29 @@ def dirichlet_ratio(u, q: int):
     return float(ratio[0]) if scalar else ratio
 
 
-def _dirichlet_factors(scn: Scenario, poses):
-    """(terms_t, terms_r, d_x, d_y) of the B reflectively focused links at
-    poses (B, 6): each side's _side_terms and the two Dirichlet ratios
-    (B, N_r, N_t) of the coupled spatial frequencies u_x = c_tx*p + c_rx*q
-    and u_y = c_ty*p + c_ry*q, with p, q the centered antenna indices."""
+def _dirichlet_factors(scn: Scenario, terms):
+    """(p, q, d_x, d_y) of the B reflectively focused links whose sides have
+    the pose_terms terms: the centered antenna indices p, q and the two
+    Dirichlet ratios (B, N_r, N_t) of the coupled spatial frequencies
+    u_x = c_tx*p + c_rx*q and u_y = c_ty*p + c_ry*q."""
     p = centered_indices(scn.tx.n_antennas).astype(float)
     q = centered_indices(scn.rx.n_antennas).astype(float)[:, None]
-    terms_t = _side_terms(scn, scn.tx, poses[:, :3])
-    terms_r = _side_terms(scn, scn.rx, poses[:, 3:])
-    (c_tx, c_ty, _, _), (c_rx, c_ry, _, _) = terms_t, terms_r
+    (c_tx, c_ty, _, _), (c_rx, c_ry, _, _) = terms
     d_x = _mirrored_ratio(c_tx * p + c_rx * q, scn.irs.q_x)
     d_y = _mirrored_ratio(c_ty * p + c_ry * q, scn.irs.q_y)
-    return terms_t, terms_r, d_x, d_y
+    return p, q, d_x, d_y
 
 
-def focused_kernels(scn: Scenario, poses, gain) -> np.ndarray:
-    """Real kernels gain * D_x * D_y (B, N_r, N_t) of the B links that
-    closed_form_cascades takes, without the per-antenna phase factors.
+def focused_kernels(scn: Scenario, terms, gain) -> np.ndarray:
+    """Real kernels gain * D_x * D_y (B, N_r, N_t) of B links from their
+    pose_terms and gains (B,): closed_form_cascades without its phase factors.
 
     The cascade is diag(a_r) K diag(a_t) with unit-modulus a_r, a_t, so its
     Gram matrices are K K^T and K^T K conjugated by a diagonal unitary:
     every diagonal entry and off-diagonal magnitude, and so every Gram
     verdict, is the kernel's.
     """
-    _, _, kernel, d_y = _dirichlet_factors(scn, np.asarray(poses, dtype=float).reshape(-1, 6))
+    _, _, kernel, d_y = _dirichlet_factors(scn, terms)
     kernel *= np.asarray(gain, dtype=float)[:, None, None]
     kernel *= d_y
     return kernel
@@ -412,9 +409,10 @@ def closed_form_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
     elementwise, so a link's cascade does not depend on the batch around it.
     """
     poses = np.asarray(poses, dtype=float).reshape(-1, 6)
-    (_, _, sq_t, lin_t), (_, _, sq_r, lin_r), d_x, d_y = _dirichlet_factors(scn, poses)
-    p = centered_indices(scn.tx.n_antennas).astype(float)
-    q = centered_indices(scn.rx.n_antennas).astype(float)[:, None]
+    (_, _, w_t, lin_t), (_, _, w_r, lin_r) = terms = pose_terms(scn, poses)
+    p, q, d_x, d_y = _dirichlet_factors(scn, terms)
+    # libm's pow(w, 2) per row: numpy's w*w differs from it in about 8 of 10^4 values
+    sq_t, sq_r = (np.array([v**2 for v in w.ravel().tolist()]).reshape(w.shape) for w in (w_t, w_r))
     d_t, d_r = poses[:, 0, None, None], poses[:, 3, None, None]
     quad_t = sq_t * p**2 / (2.0 * d_t) + lin_t * p
     quad_r = sq_r * q**2 / (2.0 * d_r) + lin_r * q

@@ -116,6 +116,10 @@ MI_TOL_BITS = 1e-9
 def _check_closed_form(scn: Scenario):
     if scn.focusing_mode != "reflective":
         return None, f"the closed form needs reflective focusing, not {scn.focusing_mode}"
+    try:  # the closed form's Dirichlet ratios need both sides' coupling anchors
+        chan.side_anchors(scn.tx), chan.side_anchors(scn.rx)
+    except ValueError as exc:
+        return None, f"no closed form: {exc}"
     # each entry above 1e-6 of the largest is judged against itself, the rest
     # against the largest: symmetric user geometries can put exact Dirichlet
     # zeros in the matrix, where a plain entrywise ratio is meaningless

@@ -153,12 +153,12 @@ def cmd_eigensweep(args) -> int:
 def _map_verdicts(scn, grid) -> np.ndarray:
     """Gram verdicts of a (D_t, D_r) grid at the poses region_grid serves.
 
-    The map's gains are formed, and refused, before any cascade.  The
-    verdicts come from the real kernels of the closed form, whose Gram
-    entries the per-antenna phase factors do not change, MAP_BLOCK points
-    at a time.  The first in-region and the first out-of-region point in
-    row-major order are built as complex closed-form cascades and by brute
-    force, and the map is refused unless the two agree there.
+    The map's gains, refused before any cascade, and both sides' pose terms
+    are formed once; MAP_BLOCK points at a time, the verdicts come from the
+    real kernels of the closed form, whose Gram entries the per-antenna
+    phase factors do not change.  The first in-region and the first
+    out-of-region point in row-major order are built as complex closed-form
+    cascades and by brute force, and the map is refused unless they agree.
     """
     inside, served, poses, _ = grid
     poses = poses.reshape(-1, 6)
@@ -167,10 +167,11 @@ def _map_verdicts(scn, grid) -> np.ndarray:
     )
     in_region = (served < inside.shape[-1]).ravel()
     spots = {int(np.argmax(in_region == flag)) for flag in (True, False) if flag in in_region}
+    terms_t, terms_r = chan.pose_terms(scn, poses)
     verdicts = np.empty(len(poses), dtype=bool)
     for s in range(0, len(poses), MAP_BLOCK):
         block = slice(s, s + MAP_BLOCK)
-        kernels = chan.focused_kernels(scn, poses[block], gain[block])
+        kernels = chan.focused_kernels(scn, (terms_t[:, block], terms_r[:, block]), gain[block])
         verdicts[block] = checks.gram_verdicts(scn, kernels, gain[block])
     for i in sorted(spots):
         _spot_check(scn, poses[i : i + 1], gain[i : i + 1], verdicts[i])

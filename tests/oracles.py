@@ -11,7 +11,8 @@ coupling factor formed alone, the weights of d MI/d phase solved on it,
 and their contraction against the coupling's tilt derivatives: the forms
 the optimizer used before it fused both sides into one tilt basis.  The
 Dirichlet ratio is kept in the form it had before its sign came from the
-parity of m.
+parity of m, and each side's pose terms in the scalar libm form they had
+before they became one numpy pass.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from irsmimo.channel import resolve_link
+from irsmimo.channel import resolve_link, side_anchors
 from irsmimo.checks import random_scenario
 from irsmimo.geometry import centered_indices, re_local_components
 from irsmimo.optimize import LOG2, oriented_scenario
@@ -209,3 +210,25 @@ def reference_dirichlet_ratio(u, q):
     ratio = np.divide(np.sin(np.pi * r), den, out=np.full_like(r, q), where=np.abs(den) > 1e-300)
     out = np.where((m * (q - 1)) % 2 == 0, ratio, -ratio)
     return float(out[0]) if scalar else out
+
+
+def reference_side_terms(scn, pose, rows):
+    """(c_x, c_y, sq, lin) (4, B) of one side at the poses (distance, gamma,
+    psi) of rows (B, 3), each from scalar libm calls: sq = (s sin psi)**2
+    with libm's pow.  An infinite tilt raises libm's ValueError and a zero
+    lambda * distance ZeroDivisionError."""
+    a_x, g_x, a_y, g_y = side_anchors(pose)
+    lam, irs, s = scn.wave.wavelength, scn.irs, pose.spacing
+    k_x = s * irs.spacing_x * irs.q_x * a_x
+    k_y = s * irs.spacing_y * irs.q_y * a_y
+    terms = [
+        (
+            k_x * sin_psi * math.cos(gamma - g_x) / (lam * d),
+            k_y * sin_psi * math.cos(gamma - g_y) / (lam * d),
+            (s * sin_psi) ** 2,
+            s * math.cos(psi),
+        )
+        for d, gamma, psi in np.asarray(rows, dtype=float).reshape(-1, 3).tolist()
+        for sin_psi in (math.sin(psi),)
+    ]
+    return np.array(terms, dtype=float).reshape(-1, 4).T

@@ -199,3 +199,17 @@ def test_a_worker_sets_up_each_workload(workload):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["setup_s"] > 0
+
+
+def test_every_bench_record_names_a_workload_and_its_run():
+    # each root BENCH_*.json records one workload's measured change; the
+    # entries it replaced stay in its `earlier` list
+    workloads = {w["name"] for w in json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    paths = sorted(REPO_ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text())
+        assert record["workload"] in workloads, path.name
+        missing = {"commands", "machine", "nproc", "parent", "change", "pairs"} - record.keys()
+        assert not missing, (path.name, missing)
+        assert isinstance(record.get("earlier", []), list), path.name

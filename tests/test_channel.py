@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from irsmimo import cli, response
 from irsmimo.channel import (
+    _side_terms,
     build_channels,
     closed_form_cascades,
     closed_form_channel,
@@ -21,6 +22,7 @@ from irsmimo.channel import (
     focused_kernels,
     irs_rx_channel,
     orientation_phase_jacobian,
+    pose_terms,
     propagation_phases,
     reflective_cascades,
     reflective_focusing,
@@ -53,6 +55,7 @@ from oracles import (
     offset_jacobian,
     offset_phases,
     reference_dirichlet_ratio,
+    reference_side_terms,
 )
 
 
@@ -518,6 +521,88 @@ class TestDirichletRatio:
             assert dirichlet_ratio(float(u), 15) == v
 
 
+def libm_side_terms(scn, pose, rows):
+    """_side_terms in reference_side_terms' layout: its w = s sin psi
+    squared with libm's pow, as closed_form_cascades squares it."""
+    c_x, c_y, w, lin = _side_terms(scn, pose, rows)[..., 0, 0]
+    return np.array([c_x, c_y, [v**2 for v in w.tolist()], lin]).reshape(4, -1)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # and so the sign of every zero
+
+
+class TestSideTerms:
+    """channel._side_terms forms every pose's terms in one numpy pass; the
+    scalar libm formula it replaced is the reference for each bit.  This is
+    the guard on numpy's float64 sin and cos returning libm's bits."""
+
+    @staticmethod
+    def rows(rng, n):
+        return np.column_stack([
+            rng.uniform(0.5, 50.0, n), rng.uniform(-10.0, 10.0, n), rng.uniform(-4.0, 4.0, n),
+        ])
+
+    def test_random_and_repeated_rows_keep_the_libm_bits(self, rng):
+        for _ in range(10):
+            scn = random_scenario(rng)
+            rows = self.rows(rng, 2000)
+            repeated = rows[rng.integers(0, 50, 500)]
+            for pose in (scn.tx, scn.rx):
+                for batch in (rows, repeated):
+                    assert_same_bits(
+                        libm_side_terms(scn, pose, batch), reference_side_terms(scn, pose, batch)
+                    )
+
+    def test_signed_zero_and_axis_tilts_keep_the_libm_bits(self, golden_scenario):
+        scn = golden_scenario
+        angles = [0.0, -0.0, math.pi / 2, math.pi, -math.pi / 2, -math.pi]
+        rows = [[d, g, p] for d in (0.3, 7.0) for g in angles for p in angles]
+        for pose in (scn.tx, scn.rx):
+            got = libm_side_terms(scn, pose, rows)
+            assert_same_bits(got, reference_side_terms(scn, pose, rows))
+            assert np.signbit(got).any() and not np.signbit(got).all()
+
+    def test_an_empty_batch_has_no_terms(self, golden_scenario):
+        terms = _side_terms(golden_scenario, golden_scenario.tx, np.empty((0, 3)))
+        assert terms.shape == (4, 0, 1, 1)
+
+    def test_strided_rows_are_the_contiguous_rows(self, rng, golden_scenario):
+        scn = golden_scenario
+        poses = np.column_stack([self.rows(rng, 301), self.rows(rng, 301)])
+        for strided in (poses[:, 3:], poses[::-2, :3], np.asfortranarray(poses)[:, 3:]):
+            assert not strided.flags.c_contiguous
+            want = reference_side_terms(scn, scn.rx, np.ascontiguousarray(strided))
+            assert_same_bits(libm_side_terms(scn, scn.rx, strided), want)
+
+    def test_a_row_does_not_depend_on_its_batch(self, rng, golden_scenario):
+        scn = golden_scenario
+        rows = self.rows(rng, 64)
+        batch = _side_terms(scn, scn.tx, rows)
+        for i in range(len(rows)):
+            assert_same_bits(_side_terms(scn, scn.tx, rows[i : i + 1]), batch[:, i : i + 1])
+
+    def test_a_nan_tilt_gives_nan_terms_as_libm_does(self, golden_scenario):
+        scn = golden_scenario
+        rows = [[5.0, math.nan, 0.3], [5.0, 0.3, math.nan]]
+        want = reference_side_terms(scn, scn.tx, rows)
+        assert np.array_equal(libm_side_terms(scn, scn.tx, rows), want, equal_nan=True)
+
+    @pytest.mark.parametrize("row", [
+        [5.0, math.inf, 0.3], [5.0, -math.inf, 0.3], [5.0, 0.3, math.inf], [5.0, 0.3, -math.inf],
+        [0.0, 0.3, 0.3], [1e-323, 0.3, 0.3],
+    ])
+    def test_an_infinite_tilt_or_a_zero_distance_is_refused(self, golden_scenario, row):
+        # libm refuses the first four (ValueError) and the last two
+        # (ZeroDivisionError); a numpy warning or a silent NaN would not do
+        scn = golden_scenario
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            reference_side_terms(scn, scn.tx, [row])
+        with pytest.raises(ValueError, match="finite tilts and a nonzero lambda"):
+            _side_terms(scn, scn.tx, [[5.0, 0.1, 0.2], row])
+
+
 class TestClosedForm:
     def test_matches_assembly_on_the_reference_setup(self, golden_scenario):
         # also with either array at the zenith, where the local frame is
@@ -690,8 +775,9 @@ class TestClosedFormCascades:
                 assert np.max(np.abs(h[i] - brute[i])) <= 1e-8 * np.max(np.abs(brute[i]))
 
     def test_an_empty_batch_has_no_links(self, golden_scenario):
-        for build in (closed_form_cascades, focused_kernels):
-            h = build(golden_scenario, np.empty((0, 6)), np.empty(0))
+        scn, poses, gain = golden_scenario, np.empty((0, 6)), np.empty(0)
+        for h in (closed_form_cascades(scn, poses, gain),
+                  focused_kernels(scn, pose_terms(scn, poses), gain)):
             assert h.shape == (0, 5, 5)
 
 
@@ -725,7 +811,7 @@ class TestFocusedKernels:
             gain = response.cascade_gains(
                 scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
             )
-            kernels = focused_kernels(scn, poses, gain)
+            kernels = focused_kernels(scn, pose_terms(scn, poses), gain)
             h = closed_form_cascades(scn, poses, gain)
             assert kernels.dtype == np.float64 and kernels.shape == h.shape
             target = gain**2 * scn.irs.n_elements**2
@@ -750,10 +836,10 @@ class TestFocusedKernels:
             gain = response.cascade_gains(
                 scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
             )
-            kernels = focused_kernels(scn, poses, gain)
+            kernels = focused_kernels(scn, pose_terms(scn, poses), gain)
             h = closed_form_cascades(scn, poses, gain)
             for i in range(len(poses)):
                 scale = np.max(np.abs(kernels[i]))
                 assert np.max(np.abs(np.abs(h[i]) - np.abs(kernels[i]))) <= 1e-14 * scale
-                one = focused_kernels(scn, poses[i : i + 1], gain[i : i + 1])
+                one = focused_kernels(scn, pose_terms(scn, poses[i : i + 1]), gain[i : i + 1])
                 assert one[0].tobytes() == kernels[i].tobytes()

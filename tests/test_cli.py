@@ -448,20 +448,31 @@ class TestFmrMapCommand:
         workloads = importlib.import_module("workloads")
         argv = workloads.FmrMap(seed, workloads.FULL["fmr_map"]).argv
         scn = parse_scenario(argv[argv.index("--scenario") + 1])
-        real, blocks = chan.focused_kernels, []
+        # the map's pose terms are formed once, and each block's kernels take
+        # a slice of them: the blocks' poses follow from their gains' lengths
+        real_terms, real_kernels, maps, blocks = chan.pose_terms, chan.focused_kernels, [], []
 
-        def recorded(scn, poses, gain):
-            blocks.append((poses, gain))
-            return real(scn, poses, gain)
+        def map_terms(scn, poses):
+            maps.append(poses)
+            return real_terms(scn, poses)
 
+        def recorded(scn, terms, gain):
+            blocks.append((terms, gain))
+            return real_kernels(scn, terms, gain)
+
+        monkeypatch.setattr(chan, "pose_terms", map_terms)
         monkeypatch.setattr(chan, "focused_kernels", recorded)
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert len(blocks) == -(-60 * 60 // cli.MAP_BLOCK)
-        want = [
-            gram_verdicts(scn, chan.closed_form_cascades(scn, poses, gain), gain)
-            for poses, gain in blocks
-        ]
+        ends = np.cumsum([len(gain) for _, gain in blocks]).tolist()
+        assert len(maps[0]) == ends[-1] == 60 * 60
+        want = []
+        for (terms, gain), end in zip(blocks, ends):
+            poses = maps[0][end - len(gain) : end]
+            for got, own in zip(terms, real_terms(scn, poses)):
+                assert got.tobytes() == own.tobytes()
+            want.append(gram_verdicts(scn, chan.closed_form_cascades(scn, poses, gain), gain))
         _, rows = read_csv(out, from_file=False)
         gram = [row[4] for row in rows]
         assert gram == ["1" if v else "0" for v in np.concatenate(want).tolist()]
@@ -924,6 +935,30 @@ class TestVerifyCommand:
         assert "SKIP closed_form: the closed form needs reflective focusing, not zero" in out
         assert "3/3 checks passed, 1 skipped" in out
 
+    def test_an_array_in_the_surface_plane_skips_the_closed_form(self, capsys, tmp_path):
+        # the parser accepts a Tx in the surface plane along its y axis, where
+        # the coupling anchors are undefined: both checks that need them skip
+        in_plane = write_variant(
+            tmp_path, "in_plane.txt",
+            {"tx.elevation_rad": repr(math.pi / 2), "tx.azimuth_rad": "0.0"},
+        )
+        code, out, _ = run_cli(capsys, "verify", "--scenario", in_plane)
+        assert code == 0, out
+        refusal = "degenerate geometry: array direction lies in the surface plane"
+        assert f"SKIP closed_form: no closed form: {refusal}" in out
+        assert f"SKIP gram_fmr: no multiplexing region: {refusal}" in out
+        assert "FAIL" not in out
+        assert "2/2 checks passed, 2 skipped" in out
+
+    def test_any_other_refusal_of_the_closed_form_still_fails(self, capsys, monkeypatch):
+        def refuse(scn):
+            raise ValueError("no closed form today")
+
+        monkeypatch.setattr(chan, "closed_form_channel", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--scenario", SMALL, "--checks", "closed_form")
+        assert code == 2
+        assert "FAIL closed_form: no closed form today" in out
+
     def test_an_orientation_blind_link_passes_the_gradient_check(self, capsys, tmp_path):
         scalar = write_variant(tmp_path, "one.txt", {"tx.count": "1", "rx.count": "1"}, base=SMALL)
         with warnings.catch_warnings():
@@ -1109,6 +1144,38 @@ def test_shifted_grid_csv_is_byte_identical(capsys, verify):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SHIFTED_GRID_SHA256[verify]
+
+
+# SHA-256 of fmr-orient's stdout on the baseline, which prints the four
+# couplings of coupling_constants, and of the benchmark's seed-1 60 x 60
+# fmr-map --verify CSV, as written at commit accdaca9c01d (each distinct
+# pose's couplings from scalar libm calls); one numpy pass per side must
+# keep every byte
+FMR_ORIENT_SHA256 = {
+    ("x", "20", "20"): "7403948f1991fd4b4024f4708672e7bfcb1f6a31117a26dc72008bc588a17890",
+    ("y", "10", "10"): "d1b8b3fdfd15a496b11d435e354be744ddd9bfce158d4ee8cdb5881154c9c127",
+    ("auto", "20", "20"): "7403948f1991fd4b4024f4708672e7bfcb1f6a31117a26dc72008bc588a17890",
+}
+BENCH_MAP_SHA256 = "027c01d000e497c5e9c55868a9fca8342bd96a4cf43070eaa9091325f73c31d2"
+
+
+@pytest.mark.parametrize("region, dt, dr", sorted(FMR_ORIENT_SHA256))
+def test_fmr_orient_stdout_is_byte_identical(capsys, region, dt, dr):
+    code, out, err = run_cli(
+        capsys, "fmr-orient", "--scenario", BASELINE, "--region", region, "--dt", dt, "--dr", dr
+    )
+    assert code == 0, err
+    key = (region, dt, dr)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FMR_ORIENT_SHA256[key]
+
+
+def test_benchmark_map_csv_is_byte_identical(capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    code, out, err = run_cli(capsys, *workloads.FmrMap(1, workloads.FULL["fmr_map"]).argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BENCH_MAP_SHA256
 
 
 # SHA-256 of the stdout of commands that synthesize hops, pinned when the
