@@ -10,13 +10,14 @@ surface applies one programmable phase per element; the end-to-end
 N_r x N_t channel is the phased double sum scaled by the common gain.  For
 reflective focusing the double sum collapses to a product of a
 per-antenna quadratic phase factor and two Dirichlet ratios, which this
-module also evaluates directly (closed_form_cascades) from each side's
-pose terms, one numpy pass per stack of poses: numpy's float64 sin and cos
-give libm's bits, which a test of the scalar formula holds them to, and
-only the squares of s sin psi keep libm's pow, as numpy's x*x may differ.
-The phase factors are unit-modulus and diagonal on each side, so they
-change no Gram entry's magnitude: focused_kernels gives the real kernel
-gain * D_x * D_y alone, on which fmr-map --verify judges its points.
+module also evaluates directly (closed_form_cascades) for a (B, 6) stack of
+poses in one numpy pass: each side's couplings (pose_terms) and its
+antennas' phases, where numpy's float64 sin and cos give libm's bits, which
+a test of the scalar formula holds them to, and only the squares of
+s sin psi keep libm's pow, as numpy's x*x may differ.  The phase factors
+are unit-modulus and diagonal on each side, so they change no Gram entry's
+magnitude: focused_kernels gives the real kernel gain * D_x * D_y alone, on
+which fmr-map --verify judges its points.
 
 The phase is separable in the tilt.  With v1, v2, v3 the element's
 local-frame components, r_p the antenna position and (gamma, psi) the
@@ -27,22 +28,19 @@ coupling r_p * k0/D * sin psi * (v1 cos gamma + v2 sin gamma).
 
 One function builds link phases: pose_side takes the orientation-free terms
 of one side (link_side) and synthesizes that side at every (distance, gamma,
-psi) row of a (B, 3) stack in one numpy pass.  A scenario's own array is the
-stack of one, which feeds tx_irs_channel, irs_rx_channel, propagation_phases,
-reflective_focusing and build_channels.
-build_channels, the one scenario-level builder, evaluates each side once
-and takes the surface phases from the scenario's focusing mode.
+psi) row of a (B, 3) stack in one numpy pass; each row is computed apart
+from the rest of its stack.  propagation_phases is a scenario's own array,
+the stack of one, which feeds tx_irs_channel, irs_rx_channel,
+reflective_focusing and build_channels.  build_channels, the one brute-force
+builder, evaluates each side once and takes the surface phases from the
+scenario's focusing mode; the closed-form checks build their brute-force
+cascades with it, at a scenario posed at their point.
 The antenna term is a unit-modulus factor per antenna, which leaves every
 singular value of the cascade as it is, so at fixed surface phases the MI
 depends on the tilts only through each side's coupling E[q, p] =
 exp(j r_p t_q).  The optimizer (optimize._LinkKernel) scores its points
 on the reduced cascade eta0 E_r^T diag(theta * elements) E_t of a
 resolved link at any real angles, built from the LinkSide terms here.
-reflective_cascades builds focused cascades by brute force at the
-(B, 6) poses and (B,) gains that closed_form_cascades takes, which gives
-the same cascades at O(N_r*N_t) per link.  Each row of a stack is computed
-apart from the others, so a pose's hops do not depend on the stack around
-it.
 
 Element-to-matrix ordering: elements are laid out row-major with the x
 index k slow and the y index l fast, i.e. element (k, l) occupies row
@@ -155,14 +153,9 @@ def _own_pose(pose: ArrayPose) -> list[float]:
     return [pose.distance, pose.orient_azimuth, pose.orient_elevation]
 
 
-def _own_phases(wave, layout: IrsLayout, pose: ArrayPose):
-    """Link phases of one array at its own pose, a stack of one."""
-    return pose_side(link_side(wave.wavelength, layout, pose), [_own_pose(pose)])
-
-
 def propagation_phases(wave, layout: IrsLayout, pose: ArrayPose) -> np.ndarray:
     """Link phases 2*pi*(d_approx - D)/lambda, shape (q_x*q_y, n_antennas)."""
-    return _own_phases(wave, layout, pose)[0]
+    return pose_side(link_side(wave.wavelength, layout, pose), [_own_pose(pose)])[0]
 
 
 def orientation_phase_jacobian(wave, layout: IrsLayout, pose: ArrayPose):
@@ -190,12 +183,12 @@ def side_hops(phases) -> ComplexMatrix:
 
 def tx_irs_channel(scn: Scenario) -> ComplexMatrix:
     """Unit-modulus Tx-to-surface matrix, elements along rows."""
-    return side_hops(_own_phases(scn.wave, scn.irs, scn.tx))[0]
+    return side_hops(propagation_phases(scn.wave, scn.irs, scn.tx))
 
 
 def irs_rx_channel(scn: Scenario) -> ComplexMatrix:
     """Unit-modulus surface-to-Rx matrix, antennas along rows."""
-    return side_hops(_own_phases(scn.wave, scn.irs, scn.rx))[0].T.copy()
+    return side_hops(propagation_phases(scn.wave, scn.irs, scn.rx)).T.copy()
 
 
 class ResolvedLink(NamedTuple):
@@ -220,8 +213,8 @@ def resolve_link(scn: Scenario) -> ResolvedLink:
 
 def _reflective_betas(phases_t, phases_r):
     """Reflective focusing phases: the summed center-antenna phases of both
-    sides per element; leading batch axes carry through."""
-    return phases_t[..., phases_t.shape[-1] // 2] + phases_r[..., phases_r.shape[-1] // 2]
+    sides per element."""
+    return phases_t[:, phases_t.shape[1] // 2] + phases_r[:, phases_r.shape[1] // 2]
 
 
 def reflective_focusing(scn: Scenario) -> np.ndarray:
@@ -231,47 +224,25 @@ def reflective_focusing(scn: Scenario) -> np.ndarray:
     D_r)/lambda, so the compensated center-to-center entry carries zero
     residual phase.
     """
-    phases_t, phases_r = (_own_phases(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
-    return _reflective_betas(phases_t, phases_r)[0]
-
-
-def _cascade(betas, h_t, h_r, gain) -> ChannelSet:
-    theta = np.exp(1j * betas)
-    h = gain * ((h_r * theta[..., None, :]) @ h_t)
-    return ChannelSet(h_t=h_t, h_r=h_r, theta=theta, eta0=gain, h=h)
+    phases_t, phases_r = (propagation_phases(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
+    return _reflective_betas(phases_t, phases_r)
 
 
 def build_channels(scn: Scenario) -> ChannelSet:
     """Both hops, the surface phases of the scenario's focusing mode and
     the cascade h = eta0 * H_r diag(theta) H_t; each side is evaluated once."""
-    phases_t, phases_r = (_own_phases(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
+    phases_t, phases_r = (propagation_phases(scn.wave, scn.irs, pose) for pose in (scn.tx, scn.rx))
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
     if scn.focusing_mode == "reflective":
-        betas = _reflective_betas(phases_t, phases_r)[0]
+        betas = _reflective_betas(phases_t, phases_r)
     elif scn.focusing_mode == "zero":
         betas = np.zeros(scn.irs.n_elements)
     else:
         betas = np.asarray(scn.focusing_betas, dtype=float)
-    return _cascade(betas, side_hops(phases_t)[0], side_hops(phases_r)[0].T.copy(), gain)
-
-
-def reflective_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
-    """Reflectively focused cascades (B, N_r, N_t) of B posed links by brute
-    force: both hops synthesized and the phased double sum assembled.
-
-    poses (B, 6) and gain (B,) are what closed_form_cascades takes, and
-    every row must make valid poses.  Each cascade equals build_channels of
-    its posed scenario bit for bit.
-    """
-    rows = np.asarray(poses, dtype=float).reshape(-1, 6).tolist()
-    lam = scn.wave.wavelength
-    phases_t, phases_r = (
-        pose_side(link_side(lam, scn.irs, pose), [row[at : at + 3] for row in rows])
-        for pose, at in ((scn.tx, 0), (scn.rx, 3))
-    )
-    hops_r = np.swapaxes(side_hops(phases_r), -1, -2)
-    gain = np.asarray(gain, dtype=float)[:, None, None]
-    return _cascade(_reflective_betas(phases_t, phases_r), side_hops(phases_t), hops_r, gain).h
+    h_t, h_r = side_hops(phases_t), side_hops(phases_r).T.copy()
+    theta = np.exp(1j * betas)
+    h = gain * ((h_r * theta) @ h_t)
+    return ChannelSet(h_t=h_t, h_r=h_r, theta=theta, eta0=gain, h=h)
 
 
 def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:
@@ -295,14 +266,11 @@ def side_anchors(pose: ArrayPose) -> tuple[float, float, float, float]:
 
 
 def _side_terms(scn: Scenario, pose: ArrayPose, rows):
-    """(c_x, c_y, w, lin), each (B, 1, 1), of one side at the B poses
-    (distance, gamma, psi) of rows (B, 3): its couplings to the surface
-    axes, and w = s sin psi and lin = s cos psi, with s the antenna spacing,
-    whose w**2 and lin weigh its antennas' quadratic and linear phase.  One
-    numpy pass forms them: numpy's float64 sin and cos return libm's bits
-    (a test holds them to the scalar formula), but its w*w is not libm's
-    pow(w, 2), so closed_form_cascades squares w per row.  An infinite tilt,
-    which libm refuses, and a zero lambda * distance are refused."""
+    """(c_x, c_y), each (B, 1, 1), of one side at the B poses (distance,
+    gamma, psi) of rows (B, 3): its couplings to the surface axes, formed in
+    one numpy pass, whose float64 sin and cos return libm's bits (a test
+    holds them to the scalar formula).  An infinite tilt, which libm
+    refuses, and a zero lambda * distance are refused."""
     a_x, g_x, a_y, g_y = side_anchors(pose)
     lam, irs, s = scn.wave.wavelength, scn.irs, pose.spacing
     k_x = s * irs.spacing_x * irs.q_x * a_x
@@ -310,17 +278,15 @@ def _side_terms(scn: Scenario, pose: ArrayPose, rows):
     d, gamma, psi = np.asarray(rows, dtype=float).reshape(-1, 3).T
     if np.isinf(gamma).any() or np.isinf(psi).any() or not (lam * d).all():
         raise ValueError("a side pose needs finite tilts and a nonzero lambda * distance")
-    # rows fill the result in turn; stacking four finished rows raised a map's peak RSS
-    terms, sin_psi = np.empty((4, len(d))), np.sin(psi)
+    # rows fill the result in turn; stacking finished rows raised a map's peak RSS
+    terms, sin_psi = np.empty((2, len(d))), np.sin(psi)
     terms[0] = k_x * sin_psi * np.cos(gamma - g_x) / (lam * d)
     terms[1] = k_y * sin_psi * np.cos(gamma - g_y) / (lam * d)
-    terms[2] = s * sin_psi
-    terms[3] = s * np.cos(psi)
     return terms[..., None, None]
 
 
 def pose_terms(scn: Scenario, poses):
-    """The Tx and Rx _side_terms (4, B, 1, 1) of the B links at poses (B, 6)."""
+    """The Tx and Rx _side_terms (2, B, 1, 1) of the B links at poses (B, 6)."""
     poses = np.asarray(poses, dtype=float).reshape(-1, 6)
     return _side_terms(scn, scn.tx, poses[:, :3]), _side_terms(scn, scn.rx, poses[:, 3:])
 
@@ -328,7 +294,7 @@ def pose_terms(scn: Scenario, poses):
 def coupling_constants(scn: Scenario) -> CouplingConstants:
     """The four couplings of the cascade at the scenario's own poses."""
     own = pose_terms(scn, [_own_pose(scn.tx) + _own_pose(scn.rx)])
-    return CouplingConstants(*(c for terms in own for c in terms[:2].ravel().tolist()))
+    return CouplingConstants(*(c for terms in own for c in terms.ravel().tolist()))
 
 
 def dirichlet_ratio(u, q: int):
@@ -374,7 +340,7 @@ def _dirichlet_factors(scn: Scenario, terms):
     u_x = c_tx*p + c_rx*q and u_y = c_ty*p + c_ry*q."""
     p = centered_indices(scn.tx.n_antennas).astype(float)
     q = centered_indices(scn.rx.n_antennas).astype(float)[:, None]
-    (c_tx, c_ty, _, _), (c_rx, c_ry, _, _) = terms
+    (c_tx, c_ty), (c_rx, c_ry) = terms
     d_x = _mirrored_ratio(c_tx * p + c_rx * q, scn.irs.q_x)
     d_y = _mirrored_ratio(c_ty * p + c_ry * q, scn.irs.q_y)
     return p, q, d_x, d_y
@@ -409,14 +375,14 @@ def closed_form_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
     elementwise, so a link's cascade does not depend on the batch around it.
     """
     poses = np.asarray(poses, dtype=float).reshape(-1, 6)
-    (_, _, w_t, lin_t), (_, _, w_r, lin_r) = terms = pose_terms(scn, poses)
-    p, q, d_x, d_y = _dirichlet_factors(scn, terms)
-    # libm's pow(w, 2) per row: numpy's w*w differs from it in about 8 of 10^4 values
-    sq_t, sq_r = (np.array([v**2 for v in w.ravel().tolist()]).reshape(w.shape) for w in (w_t, w_r))
-    d_t, d_r = poses[:, 0, None, None], poses[:, 3, None, None]
-    quad_t = sq_t * p**2 / (2.0 * d_t) + lin_t * p
-    quad_r = sq_r * q**2 / (2.0 * d_r) + lin_r * q
-    phase = (2.0 * math.pi / scn.wave.wavelength) * (quad_t + quad_r)
+    p, q, d_x, d_y = _dirichlet_factors(scn, pose_terms(scn, poses))
+    columns, quad = poses.T[..., None, None], []
+    for pose, (d, _, psi), idx in ((scn.tx, columns[:3], p), (scn.rx, columns[3:], q)):
+        w, lin = pose.spacing * np.sin(psi), pose.spacing * np.cos(psi)
+        # libm's pow(w, 2) per row: numpy's w*w differs from it in about 8 of 10^4 values
+        sq = np.array([v**2 for v in w.ravel().tolist()]).reshape(w.shape)
+        quad.append(sq * idx**2 / (2.0 * d) + lin * idx)
+    phase = (2.0 * math.pi / scn.wave.wavelength) * (quad[0] + quad[1])
     return np.asarray(gain, dtype=float)[:, None, None] * np.exp(-1j * phase) * d_x * d_y
 
 

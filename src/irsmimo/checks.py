@@ -72,14 +72,14 @@ def random_scenario(rng, n_max=7, q_max=15, high_snr=False) -> Scenario:
     )
 
 
-def posed_scenario(scn: Scenario, d_t: float, d_r: float, settings) -> Scenario:
-    """scn with the arrays moved to (d_t, d_r), tilted by the (Tx, Rx)
-    orientation settings of a region solver, and reflective focusing."""
-    ot, orx = settings
+def posed_scenario(scn: Scenario, pose) -> Scenario:
+    """scn with reflective focusing and the arrays at pose, a (D_t, gamma_t,
+    psi_t, D_r, gamma_r, psi_r) row as multiplexing.region_grid gives it."""
+    d_t, gamma_t, psi_t, d_r, gamma_r, psi_r = pose
     return replace(
         scn,
-        tx=replace(scn.tx, distance=d_t, orient_azimuth=ot.gamma, orient_elevation=ot.psi),
-        rx=replace(scn.rx, distance=d_r, orient_azimuth=orx.gamma, orient_elevation=orx.psi),
+        tx=replace(scn.tx, distance=d_t, orient_azimuth=gamma_t, orient_elevation=psi_t),
+        rx=replace(scn.rx, distance=d_r, orient_azimuth=gamma_r, orient_elevation=psi_r),
         focusing_mode="reflective",
         focusing_betas=None,
     )
@@ -97,12 +97,11 @@ def gram_verdicts(scn: Scenario, h, gain) -> np.ndarray:
 
 
 def gram_passes(scn: Scenario, d_t: float, d_r: float, settings) -> bool:
-    """gram_verdicts of the brute-force cascade (channel.reflective_cascades)
-    at the one point (d_t, d_r) with the (Tx, Rx) orientation settings."""
+    """gram_verdicts of the brute-force cascade (channel.build_channels) at
+    the one point (d_t, d_r) with the (Tx, Rx) orientation settings."""
     ot, orx = settings
-    gain = response.cascade_gains(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, [d_t], [d_r])
-    h = chan.reflective_cascades(scn, [d_t, ot.gamma, ot.psi, d_r, orx.gamma, orx.psi], gain)
-    return bool(gram_verdicts(scn, h, gain)[0])
+    cs = chan.build_channels(posed_scenario(scn, (d_t, ot.gamma, ot.psi, d_r, orx.gamma, orx.psi)))
+    return bool(gram_verdicts(scn, cs.h[None], np.array([cs.eta0]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +140,17 @@ def _check_gram_fmr(scn: Scenario):
         bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
     except ValueError as exc:
         return None, f"no multiplexing region: {exc}"
-    d_t, d_r = 0.8 * bound.x.d_t_star, 0.8 * bound.x.d_r_rayleigh
+    # at 0.8 of the D_r cap of one x-region column: at 0.8 of the rectangle's
+    # D_t or halfway to the Tx limit, whichever spans more D_t * D_r.  An
+    # array in the surface plane shrinks one part to a sliver, the rectangle
+    # (Tx) or the lobe (Rx), where the Gram check fails
+    reg = bound.x
+
+    def cap(d_t):
+        return reg.d_r_rayleigh if d_t <= reg.d_t_star else mux.boundary_cap(bound, "x", d_t)
+
+    d_t = max((0.8 * reg.d_t_star, 0.5 * reg.d_t_rayleigh), key=lambda t: t * cap(t))
+    d_r = 0.8 * cap(d_t)
     inside = gram_passes(scn, d_t, d_r, mux.fmr_orientations(bound, d_t, d_r, "x"))
     # past both sides' limits, so a one-antenna side, which has none, still
     # leaves the other side unable to separate its streams

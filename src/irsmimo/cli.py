@@ -180,20 +180,20 @@ def _map_verdicts(scn, grid) -> np.ndarray:
 
 def _spot_check(scn, pose, gain, passed) -> None:
     """Refuse a map unless the brute-force cascade at one of its points,
-    pose (1, 6) with the map's gain, gives the map's Gram verdict and the
-    complex closed-form cascade h there has max|h - brute| at most 1e-8 of
-    brute's largest entry.  One bound for every entry, unlike verify's
-    closed_form check, which judges each entry above 1e-6 of the largest
-    against itself."""
-    d_t, _, _, d_r, _, _ = pose[0].tolist()
+    build_channels of scn posed at pose (1, 6), gives the map's Gram verdict
+    and the complex closed-form cascade h there, with the map's gain, has
+    max|h - brute| at most 1e-8 of brute's largest entry.  One bound for
+    every entry, unlike verify's closed_form check, which judges each entry
+    above 1e-6 of the largest against itself."""
+    row = pose[0].tolist()
     h = chan.closed_form_cascades(scn, pose, gain)[0]
-    brute = chan.reflective_cascades(scn, pose, gain)
+    brute = chan.build_channels(checks.posed_scenario(scn, row)).h
     scale = float(np.max(np.abs(brute)))
-    if checks.gram_verdicts(scn, brute, gain)[0] != passed or not (
-        np.max(np.abs(h - brute[0])) <= 1e-8 * scale
+    if checks.gram_verdicts(scn, brute[None], gain)[0] != passed or not (
+        np.max(np.abs(h - brute)) <= 1e-8 * scale
     ):
         raise ValueError(
-            f"closed form and brute force disagree at (D_t={_fmt(d_t)}, D_r={_fmt(d_r)})"
+            f"closed form and brute force disagree at (D_t={_fmt(row[0])}, D_r={_fmt(row[3])})"
         )
 
 
@@ -241,7 +241,8 @@ def cmd_fmr_orient(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cc = chan.coupling_constants(checks.posed_scenario(scn, args.dt, args.dr, (ot, orx)))
+    posed = checks.posed_scenario(scn, (args.dt, ot.gamma, ot.psi, args.dr, orx.gamma, orx.psi))
+    cc = chan.coupling_constants(posed)
     _print_kv("region", region)
     _print_kv("branch", ot.branch)
     _print_kv("tx.orient_azimuth_rad", ot.gamma)

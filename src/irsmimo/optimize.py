@@ -111,15 +111,13 @@ def mutual_information(h, power: PowerConfig):
 
     The singular values keep the weak modes' relative accuracy, which the
     eigenvalues of the Gram H^H H lose to rounding on the scale of the
-    strongest.  A float for one matrix; for a (..., N_r, N_t) stack, one MI
-    per matrix, each bit for bit the MI of that matrix alone.
+    strongest.  H is one matrix; the MI is a float.
     """
     h = np.asarray(h)
-    if h.ndim < 2:
+    if h.ndim != 2:
         raise ValueError("expected a matrix")
     sigma = np.linalg.svd(h, compute_uv=False)
-    mi = np.sum(np.log1p(power.snr * (sigma * sigma)), axis=-1) / LOG2
-    return float(mi) if h.ndim == 2 else mi
+    return float(np.sum(np.log1p(power.snr * (sigma * sigma))) / LOG2)
 
 
 def mi_upper_bound(h_t, h_r, eta0: float, power: PowerConfig) -> float:

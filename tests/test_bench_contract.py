@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import irsmimo
 from irsmimo import build_channels, mm_auxiliaries, parse_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -213,3 +214,65 @@ def test_every_bench_record_names_a_workload_and_its_run():
         missing = {"commands", "machine", "nproc", "parent", "change", "pairs"} - record.keys()
         assert not missing, (path.name, missing)
         assert isinstance(record.get("earlier", []), list), path.name
+
+
+# public names that nothing in src/ or the benchmark reads, each with why it stays
+UNREAD_ALLOWED = {
+    ("checks", "random_scenario"): "the tests' random-scenario generator",
+}
+
+
+def src_public_reads():
+    """({(module, name)} of the package's module-level public functions and
+    classes, {(module, name)} of those read by src/ code outside their own
+    definition).
+
+    A read is a bare name in its own module, a name imported with `from .m
+    import name`, or an attribute of a module imported with `from . import
+    m`; the package's __init__ re-exports are __all__'s, not reads.
+    """
+    src = REPO_ROOT / "src" / "irsmimo"
+    defined, reads = set(), set()
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        names, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = (node.module, alias.name)
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = (module, top.name)
+                if not top.name.startswith("_") and module != "__init__":
+                    defined.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read = names.get(node.id, (module, node.id))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in modules):
+                    read = (modules[node.value.id], node.attr)
+                else:
+                    continue
+                if read != own:
+                    reads.add(read)
+    return defined, reads
+
+
+def test_every_public_name_is_exported_or_read():
+    # a helper whose last caller went away stays behind as an orphan; each
+    # public function or class is in irsmimo.__all__, read by src/, or named
+    # by the benchmark's tracer or workloads
+    defined, reads = src_public_reads()
+    assert ("channel", "build_channels") in defined and ("channel", "pose_side") in reads
+    bench = set(traced_pairs()) | set(WORKLOAD_ATTRS)
+    exported = set(irsmimo.__all__)
+    orphans = sorted(
+        (module, name) for module, name in defined - reads - bench
+        if name not in exported
+    )
+    assert orphans == sorted(UNREAD_ALLOWED)

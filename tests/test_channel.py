@@ -2,7 +2,6 @@
 
 import math
 import sys
-from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,10 +20,11 @@ from irsmimo.channel import (
     dirichlet_ratio,
     focused_kernels,
     irs_rx_channel,
+    link_side,
     orientation_phase_jacobian,
+    pose_side,
     pose_terms,
     propagation_phases,
-    reflective_cascades,
     reflective_focusing,
     resolve_link,
     side_anchors,
@@ -32,14 +32,7 @@ from irsmimo.channel import (
 )
 from irsmimo.checks import gram_verdicts, posed_scenario, random_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout, centered_indices
-from irsmimo.multiplexing import (
-    check_orthogonality,
-    fmr_inner_bound,
-    fmr_orientations,
-    fmr_probe_orientation,
-    region_contains,
-    region_grid,
-)
+from irsmimo.multiplexing import check_orthogonality, fmr_inner_bound, region_grid
 from irsmimo.optimize import (
     mi_gradient,
     mutual_information,
@@ -301,63 +294,81 @@ class TestSeparablePhase:
                         assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
-Tilt = namedtuple("Tilt", "gamma psi")
 SCENARIO_FILES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.txt"))
 
 
-def posed_cascades_agree(scn, d_t, d_r, tx_settings, rx_settings):
-    """Batched cascades against build_channels of each posed scenario, bit for bit."""
-    poses = [[dt, st.gamma, st.psi, dr, sr.gamma, sr.psi]
-             for dt, dr, st, sr in zip(d_t, d_r, tx_settings, rx_settings)]
-    gain = response.cascade_gains(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, d_t, d_r)
-    h = reflective_cascades(scn, poses, gain)
-    assert h.shape == (len(d_t), scn.rx.n_antennas, scn.tx.n_antennas)
-    for i, point in enumerate(zip(d_t, d_r, tx_settings, rx_settings)):
-        dt, dr, st, sr = point
-        cs = build_channels(posed_scenario(scn, dt, dr, (st, sr)))
-        assert np.array_equal(h[i], cs.h)
-        assert gain[i] == cs.eta0
+def own_rows(pose):
+    """A pool of three (distance, gamma, psi) rows of one side, its own first."""
+    return [[pose.distance, pose.orient_azimuth, pose.orient_elevation],
+            [3.5, 0.7, 2.9], [17.0, 5.1, 0.4]]
 
 
-class TestReflectiveCascades:
+class TestPosedLinks:
+    """fmr-map's spot checks and verify's gram_fmr take their brute force
+    from build_channels of the scenario posed at a grid pose; the map's
+    batched gains and closed form must be that scenario's, bit for bit."""
+
+    @staticmethod
+    def agree_on_the_grid(scn, d_t, d_r):
+        bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+        poses = region_grid(bound, d_t, d_r)[2].reshape(-1, 6)
+        gain = response.cascade_gains(
+            scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
+        )
+        for i, row in enumerate(poses.tolist()):
+            posed = posed_scenario(scn, row)
+            assert gain[i] == build_channels(posed).eta0
+            one = closed_form_cascades(scn, poses[i : i + 1], gain[i : i + 1])
+            assert one[0].tobytes() == closed_form_channel(posed).tobytes()
+
     @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
     def test_bit_identical_on_a_solved_grid(self, path):
-        # 9 x 9 points at the fmr-map settings, one batch
-        scn = parse_scenario(str(path))
-        bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
-
-        def solved(dt, dr):
-            for region in ("x", "y"):
-                if region_contains(bound, dt, dr, region):
-                    return (dt, dr, *fmr_orientations(bound, dt, dr, region))
-            return (dt, dr, *fmr_probe_orientation(bound, dt, dr, "x"))
-
-        axis = np.linspace(2.0, 32.0, 9).tolist()
-        points = [solved(dt, dr) for dt in axis for dr in axis]
-        posed_cascades_agree(scn, *(list(column) for column in zip(*points)))
+        # 9 x 9 points at the fmr-map settings: region and probe poses
+        axis = np.linspace(2.0, 32.0, 9)
+        self.agree_on_the_grid(parse_scenario(str(path)), axis, axis)
 
     def test_bit_identical_on_random_scenarios(self, rng):
-        seen_tall = False
-        for _ in range(12):
+        # 12 draws with a region on a 5 x 6 grid straddling it, one in
+        # three with the Tx and one in three with the Rx at the zenith
+        draws, seen_tall = 0, False
+        while draws < 12:
             scn = random_scenario(rng)
+            side = ("tx", "rx", None)[draws % 3]
+            if side:
+                scn = replace(scn, **{side: replace(getattr(scn, side), elevation=0.0)})
+            try:
+                bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+            except ValueError:
+                continue
+            draws += 1
             seen_tall = seen_tall or scn.rx.n_antennas > scn.tx.n_antennas
-            # draws from small pools, so side poses repeat within the batch
-            dists = rng.uniform(2.0, 20.0, 3).tolist()
-            tilts = [Tilt(float(g), float(p)) for g, p in
-                     zip(rng.uniform(0, 2 * math.pi, 3), rng.uniform(0, math.pi, 3))]
-            pick = rng.integers(0, 3, (4, 10)).tolist()
-            posed_cascades_agree(
-                scn,
-                [dists[i] for i in pick[0]],
-                [dists[i] for i in pick[1]],
-                [tilts[i] for i in pick[2]],
-                [tilts[i] for i in pick[3]],
+            t_max = max(bound.x.d_t_rayleigh, bound.y.d_t_rayleigh)
+            r_max = max(bound.x.d_r_rayleigh, bound.y.d_r_rayleigh)
+            self.agree_on_the_grid(
+                scn, np.linspace(0.1, 1.2, 5) * t_max, np.linspace(0.1, 1.2, 6) * r_max
             )
         assert seen_tall
 
+    def test_a_stack_row_is_its_one_row_call(self, rng):
+        # eigensweep poses its Tx as stacks; rows drawn from a pool of three
+        # repeat within the stack
+        for _ in range(6):
+            scn = random_scenario(rng)
+            for pose in (scn.tx, scn.rx):
+                side = link_side(scn.wave.wavelength, scn.irs, pose)
+                keys = [own_rows(pose)[i] for i in rng.integers(0, 3, 10).tolist()]
+                stack = pose_side(side, keys)
+                assert stack.shape == (10, scn.irs.n_elements, pose.n_antennas)
+                for row, key in zip(stack, keys):
+                    assert row.tobytes() == pose_side(side, [key])[0].tobytes()
+                own = propagation_phases(scn.wave, scn.irs, pose)
+                assert pose_side(side, own_rows(pose))[0].tobytes() == own.tobytes()
+
     def test_invalid_tilt_is_rejected(self, golden_scenario):
+        scn = golden_scenario
+        side = link_side(scn.wave.wavelength, scn.irs, scn.tx)
         with pytest.raises(ValueError, match="orient_elevation"):
-            reflective_cascades(golden_scenario, [5.0, 0.0, 4.0, 5.0, 0.0, 1.0], [1.0])
+            pose_side(side, [[5.0, 0.0, 1.0], [5.0, 0.0, 4.0]])
 
 
 class TestCouplingConstants:
@@ -521,11 +532,15 @@ class TestDirichletRatio:
             assert dirichlet_ratio(float(u), 15) == v
 
 
-def libm_side_terms(scn, pose, rows):
-    """_side_terms in reference_side_terms' layout: its w = s sin psi
-    squared with libm's pow, as closed_form_cascades squares it."""
-    c_x, c_y, w, lin = _side_terms(scn, pose, rows)[..., 0, 0]
-    return np.array([c_x, c_y, [v**2 for v in w.tolist()], lin]).reshape(4, -1)
+def side_couplings(scn, pose, rows):
+    """_side_terms' (c_x, c_y) as a (2, B) array, reference_couplings' layout."""
+    return _side_terms(scn, pose, rows)[..., 0, 0]
+
+
+def reference_couplings(scn, pose, rows):
+    """The (c_x, c_y) rows of reference_side_terms; the bits of its sq and
+    lin rows are held by closed_form_cascades' byte test."""
+    return reference_side_terms(scn, pose, rows)[:2]
 
 
 def assert_same_bits(got, want):
@@ -552,7 +567,7 @@ class TestSideTerms:
             for pose in (scn.tx, scn.rx):
                 for batch in (rows, repeated):
                     assert_same_bits(
-                        libm_side_terms(scn, pose, batch), reference_side_terms(scn, pose, batch)
+                        side_couplings(scn, pose, batch), reference_couplings(scn, pose, batch)
                     )
 
     def test_signed_zero_and_axis_tilts_keep_the_libm_bits(self, golden_scenario):
@@ -560,21 +575,21 @@ class TestSideTerms:
         angles = [0.0, -0.0, math.pi / 2, math.pi, -math.pi / 2, -math.pi]
         rows = [[d, g, p] for d in (0.3, 7.0) for g in angles for p in angles]
         for pose in (scn.tx, scn.rx):
-            got = libm_side_terms(scn, pose, rows)
-            assert_same_bits(got, reference_side_terms(scn, pose, rows))
+            got = side_couplings(scn, pose, rows)
+            assert_same_bits(got, reference_couplings(scn, pose, rows))
             assert np.signbit(got).any() and not np.signbit(got).all()
 
     def test_an_empty_batch_has_no_terms(self, golden_scenario):
         terms = _side_terms(golden_scenario, golden_scenario.tx, np.empty((0, 3)))
-        assert terms.shape == (4, 0, 1, 1)
+        assert terms.shape == (2, 0, 1, 1)
 
     def test_strided_rows_are_the_contiguous_rows(self, rng, golden_scenario):
         scn = golden_scenario
         poses = np.column_stack([self.rows(rng, 301), self.rows(rng, 301)])
         for strided in (poses[:, 3:], poses[::-2, :3], np.asfortranarray(poses)[:, 3:]):
             assert not strided.flags.c_contiguous
-            want = reference_side_terms(scn, scn.rx, np.ascontiguousarray(strided))
-            assert_same_bits(libm_side_terms(scn, scn.rx, strided), want)
+            want = reference_couplings(scn, scn.rx, np.ascontiguousarray(strided))
+            assert_same_bits(side_couplings(scn, scn.rx, strided), want)
 
     def test_a_row_does_not_depend_on_its_batch(self, rng, golden_scenario):
         scn = golden_scenario
@@ -586,8 +601,8 @@ class TestSideTerms:
     def test_a_nan_tilt_gives_nan_terms_as_libm_does(self, golden_scenario):
         scn = golden_scenario
         rows = [[5.0, math.nan, 0.3], [5.0, 0.3, math.nan]]
-        want = reference_side_terms(scn, scn.tx, rows)
-        assert np.array_equal(libm_side_terms(scn, scn.tx, rows), want, equal_nan=True)
+        want = reference_couplings(scn, scn.tx, rows)
+        assert np.array_equal(side_couplings(scn, scn.tx, rows), want, equal_nan=True)
 
     @pytest.mark.parametrize("row", [
         [5.0, math.inf, 0.3], [5.0, -math.inf, 0.3], [5.0, 0.3, math.inf], [5.0, 0.3, -math.inf],
@@ -768,11 +783,11 @@ class TestClosedFormCascades:
                 scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
             )
             h = closed_form_cascades(scn, poses, gain)
-            brute = reflective_cascades(scn, poses, gain)
-            for i in range(len(poses)):
+            for i, row in enumerate(poses.tolist()):
                 one = closed_form_cascades(scn, poses[i : i + 1], gain[i : i + 1])
                 assert one[0].tobytes() == h[i].tobytes()
-                assert np.max(np.abs(h[i] - brute[i])) <= 1e-8 * np.max(np.abs(brute[i]))
+                brute = build_channels(posed_scenario(scn, row)).h
+                assert np.max(np.abs(h[i] - brute)) <= 1e-8 * np.max(np.abs(brute))
 
     def test_an_empty_batch_has_no_links(self, golden_scenario):
         scn, poses, gain = golden_scenario, np.empty((0, 6)), np.empty(0)

@@ -349,7 +349,9 @@ class TestFmrMapCommand:
                     settings = fmr_probe_orientation(bound, d_t, d_r, "x")
                 else:
                     settings = fmr_orientations(bound, d_t, d_r, kind)
-                cs = build_channels(posed_scenario(scn, d_t, d_r, settings))
+                ot, orx = settings
+                row = (d_t, ot.gamma, ot.psi, d_r, orx.gamma, orx.psi)
+                cs = build_channels(posed_scenario(scn, row))
                 target = cs.eta0**2 * scn.irs.n_elements**2
                 assert gram == ("1" if check_orthogonality(cs.h, mode, target).passed else "0")
             assert {row[4] for row in rows} == {"0", "1"}
@@ -406,10 +408,11 @@ class TestFmrMapCommand:
     def test_one_column_per_distance_and_one_gain_pass_per_map(self, capsys, monkeypatch):
         # a 60 x 60 map solves one region column per (D_t, axis) plus one
         # probe column, forms g0 once for all its gains, and builds complex
-        # cascades, closed-form and brute-force, only at its two spot points
+        # cascades, closed-form and brute-force, only at its two spot points,
+        # each brute-force build_channels forming its own eta0
         scn = parse_scenario(BASELINE)
         monkeypatch.setattr(cli, "parse_scenario", lambda path: scn)
-        calls = {"_column": [], "tilde_g": [], "closed_form_cascades": [], "reflective_cascades": []}
+        calls = {"_column": [], "tilde_g": [], "closed_form_cascades": [], "build_channels": []}
 
         def count(module, name):
             real = getattr(module, name)
@@ -423,7 +426,7 @@ class TestFmrMapCommand:
         count(mux, "_column")
         count(response, "tilde_g")
         count(chan, "closed_form_cascades")
-        count(chan, "reflective_cascades")
+        count(chan, "build_channels")
         code, out, err = run_cli(
             capsys,
             "fmr-map", "--scenario", BASELINE, "--verify",
@@ -433,10 +436,10 @@ class TestFmrMapCommand:
         assert code == 0, err
         assert len(out.splitlines()) == 2 + 60 * 60
         assert 0 < len(calls["_column"]) <= 2 * 60 + 1
-        assert len(calls["tilde_g"]) == 1
         assert 0 < len(calls["closed_form_cascades"]) <= 2
         assert all(np.shape(poses) == (1, 6) for _, poses, _ in calls["closed_form_cascades"])
-        assert 0 < len(calls["reflective_cascades"]) <= 2
+        assert 0 < len(calls["build_channels"]) <= 2
+        assert len(calls["tilde_g"]) == 1 + len(calls["closed_form_cascades"])
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_kernel_verdicts_are_the_complex_closed_forms(self, capsys, monkeypatch, seed):
@@ -546,7 +549,9 @@ class TestFmrMapCommand:
                     settings = fmr_probe_orientation(bound, d_t, d_r, "x")
                 else:
                     settings = fmr_orientations(bound, d_t, d_r, region)
-                cs = build_channels(posed_scenario(scn, d_t, d_r, settings))
+                ot, orx = settings
+                row = (d_t, ot.gamma, ot.psi, d_r, orx.gamma, orx.psi)
+                cs = build_channels(posed_scenario(scn, row))
                 target = cs.eta0**2 * scn.irs.n_elements**2
                 assert gram == ("1" if check_orthogonality(cs.h, mode, target).passed else "0")
                 seen[gram] = True
@@ -899,6 +904,21 @@ class TestVerifyCommand:
         assert d_t == pytest.approx(4.716, abs=1e-3)
         assert f"in-region (D_t={d_t:.3f} m, D_r={0.8 * bound.x.d_r_rayleigh:.3f} m)" in out
         assert "PASS gram_fmr" in out
+
+    @pytest.mark.parametrize("side, azimuth", [("tx", None), ("rx", repr(math.pi / 12))])
+    def test_gram_check_passes_with_an_array_in_the_surface_plane(
+        self, capsys, tmp_path, side, azimuth
+    ):
+        # the Tx there shrinks the x-rectangle to D_t* ~ 3e-15 m, where 0.8
+        # of its corner failed the Gram check; the Rx there shrinks the lobe
+        # to a sliver, where halfway to the Tx limit would fail it
+        replacements = {f"{side}.elevation_rad": repr(math.pi / 2)}
+        if azimuth:
+            replacements[f"{side}.azimuth_rad"] = azimuth
+        edge_on = write_variant(tmp_path, "edge_on.txt", replacements)
+        code, out, _ = run_cli(capsys, "verify", "--scenario", edge_on, "--checks", "gram_fmr")
+        assert code == 0, out
+        assert "pass=True, outside" in out and "PASS gram_fmr" in out
 
     def test_gram_check_with_more_receivers_than_transmitters(self, capsys, tmp_path):
         tall = write_variant(tmp_path, "tall.txt", {"rx.count": "5"}, base=SMALL)

@@ -56,7 +56,8 @@ def golden_bound():
 def solved_scenario(bound, d_t, d_r, region, probe=False):
     """Scenario with the reference directions placed at solver orientations."""
     solver = fmr_probe_orientation if probe else fmr_orientations
-    return posed_scenario(GOLD, d_t, d_r, solver(bound, d_t, d_r, region))
+    ot, orx = solver(bound, d_t, d_r, region)
+    return posed_scenario(GOLD, (d_t, ot.gamma, ot.psi, d_r, orx.gamma, orx.psi))
 
 
 def region_limits(bound, region):
