@@ -10,14 +10,11 @@ surface applies one programmable phase per element; the end-to-end
 N_r x N_t channel is the phased double sum scaled by the common gain.  For
 reflective focusing the double sum collapses to a product of a
 per-antenna quadratic phase factor and two Dirichlet ratios, which this
-module also evaluates directly (closed_form_cascades) for a (B, 6) stack of
-poses in one numpy pass: each side's couplings (pose_terms) and its
-antennas' phases, where numpy's float64 sin and cos give libm's bits, which
-a test of the scalar formula holds them to, and only the squares of
-s sin psi keep libm's pow, as numpy's x*x may differ.  The phase factors
+module also evaluates directly (closed_form_channel).  The phase factors
 are unit-modulus and diagonal on each side, so they change no Gram entry's
-magnitude: focused_kernels gives the real kernel gain * D_x * D_y alone, on
-which fmr-map --verify judges its points.
+magnitude: focused_kernels gives the real kernel gain * D_x * D_y alone,
+for a batch of poses in one numpy pass (pose_terms), on which fmr-map
+--verify judges its points.
 
 The phase is separable in the tilt.  With v1, v2, v3 the element's
 local-frame components, r_p the antenna position and (gamma, psi) the
@@ -27,14 +24,13 @@ antenna term k0*(r_p^2 sin^2 psi/(2D) + r_p cos psi) and one rank-one
 coupling r_p * k0/D * sin psi * (v1 cos gamma + v2 sin gamma).
 
 One function builds link phases: pose_side takes the orientation-free terms
-of one side (link_side) and synthesizes that side at every (distance, gamma,
-psi) row of a (B, 3) stack in one numpy pass; each row is computed apart
-from the rest of its stack.  propagation_phases is a scenario's own array,
-the stack of one, which feeds tx_irs_channel, irs_rx_channel,
-reflective_focusing and build_channels.  build_channels, the one brute-force
-builder, evaluates each side once and takes the surface phases from the
-scenario's focusing mode; the closed-form checks build their brute-force
-cascades with it, at a scenario posed at their point.
+of one side (link_side) and synthesizes that side at one (distance, gamma,
+psi).  propagation_phases is a scenario's own array, which feeds
+tx_irs_channel, irs_rx_channel, reflective_focusing and build_channels.
+build_channels, the one brute-force builder, evaluates each side once and
+takes the surface phases from the scenario's focusing mode; the
+closed-form checks build their brute-force cascades with it, at a scenario
+posed at their point.
 The antenna term is a unit-modulus factor per antenna, which leaves every
 singular value of the cascade as it is, so at fixed surface phases the MI
 depends on the tilts only through each side's coupling E[q, p] =
@@ -122,30 +118,22 @@ def link_side(lam: float, layout: IrsLayout, pose: ArrayPose) -> LinkSide:
     return LinkSide(v1, v2, fresnel, k0 * v3, r, pose.distance, k0)
 
 
-def pose_side(side: LinkSide, keys):
-    """Phases (B, Q, N) of side moved and tilted to each (distance, gamma,
-    psi) row of the (B, 3) sequence keys; each row must make a valid pose.
+def pose_side(side: LinkSide, d: float, gamma: float, psi: float) -> np.ndarray:
+    """Phases (Q, N) of side moved to distance d and tilted to (gamma, psi),
+    which must make a valid pose.
 
     The phase is the separable elem_q + k0*(r_p^2 sin^2 psi/(2D) + r_p cos
     psi) - r_p*t_q, with the tilt coupling t = k0/D * sin psi * (v1 cos
-    gamma + v2 sin gamma) (B, Q) and each row's trig taken with libm.  Only
-    elementwise broadcasts form it, so a row is computed apart from the
-    rest of its stack, and a caller bounds its temporaries by the rows it
-    passes.
+    gamma + v2 sin gamma) (Q,) and the trig taken with libm.
     """
-    rows = []
-    for d, gamma, psi in keys:
-        check_distance(d)
-        check_orientation(gamma, psi)
-        s = math.sin(psi)
-        kappa = side.k0 / d
-        rows.append((kappa * s * math.cos(gamma), kappa * s * math.sin(gamma),
-                     0.5 * kappa * s * s, side.k0 * math.cos(psi), d))
-    along_x, along_y, quad, lin, d = np.array(rows, dtype=float).reshape(-1, 5).T[..., None]
-    coupling = side.v1 * along_x + side.v2 * along_y
-    antenna = (side.r * side.r) * quad + side.r * lin
+    check_distance(d)
+    check_orientation(gamma, psi)
+    s = math.sin(psi)
+    kappa = side.k0 / d
+    coupling = side.v1 * (kappa * s * math.cos(gamma)) + side.v2 * (kappa * s * math.sin(gamma))
+    antenna = (side.r * side.r) * (0.5 * kappa * s * s) + side.r * (side.k0 * math.cos(psi))
     elem = side.fresnel / d - side.axial
-    return (elem[..., None] + antenna[:, None, :]) - side.r * coupling[..., None]
+    return (elem[:, None] + antenna) - side.r * coupling[:, None]
 
 
 def _own_pose(pose: ArrayPose) -> list[float]:
@@ -155,7 +143,7 @@ def _own_pose(pose: ArrayPose) -> list[float]:
 
 def propagation_phases(wave, layout: IrsLayout, pose: ArrayPose) -> np.ndarray:
     """Link phases 2*pi*(d_approx - D)/lambda, shape (q_x*q_y, n_antennas)."""
-    return pose_side(link_side(wave.wavelength, layout, pose), [_own_pose(pose)])[0]
+    return pose_side(link_side(wave.wavelength, layout, pose), *_own_pose(pose))
 
 
 def orientation_phase_jacobian(wave, layout: IrsLayout, pose: ArrayPose):
@@ -348,7 +336,8 @@ def _dirichlet_factors(scn: Scenario, terms):
 
 def focused_kernels(scn: Scenario, terms, gain) -> np.ndarray:
     """Real kernels gain * D_x * D_y (B, N_r, N_t) of B links from their
-    pose_terms and gains (B,): closed_form_cascades without its phase factors.
+    pose_terms and gains (B,): closed_form_channel of each link without its
+    phase factors.
 
     The cascade is diag(a_r) K diag(a_t) with unit-modulus a_r, a_t, so its
     Gram matrices are K K^T and K^T K conjugated by a diagonal unitary:
@@ -359,31 +348,6 @@ def focused_kernels(scn: Scenario, terms, gain) -> np.ndarray:
     kernel *= np.asarray(gain, dtype=float)[:, None, None]
     kernel *= d_y
     return kernel
-
-
-def closed_form_cascades(scn: Scenario, poses, gain) -> ComplexMatrix:
-    """Reflectively focused cascades (B, N_r, N_t) of B posed links, without
-    the double sum.
-
-    Row i of poses (B, 6) holds link i's Tx (D_t, gamma, psi) and Rx (D_r,
-    gamma, psi), as multiplexing.region_grid gives them, and gain (B,) its
-    common gains from response.cascade_gains.  Entry (q, p) is the gain
-    times a per-antenna quadratic/linear phase factor times the two
-    Dirichlet ratios of the coupled spatial frequencies.  The coupling
-    anchors depend only on where each array sits, so they are read once per
-    side, and no array has a surface-sized axis.  Every operation is
-    elementwise, so a link's cascade does not depend on the batch around it.
-    """
-    poses = np.asarray(poses, dtype=float).reshape(-1, 6)
-    p, q, d_x, d_y = _dirichlet_factors(scn, pose_terms(scn, poses))
-    columns, quad = poses.T[..., None, None], []
-    for pose, (d, _, psi), idx in ((scn.tx, columns[:3], p), (scn.rx, columns[3:], q)):
-        w, lin = pose.spacing * np.sin(psi), pose.spacing * np.cos(psi)
-        # libm's pow(w, 2) per row: numpy's w*w differs from it in about 8 of 10^4 values
-        sq = np.array([v**2 for v in w.ravel().tolist()]).reshape(w.shape)
-        quad.append(sq * idx**2 / (2.0 * d) + lin * idx)
-    phase = (2.0 * math.pi / scn.wave.wavelength) * (quad[0] + quad[1])
-    return np.asarray(gain, dtype=float)[:, None, None] * np.exp(-1j * phase) * d_x * d_y
 
 
 def _mirrored_ratio(u, q: int):
@@ -405,9 +369,23 @@ def _mirrored_ratio(u, q: int):
 
 
 def closed_form_channel(scn: Scenario) -> ComplexMatrix:
-    """Cascade under reflective focusing without the double sum:
-    closed_form_cascades at the scenario's own poses."""
+    """Cascade under reflective focusing without the double sum.
+
+    Entry (q, p) is the common gain times a per-antenna quadratic/linear
+    phase factor times the two Dirichlet ratios of the coupled spatial
+    frequencies at the scenario's own poses.  The squares of s sin psi are
+    Python floats, libm's pow, which numpy's x*x differs from in about 8 of
+    10^4 values.
+    """
     if scn.focusing_mode != "reflective":
         raise ValueError("closed form assumes reflective focusing on the center pair")
     gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
-    return closed_form_cascades(scn, [_own_pose(scn.tx) + _own_pose(scn.rx)], [gain])[0]
+    terms = pose_terms(scn, [_own_pose(scn.tx) + _own_pose(scn.rx)])
+    p, q, d_x, d_y = _dirichlet_factors(scn, terms)
+    quad = [
+        (pose.spacing * math.sin(pose.orient_elevation)) ** 2 * idx**2 / (2.0 * pose.distance)
+        + (pose.spacing * math.cos(pose.orient_elevation)) * idx
+        for pose, idx in ((scn.tx, p), (scn.rx, q))
+    ]
+    phase = (2.0 * math.pi / scn.wave.wavelength) * (quad[0] + quad[1])
+    return gain * np.exp(-1j * phase) * d_x[0] * d_y[0]

@@ -140,18 +140,19 @@ def _check_gram_fmr(scn: Scenario):
         bound = mux.fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
     except ValueError as exc:
         return None, f"no multiplexing region: {exc}"
-    # at 0.8 of the D_r cap of one x-region column: at 0.8 of the rectangle's
-    # D_t or halfway to the Tx limit, whichever spans more D_t * D_r.  An
-    # array in the surface plane shrinks one part to a sliver, the rectangle
-    # (Tx) or the lobe (Rx), where the Gram check fails
-    reg = bound.x
+    # at 0.8 of the D_r cap of one region column: at 0.8 of the rectangle's
+    # D_t or halfway to the Tx limit, in the x or the y region, whichever
+    # spans the most D_t * D_r.  An array in the surface plane shrinks one
+    # part to a sliver, the rectangle (Tx) or the lobe (Rx), and just off a
+    # surface axis that axis's whole region, where the Gram check fails
+    def candidates(axis):
+        reg = bound.axis(axis)
+        for d_t in (0.8 * reg.d_t_star, 0.5 * reg.d_t_rayleigh):
+            cap = reg.d_r_rayleigh if d_t <= reg.d_t_star else mux.boundary_cap(bound, axis, d_t)
+            yield d_t * cap, axis, d_t, 0.8 * cap
 
-    def cap(d_t):
-        return reg.d_r_rayleigh if d_t <= reg.d_t_star else mux.boundary_cap(bound, "x", d_t)
-
-    d_t = max((0.8 * reg.d_t_star, 0.5 * reg.d_t_rayleigh), key=lambda t: t * cap(t))
-    d_r = 0.8 * cap(d_t)
-    inside = gram_passes(scn, d_t, d_r, mux.fmr_orientations(bound, d_t, d_r, "x"))
+    _, region, d_t, d_r = max((*candidates("x"), *candidates("y")), key=lambda c: c[0])
+    inside = gram_passes(scn, d_t, d_r, mux.fmr_orientations(bound, d_t, d_r, region))
     # past both sides' limits, so a one-antenna side, which has none, still
     # leaves the other side unable to separate its streams
     far_t = 1.2 * bound.x.d_t_rayleigh

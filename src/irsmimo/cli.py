@@ -31,11 +31,6 @@ from .scenario import (
     serialize_scenario,
 )
 
-# eigensweep synthesizes this many distances per numpy pass: enough to
-# amortize the per-pass overhead, few enough that the (chunk, Q, N) phase
-# temporaries stay small
-SWEEP_CHUNK = 4
-
 # fmr-map --verify evaluates its real closed-form kernels this many points
 # at a time, so the (block, N_r, N_t) float temporaries stay small at any
 # grid size
@@ -133,16 +128,14 @@ def cmd_eigensweep(args) -> int:
         gamma = mux.single_hop_orientation(
             replace(scn.tx, distance=min(distances[0], d_axis)), scn.irs, scn.wave, axis
         ).gamma
-    # the solver's tilt asin(D/D_axis), held at its value at the limit beyond it
-    keys = [(d, gamma, psi if axis is None else math.asin(min(1.0, d / d_axis))) for d in distances]
     side = chan.link_side(scn.wave.wavelength, scn.irs, scn.tx)
     rows = []
-    for i in range(0, len(keys), SWEEP_CHUNK):
-        chunk = keys[i : i + SWEEP_CHUNK]
-        hops = chan.side_hops(chan.pose_side(side, chunk))
-        for (d_t, _, _), h_t in zip(chunk, hops):
-            ev = np.linalg.eigvalsh(h_t.conj().T @ h_t) / scn.irs.n_elements
-            rows.append((d_t, *np.sort(ev)[::-1]))
+    for d_t in distances:
+        # the solver's tilt asin(D/D_axis), held at its value at the limit beyond it
+        tilt = psi if axis is None else math.asin(min(1.0, d_t / d_axis))
+        h_t = chan.side_hops(chan.pose_side(side, d_t, gamma, tilt))
+        ev = np.linalg.eigvalsh(h_t.conj().T @ h_t) / scn.irs.n_elements
+        rows.append((d_t, *np.sort(ev)[::-1]))
     header = ["d_t"] + [f"eig_{i + 1}" for i in range(scn.tx.n_antennas)]
     _emit(args, header, rows, scn)
     if args.gnuplot_hints:
@@ -156,9 +149,10 @@ def _map_verdicts(scn, grid) -> np.ndarray:
     The map's gains, refused before any cascade, and both sides' pose terms
     are formed once; MAP_BLOCK points at a time, the verdicts come from the
     real kernels of the closed form, whose Gram entries the per-antenna
-    phase factors do not change.  The first in-region and the first
-    out-of-region point in row-major order are built as complex closed-form
-    cascades and by brute force, and the map is refused unless they agree.
+    phase factors do not change.  At the first in-region and the first
+    out-of-region point in row-major order, _spot_check builds the complex
+    closed form and the brute-force cascade of the scenario posed there,
+    and the map is refused unless they agree.
     """
     inside, served, poses, _ = grid
     poses = poses.reshape(-1, 6)
@@ -174,23 +168,22 @@ def _map_verdicts(scn, grid) -> np.ndarray:
         kernels = chan.focused_kernels(scn, (terms_t[:, block], terms_r[:, block]), gain[block])
         verdicts[block] = checks.gram_verdicts(scn, kernels, gain[block])
     for i in sorted(spots):
-        _spot_check(scn, poses[i : i + 1], gain[i : i + 1], verdicts[i])
+        _spot_check(scn, poses[i].tolist(), verdicts[i])
     return verdicts.reshape(served.shape)
 
 
-def _spot_check(scn, pose, gain, passed) -> None:
-    """Refuse a map unless the brute-force cascade at one of its points,
-    build_channels of scn posed at pose (1, 6), gives the map's Gram verdict
-    and the complex closed-form cascade h there, with the map's gain, has
+def _spot_check(scn, row, passed) -> None:
+    """Refuse a map unless, at scn posed at one of its pose rows (D_t, gamma,
+    psi, D_r, gamma, psi), the brute-force cascade (build_channels) gives the
+    map's Gram verdict and the closed form h (closed_form_channel) has
     max|h - brute| at most 1e-8 of brute's largest entry.  One bound for
     every entry, unlike verify's closed_form check, which judges each entry
     above 1e-6 of the largest against itself."""
-    row = pose[0].tolist()
-    h = chan.closed_form_cascades(scn, pose, gain)[0]
-    brute = chan.build_channels(checks.posed_scenario(scn, row)).h
-    scale = float(np.max(np.abs(brute)))
-    if checks.gram_verdicts(scn, brute[None], gain)[0] != passed or not (
-        np.max(np.abs(h - brute)) <= 1e-8 * scale
+    posed = checks.posed_scenario(scn, row)
+    h, cs = chan.closed_form_channel(posed), chan.build_channels(posed)
+    scale = float(np.max(np.abs(cs.h)))
+    if checks.gram_verdicts(scn, cs.h[None], np.array([cs.eta0]))[0] != passed or not (
+        np.max(np.abs(h - cs.h)) <= 1e-8 * scale
     ):
         raise ValueError(
             f"closed form and brute force disagree at (D_t={_fmt(row[0])}, D_r={_fmt(row[3])})"

@@ -18,10 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ComplexMatrix, side_anchors
-from .geometry import ArrayPose, IrsLayout
+from .geometry import ArrayPose, IrsLayout, fold_orientation
 from .response import WaveConfig
-
-TWO_PI = 2.0 * math.pi
 
 
 class RayleighResult(NamedTuple):
@@ -136,8 +134,8 @@ def single_hop_orientation(
         raise ValueError(
             f"distance {pose.distance:g} m exceeds the axis limit {d_axis:g} m"
         )
-    psi = math.asin(min(1.0, pose.distance / d_axis))
-    return OrientationSetting(psi=psi, gamma=anchor % TWO_PI, branch=f"{axis}-default")
+    gamma, psi = fold_orientation(anchor, math.asin(min(1.0, pose.distance / d_axis)))
+    return OrientationSetting(psi=psi, gamma=gamma, branch=f"{axis}-default")
 
 
 def _gamma_star(a_t, g_t, a_r, g_r) -> float:

@@ -12,7 +12,9 @@ and their contraction against the coupling's tilt derivatives: the forms
 the optimizer used before it fused both sides into one tilt basis.  The
 Dirichlet ratio is kept in the form it had before its sign came from the
 parity of m, and each side's pose terms in the scalar libm form they had
-before they became one numpy pass.
+before they became one numpy pass.  The closed form is kept in the batched
+form it had before it became one link per call, as the complex cascades
+the map's real kernels are judged against.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from irsmimo.channel import resolve_link, side_anchors
+from irsmimo.channel import _dirichlet_factors, pose_terms, resolve_link, side_anchors
 from irsmimo.checks import random_scenario
 from irsmimo.geometry import centered_indices, re_local_components
 from irsmimo.optimize import LOG2, oriented_scenario
@@ -213,22 +215,34 @@ def reference_dirichlet_ratio(u, q):
 
 
 def reference_side_terms(scn, pose, rows):
-    """(c_x, c_y, sq, lin) (4, B) of one side at the poses (distance, gamma,
-    psi) of rows (B, 3), each from scalar libm calls: sq = (s sin psi)**2
-    with libm's pow.  An infinite tilt raises libm's ValueError and a zero
-    lambda * distance ZeroDivisionError."""
+    """(c_x, c_y) (2, B) of one side at the poses (distance, gamma, psi) of
+    rows (B, 3), each from scalar libm calls.  An infinite tilt raises
+    libm's ValueError and a zero lambda * distance ZeroDivisionError."""
     a_x, g_x, a_y, g_y = side_anchors(pose)
     lam, irs, s = scn.wave.wavelength, scn.irs, pose.spacing
     k_x = s * irs.spacing_x * irs.q_x * a_x
     k_y = s * irs.spacing_y * irs.q_y * a_y
     terms = [
         (
-            k_x * sin_psi * math.cos(gamma - g_x) / (lam * d),
-            k_y * sin_psi * math.cos(gamma - g_y) / (lam * d),
-            (s * sin_psi) ** 2,
-            s * math.cos(psi),
+            k_x * math.sin(psi) * math.cos(gamma - g_x) / (lam * d),
+            k_y * math.sin(psi) * math.cos(gamma - g_y) / (lam * d),
         )
         for d, gamma, psi in np.asarray(rows, dtype=float).reshape(-1, 3).tolist()
-        for sin_psi in (math.sin(psi),)
     ]
-    return np.array(terms, dtype=float).reshape(-1, 4).T
+    return np.array(terms, dtype=float).reshape(-1, 2).T
+
+
+def batched_closed_form(scn, poses, gain):
+    """Reflectively focused cascades (B, N_r, N_t) of the B links at poses
+    (B, 6), (D_t, gamma, psi, D_r, gamma, psi) rows as region_grid gives
+    them, with common gains gain (B,), in one numpy pass; only the squares
+    of s sin psi are libm's pow, per row."""
+    poses = np.asarray(poses, dtype=float).reshape(-1, 6)
+    p, q, d_x, d_y = _dirichlet_factors(scn, pose_terms(scn, poses))
+    columns, quad = poses.T[..., None, None], []
+    for pose, (d, _, psi), idx in ((scn.tx, columns[:3], p), (scn.rx, columns[3:], q)):
+        w, lin = pose.spacing * np.sin(psi), pose.spacing * np.cos(psi)
+        sq = np.array([v**2 for v in w.ravel().tolist()]).reshape(w.shape)
+        quad.append(sq * idx**2 / (2.0 * d) + lin * idx)
+    phase = (2.0 * math.pi / scn.wave.wavelength) * (quad[0] + quad[1])
+    return np.asarray(gain, dtype=float)[:, None, None] * np.exp(-1j * phase) * d_x * d_y

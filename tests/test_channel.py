@@ -14,7 +14,6 @@ from irsmimo import cli, response
 from irsmimo.channel import (
     _side_terms,
     build_channels,
-    closed_form_cascades,
     closed_form_channel,
     coupling_constants,
     dirichlet_ratio,
@@ -42,6 +41,7 @@ from irsmimo.optimize import (
 from irsmimo.scenario import PowerConfig, Scenario, WaveConfig, parse_scenario
 from oracles import (
     LONG_PI,
+    batched_closed_form,
     coupling_factor,
     edge_setups,
     edge_tilts,
@@ -306,7 +306,8 @@ def own_rows(pose):
 class TestPosedLinks:
     """fmr-map's spot checks and verify's gram_fmr take their brute force
     from build_channels of the scenario posed at a grid pose; the map's
-    batched gains and closed form must be that scenario's, bit for bit."""
+    batched gains must be that scenario's, and its closed form the
+    reference's, bit for bit."""
 
     @staticmethod
     def agree_on_the_grid(scn, d_t, d_r):
@@ -318,8 +319,7 @@ class TestPosedLinks:
         for i, row in enumerate(poses.tolist()):
             posed = posed_scenario(scn, row)
             assert gain[i] == build_channels(posed).eta0
-            one = closed_form_cascades(scn, poses[i : i + 1], gain[i : i + 1])
-            assert one[0].tobytes() == closed_form_channel(posed).tobytes()
+            assert closed_form_channel(posed).tobytes() == reference_closed_form(posed)[0].tobytes()
 
     @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
     def test_bit_identical_on_a_solved_grid(self, path):
@@ -349,26 +349,26 @@ class TestPosedLinks:
             )
         assert seen_tall
 
-    def test_a_stack_row_is_its_one_row_call(self, rng):
-        # eigensweep poses its Tx as stacks; rows drawn from a pool of three
-        # repeat within the stack
+    def test_a_resolved_side_posed_anywhere_is_the_moved_pose(self, rng):
+        # eigensweep resolves its Tx once and poses it at every distance:
+        # the side at its own row, and at two others, is propagation_phases
+        # of the pose standing there
         for _ in range(6):
             scn = random_scenario(rng)
             for pose in (scn.tx, scn.rx):
                 side = link_side(scn.wave.wavelength, scn.irs, pose)
-                keys = [own_rows(pose)[i] for i in rng.integers(0, 3, 10).tolist()]
-                stack = pose_side(side, keys)
-                assert stack.shape == (10, scn.irs.n_elements, pose.n_antennas)
-                for row, key in zip(stack, keys):
-                    assert row.tobytes() == pose_side(side, [key])[0].tobytes()
-                own = propagation_phases(scn.wave, scn.irs, pose)
-                assert pose_side(side, own_rows(pose))[0].tobytes() == own.tobytes()
+                for d, gamma, psi in own_rows(pose):
+                    moved = replace(pose, distance=d, orient_azimuth=gamma, orient_elevation=psi)
+                    phases = pose_side(side, d, gamma, psi)
+                    assert phases.shape == (scn.irs.n_elements, pose.n_antennas)
+                    want = propagation_phases(scn.wave, scn.irs, moved)
+                    assert phases.tobytes() == want.tobytes()
 
     def test_invalid_tilt_is_rejected(self, golden_scenario):
         scn = golden_scenario
         side = link_side(scn.wave.wavelength, scn.irs, scn.tx)
         with pytest.raises(ValueError, match="orient_elevation"):
-            pose_side(side, [[5.0, 0.0, 1.0], [5.0, 0.0, 4.0]])
+            pose_side(side, 5.0, 0.0, 4.0)
 
 
 class TestCouplingConstants:
@@ -533,14 +533,8 @@ class TestDirichletRatio:
 
 
 def side_couplings(scn, pose, rows):
-    """_side_terms' (c_x, c_y) as a (2, B) array, reference_couplings' layout."""
+    """_side_terms' (c_x, c_y) as a (2, B) array, reference_side_terms' layout."""
     return _side_terms(scn, pose, rows)[..., 0, 0]
-
-
-def reference_couplings(scn, pose, rows):
-    """The (c_x, c_y) rows of reference_side_terms; the bits of its sq and
-    lin rows are held by closed_form_cascades' byte test."""
-    return reference_side_terms(scn, pose, rows)[:2]
 
 
 def assert_same_bits(got, want):
@@ -567,7 +561,7 @@ class TestSideTerms:
             for pose in (scn.tx, scn.rx):
                 for batch in (rows, repeated):
                     assert_same_bits(
-                        side_couplings(scn, pose, batch), reference_couplings(scn, pose, batch)
+                        side_couplings(scn, pose, batch), reference_side_terms(scn, pose, batch)
                     )
 
     def test_signed_zero_and_axis_tilts_keep_the_libm_bits(self, golden_scenario):
@@ -576,7 +570,7 @@ class TestSideTerms:
         rows = [[d, g, p] for d in (0.3, 7.0) for g in angles for p in angles]
         for pose in (scn.tx, scn.rx):
             got = side_couplings(scn, pose, rows)
-            assert_same_bits(got, reference_couplings(scn, pose, rows))
+            assert_same_bits(got, reference_side_terms(scn, pose, rows))
             assert np.signbit(got).any() and not np.signbit(got).all()
 
     def test_an_empty_batch_has_no_terms(self, golden_scenario):
@@ -588,7 +582,7 @@ class TestSideTerms:
         poses = np.column_stack([self.rows(rng, 301), self.rows(rng, 301)])
         for strided in (poses[:, 3:], poses[::-2, :3], np.asfortranarray(poses)[:, 3:]):
             assert not strided.flags.c_contiguous
-            want = reference_couplings(scn, scn.rx, np.ascontiguousarray(strided))
+            want = reference_side_terms(scn, scn.rx, np.ascontiguousarray(strided))
             assert_same_bits(side_couplings(scn, scn.rx, strided), want)
 
     def test_a_row_does_not_depend_on_its_batch(self, rng, golden_scenario):
@@ -601,7 +595,7 @@ class TestSideTerms:
     def test_a_nan_tilt_gives_nan_terms_as_libm_does(self, golden_scenario):
         scn = golden_scenario
         rows = [[5.0, math.nan, 0.3], [5.0, 0.3, math.nan]]
-        want = reference_couplings(scn, scn.tx, rows)
+        want = reference_side_terms(scn, scn.tx, rows)
         assert np.array_equal(side_couplings(scn, scn.tx, rows), want, equal_nan=True)
 
     @pytest.mark.parametrize("row", [
@@ -672,8 +666,8 @@ class TestClosedForm:
 
 
 def reference_closed_form(scn):
-    """The closed form as closed_form_channel evaluated it before it became a
-    one-point call of closed_form_cascades; the reference for its bits."""
+    """The closed form from scalar libm couplings, each entry's Dirichlet
+    ratios unmirrored; the reference for closed_form_channel's bits."""
     lam = scn.wave.wavelength
 
     def c(pose, spacing, count, amp, anchor):
@@ -716,13 +710,12 @@ def pow_slips(x):
     return x**2 != x * x
 
 
-def own_pose(scn):
-    """The scenario's own (D_t, gamma, psi, D_r, gamma, psi) row."""
-    return [
-        pose_value
-        for pose in (scn.tx, scn.rx)
-        for pose_value in (pose.distance, pose.orient_azimuth, pose.orient_elevation)
-    ]
+def random_poses(rng, n):
+    """n random (D_t, gamma, psi, D_r, gamma, psi) rows."""
+    return np.column_stack([
+        rng.uniform(2.0, 20.0, n), rng.uniform(0, 2 * math.pi, n), rng.uniform(0, math.pi, n),
+        rng.uniform(2.0, 20.0, n), rng.uniform(0, 2 * math.pi, n), rng.uniform(0, math.pi, n),
+    ])
 
 
 class TestClosedFormCascades:
@@ -739,40 +732,27 @@ class TestClosedFormCascades:
         assert any(scn.rx.n_antennas > scn.tx.n_antennas for scn in setups)
         for scn in setups:
             want, couplings = reference_closed_form(scn)
-            gain = response.eta0(scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx)
-            h = closed_form_cascades(scn, [own_pose(scn)], [gain])
-            assert h.shape == (1, *want.shape)
-            assert h[0].tobytes() == want.tobytes()
             assert closed_form_channel(scn).tobytes() == want.tobytes()
             cc = coupling_constants(scn)
             assert (cc.c_tx, cc.c_ty, cc.c_rx, cc.c_ry) == couplings
-            # 40 more poses in one batch, each against the reference of its
-            # posed scenario; the first pose's tilts are ones where libm's
+            # 40 more poses, each against the reference of its posed
+            # scenario; the first pose's tilts are ones where libm's
             # pow(x, 2) and x*x differ for x = s sin psi, so a slip shows
-            poses = np.column_stack([
-                rng.uniform(2.0, 20.0, 40), rng.uniform(0, 2 * math.pi, 40), rng.uniform(0, math.pi, 40),
-                rng.uniform(2.0, 20.0, 40), rng.uniform(0, 2 * math.pi, 40), rng.uniform(0, math.pi, 40),
-            ])
+            poses = random_poses(rng, 40)
             for col, pose in ((2, scn.tx), (5, scn.rx)):
                 poses[0, col] = next(
                     psi for psi in rng.uniform(0, math.pi, 100000).tolist()
                     if pow_slips(pose.spacing * math.sin(psi))
                 )
-            gain = response.cascade_gains(
-                scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
-            )
-            h = closed_form_cascades(scn, poses, gain)
-            for i, (d_t, g_t, p_t, d_r, g_r, p_r) in enumerate(poses.tolist()):
-                posed = replace(
-                    scn,
-                    tx=replace(scn.tx, distance=d_t, orient_azimuth=g_t, orient_elevation=p_t),
-                    rx=replace(scn.rx, distance=d_r, orient_azimuth=g_r, orient_elevation=p_r),
-                )
-                assert h[i].tobytes() == reference_closed_form(posed)[0].tobytes()
+            for row in poses.tolist():
+                posed = posed_scenario(scn, row)
+                want = reference_closed_form(posed)[0]
+                assert closed_form_channel(posed).tobytes() == want.tobytes()
 
     def test_a_link_does_not_depend_on_its_batch(self, rng):
-        # repeated side poses share their terms; every link equals its
-        # one-point evaluation bit for bit and the brute-force cascade to 1e-8
+        # the batched reference the map's kernels are judged against: with
+        # repeated side poses, every link is closed_form_channel of its
+        # posed scenario bit for bit, and the brute-force cascade to 1e-8
         for _ in range(6):
             scn = random_scenario(rng)
             dists = rng.uniform(2.0, 20.0, 3)
@@ -782,16 +762,16 @@ class TestClosedFormCascades:
             gain = response.cascade_gains(
                 scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
             )
-            h = closed_form_cascades(scn, poses, gain)
+            h = batched_closed_form(scn, poses, gain)
             for i, row in enumerate(poses.tolist()):
-                one = closed_form_cascades(scn, poses[i : i + 1], gain[i : i + 1])
-                assert one[0].tobytes() == h[i].tobytes()
-                brute = build_channels(posed_scenario(scn, row)).h
+                posed = posed_scenario(scn, row)
+                assert closed_form_channel(posed).tobytes() == h[i].tobytes()
+                brute = build_channels(posed).h
                 assert np.max(np.abs(h[i] - brute)) <= 1e-8 * np.max(np.abs(brute))
 
     def test_an_empty_batch_has_no_links(self, golden_scenario):
         scn, poses, gain = golden_scenario, np.empty((0, 6)), np.empty(0)
-        for h in (closed_form_cascades(scn, poses, gain),
+        for h in (batched_closed_form(scn, poses, gain),
                   focused_kernels(scn, pose_terms(scn, poses), gain)):
             assert h.shape == (0, 5, 5)
 
@@ -827,7 +807,7 @@ class TestFocusedKernels:
                 scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
             )
             kernels = focused_kernels(scn, pose_terms(scn, poses), gain)
-            h = closed_form_cascades(scn, poses, gain)
+            h = np.array([closed_form_channel(posed_scenario(scn, row)) for row in poses.tolist()])
             assert kernels.dtype == np.float64 and kernels.shape == h.shape
             target = gain**2 * scn.irs.n_elements**2
             real, cplx = (check_orthogonality(m, mode, target) for m in (kernels, h))
@@ -844,17 +824,14 @@ class TestFocusedKernels:
         # magnitude, and a link's kernel does not depend on its batch
         for _ in range(6):
             scn = random_scenario(rng)
-            poses = np.column_stack([
-                rng.uniform(2.0, 20.0, 8), rng.uniform(0, 2 * math.pi, 8), rng.uniform(0, math.pi, 8),
-                rng.uniform(2.0, 20.0, 8), rng.uniform(0, 2 * math.pi, 8), rng.uniform(0, math.pi, 8),
-            ])
+            poses = random_poses(rng, 8)
             gain = response.cascade_gains(
                 scn.wave, scn.reflection, scn.irs, scn.tx, scn.rx, poses[:, 0], poses[:, 3]
             )
             kernels = focused_kernels(scn, pose_terms(scn, poses), gain)
-            h = closed_form_cascades(scn, poses, gain)
-            for i in range(len(poses)):
+            for i, row in enumerate(poses.tolist()):
+                h = closed_form_channel(posed_scenario(scn, row))
                 scale = np.max(np.abs(kernels[i]))
-                assert np.max(np.abs(np.abs(h[i]) - np.abs(kernels[i]))) <= 1e-14 * scale
+                assert np.max(np.abs(np.abs(h) - np.abs(kernels[i]))) <= 1e-14 * scale
                 one = focused_kernels(scn, pose_terms(scn, poses[i : i + 1]), gain[i : i + 1])
                 assert one[0].tobytes() == kernels[i].tobytes()

@@ -43,6 +43,7 @@ from irsmimo.multiplexing import (
 )
 from irsmimo.optimize import mutual_information
 from irsmimo.scenario import parse_scenario, serialize_scenario
+from oracles import batched_closed_form
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -196,6 +197,23 @@ class TestEigensweepCommand:
         _, rows = read_csv(out_file)
         eigs = [float(x) for x in rows[0][1:]]
         assert max(eigs) / min(eigs) > 10.0
+
+    @pytest.mark.parametrize("orient, azimuth", [
+        ("auto-x", "1.5707963267948968"), ("auto-y", "3.1415926535897936"),
+    ])
+    def test_an_anchor_just_below_zero_is_the_angle_zero(self, capsys, tmp_path, orient, azimuth):
+        # the Tx anchor is about -1e-16 here, which modulo 2*pi rounds up to
+        # exactly 2*pi, an azimuth no pose accepts
+        path = write_variant(tmp_path, "wrap.txt", {"tx.azimuth_rad": azimuth})
+        code, out, err = run_cli(
+            capsys,
+            "eigensweep", "--scenario", path, "--orient", orient,
+            "--start", "5.0", "--stop", "20.0", "--count", "3",
+        )
+        assert code == 0, err
+        for row in read_csv(out, from_file=False)[1]:
+            eigs = [float(x) for x in row[1:]]
+            assert max(eigs) / min(eigs) < 1.0 + 1e-6
 
     def test_single_antenna_is_always_flat(self, capsys, tmp_path):
         solo = write_variant(tmp_path, "solo.txt", {"tx.count": "1"})
@@ -365,10 +383,10 @@ class TestFmrMapCommand:
         tx_v1 = chan.link_side(scn.wave.wavelength, scn.irs, scn.tx).v1
         calls = []
 
-        def counted(side, keys):
+        def counted(side, d, gamma, psi):
             is_tx = np.array_equal(side.v1, tx_v1)
-            calls.append(("tx" if is_tx else "rx", np.asarray(keys).tolist()))
-            return pose_side(side, keys)
+            calls.append(("tx" if is_tx else "rx", [d, gamma, psi]))
+            return pose_side(side, d, gamma, psi)
 
         monkeypatch.setattr(chan, "pose_side", counted)
         bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
@@ -397,7 +415,7 @@ class TestFmrMapCommand:
                 else:
                     ot, orx = fmr_orientations(bound, d_t, d_r, region)
                 spots[region is not None] = [
-                    ("tx", [[d_t, ot.gamma, ot.psi]]), ("rx", [[d_r, orx.gamma, orx.psi]])
+                    ("tx", [d_t, ot.gamma, ot.psi]), ("rx", [d_r, orx.gamma, orx.psi])
                 ]
                 if len(spots) == 2:
                     break
@@ -409,10 +427,10 @@ class TestFmrMapCommand:
         # a 60 x 60 map solves one region column per (D_t, axis) plus one
         # probe column, forms g0 once for all its gains, and builds complex
         # cascades, closed-form and brute-force, only at its two spot points,
-        # each brute-force build_channels forming its own eta0
+        # each closed_form_channel and build_channels forming its own eta0
         scn = parse_scenario(BASELINE)
         monkeypatch.setattr(cli, "parse_scenario", lambda path: scn)
-        calls = {"_column": [], "tilde_g": [], "closed_form_cascades": [], "build_channels": []}
+        calls = {"_column": [], "tilde_g": [], "closed_form_channel": [], "build_channels": []}
 
         def count(module, name):
             real = getattr(module, name)
@@ -425,7 +443,7 @@ class TestFmrMapCommand:
 
         count(mux, "_column")
         count(response, "tilde_g")
-        count(chan, "closed_form_cascades")
+        count(chan, "closed_form_channel")
         count(chan, "build_channels")
         code, out, err = run_cli(
             capsys,
@@ -436,10 +454,9 @@ class TestFmrMapCommand:
         assert code == 0, err
         assert len(out.splitlines()) == 2 + 60 * 60
         assert 0 < len(calls["_column"]) <= 2 * 60 + 1
-        assert 0 < len(calls["closed_form_cascades"]) <= 2
-        assert all(np.shape(poses) == (1, 6) for _, poses, _ in calls["closed_form_cascades"])
-        assert 0 < len(calls["build_channels"]) <= 2
-        assert len(calls["tilde_g"]) == 1 + len(calls["closed_form_cascades"])
+        assert 0 < len(calls["closed_form_channel"]) <= 2
+        assert calls["build_channels"] == calls["closed_form_channel"]
+        assert len(calls["tilde_g"]) == 1 + 2 * len(calls["closed_form_channel"])
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_kernel_verdicts_are_the_complex_closed_forms(self, capsys, monkeypatch, seed):
@@ -475,7 +492,11 @@ class TestFmrMapCommand:
             poses = maps[0][end - len(gain) : end]
             for got, own in zip(terms, real_terms(scn, poses)):
                 assert got.tobytes() == own.tobytes()
-            want.append(gram_verdicts(scn, chan.closed_form_cascades(scn, poses, gain), gain))
+            h = batched_closed_form(scn, poses, gain)
+            # the batched reference is the one-link closed form at each block's first row
+            one = chan.closed_form_channel(posed_scenario(scn, poses[0].tolist()))
+            assert h[0].tobytes() == one.tobytes()
+            want.append(gram_verdicts(scn, h, gain))
         _, rows = read_csv(out, from_file=False)
         gram = [row[4] for row in rows]
         assert gram == ["1" if v else "0" for v in np.concatenate(want).tolist()]
@@ -494,15 +515,15 @@ class TestFmrMapCommand:
             for d_r in d_r_vals
             if any(region_contains(bound, d_t, d_r, r) for r in ("x", "y")) == (spot == "in")
         )
-        real = chan.closed_form_cascades
+        real = chan.closed_form_channel
 
-        def perturbed(scn, poses, gain):
-            h = real(scn, poses, gain)
-            hit = (poses[:, 0] == target[0]) & (poses[:, 3] == target[1])
-            h[hit, 0, 0] *= 1.0 + 1e-6
+        def perturbed(scn):
+            h = real(scn)
+            if (scn.tx.distance, scn.rx.distance) == target:
+                h[0, 0] *= 1.0 + 1e-6
             return h
 
-        monkeypatch.setattr(chan, "closed_form_cascades", perturbed)
+        monkeypatch.setattr(chan, "closed_form_channel", perturbed)
         code, out, err = run_cli(
             capsys,
             "fmr-map", "--scenario", BASELINE, "--verify",
@@ -915,6 +936,21 @@ class TestVerifyCommand:
         replacements = {f"{side}.elevation_rad": repr(math.pi / 2)}
         if azimuth:
             replacements[f"{side}.azimuth_rad"] = azimuth
+        edge_on = write_variant(tmp_path, "edge_on.txt", replacements)
+        code, out, _ = run_cli(capsys, "verify", "--scenario", edge_on, "--checks", "gram_fmr")
+        assert code == 0, out
+        assert "pass=True, outside" in out and "PASS gram_fmr" in out
+
+    @pytest.mark.parametrize("elevation", [math.pi / 2, math.nextafter(math.pi / 2, 0.0)])
+    @pytest.mark.parametrize("side", ["tx", "rx"])
+    def test_gram_check_passes_with_an_array_in_the_surface_plane_off_the_x_axis(
+        self, capsys, tmp_path, side, elevation
+    ):
+        # just off the x axis a_x is about 1.1e-15, just above the degenerate
+        # limit, and the x region is about 1e-14 m wide: the in-region point
+        # is taken in the y region, which spans more D_t * D_r
+        replacements = {f"{side}.elevation_rad": repr(elevation),
+                        f"{side}.azimuth_rad": "6.283185307179585"}
         edge_on = write_variant(tmp_path, "edge_on.txt", replacements)
         code, out, _ = run_cli(capsys, "verify", "--scenario", edge_on, "--checks", "gram_fmr")
         assert code == 0, out

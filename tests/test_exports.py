@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -59,6 +60,24 @@ def test_readme_sketch_names_exist():
     names = set(re.findall(r"\bim\.(\w+)", sketch.group(1)))
     assert "build_channels" in names
     assert sorted(name for name in names if not hasattr(irsmimo, name)) == []
+
+
+def test_readme_module_names_exist():
+    # prose about a deleted function must not outlive it: every backticked
+    # `module.name` of a package module in the README resolves there
+    modules = {info.name for info in pkgutil.iter_modules(irsmimo.__path__)}
+    paths = [path for path, module in re.findall(r"`((\w+)(?:\.\w+)+)`", README.read_text())
+             if module in modules]
+    assert "channel.build_channels" in paths
+
+    def resolves(path):
+        module, *attrs = path.split(".")
+        obj = importlib.import_module(f"irsmimo.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        return obj is not None
+
+    assert sorted(path for path in paths if not resolves(path)) == []
 
 
 @pytest.fixture(scope="module")
