@@ -1,10 +1,10 @@
 """Verification setups shared by `irsmimo verify`, `fmr-map --verify` and the
-tests: the golden scenario, the random-scenario generator, the Gram check of
-a link posed at solver orientations, and the `verify` checks, each of which
-reads only the scenario it is given; the paper's golden values live in the
-tests.  Channels, Gram reports and solvers are looked up through the
-`channel`, `multiplexing` and `optimize` module attributes, so wrappers
-installed there see every call.
+tests: the golden scenario, the Gram check of a link posed at solver
+orientations, and the `verify` checks, each of which reads only the
+scenario it is given; the paper's golden values and the random-scenario
+generator live in the tests.  Channels, Gram reports and solvers are
+looked up through the `channel`, `multiplexing` and `optimize` module
+attributes, so wrappers installed there see every call.
 """
 
 from __future__ import annotations
@@ -41,34 +41,6 @@ def golden_scenario() -> Scenario:
             elevation=3 * math.pi / 7,
         ),
         irs=IrsLayout(15, 15, 0.1, 0.1, 0.1, 0.1),
-    )
-
-
-def random_scenario(rng, n_max=7, q_max=15, high_snr=False) -> Scenario:
-    """Draw a well-separated random scenario; either array may be the larger."""
-    n_t = int(rng.choice([n for n in (3, 5, 7) if n <= n_max]))
-    n_r = int(rng.choice([n for n in (1, 3, 5, 7) if n <= n_max]))
-    q_x = int(rng.choice([q for q in (5, 9, 15) if q <= q_max]))
-    q_y = int(rng.choice([q for q in (5, 9, 15) if q <= q_max]))
-
-    def pose(count):
-        return ArrayPose(
-            n_antennas=count,
-            spacing=float(rng.uniform(0.02, 0.12)),
-            distance=float(rng.uniform(4.0, 16.0)),
-            azimuth=float(rng.uniform(0.0, 2 * math.pi)),
-            elevation=float(rng.uniform(0.05, math.pi / 2 - 0.05)),
-            orient_azimuth=float(rng.uniform(0.0, 2 * math.pi)),
-            orient_elevation=float(rng.uniform(0.2, math.pi - 0.2)),
-        )
-
-    spacing = float(rng.uniform(0.02, 0.08))
-    return Scenario(
-        wave=response.WaveConfig(float(rng.uniform(0.004, 0.012))),
-        tx=pose(n_t),
-        rx=pose(n_r),
-        irs=IrsLayout(q_x, q_y, spacing, spacing, spacing, spacing),
-        power=opt.PowerConfig(1.0, 1e-12) if high_snr else opt.PowerConfig(),
     )
 
 
@@ -155,7 +127,7 @@ def _check_gram_fmr(scn: Scenario):
     inside = gram_passes(scn, d_t, d_r, mux.fmr_orientations(bound, d_t, d_r, region))
     # past both sides' limits, so a one-antenna side, which has none, still
     # leaves the other side unable to separate its streams
-    far_t = 1.2 * bound.x.d_t_rayleigh
+    far_t = 1.2 * max(bound.x.d_t_rayleigh, bound.y.d_t_rayleigh)
     far_r = 1.2 * max(bound.x.d_r_rayleigh, bound.y.d_r_rayleigh)
     outside = gram_passes(scn, far_t, far_r, mux.fmr_probe_orientation(bound, far_t, far_r, "x"))
     ok = inside and not outside

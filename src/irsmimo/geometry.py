@@ -1,4 +1,4 @@
-"""Frames, positions and link distances for two-hop reflected MIMO geometry.
+"""Frames and positions for two-hop reflected MIMO geometry.
 
 The global frame sits at the center of the reflecting surface: x and y run
 along the surface sides, z is the surface normal.  A terminal (Tx or Rx line
@@ -200,13 +200,6 @@ def antenna_position(pose: ArrayPose, p) -> np.ndarray:
     return u1 * n_x + u2 * n_y + u3 * n_z
 
 
-def re_position(layout: IrsLayout, k: int, l: int) -> np.ndarray:
-    """Center of reflecting element (k, l); the surface lies in z = 0."""
-    check_centered(k, layout.q_x, "k")
-    check_centered(l, layout.q_y, "l")
-    return np.array([k * layout.spacing_x, l * layout.spacing_y, 0.0])
-
-
 def re_local_components(
     layout: IrsLayout, pose: ArrayPose
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,32 +216,3 @@ def re_local_components(
     v2 = k * n_y[0] + l * n_y[1]
     v3 = k * n_z[0] + l * n_z[1]
     return v1, v2, v3
-
-
-def _link_components(pose: ArrayPose, layout: IrsLayout, antenna: int, k: int, l: int):
-    """(u, v): antenna's and element (k, l)'s local-frame components, the
-    element's read from its row of re_local_components."""
-    check_centered(antenna, pose.n_antennas, "antenna")
-    check_centered(k, layout.q_x, "k")
-    check_centered(l, layout.q_y, "l")
-    row = (k + (layout.q_x - 1) // 2) * layout.q_y + l + (layout.q_y - 1) // 2
-    v = [c[row] for c in re_local_components(layout, pose)]
-    return antenna_local_components(pose, antenna), v
-
-
-def link_distance_exact(pose: ArrayPose, layout: IrsLayout, antenna: int, k: int, l: int) -> float:
-    """Exact Euclidean distance from an antenna to an element center."""
-    (u1, u2, u3), (v1, v2, v3) = _link_components(pose, layout, antenna, k, l)
-    return math.hypot(u1 - v1, u2 - v2, u3 - v3)
-
-
-def link_distance_approx(pose: ArrayPose, layout: IrsLayout, antenna: int, k: int, l: int) -> float:
-    """Second-order small-array expansion of the link distance.
-
-    Transverse offsets enter quadratically over twice the center distance;
-    the axial offset stays linear.  Good to ~|offset|^4/D^3 absolute error.
-    """
-    (u1, u2, u3), (v1, v2, v3) = _link_components(pose, layout, antenna, k, l)
-    a, b = u1 - v1, u2 - v2
-    d = pose.distance
-    return a * a / (2.0 * d) + b * b / (2.0 * d) + (u3 - v3)

@@ -84,11 +84,12 @@ class FmrBound(NamedTuple):
 
 
 class GramReport(NamedTuple):
-    """Outcome of an orthogonality/equal-gain check of a channel matrix."""
+    """Outcome of an orthogonality/equal-gain check of a stack of channel
+    matrices; each field carries the stack's leading axes."""
 
-    max_offdiag: float
+    max_offdiag: np.ndarray
     diag_values: np.ndarray
-    passed: bool
+    passed: np.ndarray
 
 
 def rayleigh_distances(pose: ArrayPose, layout: IrsLayout, wave: WaveConfig) -> RayleighResult:
@@ -336,22 +337,15 @@ def fmr_probe_orientation(
     return _point_settings(region_grid(bound, [d_t], [d_r], (), region), region)
 
 
-def check_orthogonality(
-    matrix: ComplexMatrix,
-    mode: str,
-    target_gain,
-    tol_off: float = 1e-6,
-    tol_diag: float = 1e-8,
-) -> GramReport:
-    """Gram-matrix test: off-diagonals near zero, diagonals near target_gain.
+def check_orthogonality(matrix: ComplexMatrix, mode: str, target_gain) -> GramReport:
+    """Gram-matrix test of a (..., n, m) stack: off-diagonals near zero,
+    diagonals near target_gain.
 
     mode 'columns' checks pairwise column inner products (M^H M), 'rows'
     checks row inner products (M M^H).  Passing requires the largest
-    off-diagonal magnitude to stay below tol_off * target_gain and every
-    diagonal to stay within tol_diag relative of target_gain.
-
-    matrix may be a (..., n, m) stack, with target_gain a scalar or one
-    value per matrix; the report's fields then carry the leading axes.
+    off-diagonal magnitude to stay at most 1e-6 * target_gain and every
+    diagonal within 1e-8 relative of target_gain.  target_gain is a scalar
+    or one value per matrix; the report's fields carry the leading axes.
     """
     m = np.asarray(matrix)
     if m.size == 0:
@@ -367,11 +361,9 @@ def check_orthogonality(
     diag_c = np.diagonal(gram, axis1=-2, axis2=-1)
     diag = np.real(diag_c).copy()
     off = np.where(np.eye(n, dtype=bool), gram - diag_c[..., None], gram)
-    max_off = np.max(np.abs(off), axis=(-2, -1)) if n > 1 else np.zeros(gram.shape[:-2])
+    max_off = np.max(np.abs(off), axis=(-2, -1))
     target = np.asarray(target_gain)[..., None]
-    passed = (max_off <= tol_off * target[..., 0]) & np.all(
-        np.abs(diag - target) <= tol_diag * target, axis=-1
+    passed = (max_off <= 1e-6 * target[..., 0]) & np.all(
+        np.abs(diag - target) <= 1e-8 * target, axis=-1
     )
-    if m.ndim == 2:
-        max_off, passed = float(max_off), bool(passed)
     return GramReport(max_offdiag=max_off, diag_values=diag, passed=passed)

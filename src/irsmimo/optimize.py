@@ -225,15 +225,11 @@ def largest_eigenvalue(a) -> float:
     return float(np.linalg.eigvalsh(a)[-1])
 
 
-def mm_step(w, alpha, theta, lam_max: float | None = None, z=None) -> np.ndarray:
-    """One majorized phase update for Lambda = w w^H; entries with a zero
-    update direction keep their current phase.  z = w^H theta is computed
-    unless the caller already has it."""
+def mm_step(w, alpha, theta, lam_max: float, z) -> np.ndarray:
+    """One majorized phase update for Lambda = w w^H, with lam_max the
+    largest eigenvalue of w^H w and z = w^H theta; entries with a zero
+    update direction keep their current phase."""
     theta = np.asarray(theta, dtype=complex)
-    if lam_max is None:
-        lam_max = largest_eigenvalue(w.conj().T @ w)
-    if z is None:
-        z = w.conj().T @ theta
     q = lam_max * theta
     q -= w @ z
     q -= alpha

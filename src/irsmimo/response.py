@@ -18,8 +18,6 @@ from .geometry import ArrayPose, IrsLayout, antenna_position, centered_indices
 
 SPEED_OF_LIGHT = 299792458.0
 
-SINC_SERIES_CUTOFF = 1e-8
-
 
 @dataclass(frozen=True)
 class WaveConfig:
@@ -67,11 +65,11 @@ def far_field_boundary_irs(layout: IrsLayout, wavelength: float) -> float:
 
 
 def sinc_ratio(x):
-    """sin(x)/x, switching to the quadratic series 1 - x^2/6 near zero."""
+    """sin(x)/x, with its limit 1 at x = 0."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < SINC_SERIES_CUTOFF
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+    zero = x == 0.0
+    safe = np.where(zero, 1.0, x)
+    out = np.where(zero, 1.0, np.sin(safe) / safe)
     if out.ndim == 0:
         return float(out)
     return out

@@ -1,11 +1,14 @@
-"""Independent oracles for the separable link phase, its gradient and the MI.
+"""Independent oracles for the link phase, its gradient and the MI, and the
+tests' random-scenario generator.
 
-The link phase is computed here the long way, from the per-entry offsets
-a = r sin(psi) cos(gamma) - v1, b = r sin(psi) sin(gamma) - v2 and
-a_z = r cos(psi) - v3, as pi*(a^2 + b^2)/(lambda*D) + k0*a_z, and its tilt
-derivatives as full (Q, N) matrices.  These are the forms the channel module
-used before it split the phase into element, antenna and coupling terms.
-The MI is taken exactly from the float entries of a cascade.  The reduced
+The exact link phase is taken from the distance between each element
+center and each antenna position, which the channel expands to second
+order.  The expanded link phase is computed here the long way, from the
+per-entry offsets a = r sin(psi) cos(gamma) - v1, b = r sin(psi)
+sin(gamma) - v2 and a_z = r cos(psi) - v3, as pi*(a^2 + b^2)/(lambda*D) +
+k0*a_z, and its tilt derivatives as full (Q, N) matrices.  These are the
+forms the channel module used before it split the phase into element,
+antenna and coupling terms.  The MI is taken exactly from the float entries of a cascade.  The reduced
 cascade of the optimizer's tilt kernel is checked against each side's
 coupling factor formed alone, the weights of d MI/d phase solved on it,
 and their contraction against the coupling's tilt derivatives: the forms
@@ -26,14 +29,60 @@ from pathlib import Path
 
 import numpy as np
 
+from irsmimo import optimize as opt
+from irsmimo import response
 from irsmimo.channel import _dirichlet_factors, pose_terms, resolve_link, side_anchors
-from irsmimo.checks import random_scenario
-from irsmimo.geometry import centered_indices, re_local_components
+from irsmimo.geometry import (
+    ArrayPose,
+    IrsLayout,
+    antenna_position,
+    centered_indices,
+    re_local_components,
+)
 from irsmimo.optimize import LOG2, oriented_scenario
-from irsmimo.scenario import parse_scenario
+from irsmimo.scenario import Scenario, parse_scenario
 
 SCENARIO_FILES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.txt"))
 LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def random_scenario(rng, n_max=7, q_max=15, high_snr=False) -> Scenario:
+    """Draw a well-separated random scenario; either array may be the larger."""
+    n_t = int(rng.choice([n for n in (3, 5, 7) if n <= n_max]))
+    n_r = int(rng.choice([n for n in (1, 3, 5, 7) if n <= n_max]))
+    q_x = int(rng.choice([q for q in (5, 9, 15) if q <= q_max]))
+    q_y = int(rng.choice([q for q in (5, 9, 15) if q <= q_max]))
+
+    def pose(count):
+        return ArrayPose(
+            n_antennas=count,
+            spacing=float(rng.uniform(0.02, 0.12)),
+            distance=float(rng.uniform(4.0, 16.0)),
+            azimuth=float(rng.uniform(0.0, 2 * math.pi)),
+            elevation=float(rng.uniform(0.05, math.pi / 2 - 0.05)),
+            orient_azimuth=float(rng.uniform(0.0, 2 * math.pi)),
+            orient_elevation=float(rng.uniform(0.2, math.pi - 0.2)),
+        )
+
+    spacing = float(rng.uniform(0.02, 0.08))
+    return Scenario(
+        wave=response.WaveConfig(float(rng.uniform(0.004, 0.012))),
+        tx=pose(n_t),
+        rx=pose(n_r),
+        irs=IrsLayout(q_x, q_y, spacing, spacing, spacing, spacing),
+        power=opt.PowerConfig(1.0, 1e-12) if high_snr else opt.PowerConfig(),
+    )
+
+
+def exact_phases(scn, pose):
+    """2*pi*(d - D)/lambda (Q, N) of pose's hop, with d the exact distance
+    from each element center to each antenna: the phases the channel
+    expands to second order in the offsets."""
+    x, y = scn.irs.element_grid
+    elements = np.stack([x, y, np.zeros_like(x)], axis=1)
+    antennas = antenna_position(pose, centered_indices(pose.n_antennas))
+    d = np.linalg.norm(elements[:, None, :] - antennas[None, :, :], axis=-1)
+    return (2.0 * math.pi / scn.wave.wavelength) * (d - pose.distance)
 
 
 def _offsets(scn, pose, dtype):

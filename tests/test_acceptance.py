@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from irsmimo.channel import build_channels, closed_form_channel, tx_irs_channel
-from irsmimo.checks import golden_scenario, gram_passes, random_scenario
+from irsmimo.checks import golden_scenario, gram_passes
 from irsmimo.multiplexing import (
     fmr_inner_bound,
     fmr_orientations,
@@ -36,6 +36,7 @@ from irsmimo.optimize import (
 )
 from irsmimo.response import WaveConfig, far_field_boundary_irs, far_field_boundary_re
 from irsmimo.scenario import IrsLayout, Scenario, parse_scenario
+from oracles import random_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 

@@ -29,7 +29,7 @@ from irsmimo.channel import (
     side_anchors,
     tx_irs_channel,
 )
-from irsmimo.checks import gram_verdicts, posed_scenario, random_scenario
+from irsmimo.checks import gram_verdicts, posed_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout, centered_indices
 from irsmimo.multiplexing import check_orthogonality, fmr_inner_bound, region_grid
 from irsmimo.optimize import (
@@ -47,6 +47,7 @@ from oracles import (
     edge_tilts,
     offset_jacobian,
     offset_phases,
+    random_scenario,
     reference_dirichlet_ratio,
     reference_side_terms,
 )

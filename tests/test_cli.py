@@ -31,7 +31,7 @@ from irsmimo import multiplexing as mux
 from irsmimo import optimize as opt
 from irsmimo import response
 from irsmimo.channel import build_channels, pose_side
-from irsmimo.checks import gram_passes, gram_verdicts, posed_scenario, random_scenario
+from irsmimo.checks import gram_passes, gram_verdicts, posed_scenario
 from irsmimo.cli import main
 from irsmimo.geometry import IrsLayout
 from irsmimo.multiplexing import (
@@ -43,7 +43,7 @@ from irsmimo.multiplexing import (
 )
 from irsmimo.optimize import mutual_information
 from irsmimo.scenario import parse_scenario, serialize_scenario
-from oracles import batched_closed_form
+from oracles import batched_closed_form, random_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -955,6 +955,20 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--scenario", edge_on, "--checks", "gram_fmr")
         assert code == 0, out
         assert "pass=True, outside" in out and "PASS gram_fmr" in out
+
+    def test_gram_check_outside_point_is_past_both_tx_limits(self, capsys, tmp_path):
+        # with the Tx in the surface plane just off the x axis its x limit is
+        # about 1e-14 m, and 1.2 x that limit alone put the outside point at
+        # D_t = 0.000 m, inside its y limit
+        edge_on = write_variant(tmp_path, "edge_on.txt", {
+            "tx.elevation_rad": repr(math.pi / 2), "tx.azimuth_rad": "6.283185307179585"
+        })
+        code, out, _ = run_cli(capsys, "verify", "--scenario", edge_on, "--checks", "gram_fmr")
+        assert code == 0, out
+        scn = parse_scenario(edge_on)
+        bound = fmr_inner_bound(scn.tx, scn.rx, scn.irs, scn.wave)
+        assert bound.x.d_t_rayleigh < 1e-12
+        assert f"outside (D_t={1.2 * bound.y.d_t_rayleigh:.3f} m" in out  # 36.000 m
 
     def test_gram_check_with_more_receivers_than_transmitters(self, capsys, tmp_path):
         tall = write_variant(tmp_path, "tall.txt", {"rx.count": "5"}, base=SMALL)

@@ -1,13 +1,15 @@
-"""Array/surface geometry: frames, positions, exact and expanded distances."""
+"""Array/surface geometry: frames, positions, and hop phases against exact distances."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irsmimo.checks import golden_scenario, random_scenario
+from irsmimo.channel import propagation_phases
+from irsmimo.checks import golden_scenario
 from irsmimo.geometry import (
     ArrayPose,
     IrsLayout,
@@ -15,12 +17,10 @@ from irsmimo.geometry import (
     antenna_position,
     centered_indices,
     check_centered,
-    link_distance_approx,
-    link_distance_exact,
     local_frame,
     re_local_components,
-    re_position,
 )
+from oracles import exact_phases, random_scenario
 
 
 def pose_at(omega, phi, gamma=0.0, psi=math.pi / 2, distance=10.0, spacing=0.1, n=5):
@@ -101,9 +101,10 @@ class TestFrames:
 
 class TestPositions:
     def test_element_positions_live_in_the_surface_plane(self):
-        layout = golden_scenario().irs
-        assert np.allclose(re_position(layout, 1, -1), [0.1, -0.1, 0.0])
-        assert re_position(layout, 0, 0)[2] == 0.0
+        # element (k, l) sits at (k s_x, l s_y, 0); the grid holds x and y
+        x, y = golden_scenario().irs.element_grid
+        row = (1 + 7) * 15 + (-1 + 7)
+        assert (x[row], y[row]) == pytest.approx((0.1, -0.1))
 
     def test_row_major_order_is_k_slow_l_fast(self):
         layout = IrsLayout(3, 5, 0.2, 0.1, 0.1, 0.1)
@@ -124,8 +125,8 @@ class TestPositions:
         layout = IrsLayout(3, 5, 0.2, 0.1, 0.1, 0.1)
         x, y = layout.element_grid
         assert layout.element_grid[0] is x
-        want = [re_position(layout, k, ell) for k in (-1, 0, 1) for ell in range(-2, 3)]
-        assert np.array_equal(np.stack([x, y], axis=1), np.array(want)[:, :2])
+        want = [(k * 0.2, ell * 0.1) for k in (-1, 0, 1) for ell in range(-2, 3)]
+        assert np.array_equal(np.stack([x, y], axis=1), np.array(want))
         with pytest.raises(ValueError):
             x[0] = 1.0
         # the cached grid takes no part in equality or hashing
@@ -134,71 +135,43 @@ class TestPositions:
 
 
 class TestDistances:
-    def test_exact_distance_equals_position_norm(self, rng):
-        for _ in range(100):
-            scn = random_scenario(rng)
-            layout, pose = scn.irs, scn.tx
-            p = int(rng.integers(-(pose.n_antennas // 2), pose.n_antennas // 2 + 1))
-            k = int(rng.integers(-(layout.q_x // 2), layout.q_x // 2 + 1))
-            ell = int(rng.integers(-(layout.q_y // 2), layout.q_y // 2 + 1))
-            d = link_distance_exact(pose, layout, p, k, ell)
-            w = antenna_position(pose, p) - re_position(layout, k, ell)
-            assert d == pytest.approx(float(np.linalg.norm(w)), abs=1e-12)
+    # propagation_phases expands each element-to-antenna distance d to
+    # second order; exact_phases takes d from the positions themselves
 
     def test_expansion_close_to_exact_at_range(self):
         layout = IrsLayout(15, 15, 0.01, 0.01, 0.01, 0.01)
         pose = pose_at(1.0, 0.7, gamma=0.5, psi=1.2, distance=25.0, spacing=0.01)
-        worst = max(
-            abs(link_distance_approx(pose, layout, p, k, ell) - link_distance_exact(pose, layout, p, k, ell))
-            for k in (-7, 0, 7)
-            for ell in (-7, 0, 7)
-            for p in (-2, 0, 2)
-        )
-        assert worst < 1e-6
+        scn = replace(golden_scenario(), tx=pose, irs=layout)
+        error = propagation_phases(scn.wave, layout, pose) - exact_phases(scn, pose)
+        assert np.max(np.abs(error)) * scn.wave.wavelength / (2 * math.pi) < 1e-6
 
     def test_axis_half_turn_relabels_antennas(self, rng):
         # reversing the array axis (gamma + pi, pi - psi) while negating the
-        # antenna index describes the identical physical point, so both the
-        # exact and the expanded distances must not move at all
+        # antenna index describes the identical physical point, so the
+        # phases with their antenna columns reversed must not move
         for _ in range(25):
             scn = random_scenario(rng)
-            layout, pose = scn.irs, scn.tx
-            flipped = ArrayPose(
-                n_antennas=pose.n_antennas,
-                spacing=pose.spacing,
-                distance=pose.distance,
-                azimuth=pose.azimuth,
-                elevation=pose.elevation,
+            pose = scn.tx
+            flipped = replace(
+                pose,
                 orient_azimuth=(pose.orient_azimuth + math.pi) % (2 * math.pi),
                 orient_elevation=math.pi - pose.orient_elevation,
             )
-            k = int(rng.integers(-(layout.q_x // 2), layout.q_x // 2 + 1))
-            ell = int(rng.integers(-(layout.q_y // 2), layout.q_y // 2 + 1))
-            p = int(rng.integers(1, pose.n_antennas // 2 + 1))
-            for fn in (link_distance_exact, link_distance_approx):
-                a = fn(pose, layout, p, k, ell)
-                b = fn(flipped, layout, -p, k, ell)
-                assert a == pytest.approx(b, rel=1e-12)
+            phases = propagation_phases(scn.wave, scn.irs, pose)
+            turned = propagation_phases(scn.wave, scn.irs, flipped)[:, ::-1]
+            assert np.max(np.abs(turned - phases)) <= 1e-12 * np.max(np.abs(phases))
 
     def test_index_negation_flips_only_the_axial_term(self, rng):
         # negating every index flips the sign of each transverse offset, so
-        # the quadratic part of the expansion is even; the whole expression
-        # changes only through the linear along-boresight term
+        # the quadratic part of the expansion is even; the phases change
+        # only through the linear along-boresight term k0 (r_p cos psi - v3)
         for _ in range(25):
             scn = random_scenario(rng)
-            layout, pose = scn.irs, scn.tx
-            k = int(rng.integers(1, layout.q_x // 2 + 1))
-            ell = int(rng.integers(1, layout.q_y // 2 + 1))
-            p = int(rng.integers(1, pose.n_antennas // 2 + 1))
-            _, _, n_z = local_frame(pose)
-            v3 = float(re_position(layout, k, ell) @ n_z)
-            u3 = antenna_local_components(pose, p)[2]
-            odd = link_distance_approx(pose, layout, p, k, ell) - link_distance_approx(
-                pose, layout, -p, -k, -ell
-            )
-            assert odd == pytest.approx(2.0 * (u3 - pose.distance - v3), abs=1e-12)
-
-    def test_rejects_out_of_grid_indices(self):
-        layout = IrsLayout(5, 5, 0.1, 0.1, 0.1, 0.1)
-        with pytest.raises(IndexError):
-            link_distance_exact(pose_at(0.1, 0.2), layout, 3, 0, 0)
+            pose = scn.tx
+            phases = propagation_phases(scn.wave, scn.irs, pose)
+            v3 = re_local_components(scn.irs, pose)[2]
+            r = centered_indices(pose.n_antennas) * pose.spacing
+            k0 = 2 * math.pi / scn.wave.wavelength
+            axial = 2 * k0 * (r * math.cos(pose.orient_elevation) - v3[:, None])
+            odd = phases - phases[::-1, ::-1]
+            assert np.max(np.abs(odd - axial)) <= 1e-12 * np.max(np.abs(phases))

@@ -22,7 +22,7 @@ from irsmimo import channel as chan
 from irsmimo import checks
 from irsmimo import optimize as opt
 from irsmimo.channel import build_channels
-from irsmimo.checks import golden_scenario, posed_scenario, random_scenario
+from irsmimo.checks import golden_scenario, posed_scenario
 from irsmimo.geometry import ArrayPose, IrsLayout
 from irsmimo.multiplexing import fmr_inner_bound, fmr_orientations
 from irsmimo.optimize import (
@@ -49,11 +49,13 @@ from irsmimo.optimize import (
 from irsmimo.response import WaveConfig
 from irsmimo.scenario import PowerConfig, Scenario, parse_scenario
 from oracles import (
+    SCENARIO_FILES,
     coupling_factor,
     edge_setups,
     edge_tilts,
     exact_mutual_information,
     full_jacobian_gradient,
+    random_scenario,
     reference_slopes,
 )
 
@@ -272,6 +274,15 @@ class TestRelaxedAllocation:
         assert allocation_rate(tall, 1e3) == allocation_rate(wide, 1e3)
 
 
+def mm_update(w, alpha, theta, lam_max=None):
+    """mm_step with z = w^H theta, and lam_max the largest eigenvalue of
+    w^H w unless given."""
+    wh = w.conj().T
+    if lam_max is None:
+        lam_max = largest_eigenvalue(wh @ w)
+    return mm_step(w, alpha, theta, lam_max, wh @ np.asarray(theta, dtype=complex))
+
+
 class TestMmMachinery:
     def seeded_parts(self, rng):
         scn = random_scenario(rng, high_snr=True)
@@ -331,13 +342,13 @@ class TestMmMachinery:
             aux = mm_auxiliaries(chans.h_t, chans.h_r, chans.theta, chans.eta0, scn.power)
         assert "error covariance regularized: min eigenvalue -" in caplog.text
         assert np.isfinite(aux.w).all() and np.isfinite(aux.alpha).all()
-        theta = mm_step(aux.w, aux.alpha, chans.theta)
+        theta = mm_update(aux.w, aux.alpha, chans.theta)
         assert np.abs(theta) == pytest.approx(np.ones(scn.irs.n_elements), abs=1e-12)
 
     def test_step_solves_the_pure_linear_case(self, rng):
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         theta = np.exp(1j * rng.uniform(0, 2 * math.pi, 6))
-        out = mm_step(np.zeros((6, 6), dtype=complex), -v, theta)
+        out = mm_update(np.zeros((6, 6), dtype=complex), -v, theta)
         assert np.allclose(out, np.exp(1j * np.angle(v)))
 
     def test_step_never_worsens_the_surrogate(self, rng):
@@ -348,7 +359,7 @@ class TestMmMachinery:
             alpha = rng.normal(size=n) + 1j * rng.normal(size=n)
             theta = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
             before = qcqp_objective(w, alpha, theta)
-            after = qcqp_objective(w, alpha, mm_step(w, alpha, theta))
+            after = qcqp_objective(w, alpha, mm_update(w, alpha, theta))
             assert after <= before + 1e-9 * max(1.0, abs(before))
 
     def test_step_is_the_normalized_update_bit_for_bit(self, rng):
@@ -366,16 +377,14 @@ class TestMmMachinery:
             mag = np.abs(q)
             assert (mag[4] == 0) == zero
             want = np.divide(q, mag, out=theta.astype(complex), where=mag > 0)
-            assert np.array_equal(mm_step(w, alpha, theta, lam_max=lam_max), want)
-            z = w.conj().T @ theta
-            assert np.array_equal(mm_step(w, alpha, theta, lam_max=lam_max, z=z), want)
+            assert np.array_equal(mm_update(w, alpha, theta, lam_max), want)
 
     def test_step_normalizes_a_subnormal_update(self):
         # numpy's complex division by a subnormal magnitude overflows
         alpha = np.array([3e-310 + 4e-310j, -5e-311j, 1.0 + 0j, 0j])
         theta = np.exp(1j * np.arange(4.0))
         with np.errstate(all="raise", under="ignore"):
-            out = mm_step(np.zeros((4, 1)), alpha, theta, lam_max=0.0)
+            out = mm_update(np.zeros((4, 1)), alpha, theta, 0.0)
         assert np.allclose(out[:3], np.exp(1j * np.angle(-alpha[:3])), rtol=0, atol=1e-12)
         assert out[3] == theta[3]
 
@@ -388,7 +397,7 @@ class TestMmMachinery:
         lam_max = float(np.linalg.eigvalsh(lam)[-1])
         # choose the linear term so the update direction is theta itself
         alpha = (lam_max * theta - lam @ theta) - theta
-        assert np.allclose(mm_step(w, alpha, theta, lam_max=lam_max), theta)
+        assert np.allclose(mm_update(w, alpha, theta, lam_max), theta)
 
     @pytest.mark.parametrize("n", [12, 80])
     def test_top_eigenvalue_both_paths(self, rng, n):
@@ -416,7 +425,7 @@ def reference_optimize_theta(scn, theta0, *, eps_theta=1e-6, eps_mm=1e-8, max_ou
         lam_max = largest_eigenvalue(aux.w.conj().T @ aux.w)
         obj = qcqp_objective(aux.w, aux.alpha, theta)
         for _ in range(max_inner):
-            theta = mm_step(aux.w, aux.alpha, theta, lam_max=lam_max)
+            theta = mm_update(aux.w, aux.alpha, theta, lam_max)
             new_obj = qcqp_objective(aux.w, aux.alpha, theta)
             if obj - new_obj < eps_mm:
                 break
@@ -1141,6 +1150,26 @@ class TestLinkKernel:
             posed = build_channels(oriented_scenario(scn, normalize_orientation(m)))
             want = mutual_information(cascade(posed, theta), scn.power)
             assert abs(mi - want) <= 1e-12 * abs(want)
+
+    def test_focused_point_is_the_closed_form_kernel(self, rng):
+        # at w = 1, reflective focusing, and a scenario's own tilts, the
+        # kernel's cascade is the paper's Dirichlet product up to its
+        # unit-modulus diagonal antenna factors: eta0 |G| is |focused_kernels|
+        # entry by entry and eta0 sigma(G) its singular values, each to
+        # 1e-12 of the largest
+        setups = [parse_scenario(str(path)) for path in SCENARIO_FILES] + [golden_scenario()]
+        setups += [random_scenario(rng) for _ in range(12)]
+        for scn in setups:
+            kernel = opt._LinkKernel(scn)
+            m = pose_orientation(scn)
+            _, (_, grid, (_, sigma, _)) = kernel.point(np.ones(scn.irs.n_elements), np.array(m))
+            eta0 = kernel.link.eta0
+            g = grid[:, kernel.n_t :].T @ grid[:, : kernel.n_t]
+            terms = chan.pose_terms(scn, [[scn.tx.distance, *m[:2], scn.rx.distance, *m[2:]]])
+            closed = chan.focused_kernels(scn, terms, [eta0])[0]
+            want = np.linalg.svd(closed, compute_uv=False)
+            assert np.max(np.abs(eta0 * np.abs(g) - np.abs(closed))) <= 1e-12 * want[0]
+            assert np.max(np.abs(eta0 * sigma - want)) <= 1e-12 * want[0]
 
 
 def replay_joint_rounds(scn, start, *, max_rounds, eps_oa=1e-6, eps_orient=1e-6,

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irsmimo.checks import random_scenario
 from irsmimo.response import ReflectionConfig, WaveConfig
 from irsmimo.scenario import (
     FORMAT,
@@ -22,6 +21,7 @@ from irsmimo.scenario import (
     scenario_hash,
     serialize_scenario,
 )
+from oracles import random_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
